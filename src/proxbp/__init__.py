@@ -6,19 +6,17 @@ certified centralized solver."""
 from .net import (CAP_TOL, UTILITY_KINDS, ContractError, DecisionVector,
                   DomainError, Link, Network, NumericError, Scenario,
                   ScenarioFormatError, ScenarioValidationError, Session,
-                  Utility, flow_residual, load_scenario, multipath_expand,
-                  parse_scenario, residual_matrix, save_scenario,
-                  serialize_scenario, total_utility, validate_decision,
-                  zero_decision)
+                  Utility, load_scenario, parse_scenario, residual_matrix,
+                  save_scenario, serialize_scenario, total_utility,
+                  validate_decision, zero_decision)
 from .projection import ProjectionInstance, kkt_residual, project_bisect, project_sorted
 from .rates import RateProblem, closed_form_wlog, solve_rate
 from .engine import (ALPHA_MODES, AlgConfig, BpState, compute_weights,
                      default_alpha, initial_state, link_update, lyapunov,
                      slot_update)
-from .queues import (QueueTriple, ScriptedPolicy, ScriptedTrace,
-                     arrival_matrix, audit_queue_bounds, run_scripted,
-                     step_Q, step_Y, step_Z, step_triple, validate_policy,
-                     zero_queues)
+from .queues import (ScriptedPolicy, ScriptedTrace, arrival_matrix,
+                     audit_queue_bounds, run_scripted, step_Q, step_Y, step_Z,
+                     validate_policy)
 from .dpp import DppConfig, DppState, dpp_initial_state, dpp_slot_update, dpp_source_rate, dpp_step
 from .oracle import (OracleError, OracleSolution, compute_zeta, dual_value,
                      load_solution, parse_solution, repair_feasible,

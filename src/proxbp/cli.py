@@ -53,6 +53,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _plan_number(convert, text, lineno, key):
+    try:
+        return convert(text)
+    except ValueError:
+        raise ContractError(f"plan line {lineno}: {key} must be a number, got {text!r}") from None
+
+
 def parse_plan(text: str):
     """Plan grammar: 'slots N' and 'run name=.. alg=new|dpp [alpha-mode=gap|bound]
     [alpha-scale=S] [V=V] [x-max=M]' lines, '#' comments."""
@@ -64,7 +71,7 @@ def parse_plan(text: str):
             continue
         tok = line.split()
         if tok[0] == "slots" and len(tok) == 2:
-            slots = int(tok[1])
+            slots = _plan_number(int, tok[1], lineno, "slots")
             continue
         if tok[0] != "run":
             raise ContractError(f"plan line {lineno}: unknown directive {tok[0]!r}")
@@ -87,8 +94,9 @@ def parse_plan(text: str):
         x_max = kw.pop("x-max", None)
         spec = CompareRun(
             name=name, algorithm=alg, alpha_mode=MODE_BY_FLAG[mode_flag],
-            alpha_scale=float(kw.pop("alpha-scale", 1.0)), V=float(kw.pop("V", 500.0)),
-            x_max=float(x_max) if x_max is not None else None)
+            alpha_scale=_plan_number(float, kw.pop("alpha-scale", 1.0), lineno, "alpha-scale"),
+            V=_plan_number(float, kw.pop("V", 500.0), lineno, "V"),
+            x_max=_plan_number(float, x_max, lineno, "x-max") if x_max is not None else None)
         if kw:
             raise ContractError(f"plan line {lineno}: unknown keys {sorted(kw)}")
         runs.append(spec)

@@ -9,12 +9,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .net import (ContractError, DecisionVector, Link, Network, Scenario,
-                  ScenarioValidationError, Session, Utility, residual_matrix,
-                  total_utility, validate_decision)
-from .engine import AlgConfig, compute_weights, initial_state, lyapunov, slot_update
+from .net import (ContractError, Link, Network, Scenario, ScenarioValidationError,
+                  Session, Utility, residual_matrix, total_utility, validate_decision)
+from .engine import AlgConfig, compute_weights, default_alpha, initial_state, slot_update
 from .dpp import DppConfig, dpp_initial_state, dpp_step
-from .queues import ScriptedPolicy, step_triple, zero_queues
+from .queues import ScriptedPolicy, audit_queue_bounds, step_Q, step_Y, step_Z
 
 CSV_HEADER = "slot,alg,session,x,xbar,util_inst,util_avg,util_jensen,gap,maxQ,maxZ,maxY,lyapunov"
 
@@ -116,7 +115,9 @@ def run(scenario: Scenario, algorithm: str, config, slots: int, oracle=None,
     of the signed queues, the weight identity (proximal algorithm only), the
     telescoping of Q, and the queue bound transfer with B set to the observed
     max |Q|. Results land in trace.summary; summary["passed"] is the overall
-    verdict.
+    verdict. summary["queue_transfer_violations"] holds the records of
+    audit_queue_bounds applied to the per-(node, session) peaks of Y and Z,
+    one per violating (family, node, session) with slot index 0.
     """
     if slots < 1:
         raise ContractError(f"slots must be at least 1, got {slots!r}")
@@ -132,7 +133,9 @@ def run(scenario: Scenario, algorithm: str, config, slots: int, oracle=None,
     lyap = np.empty(slots)
     z_total = np.empty(slots)
 
-    triple = zero_queues(scenario)
+    Y = np.zeros((n_n, n_f))
+    Z = np.zeros((n_n, n_f))
+    Q = np.zeros((n_n, n_f))
     hist = None
     if collect_queues:
         hist = tuple(np.zeros((slots + 1, n_n, n_f)) for _ in range(3))
@@ -143,8 +146,9 @@ def run(scenario: Scenario, algorithm: str, config, slots: int, oracle=None,
     q_consistency = 0.0
     feas_failures = []
     cum_g = np.zeros((n_n, n_f))
-    node_max_y = np.zeros(n_n)
-    node_max_z = np.zeros(n_n)
+    peak_Y = np.zeros((n_n, n_f))
+    peak_Z = np.zeros((n_n, n_f))
+    lyap_after = 0.0
 
     state = initial_state(scenario) if algorithm == "new" else dpp_initial_state(scenario)
     q_prev = state.Q if algorithm == "new" else None
@@ -162,36 +166,38 @@ def run(scenario: Scenario, algorithm: str, config, slots: int, oracle=None,
             y, state = dpp_step(state, scenario, config)
 
         g = residual_matrix(scenario, y.x, y.mu)
-        q_before = triple.Q
-        lyap_before = 0.5 * float(np.sum(q_before * q_before))
+        q_before = Q
+        lyap_before = lyap_after
         try:
             validate_decision(scenario, y)
         except ScenarioValidationError as e:
             feas_failures.append((t, str(e)))
-        triple, _ = step_triple(triple, y.x, y.mu, scenario)
+        Y = step_Y(Y, y.x, y.mu, scenario)
+        Z, _ = step_Z(Z, y.x, y.mu, scenario)
+        Q = step_Q(Q, y.x, y.mu, scenario)
 
-        lyap_after = 0.5 * float(np.sum(triple.Q * triple.Q))
+        lyap_after = 0.5 * float(np.sum(Q * Q))
         drift = float(np.sum(q_before * g + 0.5 * g * g))
         drift_err = max(drift_err, abs((lyap_after - lyap_before) - drift))
         cum_g += g
         telescope_scaled = max(
-            telescope_scaled, float(np.max(np.abs(triple.Q - cum_g))) / (t + 1.0))
+            telescope_scaled, float(np.max(np.abs(Q - cum_g))) / (t + 1.0))
         if algorithm == "new":
-            q_consistency = max(q_consistency, float(np.max(np.abs(state.Q - triple.Q))))
+            q_consistency = max(q_consistency, float(np.max(np.abs(state.Q - Q))))
 
         x_hist[t] = y.x
         util_inst[t] = total_utility(scenario, y.x)
-        max_q[t] = float(np.max(np.abs(triple.Q)))
-        max_z[t] = float(np.max(triple.Z))
-        max_y[t] = float(np.max(triple.Y))
-        z_total[t] = float(np.sum(triple.Z))
+        max_q[t] = float(np.max(np.abs(Q)))
+        max_z[t] = float(np.max(Z))
+        max_y[t] = float(np.max(Y))
+        z_total[t] = float(np.sum(Z))
         lyap[t] = lyap_after
-        node_max_y = np.maximum(node_max_y, triple.Y.max(axis=1))
-        node_max_z = np.maximum(node_max_z, triple.Z.max(axis=1))
+        np.maximum(peak_Y, Y, out=peak_Y)
+        np.maximum(peak_Z, Z, out=peak_Z)
         if hist is not None:
-            hist[0][t + 1] = triple.Y
-            hist[1][t + 1] = triple.Z
-            hist[2][t + 1] = triple.Q
+            hist[0][t + 1] = Y
+            hist[1][t + 1] = Z
+            hist[2][t + 1] = Q
 
     denom = np.arange(1, slots + 1, dtype=float)
     xbar = np.cumsum(x_hist, axis=0) / denom[:, None]
@@ -204,11 +210,7 @@ def run(scenario: Scenario, algorithm: str, config, slots: int, oracle=None,
 
     # bound transfer with B = observed max |Q| (initial zero states included)
     b_obs = float(max_q.max())
-    limit = 2.0 * b_obs + scenario.network.out_cap
-    transfer = []
-    for fam_name, node_max in (("Y", node_max_y), ("Z", node_max_z)):
-        for n in np.nonzero(node_max > limit + 1e-9)[0]:
-            transfer.append((fam_name, int(n), float(node_max[n]), float(limit[n])))
+    transfer = audit_queue_bounds(peak_Y[None], peak_Z[None], b_obs, scenario)
 
     summary = {
         "weight_identity_max": weight_err,
@@ -315,8 +317,6 @@ def chain_example(k: int, slots: int = None) -> tuple:
     hub_exit = {0: 3 * k, 1: 3 * k + 1}
     hub_entry = (2 * k - 1, 3 * k - 1)  # a-traffic enters first within a slot
 
-    from .queues import step_Z  # local import keeps module load order simple
-
     mu = np.zeros((t_max, n_l, 2))
     count = np.zeros((n_nodes, 2))
     fifo = deque()
@@ -376,7 +376,6 @@ class CompareRun:
 
 
 def make_config(scenario: Scenario, spec: CompareRun):
-    from .engine import default_alpha
     if spec.algorithm == "new":
         return AlgConfig(default_alpha(scenario.network, spec.alpha_mode) * spec.alpha_scale)
     return DppConfig(V=spec.V, x_max=spec.x_max)

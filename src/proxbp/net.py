@@ -295,29 +295,20 @@ def validate_decision(scenario: Scenario, y: DecisionVector, tol: float = CAP_TO
 def residual_matrix(scenario: Scenario, x, mu) -> np.ndarray:
     """(N, F) flow-balance residuals, zero at each session's destination.
 
-    Entry (n, f) is x_f (if n is the source of f) plus incoming mu minus
-    outgoing mu. Positive means injection exceeds service at that node.
+    Entry (n, f) is the exogenous arrival of f at n plus incoming mu minus
+    outgoing mu. Positive means injection exceeds service at that node. x is
+    either the (F,) source-rate vector, arriving at each session's source, or
+    a full (N, F) exogenous-arrival matrix.
     """
     x = np.asarray(x, dtype=float)
     mu = np.asarray(mu, dtype=float)
     g = scenario.network.incidence @ mu
-    g[scenario.src, np.arange(scenario.n_sessions)] += x
+    if x.ndim == 1:
+        g[scenario.src, np.arange(scenario.n_sessions)] += x
+    else:
+        g += x
     g[~scenario.active] = 0.0
     return g
-
-
-def flow_residual(scenario: Scenario, f: int, n: int, y: DecisionVector) -> float:
-    """Signed flow-balance residual of session f at node n for decisions y."""
-    s = scenario.sessions[f]
-    if n == s.dst:
-        raise ContractError(f"node {n} is the destination of session {f}, no flow-balance constraint")
-    net = scenario.network
-    tot = float(y.x[f]) if n == s.src else 0.0
-    for l in net.in_links[n]:
-        tot += float(y.mu[l, f])
-    for l in net.out_links[n]:
-        tot -= float(y.mu[l, f])
-    return tot
 
 
 def total_utility(scenario: Scenario, x) -> float:
@@ -446,57 +437,3 @@ def save_scenario(scenario: Scenario, path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(serialize_scenario(scenario))
 
-
-# ---------------------------------------------------------------------------
-# multipath expansion
-
-
-def multipath_expand(base: Scenario, paths) -> tuple:
-    """Expand sessions into one sub-session per routed path.
-
-    paths[f] lists link-index paths for session f; every session needs at
-    least one path. Each path must be a connected directed walk from the
-    session's source to its destination, using only links that allow f.
-    Returns (scenario, parents) where parents[j] is the originating session
-    of sub-session j. Allow-sets of the result contain exactly the
-    sub-sessions whose path uses the link; the source-rate coupling across
-    sibling paths is intentionally out of scope here.
-    """
-    net = base.network
-    if len(paths) != base.n_sessions:
-        raise ScenarioValidationError(
-            f"need paths for all {base.n_sessions} sessions, got {len(paths)} entries")
-    subs = []
-    parents = []
-    uses = []
-    for s in base.sessions:
-        plist = paths[s.id]
-        if not plist:
-            raise ScenarioValidationError(f"session {s.id} has no paths")
-        for path in plist:
-            path = tuple(int(l) for l in path)
-            if not path:
-                raise ScenarioValidationError(f"session {s.id} has an empty path")
-            for l in path:
-                if not (0 <= l < len(net.links)):
-                    raise ScenarioValidationError(f"path of session {s.id} uses missing link {l}")
-                if s.id not in base.allowed[l]:
-                    raise ScenarioValidationError(
-                        f"path of session {s.id} uses link {l} that forbids it")
-            if net.links[path[0]].tail != s.src:
-                raise ScenarioValidationError(
-                    f"path of session {s.id} starts at node {net.links[path[0]].tail}, not src {s.src}")
-            if net.links[path[-1]].head != s.dst:
-                raise ScenarioValidationError(
-                    f"path of session {s.id} ends at node {net.links[path[-1]].head}, not dst {s.dst}")
-            for a, b in zip(path, path[1:]):
-                if net.links[a].head != net.links[b].tail:
-                    raise ScenarioValidationError(
-                        f"path of session {s.id} is disconnected between links {a} and {b}")
-            j = len(subs)
-            subs.append(Session(j, s.src, s.dst, s.utility))
-            parents.append(s.id)
-            uses.append(frozenset(path))
-    allowed = tuple(frozenset(j for j in range(len(subs)) if li in uses[j])
-                    for li in range(len(net.links)))
-    return Scenario(net, tuple(subs), allowed), tuple(parents)

@@ -23,6 +23,7 @@ import numpy as np
 from .net import (ContractError, DecisionVector, Scenario, residual_matrix,
                   total_utility, validate_decision)
 from .engine import default_alpha
+from .rates import positive_quad_root
 
 
 class OracleError(RuntimeError):
@@ -90,24 +91,15 @@ def dual_value(scenario: Scenario, lam: np.ndarray) -> float:
 # inner blocks of the augmented Lagrangian
 
 
-def _positive_quad_root(a, b, c):
-    """Positive root of a*x^2 + b*x + c = 0 with a > 0, c < 0, avoiding
-    cancellation for large positive b."""
-    disc = math.sqrt(b * b - 4.0 * a * c)
-    if b <= 0:
-        return (disc - b) / (2.0 * a)
-    return -2.0 * c / (b + disc)
-
-
 def _al_source_rate(utility, lam_f, c, rho):
     """Maximize U(x) - psi(lam_f, x + c) over the utility domain, where psi is
     the inequality-form augmented penalty with parameter rho."""
     if utility.kind == "wlog":
-        return _positive_quad_root(rho, lam_f + rho * c, -utility.weight)
+        return positive_quad_root(rho, lam_f + rho * c, -utility.weight)
     a0 = lam_f + rho * c
     if utility.weight - max(0.0, a0) <= 0.0:
         return 0.0
-    return _positive_quad_root(rho, rho + a0, a0 - utility.weight)
+    return positive_quad_root(rho, rho + a0, a0 - utility.weight)
 
 
 def _link_profile(mu, kn, lam_n, km, lam_m, has_n, has_m, rho, damp, mu_c):
@@ -283,7 +275,6 @@ def tighten_to_equality(scenario: Scenario, y: DecisionVector, tol: float = 1e-9
             mu[l, f] = 0.0
     for _ in range(max_passes):
         g = residual_matrix(scenario, x, mu)
-        g[~scenario.active] = 0.0
         loose = np.argwhere(g < -tol)
         if loose.size == 0:
             return DecisionVector(x, mu)
@@ -435,35 +426,48 @@ def serialize_solution(sol: OracleSolution, scenario: Scenario) -> str:
 
 
 def parse_solution(text: str, scenario: Scenario) -> OracleSolution:
-    scalars = {}
-    alpha = np.zeros(scenario.n_nodes)
-    x = np.zeros(scenario.n_sessions)
-    mu = np.zeros((scenario.n_links, scenario.n_sessions))
-    lam = np.zeros((scenario.n_nodes, scenario.n_sessions))
-    for raw in text.splitlines():
+    """Inverse of serialize_solution. Raises a line-numbered ContractError for
+    an unknown directive, a wrong field count, a bad number or an index out
+    of range, and a ContractError naming any scalar the report lacks."""
+    scalars = dict.fromkeys(("ustar", "duality_gap", "max_violation", "weak_margin", "zeta"))
+    arrays = {
+        "alpha": np.zeros(scenario.n_nodes),
+        "x": np.zeros(scenario.n_sessions),
+        "mu": np.zeros((scenario.n_links, scenario.n_sessions)),
+        "lambda": np.zeros((scenario.n_nodes, scenario.n_sessions)),
+    }
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
-        tag = parts[0]
-        if tag in ("ustar", "duality_gap", "max_violation", "weak_margin", "zeta"):
-            scalars[tag] = float(parts[1])
-        elif tag == "alpha":
-            alpha[int(parts[1])] = float(parts[2])
-        elif tag == "x":
-            x[int(parts[1])] = float(parts[2])
-        elif tag == "mu":
-            mu[int(parts[1]), int(parts[2])] = float(parts[3])
-        elif tag == "lambda":
-            lam[int(parts[1]), int(parts[2])] = float(parts[3])
+        tag, *fields = line.split()
+        if tag not in scalars and tag not in arrays:
+            raise ContractError(f"report line {lineno}: unknown report directive {tag!r}")
+        shape = arrays[tag].shape if tag in arrays else ()
+        if len(fields) != len(shape) + 1:
+            raise ContractError(
+                f"report line {lineno}: {tag} takes {len(shape) + 1} fields, got {len(fields)}")
+        try:
+            idx = tuple(int(v) for v in fields[:-1])
+            val = float(fields[-1])
+        except ValueError:
+            raise ContractError(f"report line {lineno}: bad number in {line!r}") from None
+        if not all(0 <= i < n for i, n in zip(idx, shape)):
+            raise ContractError(
+                f"report line {lineno}: {tag} index {idx} out of range for shape {shape}")
+        if tag in arrays:
+            arrays[tag][idx] = val
         else:
-            raise ContractError(f"unknown report directive {tag!r}")
+            scalars[tag] = val
+    missing = [k for k, v in scalars.items() if v is None]
+    if missing:
+        raise ContractError(f"report has no {', '.join(missing)} line")
     return OracleSolution(
-        y_star=DecisionVector(x, mu),
+        y_star=DecisionVector(arrays["x"], arrays["mu"]),
         U_star=scalars["ustar"],
-        lambda_star=lam,
+        lambda_star=arrays["lambda"],
         zeta=scalars["zeta"],
-        alpha=alpha,
+        alpha=arrays["alpha"],
         duality_gap=scalars["duality_gap"],
         max_violation=scalars["max_violation"],
         weak_duality_margin=scalars["weak_margin"],

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import net
 from .net import ContractError, Scenario, ScenarioValidationError, residual_matrix
-
-CAP_TOL = 1e-9
 
 
 def arrival_matrix(scenario: Scenario, x) -> np.ndarray:
@@ -25,28 +24,16 @@ def arrival_matrix(scenario: Scenario, x) -> np.ndarray:
     return m
 
 
-def residual_with_arrivals(scenario: Scenario, arrivals, mu) -> np.ndarray:
-    """Flow residuals for either a per-session rate vector or a full (N, F)
-    exogenous-arrival matrix. Destination entries are zero."""
-    arrivals = np.asarray(arrivals, dtype=float)
-    if arrivals.ndim == 1:
-        return residual_matrix(scenario, arrivals, mu)
-    g = scenario.network.incidence @ np.asarray(mu, dtype=float)
-    g += arrivals
-    g[~scenario.active] = 0.0
-    return g
-
-
 def step_Y(Y, arrivals, mu, scenario: Scenario) -> np.ndarray:
     """Clipped virtual queues: everything prescribed counts, then clip at zero."""
-    nxt = np.maximum(np.asarray(Y, dtype=float) + residual_with_arrivals(scenario, arrivals, mu), 0.0)
+    nxt = np.maximum(np.asarray(Y, dtype=float) + residual_matrix(scenario, arrivals, mu), 0.0)
     nxt[~scenario.active] = 0.0
     return nxt
 
 
 def step_Q(Q, arrivals, mu, scenario: Scenario) -> np.ndarray:
     """Signed virtual queues: integrate residuals, no clipping."""
-    return np.asarray(Q, dtype=float) + residual_with_arrivals(scenario, arrivals, mu)
+    return np.asarray(Q, dtype=float) + residual_matrix(scenario, arrivals, mu)
 
 
 def step_Z(Z, arrivals, mu, scenario: Scenario) -> tuple:
@@ -57,7 +44,7 @@ def step_Z(Z, arrivals, mu, scenario: Scenario) -> tuple:
     min(prescribed, what is left). Upstream sends and exogenous arrivals join
     afterwards and cannot move again until the next slot.
     """
-    net = scenario.network
+    network = scenario.network
     arrivals = np.asarray(arrivals, dtype=float)
     if arrivals.ndim == 1:
         arrivals = arrival_matrix(scenario, arrivals)
@@ -66,37 +53,15 @@ def step_Z(Z, arrivals, mu, scenario: Scenario) -> tuple:
     sends = np.zeros((scenario.n_links, scenario.n_sessions))
     for n in range(scenario.n_nodes):
         avail = rem[n]
-        for l in net.out_links[n]:
+        for l in network.out_links[n]:
             take = np.minimum(np.maximum(mu[l], 0.0), avail)
             sends[l] = take
             avail -= take
     nxt = rem + arrivals
-    for l, lk in enumerate(net.links):
+    for l, lk in enumerate(network.links):
         nxt[lk.head] += sends[l]
     nxt[~scenario.active] = 0.0
     return nxt, sends
-
-
-@dataclass(frozen=True, eq=False)
-class QueueTriple:
-    """The three families under one decision stream."""
-
-    Y: np.ndarray
-    Z: np.ndarray
-    Q: np.ndarray
-
-
-def zero_queues(scenario: Scenario) -> QueueTriple:
-    shape = (scenario.n_nodes, scenario.n_sessions)
-    return QueueTriple(np.zeros(shape), np.zeros(shape), np.zeros(shape))
-
-
-def step_triple(q: QueueTriple, arrivals, mu, scenario: Scenario) -> tuple:
-    """Advance all three families one slot. Returns (next triple, actual sends)."""
-    ny = step_Y(q.Y, arrivals, mu, scenario)
-    nz, sends = step_Z(q.Z, arrivals, mu, scenario)
-    nq = step_Q(q.Q, arrivals, mu, scenario)
-    return QueueTriple(ny, nz, nq), sends
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +103,7 @@ class ScriptedPolicy:
         return self.arrivals.shape[0]
 
 
-def validate_policy(scenario: Scenario, policy: ScriptedPolicy, tol: float = CAP_TOL):
+def validate_policy(scenario: Scenario, policy: ScriptedPolicy, tol: float = net.CAP_TOL):
     """Raise unless the policy fits the scenario: shapes, nonnegativity,
     allow-sets, capacities, and no arrivals at destinations."""
     n, f, l = scenario.n_nodes, scenario.n_sessions, scenario.n_links
@@ -193,7 +158,7 @@ def run_scripted(scenario: Scenario, policy: ScriptedPolicy, validate: bool = Tr
 # bound transfer audit
 
 
-def audit_queue_bounds(Y, Z, B: float, scenario: Scenario, tol: float = 1e-9) -> list:
+def audit_queue_bounds(Y, Z, B: float, scenario: Scenario, tol: float = net.CAP_TOL) -> list:
     """Check the bound transfer: if the signed queues stayed within |Q| <= B
     under some decision stream, then both the clipped and the physical queues
     must stay below 2B + sum of outgoing capacities at every (slot, node,

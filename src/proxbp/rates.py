@@ -46,21 +46,25 @@ def slope(p: RateProblem, x) -> float:
     return p.utility.derivative(x) - p.pressure - 2.0 * p.alpha * (x - p.x_prev)
 
 
+def positive_quad_root(a, b, c):
+    """Positive root of a*x^2 + b*x + c = 0 with a > 0, c < 0, avoiding
+    cancellation for large positive b."""
+    disc = math.sqrt(b * b - 4.0 * a * c)
+    if b <= 0:
+        return (disc - b) / (2.0 * a)
+    return -2.0 * c / (b + disc)
+
+
 def closed_form_wlog(p: RateProblem) -> float:
     """Unique root of h for weighted-log utilities.
 
     h(x) = w/x - D - 2*alpha*x with D = W - 2*alpha*x_prev, so
-    2*alpha*x^2 + D*x - w = 0. The positive root is evaluated in the branch
-    that avoids subtractive cancellation.
+    2*alpha*x^2 + D*x - w = 0.
     """
     if p.utility.kind != "wlog":
         raise ContractError(f"closed form requires a wlog utility, got {p.utility.kind!r}")
-    w = p.utility.weight
     d = p.pressure - 2.0 * p.alpha * p.x_prev
-    disc = math.sqrt(d * d + 8.0 * p.alpha * w)
-    if d > 0:
-        return 2.0 * w / (d + disc)
-    return (disc - d) / (4.0 * p.alpha)
+    return positive_quad_root(2.0 * p.alpha, d, -p.utility.weight)
 
 
 def solve_rate(p: RateProblem, tol: float = 1e-10) -> float:

@@ -10,6 +10,7 @@ from proxbp.cli import main, parse_plan
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 SINGLE = str(SCENARIO_DIR / "singlelink.net")
+SIXNODE = str(SCENARIO_DIR / "sixnode.net")
 
 
 def test_run_writes_trace_and_exits_zero(tmp_path, capsys):
@@ -102,6 +103,33 @@ def test_cli_reports_bad_input_cleanly(capsys):
     code = main(["run", "--scenario", "/nonexistent.net", "--slots", "5"])
     assert code == 2
     assert "proxbp:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("report, message", [
+    ("# hand-edited\n\nx 9 1.0\n", "report line 3:"),     # session index out of range
+    ("ustar\n", "report line 1:"),                        # scalar without its value
+    ("ustar 1.0\nzeta 1.0e\n", "report line 2:"),         # not a number
+    ("mu 0 0 0.5\nlambda 6 0 1.0\n", "report line 2:"),   # node index out of range
+    ("ustar 1.0\nduality_gap 0.0\nmax_violation 0.0\nweak_margin 0.0\n", "zeta"),
+])
+def test_run_rejects_malformed_oracle_report(tmp_path, capsys, report, message):
+    sol_path = tmp_path / "bad.sol"
+    sol_path.write_text(report)
+    code = main(["run", "--scenario", SIXNODE, "--slots", "5", "--oracle", str(sol_path)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", [
+    "slots abc", "run name=a alg=new alpha-scale=big", "run name=a alg=dpp V=lots",
+    "run name=a alg=dpp x-max=1,5",
+])
+def test_compare_rejects_non_numeric_plan_values(tmp_path, capsys, line):
+    plan = tmp_path / "plan.txt"
+    plan.write_text(f"# plan\n{line}\nrun name=b alg=new\n")
+    code = main(["compare", "--scenario", SINGLE, "--spec", str(plan)])
+    assert code == 2
+    assert "plan line 2:" in capsys.readouterr().err
 
 
 def test_module_entry_point():

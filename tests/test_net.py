@@ -6,6 +6,30 @@ import pytest
 import proxbp as P
 
 
+def flow_residual(scenario, f, n, y):
+    """Scalar reference for residual_matrix: the signed flow-balance residual
+    of session f at node n for decisions y."""
+    s = scenario.sessions[f]
+    if n == s.dst:
+        raise P.ContractError(f"node {n} is the destination of session {f}, no flow-balance constraint")
+    net = scenario.network
+    tot = float(y.x[f]) if n == s.src else 0.0
+    for l in net.in_links[n]:
+        tot += float(y.mu[l, f])
+    for l in net.out_links[n]:
+        tot -= float(y.mu[l, f])
+    return tot
+
+
+def residual_both_forms(scenario, x, mu):
+    """residual_matrix of the (F,) rate vector, checked bitwise against the
+    same arrivals passed as an (N, F) arrival matrix."""
+    g = P.residual_matrix(scenario, x, mu)
+    g_full = P.residual_matrix(scenario, P.arrival_matrix(scenario, x), mu)
+    assert g_full.tobytes() == g.tobytes()
+    return g
+
+
 def test_wlog_utility_values():
     u = P.Utility("wlog", 2.0)
     assert u.value(1.0) == 0.0
@@ -94,14 +118,14 @@ def test_active_mask_and_sources(sixnode):
 
 
 def test_residual_matrix_single_link(singlelink):
-    g = P.residual_matrix(singlelink, [0.7], [[0.4]])
+    g = residual_both_forms(singlelink, [0.7], [[0.4]])
     assert g.shape == (2, 1)
     assert abs(g[0, 0] - 0.3) < 1e-15
     assert g[1, 0] == 0.0  # destination row pinned to zero
 
 
 def test_residual_matrix_relay(relay):
-    g = P.residual_matrix(relay, [1.0], [[1.0], [0.5]])
+    g = residual_both_forms(relay, [1.0], [[1.0], [0.5]])
     assert abs(g[0, 0] - 0.0) < 1e-15
     assert abs(g[1, 0] - 0.5) < 1e-15
     assert g[2, 0] == 0.0
@@ -115,7 +139,7 @@ def test_residual_matrix_is_linear(sixnode):
         m1 = rng.uniform(0, 1, (8, 2))
         m2 = rng.uniform(0, 1, (8, 2))
         a, b = rng.uniform(-2, 2, 2)
-        lhs = P.residual_matrix(sixnode, a * x1 + b * x2, a * m1 + b * m2)
+        lhs = residual_both_forms(sixnode, a * x1 + b * x2, a * m1 + b * m2)
         rhs = a * P.residual_matrix(sixnode, x1, m1) + b * P.residual_matrix(sixnode, x2, m2)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
@@ -123,14 +147,14 @@ def test_residual_matrix_is_linear(sixnode):
 def test_flow_residual_matches_matrix(sixnode):
     rng = np.random.default_rng(3)
     y = P.DecisionVector(rng.uniform(0, 2, 2), rng.uniform(0, 1, (8, 2)))
-    g = P.residual_matrix(sixnode, y.x, y.mu)
+    g = residual_both_forms(sixnode, y.x, y.mu)
     for f in range(2):
         for n in range(6):
             if n == sixnode.sessions[f].dst:
                 with pytest.raises(P.ContractError):
-                    P.flow_residual(sixnode, f, n, y)
+                    flow_residual(sixnode, f, n, y)
             else:
-                assert abs(P.flow_residual(sixnode, f, n, y) - g[n, f]) < 1e-12
+                assert abs(flow_residual(sixnode, f, n, y) - g[n, f]) < 1e-12
 
 
 def test_total_utility(sixnode):
@@ -239,43 +263,3 @@ def test_round_trip_with_partial_allow_sets():
     assert again.allowed == sc.allowed
     assert again.network == sc.network
 
-
-# --- multipath expansion ---
-
-
-def test_multipath_expand_sixnode(sixnode):
-    paths = [
-        [[0, 1], [2, 3, 4]],   # session 0: top route and middle route to node 5
-        [[3], [5, 6]],         # session 1: direct and the detour through node 4
-    ]
-    expanded, parents = P.multipath_expand(sixnode, paths)
-    assert parents == (0, 0, 1, 1)
-    assert expanded.n_sessions == 4
-    for j, parent in enumerate(parents):
-        assert expanded.sessions[j].utility == sixnode.sessions[parent].utility
-        assert expanded.sessions[j].src == sixnode.sessions[parent].src
-        assert expanded.sessions[j].dst == sixnode.sessions[parent].dst
-    assert expanded.allowed[0] == frozenset([0])
-    assert expanded.allowed[3] == frozenset([1, 2])
-    assert expanded.allowed[7] == frozenset()
-
-
-def test_multipath_expand_rejects_bad_paths(sixnode):
-    with pytest.raises(P.ScenarioValidationError):
-        P.multipath_expand(sixnode, [[[0, 1]]])  # one entry for two sessions
-    with pytest.raises(P.ScenarioValidationError):
-        P.multipath_expand(sixnode, [[[0, 1]], []])
-    with pytest.raises(P.ScenarioValidationError):
-        P.multipath_expand(sixnode, [[[1]], [[3]]])  # starts off the source
-    with pytest.raises(P.ScenarioValidationError):
-        P.multipath_expand(sixnode, [[[0, 3, 4]], [[3]]])  # disconnected walk
-    with pytest.raises(P.ScenarioValidationError):
-        P.multipath_expand(sixnode, [[[0, 1]], [[5]]])  # stops before the dst
-
-
-def test_multipath_expand_respects_allow_sets():
-    sc = P.parse_scenario(
-        "nodes 3\nlink 0 1 1.0\nlink 1 2 1.0\n"
-        "session 0 0 2 wlog 1.0\nallow 0 none\n")
-    with pytest.raises(P.ScenarioValidationError):
-        P.multipath_expand(sc, [[[0, 1]]])

@@ -3,8 +3,7 @@ import pytest
 
 import proxbp as P
 from proxbp.queues import (ScriptedPolicy, arrival_matrix, audit_queue_bounds,
-                           run_scripted, step_Q, step_Y, step_Z, step_triple,
-                           validate_policy, zero_queues)
+                           run_scripted, step_Q, step_Y, step_Z, validate_policy)
 
 
 def test_arrival_matrix(sixnode):
@@ -69,16 +68,18 @@ def test_step_z_ascending_link_order():
 
 def test_step_triple_consistency(sixnode):
     rng = np.random.default_rng(9)
-    tri = zero_queues(sixnode)
+    Y = Z = Q = np.zeros((6, 2))
     for _ in range(20):
         x = rng.uniform(0.0, 1.0, 2)
         mu = rng.uniform(0.0, 0.5, (8, 2))
-        tri, _ = step_triple(tri, x, mu, sixnode)
-        assert np.all(tri.Y >= 0)
-        assert np.all(tri.Z >= 0)
-        assert np.all(tri.Y[~sixnode.active] == 0)
-        assert np.all(tri.Z[~sixnode.active] == 0)
-        assert np.all(tri.Q[~sixnode.active] == 0)
+        Y = step_Y(Y, x, mu, sixnode)
+        Z, _ = step_Z(Z, x, mu, sixnode)
+        Q = step_Q(Q, x, mu, sixnode)
+        assert np.all(Y >= 0)
+        assert np.all(Z >= 0)
+        assert np.all(Y[~sixnode.active] == 0)
+        assert np.all(Z[~sixnode.active] == 0)
+        assert np.all(Q[~sixnode.active] == 0)
 
 
 def test_scripted_policy_validation(relay):

@@ -3,9 +3,12 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import proxbp as P
-from proxbp.rates import RateProblem, closed_form_wlog, objective, slope, solve_rate
+from proxbp.rates import (RateProblem, closed_form_wlog, objective, positive_quad_root,
+                          slope, solve_rate)
 
 
 def test_wlog_closed_form_examples():
@@ -111,3 +114,22 @@ def test_contract_errors():
         solve_rate(RateProblem(u, 0.0, 0.0, 1.0), tol=-1.0)
     with pytest.raises(P.ContractError):
         closed_form_wlog(RateProblem(P.Utility("wlog1p", 1.0), 0.0, 0.0, 1.0))
+
+
+
+def _log_uniform(lo_exp, hi_exp):
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(a=_log_uniform(-6, 6), neg_c=_log_uniform(-6, 6), ratio=_log_uniform(-3, 8),
+       sign=st.sampled_from((-1.0, 1.0)))
+def test_positive_quad_root_residual(a, neg_c, ratio, sign):
+    # b = ratio * sqrt(a|c|): ratio >> 1 with sign +1 is the regime where the
+    # textbook (-b + disc) / 2a loses every digit to cancellation
+    c = -neg_c
+    b = sign * ratio * math.sqrt(a * neg_c)
+    r = positive_quad_root(a, b, c)
+    assert r > 0
+    terms = (a * r * r, b * r, c)
+    assert abs(sum(terms)) <= 1e-12 * max(abs(v) for v in terms)
