@@ -9,8 +9,9 @@ from .net import (CAP_TOL, UTILITY_KINDS, ContractError, DecisionVector,
                   Utility, load_scenario, parse_scenario, residual_matrix,
                   save_scenario, serialize_scenario, total_utility,
                   validate_decision, zero_decision)
-from .projection import ProjectionInstance, kkt_residual, project_bisect, project_sorted
-from .rates import RateProblem, closed_form_wlog, solve_rate
+from .projection import (ProjectionInstance, kkt_residual, project_bisect, project_rows,
+                         project_sorted)
+from .rates import RateProblem, closed_form_wlog, solve_rate, solve_rates
 from .engine import (ALPHA_MODES, AlgConfig, BpState, compute_weights,
                      default_alpha, initial_state, link_update, lyapunov,
                      slot_update)

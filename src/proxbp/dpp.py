@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .net import ContractError, DecisionVector, Scenario
+from .net import ContractError, DecisionVector, Scenario, residual_matrix
 from .queues import step_Y
 
 
@@ -38,7 +38,8 @@ def rate_caps(scenario: Scenario, config: DppConfig) -> np.ndarray:
 
 
 def dpp_source_rate(utility, V: float, q: float, x_max: float) -> float:
-    """Maximize V*U(x) - q*x over [0, x_max] intersected with the domain."""
+    """Maximize V*U(x) - q*x over [0, x_max] intersected with the domain.
+    The scalar reference of the source phase of dpp_slot_update."""
     if q <= 0:
         return x_max
     if utility.kind == "wlog":
@@ -49,23 +50,31 @@ def dpp_source_rate(utility, V: float, q: float, x_max: float) -> float:
 
 
 def dpp_slot_update(Q, scenario: Scenario, config: DppConfig) -> DecisionVector:
-    """One slot of decisions from nonnegative decision queues Q (N, F)."""
+    """One slot of decisions from nonnegative decision queues Q (N, F).
+
+    Sources follow dpp_source_rate elementwise. Each link grants its capacity
+    to the first allowed session of largest differential backlog
+    Q[tail] - Q[head] (the head entry counts as zero at the session's
+    destination), provided that differential is strictly positive.
+    """
     Q = np.asarray(Q, dtype=float)
-    caps = rate_caps(scenario, config)
-    x = np.empty(scenario.n_sessions)
-    for f, s in enumerate(scenario.sessions):
-        x[f] = dpp_source_rate(s.utility, config.V, float(Q[s.src, f]), float(caps[f]))
+    rate_cap = rate_caps(scenario, config)
+    q = Q[scenario.src, np.arange(scenario.n_sessions)]
+    with np.errstate(over="ignore"):  # a subnormal q gives inf, which the cap clips
+        ratio = config.V * scenario.utility_weight / np.where(q > 0, q, 1.0)
+    x = np.where(scenario.is_wlog, ratio, np.maximum(ratio - 1.0, 0.0))
+    x = np.where(q > 0, np.minimum(x, rate_cap), rate_cap)
+    network = scenario.network
+    heads = network.heads
+    diff = Q[network.tails] - np.where(scenario.active[heads], Q[heads], 0.0)
+    gain = np.where(scenario.allow_mask & (diff > 0), diff, 0.0)
+    # Column 0 stands for idling. argmax takes the first maximum, so a link
+    # serves only a strictly positive differential, ties to the lowest id.
+    idle = np.zeros((scenario.n_links, 1))
+    choice = np.argmax(np.concatenate((idle, gain), axis=1), axis=1)
+    grant = np.nonzero(choice)[0]
     mu = np.zeros((scenario.n_links, scenario.n_sessions))
-    for l, lk in enumerate(scenario.network.links):
-        best_f = -1
-        best_diff = 0.0
-        for f in sorted(scenario.allowed[l]):
-            diff = Q[lk.tail, f] - (Q[lk.head, f] if lk.head != scenario.sessions[f].dst else 0.0)
-            if diff > best_diff:  # strict: ties keep the lowest session id
-                best_diff = diff
-                best_f = f
-        if best_f >= 0:
-            mu[l, best_f] = lk.capacity
+    mu[grant, choice[grant] - 1] = network.caps[grant]
     return DecisionVector(x, mu)
 
 
@@ -82,5 +91,5 @@ def dpp_initial_state(scenario: Scenario) -> DppState:
 def dpp_step(state: DppState, scenario: Scenario, config: DppConfig) -> tuple:
     """Returns (decisions, next state). Queues advance by the clipped update."""
     y = dpp_slot_update(state.Q, scenario, config)
-    q = step_Y(state.Q, y.x, y.mu, scenario)
+    q = step_Y(state.Q, residual_matrix(scenario, y.x, y.mu), scenario)
     return y, DppState(q, state.t + 1)

@@ -4,7 +4,9 @@ Each slot: form per-(node, session) weights W = Q + g(y_prev) with W = 0 at
 destinations, solve one proximal scalar problem per source and one capped
 simplex projection per link, then advance the signed virtual queues by the
 new flow residuals. All decisions within a slot read the same W, so source
-and link updates are order-independent.
+and link updates are order-independent, and slot_update runs them as one
+array program over sources and over (links x sessions). link_update is the
+per-link scalar reference.
 """
 from __future__ import annotations
 
@@ -13,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .net import ContractError, DecisionVector, Scenario, residual_matrix, zero_decision
-from .projection import ProjectionInstance, project_sorted
-from .rates import RateProblem, solve_rate
+from .projection import ProjectionInstance, project_rows, project_sorted
+from .rates import solve_rates
 
 ALPHA_MODES = ("utility-gap", "queue-bound")
 
@@ -91,17 +93,24 @@ def link_update(link: int, W: np.ndarray, alpha: np.ndarray, mu_prev: np.ndarray
 
 
 def slot_update(state: BpState, scenario: Scenario, config: AlgConfig) -> tuple:
-    """Advance one slot. Returns (decisions for slot t, next state)."""
+    """Advance one slot. Returns (decisions for slot t, next state).
+
+    Every source's rate problem is solved by solve_rates and every link's
+    projection by one project_rows call on the (L, F) matrix
+    a = mu_prev + (W[tail] - W[head]) / (2 (alpha_tail + alpha_head)).
+    """
     alpha = config.alpha
     W = compute_weights(state, scenario)
-    x = np.empty(scenario.n_sessions)
-    for f, s in enumerate(scenario.sessions):
-        prob = RateProblem(s.utility, float(W[s.src, f]), float(state.y_prev.x[f]),
-                           float(alpha[s.src]))
-        x[f] = solve_rate(prob)
-    mu = np.empty((scenario.n_links, scenario.n_sessions))
-    for l in range(scenario.n_links):
-        mu[l] = link_update(l, W, alpha, state.y_prev.mu, scenario)
+    if not np.isfinite(W).all():
+        raise ContractError("weights must be finite")
+    src = scenario.src
+    x = solve_rates(scenario.is_wlog, scenario.utility_weight,
+                    W[src, np.arange(scenario.n_sessions)], state.y_prev.x, alpha[src])
+    network = scenario.network
+    tails, heads = network.tails, network.heads
+    denom = 2.0 * (alpha[tails] + alpha[heads])
+    a = state.y_prev.mu + (W[tails] - W[heads]) / denom[:, None]
+    mu = project_rows(a, network.caps, scenario.allow_mask)
     y = DecisionVector(x, mu)
     q = state.Q + residual_matrix(scenario, y.x, y.mu)
     q.setflags(write=False)

@@ -172,9 +172,9 @@ def run(scenario: Scenario, algorithm: str, config, slots: int, oracle=None,
             validate_decision(scenario, y)
         except ScenarioValidationError as e:
             feas_failures.append((t, str(e)))
-        Y = step_Y(Y, y.x, y.mu, scenario)
+        Y = step_Y(Y, g, scenario)
         Z, _ = step_Z(Z, y.x, y.mu, scenario)
-        Q = step_Q(Q, y.x, y.mu, scenario)
+        Q = step_Q(Q, g)
 
         lyap_after = 0.5 * float(np.sum(Q * Q))
         drift = float(np.sum(q_before * g + 0.5 * g * g))

@@ -129,6 +129,35 @@ class Network:
         return tuple(tuple(v) for v in outs)
 
     @cached_property
+    def tails(self) -> np.ndarray:
+        """(L,) tail node of each link."""
+        a = np.array([l.tail for l in self.links], dtype=int)
+        a.setflags(write=False)
+        return a
+
+    @cached_property
+    def heads(self) -> np.ndarray:
+        """(L,) head node of each link."""
+        a = np.array([l.head for l in self.links], dtype=int)
+        a.setflags(write=False)
+        return a
+
+    @cached_property
+    def out_links_by_rank(self) -> tuple:
+        """Entry k holds the k-th outgoing link (ascending link index) of every
+        node with more than k of them, so no two links in an entry share a tail."""
+        ranks = []
+        for outs in self.out_links:
+            for k, l in enumerate(outs):
+                if k == len(ranks):
+                    ranks.append([])
+                ranks[k].append(l)
+        out = tuple(np.array(r, dtype=int) for r in ranks)
+        for a in out:
+            a.setflags(write=False)
+        return out
+
+    @cached_property
     def degrees(self) -> np.ndarray:
         d = np.array([len(self.in_links[n]) + len(self.out_links[n]) for n in range(self.node_count)])
         d.setflags(write=False)
@@ -216,6 +245,20 @@ class Scenario:
     @cached_property
     def dst(self) -> np.ndarray:
         a = np.array([s.dst for s in self.sessions], dtype=int)
+        a.setflags(write=False)
+        return a
+
+    @cached_property
+    def is_wlog(self) -> np.ndarray:
+        """(F,) boolean, True for sessions with a wlog utility."""
+        a = np.array([s.utility.kind == "wlog" for s in self.sessions], dtype=bool)
+        a.setflags(write=False)
+        return a
+
+    @cached_property
+    def utility_weight(self) -> np.ndarray:
+        """(F,) utility weight of each session."""
+        a = np.array([s.utility.weight for s in self.sessions], dtype=float)
         a.setflags(write=False)
         return a
 

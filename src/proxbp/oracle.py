@@ -95,11 +95,11 @@ def _al_source_rate(utility, lam_f, c, rho):
     """Maximize U(x) - psi(lam_f, x + c) over the utility domain, where psi is
     the inequality-form augmented penalty with parameter rho."""
     if utility.kind == "wlog":
-        return positive_quad_root(rho, lam_f + rho * c, -utility.weight)
+        return float(positive_quad_root(rho, lam_f + rho * c, -utility.weight))
     a0 = lam_f + rho * c
     if utility.weight - max(0.0, a0) <= 0.0:
         return 0.0
-    return positive_quad_root(rho, rho + a0, a0 - utility.weight)
+    return float(positive_quad_root(rho, rho + a0, a0 - utility.weight))
 
 
 def _link_profile(mu, kn, lam_n, km, lam_m, has_n, has_m, rho, damp, mu_c):
@@ -306,8 +306,8 @@ def compute_zeta(scenario: Scenario, y_star: DecisionVector, alpha) -> float:
         raise ContractError(f"alpha must have one entry per node, got shape {alpha.shape}")
     x = np.asarray(y_star.x, dtype=float)
     mu = np.asarray(y_star.mu, dtype=float)
-    tails = np.array([lk.tail for lk in scenario.network.links], dtype=int)
-    heads = np.array([lk.head for lk in scenario.network.links], dtype=int)
+    tails = scenario.network.tails
+    heads = scenario.network.heads
     total = float(np.sum(alpha[scenario.src] * x * x))
     sq = mu * mu
     total += float(np.sum(alpha[heads][:, None] * sq))

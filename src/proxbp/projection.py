@@ -5,6 +5,8 @@ every link update. The optimum is a soft threshold z_k = max(0, a_k - theta)
 with a water level theta >= 0 chosen so the budget holds with complementary
 slackness. Two independent solvers are provided (sort-based exact and
 bisection) plus a KKT residual evaluator used to cross-check them.
+project_rows is the sort-based solver applied to every row of a matrix at
+once, the link phase of a slot; project_sorted is its scalar reference.
 """
 from __future__ import annotations
 
@@ -60,6 +62,42 @@ def project_sorted(inst: ProjectionInstance) -> tuple:
     theta = float(max(theta_candidates[idx[-1]], 0.0))
     z = np.maximum(a - theta, 0.0)
     return z, theta
+
+
+def project_rows(a, b, mask) -> np.ndarray:
+    """Project every row of a (L, K) onto {z >= 0, sum(z) <= b_l}, with the
+    entries outside mask fixed at zero. Returns z (L, K).
+
+    project_sorted applied to each row's masked entries, with the same
+    arithmetic: rows whose clipped sum fits the budget return the clipped row
+    and skip the sort; the others sort descending and take the water level of
+    the last admissible prefix. z matches project_sorted bitwise on rows with
+    a full mask and on rows of fewer than 8 entries. Otherwise numpy's
+    pairwise row sum may group the clipped entries differently, which moves
+    the budget test by rounding only.
+    """
+    a = np.asarray(a, dtype=float)
+    if not np.isfinite(a).all():
+        raise ContractError("projection input must be finite")
+    # Masked entries become -inf: they clip to zero, sort last, and their scan
+    # test (-inf) - (-inf) >= 0 is false, so no admissible prefix holds them.
+    a = np.where(mask, a, -np.inf)
+    z = np.maximum(a, 0.0)
+    tight = np.nonzero(~(z.sum(axis=1) <= b))[0]
+    if tight.size == 0:
+        return z
+    at = a[tight]
+    srt = -np.sort(-at, axis=1, kind="stable")
+    theta_candidates = (np.cumsum(srt, axis=1) - b[tight, None]) / np.arange(1, a.shape[1] + 1)
+    with np.errstate(invalid="ignore"):
+        ok = srt - theta_candidates >= 0.0
+    last = a.shape[1] - 1 - np.argmax(ok[:, ::-1], axis=1)
+    rows = np.arange(tight.size)
+    if not ok[rows, last].all():
+        raise NumericError("projection scan found no admissible active set")
+    theta = np.maximum(theta_candidates[rows, last], 0.0)
+    z[tight] = np.maximum(at - theta[:, None], 0.0)
+    return z
 
 
 def project_bisect(inst: ProjectionInstance, tol: float = 1e-10) -> tuple:

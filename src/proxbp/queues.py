@@ -24,16 +24,18 @@ def arrival_matrix(scenario: Scenario, x) -> np.ndarray:
     return m
 
 
-def step_Y(Y, arrivals, mu, scenario: Scenario) -> np.ndarray:
-    """Clipped virtual queues: everything prescribed counts, then clip at zero."""
-    nxt = np.maximum(np.asarray(Y, dtype=float) + residual_matrix(scenario, arrivals, mu), 0.0)
+def step_Y(Y, g, scenario: Scenario) -> np.ndarray:
+    """Clipped virtual queues: add the slot's flow residual g (N, F), as
+    returned by residual_matrix, so everything prescribed counts; then clip
+    at zero."""
+    nxt = np.maximum(np.asarray(Y, dtype=float) + g, 0.0)
     nxt[~scenario.active] = 0.0
     return nxt
 
 
-def step_Q(Q, arrivals, mu, scenario: Scenario) -> np.ndarray:
-    """Signed virtual queues: integrate residuals, no clipping."""
-    return np.asarray(Q, dtype=float) + residual_matrix(scenario, arrivals, mu)
+def step_Q(Q, g) -> np.ndarray:
+    """Signed virtual queues: integrate the flow residual g, no clipping."""
+    return np.asarray(Q, dtype=float) + g
 
 
 def step_Z(Z, arrivals, mu, scenario: Scenario) -> tuple:
@@ -42,7 +44,8 @@ def step_Z(Z, arrivals, mu, scenario: Scenario) -> tuple:
     Service first: each node fills its outgoing prescriptions in ascending
     link-index order from current backlog only, so a link's actual transfer is
     min(prescribed, what is left). Upstream sends and exogenous arrivals join
-    afterwards and cannot move again until the next slot.
+    afterwards, in link order, and cannot move again until the next slot. The
+    k-th out-links of all nodes are served together, one rank at a time.
     """
     network = scenario.network
     arrivals = np.asarray(arrivals, dtype=float)
@@ -51,15 +54,16 @@ def step_Z(Z, arrivals, mu, scenario: Scenario) -> tuple:
     mu = np.asarray(mu, dtype=float)
     rem = np.array(Z, dtype=float)
     sends = np.zeros((scenario.n_links, scenario.n_sessions))
-    for n in range(scenario.n_nodes):
-        avail = rem[n]
-        for l in network.out_links[n]:
-            take = np.minimum(np.maximum(mu[l], 0.0), avail)
-            sends[l] = take
-            avail -= take
+    for links in network.out_links_by_rank:
+        tails = network.tails[links]
+        take = np.minimum(np.maximum(mu[links], 0.0), rem[tails])
+        sends[links] = take
+        rem[tails] -= take
     nxt = rem + arrivals
-    for l, lk in enumerate(network.links):
-        nxt[lk.head] += sends[l]
+    # flat (head, session) targets in link order: each entry adds its sends
+    # one link at a time, in ascending link order
+    f = scenario.n_sessions
+    np.add.at(nxt.reshape(-1), (network.heads[:, None] * f + np.arange(f)).ravel(), sends.ravel())
     nxt[~scenario.active] = 0.0
     return nxt, sends
 
@@ -148,9 +152,10 @@ def run_scripted(scenario: Scenario, policy: ScriptedPolicy, validate: bool = Tr
     sends = np.zeros((t_max, scenario.n_links, scenario.n_sessions))
     for t in range(t_max):
         arr = policy.arrivals[t]
-        y_hist[t + 1] = step_Y(y_hist[t], arr, policy.mu_instant[t], scenario)
+        y_hist[t + 1] = step_Y(y_hist[t], residual_matrix(scenario, arr, policy.mu_instant[t]),
+                               scenario)
         z_hist[t + 1], sends[t] = step_Z(z_hist[t], arr, policy.mu[t], scenario)
-        q_hist[t + 1] = step_Q(q_hist[t], arr, policy.mu[t], scenario)
+        q_hist[t + 1] = step_Q(q_hist[t], residual_matrix(scenario, arr, policy.mu[t]))
     return ScriptedTrace(y_hist, z_hist, q_hist, sends)
 
 

@@ -5,11 +5,15 @@ domain is unique. Its slope h(x) = U'(x) - W - 2*alpha*(x - x_prev) is
 strictly decreasing; the optimum is the root of h, or the left domain edge
 when h is already nonpositive there. Weighted-log problems admit a closed
 form; weighted-log1p problems use bisection with a doubling bracket.
+solve_rates solves every source of a slot at once; solve_rate and
+RateProblem are its scalar reference.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .net import ContractError, NumericError, Utility
 
@@ -48,11 +52,11 @@ def slope(p: RateProblem, x) -> float:
 
 def positive_quad_root(a, b, c):
     """Positive root of a*x^2 + b*x + c = 0 with a > 0, c < 0, avoiding
-    cancellation for large positive b."""
-    disc = math.sqrt(b * b - 4.0 * a * c)
-    if b <= 0:
-        return (disc - b) / (2.0 * a)
-    return -2.0 * c / (b + disc)
+    cancellation for large positive b. Elementwise on arrays; a 0-d array for
+    scalar arguments."""
+    disc = np.sqrt(b * b - 4.0 * a * c)
+    # |b| keeps the unused branch's denominator positive where b <= 0.
+    return np.where(b <= 0, (disc - b) / (2.0 * a), -2.0 * c / (np.abs(b) + disc))
 
 
 def closed_form_wlog(p: RateProblem) -> float:
@@ -64,7 +68,7 @@ def closed_form_wlog(p: RateProblem) -> float:
     if p.utility.kind != "wlog":
         raise ContractError(f"closed form requires a wlog utility, got {p.utility.kind!r}")
     d = p.pressure - 2.0 * p.alpha * p.x_prev
-    return positive_quad_root(2.0 * p.alpha, d, -p.utility.weight)
+    return float(positive_quad_root(2.0 * p.alpha, d, -p.utility.weight))
 
 
 def solve_rate(p: RateProblem, tol: float = 1e-10) -> float:
@@ -96,3 +100,57 @@ def solve_rate(p: RateProblem, tol: float = 1e-10) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def solve_rates(is_wlog, weight, pressure, x_prev, alpha, tol: float = 1e-10) -> np.ndarray:
+    """solve_rate for many sources at once, all arguments (F,) arrays: is_wlog
+    picks the utility kind, weight its weight. Returns x (F,), bitwise equal
+    to solve_rate on each source: wlog sources take the closed form
+    elementwise, and each interior wlog1p source goes through exactly the
+    scalar sequence of doublings and bisection midpoints.
+    """
+    if not (tol > 0):
+        raise ContractError(f"tol must be positive, got {tol!r}")
+    if not ((alpha > 0) & np.isfinite(alpha)).all():
+        raise ContractError("alpha must be positive")
+    if not ((x_prev >= 0) & np.isfinite(x_prev)).all():
+        raise ContractError("x_prev must lie in the domain closure")
+    if not np.isfinite(pressure).all():
+        raise ContractError("pressure must be finite")
+    two_alpha = 2.0 * alpha
+    x = positive_quad_root(two_alpha, pressure - two_alpha * x_prev, -weight)
+    x[~is_wlog] = 0.0
+    # wlog1p: h(0) <= 0 pins x = 0; the rest are bracketed and bisected.
+    j = np.nonzero(~is_wlog & (_wlog1p_slope(0.0, weight, pressure, two_alpha, x_prev) > 0))[0]
+    if j.size:
+        x[j] = _bisect_wlog1p(weight[j], pressure[j], two_alpha[j], x_prev[j], tol)
+    return x
+
+
+def _bisect_wlog1p(weight, pressure, two_alpha, x_prev, tol):
+    """solve_rate's doubling bracket and bisection for wlog1p sources with
+    h(0) > 0, elementwise."""
+    args = (weight, pressure, two_alpha, x_prev)
+    lo = np.zeros(x_prev.size)
+    hi = np.maximum(1.0, 2.0 * x_prev)
+    for _ in range(64):
+        grow = ~(_wlog1p_slope(hi, *args) < 0)
+        if not np.count_nonzero(grow):
+            break
+        hi[grow] *= 2.0
+    else:
+        raise NumericError("rate bracket expansion failed after 64 doublings")
+    # Brackets narrower than tol are final; the others move to their midpoint.
+    open_ = hi - lo > tol
+    while np.count_nonzero(open_):
+        mid = 0.5 * (lo + hi)
+        up = open_ & (_wlog1p_slope(mid, *args) > 0)
+        np.copyto(lo, mid, where=up)
+        np.copyto(hi, mid, where=open_ ^ up)
+        open_ = hi - lo > tol
+    return 0.5 * (lo + hi)
+
+
+def _wlog1p_slope(v, weight, pressure, two_alpha, x_prev):
+    """slope() of wlog1p problems, elementwise, in the same operation order."""
+    return weight / (1.0 + v) - pressure - two_alpha * (v - x_prev)

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -133,9 +134,14 @@ def test_compare_rejects_non_numeric_plan_values(tmp_path, capsys, line):
 
 
 def test_module_entry_point():
+    # the child process does not see pytest's pythonpath setting, so put the
+    # checkout's src first on its PYTHONPATH
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "proxbp", "run", "--scenario", SINGLE,
          "--slots", "10"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
     assert "checks ok" in proc.stdout

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from strategies import arrays, scenarios
 
 import proxbp as P
-from proxbp.dpp import DppConfig, dpp_initial_state, dpp_slot_update, dpp_source_rate, dpp_step
+from proxbp.dpp import (DppConfig, dpp_initial_state, dpp_slot_update, dpp_source_rate, dpp_step,
+                        rate_caps)
 
 
 def test_source_rate_rules():
@@ -86,3 +90,45 @@ def test_config_validation():
         DppConfig(V=0.0)
     with pytest.raises(P.ContractError):
         DppConfig(V=1.0, x_max=-2.0)
+
+
+def _dpp_slot_scalar(Q, scenario, config):
+    """Scalar reference for dpp_slot_update: dpp_source_rate per source, and
+    per link a scan over its allowed sessions in ascending id order that keeps
+    the first strictly larger positive differential."""
+    caps = rate_caps(scenario, config)
+    x = np.array([dpp_source_rate(s.utility, config.V, float(Q[s.src, f]), float(caps[f]))
+                  for f, s in enumerate(scenario.sessions)])
+    mu = np.zeros((scenario.n_links, scenario.n_sessions))
+    for l, lk in enumerate(scenario.network.links):
+        best_f = -1
+        best_diff = 0.0
+        for f in sorted(scenario.allowed[l]):
+            diff = Q[lk.tail, f] - (Q[lk.head, f] if lk.head != scenario.sessions[f].dst else 0.0)
+            if diff > best_diff:
+                best_diff = diff
+                best_f = f
+        if best_f >= 0:
+            mu[l, best_f] = lk.capacity
+    return x, mu
+
+
+@st.composite
+def _dpp_cases(draw):
+    sc = draw(scenarios())
+    coarse = draw(st.booleans())
+    q = arrays(draw, (sc.n_nodes, sc.n_sessions), (0.0, 0.5, 1.0, 3.0), 0.0, 10.0, coarse)
+    q[~sc.active] = 0.0
+    config = DppConfig(V=draw(st.sampled_from((1.0, 25.0, 500.0))),
+                       x_max=draw(st.sampled_from((None, 0.75))))
+    return sc, q, config
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=_dpp_cases())
+def test_dpp_slot_matches_scalar_reference(case):
+    sc, q, config = case
+    y = dpp_slot_update(q, sc, config)
+    x, mu = _dpp_slot_scalar(q, sc, config)
+    assert y.x.tobytes() == x.tobytes()
+    assert y.mu.tobytes() == mu.tobytes()

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from strategies import slot_cases
 
 import proxbp as P
 from proxbp.engine import compute_weights, default_alpha, initial_state, link_update, slot_update
+from proxbp.rates import RateProblem, solve_rate
 
 
 def test_default_alpha_presets(sixnode, singlelink):
@@ -155,3 +158,50 @@ def test_lyapunov(singlelink):
     cfg = P.AlgConfig(np.array([1.0, 1.0]))
     _, s = slot_update(s, singlelink, cfg)
     assert abs(P.lyapunov(s) - 0.5 * float(np.sum(s.Q ** 2))) < 1e-15
+
+
+def _scalar_slot(state, scenario, config):
+    """slot_update's decisions from the scalar references: solve_rate per
+    source and link_update per link."""
+    W = compute_weights(state, scenario)
+    alpha = config.alpha
+    x = np.array([solve_rate(RateProblem(s.utility, W[s.src, f], state.y_prev.x[f], alpha[s.src]))
+                  for f, s in enumerate(scenario.sessions)])
+    mu = np.array([link_update(l, W, alpha, state.y_prev.mu, scenario)
+                   for l in range(scenario.n_links)])
+    return x, mu
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=slot_cases())
+def test_batched_slot_matches_scalar_reference(case):
+    scenario, state, config = case
+    y, nxt = slot_update(state, scenario, config)
+    x, mu = _scalar_slot(state, scenario, config)
+    assert y.x.tobytes() == x.tobytes()
+    if all(len(a) == scenario.n_sessions for a in scenario.allowed):
+        assert y.mu.tobytes() == mu.tobytes()
+    else:
+        # a restricted row of 8 or more entries sums its clipped entries in a
+        # different grouping than the scalar path, which moves only rounding
+        assert np.max(np.abs(y.mu - mu)) <= 1e-12
+        assert np.all(y.mu[~scenario.allow_mask] == 0.0)
+    assert np.array_equal(nxt.Q, state.Q + P.residual_matrix(scenario, y.x, y.mu))
+
+
+def test_slot_update_rejects_non_finite_weights(sixnode):
+    cfg = P.AlgConfig(default_alpha(sixnode.network, "queue-bound"))
+    s = initial_state(sixnode)
+    q = np.zeros((6, 2))
+    q[4, 1] = math.nan  # node 4 is no source, so only the link phase reads it
+    with pytest.raises(P.ContractError):
+        slot_update(P.BpState(q, s.y_prev, 0), sixnode, cfg)
+
+
+def test_slot_update_rejects_bad_previous_rates(sixnode):
+    cfg = P.AlgConfig(default_alpha(sixnode.network, "queue-bound"))
+    s = initial_state(sixnode)
+    for bad in (-0.5, math.inf, math.nan):
+        prev = P.DecisionVector([0.5, bad], s.y_prev.mu)
+        with pytest.raises(P.ContractError):
+            slot_update(P.BpState(s.Q, prev, 0), sixnode, cfg)

@@ -1,11 +1,13 @@
 import itertools
+import math
 import time
 
 import numpy as np
 import pytest
 
 import proxbp as P
-from proxbp.projection import ProjectionInstance, kkt_residual, project_bisect, project_sorted
+from proxbp.projection import (ProjectionInstance, kkt_residual, project_bisect, project_rows,
+                               project_sorted)
 
 # (a, b, expected z, expected theta)
 PINNED = (
@@ -123,3 +125,35 @@ def test_kkt_residual_flags_suboptimal_points():
     assert kkt_residual(inst, z, theta) < 1e-12
     assert kkt_residual(inst, np.array([1.0, 1.0]), 0.0) > 0.1
     assert kkt_residual(inst, np.array([2.0, 0.0]), 0.0) > 0.1  # wrong multiplier
+
+
+def test_project_rows_matches_project_sorted_per_row():
+    rng = np.random.default_rng(13)
+    for k in (1, 3, 8, 20):
+        a = np.round(rng.normal(0.3, 1.0, (200, k)), 1)  # one decimal: many ties
+        b = rng.choice([0.05, 0.5, 2.0, 50.0], 200)
+        mask = np.ones((200, k), dtype=bool)
+        z = project_rows(a, b, mask)
+        for r in range(200):
+            ref, _ = project_sorted(ProjectionInstance(a[r], b[r]))
+            assert z[r].tobytes() == ref.tobytes()
+
+
+def test_project_rows_masks_entries_out():
+    a = np.array([[3.0, 5.0, 1.0], [2.0, -1.0, 4.0], [9.0, 9.0, 9.0]])
+    mask = np.array([[True, False, True], [False, False, False], [True, True, True]])
+    z = project_rows(a, np.array([2.0, 1.0, 3.0]), mask)
+    assert z.tolist() == [[2.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]
+
+
+def test_project_rows_rejects_non_finite_input():
+    mask = np.ones((2, 2), dtype=bool)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(P.ContractError):
+            project_rows(np.array([[1.0, 0.0], [0.0, bad]]), np.ones(2), mask)
+
+
+def test_project_rows_without_admissible_active_set():
+    # a negative budget leaves the feasible set empty: no prefix is admissible
+    with pytest.raises(P.NumericError):
+        project_rows(np.array([[1.0, 0.5]]), np.array([-1.0]), np.ones((1, 2), dtype=bool))

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from strategies import arrays, scenarios
 
 import proxbp as P
+from proxbp.net import residual_matrix
 from proxbp.queues import (ScriptedPolicy, arrival_matrix, audit_queue_bounds,
                            run_scripted, step_Q, step_Y, step_Z, validate_policy)
 
@@ -16,19 +20,19 @@ def test_arrival_matrix(sixnode):
 def test_step_y_clips_at_zero(singlelink):
     y0 = np.zeros((2, 1))
     # service prescribed with nothing to send: the virtual queue still counts it
-    nxt = step_Y(y0, [0.0], [[1.0]], singlelink)
+    nxt = step_Y(y0, residual_matrix(singlelink, [0.0], [[1.0]]), singlelink)
     assert nxt[0, 0] == 0.0
-    nxt = step_Y(y0, [0.4], [[1.0]], singlelink)
+    nxt = step_Y(y0, residual_matrix(singlelink, [0.4], [[1.0]]), singlelink)
     assert nxt[0, 0] == 0.0
-    nxt = step_Y(nxt, [0.4], [[0.1]], singlelink)
+    nxt = step_Y(nxt, residual_matrix(singlelink, [0.4], [[0.1]]), singlelink)
     assert abs(nxt[0, 0] - 0.3) < 1e-15
 
 
 def test_step_q_is_signed(singlelink):
     q = np.zeros((2, 1))
-    q = step_Q(q, [0.0], [[1.0]], singlelink)
+    q = step_Q(q, residual_matrix(singlelink, [0.0], [[1.0]]))
     assert q[0, 0] == -1.0
-    q = step_Q(q, [0.5], [[0.0]], singlelink)
+    q = step_Q(q, residual_matrix(singlelink, [0.5], [[0.0]]))
     assert q[0, 0] == -0.5
     assert q[1, 0] == 0.0
 
@@ -66,15 +70,61 @@ def test_step_z_ascending_link_order():
     assert z2[0, 0] == 0.0
 
 
+def _step_Z_scalar(Z, arrivals, mu, scenario):
+    """Scalar reference for step_Z: each node serves its out-links one at a
+    time in ascending link order, then sends and arrivals join link by link."""
+    network = scenario.network
+    arrivals = np.asarray(arrivals, dtype=float)
+    if arrivals.ndim == 1:
+        arrivals = arrival_matrix(scenario, arrivals)
+    mu = np.asarray(mu, dtype=float)
+    rem = np.array(Z, dtype=float)
+    sends = np.zeros((scenario.n_links, scenario.n_sessions))
+    for n in range(scenario.n_nodes):
+        avail = rem[n]
+        for l in network.out_links[n]:
+            take = np.minimum(np.maximum(mu[l], 0.0), avail)
+            sends[l] = take
+            avail -= take
+    nxt = rem + arrivals
+    for l, lk in enumerate(network.links):
+        nxt[lk.head] += sends[l]
+    nxt[~scenario.active] = 0.0
+    return nxt, sends
+
+
+@st.composite
+def _z_steps(draw):
+    sc = draw(scenarios())
+    n, f, l = sc.n_nodes, sc.n_sessions, sc.n_links
+    coarse = draw(st.booleans())
+    z = arrays(draw, (n, f), (0.0, 0.25, 1.0, 3.0), 0.0, 5.0, coarse)
+    mu = arrays(draw, (l, f), (0.0, 0.5, 1.0, 2.0), 0.0, 3.0, coarse)
+    shape = draw(st.sampled_from(((f,), (n, f))))
+    arrivals = arrays(draw, shape, (0.0, 0.5, 1.0), 0.0, 2.0, coarse)
+    return sc, z, arrivals, mu
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=_z_steps())
+def test_step_z_matches_scalar_reference(case):
+    sc, z, arrivals, mu = case
+    nxt, sends = step_Z(z, arrivals, mu, sc)
+    ref_nxt, ref_sends = _step_Z_scalar(z, arrivals, mu, sc)
+    assert nxt.tobytes() == ref_nxt.tobytes()
+    assert sends.tobytes() == ref_sends.tobytes()
+
+
 def test_step_triple_consistency(sixnode):
     rng = np.random.default_rng(9)
     Y = Z = Q = np.zeros((6, 2))
     for _ in range(20):
         x = rng.uniform(0.0, 1.0, 2)
         mu = rng.uniform(0.0, 0.5, (8, 2))
-        Y = step_Y(Y, x, mu, sixnode)
+        g = residual_matrix(sixnode, x, mu)
+        Y = step_Y(Y, g, sixnode)
         Z, _ = step_Z(Z, x, mu, sixnode)
-        Q = step_Q(Q, x, mu, sixnode)
+        Q = step_Q(Q, g)
         assert np.all(Y >= 0)
         assert np.all(Z >= 0)
         assert np.all(Y[~sixnode.active] == 0)

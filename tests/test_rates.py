@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import proxbp as P
 from proxbp.rates import (RateProblem, closed_form_wlog, objective, positive_quad_root,
-                          slope, solve_rate)
+                          slope, solve_rate, solve_rates)
 
 
 def test_wlog_closed_form_examples():
@@ -115,6 +115,44 @@ def test_contract_errors():
     with pytest.raises(P.ContractError):
         closed_form_wlog(RateProblem(P.Utility("wlog1p", 1.0), 0.0, 0.0, 1.0))
 
+
+def test_solve_rates_matches_solve_rate():
+    rng = np.random.default_rng(12)
+    n = 2000
+    is_wlog = rng.uniform(size=n) < 0.5
+    weight = rng.uniform(0.1, 5.0, n)
+    pressure = rng.normal(0.0, 10.0, n)
+    x_prev = np.where(rng.uniform(size=n) < 0.1, 0.0, rng.uniform(0.0, 4.0, n))
+    alpha = rng.uniform(0.05, 20.0, n)
+    for tol in (1e-10, 1e-13):
+        x = solve_rates(is_wlog, weight, pressure, x_prev, alpha, tol=tol)
+        ref = [solve_rate(RateProblem(P.Utility("wlog" if w else "wlog1p", float(u)), float(p),
+                                      float(xp), float(a)), tol=tol)
+               for w, u, p, xp, a in zip(is_wlog, weight, pressure, x_prev, alpha)]
+        assert x.tobytes() == np.array(ref).tobytes()
+        assert np.any(x[~is_wlog] == 0.0) and np.any(x[~is_wlog] > 0.0)
+
+
+def test_solve_rates_contract_errors():
+    one = np.ones(1)
+    is_wlog = np.array([True])
+    for pressure, x_prev, alpha in ((math.nan, 0.0, 1.0), (math.inf, 0.0, 1.0),
+                                    (0.0, -1.0, 1.0), (0.0, math.inf, 1.0),
+                                    (0.0, math.nan, 1.0), (0.0, 0.0, 0.0)):
+        with pytest.raises(P.ContractError):
+            solve_rates(is_wlog, one, one * pressure, one * x_prev, one * alpha)
+    with pytest.raises(P.ContractError):
+        solve_rates(is_wlog, one, one, one, one, tol=0.0)
+
+
+def test_bracket_failure_raises_in_both_solvers():
+    # a pressure of -1e30 keeps the slope positive past 64 doublings of the bracket
+    u = P.Utility("wlog1p", 1.0)
+    with pytest.raises(P.NumericError):
+        solve_rate(RateProblem(u, -1e30, 0.0, 1.0))
+    with pytest.raises(P.NumericError):
+        solve_rates(np.array([True, False]), np.ones(2), np.array([0.0, -1e30]),
+                    np.zeros(2), np.ones(2))
 
 
 def _log_uniform(lo_exp, hi_exp):
