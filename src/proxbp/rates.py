@@ -17,6 +17,9 @@ import numpy as np
 
 from .net import ContractError, NumericError, Utility
 
+# Final bisection bracket width of wlog1p rate solves.
+RATE_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class RateProblem:
@@ -71,7 +74,7 @@ def closed_form_wlog(p: RateProblem) -> float:
     return float(positive_quad_root(2.0 * p.alpha, d, -p.utility.weight))
 
 
-def solve_rate(p: RateProblem, tol: float = 1e-10) -> float:
+def solve_rate(p: RateProblem, tol: float = RATE_TOL) -> float:
     """Maximizer of the slot objective over the utility domain.
 
     For wlog the closed form is used exclusively (h diverges at 0+, so the
@@ -102,15 +105,13 @@ def solve_rate(p: RateProblem, tol: float = 1e-10) -> float:
     return 0.5 * (lo + hi)
 
 
-def solve_rates(is_wlog, weight, pressure, x_prev, alpha, tol: float = 1e-10) -> np.ndarray:
+def solve_rates(is_wlog, weight, pressure, x_prev, alpha) -> np.ndarray:
     """solve_rate for many sources at once, all arguments (F,) arrays: is_wlog
     picks the utility kind, weight its weight. Returns x (F,), bitwise equal
-    to solve_rate on each source: wlog sources take the closed form
-    elementwise, and each interior wlog1p source goes through exactly the
-    scalar sequence of doublings and bisection midpoints.
+    to solve_rate at its default tolerance on each source: wlog sources take
+    the closed form elementwise, and each interior wlog1p source goes through
+    exactly the scalar sequence of doublings and bisection midpoints.
     """
-    if not (tol > 0):
-        raise ContractError(f"tol must be positive, got {tol!r}")
     if not ((alpha > 0) & np.isfinite(alpha)).all():
         raise ContractError("alpha must be positive")
     if not ((x_prev >= 0) & np.isfinite(x_prev)).all():
@@ -123,11 +124,11 @@ def solve_rates(is_wlog, weight, pressure, x_prev, alpha, tol: float = 1e-10) ->
     # wlog1p: h(0) <= 0 pins x = 0; the rest are bracketed and bisected.
     j = np.nonzero(~is_wlog & (_wlog1p_slope(0.0, weight, pressure, two_alpha, x_prev) > 0))[0]
     if j.size:
-        x[j] = _bisect_wlog1p(weight[j], pressure[j], two_alpha[j], x_prev[j], tol)
+        x[j] = _bisect_wlog1p(weight[j], pressure[j], two_alpha[j], x_prev[j])
     return x
 
 
-def _bisect_wlog1p(weight, pressure, two_alpha, x_prev, tol):
+def _bisect_wlog1p(weight, pressure, two_alpha, x_prev):
     """solve_rate's doubling bracket and bisection for wlog1p sources with
     h(0) > 0, elementwise."""
     args = (weight, pressure, two_alpha, x_prev)
@@ -140,14 +141,14 @@ def _bisect_wlog1p(weight, pressure, two_alpha, x_prev, tol):
         hi[grow] *= 2.0
     else:
         raise NumericError("rate bracket expansion failed after 64 doublings")
-    # Brackets narrower than tol are final; the others move to their midpoint.
-    open_ = hi - lo > tol
+    # Brackets narrower than RATE_TOL are final; the others move to their midpoint.
+    open_ = hi - lo > RATE_TOL
     while np.count_nonzero(open_):
         mid = 0.5 * (lo + hi)
         up = open_ & (_wlog1p_slope(mid, *args) > 0)
         np.copyto(lo, mid, where=up)
         np.copyto(hi, mid, where=open_ ^ up)
-        open_ = hi - lo > tol
+        open_ = hi - lo > RATE_TOL
     return 0.5 * (lo + hi)
 
 
