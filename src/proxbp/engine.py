@@ -52,11 +52,13 @@ class AlgConfig:
 
 @dataclass(frozen=True, eq=False)
 class BpState:
-    """Signed virtual queues Q (N, F), previous slot's decisions, slot counter."""
+    """Signed virtual queues Q (N, F), previous slot's decisions, slot counter,
+    and the weights W (N, F) the previous slot used (None before the first)."""
 
     Q: np.ndarray
     y_prev: DecisionVector
     t: int
+    W: np.ndarray = None
 
 
 def initial_state(scenario: Scenario) -> BpState:
@@ -114,7 +116,7 @@ def slot_update(state: BpState, scenario: Scenario, config: AlgConfig) -> tuple:
     y = DecisionVector(x, mu)
     q = state.Q + residual_matrix(scenario, y.x, y.mu)
     q.setflags(write=False)
-    return y, BpState(q, y, state.t + 1)
+    return y, BpState(q, y, state.t + 1, W)
 
 
 def lyapunov(state: BpState) -> float:

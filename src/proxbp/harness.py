@@ -11,7 +11,7 @@ import numpy as np
 
 from .net import (ContractError, Link, Network, Scenario, ScenarioValidationError,
                   Session, Utility, residual_matrix, total_utility, validate_decision)
-from .engine import AlgConfig, compute_weights, default_alpha, initial_state, slot_update
+from .engine import AlgConfig, default_alpha, initial_state, slot_update
 from .dpp import DppConfig, dpp_initial_state, dpp_step
 from .queues import ScriptedPolicy, audit_queue_bounds, step_Q, step_Y, step_Z
 
@@ -39,8 +39,9 @@ class Trace:
     maxY: np.ndarray        # (T,)
     lyap: np.ndarray        # (T,)
     z_total: np.ndarray = None   # (T,) total physical backlog (not in CSV)
+    peak_Y: np.ndarray = None    # (N, F) peak of Y over the run (not in CSV)
+    peak_Z: np.ndarray = None    # (N, F) peak of Z over the run (not in CSV)
     summary: dict = field(default_factory=dict)
-    queues: object = None   # optional (Y, Z, Q) histories, (T+1, N, F) each
 
     @property
     def slots(self) -> int:
@@ -106,8 +107,7 @@ def trace_from_csv(fh) -> Trace:
                  maxQ=scal["maxQ"], maxZ=scal["maxZ"], maxY=scal["maxY"], lyap=scal["lyap"])
 
 
-def run(scenario: Scenario, algorithm: str, config, slots: int, oracle=None,
-        collect_queues: bool = False) -> Trace:
+def run(scenario: Scenario, algorithm: str, config, slots: int, oracle=None) -> Trace:
     """Drive one algorithm for the given number of slots.
 
     Steps all three queue families under the produced decisions and evaluates
@@ -116,8 +116,9 @@ def run(scenario: Scenario, algorithm: str, config, slots: int, oracle=None,
     telescoping of Q, and the queue bound transfer with B set to the observed
     max |Q|. Results land in trace.summary; summary["passed"] is the overall
     verdict. summary["queue_transfer_violations"] holds the records of
-    audit_queue_bounds applied to the per-(node, session) peaks of Y and Z,
-    one per violating (family, node, session) with slot index 0.
+    audit_queue_bounds applied to the per-(node, session) peaks of Y and Z
+    (trace.peak_Y, trace.peak_Z), one per violating (family, node, session)
+    with slot index 0.
     """
     if slots < 1:
         raise ContractError(f"slots must be at least 1, got {slots!r}")
@@ -136,9 +137,6 @@ def run(scenario: Scenario, algorithm: str, config, slots: int, oracle=None,
     Y = np.zeros((n_n, n_f))
     Z = np.zeros((n_n, n_f))
     Q = np.zeros((n_n, n_f))
-    hist = None
-    if collect_queues:
-        hist = tuple(np.zeros((slots + 1, n_n, n_f)) for _ in range(3))
 
     weight_err = 0.0
     drift_err = 0.0
@@ -151,17 +149,17 @@ def run(scenario: Scenario, algorithm: str, config, slots: int, oracle=None,
     lyap_after = 0.0
 
     state = initial_state(scenario) if algorithm == "new" else dpp_initial_state(scenario)
-    q_prev = state.Q if algorithm == "new" else None
+    q_prev = None
 
     for t in range(slots):
         if algorithm == "new":
-            w = compute_weights(state, scenario)
-            if t >= 1:
-                ident = 2.0 * state.Q - q_prev
-                ident[~scenario.active] = 0.0
-                weight_err = max(weight_err, float(np.max(np.abs(w - ident))))
-            q_prev = state.Q
+            q_now = state.Q
             y, state = slot_update(state, scenario, config)
+            if t >= 1:
+                ident = 2.0 * q_now - q_prev
+                ident[~scenario.active] = 0.0
+                weight_err = max(weight_err, float(np.max(np.abs(state.W - ident))))
+            q_prev = q_now
         else:
             y, state = dpp_step(state, scenario, config)
 
@@ -194,10 +192,6 @@ def run(scenario: Scenario, algorithm: str, config, slots: int, oracle=None,
         lyap[t] = lyap_after
         np.maximum(peak_Y, Y, out=peak_Y)
         np.maximum(peak_Z, Z, out=peak_Z)
-        if hist is not None:
-            hist[0][t + 1] = Y
-            hist[1][t + 1] = Z
-            hist[2][t + 1] = Q
 
     denom = np.arange(1, slots + 1, dtype=float)
     xbar = np.cumsum(x_hist, axis=0) / denom[:, None]
@@ -231,8 +225,8 @@ def run(scenario: Scenario, algorithm: str, config, slots: int, oracle=None,
     )
     return Trace(alg=algorithm, x=x_hist, xbar=xbar, util_inst=util_inst,
                  util_avg=util_avg, util_jensen=util_jensen, gap=gap, maxQ=max_q,
-                 maxZ=max_z, maxY=max_y, lyap=lyap, z_total=z_total, summary=summary,
-                 queues=hist)
+                 maxZ=max_z, maxY=max_y, lyap=lyap, z_total=z_total, peak_Y=peak_Y,
+                 peak_Z=peak_Z, summary=summary)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ to per-(session, node) flow balance (injection plus inflow at most outflow
 everywhere except destinations), link capacities, allow-sets, and
 nonnegativity. Solved by an augmented-Lagrangian dual ascent on the
 flow-balance constraints; capacity and sign constraints stay inside the inner
-blocks, which are closed-form scalars (sources) and one-dimensional
-water-filling roots under a per-link budget multiplier (links).
+blocks, which are closed-form scalars (sources) and exact link blocks: each
+session's rate is piecewise linear in the link's budget multiplier, so the
+multiplier is found by a sorted-breakpoint search and interpolated exactly.
 
 Every outer iteration produces two certificates: an exactly feasible repaired
 primal point and the exact dual value at the current multipliers. Their
@@ -24,6 +25,12 @@ from .net import (ContractError, DecisionVector, Scenario, residual_matrix,
                   total_utility, validate_decision)
 from .engine import default_alpha
 from .rates import positive_quad_root
+
+MAX_OUTER = 400       # outer augmented-Lagrangian iterations before OracleError
+INNER_TOL = 1e-10     # largest rate change that ends the inner ascent
+INNER_PASSES = 300    # block-coordinate passes per outer iteration
+PRIMAL_PASSES = 200   # passes of repair_feasible and of tighten_to_equality
+TIGHTEN_TOL = 1e-9    # flow-balance slack that tighten_to_equality leaves
 
 
 class OracleError(RuntimeError):
@@ -102,91 +109,53 @@ def _al_source_rate(utility, lam_f, c, rho):
     return float(positive_quad_root(rho, rho + a0, a0 - utility.weight))
 
 
-def _link_profile(mu, kn, lam_n, km, lam_m, has_n, has_m, rho, damp, mu_c):
-    """Derivative of one session's contribution to the link objective."""
-    v = -2.0 * damp * (mu - mu_c)
-    if has_n:
-        v += max(0.0, lam_n + rho * (kn - mu))
-    if has_m:
-        v -= max(0.0, lam_m + rho * (km + mu))
-    return v
-
-
-def _link_session_root(theta, kn, lam_n, km, lam_m, has_n, has_m, rho, damp, mu_c, cap):
-    """Solve profile(mu) = theta on [0, cap]. The profile is strictly
-    decreasing piecewise linear with at most two kinks."""
-    def d(mu):
-        return _link_profile(mu, kn, lam_n, km, lam_m, has_n, has_m, rho, damp, mu_c) - theta
-    if d(0.0) <= 0.0:
-        return 0.0
-    if d(cap) >= 0.0:
-        return cap
-    knots = [0.0, cap]
-    if has_n:
-        b = kn + lam_n / rho
-        if 0.0 < b < cap:
-            knots.append(b)
-    if has_m:
-        b = -km - lam_m / rho
-        if 0.0 < b < cap:
-            knots.append(b)
-    knots.sort()
-    for lo, hi in zip(knots, knots[1:]):
-        dlo = d(lo)
-        dhi = d(hi)
-        if dlo >= 0.0 >= dhi:
-            if dlo == dhi:
-                return lo
-            return lo + (hi - lo) * dlo / (dlo - dhi)
-    return cap
-
-
 def _al_link_update(scenario, l, g, lam, mu, rho, damp):
-    """Block update of one link's allowed sessions under the capacity budget.
+    """Exact block update of one link's allowed sessions under the capacity
+    budget; g is mutated in place to stay consistent with the new mu column.
 
-    g is mutated in place to stay consistent with the updated mu column.
+    A session's rate solves profile(mu) = theta on [0, cap], where profile is
+    the derivative of its term of the link objective: strictly decreasing and
+    piecewise linear with knots at 0, cap and its two kinks, so the clamped
+    inverse interpolates over the knots. If the rates at theta = 0 overflow
+    cap, the total rate is piecewise linear in theta with breakpoints at the
+    profile values of all knots, and theta is interpolated where it hits cap.
     """
     lk = scenario.network.links[l]
-    fs = sorted(scenario.allowed[l])
-    if not fs:
-        return 0.0
     cap = lk.capacity
     rows = []
-    for f in fs:
-        s = scenario.sessions[f]
+    for f in sorted(scenario.allowed[l]):
+        dst = scenario.sessions[f].dst
         mu_c = mu[l, f]
-        has_n = lk.tail != s.dst
-        has_m = lk.head != s.dst
+        has_n = lk.tail != dst
+        has_m = lk.head != dst
         kn = g[lk.tail, f] + mu_c if has_n else 0.0
         km = g[lk.head, f] - mu_c if has_m else 0.0
-        rows.append((f, kn, lam[lk.tail, f], km, lam[lk.head, f], has_n, has_m, mu_c))
+        kinks = [0.0, cap]
+        if has_n:
+            kinks.append(kn + lam[lk.tail, f] / rho)
+        if has_m:
+            kinks.append(-km - lam[lk.head, f] / rho)
+        knots = np.unique(np.clip(kinks, 0.0, cap))[::-1]
+        profile = -2.0 * damp * (knots - mu_c)
+        if has_n:
+            profile += np.maximum(0.0, lam[lk.tail, f] + rho * (kn - knots))
+        if has_m:
+            profile -= np.maximum(0.0, lam[lk.head, f] + rho * (km + knots))
+        rows.append((f, kn, km, has_n, has_m, profile, knots))
 
     def solution(theta):
-        return [
-            _link_session_root(theta, kn, ln, km, lm, hn, hm, rho, damp, mu_c, cap)
-            for (_, kn, ln, km, lm, hn, hm, mu_c) in rows
-        ]
+        return [np.interp(theta, profile, knots) for (*_, profile, knots) in rows]
 
     vals = solution(0.0)
     if sum(vals) > cap:
-        hi = max(
-            _link_profile(0.0, kn, ln, km, lm, hn, hm, rho, damp, mu_c)
-            for (_, kn, ln, km, lm, hn, hm, mu_c) in rows
-        )
-        lo = 0.0
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            vals = solution(mid)
-            if sum(vals) > cap:
-                lo = mid
-            else:
-                hi = mid
-        vals = solution(hi)
+        thetas = np.unique(np.concatenate([profile for *_, profile, _ in rows]).clip(0.0))
+        totals = sum(solution(thetas))
+        vals = solution(np.interp(cap, totals[::-1], thetas[::-1]))
         tot = sum(vals)
         if tot > cap > 0:
             vals = [v * cap / tot for v in vals]
     change = 0.0
-    for (f, kn, _, km, _, has_n, has_m, _), v in zip(rows, vals):
+    for (f, kn, km, has_n, has_m, *_), v in zip(rows, vals):
         change = max(change, abs(v - mu[l, f]))
         mu[l, f] = v
         if has_n:
@@ -196,11 +165,11 @@ def _al_link_update(scenario, l, g, lam, mu, rho, damp):
     return change
 
 
-def _inner_bcd(scenario, x, mu, lam, rho, tol, max_passes):
+def _inner_bcd(scenario, x, mu, lam, rho):
     """Block-coordinate ascent on the augmented Lagrangian. Mutates x and mu."""
     damp = 1e-8 * (1.0 + rho)
     g = residual_matrix(scenario, x, mu)
-    for _ in range(max_passes):
+    for _ in range(INNER_PASSES):
         change = 0.0
         for f, s in enumerate(scenario.sessions):
             c = g[s.src, f] - x[f]
@@ -210,7 +179,7 @@ def _inner_bcd(scenario, x, mu, lam, rho, tol, max_passes):
             g[s.src, f] = c + new
         for l in range(scenario.n_links):
             change = max(change, _al_link_update(scenario, l, g, lam, mu, rho, damp))
-        if change <= tol:
+        if change <= INNER_TOL:
             break
         # resync residuals to stop incremental drift
         g = residual_matrix(scenario, x, mu)
@@ -220,7 +189,7 @@ def _inner_bcd(scenario, x, mu, lam, rho, tol, max_passes):
 # primal repair and tightening
 
 
-def repair_feasible(scenario: Scenario, x, mu, max_passes: int = 200):
+def repair_feasible(scenario: Scenario, x, mu):
     """Project a near-feasible point to exact feasibility without optimizing.
 
     Clips signs and forbidden pairs, rescales overloaded links, then walks
@@ -236,7 +205,7 @@ def repair_feasible(scenario: Scenario, x, mu, max_passes: int = 200):
         if load[l] > caps[l]:
             mu[l] *= caps[l] / load[l]
     net = scenario.network
-    for _ in range(max_passes):
+    for _ in range(PRIMAL_PASSES):
         g = residual_matrix(scenario, x, mu)
         bad = np.argwhere(g > 1e-14)
         if bad.size == 0:
@@ -255,11 +224,10 @@ def repair_feasible(scenario: Scenario, x, mu, max_passes: int = 200):
                 x[f] *= factor
             for l in net.in_links[n]:
                 mu[l, f] *= factor
-    raise OracleError("primal repair did not converge in %d passes" % max_passes)
+    raise OracleError("primal repair did not converge in %d passes" % PRIMAL_PASSES)
 
 
-def tighten_to_equality(scenario: Scenario, y: DecisionVector, tol: float = 1e-9,
-                        max_passes: int = 200) -> DecisionVector:
+def tighten_to_equality(scenario: Scenario, y: DecisionVector) -> DecisionVector:
     """Shrink outgoing rates of loose flow-balance constraints to equality.
 
     The input must be feasible. Rates only decrease (processed in descending
@@ -273,16 +241,16 @@ def tighten_to_equality(scenario: Scenario, y: DecisionVector, tol: float = 1e-9
     for f, s in enumerate(scenario.sessions):
         for l in net.out_links[s.dst]:
             mu[l, f] = 0.0
-    for _ in range(max_passes):
+    for _ in range(PRIMAL_PASSES):
         g = residual_matrix(scenario, x, mu)
-        loose = np.argwhere(g < -tol)
+        loose = np.argwhere(g < -TIGHTEN_TOL)
         if loose.size == 0:
             return DecisionVector(x, mu)
         for n, f in loose:
             n = int(n)
             f = int(f)
             deficit = -float(residual_matrix(scenario, x, mu)[n, f])
-            if deficit <= tol:
+            if deficit <= TIGHTEN_TOL:
                 continue
             for l in sorted(net.out_links[n], reverse=True):
                 take = min(mu[l, f], deficit)
@@ -290,7 +258,7 @@ def tighten_to_equality(scenario: Scenario, y: DecisionVector, tol: float = 1e-9
                 deficit -= take
                 if deficit <= 0:
                     break
-    raise OracleError("tightening did not converge in %d passes" % max_passes)
+    raise OracleError("tightening did not converge in %d passes" % PRIMAL_PASSES)
 
 
 def compute_zeta(scenario: Scenario, y_star: DecisionVector, alpha) -> float:
@@ -320,8 +288,7 @@ def compute_zeta(scenario: Scenario, y_star: DecisionVector, alpha) -> float:
 # main solver
 
 
-def solve_centralized(scenario: Scenario, tol: float = 1e-5, alpha=None,
-                      max_outer: int = 400) -> OracleSolution:
+def solve_centralized(scenario: Scenario, tol: float = 1e-5, alpha=None) -> OracleSolution:
     """Solve the joint problem to a certified duality gap of at most tol.
 
     Returns the best repaired primal point (tightened to flow-balance
@@ -347,8 +314,8 @@ def solve_centralized(scenario: Scenario, tol: float = 1e-5, alpha=None,
     weak_margin = math.inf
     prev_viol = math.inf
 
-    for _ in range(max_outer):
-        _inner_bcd(scenario, x, mu, lam, rho, tol=1e-10, max_passes=300)
+    for _ in range(MAX_OUTER):
+        _inner_bcd(scenario, x, mu, lam, rho)
         g = residual_matrix(scenario, x, mu)
         viol = max(0.0, float(g.max()))
 
@@ -380,7 +347,7 @@ def solve_centralized(scenario: Scenario, tol: float = 1e-5, alpha=None,
         prev_viol = viol
     else:
         raise OracleError(
-            f"no certificate at tol={tol} after {max_outer} outer iterations, "
+            f"no certificate at tol={tol} after {MAX_OUTER} outer iterations, "
             f"best gap {best_dual - best_primal!r}", best_gap=best_dual - best_primal)
 
     y = tighten_to_equality(scenario, DecisionVector(best_x, best_mu))

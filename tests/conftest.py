@@ -42,12 +42,12 @@ def sixnode_sol(sixnode):
     return P.solve_centralized(sixnode, tol=1e-5)
 
 
-def _timed_runs(pairs, mode, slots, collect=False):
+def _timed_runs(pairs, mode, slots):
     out = {"seconds": 0.0}
     for name, sc, sol in pairs:
         cfg = P.AlgConfig(P.default_alpha(sc.network, mode))
         t0 = time.monotonic()
-        trace = P.run(sc, "new", cfg, slots, oracle=sol, collect_queues=collect)
+        trace = P.run(sc, "new", cfg, slots, oracle=sol)
         out["seconds"] += time.monotonic() - t0
         out[name] = (sc, sol, trace)
     return out
@@ -63,11 +63,10 @@ def gap_runs(singlelink, sixnode, singlelink_sol, sixnode_sol):
 
 @pytest.fixture(scope="session")
 def soak_runs(singlelink, sixnode, singlelink_sol, sixnode_sol):
-    """10^5 proximal slots on both scenarios with the queue-bound weights.
-    Queue histories are kept so per-node bounds can be audited."""
+    """10^5 proximal slots on both scenarios with the queue-bound weights."""
     return _timed_runs((("singlelink", singlelink, singlelink_sol),
                         ("sixnode", sixnode, sixnode_sol)),
-                       "queue-bound", 100_000, collect=True)
+                       "queue-bound", 100_000)
 
 
 @pytest.fixture(scope="session")

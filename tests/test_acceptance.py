@@ -203,8 +203,7 @@ def test_signed_and_physical_queue_bounds(soak_runs):
         q_peak = float(tr.maxQ.max())
         # per-node actual backlog against the transfer limit with the node's
         # own outgoing capacity; the all-node maximum is implied
-        z_hist = tr.queues[1]
-        z_peaks = z_hist.max(axis=(0, 2))
+        z_peaks = tr.peak_Z.max(axis=1)
         z_limits = 4.0 * lam + 2.0 * math.sqrt(2.0 * zeta) + sc.network.out_cap
         z_slack = float(np.min(z_limits - z_peaks))
         ok = ok and q_peak <= q_limit + 1e-9 and z_slack >= -1e-9

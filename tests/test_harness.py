@@ -56,17 +56,17 @@ def test_dpp_trace_checks(sixnode):
     assert np.all(tr.maxY >= 0)
 
 
-def test_collect_queues_histories(singlelink):
-    cfg = P.AlgConfig(np.array([2.0, 2.0]))
-    tr = P.run(singlelink, "new", cfg, 25, collect_queues=True)
-    y_hist, z_hist, q_hist = tr.queues
-    assert y_hist.shape == (26, 2, 1)
-    assert np.all(q_hist[0] == 0)
-    # column maxima agree with the stored histories
-    assert abs(tr.maxQ.max() - np.abs(q_hist).max()) < 1e-15
-    assert abs(tr.maxZ.max() - z_hist.max()) < 1e-15
+def test_queue_peaks(sixnode):
+    cfg = P.AlgConfig(P.default_alpha(sixnode.network, "queue-bound"))
+    tr = P.run(sixnode, "new", cfg, 200)
+    assert tr.peak_Y.shape == tr.peak_Z.shape == (6, 2)
+    # the per-(node, session) peaks are the peaks of the per-slot maxima
+    assert tr.peak_Y.max() == tr.maxY.max()
+    assert tr.peak_Z.max() == tr.maxZ.max()
+    assert np.all(tr.peak_Y >= 0) and np.all(tr.peak_Z >= 0)
     b = tr.summary["observed_max_abs_q"]
-    assert P.audit_queue_bounds(y_hist, z_hist, b, singlelink) == []
+    assert P.audit_queue_bounds(tr.peak_Y[None], tr.peak_Z[None], b, sixnode) == []
+    assert tr.summary["queue_transfer_violations"] == []
 
 
 def test_csv_round_trip(sixnode, sixnode_sol, tmp_path):
