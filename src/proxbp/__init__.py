@@ -11,7 +11,7 @@ from .net import (CAP_TOL, UTILITY_KINDS, ContractError, DecisionVector,
                   validate_decision, zero_decision)
 from .projection import (ProjectionInstance, kkt_residual, project_bisect, project_rows,
                          project_sorted)
-from .rates import RateProblem, closed_form_wlog, solve_rate, solve_rates
+from .rates import RateProblem, solve_rate, solve_rates
 from .engine import (ALPHA_MODES, AlgConfig, BpState, compute_weights,
                      default_alpha, initial_state, link_update, lyapunov,
                      slot_update)

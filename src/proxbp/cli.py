@@ -5,9 +5,8 @@ import argparse
 import os
 import sys
 
-from .dpp import DppConfig
-from .engine import AlgConfig, default_alpha
-from .harness import CompareRun, chain_example, compare, run, save_policy
+from .engine import default_alpha
+from .harness import CompareRun, chain_example, compare, make_config, run, save_policy
 from .net import (ContractError, DomainError, ScenarioFormatError,
                   ScenarioValidationError, load_scenario, save_scenario)
 from .oracle import OracleError, load_solution, save_solution, serialize_solution, solve_centralized
@@ -119,12 +118,10 @@ def _summary_lines(name, trace):
 def _cmd_run(args) -> int:
     scenario = load_scenario(args.scenario)
     oracle = load_solution(args.oracle, scenario) if args.oracle else None
-    if args.alg == "new":
-        config = AlgConfig(default_alpha(scenario.network, MODE_BY_FLAG[args.alpha_mode])
-                           * args.alpha_scale)
-    else:
-        config = DppConfig(V=args.V, x_max=args.x_max)
-    trace = run(scenario, args.alg, config, args.slots, oracle=oracle)
+    spec = CompareRun(name=args.alg, algorithm=args.alg,
+                      alpha_mode=MODE_BY_FLAG[args.alpha_mode], alpha_scale=args.alpha_scale,
+                      V=args.V, x_max=args.x_max)
+    trace = run(scenario, args.alg, make_config(scenario, spec), args.slots, oracle=oracle)
     if args.out:
         trace.to_csv(args.out)
         print(f"trace written to {args.out}")

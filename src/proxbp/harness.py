@@ -54,13 +54,14 @@ class Trace:
             close = True
         try:
             fh.write(CSV_HEADER + "\n")
-            for t in range(self.slots):
-                for f in range(self.x.shape[1]):
-                    cells = (self.x[t, f], self.xbar[t, f], self.util_inst[t],
-                             self.util_avg[t], self.util_jensen[t], self.gap[t],
-                             self.maxQ[t], self.maxZ[t], self.maxY[t], self.lyap[t])
-                    body = ",".join(repr(float(c)) for c in cells)
-                    fh.write(f"{t},{self.alg},{f},{body}\n")
+            per_slot = np.column_stack((self.util_inst, self.util_avg, self.util_jensen,
+                                        self.gap, self.maxQ, self.maxZ, self.maxY,
+                                        self.lyap)).tolist()
+            for t, (xs, xbars, cells) in enumerate(zip(self.x.tolist(), self.xbar.tolist(),
+                                                       per_slot)):
+                tail = ",".join(map(repr, cells))
+                fh.write("".join(f"{t},{self.alg},{f},{a!r},{b!r},{tail}\n"
+                                 for f, (a, b) in enumerate(zip(xs, xbars))))
         finally:
             if close:
                 fh.close()

@@ -24,7 +24,7 @@ import numpy as np
 from .net import (ContractError, DecisionVector, Scenario, residual_matrix,
                   total_utility, validate_decision)
 from .engine import default_alpha
-from .rates import positive_quad_root
+from .rates import rate_root
 
 MAX_OUTER = 400       # outer augmented-Lagrangian iterations before OracleError
 INNER_TOL = 1e-10     # largest rate change that ends the inner ascent
@@ -98,17 +98,6 @@ def dual_value(scenario: Scenario, lam: np.ndarray) -> float:
 # inner blocks of the augmented Lagrangian
 
 
-def _al_source_rate(utility, lam_f, c, rho):
-    """Maximize U(x) - psi(lam_f, x + c) over the utility domain, where psi is
-    the inequality-form augmented penalty with parameter rho."""
-    if utility.kind == "wlog":
-        return float(positive_quad_root(rho, lam_f + rho * c, -utility.weight))
-    a0 = lam_f + rho * c
-    if utility.weight - max(0.0, a0) <= 0.0:
-        return 0.0
-    return float(positive_quad_root(rho, rho + a0, a0 - utility.weight))
-
-
 def _al_link_update(scenario, l, g, lam, mu, rho, damp):
     """Exact block update of one link's allowed sessions under the capacity
     budget; g is mutated in place to stay consistent with the new mu column.
@@ -168,15 +157,16 @@ def _al_link_update(scenario, l, g, lam, mu, rho, damp):
 def _inner_bcd(scenario, x, mu, lam, rho):
     """Block-coordinate ascent on the augmented Lagrangian. Mutates x and mu."""
     damp = 1e-8 * (1.0 + rho)
+    src, f = scenario.src, np.arange(scenario.n_sessions)
     g = residual_matrix(scenario, x, mu)
     for _ in range(INNER_PASSES):
-        change = 0.0
-        for f, s in enumerate(scenario.sessions):
-            c = g[s.src, f] - x[f]
-            new = _al_source_rate(s.utility, lam[s.src, f], c, rho)
-            change = max(change, abs(new - x[f]))
-            x[f] = new
-            g[s.src, f] = c + new
+        # each source maximizes U(x) - psi(lam, x + c) with c = g - x, where psi
+        # is the inequality-form augmented penalty; sessions touch disjoint g entries
+        c = g[src, f] - x
+        new = rate_root(scenario.is_wlog, scenario.utility_weight, rho, lam[src, f] + rho * c)
+        change = float(np.max(np.abs(new - x), initial=0.0))
+        x[:] = new
+        g[src, f] = c + new
         for l in range(scenario.n_links):
             change = max(change, _al_link_update(scenario, l, g, lam, mu, rho, damp))
         if change <= INNER_TOL:

@@ -3,10 +3,10 @@
 The objective is 2*alpha strongly concave, so the maximizer over the utility
 domain is unique. Its slope h(x) = U'(x) - W - 2*alpha*(x - x_prev) is
 strictly decreasing; the optimum is the root of h, or the left domain edge
-when h is already nonpositive there. Weighted-log problems admit a closed
-form; weighted-log1p problems use bisection with a doubling bracket.
-solve_rates solves every source of a slot at once; solve_rate and
-RateProblem are its scalar reference.
+when h is already nonpositive there. For both utility kinds h(x) = 0 is a
+quadratic in x, so rate_root solves it in closed form. solve_rates solves
+every source of a slot at once; solve_rate and RateProblem are its scalar
+reference.
 """
 from __future__ import annotations
 
@@ -16,9 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .net import ContractError, NumericError, Utility
-
-# Final bisection bracket width of wlog1p rate solves.
-RATE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -62,55 +59,39 @@ def positive_quad_root(a, b, c):
     return np.where(b <= 0, (disc - b) / (2.0 * a), -2.0 * c / (np.abs(b) + disc))
 
 
-def closed_form_wlog(p: RateProblem) -> float:
-    """Unique root of h for weighted-log utilities.
+def rate_root(is_wlog, weight, a, d):
+    """Maximizer of U(x) - d*x - (a/2)*x^2 over the utility domain, for a > 0,
+    elementwise; a 0-d array for scalar arguments.
 
-    h(x) = w/x - D - 2*alpha*x with D = W - 2*alpha*x_prev, so
-    2*alpha*x^2 + D*x - w = 0.
+    The slope is U'(x) - d - a*x. For wlog, w/x = d + a*x gives
+    a*x^2 + d*x - w = 0, and the root is always interior. For wlog1p, the
+    slope w - d at 0 pins x = 0 when it is nonpositive; otherwise
+    w/(1+x) = d + a*x gives a*x^2 + (a+d)*x + d - w = 0. Raises NumericError
+    where the root is not finite.
     """
-    if p.utility.kind != "wlog":
-        raise ContractError(f"closed form requires a wlog utility, got {p.utility.kind!r}")
-    d = p.pressure - 2.0 * p.alpha * p.x_prev
-    return float(positive_quad_root(2.0 * p.alpha, d, -p.utility.weight))
+    free = is_wlog | (weight - d > 0)
+    b = np.where(is_wlog, d, a + d)
+    # pinned wlog1p lanes get c = 0, which keeps their discriminant b*b >= 0
+    c = np.where(is_wlog, -weight, np.minimum(d - weight, 0.0))
+    with np.errstate(over="ignore"):
+        x = np.where(free, positive_quad_root(a, b, c), 0.0)
+    if not np.isfinite(x).all():
+        raise NumericError("rate root is not finite")
+    return x
 
 
-def solve_rate(p: RateProblem, tol: float = RATE_TOL) -> float:
-    """Maximizer of the slot objective over the utility domain.
-
-    For wlog the closed form is used exclusively (h diverges at 0+, so the
-    optimum is always interior). For wlog1p, h(0) <= 0 pins the boundary
-    x = 0; otherwise the root is bracketed by doubling and bisected until the
-    bracket width is below tol.
-    """
-    if not (tol > 0):
-        raise ContractError(f"tol must be positive, got {tol!r}")
-    if p.utility.kind == "wlog":
-        return closed_form_wlog(p)
-    lo = 0.0
-    if slope(p, lo) <= 0:
-        return 0.0
-    hi = max(1.0, 2.0 * p.x_prev)
-    for _ in range(64):
-        if slope(p, hi) < 0:
-            break
-        hi *= 2.0
-    else:
-        raise NumericError("rate bracket expansion failed after 64 doublings")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if slope(p, mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def solve_rate(p: RateProblem) -> float:
+    """Maximizer of the slot objective over the utility domain."""
+    two_alpha = 2.0 * p.alpha
+    return float(rate_root(p.utility.kind == "wlog", p.utility.weight, two_alpha,
+                           p.pressure - two_alpha * p.x_prev))
 
 
 def solve_rates(is_wlog, weight, pressure, x_prev, alpha) -> np.ndarray:
     """solve_rate for many sources at once, all arguments (F,) arrays: is_wlog
     picks the utility kind, weight its weight. Returns x (F,), bitwise equal
-    to solve_rate at its default tolerance on each source: wlog sources take
-    the closed form elementwise, and each interior wlog1p source goes through
-    exactly the scalar sequence of doublings and bisection midpoints.
+    to solve_rate on each source, since both take rate_root with the slot's
+    a = 2*alpha and d = W - 2*alpha*x_prev.
     """
     if not ((alpha > 0) & np.isfinite(alpha)).all():
         raise ContractError("alpha must be positive")
@@ -119,39 +100,4 @@ def solve_rates(is_wlog, weight, pressure, x_prev, alpha) -> np.ndarray:
     if not np.isfinite(pressure).all():
         raise ContractError("pressure must be finite")
     two_alpha = 2.0 * alpha
-    x = positive_quad_root(two_alpha, pressure - two_alpha * x_prev, -weight)
-    x[~is_wlog] = 0.0
-    # wlog1p: h(0) <= 0 pins x = 0; the rest are bracketed and bisected.
-    j = np.nonzero(~is_wlog & (_wlog1p_slope(0.0, weight, pressure, two_alpha, x_prev) > 0))[0]
-    if j.size:
-        x[j] = _bisect_wlog1p(weight[j], pressure[j], two_alpha[j], x_prev[j])
-    return x
-
-
-def _bisect_wlog1p(weight, pressure, two_alpha, x_prev):
-    """solve_rate's doubling bracket and bisection for wlog1p sources with
-    h(0) > 0, elementwise."""
-    args = (weight, pressure, two_alpha, x_prev)
-    lo = np.zeros(x_prev.size)
-    hi = np.maximum(1.0, 2.0 * x_prev)
-    for _ in range(64):
-        grow = ~(_wlog1p_slope(hi, *args) < 0)
-        if not np.count_nonzero(grow):
-            break
-        hi[grow] *= 2.0
-    else:
-        raise NumericError("rate bracket expansion failed after 64 doublings")
-    # Brackets narrower than RATE_TOL are final; the others move to their midpoint.
-    open_ = hi - lo > RATE_TOL
-    while np.count_nonzero(open_):
-        mid = 0.5 * (lo + hi)
-        up = open_ & (_wlog1p_slope(mid, *args) > 0)
-        np.copyto(lo, mid, where=up)
-        np.copyto(hi, mid, where=open_ ^ up)
-        open_ = hi - lo > RATE_TOL
-    return 0.5 * (lo + hi)
-
-
-def _wlog1p_slope(v, weight, pressure, two_alpha, x_prev):
-    """slope() of wlog1p problems, elementwise, in the same operation order."""
-    return weight / (1.0 + v) - pressure - two_alpha * (v - x_prev)
+    return rate_root(is_wlog, weight, two_alpha, pressure - two_alpha * x_prev)

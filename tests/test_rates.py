@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import proxbp as P
-from proxbp.rates import (RateProblem, closed_form_wlog, objective, positive_quad_root,
-                          slope, solve_rate, solve_rates)
+from proxbp.rates import (RateProblem, objective, positive_quad_root, slope, solve_rate,
+                          solve_rates)
 
 
 def test_wlog_closed_form_examples():
@@ -38,6 +38,11 @@ def test_negative_pressure_raises_rate():
     assert pulled > base
 
 
+def _stationarity_scale(p, x):
+    """Magnitude of the terms of h(x), so that |h(x)| / scale is a relative residual."""
+    return p.utility.weight + abs(p.pressure) + 2.0 * p.alpha * (x + p.x_prev)
+
+
 def test_solution_is_stationary_and_optimal():
     rng = np.random.default_rng(4)
     start = time.monotonic()
@@ -45,11 +50,12 @@ def test_solution_is_stationary_and_optimal():
         kind = "wlog" if rng.uniform() < 0.5 else "wlog1p"
         u = P.Utility(kind, float(rng.uniform(0.1, 5.0)))
         p = RateProblem(u, float(rng.normal(0.0, 10.0)), float(rng.uniform(0.0, 4.0)),
-                        float(rng.uniform(0.05, 20.0)))
-        x = solve_rate(p, tol=1e-13)
+                        10.0 ** float(rng.uniform(-1.3, 3.0)))
+        x = solve_rate(p)
         assert x >= 0.0
         if kind == "wlog" or x > 0:
-            assert abs(slope(p, x)) <= 1e-9, (kind, p.pressure, p.x_prev, p.alpha, x)
+            assert abs(slope(p, x)) <= 1e-12 * _stationarity_scale(p, x), \
+                (kind, p.pressure, p.x_prev, p.alpha, x)
         else:
             assert slope(p, 0.0) <= 0.0
         # strong concavity: any other point loses at least alpha * distance^2
@@ -62,21 +68,25 @@ def test_solution_is_stationary_and_optimal():
 
 def test_closed_form_matches_bisection():
     rng = np.random.default_rng(5)
-    for _ in range(300):
-        u = P.Utility("wlog", float(rng.uniform(0.2, 4.0)))
-        p = RateProblem(u, float(rng.normal(0.0, 8.0)), float(rng.uniform(0.0, 3.0)),
-                        float(rng.uniform(0.1, 10.0)))
-        x_closed = closed_form_wlog(p)
-        lo, hi = 1e-12, max(1.0, 2.0 * x_closed)
-        while slope(p, hi) > 0:
-            hi *= 2.0
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if slope(p, mid) > 0:
-                lo = mid
-            else:
-                hi = mid
-        assert abs(x_closed - 0.5 * (lo + hi)) < 1e-8
+    for kind in ("wlog", "wlog1p"):
+        for _ in range(300):
+            u = P.Utility(kind, float(rng.uniform(0.2, 4.0)))
+            p = RateProblem(u, float(rng.normal(0.0, 8.0)), float(rng.uniform(0.0, 3.0)),
+                            float(rng.uniform(0.1, 10.0)))
+            x_closed = solve_rate(p)
+            if kind == "wlog1p" and slope(p, 0.0) <= 0:
+                assert x_closed == 0.0
+                continue
+            lo, hi = (1e-12 if kind == "wlog" else 0.0), max(1.0, 2.0 * x_closed)
+            while slope(p, hi) > 0:
+                hi *= 2.0
+            for _ in range(80):
+                mid = 0.5 * (lo + hi)
+                if slope(p, mid) > 0:
+                    lo = mid
+                else:
+                    hi = mid
+            assert abs(x_closed - 0.5 * (lo + hi)) < 1e-8
 
 
 def test_objective_beats_fine_grid():
@@ -88,7 +98,7 @@ def test_objective_beats_fine_grid():
         u = P.Utility(kind, w)
         p = RateProblem(u, float(rng.normal(0.0, 5.0)), float(rng.uniform(0.0, 2.0)),
                         float(rng.uniform(0.2, 5.0)))
-        x = solve_rate(p, tol=1e-13)
+        x = solve_rate(p)
         x_hi = max(2.0 * x, 1.0)
         grid = np.arange(1e-4 if u.open_at_zero else 0.0, x_hi, 1e-4)
         util = w * np.log(grid) if kind == "wlog" else w * np.log1p(grid)
@@ -110,10 +120,6 @@ def test_contract_errors():
         RateProblem(u, 0.0, -1.0, 1.0)
     with pytest.raises(P.ContractError):
         RateProblem(u, math.inf, 0.0, 1.0)
-    with pytest.raises(P.ContractError):
-        solve_rate(RateProblem(u, 0.0, 0.0, 1.0), tol=-1.0)
-    with pytest.raises(P.ContractError):
-        closed_form_wlog(RateProblem(P.Utility("wlog1p", 1.0), 0.0, 0.0, 1.0))
 
 
 def test_solve_rates_matches_solve_rate():
@@ -142,14 +148,21 @@ def test_solve_rates_contract_errors():
             solve_rates(is_wlog, one, one * pressure, one * x_prev, one * alpha)
 
 
-def test_bracket_failure_raises_in_both_solvers():
-    # a pressure of -1e30 keeps the slope positive past 64 doublings of the bracket
+def test_overflow_raises_in_both_solvers():
+    # a pressure of -1e30 has a finite, stationary wlog1p root near 5e29
     u = P.Utility("wlog1p", 1.0)
-    with pytest.raises(P.NumericError):
-        solve_rate(RateProblem(u, -1e30, 0.0, 1.0))
-    with pytest.raises(P.NumericError):
-        solve_rates(np.array([True, False]), np.ones(2), np.array([0.0, -1e30]),
-                    np.zeros(2), np.ones(2))
+    p = RateProblem(u, -1e30, 0.0, 1.0)
+    x = solve_rate(p)
+    assert abs(slope(p, x)) <= 1e-12 * _stationarity_scale(p, x)
+    assert solve_rates(np.array([True, False]), np.ones(2), np.array([0.0, -1e30]),
+                       np.zeros(2), np.ones(2))[1] == x
+    # at -1e200 the root overflows, for either utility kind
+    for kind in ("wlog", "wlog1p"):
+        with pytest.raises(P.NumericError):
+            solve_rate(RateProblem(P.Utility(kind, 1.0), -1e200, 0.0, 1.0))
+        with pytest.raises(P.NumericError):
+            solve_rates(np.array([True, kind == "wlog"]), np.ones(2), np.array([0.0, -1e200]),
+                        np.zeros(2), np.ones(2))
 
 
 def _log_uniform(lo_exp, hi_exp):
