@@ -2,6 +2,7 @@
 emission, the adversarial chain generator, and multi-run comparison."""
 from __future__ import annotations
 
+import contextlib
 import io
 import math
 from collections import deque
@@ -20,6 +21,13 @@ CSV_HEADER = "slot,alg,session,x,xbar,util_inst,util_avg,util_jensen,gap,maxQ,ma
 WEIGHT_IDENTITY_TOL = 1e-12
 DRIFT_IDENTITY_TOL = 1e-9
 TELESCOPE_TOL = 1e-9  # per slot of accumulation
+
+
+def _opened(fh, mode):
+    """Context manager: the file at path fh opened in mode, or fh itself."""
+    if isinstance(fh, (str, bytes)):
+        return open(fh, mode, encoding="utf-8")
+    return contextlib.nullcontext(fh)
 
 
 @dataclass(eq=False)
@@ -48,11 +56,7 @@ class Trace:
         return self.x.shape[0]
 
     def to_csv(self, fh) -> None:
-        close = False
-        if isinstance(fh, (str, bytes)):
-            fh = open(fh, "w", encoding="utf-8")
-            close = True
-        try:
+        with _opened(fh, "w") as fh:
             fh.write(CSV_HEADER + "\n")
             per_slot = np.column_stack((self.util_inst, self.util_avg, self.util_jensen,
                                         self.gap, self.maxQ, self.maxZ, self.maxY,
@@ -62,9 +66,6 @@ class Trace:
                 tail = ",".join(map(repr, cells))
                 fh.write("".join(f"{t},{self.alg},{f},{a!r},{b!r},{tail}\n"
                                  for f, (a, b) in enumerate(zip(xs, xbars))))
-        finally:
-            if close:
-                fh.close()
 
     def csv_text(self) -> str:
         buf = io.StringIO()
@@ -75,18 +76,11 @@ class Trace:
 def trace_from_csv(fh) -> Trace:
     """Rebuild the pinned columns of an emitted trace. Summary and the extra
     in-memory fields are not part of the CSV and come back empty."""
-    close = False
-    if isinstance(fh, (str, bytes)):
-        fh = open(fh, "r", encoding="utf-8")
-        close = True
-    try:
+    with _opened(fh, "r") as fh:
         header = fh.readline().strip()
         if header != CSV_HEADER:
             raise ContractError(f"unexpected CSV header {header!r}")
         rows = [line.strip().split(",") for line in fh if line.strip()]
-    finally:
-        if close:
-            fh.close()
     if not rows:
         raise ContractError("trace CSV has no rows")
     alg = rows[0][1]
@@ -94,18 +88,16 @@ def trace_from_csv(fh) -> Trace:
     n_t = max(int(r[0]) for r in rows) + 1
     x = np.zeros((n_t, n_f))
     xbar = np.zeros((n_t, n_f))
-    scal = {name: np.zeros(n_t) for name in
-            ("util_inst", "util_avg", "util_jensen", "gap", "maxQ", "maxZ", "maxY", "lyap")}
+    # the Trace fields of the per-slot columns, in CSV order
+    names = ("util_inst", "util_avg", "util_jensen", "gap", "maxQ", "maxZ", "maxY", "lyap")
+    scal = {name: np.zeros(n_t) for name in names}
     for r in rows:
         t, f = int(r[0]), int(r[2])
         x[t, f] = float(r[3])
         xbar[t, f] = float(r[4])
-        for i, name in enumerate(("util_inst", "util_avg", "util_jensen", "gap",
-                                  "maxQ", "maxZ", "maxY", "lyap")):
+        for i, name in enumerate(names):
             scal[name][t] = float(r[5 + i])
-    return Trace(alg=alg, x=x, xbar=xbar, gap=scal["gap"], util_inst=scal["util_inst"],
-                 util_avg=scal["util_avg"], util_jensen=scal["util_jensen"],
-                 maxQ=scal["maxQ"], maxZ=scal["maxZ"], maxY=scal["maxY"], lyap=scal["lyap"])
+    return Trace(alg=alg, x=x, xbar=xbar, **scal)
 
 
 def run(scenario: Scenario, algorithm: str, config, slots: int, oracle=None) -> Trace:

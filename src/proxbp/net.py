@@ -9,6 +9,7 @@ share across threads.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -40,6 +41,12 @@ class NumericError(RuntimeError):
 
 
 UTILITY_KINDS = ("wlog", "wlog1p")
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """a, made read-only: cached arrays are shared by every caller."""
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -131,16 +138,12 @@ class Network:
     @cached_property
     def tails(self) -> np.ndarray:
         """(L,) tail node of each link."""
-        a = np.array([l.tail for l in self.links], dtype=int)
-        a.setflags(write=False)
-        return a
+        return _frozen(np.array([l.tail for l in self.links], dtype=int))
 
     @cached_property
     def heads(self) -> np.ndarray:
         """(L,) head node of each link."""
-        a = np.array([l.head for l in self.links], dtype=int)
-        a.setflags(write=False)
-        return a
+        return _frozen(np.array([l.head for l in self.links], dtype=int))
 
     @cached_property
     def out_links_by_rank(self) -> tuple:
@@ -152,22 +155,16 @@ class Network:
                 if k == len(ranks):
                     ranks.append([])
                 ranks[k].append(l)
-        out = tuple(np.array(r, dtype=int) for r in ranks)
-        for a in out:
-            a.setflags(write=False)
-        return out
+        return tuple(_frozen(np.array(r, dtype=int)) for r in ranks)
 
     @cached_property
     def degrees(self) -> np.ndarray:
-        d = np.array([len(self.in_links[n]) + len(self.out_links[n]) for n in range(self.node_count)])
-        d.setflags(write=False)
-        return d
+        return _frozen(np.array([len(self.in_links[n]) + len(self.out_links[n])
+                                 for n in range(self.node_count)]))
 
     @cached_property
     def caps(self) -> np.ndarray:
-        c = np.array([l.capacity for l in self.links], dtype=float)
-        c.setflags(write=False)
-        return c
+        return _frozen(np.array([l.capacity for l in self.links], dtype=float))
 
     @cached_property
     def incidence(self) -> np.ndarray:
@@ -176,8 +173,7 @@ class Network:
         for i, l in enumerate(self.links):
             a[l.head, i] = 1.0
             a[l.tail, i] = -1.0
-        a.setflags(write=False)
-        return a
+        return _frozen(a)
 
     @cached_property
     def out_cap(self) -> np.ndarray:
@@ -185,8 +181,7 @@ class Network:
         s = np.zeros(self.node_count)
         for l in self.links:
             s[l.tail] += l.capacity
-        s.setflags(write=False)
-        return s
+        return _frozen(s)
 
 
 @dataclass(frozen=True)
@@ -238,29 +233,21 @@ class Scenario:
 
     @cached_property
     def src(self) -> np.ndarray:
-        a = np.array([s.src for s in self.sessions], dtype=int)
-        a.setflags(write=False)
-        return a
+        return _frozen(np.array([s.src for s in self.sessions], dtype=int))
 
     @cached_property
     def dst(self) -> np.ndarray:
-        a = np.array([s.dst for s in self.sessions], dtype=int)
-        a.setflags(write=False)
-        return a
+        return _frozen(np.array([s.dst for s in self.sessions], dtype=int))
 
     @cached_property
     def is_wlog(self) -> np.ndarray:
         """(F,) boolean, True for sessions with a wlog utility."""
-        a = np.array([s.utility.kind == "wlog" for s in self.sessions], dtype=bool)
-        a.setflags(write=False)
-        return a
+        return _frozen(np.array([s.utility.kind == "wlog" for s in self.sessions], dtype=bool))
 
     @cached_property
     def utility_weight(self) -> np.ndarray:
         """(F,) utility weight of each session."""
-        a = np.array([s.utility.weight for s in self.sessions], dtype=float)
-        a.setflags(write=False)
-        return a
+        return _frozen(np.array([s.utility.weight for s in self.sessions], dtype=float))
 
     @cached_property
     def allow_mask(self) -> np.ndarray:
@@ -269,8 +256,7 @@ class Scenario:
         for li, al in enumerate(self.allowed):
             for f in al:
                 m[li, f] = True
-        m.setflags(write=False)
-        return m
+        return _frozen(m)
 
     @cached_property
     def active(self) -> np.ndarray:
@@ -281,15 +267,24 @@ class Scenario:
         m = np.ones((self.n_nodes, self.n_sessions), dtype=bool)
         for s in self.sessions:
             m[s.dst, s.id] = False
-        m.setflags(write=False)
-        return m
+        return _frozen(m)
+
+    @cached_property
+    def in_trees(self) -> np.ndarray:
+        """(N, F) BFS in-tree toward each session's destination over the links
+        the session may use: entry (n, f) is the first link of a fewest-hop
+        path from n to dst_f, and -1 at dst_f and at nodes that cannot reach it."""
+        tree = np.full((self.n_nodes, self.n_sessions), -1, dtype=int)
+        for f, s in enumerate(self.sessions):
+            via = bfs_links(self.network, s.dst, lambda l, f=f: f in self.allowed[l],
+                            backward=True)
+            tree[list(via), f] = list(via.values())
+        return _frozen(tree)
 
     @cached_property
     def src_out_cap(self) -> np.ndarray:
         """(F,) total capacity leaving each session's source node."""
-        a = self.network.out_cap[self.src].copy()
-        a.setflags(write=False)
-        return a
+        return _frozen(self.network.out_cap[self.src].copy())
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,10 +300,8 @@ class DecisionVector:
         if x.ndim != 1 or mu.ndim != 2 or mu.shape[1] != x.shape[0]:
             raise ScenarioValidationError(
                 f"decision shapes inconsistent: x {x.shape}, mu {mu.shape}")
-        x.setflags(write=False)
-        mu.setflags(write=False)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "x", _frozen(x))
+        object.__setattr__(self, "mu", _frozen(mu))
 
 
 def zero_decision(scenario: Scenario) -> DecisionVector:
@@ -352,6 +345,31 @@ def residual_matrix(scenario: Scenario, x, mu) -> np.ndarray:
         g += x
     g[~scenario.active] = 0.0
     return g
+
+
+def bfs_links(network: Network, root: int, usable, backward=False) -> dict:
+    """Fewest-hop search from root over the links l with usable(l), along the
+    links or, with backward, against them. Returns {node reached: the link it
+    was reached over}, with -1 for root."""
+    via = {root: -1}
+    queue = deque([root])
+    while queue:
+        v = queue.popleft()
+        for l in (network.in_links if backward else network.out_links)[v]:
+            u = network.links[l].tail if backward else network.links[l].head
+            if u not in via and usable(l):
+                via[u] = l
+                queue.append(u)
+    return via
+
+
+def require_routable(scenario: Scenario):
+    """Raise ScenarioValidationError naming the first session that cannot
+    reach its destination over the links it may use."""
+    for s in scenario.sessions:
+        if scenario.in_trees[s.src, s.id] < 0:
+            raise ScenarioValidationError(f"session {s.id} cannot reach its destination "
+                                          f"{s.dst} from its source {s.src} over its allowed links")
 
 
 def total_utility(scenario: Scenario, x) -> float:
@@ -472,8 +490,12 @@ def serialize_scenario(s: Scenario) -> str:
 
 
 def load_scenario(path) -> Scenario:
+    """parse_scenario on a file, then require_routable: a session that cannot
+    reach its destination has no feasible positive rate and unbounded queues."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario(fh.read())
+        scenario = parse_scenario(fh.read())
+    require_routable(scenario)
+    return scenario
 
 
 def save_scenario(scenario: Scenario, path):

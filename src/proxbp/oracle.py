@@ -3,16 +3,16 @@
 Maximizes the total utility over source rates and link-session rates subject
 to per-(session, node) flow balance (injection plus inflow at most outflow
 everywhere except destinations), link capacities, allow-sets, and
-nonnegativity. Solved by an augmented-Lagrangian dual ascent on the
-flow-balance constraints; capacity and sign constraints stay inside the inner
-blocks, which are closed-form scalars (sources) and exact link blocks: each
-session's rate is piecewise linear in the link's budget multiplier, so the
-multiplier is found by a sorted-breakpoint search and interpolated exactly.
+nonnegativity. Solved by the log-barrier method (Boyd & Vandenberghe, Convex
+Optimization, ch. 11): damped Newton centering on all three constraint
+families, from a strictly feasible start built on each destination's BFS
+in-tree, with the barrier parameter raised tenfold per centering.
 
-Every outer iteration produces two certificates: an exactly feasible repaired
-primal point and the exact dual value at the current multipliers. Their
-difference brackets the true optimum, so the reported duality gap is sound
-regardless of how well the inner loops converged.
+Every centering produces two certificates: the exact dual value of the
+flow-balance relaxation at lambda = 1 / (t * slack), and a feasible primal
+point from path peeling (flow decomposition; Ahuja, Magnanti & Orlin, Network
+Flows, ch. 3). Their difference brackets the true optimum, so the reported
+duality gap is sound regardless of how well Newton converged.
 """
 from __future__ import annotations
 
@@ -21,24 +21,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .net import (ContractError, DecisionVector, Scenario, residual_matrix,
-                  total_utility, validate_decision)
+from .net import (ContractError, DecisionVector, Scenario, ScenarioValidationError,
+                  bfs_links, require_routable, residual_matrix, total_utility,
+                  validate_decision)
 from .engine import default_alpha
-from .rates import rate_root
 
-MAX_OUTER = 400       # outer augmented-Lagrangian iterations before OracleError
-INNER_TOL = 1e-10     # largest rate change that ends the inner ascent
-INNER_PASSES = 300    # block-coordinate passes per outer iteration
-PRIMAL_PASSES = 200   # passes of repair_feasible and of tighten_to_equality
+NEWTON_TOL = 1e-9     # half the squared Newton decrement that ends a centering
+NEWTON_STEPS = 100    # Newton steps per centering at most
+PRIMAL_PASSES = 200   # passes of tighten_to_equality
 TIGHTEN_TOL = 1e-9    # flow-balance slack that tighten_to_equality leaves
 
 
 class OracleError(RuntimeError):
-    """Solver failed to certify the requested tolerance. Carries best_gap."""
+    """Solver failed to certify the requested tolerance. Carries best_gap and
+    history, one (t, primal, dual, gap, newton_steps) row per centering."""
 
-    def __init__(self, msg, best_gap=None):
+    def __init__(self, msg, best_gap=None, history=()):
         super().__init__(msg)
         self.best_gap = best_gap
+        self.history = tuple(history)
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,126 +96,42 @@ def dual_value(scenario: Scenario, lam: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# inner blocks of the augmented Lagrangian
-
-
-def _al_link_update(scenario, l, g, lam, mu, rho, damp):
-    """Exact block update of one link's allowed sessions under the capacity
-    budget; g is mutated in place to stay consistent with the new mu column.
-
-    A session's rate solves profile(mu) = theta on [0, cap], where profile is
-    the derivative of its term of the link objective: strictly decreasing and
-    piecewise linear with knots at 0, cap and its two kinks, so the clamped
-    inverse interpolates over the knots. If the rates at theta = 0 overflow
-    cap, the total rate is piecewise linear in theta with breakpoints at the
-    profile values of all knots, and theta is interpolated where it hits cap.
-    """
-    lk = scenario.network.links[l]
-    cap = lk.capacity
-    rows = []
-    for f in sorted(scenario.allowed[l]):
-        dst = scenario.sessions[f].dst
-        mu_c = mu[l, f]
-        has_n = lk.tail != dst
-        has_m = lk.head != dst
-        kn = g[lk.tail, f] + mu_c if has_n else 0.0
-        km = g[lk.head, f] - mu_c if has_m else 0.0
-        kinks = [0.0, cap]
-        if has_n:
-            kinks.append(kn + lam[lk.tail, f] / rho)
-        if has_m:
-            kinks.append(-km - lam[lk.head, f] / rho)
-        knots = np.unique(np.clip(kinks, 0.0, cap))[::-1]
-        profile = -2.0 * damp * (knots - mu_c)
-        if has_n:
-            profile += np.maximum(0.0, lam[lk.tail, f] + rho * (kn - knots))
-        if has_m:
-            profile -= np.maximum(0.0, lam[lk.head, f] + rho * (km + knots))
-        rows.append((f, kn, km, has_n, has_m, profile, knots))
-
-    def solution(theta):
-        return [np.interp(theta, profile, knots) for (*_, profile, knots) in rows]
-
-    vals = solution(0.0)
-    if sum(vals) > cap:
-        thetas = np.unique(np.concatenate([profile for *_, profile, _ in rows]).clip(0.0))
-        totals = sum(solution(thetas))
-        vals = solution(np.interp(cap, totals[::-1], thetas[::-1]))
-        tot = sum(vals)
-        if tot > cap > 0:
-            vals = [v * cap / tot for v in vals]
-    change = 0.0
-    for (f, kn, km, has_n, has_m, *_), v in zip(rows, vals):
-        change = max(change, abs(v - mu[l, f]))
-        mu[l, f] = v
-        if has_n:
-            g[lk.tail, f] = kn - v
-        if has_m:
-            g[lk.head, f] = km + v
-    return change
-
-
-def _inner_bcd(scenario, x, mu, lam, rho):
-    """Block-coordinate ascent on the augmented Lagrangian. Mutates x and mu."""
-    damp = 1e-8 * (1.0 + rho)
-    src, f = scenario.src, np.arange(scenario.n_sessions)
-    g = residual_matrix(scenario, x, mu)
-    for _ in range(INNER_PASSES):
-        # each source maximizes U(x) - psi(lam, x + c) with c = g - x, where psi
-        # is the inequality-form augmented penalty; sessions touch disjoint g entries
-        c = g[src, f] - x
-        new = rate_root(scenario.is_wlog, scenario.utility_weight, rho, lam[src, f] + rho * c)
-        change = float(np.max(np.abs(new - x), initial=0.0))
-        x[:] = new
-        g[src, f] = c + new
-        for l in range(scenario.n_links):
-            change = max(change, _al_link_update(scenario, l, g, lam, mu, rho, damp))
-        if change <= INNER_TOL:
-            break
-        # resync residuals to stop incremental drift
-        g = residual_matrix(scenario, x, mu)
-
-
-# ---------------------------------------------------------------------------
 # primal repair and tightening
 
 
 def repair_feasible(scenario: Scenario, x, mu):
-    """Project a near-feasible point to exact feasibility without optimizing.
+    """Feasible point near any (x, mu) by path peeling (flow decomposition).
 
-    Clips signs and forbidden pairs, rescales overloaded links, then walks
-    flow-balance violations by shrinking the violating node's inflow (and
-    source rate) until injection nowhere exceeds service.
+    Clips signs and forbidden pairs and scales overloaded links down. Then
+    each session moves the bottleneck of a fewest-hop src -> dst path over
+    links with rate left to the output, until x_f is routed or no path is
+    left; each peel empties a link or routes the rest of x_f. The output is
+    a sum of paths, so flow balance holds with equality, and x_f keeps its
+    routed part: all of it on a feasible input such as a barrier iterate.
     """
-    x = np.maximum(np.asarray(x, dtype=float).copy(), 0.0)
-    mu = np.maximum(np.asarray(mu, dtype=float).copy(), 0.0)
-    mu[~scenario.allow_mask] = 0.0
-    caps = scenario.network.caps
-    load = mu.sum(axis=1)
-    for l in range(scenario.n_links):
-        if load[l] > caps[l]:
-            mu[l] *= caps[l] / load[l]
     net = scenario.network
-    for _ in range(PRIMAL_PASSES):
-        g = residual_matrix(scenario, x, mu)
-        bad = np.argwhere(g > 1e-14)
-        if bad.size == 0:
-            return x, mu
-        for n, f in bad:
-            n = int(n)
-            f = int(f)
-            outflow = sum(mu[l, f] for l in net.out_links[n])
-            inflow = sum(mu[l, f] for l in net.in_links[n])
-            if n == scenario.sessions[f].src:
-                inflow += x[f]
-            if inflow <= 0:
-                continue
-            factor = max(0.0, min(1.0, outflow / inflow))
-            if n == scenario.sessions[f].src:
-                x[f] *= factor
-            for l in net.in_links[n]:
-                mu[l, f] *= factor
-    raise OracleError("primal repair did not converge in %d passes" % PRIMAL_PASSES)
+    x = np.maximum(np.asarray(x, dtype=float), 0.0)
+    left = np.where(scenario.allow_mask, np.maximum(np.asarray(mu, dtype=float), 0.0), 0.0)
+    load = left.sum(axis=1)
+    over = load > net.caps
+    left[over] *= (net.caps[over] / load[over])[:, None]
+    out = np.zeros_like(left)
+    for f, s in enumerate(scenario.sessions):
+        rest = x[f]
+        while rest > 0.0:
+            via = bfs_links(net, s.src, lambda l, f=f: left[l, f] > 0.0)
+            if s.dst not in via:
+                break
+            path, n = [], s.dst
+            while n != s.src:
+                path.append(via[n])
+                n = net.links[via[n]].tail
+            amount = min(rest, float(left[path, f].min()))
+            left[path, f] -= amount
+            out[path, f] += amount
+            rest -= amount
+        x[f] -= rest
+    return x, out
 
 
 def tighten_to_equality(scenario: Scenario, y: DecisionVector) -> DecisionVector:
@@ -278,67 +195,130 @@ def compute_zeta(scenario: Scenario, y_star: DecisionVector, alpha) -> float:
 # main solver
 
 
+def _barrier_problem(scenario):
+    """(N, F) mask of kept flow-balance rows, kept (links, sessions) pairs,
+    constraints G z <= h (kept flow-balance rows, then link loads) and a
+    strictly feasible z = (x, mu at the kept pairs).
+
+    Pairs (l, f) with l leaving dst_f or entering a node that cannot reach
+    dst_f are zero at every feasible point; dropping them and such nodes'
+    rows leaves an interior. At z, each node that can reach dst_f sends eps
+    of f there along the in-tree, each kept pair carries eps / (4 (L + 1))
+    more and each source injects eps / 2: every kept row has slack eps / 4
+    or more, and every link is loaded below half its capacity."""
+    net, n_f, tree = scenario.network, scenario.n_sessions, scenario.in_trees
+    reach = tree >= 0
+    reach[scenario.dst, np.arange(n_f)] = True
+    rows = reach & scenario.active
+    pairs = np.nonzero(scenario.allow_mask & reach[net.heads]
+                       & (net.tails[:, None] != scenario.dst))
+    cols = n_f + np.arange(pairs[0].size)
+    flow = np.zeros(rows.shape + (cols.size + n_f,))
+    flow[scenario.src, np.arange(n_f), np.arange(n_f)] = 1.0
+    flow[net.heads[pairs[0]], pairs[1], cols] = 1.0
+    flow[net.tails[pairs[0]], pairs[1], cols] = -1.0
+    load = np.zeros((scenario.n_links, flow.shape[2]))
+    load[pairs[0], cols] = 1.0
+    h = np.concatenate([np.zeros(int(rows.sum())), net.caps])
+
+    eps = float(np.min(net.caps, initial=1.0)) / (2.0 * (n_f + 1) * (scenario.n_nodes + 1))
+    mu = np.zeros((scenario.n_links, n_f))
+    for f, dst in enumerate(scenario.dst):
+        for n in np.flatnonzero(tree[:, f] >= 0):
+            while n != dst:
+                mu[tree[n, f], f] += eps
+                n = net.heads[tree[n, f]]
+    mu[pairs] += eps / (4.0 * (scenario.n_links + 1))
+    z = np.concatenate([np.full(n_f, eps / 2.0), mu[pairs]])
+    return rows, pairs, np.vstack([flow[rows], load]), h, z
+
+
 def solve_centralized(scenario: Scenario, tol: float = 1e-5, alpha=None) -> OracleSolution:
     """Solve the joint problem to a certified duality gap of at most tol.
+
+    For t = 1, 10, 100, ... damped Newton steps with Armijo backtracking
+    center -t U(x) - sum(log slack), and each center is certified. With m
+    constraints the gap at an exact center is at most m / t, so the solve
+    gives up once m / t is a hundred times below tol.
 
     Returns the best repaired primal point (tightened to flow-balance
     equality), its utility, the multipliers achieving the best dual value,
     and zeta at the supplied (or default) per-node alpha. Raises OracleError
-    with the best gap achieved if the certificate never closes.
+    if the certificate does not close, and at once for an unroutable session.
     """
     if not (tol > 0):
         raise ContractError(f"tol must be positive, got {tol!r}")
+    try:
+        require_routable(scenario)
+    except ScenarioValidationError as e:
+        raise OracleError(f"no feasible point with positive rates: {e}") from None
     if alpha is None:
         alpha = default_alpha(scenario.network, "utility-gap")
     alpha = np.asarray(alpha, dtype=float)
 
-    x = np.ones(scenario.n_sessions)
-    mu = np.zeros((scenario.n_links, scenario.n_sessions))
-    lam = np.zeros((scenario.n_nodes, scenario.n_sessions))
-    rho = 1.0
-    best_primal = -math.inf
-    best_x = None
-    best_mu = None
-    best_dual = math.inf
-    best_lam = None
-    weak_margin = math.inf
-    prev_viol = math.inf
+    rows, pairs, G, h, z = _barrier_problem(scenario)
+    n_f, n_mu = scenario.n_sessions, z.size - scenario.n_sessions
+    # U(x) = w . log(z + shift): w is zero on the mu entries of z
+    w = np.concatenate([scenario.utility_weight, np.zeros(n_mu)])
+    shift = np.concatenate([np.where(scenario.is_wlog, 0.0, 1.0), np.zeros(n_mu)])
+    diag = np.diag_indices(z.size)
+    m = G.shape[0] + z.size  # plus one sign constraint per variable
 
-    for _ in range(MAX_OUTER):
-        _inner_bcd(scenario, x, mu, lam, rho)
-        g = residual_matrix(scenario, x, mu)
-        viol = max(0.0, float(g.max()))
+    def barrier(z, t):
+        s = h - G @ z
+        if min(s.min(initial=1.0), z.min(initial=1.0)) <= 0.0:
+            return math.inf
+        return -t * (w @ np.log(z + shift)) - np.log(s).sum() - np.log(z).sum()
 
-        lam = np.maximum(lam + rho * g, 0.0)
-        lam[~scenario.active] = 0.0
+    def center(z, t):
+        """Newton iterate from z to the center at t, and the steps taken."""
+        for steps in range(1, NEWTON_STEPS + 1):
+            s = h - G @ z
+            grad = G.T @ (1.0 / s) - 1.0 / z - t * w / (z + shift)
+            hess = (G.T / (s * s)) @ G
+            hess[diag] += 1.0 / (z * z) + t * w / (z + shift) ** 2
+            dz = np.linalg.solve(hess, -grad)
+            slope = float(grad @ dz)
+            if -slope <= 2.0 * NEWTON_TOL:
+                break
+            step, now = 1.0, barrier(z, t)
+            while barrier(z + step * dz, t) > now + 0.25 * step * slope:
+                step *= 0.5
+                if np.array_equal(z + step * dz, z):
+                    return z, steps  # rounding allows no further descent
+            z = z + step * dz
+        return z, steps
+
+    mu = np.zeros((scenario.n_links, n_f))
+    best_primal, best_dual, weak_margin = -math.inf, math.inf, math.inf
+    history = []
+    t = 1.0
+    while True:
+        z, steps = center(z, t)
+        lam = np.zeros(rows.shape)
+        lam[rows] = 1.0 / (t * (h - G @ z)[:int(rows.sum())])
+        # nodes that cannot reach dst_f get f's largest multiplier: no link into them is priced
+        lam = np.where(rows | ~scenario.active, lam, lam.max(axis=0))
         qv = dual_value(scenario, lam)
         if qv < best_dual:
-            best_dual = qv
-            best_lam = lam.copy()
-
-        xr, mur = repair_feasible(scenario, x, mu)
-        try:
-            val = total_utility(scenario, xr)
-        except ValueError:
-            val = -math.inf
+            best_dual, best_lam = qv, lam
+        mu[pairs] = z[n_f:]
+        xr, mur = repair_feasible(scenario, z[:n_f], mu)
+        val = total_utility(scenario, xr) if xr[scenario.is_wlog].all() else -math.inf
         if val > best_primal:
-            best_primal = val
-            best_x, best_mu = xr, mur
-        if math.isfinite(qv):
-            weak_margin = min(weak_margin, qv - best_primal)
-            if qv < best_primal - 1e-9:
-                raise OracleError(
-                    f"weak duality violated: dual {qv!r} below primal {best_primal!r}")
-
+            best_primal, best_x, best_mu = val, xr, mur
+        weak_margin = min(weak_margin, qv - best_primal)
+        if qv < best_primal - 1e-9:
+            raise OracleError(f"weak duality violated: dual {qv!r} below primal {best_primal!r}")
+        history.append((t, val, qv, qv - val, steps))
         if best_dual - best_primal <= tol:
             break
-        if viol > 0.25 * prev_viol:
-            rho = min(rho * 2.0, 1e8)
-        prev_viol = viol
-    else:
-        raise OracleError(
-            f"no certificate at tol={tol} after {MAX_OUTER} outer iterations, "
-            f"best gap {best_dual - best_primal!r}", best_gap=best_dual - best_primal)
+        if m / t < tol / 100.0:
+            raise OracleError(
+                f"no certificate at tol={tol} after {len(history)} centerings, best gap "
+                f"{best_dual - best_primal!r}; last (t, primal, dual, gap, newton_steps) "
+                f"= {history[-1]}", best_gap=best_dual - best_primal, history=history)
+        t *= 10.0
 
     y = tighten_to_equality(scenario, DecisionVector(best_x, best_mu))
     validate_decision(scenario, y)

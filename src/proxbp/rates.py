@@ -54,7 +54,12 @@ def positive_quad_root(a, b, c):
     """Positive root of a*x^2 + b*x + c = 0 with a > 0, c < 0, avoiding
     cancellation for large positive b. Elementwise on arrays; a 0-d array for
     scalar arguments."""
-    disc = np.sqrt(b * b - 4.0 * a * c)
+    bb = b * b
+    disc = np.sqrt(bb - 4.0 * a * c)
+    if np.isinf(bb).any():
+        # hypot forms the same discriminant without b*b, so for b > 0 the tiny
+        # root -2c / (b + disc) is not lost to 0
+        disc = np.where(np.isinf(bb) & (b > 0), np.hypot(b, 2.0 * np.sqrt(-a * c)), disc)
     # |b| keeps the unused branch's denominator positive where b <= 0.
     return np.where(b <= 0, (disc - b) / (2.0 * a), -2.0 * c / (np.abs(b) + disc))
 

@@ -86,3 +86,58 @@ def grid_best_utility(scenario, step=1e-2):
                 continue
             best = max(best, P.total_utility(scenario, [a, b]))
     return best
+
+
+def kelley_bracket(scenario, width=1e-8, rounds=100):
+    """[lo, hi] around the optimal total utility by Kelley's cutting-plane
+    method. An LP over the flow polytope maximizes the sum of u_f under
+    tangent cuts of each U_f: the cuts lie above the concave utilities, so
+    the LP value is an upper bound hi, and the utility of the LP's feasible
+    rates is a lower bound lo. Each round adds cuts at the LP's rates, until
+    hi - lo <= width or the rounds run out."""
+    n_l, n_f = scenario.n_links, scenario.n_sessions
+    net = scenario.network
+    ls, fs = np.meshgrid(np.arange(n_l), np.arange(n_f), indexing="ij")
+    n_mu = n_l * n_f
+    ix = n_mu + np.arange(n_f)   # x_f column; mu[l, f] is column l * F + f
+    iu = ix + n_f                # u_f column, the epigraph of U_f
+    n_var = n_mu + 2 * n_f
+    flow = np.zeros((scenario.n_nodes, n_f, n_var))
+    flow[net.heads[ls], fs, ls * n_f + fs] = 1.0
+    flow[net.tails[ls], fs, ls * n_f + fs] = -1.0
+    flow[scenario.src, np.arange(n_f), ix] = 1.0
+    load = np.zeros((n_l, n_var))
+    load[ls, ls * n_f + fs] = 1.0
+    a_rows = [flow[scenario.active], load]
+    b_rows = [np.zeros(int(scenario.active.sum())), np.array(net.caps)]
+    bounds = ([(0.0, None) if ok else (0.0, 0.0) for ok in scenario.allow_mask.ravel()]
+              + [(0.0, None)] * n_f + [(None, None)] * n_f)
+    cost = np.zeros(n_var)
+    cost[iu] = -1.0
+
+    def add_cuts(x):
+        for f, s in enumerate(scenario.sessions):
+            d = s.utility.derivative(x[f])
+            row = np.zeros((1, n_var))
+            row[0, iu[f]] = 1.0
+            row[0, ix[f]] = -d
+            a_rows.append(row)
+            b_rows.append(np.array([s.utility.value(x[f]) - d * x[f]]))
+
+    lo, hi = -math.inf, math.inf
+    x = np.ones(n_f)
+    for _ in range(rounds):
+        add_cuts(np.maximum(x, 1e-9))
+        res = linprog(cost, A_ub=np.vstack(a_rows), b_ub=np.concatenate(b_rows),
+                      bounds=bounds, method="highs",
+                      options={"primal_feasibility_tolerance": 1e-10,
+                               "dual_feasibility_tolerance": 1e-10})
+        if res.status != 0:
+            raise RuntimeError(f"cutting-plane LP failed: {res.message}")
+        hi = min(hi, -res.fun)
+        x = res.x[ix]
+        if np.all(x[scenario.is_wlog] > 0):
+            lo = max(lo, P.total_utility(scenario, x))
+        if hi - lo <= width:
+            break
+    return lo, hi

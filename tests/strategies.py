@@ -65,16 +65,3 @@ def slot_cases(draw):
     alpha = arrays(draw, (n,), (0.5, 1.0, 4.5, 12.5), 0.1, 20.0, coarse)
     state = P.BpState(q, P.DecisionVector(x_prev, mu_prev), 1)
     return sc, state, P.AlgConfig(alpha)
-
-
-@st.composite
-def link_block_cases(draw):
-    """(scenario, g, lam, mu) for block updates of the oracle's link phase.
-    Small capacities make the budget bind often."""
-    sc = draw(scenarios())
-    n, f, l = sc.n_nodes, sc.n_sessions, sc.n_links
-    coarse = draw(st.booleans())
-    g = arrays(draw, (n, f), (-1.0, 0.0, 0.5, 2.0), -5.0, 5.0, coarse)
-    lam = arrays(draw, (n, f), (0.0, 0.5, 1.0, 3.0), 0.0, 10.0, coarse)
-    mu = arrays(draw, (l, f), (0.0, 0.25, 1.0), 0.0, 2.0, coarse)
-    return sc, g, lam, mu

@@ -106,6 +106,22 @@ def test_cli_reports_bad_input_cleanly(capsys):
     assert "proxbp:" in capsys.readouterr().err
 
 
+def test_unroutable_session_is_rejected_at_load(tmp_path, capsys):
+    # session 1 may not use link 1, the only way out of node 1
+    text = ("nodes 3\nlink 0 1 1.0\nlink 1 2 1.0\n"
+            "session 0 0 2 wlog 1.0\nsession 1 0 2 wlog 1.0\nallow 1 0\n")
+    path = tmp_path / "stuck.net"
+    path.write_text(text)
+    for cmd in ("run", "oracle"):
+        assert main([cmd, "--scenario", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("proxbp: session 1 cannot reach its destination 2")
+    # the oracle called directly fails at once instead of iterating
+    with pytest.raises(P.OracleError, match="session 1 cannot reach") as info:
+        P.solve_centralized(P.parse_scenario(text))
+    assert info.value.history == ()
+
+
 @pytest.mark.parametrize("report, message", [
     ("# hand-edited\n\nx 9 1.0\n", "report line 3:"),     # session index out of range
     ("ustar\n", "report line 1:"),                        # scalar without its value

@@ -1,15 +1,21 @@
-import itertools
+import importlib.util
 import math
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
-from gridlp import grid_best_utility
-from hypothesis import given, settings
-from strategies import link_block_cases
+from gridlp import grid_best_utility, kelley_bracket
 
 import proxbp as P
-from proxbp.oracle import (_al_link_update, compute_zeta, dual_value, repair_feasible,
+from proxbp.oracle import (OracleError, compute_zeta, dual_value, repair_feasible,
                            solve_centralized, tighten_to_equality)
+
+# the benchmark's seeded grid generator, loaded read-only so there is one
+_spec = importlib.util.spec_from_file_location(
+    "gridgen", Path(__file__).resolve().parents[1] / "perfbench" / "gridgen.py")
+gridgen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(gridgen)
 
 
 def test_singlelink_analytic_optimum(singlelink, singlelink_sol):
@@ -121,6 +127,22 @@ def test_repair_produces_feasible_points(sixnode):
         assert float(g.max()) <= 1e-12
 
 
+def test_repair_keeps_feasible_points_exactly(sixnode, sixnode_sol):
+    # feasible inputs: the optimum with its rates scaled down, and repaired
+    # random points with theirs scaled down
+    rng = np.random.default_rng(12)
+    points = [(s * sixnode_sol.y_star.x, sixnode_sol.y_star.mu) for s in (1.0, 0.5, 0.25)]
+    for _ in range(20):
+        xr, mur = repair_feasible(sixnode, rng.uniform(0.0, 4.0, 2), rng.uniform(0.0, 1.0, (8, 2)))
+        points.append((0.7 * xr, mur))
+    for x, mu in points:
+        xr, mur = repair_feasible(sixnode, x, mu)
+        assert np.array_equal(xr, x)
+        P.validate_decision(sixnode, P.DecisionVector(xr, mur))
+        g = P.residual_matrix(sixnode, xr, mur)
+        assert float(np.abs(g[sixnode.active]).max()) <= 1e-12
+
+
 def test_tighten_preserves_objective_and_closes_slack(relay):
     # a loose feasible point: source sends 0.3, both links carry 0.5
     y = P.DecisionVector(np.array([0.3]), np.array([[0.5], [0.5]]))
@@ -191,112 +213,30 @@ def test_oracle_rejects_bad_tolerance(singlelink):
         solve_centralized(singlelink, tol=0.0)
 
 
-# ---------------------------------------------------------------------------
-# scalar reference for the link block: knot scan per session, bisection on
-# the budget multiplier
+def test_failed_solve_reports_history(sixnode):
+    # 1e-13 is below what double precision lets the barrier certify
+    with pytest.raises(OracleError) as info:
+        solve_centralized(sixnode, tol=1e-13)
+    err = info.value
+    rows = err.history
+    assert len(rows) >= 2
+    assert [r[0] for r in rows] == [10.0 ** k for k in range(len(rows))]
+    for t, primal, dual, gap, steps in rows:
+        assert gap == dual - primal and steps >= 1
+    assert err.best_gap > 1e-13
+    assert str(err).endswith(str(rows[-1]))
 
 
-def _link_profile(mu, kn, lam_n, km, lam_m, has_n, has_m, rho, damp, mu_c):
-    """Derivative of one session's contribution to the link objective."""
-    v = -2.0 * damp * (mu - mu_c)
-    if has_n:
-        v += max(0.0, lam_n + rho * (kn - mu))
-    if has_m:
-        v -= max(0.0, lam_m + rho * (km + mu))
-    return v
-
-
-def _link_session_root(theta, kn, lam_n, km, lam_m, has_n, has_m, rho, damp, mu_c, cap):
-    """Solve profile(mu) = theta on [0, cap] by scanning the knots."""
-    def d(mu):
-        return _link_profile(mu, kn, lam_n, km, lam_m, has_n, has_m, rho, damp, mu_c) - theta
-    if d(0.0) <= 0.0:
-        return 0.0
-    if d(cap) >= 0.0:
-        return cap
-    knots = [0.0, cap]
-    if has_n:
-        b = kn + lam_n / rho
-        if 0.0 < b < cap:
-            knots.append(b)
-    if has_m:
-        b = -km - lam_m / rho
-        if 0.0 < b < cap:
-            knots.append(b)
-    knots.sort()
-    for lo, hi in zip(knots, knots[1:]):
-        dlo = d(lo)
-        dhi = d(hi)
-        if dlo >= 0.0 >= dhi:
-            if dlo == dhi:
-                return lo
-            return lo + (hi - lo) * dlo / (dlo - dhi)
-    return cap
-
-
-def _link_update_scalar(scenario, l, g, lam, mu, rho, damp):
-    """_al_link_update by an 80-step bisection on the budget multiplier.
-    Returns (largest rate change, whether the budget binds)."""
-    lk = scenario.network.links[l]
-    fs = sorted(scenario.allowed[l])
-    if not fs:
-        return 0.0, False
-    cap = lk.capacity
-    rows = []
-    for f in fs:
-        s = scenario.sessions[f]
-        mu_c = mu[l, f]
-        has_n = lk.tail != s.dst
-        has_m = lk.head != s.dst
-        kn = g[lk.tail, f] + mu_c if has_n else 0.0
-        km = g[lk.head, f] - mu_c if has_m else 0.0
-        rows.append((f, kn, lam[lk.tail, f], km, lam[lk.head, f], has_n, has_m, mu_c))
-
-    def solution(theta):
-        return [_link_session_root(theta, kn, ln, km, lm, hn, hm, rho, damp, mu_c, cap)
-                for (_, kn, ln, km, lm, hn, hm, mu_c) in rows]
-
-    vals = solution(0.0)
-    binds = sum(vals) > cap
-    if binds:
-        hi = max(_link_profile(0.0, kn, ln, km, lm, hn, hm, rho, damp, mu_c)
-                 for (_, kn, ln, km, lm, hn, hm, mu_c) in rows)
-        lo = 0.0
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if sum(solution(mid)) > cap:
-                lo = mid
-            else:
-                hi = mid
-        vals = solution(hi)
-        tot = sum(vals)
-        if tot > cap > 0:
-            vals = [v * cap / tot for v in vals]
-    change = 0.0
-    for (f, kn, _, km, _, has_n, has_m, _), v in zip(rows, vals):
-        change = max(change, abs(v - mu[l, f]))
-        mu[l, f] = v
-        if has_n:
-            g[lk.tail, f] = kn - v
-        if has_m:
-            g[lk.head, f] = km + v
-    return change, binds
-
-
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(case=link_block_cases())
-def test_link_block_matches_scalar_reference(case):
-    # every link at every rho, from 1 up to the values reached late in a solve
-    scenario, g0, lam, mu0 = case
-    for rho, (l, cap) in itertools.product((1.0, 8.0, 1e3, 1e6), enumerate(scenario.network.caps)):
-        damp = 1e-8 * (1.0 + rho)
-        tol = 1e-12 * max(1.0, cap)
-        g, mu = g0.copy(), mu0.copy()
-        g_ref, mu_ref = g0.copy(), mu0.copy()
-        change_ref, binds = _link_update_scalar(scenario, l, g_ref, lam, mu_ref, rho, damp)
-        change = _al_link_update(scenario, l, g, lam, mu, rho, damp)
-        assert abs(change - change_ref) <= tol
-        assert np.max(np.abs(mu - mu_ref)) <= tol
-        assert np.max(np.abs(g - g_ref)) <= tol
-        if binds:
-            assert abs(mu[l, scenario.allow_mask[l]].sum() - cap) <= 1e-12 * cap
+@pytest.mark.parametrize("n,sessions,seed", [(3, 4, 1), (5, 6, 1), (5, 6, 2)])
+def test_oracle_certifies_grids(n, sessions, seed):
+    sc = P.parse_scenario(gridgen.grid_scenario(n, sessions, seed))
+    t0 = time.monotonic()
+    sol = solve_centralized(sc, tol=1e-5)
+    seconds = time.monotonic() - t0
+    assert seconds <= 10.0
+    assert 0.0 <= sol.duality_gap <= 1e-5
+    assert sol.max_violation <= 1e-9
+    assert sol.weak_duality_margin >= -1e-9
+    lo, hi = kelley_bracket(sc)
+    assert sol.U_star <= hi + 1e-9
+    assert sol.U_star + sol.duality_gap >= lo - 1e-9

@@ -156,6 +156,14 @@ def test_overflow_raises_in_both_solvers():
     assert abs(slope(p, x)) <= 1e-12 * _stationarity_scale(p, x)
     assert solve_rates(np.array([True, False]), np.ones(2), np.array([0.0, -1e30]),
                        np.zeros(2), np.ones(2))[1] == x
+    # at +1e200, b*b overflows but the wlog root 1e-200 does not; a wlog1p
+    # source is pinned at 0 there
+    for is_wlog, root in ((True, 1e-200), (False, 0.0)):
+        kind = "wlog" if is_wlog else "wlog1p"
+        x = solve_rate(RateProblem(P.Utility(kind, 1.0), 1e200, 0.0, 1.0))
+        assert abs(x - root) <= 1e-15 * root
+        assert solve_rates(np.array([True, is_wlog]), np.ones(2), np.array([0.0, 1e200]),
+                           np.zeros(2), np.ones(2))[1] == x
     # at -1e200 the root overflows, for either utility kind
     for kind in ("wlog", "wlog1p"):
         with pytest.raises(P.NumericError):
