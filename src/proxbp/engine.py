@@ -70,7 +70,7 @@ def initial_state(scenario: Scenario) -> BpState:
 def compute_weights(state: BpState, scenario: Scenario) -> np.ndarray:
     """W = Q + g(y_prev), zero at destinations. (N, F)."""
     w = state.Q + residual_matrix(scenario, state.y_prev.x, state.y_prev.mu)
-    w[~scenario.active] = 0.0
+    w[scenario.inactive] = 0.0
     return w
 
 
@@ -105,9 +105,8 @@ def slot_update(state: BpState, scenario: Scenario, config: AlgConfig) -> tuple:
     W = compute_weights(state, scenario)
     if not np.isfinite(W).all():
         raise ContractError("weights must be finite")
-    src = scenario.src
     x = solve_rates(scenario.is_wlog, scenario.utility_weight,
-                    W[src, np.arange(scenario.n_sessions)], state.y_prev.x, alpha[src])
+                    W[scenario.src_entries], state.y_prev.x, alpha[scenario.src])
     network = scenario.network
     tails, heads = network.tails, network.heads
     denom = 2.0 * (alpha[tails] + alpha[heads])

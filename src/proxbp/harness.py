@@ -1,4 +1,4 @@
-"""Simulation driver: slot loop, inline invariant checks, metric traces, CSV
+"""Simulation driver: slot loop, chunked invariant checks, metric traces, CSV
 emission, the adversarial chain generator, and multi-run comparison."""
 from __future__ import annotations
 
@@ -10,8 +10,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .net import (ContractError, Link, Network, Scenario, ScenarioValidationError,
-                  Session, Utility, residual_matrix, total_utility, validate_decision)
+from .net import (CAP_TOL, ContractError, DecisionVector, Link, Network, Scenario,
+                  ScenarioValidationError, Session, Utility, residual_matrix, total_utility,
+                  validate_decision)
 from .engine import AlgConfig, default_alpha, initial_state, slot_update
 from .dpp import DppConfig, dpp_initial_state, dpp_step
 from .queues import ScriptedPolicy, audit_queue_bounds, step_Q, step_Y, step_Z
@@ -21,6 +22,11 @@ CSV_HEADER = "slot,alg,session,x,xbar,util_inst,util_avg,util_jensen,gap,maxQ,ma
 WEIGHT_IDENTITY_TOL = 1e-12
 DRIFT_IDENTITY_TOL = 1e-9
 TELESCOPE_TOL = 1e-9  # per slot of accumulation
+# the per-slot checks of run() and the largest value each may take
+CHECK_TOLS = {"weight_identity": WEIGHT_IDENTITY_TOL, "drift_identity": DRIFT_IDENTITY_TOL,
+              "telescoping": TELESCOPE_TOL, "queue_consistency": 0.0}
+
+CHUNK_BYTES = 1 << 17  # byte budget of each per-chunk buffer of run()
 
 
 def _opened(fh, mode):
@@ -100,126 +106,200 @@ def trace_from_csv(fh) -> Trace:
     return Trace(alg=alg, x=x, xbar=xbar, **scal)
 
 
+def chunk_slots(scenario: Scenario) -> int:
+    """Slots per chunk of run(): as many as fit CHUNK_BYTES in its largest
+    per-slot buffer, an (L, F) rate matrix or an (N, F) queue matrix."""
+    row = 8 * scenario.n_sessions * max(scenario.n_links, scenario.n_nodes)
+    return max(1, CHUNK_BYTES // row)
+
+
 def run(scenario: Scenario, algorithm: str, config, slots: int, oracle=None) -> Trace:
     """Drive one algorithm for the given number of slots.
 
-    Steps all three queue families under the produced decisions and evaluates
-    the inline invariants every slot: per-slot feasibility, the drift identity
-    of the signed queues, the weight identity (proximal algorithm only), the
-    telescoping of Q, and the queue bound transfer with B set to the observed
-    max |Q|. Results land in trace.summary; summary["passed"] is the overall
-    verdict. summary["queue_transfer_violations"] holds the records of
-    audit_queue_bounds applied to the per-(node, session) peaks of Y and Z
-    (trace.peak_Y, trace.peak_Z), one per violating (family, node, session)
-    with slot index 0.
+    Steps all three queue families under the produced decisions and checks
+    the invariants of every slot: per-slot feasibility, the drift identity of
+    the signed queues, the weight identity (proximal algorithm only), the
+    telescoping of Q, the agreement of the engine's Q with the harness's
+    (proximal only), and the queue bound transfer with B set to the observed
+    max |Q|.
+
+    The slot loop runs only the recursions and stores each slot's decisions,
+    residual, queues and engine state in (chunk, ...) buffers; chunk_slots
+    sizes them to CHUNK_BYTES each. Once per chunk, array programs over the
+    buffers evaluate the checks and the per-slot metrics. Feasibility is
+    screened for the conditions of validate_decision, which then runs on the
+    flagged slots only and supplies their messages. Utilities are evaluated
+    after the loop.
+
+    Results land in trace.summary; summary["passed"] is the overall verdict.
+    summary["first_violation"] maps each per-slot check to the (slot, value)
+    of its first violation, or None if it held throughout (the value is the
+    message for "feasibility"). summary["queue_transfer_violations"] holds
+    the records of audit_queue_bounds applied to the per-(node, session)
+    peaks of Y and Z (trace.peak_Y, trace.peak_Z), one per violating (family,
+    node, session) with slot index 0.
     """
     if slots < 1:
         raise ContractError(f"slots must be at least 1, got {slots!r}")
     if algorithm not in ("new", "dpp"):
         raise ContractError(f"algorithm must be 'new' or 'dpp', got {algorithm!r}")
-    n_f = scenario.n_sessions
-    n_n = scenario.n_nodes
-    x_hist = np.empty((slots, n_f))
-    util_inst = np.empty(slots)
-    max_q = np.empty(slots)
-    max_z = np.empty(slots)
-    max_y = np.empty(slots)
-    lyap = np.empty(slots)
-    z_total = np.empty(slots)
+    prox = algorithm == "new"
+    audit = _ChunkAudit(scenario, prox, slots)
+    Y = Z = Q = np.zeros((scenario.n_nodes, scenario.n_sessions))
+    state = initial_state(scenario) if prox else dpp_initial_state(scenario)
+    x_hist = audit.x_hist
+    buf_mu, buf_g, buf_Y, buf_Z, buf_Q = audit.mu, audit.g, audit.Y, audit.Z, audit.Q
+    buf_W, buf_engine_Q = audit.W, audit.engine_Q
 
-    Y = np.zeros((n_n, n_f))
-    Z = np.zeros((n_n, n_f))
-    Q = np.zeros((n_n, n_f))
-
-    weight_err = 0.0
-    drift_err = 0.0
-    telescope_scaled = 0.0
-    q_consistency = 0.0
-    feas_failures = []
-    cum_g = np.zeros((n_n, n_f))
-    peak_Y = np.zeros((n_n, n_f))
-    peak_Z = np.zeros((n_n, n_f))
-    lyap_after = 0.0
-
-    state = initial_state(scenario) if algorithm == "new" else dpp_initial_state(scenario)
-    q_prev = None
-
-    for t in range(slots):
-        if algorithm == "new":
-            q_now = state.Q
-            y, state = slot_update(state, scenario, config)
-            if t >= 1:
-                ident = 2.0 * q_now - q_prev
-                ident[~scenario.active] = 0.0
-                weight_err = max(weight_err, float(np.max(np.abs(state.W - ident))))
-            q_prev = q_now
-        else:
-            y, state = dpp_step(state, scenario, config)
-
-        g = residual_matrix(scenario, y.x, y.mu)
-        q_before = Q
-        lyap_before = lyap_after
-        try:
-            validate_decision(scenario, y)
-        except ScenarioValidationError as e:
-            feas_failures.append((t, str(e)))
-        Y = step_Y(Y, g, scenario)
-        Z, _ = step_Z(Z, y.x, y.mu, scenario)
-        Q = step_Q(Q, g)
-
-        lyap_after = 0.5 * float(np.sum(Q * Q))
-        drift = float(np.sum(q_before * g + 0.5 * g * g))
-        drift_err = max(drift_err, abs((lyap_after - lyap_before) - drift))
-        cum_g += g
-        telescope_scaled = max(
-            telescope_scaled, float(np.max(np.abs(Q - cum_g))) / (t + 1.0))
-        if algorithm == "new":
-            q_consistency = max(q_consistency, float(np.max(np.abs(state.Q - Q))))
-
-        x_hist[t] = y.x
-        util_inst[t] = total_utility(scenario, y.x)
-        max_q[t] = float(np.max(np.abs(Q)))
-        max_z[t] = float(np.max(Z))
-        max_y[t] = float(np.max(Y))
-        z_total[t] = float(np.sum(Z))
-        lyap[t] = lyap_after
-        np.maximum(peak_Y, Y, out=peak_Y)
-        np.maximum(peak_Z, Z, out=peak_Z)
+    for t0 in range(0, slots, audit.chunk):
+        n = min(audit.chunk, slots - t0)
+        for i in range(n):
+            if prox:
+                y, state = slot_update(state, scenario, config)
+                buf_W[i] = state.W
+                buf_engine_Q[i] = state.Q
+            else:
+                y, state = dpp_step(state, scenario, config)
+            g = residual_matrix(scenario, y.x, y.mu)
+            Y = step_Y(Y, g, scenario)
+            Z, _ = step_Z(Z, y.x, y.mu, scenario)
+            Q = step_Q(Q, g)
+            x_hist[t0 + i] = y.x
+            buf_mu[i] = y.mu
+            buf_g[i] = g
+            buf_Y[i] = Y
+            buf_Z[i] = Z
+            buf_Q[i] = Q
+        audit.chunk_done(t0, n)
 
     denom = np.arange(1, slots + 1, dtype=float)
     xbar = np.cumsum(x_hist, axis=0) / denom[:, None]
+    util_inst = total_utility(scenario, x_hist)
     util_avg = np.cumsum(util_inst) / denom
-    util_jensen = np.array([total_utility(scenario, xbar[t]) for t in range(slots)])
+    util_jensen = total_utility(scenario, xbar)
     if oracle is not None:
         gap = oracle.U_star - util_avg
     else:
         gap = np.full(slots, math.nan)
 
     # bound transfer with B = observed max |Q| (initial zero states included)
-    b_obs = float(max_q.max())
-    transfer = audit_queue_bounds(peak_Y[None], peak_Z[None], b_obs, scenario)
+    b_obs = float(audit.max_q.max())
+    transfer = audit_queue_bounds(audit.peak_Y[None], audit.peak_Z[None], b_obs, scenario)
 
+    # each check's worst value, and the slot and value of its first violation
+    worst = {}
+    first = {}
+    for name, values in audit.checks.items():
+        worst[name] = float(values.max())
+        bad = ~(values <= CHECK_TOLS[name])
+        k = int(np.argmax(bad))
+        first[name] = (k, float(values[k])) if bad[k] else None
+    feas = audit.feas_failures
+    first["feasibility"] = feas[0] if feas else None
     summary = {
-        "weight_identity_max": weight_err,
-        "drift_identity_max": drift_err,
-        "telescoping_scaled_max": telescope_scaled,
-        "queue_consistency_max": q_consistency,
-        "feasibility_violations": feas_failures,
+        "weight_identity_max": worst["weight_identity"],
+        "drift_identity_max": worst["drift_identity"],
+        "telescoping_scaled_max": worst["telescoping"],
+        "queue_consistency_max": worst["queue_consistency"],
+        "feasibility_violations": feas,
         "queue_transfer_violations": transfer,
         "observed_max_abs_q": b_obs,
+        "first_violation": first,
     }
-    summary["passed"] = (
-        weight_err <= WEIGHT_IDENTITY_TOL
-        and drift_err <= DRIFT_IDENTITY_TOL
-        and telescope_scaled <= TELESCOPE_TOL
-        and q_consistency == 0.0
-        and not feas_failures
-        and not transfer
-    )
+    summary["passed"] = all(v is None for v in first.values()) and not transfer
     return Trace(alg=algorithm, x=x_hist, xbar=xbar, util_inst=util_inst,
-                 util_avg=util_avg, util_jensen=util_jensen, gap=gap, maxQ=max_q,
-                 maxZ=max_z, maxY=max_y, lyap=lyap, z_total=z_total, peak_Y=peak_Y,
-                 peak_Z=peak_Z, summary=summary)
+                 util_avg=util_avg, util_jensen=util_jensen, gap=gap, maxQ=audit.max_q,
+                 maxZ=audit.max_z, maxY=audit.max_y, lyap=audit.lyap, z_total=audit.z_total,
+                 peak_Y=audit.peak_Y, peak_Z=audit.peak_Z, summary=summary)
+
+
+class _ChunkAudit:
+    """The chunk buffers of run(), and the checks and metrics evaluated on
+    them. Everything a check needs from before a chunk is carried over: the
+    signed queues and Lyapunov value after the previous slot, the running sum
+    of residuals, and the engine's queues after the previous two slots.
+
+    Reductions over a slot's (N, F) block run over axes (1, 2) of the
+    C-contiguous (chunk, N, F) buffer, which sums in the same order as a sum
+    over the slot's own matrix; a running sum is a cumsum seeded with the
+    carried value. So every metric is bitwise the per-slot value."""
+
+    def __init__(self, scenario: Scenario, prox: bool, slots: int):
+        self.scenario = scenario
+        self.prox = prox
+        n_n, n_f, n_l = scenario.n_nodes, scenario.n_sessions, scenario.n_links
+        self.chunk = c = min(slots, chunk_slots(scenario))
+        self.mu = np.empty((c, n_l, n_f))
+        self.g, self.Y, self.Z, self.Q = (np.empty((c, n_n, n_f)) for _ in range(4))
+        self.W, self.engine_Q = ((np.empty((c, n_n, n_f)) for _ in range(2)) if prox
+                                 else (None, None))
+
+        self.x_hist = np.empty((slots, n_f))
+        self.max_q, self.max_z, self.max_y, self.lyap, self.z_total = (
+            np.empty(slots) for _ in range(5))
+        self.peak_Y = np.zeros((n_n, n_f))
+        self.peak_Z = np.zeros((n_n, n_f))
+        # per-slot values of each check; those that do not apply stay 0
+        self.checks = {name: np.zeros(slots) for name in CHECK_TOLS}
+        self.feas_failures = []
+
+        self.Q_last = np.zeros((n_n, n_f))
+        self.lyap_last = 0.0
+        self.cum_g = np.zeros((n_n, n_f))
+        self.engine_Q_last = np.zeros((2, n_n, n_f))  # after slots t-2 and t-1
+
+    def chunk_done(self, t0: int, n: int):
+        """Evaluate the metrics and checks of slots t0 .. t0 + n - 1, held in
+        the first n rows of the buffers."""
+        sc = self.scenario
+        checks = self.checks
+        rows = slice(t0, t0 + n)
+        x = self.x_hist[rows]
+        mu, g, Y, Z, Q = (b[:n] for b in (self.mu, self.g, self.Y, self.Z, self.Q))
+        self.max_q[rows] = np.abs(Q).max(axis=(1, 2))
+        self.max_z[rows] = Z.max(axis=(1, 2))
+        self.max_y[rows] = Y.max(axis=(1, 2))
+        self.z_total[rows] = Z.sum(axis=(1, 2))
+        np.maximum(self.peak_Y, Y.max(axis=0), out=self.peak_Y)
+        np.maximum(self.peak_Z, Z.max(axis=0), out=self.peak_Z)
+
+        # drift identity: L(t+1) - L(t) = <Q(t), g> + |g|^2 / 2
+        lyap = 0.5 * (Q * Q).sum(axis=(1, 2))
+        self.lyap[rows] = lyap
+        q_before = np.concatenate((self.Q_last[None], Q[:-1]))
+        drift = (q_before * g + 0.5 * g * g).sum(axis=(1, 2))
+        lyap_before = np.concatenate(([self.lyap_last], lyap[:-1]))
+        checks["drift_identity"][rows] = np.abs((lyap - lyap_before) - drift)
+        self.Q_last = Q[-1].copy()
+        self.lyap_last = lyap[-1]
+
+        # telescoping: Q(t+1) is the running sum of the residuals
+        cum_g = np.cumsum(np.concatenate((self.cum_g[None], g)), axis=0)[1:]
+        checks["telescoping"][rows] = (np.abs(Q - cum_g).max(axis=(1, 2))
+                                       / (np.arange(t0, t0 + n) + 1.0))
+        self.cum_g = cum_g[-1].copy()
+
+        if self.prox:
+            # weight identity: W(t) = 2 Q(t) - Q(t-1) off the destinations
+            eq = np.concatenate((self.engine_Q_last, self.engine_Q[:n]))
+            ident = 2.0 * eq[1:-1] - eq[:-2]
+            ident[:, sc.inactive] = 0.0
+            err = np.abs(self.W[:n] - ident).max(axis=(1, 2))
+            if t0 == 0:
+                err[0] = 0.0  # slot 0 has no previous weights
+            checks["weight_identity"][rows] = err
+            checks["queue_consistency"][rows] = np.abs(self.engine_Q[:n] - Q).max(axis=(1, 2))
+            self.engine_Q_last = eq[-2:].copy()
+
+        # feasibility: validate_decision names the fault of each flagged slot
+        flagged = ((x < 0).any(axis=1) | (mu < 0).any(axis=(1, 2))
+                   | (mu[:, ~sc.allow_mask] != 0).any(axis=1)
+                   | (mu.sum(axis=2) - sc.network.caps > CAP_TOL).any(axis=1))
+        for i in np.flatnonzero(flagged):
+            try:
+                validate_decision(sc, DecisionVector(x[i], mu[i]))
+            except ScenarioValidationError as e:
+                self.feas_failures.append((t0 + int(i), str(e)))
 
 
 # ---------------------------------------------------------------------------

@@ -236,6 +236,19 @@ class Scenario:
         return _frozen(np.array([s.src for s in self.sessions], dtype=int))
 
     @cached_property
+    def src_entries(self) -> tuple:
+        """(node, session) index arrays of each session's source entry in an
+        (N, F) matrix."""
+        return self.src, _frozen(np.arange(self.n_sessions))
+
+    @cached_property
+    def head_entries(self) -> np.ndarray:
+        """(L·F,) flat index into a C-ordered (N, F) matrix of the entry (head
+        of l, f) of each (link, session) pair, in (link, session) order."""
+        f = self.n_sessions
+        return _frozen((self.network.heads[:, None] * f + np.arange(f)).ravel())
+
+    @cached_property
     def dst(self) -> np.ndarray:
         return _frozen(np.array([s.dst for s in self.sessions], dtype=int))
 
@@ -268,6 +281,11 @@ class Scenario:
         for s in self.sessions:
             m[s.dst, s.id] = False
         return _frozen(m)
+
+    @cached_property
+    def inactive(self) -> np.ndarray:
+        """(N, F) boolean, ~active: True at each session's destination."""
+        return _frozen(~self.active)
 
     @cached_property
     def in_trees(self) -> np.ndarray:
@@ -340,10 +358,10 @@ def residual_matrix(scenario: Scenario, x, mu) -> np.ndarray:
     mu = np.asarray(mu, dtype=float)
     g = scenario.network.incidence @ mu
     if x.ndim == 1:
-        g[scenario.src, np.arange(scenario.n_sessions)] += x
+        g[scenario.src_entries] += x
     else:
         g += x
-    g[~scenario.active] = 0.0
+    g[scenario.inactive] = 0.0
     return g
 
 
@@ -372,10 +390,18 @@ def require_routable(scenario: Scenario):
                                           f"{s.dst} from its source {s.src} over its allowed links")
 
 
-def total_utility(scenario: Scenario, x) -> float:
-    """Sum of session utilities at the rate vector x."""
+def total_utility(scenario: Scenario, x):
+    """Sum of session utilities at the rate vector x (F,), a float, or at each
+    row of a (T, F) matrix of rate vectors, a (T,) array. Each term comes from
+    Utility.value, whose math.log rounds differently from np.log on some
+    inputs, and the terms are added in session order."""
     x = np.asarray(x, dtype=float)
-    return sum(s.utility.value(x[f]) for f, s in enumerate(scenario.sessions))
+    if x.ndim == 1:
+        return sum(s.utility.value(x[f]) for f, s in enumerate(scenario.sessions))
+    total = np.zeros(x.shape[0])
+    for f, s in enumerate(scenario.sessions):
+        total += [s.utility.value(v) for v in x[:, f].tolist()]
+    return total
 
 
 # ---------------------------------------------------------------------------

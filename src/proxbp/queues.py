@@ -20,7 +20,7 @@ from .net import ContractError, Scenario, ScenarioValidationError, residual_matr
 def arrival_matrix(scenario: Scenario, x) -> np.ndarray:
     """Scatter per-session source rates into an (N, F) exogenous-arrival matrix."""
     m = np.zeros((scenario.n_nodes, scenario.n_sessions))
-    m[scenario.src, np.arange(scenario.n_sessions)] = np.asarray(x, dtype=float)
+    m[scenario.src_entries] = np.asarray(x, dtype=float)
     return m
 
 
@@ -29,7 +29,7 @@ def step_Y(Y, g, scenario: Scenario) -> np.ndarray:
     returned by residual_matrix, so everything prescribed counts; then clip
     at zero."""
     nxt = np.maximum(np.asarray(Y, dtype=float) + g, 0.0)
-    nxt[~scenario.active] = 0.0
+    nxt[scenario.inactive] = 0.0
     return nxt
 
 
@@ -51,20 +51,20 @@ def step_Z(Z, arrivals, mu, scenario: Scenario) -> tuple:
     arrivals = np.asarray(arrivals, dtype=float)
     if arrivals.ndim == 1:
         arrivals = arrival_matrix(scenario, arrivals)
-    mu = np.asarray(mu, dtype=float)
+    wanted = np.maximum(np.asarray(mu, dtype=float), 0.0)
     rem = np.array(Z, dtype=float)
     sends = np.zeros((scenario.n_links, scenario.n_sessions))
     for links in network.out_links_by_rank:
         tails = network.tails[links]
-        take = np.minimum(np.maximum(mu[links], 0.0), rem[tails])
+        avail = rem[tails]
+        take = np.minimum(wanted[links], avail)
         sends[links] = take
-        rem[tails] -= take
+        rem[tails] = avail - take
     nxt = rem + arrivals
-    # flat (head, session) targets in link order: each entry adds its sends
-    # one link at a time, in ascending link order
-    f = scenario.n_sessions
-    np.add.at(nxt.reshape(-1), (network.heads[:, None] * f + np.arange(f)).ravel(), sends.ravel())
-    nxt[~scenario.active] = 0.0
+    # add.at adds in index order, so each (head, session) entry receives its
+    # sends one link at a time, in ascending link order
+    np.add.at(nxt.reshape(-1), scenario.head_entries, sends.ravel())
+    nxt[scenario.inactive] = 0.0
     return nxt, sends
 
 

@@ -2,10 +2,19 @@
 so the expensive work happens once per test session. Each run dict also
 records the wall-clock seconds the simulations took, because the acceptance
 tests hold the runs to time budgets."""
+import os
 import time
 from pathlib import Path
 
 import pytest
+
+# One BLAS/OpenMP thread per test process unless the caller chose otherwise:
+# the default pool oversubscribes a small host when another process runs, and
+# the wall-clock budgets of the oracle and acceptance tests assume it does not.
+# Must precede the first numpy import.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import proxbp as P
 

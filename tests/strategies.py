@@ -6,23 +6,41 @@ the projection input, in DPP differentials) and boundary cases (a wlog1p
 source pinned at x = 0, an empty backlog) common, the intervals cover
 everything in between. Capacities are tiny or huge so that both tight and
 slack projection budgets occur.
+
+Hypothesis spends its time per value drawn, so arrays are drawn whole with
+hypothesis.extra.numpy, and each link or session is one integer code.
 """
 import numpy as np
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import proxbp as P
 
 SESSION_COUNTS = (1, 2, 3, 8, 9, 12)  # 8 and up: numpy sums rows pairwise
+CAPACITIES = (0.05, 0.5, 1.0, 50.0)
+UTILITY_WEIGHTS = (0.5, 1.0, 2.0)
 
 
 def arrays(draw, shape, choices, lo, hi, coarse=False):
-    """Array of the given shape; coarse draws only from choices."""
-    size = int(np.prod(shape))
-    value = st.sampled_from(choices)
-    if not coarse:
-        value = st.one_of(value, st.floats(lo, hi))
-    return np.array(draw(st.lists(value, min_size=size, max_size=size)),
-                    dtype=float).reshape(shape)
+    """Float array of the given shape. A coarse array takes its entries from
+    choices, most of them sharing one fill value; otherwise every entry is
+    drawn on its own from [lo, hi], which holds the choices."""
+    if coarse:
+        return draw(hnp.arrays(np.float64, shape, elements=st.sampled_from(choices)))
+    return draw(hnp.arrays(np.float64, shape, elements=st.floats(lo, hi), fill=st.nothing()))
+
+
+def _codes(draw, count, top):
+    """count integers in [0, top], each drawn on its own."""
+    return draw(hnp.arrays(np.int64, count, elements=st.integers(0, top),
+                           fill=st.nothing())).tolist()
+
+
+def _ends(draw, n, count):
+    """count (tail, head) pairs on n nodes, one code each: the head is
+    tail + offset (mod n) with offset in 1 .. n - 1, so never the tail."""
+    return [(c // (n - 1), (c // (n - 1) + 1 + c % (n - 1)) % n)
+            for c in _codes(draw, count, n * (n - 1) - 1)]
 
 
 @st.composite
@@ -30,25 +48,24 @@ def scenarios(draw, allow=("full", "mixed")):
     """Random scenario. allow "full" lets every session use every link;
     "mixed" gives each link a full, an empty or a random allow-set."""
     n = draw(st.integers(2, 6))
-    # (tail, offset): the head tail + offset (mod n) is never the tail
-    pair = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1))
-    ends = draw(st.lists(pair, min_size=1, max_size=12))
-    caps = draw(st.lists(st.sampled_from((0.05, 0.5, 1.0, 50.0)),
-                         min_size=len(ends), max_size=len(ends)))
-    links = tuple(P.Link(t, (t + k) % n, c) for (t, k), c in zip(ends, caps))
+    n_l = draw(st.integers(1, 12))
+    caps = (CAPACITIES[c] for c in _codes(draw, n_l, len(CAPACITIES) - 1))
+    links = tuple(P.Link(t, h, c) for (t, h), c in zip(_ends(draw, n, n_l), caps))
     f = draw(st.sampled_from(SESSION_COUNTS))
-    utility = st.builds(P.Utility, st.sampled_from(P.UTILITY_KINDS), st.sampled_from((0.5, 1.0, 2.0)))
-    ends = draw(st.lists(pair, min_size=f, max_size=f))
-    utilities = draw(st.lists(utility, min_size=f, max_size=f))
-    sessions = tuple(P.Session(i, s, (s + k) % n, u)
-                     for i, ((s, k), u) in enumerate(zip(ends, utilities)))
+    # one code per session for its utility: kind and weight
+    n_k = len(P.UTILITY_KINDS)
+    utilities = [P.Utility(P.UTILITY_KINDS[c % n_k], UTILITY_WEIGHTS[c // n_k])
+                 for c in _codes(draw, f, n_k * len(UTILITY_WEIGHTS) - 1)]
+    sessions = tuple(P.Session(i, s, d, u)
+                     for i, ((s, d), u) in enumerate(zip(_ends(draw, n, f), utilities)))
     full = frozenset(range(f))
     if draw(st.sampled_from(allow)) == "full":
-        allowed = [full] * len(links)
+        allowed = [full] * n_l
     else:
-        subset = st.one_of(st.just(full), st.just(frozenset()),
-                           st.frozensets(st.integers(0, f - 1)))
-        allowed = draw(st.lists(subset, min_size=len(links), max_size=len(links)))
+        # one code per link: full, empty, or the sessions of a bit mask
+        allowed = [full if c == 0 else frozenset() if c == 1
+                   else frozenset(i for i in range(f) if (c - 2) >> i & 1)
+                   for c in _codes(draw, n_l, 2 ** f + 1)]
     return P.Scenario(P.Network(n, links), sessions, tuple(allowed))
 
 

@@ -1,11 +1,20 @@
 import io
 import math
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference import run_per_slot
+from strategies import scenarios
 
 import proxbp as P
+from proxbp import cli, harness
 from proxbp.harness import CSV_HEADER, CompareRun, compare, queue_mass, trace_from_csv
+
+SIXNODE = str(Path(__file__).resolve().parents[1] / "scenarios" / "sixnode.net")
 
 
 def test_single_slot_trace(singlelink, singlelink_sol):
@@ -129,3 +138,125 @@ def test_save_policy_lists_nonzeros(tmp_path):
     arrive = [l for l in lines if l.startswith("arrive ")]
     assert len(arrive) == 4  # one packet per slot
     assert all(len(l.split()) == 5 for l in lines[1:])
+
+
+# ---------------------------------------------------------------------------
+# the chunked loop against the per-slot reference
+
+
+def _chunk_bytes(scenario, slots_per_chunk):
+    """A CHUNK_BYTES that gives run() chunks of the given number of slots;
+    None keeps the default budget."""
+    if slots_per_chunk is None:
+        return harness.CHUNK_BYTES
+    return slots_per_chunk * 8 * scenario.n_sessions * max(scenario.n_links, scenario.n_nodes)
+
+
+def _config(scenario, alg):
+    if alg == "new":
+        return P.AlgConfig(P.default_alpha(scenario.network, "queue-bound"))
+    return P.DppConfig(V=100.0)
+
+
+def _assert_same_run(scenario, alg, slots, chunk, oracle=None):
+    """run() with chunks of `chunk` slots (None: the default budget) gives the
+    per-slot reference's trace and summary, bit for bit."""
+    cfg = _config(scenario, alg)
+    ref = run_per_slot(scenario, alg, cfg, slots, oracle=oracle)
+    with mock.patch.object(harness, "CHUNK_BYTES", _chunk_bytes(scenario, chunk)):
+        if chunk is not None:
+            assert harness.chunk_slots(scenario) == chunk
+        tr = P.run(scenario, alg, cfg, slots, oracle=oracle)
+    assert tr.csv_text() == ref.csv_text()
+    for key, value in ref.summary.items():
+        assert repr(tr.summary[key]) == repr(value), key
+    for name in ("z_total", "peak_Y", "peak_Z"):
+        assert getattr(tr, name).tobytes() == getattr(ref, name).tobytes(), name
+    return tr
+
+
+@pytest.mark.parametrize("chunk", (1, 3, None))
+@pytest.mark.parametrize("alg", ("new", "dpp"))
+@pytest.mark.parametrize("name", ("singlelink", "sixnode"))
+def test_chunked_run_matches_per_slot_reference(name, alg, chunk, request, sixnode_sol):
+    scenario = request.getfixturevalue(name)
+    oracle = sixnode_sol if name == "sixnode" else None
+    tr = _assert_same_run(scenario, alg, 50, chunk, oracle=oracle)
+    assert tr.summary["passed"]
+    assert all(v is None for v in tr.summary["first_violation"].values())
+
+
+def test_chunked_run_crosses_default_chunks(sixnode):
+    slots = harness.chunk_slots(sixnode) + 5
+    assert slots < 2 * harness.chunk_slots(sixnode)
+    _assert_same_run(sixnode, "new", slots, None)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(sc=scenarios(), alg=st.sampled_from(("new", "dpp")),
+       chunk=st.sampled_from((1, 3, None)), slots=st.sampled_from((1, 4, 7)))
+def test_chunked_run_matches_reference_on_random_scenarios(sc, alg, chunk, slots):
+    try:
+        run_per_slot(sc, alg, _config(sc, alg), slots)
+    except P.DomainError:  # a wlog source without outgoing capacity idles at x = 0
+        with mock.patch.object(harness, "CHUNK_BYTES", _chunk_bytes(sc, chunk)):
+            with pytest.raises(P.DomainError):
+                P.run(sc, alg, _config(sc, alg), slots)
+        return
+    _assert_same_run(sc, alg, slots, chunk)
+
+
+# ---------------------------------------------------------------------------
+# faults injected past the first chunk boundary
+
+
+def _inject(monkeypatch, slot, fault):
+    """Make harness.slot_update apply fault(y, next state) at the given slot."""
+    real = harness.slot_update
+
+    def faulty(state, scenario, config):
+        y, nxt = real(state, scenario, config)
+        return fault(y, nxt, scenario) if state.t == slot else (y, nxt)
+
+    monkeypatch.setattr(harness, "slot_update", faulty)
+
+
+@pytest.mark.parametrize("chunk", (3, None))
+def test_overcapacity_decision_is_reported_at_its_slot(sixnode, monkeypatch, tmp_path, chunk):
+    monkeypatch.setattr(harness, "CHUNK_BYTES", _chunk_bytes(sixnode, chunk))
+    k = harness.chunk_slots(sixnode) + 2
+    slots = k + 4
+    injected = []
+
+    def overload(y, nxt, scenario):
+        mu = y.mu.copy()
+        mu[0, 0] = scenario.network.caps[0] + 0.5  # sixnode lets session 0 use link 0
+        injected.append(P.DecisionVector(y.x, mu))
+        return injected[-1], nxt
+
+    _inject(monkeypatch, k, overload)
+    tr = P.run(sixnode, "new", _config(sixnode, "new"), slots)
+    with pytest.raises(P.ScenarioValidationError) as err:
+        P.validate_decision(sixnode, injected[0])
+    assert tr.summary["feasibility_violations"] == [(k, str(err.value))]
+    assert tr.summary["first_violation"]["feasibility"] == (k, str(err.value))
+    assert tr.summary["passed"] is False
+    code = cli.main(["run", "--scenario", SIXNODE, "--slots", str(slots),
+                     "--out", str(tmp_path / "t.csv")])
+    assert code == 1
+
+
+@pytest.mark.parametrize("chunk", (3, None))
+def test_perturbed_weight_fails_the_weight_identity(sixnode, monkeypatch, chunk):
+    monkeypatch.setattr(harness, "CHUNK_BYTES", _chunk_bytes(sixnode, chunk))
+    k = harness.chunk_slots(sixnode) + 2
+    _inject(monkeypatch, k, lambda y, nxt, sc: (y, P.BpState(nxt.Q, nxt.y_prev, nxt.t,
+                                                             nxt.W + 1e-9)))
+    tr = P.run(sixnode, "new", _config(sixnode, "new"), k + 4)
+    s = tr.summary
+    assert s["weight_identity_max"] > harness.WEIGHT_IDENTITY_TOL
+    slot, value = s["first_violation"]["weight_identity"]
+    assert slot == k and value == s["weight_identity_max"]
+    assert s["passed"] is False
+    others = {name: v for name, v in s["first_violation"].items() if name != "weight_identity"}
+    assert all(v is None for v in others.values()), others
