@@ -59,7 +59,7 @@ def dpp_slot_update(Q, scenario: Scenario, config: DppConfig) -> DecisionVector:
     """
     Q = np.asarray(Q, dtype=float)
     rate_cap = rate_caps(scenario, config)
-    q = Q[scenario.src_entries]
+    q = Q.take(scenario.src_entries)
     with np.errstate(over="ignore"):  # a subnormal q gives inf, which the cap clips
         ratio = config.V * scenario.utility_weight / np.where(q > 0, q, 1.0)
     x = np.where(scenario.is_wlog, ratio, np.maximum(ratio - 1.0, 0.0))

@@ -10,7 +10,7 @@ per-link scalar reference.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,14 +51,42 @@ class AlgConfig:
 
 
 @dataclass(frozen=True, eq=False)
+class SlotConstants:
+    """The arrays of slot_update that stay fixed over a run: a_src (F,) is
+    2 alpha at each session's source, the curvature of its rate problem, and
+    link_denom (L, 1) is 2 (alpha_tail + alpha_head) of each link. Built once
+    per (scenario, config) and carried from state to state."""
+
+    scenario: Scenario
+    config: AlgConfig
+    a_src: np.ndarray = field(init=False)
+    link_denom: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        alpha = self.config.alpha
+        network = self.scenario.network
+        a_src = 2.0 * alpha[self.scenario.src]
+        link_denom = (2.0 * (alpha[network.tails] + alpha[network.heads]))[:, None]
+        for name, a in (("a_src", a_src), ("link_denom", link_denom)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+
+
+@dataclass(frozen=True, eq=False)
 class BpState:
     """Signed virtual queues Q (N, F), previous slot's decisions, slot counter,
-    and the weights W (N, F) the previous slot used (None before the first)."""
+    and the weights W (N, F) the previous slot used (None before the first).
+
+    g (N, F) is residual_matrix of y_prev, and consts the SlotConstants of
+    the run. slot_update fills both in the states it returns; a state built
+    without them gets g from compute_weights and consts from slot_update."""
 
     Q: np.ndarray
     y_prev: DecisionVector
     t: int
     W: np.ndarray = None
+    g: np.ndarray = None
+    consts: SlotConstants = field(default=None, repr=False)
 
 
 def initial_state(scenario: Scenario) -> BpState:
@@ -68,8 +96,12 @@ def initial_state(scenario: Scenario) -> BpState:
 
 
 def compute_weights(state: BpState, scenario: Scenario) -> np.ndarray:
-    """W = Q + g(y_prev), zero at destinations. (N, F)."""
-    w = state.Q + residual_matrix(scenario, state.y_prev.x, state.y_prev.mu)
+    """W = Q + g(y_prev), zero at destinations. (N, F). g is the residual the
+    state carries, or residual_matrix of y_prev if it carries none."""
+    g = state.g
+    if g is None:
+        g = residual_matrix(scenario, state.y_prev.x, state.y_prev.mu)
+    w = state.Q + g
     w[scenario.inactive] = 0.0
     return w
 
@@ -100,22 +132,27 @@ def slot_update(state: BpState, scenario: Scenario, config: AlgConfig) -> tuple:
     Every source's rate problem is solved by solve_rates and every link's
     projection by one project_rows call on the (L, F) matrix
     a = mu_prev + (W[tail] - W[head]) / (2 (alpha_tail + alpha_head)).
+    The next state carries the residual of the new decisions, the next
+    slot's g, and the run's SlotConstants.
     """
-    alpha = config.alpha
+    consts = state.consts
+    if consts is None or consts.scenario is not scenario or consts.config is not config:
+        consts = SlotConstants(scenario, config)
     W = compute_weights(state, scenario)
     if not np.isfinite(W).all():
         raise ContractError("weights must be finite")
     x = solve_rates(scenario.is_wlog, scenario.utility_weight,
-                    W[scenario.src_entries], state.y_prev.x, alpha[scenario.src])
+                    W.take(scenario.src_entries), state.y_prev.x, consts.a_src)
     network = scenario.network
-    tails, heads = network.tails, network.heads
-    denom = 2.0 * (alpha[tails] + alpha[heads])
-    a = state.y_prev.mu + (W[tails] - W[heads]) / denom[:, None]
+    a = state.y_prev.mu + (W.take(network.tails, axis=0)
+                           - W.take(network.heads, axis=0)) / consts.link_denom
     mu = project_rows(a, network.caps, scenario.allow_mask)
     y = DecisionVector(x, mu)
-    q = state.Q + residual_matrix(scenario, y.x, y.mu)
+    g = residual_matrix(scenario, y.x, y.mu)
+    g.setflags(write=False)
+    q = state.Q + g
     q.setflags(write=False)
-    return y, BpState(q, y, state.t + 1, W)
+    return y, BpState(q, y, state.t + 1, W, g, consts)
 
 
 def lyapunov(state: BpState) -> float:

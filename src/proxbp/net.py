@@ -158,6 +158,11 @@ class Network:
         return tuple(_frozen(np.array(r, dtype=int)) for r in ranks)
 
     @cached_property
+    def out_tails_by_rank(self) -> tuple:
+        """Entry k holds the tails of the links in out_links_by_rank[k]."""
+        return tuple(_frozen(self.tails[links]) for links in self.out_links_by_rank)
+
+    @cached_property
     def degrees(self) -> np.ndarray:
         return _frozen(np.array([len(self.in_links[n]) + len(self.out_links[n])
                                  for n in range(self.node_count)]))
@@ -236,10 +241,10 @@ class Scenario:
         return _frozen(np.array([s.src for s in self.sessions], dtype=int))
 
     @cached_property
-    def src_entries(self) -> tuple:
-        """(node, session) index arrays of each session's source entry in an
-        (N, F) matrix."""
-        return self.src, _frozen(np.arange(self.n_sessions))
+    def src_entries(self) -> np.ndarray:
+        """(F,) flat index into a C-ordered (N, F) matrix of each session's
+        source entry (src of f, f)."""
+        return _frozen(self.src * self.n_sessions + np.arange(self.n_sessions))
 
     @cached_property
     def head_entries(self) -> np.ndarray:
@@ -358,7 +363,7 @@ def residual_matrix(scenario: Scenario, x, mu) -> np.ndarray:
     mu = np.asarray(mu, dtype=float)
     g = scenario.network.incidence @ mu
     if x.ndim == 1:
-        g[scenario.src_entries] += x
+        g.put(scenario.src_entries, g.take(scenario.src_entries) + x)
     else:
         g += x
     g[scenario.inactive] = 0.0

@@ -239,7 +239,9 @@ def solve_centralized(scenario: Scenario, tol: float = 1e-5, alpha=None) -> Orac
     For t = 1, 10, 100, ... damped Newton steps with Armijo backtracking
     center -t U(x) - sum(log slack), and each center is certified. With m
     constraints the gap at an exact center is at most m / t, so the solve
-    gives up once m / t is a hundred times below tol.
+    gives up once m / t is a hundred times below tol. It gives up at once
+    when the gap of a centering has grown two centerings in a row: past that
+    point the Newton system is too ill-conditioned to gain precision.
 
     Returns the best repaired primal point (tightened to flow-balance
     equality), its utility, the multipliers achieving the best dual value,
@@ -313,6 +315,13 @@ def solve_centralized(scenario: Scenario, tol: float = 1e-5, alpha=None) -> Orac
         history.append((t, val, qv, qv - val, steps))
         if best_dual - best_primal <= tol:
             break
+        if len(history) >= 3 and history[-3][3] < history[-2][3] < history[-1][3]:
+            raise OracleError(
+                f"no certificate at tol={tol}: the gap stopped shrinking after "
+                f"{len(history)} centerings, so the Newton system has lost precision; best "
+                f"gap {best_dual - best_primal!r}; last three (t, primal, dual, gap, "
+                f"newton_steps) = {history[-3]}, {history[-2]}, {history[-1]}",
+                best_gap=best_dual - best_primal, history=history)
         if m / t < tol / 100.0:
             raise OracleError(
                 f"no certificate at tol={tol} after {len(history)} centerings, best gap "

@@ -79,23 +79,27 @@ def project_rows(a, b, mask) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if not np.isfinite(a).all():
         raise ContractError("projection input must be finite")
-    # Masked entries become -inf: they clip to zero, sort last, and their scan
-    # test (-inf) - (-inf) >= 0 is false, so no admissible prefix holds them.
-    a = np.where(mask, a, -np.inf)
+    # Masked entries become 0.0: they clip to zero and add +0.0 to every sum,
+    # which leaves it unchanged. A tight row has a positive water level, so no
+    # zero is admissible and the admissible prefix holds only allowed entries.
+    a = np.where(mask, a, 0.0)
     z = np.maximum(a, 0.0)
-    tight = np.nonzero(~(z.sum(axis=1) <= b))[0]
-    if tight.size == 0:
+    tight = ~(z.sum(axis=1) <= b)
+    if not tight.any():
         return z
     at = a[tight]
-    srt = -np.sort(-at, axis=1, kind="stable")
-    theta_candidates = (np.cumsum(srt, axis=1) - b[tight, None]) / np.arange(1, a.shape[1] + 1)
-    with np.errstate(invalid="ignore"):
-        ok = srt - theta_candidates >= 0.0
-    last = a.shape[1] - 1 - np.argmax(ok[:, ::-1], axis=1)
-    rows = np.arange(tight.size)
-    if not ok[rows, last].all():
+    srt = at.copy()
+    srt.sort(axis=1)
+    srt = srt[:, ::-1]  # descending
+    k = a.shape[1]
+    theta_candidates = (srt.cumsum(axis=1) - b[tight][:, None]) / np.arange(1.0, k + 1.0)
+    ok = srt - theta_candidates >= 0.0
+    # flat index of each row's last admissible entry, the first True of the
+    # reversed row
+    last = np.arange(k - 1, ok.size, k) - ok[:, ::-1].argmax(axis=1)
+    if not ok.take(last).all():
         raise NumericError("projection scan found no admissible active set")
-    theta = np.maximum(theta_candidates[rows, last], 0.0)
+    theta = np.maximum(theta_candidates.take(last), 0.0)
     z[tight] = np.maximum(at - theta[:, None], 0.0)
     return z
 

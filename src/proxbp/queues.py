@@ -20,7 +20,7 @@ from .net import ContractError, Scenario, ScenarioValidationError, residual_matr
 def arrival_matrix(scenario: Scenario, x) -> np.ndarray:
     """Scatter per-session source rates into an (N, F) exogenous-arrival matrix."""
     m = np.zeros((scenario.n_nodes, scenario.n_sessions))
-    m[scenario.src_entries] = np.asarray(x, dtype=float)
+    m.put(scenario.src_entries, np.asarray(x, dtype=float))
     return m
 
 
@@ -46,21 +46,27 @@ def step_Z(Z, arrivals, mu, scenario: Scenario) -> tuple:
     min(prescribed, what is left). Upstream sends and exogenous arrivals join
     afterwards, in link order, and cannot move again until the next slot. The
     k-th out-links of all nodes are served together, one rank at a time.
+
+    arrivals is an (N, F) matrix or the (F,) source rates, which join at each
+    session's source entry (as arrival_matrix would place them).
     """
     network = scenario.network
+    wanted = np.maximum(np.asarray(mu, dtype=float), 0.0)
+    # the remaining backlog until the loop ends; C order, so that reshape(-1)
+    # below is a view
+    nxt = np.array(Z, dtype=float, order="C")
+    # every link belongs to exactly one rank, so the loop fills every row
+    sends = np.empty((scenario.n_links, scenario.n_sessions))
+    for links, tails in zip(network.out_links_by_rank, network.out_tails_by_rank):
+        avail = nxt.take(tails, axis=0)
+        take = np.minimum(wanted.take(links, axis=0), avail)
+        sends[links] = take
+        nxt[tails] = avail - take
     arrivals = np.asarray(arrivals, dtype=float)
     if arrivals.ndim == 1:
-        arrivals = arrival_matrix(scenario, arrivals)
-    wanted = np.maximum(np.asarray(mu, dtype=float), 0.0)
-    rem = np.array(Z, dtype=float)
-    sends = np.zeros((scenario.n_links, scenario.n_sessions))
-    for links in network.out_links_by_rank:
-        tails = network.tails[links]
-        avail = rem[tails]
-        take = np.minimum(wanted[links], avail)
-        sends[links] = take
-        rem[tails] = avail - take
-    nxt = rem + arrivals
+        nxt.reshape(-1)[scenario.src_entries] += arrivals
+    else:
+        nxt += arrivals
     # add.at adds in index order, so each (head, session) entry receives its
     # sends one link at a time, in ascending link order
     np.add.at(nxt.reshape(-1), scenario.head_entries, sends.ravel())

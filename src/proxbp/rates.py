@@ -53,15 +53,18 @@ def slope(p: RateProblem, x) -> float:
 def positive_quad_root(a, b, c):
     """Positive root of a*x^2 + b*x + c = 0 with a > 0, c < 0, avoiding
     cancellation for large positive b. Elementwise on arrays; a 0-d array for
-    scalar arguments."""
+    scalar arguments. b*b overflows for |b| > 1.3e154, and the caller decides
+    whether that warns."""
     bb = b * b
     disc = np.sqrt(bb - 4.0 * a * c)
     if np.isinf(bb).any():
         # hypot forms the same discriminant without b*b, so for b > 0 the tiny
         # root -2c / (b + disc) is not lost to 0
-        disc = np.where(np.isinf(bb) & (b > 0), np.hypot(b, 2.0 * np.sqrt(-a * c)), disc)
-    # |b| keeps the unused branch's denominator positive where b <= 0.
-    return np.where(b <= 0, (disc - b) / (2.0 * a), -2.0 * c / (np.abs(b) + disc))
+        disc = np.where(np.isinf(bb) & (b > 0.0), np.hypot(b, 2.0 * np.sqrt(-a * c)), disc)
+    # one division per lane: the numerator and denominator of its branch
+    low = b <= 0.0
+    return (np.where(low, disc - b, -2.0 * c)
+            / np.where(low, 2.0 * a, b + disc))
 
 
 def rate_root(is_wlog, weight, a, d):
@@ -74,11 +77,13 @@ def rate_root(is_wlog, weight, a, d):
     w/(1+x) = d + a*x gives a*x^2 + (a+d)*x + d - w = 0. Raises NumericError
     where the root is not finite.
     """
-    free = is_wlog | (weight - d > 0)
+    dw = d - weight
+    free = is_wlog | (dw < 0.0)
     b = np.where(is_wlog, d, a + d)
-    # pinned wlog1p lanes get c = 0, which keeps their discriminant b*b >= 0
-    c = np.where(is_wlog, -weight, np.minimum(d - weight, 0.0))
-    with np.errstate(over="ignore"):
+    c = np.where(is_wlog, -weight, dw)
+    # A pinned lane has c = d - w >= 0, so its discriminant may be negative;
+    # its root is discarded below.
+    with np.errstate(over="ignore", invalid="ignore"):
         x = np.where(free, positive_quad_root(a, b, c), 0.0)
     if not np.isfinite(x).all():
         raise NumericError("rate root is not finite")
@@ -92,17 +97,20 @@ def solve_rate(p: RateProblem) -> float:
                            p.pressure - two_alpha * p.x_prev))
 
 
-def solve_rates(is_wlog, weight, pressure, x_prev, alpha) -> np.ndarray:
+def solve_rates(is_wlog, weight, pressure, x_prev, a) -> np.ndarray:
     """solve_rate for many sources at once, all arguments (F,) arrays: is_wlog
-    picks the utility kind, weight its weight. Returns x (F,), bitwise equal
-    to solve_rate on each source, since both take rate_root with the slot's
-    a = 2*alpha and d = W - 2*alpha*x_prev.
+    picks the utility kind, weight its weight, and a = 2*alpha is the
+    curvature of the proximal term. Returns x (F,), bitwise equal to
+    solve_rate on each source, since both take rate_root with the slot's a and
+    d = W - a*x_prev.
     """
-    if not ((alpha > 0) & np.isfinite(alpha)).all():
-        raise ContractError("alpha must be positive")
-    if not ((x_prev >= 0) & np.isfinite(x_prev)).all():
-        raise ContractError("x_prev must lie in the domain closure")
-    if not np.isfinite(pressure).all():
+    a_ok = (a > 0.0) & (a < math.inf)
+    x_ok = (x_prev >= 0.0) & (x_prev < math.inf)
+    p_ok = np.isfinite(pressure)
+    if not (a_ok & x_ok & p_ok).all():
+        if not a_ok.all():
+            raise ContractError("alpha must be positive")
+        if not x_ok.all():
+            raise ContractError("x_prev must lie in the domain closure")
         raise ContractError("pressure must be finite")
-    two_alpha = 2.0 * alpha
-    return rate_root(is_wlog, weight, two_alpha, pressure - two_alpha * x_prev)
+    return rate_root(is_wlog, weight, a, pressure - a * x_prev)

@@ -189,6 +189,32 @@ def test_batched_slot_matches_scalar_reference(case):
     assert np.array_equal(nxt.Q, state.Q + P.residual_matrix(scenario, y.x, y.mu))
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=slot_cases())
+def test_state_carries_the_residual_of_its_decisions(case):
+    scenario, state, config = case
+    y, nxt = slot_update(state, scenario, config)
+    assert nxt.g.tobytes() == P.residual_matrix(scenario, y.x, y.mu).tobytes()
+    # the same state built by hand, without g and the run's constants
+    bare = P.BpState(nxt.Q, nxt.y_prev, nxt.t, nxt.W)
+    (y1, s1), (y2, s2) = slot_update(nxt, scenario, config), slot_update(bare, scenario, config)
+    for field in ("x", "mu"):
+        assert getattr(y1, field).tobytes() == getattr(y2, field).tobytes()
+    for field in ("Q", "W", "g"):
+        assert getattr(s1, field).tobytes() == getattr(s2, field).tobytes()
+
+
+def test_carried_constants_follow_the_config(sixnode):
+    # a state chain continued under another config must use that config's alpha
+    gap = P.AlgConfig(default_alpha(sixnode.network, "utility-gap"))
+    bound = P.AlgConfig(default_alpha(sixnode.network, "queue-bound"))
+    _, s = slot_update(initial_state(sixnode), sixnode, gap)
+    y, _ = slot_update(s, sixnode, bound)
+    ref, _ = slot_update(P.BpState(s.Q, s.y_prev, s.t, s.W), sixnode, bound)
+    assert y.x.tobytes() == ref.x.tobytes() and y.mu.tobytes() == ref.mu.tobytes()
+    assert s.consts.config is gap
+
+
 def test_slot_update_rejects_non_finite_weights(sixnode):
     cfg = P.AlgConfig(default_alpha(sixnode.network, "queue-bound"))
     s = initial_state(sixnode)

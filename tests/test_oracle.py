@@ -227,6 +227,21 @@ def test_failed_solve_reports_history(sixnode):
     assert str(err).endswith(str(rows[-1]))
 
 
+def test_oracle_fails_fast_once_the_gap_grows(sixnode):
+    # On sixnode the gap of a centering shrinks tenfold per centering down to
+    # about 4e-8 at t = 1e9 and then grows: the Newton system has lost
+    # precision. Waiting for m / t to pass tol / 100 took 13 centerings.
+    with pytest.raises(OracleError, match="the gap stopped shrinking") as info:
+        solve_centralized(sixnode, tol=1e-8)
+    err = info.value
+    gaps = [row[3] for row in err.history]
+    assert len(gaps) < 13
+    assert gaps[-3] < gaps[-2] < gaps[-1]
+    assert all(a > b for a, b in zip(gaps[:-2], gaps[1:-2]))
+    assert err.best_gap <= 3e-8
+    assert str(err).endswith(str(err.history[-1]))
+
+
 @pytest.mark.parametrize("n,sessions,seed", [(3, 4, 1), (5, 6, 1), (5, 6, 2)])
 def test_oracle_certifies_grids(n, sessions, seed):
     sc = P.parse_scenario(gridgen.grid_scenario(n, sessions, seed))

@@ -137,6 +137,19 @@ def test_project_rows_matches_project_sorted_per_row():
         for r in range(200):
             ref, _ = project_sorted(ProjectionInstance(a[r], b[r]))
             assert z[r].tobytes() == ref.tobytes()
+    # masked rows, mixing zeros, -0.0, negatives and ties; under 8 entries a
+    # row sums its clipped entries in the same order as its allowed entries
+    values = np.array([0.0, -0.0, -1.0, -0.5, 0.5, 0.5, 1.0, 2.0])
+    for k in (1, 2, 3, 5, 7):
+        a = rng.choice(values, (400, k))
+        mask = rng.uniform(size=(400, k)) < 0.6
+        b = rng.choice([0.05, 0.5, 1.0, 2.0, 50.0], 400)
+        z = project_rows(a, b, mask)
+        assert z[~mask].tobytes() == np.zeros(int((~mask).sum())).tobytes()
+        for r in range(400):
+            if mask[r].any():
+                ref, _ = project_sorted(ProjectionInstance(a[r, mask[r]], b[r]))
+                assert z[r, mask[r]].tobytes() == ref.tobytes()
 
 
 def test_project_rows_masks_entries_out():

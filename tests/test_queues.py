@@ -94,13 +94,15 @@ def _step_Z_scalar(Z, arrivals, mu, scenario):
 
 
 @st.composite
-def _z_steps(draw):
+def _z_steps(draw, vector_arrivals=(True, False)):
+    """(scenario, Z, arrivals, mu); arrivals are the (F,) source rates or,
+    where vector_arrivals draws False, an (N, F) matrix."""
     sc = draw(scenarios())
     n, f, l = sc.n_nodes, sc.n_sessions, sc.n_links
     coarse = draw(st.booleans())
     z = arrays(draw, (n, f), (0.0, 0.25, 1.0, 3.0), 0.0, 5.0, coarse)
     mu = arrays(draw, (l, f), (0.0, 0.5, 1.0, 2.0), 0.0, 3.0, coarse)
-    shape = draw(st.sampled_from(((f,), (n, f))))
+    shape = (f,) if draw(st.sampled_from(vector_arrivals)) else (n, f)
     arrivals = arrays(draw, shape, (0.0, 0.5, 1.0), 0.0, 2.0, coarse)
     return sc, z, arrivals, mu
 
@@ -113,6 +115,31 @@ def test_step_z_matches_scalar_reference(case):
     ref_nxt, ref_sends = _step_Z_scalar(z, arrivals, mu, sc)
     assert nxt.tobytes() == ref_nxt.tobytes()
     assert sends.tobytes() == ref_sends.tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=_z_steps(vector_arrivals=(True,)))
+def test_step_z_vector_arrivals_match_arrival_matrix(case):
+    sc, z, x, mu = case
+    nxt, sends = step_Z(z, x, mu, sc)
+    ref_nxt, ref_sends = step_Z(z, arrival_matrix(sc, x), mu, sc)
+    assert nxt.tobytes() == ref_nxt.tobytes()
+    assert sends.tobytes() == ref_sends.tobytes()
+
+
+def test_step_z_accepts_fortran_ordered_inputs(sixnode):
+    # the sends are added through a flat view of the next backlog, which must
+    # not be a copy whatever the memory layout of Z and of the arrivals
+    rng = np.random.default_rng(3)
+    z = rng.uniform(0.0, 2.0, (6, 2))
+    mu = rng.uniform(0.0, 1.0, (8, 2))
+    arr = arrival_matrix(sixnode, [0.3, 0.7])
+    ref_nxt, ref_sends = step_Z(z, arr, mu, sixnode)
+    for zf, af in ((np.asfortranarray(z), np.asfortranarray(arr)),
+                   (np.asfortranarray(z), np.array([0.3, 0.7]))):
+        nxt, sends = step_Z(zf, af, mu, sixnode)
+        assert nxt.tobytes() == ref_nxt.tobytes()
+        assert sends.tobytes() == ref_sends.tobytes()
 
 
 def test_step_triple_consistency(sixnode):

@@ -130,7 +130,7 @@ def test_solve_rates_matches_solve_rate():
     pressure = rng.normal(0.0, 10.0, n)
     x_prev = np.where(rng.uniform(size=n) < 0.1, 0.0, rng.uniform(0.0, 4.0, n))
     alpha = rng.uniform(0.05, 20.0, n)
-    x = solve_rates(is_wlog, weight, pressure, x_prev, alpha)
+    x = solve_rates(is_wlog, weight, pressure, x_prev, 2.0 * alpha)
     ref = [solve_rate(RateProblem(P.Utility("wlog" if w else "wlog1p", float(u)), float(p),
                                   float(xp), float(a)))
            for w, u, p, xp, a in zip(is_wlog, weight, pressure, x_prev, alpha)]
@@ -145,7 +145,7 @@ def test_solve_rates_contract_errors():
                                     (0.0, -1.0, 1.0), (0.0, math.inf, 1.0),
                                     (0.0, math.nan, 1.0), (0.0, 0.0, 0.0)):
         with pytest.raises(P.ContractError):
-            solve_rates(is_wlog, one, one * pressure, one * x_prev, one * alpha)
+            solve_rates(is_wlog, one, one * pressure, one * x_prev, 2.0 * one * alpha)
 
 
 def test_overflow_raises_in_both_solvers():
@@ -155,7 +155,7 @@ def test_overflow_raises_in_both_solvers():
     x = solve_rate(p)
     assert abs(slope(p, x)) <= 1e-12 * _stationarity_scale(p, x)
     assert solve_rates(np.array([True, False]), np.ones(2), np.array([0.0, -1e30]),
-                       np.zeros(2), np.ones(2))[1] == x
+                       np.zeros(2), 2.0 * np.ones(2))[1] == x
     # at +1e200, b*b overflows but the wlog root 1e-200 does not; a wlog1p
     # source is pinned at 0 there
     for is_wlog, root in ((True, 1e-200), (False, 0.0)):
@@ -163,14 +163,14 @@ def test_overflow_raises_in_both_solvers():
         x = solve_rate(RateProblem(P.Utility(kind, 1.0), 1e200, 0.0, 1.0))
         assert abs(x - root) <= 1e-15 * root
         assert solve_rates(np.array([True, is_wlog]), np.ones(2), np.array([0.0, 1e200]),
-                           np.zeros(2), np.ones(2))[1] == x
+                           np.zeros(2), 2.0 * np.ones(2))[1] == x
     # at -1e200 the root overflows, for either utility kind
     for kind in ("wlog", "wlog1p"):
         with pytest.raises(P.NumericError):
             solve_rate(RateProblem(P.Utility(kind, 1.0), -1e200, 0.0, 1.0))
         with pytest.raises(P.NumericError):
             solve_rates(np.array([True, kind == "wlog"]), np.ones(2), np.array([0.0, -1e200]),
-                        np.zeros(2), np.ones(2))
+                        np.zeros(2), 2.0 * np.ones(2))
 
 
 def _log_uniform(lo_exp, hi_exp):
