@@ -6,9 +6,9 @@ certified centralized solver."""
 from .net import (CAP_TOL, UTILITY_KINDS, ContractError, DecisionVector,
                   DomainError, Link, Network, NumericError, Scenario,
                   ScenarioFormatError, ScenarioValidationError, Session,
-                  Utility, load_scenario, parse_scenario, residual_matrix,
-                  save_scenario, serialize_scenario, total_utility,
-                  validate_decision, zero_decision)
+                  Utility, decision_faults, load_scenario, parse_scenario,
+                  residual_matrix, save_scenario, serialize_scenario,
+                  total_utility, validate_decision, zero_decision)
 from .projection import (ProjectionInstance, kkt_residual, project_bisect, project_rows,
                          project_sorted)
 from .rates import RateProblem, solve_rate, solve_rates
@@ -18,7 +18,7 @@ from .engine import (ALPHA_MODES, AlgConfig, BpState, compute_weights,
 from .queues import (ScriptedPolicy, ScriptedTrace, arrival_matrix,
                      audit_queue_bounds, run_scripted, step_Q, step_Y, step_Z,
                      validate_policy)
-from .dpp import DppConfig, DppState, dpp_initial_state, dpp_slot_update, dpp_source_rate, dpp_step
+from .dpp import DppConfig, dpp_slot_update
 from .oracle import (OracleError, OracleSolution, compute_zeta, dual_value,
                      load_solution, parse_solution, repair_feasible,
                      save_solution, serialize_solution, solve_centralized,

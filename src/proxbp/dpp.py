@@ -2,7 +2,7 @@
 
 Sources trade queue backlog against V times utility; every link grants its
 full capacity to the allowed session with the largest positive differential
-backlog. Decision queues are the clipped virtual family, kept nonnegative.
+backlog. Decisions read the clipped virtual queues Y, which the harness steps.
 """
 from __future__ import annotations
 
@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .net import ContractError, DecisionVector, Scenario, residual_matrix
-from .queues import step_Y
+from .net import ContractError, DecisionVector, Scenario
 
 
 @dataclass(frozen=True)
@@ -26,9 +25,9 @@ class DppConfig:
 
     def __post_init__(self):
         if not (float(self.V) > 0 and math.isfinite(self.V)):
-            raise ContractError(f"V must be positive, got {self.V!r}")
-        if self.x_max is not None and not (float(self.x_max) > 0):
-            raise ContractError(f"x_max must be positive, got {self.x_max!r}")
+            raise ContractError(f"V must be positive and finite, got {self.V!r}")
+        if self.x_max is not None and not (float(self.x_max) > 0 and math.isfinite(self.x_max)):
+            raise ContractError(f"x_max must be positive and finite, got {self.x_max!r}")
 
 
 def rate_caps(scenario: Scenario, config: DppConfig) -> np.ndarray:
@@ -37,25 +36,16 @@ def rate_caps(scenario: Scenario, config: DppConfig) -> np.ndarray:
     return scenario.src_out_cap.astype(float)
 
 
-def dpp_source_rate(utility, V: float, q: float, x_max: float) -> float:
-    """Maximize V*U(x) - q*x over [0, x_max] intersected with the domain.
-    The scalar reference of the source phase of dpp_slot_update."""
-    if q <= 0:
-        return x_max
-    if utility.kind == "wlog":
-        # V w / x = q, open domain keeps x > 0
-        return min(V * utility.weight / q, x_max)
-    # wlog1p: V w / (1 + x) = q, clamped at the boundaries
-    return min(max(V * utility.weight / q - 1.0, 0.0), x_max)
-
-
 def dpp_slot_update(Q, scenario: Scenario, config: DppConfig) -> DecisionVector:
-    """One slot of decisions from nonnegative decision queues Q (N, F).
+    """One slot of decisions from the clipped virtual queues Q (N, F), which
+    are nonnegative.
 
-    Sources follow dpp_source_rate elementwise. Each link grants its capacity
-    to the first allowed session of largest differential backlog
-    Q[tail] - Q[head] (the head entry counts as zero at the session's
-    destination), provided that differential is strictly positive.
+    Each source maximizes V U(x) - q x over [0, cap], q being its queue: the
+    cap when q <= 0, else V w / q for wlog and V w / q - 1 for wlog1p,
+    clamped to [0, cap]. Each link grants its capacity to the first allowed
+    session of largest differential backlog Q[tail] - Q[head] (the head entry
+    counts as zero at the session's destination), provided that differential
+    is strictly positive.
     """
     Q = np.asarray(Q, dtype=float)
     rate_cap = rate_caps(scenario, config)
@@ -77,19 +67,3 @@ def dpp_slot_update(Q, scenario: Scenario, config: DppConfig) -> DecisionVector:
     mu[grant, choice[grant] - 1] = network.caps[grant]
     return DecisionVector(x, mu)
 
-
-@dataclass(frozen=True, eq=False)
-class DppState:
-    Q: np.ndarray
-    t: int
-
-
-def dpp_initial_state(scenario: Scenario) -> DppState:
-    return DppState(np.zeros((scenario.n_nodes, scenario.n_sessions)), 0)
-
-
-def dpp_step(state: DppState, scenario: Scenario, config: DppConfig) -> tuple:
-    """Returns (decisions, next state). Queues advance by the clipped update."""
-    y = dpp_slot_update(state.Q, scenario, config)
-    q = step_Y(state.Q, residual_matrix(scenario, y.x, y.mu), scenario)
-    return y, DppState(q, state.t + 1)

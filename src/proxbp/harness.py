@@ -10,11 +10,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .net import (CAP_TOL, ContractError, DecisionVector, Link, Network, Scenario,
-                  ScenarioValidationError, Session, Utility, residual_matrix, total_utility,
-                  validate_decision)
+from .net import (ContractError, Link, Network, Scenario, Session, Utility, decision_faults,
+                  residual_matrix, total_utility)
 from .engine import AlgConfig, default_alpha, initial_state, slot_update
-from .dpp import DppConfig, dpp_initial_state, dpp_step
+from .dpp import DppConfig, dpp_slot_update
 from .queues import ScriptedPolicy, audit_queue_bounds, step_Q, step_Y, step_Z
 
 CSV_HEADER = "slot,alg,session,x,xbar,util_inst,util_avg,util_jensen,gap,maxQ,maxZ,maxY,lyapunov"
@@ -81,28 +80,43 @@ class Trace:
 
 def trace_from_csv(fh) -> Trace:
     """Rebuild the pinned columns of an emitted trace. Summary and the extra
-    in-memory fields are not part of the CSV and come back empty."""
+    in-memory fields are not part of the CSV and come back empty. A malformed
+    row raises a ContractError that names its line."""
+    n_fields = CSV_HEADER.count(",") + 1
     with _opened(fh, "r") as fh:
         header = fh.readline().strip()
         if header != CSV_HEADER:
             raise ContractError(f"unexpected CSV header {header!r}")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
+        rows = []
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            r = line.strip().split(",")
+            if len(r) != n_fields:
+                raise ContractError(
+                    f"trace CSV line {lineno}: expected {n_fields} fields, got {len(r)}")
+            try:
+                t, f = int(r[0]), int(r[2])
+                values = [float(v) for v in r[3:]]
+            except ValueError as e:
+                raise ContractError(f"trace CSV line {lineno}: {e}") from None
+            if t < 0 or f < 0:
+                raise ContractError(f"trace CSV line {lineno}: negative slot or session")
+            rows.append((t, r[1], f, values))
     if not rows:
         raise ContractError("trace CSV has no rows")
     alg = rows[0][1]
-    n_f = max(int(r[2]) for r in rows) + 1
-    n_t = max(int(r[0]) for r in rows) + 1
+    n_f = max(r[2] for r in rows) + 1
+    n_t = max(r[0] for r in rows) + 1
     x = np.zeros((n_t, n_f))
     xbar = np.zeros((n_t, n_f))
     # the Trace fields of the per-slot columns, in CSV order
     names = ("util_inst", "util_avg", "util_jensen", "gap", "maxQ", "maxZ", "maxY", "lyap")
     scal = {name: np.zeros(n_t) for name in names}
-    for r in rows:
-        t, f = int(r[0]), int(r[2])
-        x[t, f] = float(r[3])
-        xbar[t, f] = float(r[4])
-        for i, name in enumerate(names):
-            scal[name][t] = float(r[5 + i])
+    for t, _, f, values in rows:
+        x[t, f], xbar[t, f] = values[:2]
+        for name, v in zip(names, values[2:]):
+            scal[name][t] = v
     return Trace(alg=alg, x=x, xbar=xbar, **scal)
 
 
@@ -125,11 +139,10 @@ def run(scenario: Scenario, algorithm: str, config, slots: int, oracle=None) -> 
 
     The slot loop runs only the recursions and stores each slot's decisions,
     residual, queues and engine state in (chunk, ...) buffers; chunk_slots
-    sizes them to CHUNK_BYTES each. Once per chunk, array programs over the
-    buffers evaluate the checks and the per-slot metrics. Feasibility is
-    screened for the conditions of validate_decision, which then runs on the
-    flagged slots only and supplies their messages. Utilities are evaluated
-    after the loop.
+    sizes them to CHUNK_BYTES each. DPP decides from the loop's own clipped
+    queues Y. Once per chunk, array programs over the buffers evaluate the
+    checks and the per-slot metrics, feasibility by decision_faults.
+    Utilities are evaluated after the loop.
 
     Results land in trace.summary; summary["passed"] is the overall verdict.
     summary["first_violation"] maps each per-slot check to the (slot, value)
@@ -146,7 +159,7 @@ def run(scenario: Scenario, algorithm: str, config, slots: int, oracle=None) -> 
     prox = algorithm == "new"
     audit = _ChunkAudit(scenario, prox, slots)
     Y = Z = Q = np.zeros((scenario.n_nodes, scenario.n_sessions))
-    state = initial_state(scenario) if prox else dpp_initial_state(scenario)
+    state = initial_state(scenario) if prox else None
     x_hist = audit.x_hist
     buf_mu, buf_g, buf_Y, buf_Z, buf_Q = audit.mu, audit.g, audit.Y, audit.Z, audit.Q
     buf_W, buf_engine_Q = audit.W, audit.engine_Q
@@ -159,7 +172,7 @@ def run(scenario: Scenario, algorithm: str, config, slots: int, oracle=None) -> 
                 buf_W[i] = state.W
                 buf_engine_Q[i] = state.Q
             else:
-                y, state = dpp_step(state, scenario, config)
+                y = dpp_slot_update(Y, scenario, config)
             g = residual_matrix(scenario, y.x, y.mu)
             Y = step_Y(Y, g, scenario)
             Z, _ = step_Z(Z, y.x, y.mu, scenario)
@@ -291,15 +304,7 @@ class _ChunkAudit:
             checks["queue_consistency"][rows] = np.abs(self.engine_Q[:n] - Q).max(axis=(1, 2))
             self.engine_Q_last = eq[-2:].copy()
 
-        # feasibility: validate_decision names the fault of each flagged slot
-        flagged = ((x < 0).any(axis=1) | (mu < 0).any(axis=(1, 2))
-                   | (mu[:, ~sc.allow_mask] != 0).any(axis=1)
-                   | (mu.sum(axis=2) - sc.network.caps > CAP_TOL).any(axis=1))
-        for i in np.flatnonzero(flagged):
-            try:
-                validate_decision(sc, DecisionVector(x[i], mu[i]))
-            except ScenarioValidationError as e:
-                self.feas_failures.append((t0 + int(i), str(e)))
+        self.feas_failures += [(t0 + i, message) for i, message in decision_faults(sc, x, mu)]
 
 
 # ---------------------------------------------------------------------------

@@ -335,20 +335,39 @@ def zero_decision(scenario: Scenario) -> DecisionVector:
 CAP_TOL = 1e-9  # absolute slack for capacity feasibility checks
 
 
-def validate_decision(scenario: Scenario, y: DecisionVector, tol: float = CAP_TOL):
+def decision_faults(scenario: Scenario, x, mu) -> list:
+    """(slot, message) of each slot of the stacks x (T, F) and mu (T, L, F)
+    that breaks a per-slot set constraint, in slot order. A slot reports its
+    first fault: a negative rate, else a nonzero rate on a forbidden (link,
+    session) pair, else the first link whose load exceeds its capacity by
+    more than CAP_TOL."""
+    x = np.asarray(x, dtype=float)
+    mu = np.asarray(mu, dtype=float)
+    caps = scenario.network.caps
+    negative = (x < 0).any(axis=1) | (mu < 0).any(axis=(1, 2))
+    forbidden = (mu[:, ~scenario.allow_mask] != 0).any(axis=1)
+    load = mu.sum(axis=2)
+    over = load - caps > CAP_TOL
+    faults = []
+    for t in np.flatnonzero(negative | forbidden | over.any(axis=1)):
+        if negative[t]:
+            message = "negative rate in decision"
+        elif forbidden[t]:
+            message = "nonzero rate on a forbidden (link, session) pair"
+        else:
+            li = int(np.argmax(over[t]))
+            message = f"link {li} overloaded: load {load[t, li]!r} exceeds capacity {caps[li]!r}"
+        faults.append((int(t), message))
+    return faults
+
+
+def validate_decision(scenario: Scenario, y: DecisionVector):
     """Raise ScenarioValidationError unless y satisfies the per-slot set constraints."""
     if y.x.shape != (scenario.n_sessions,) or y.mu.shape != (scenario.n_links, scenario.n_sessions):
         raise ScenarioValidationError("decision shape does not match scenario")
-    if np.any(y.x < 0) or np.any(y.mu < 0):
-        raise ScenarioValidationError("negative rate in decision")
-    if np.any(y.mu[~scenario.allow_mask] != 0):
-        raise ScenarioValidationError("nonzero rate on a forbidden (link, session) pair")
-    load = y.mu.sum(axis=1)
-    over = load - scenario.network.caps
-    if np.any(over > tol):
-        li = int(np.argmax(over))
-        raise ScenarioValidationError(
-            f"link {li} overloaded: load {load[li]!r} exceeds capacity {scenario.network.caps[li]!r}")
+    faults = decision_faults(scenario, y.x[None], y.mu[None])
+    if faults:
+        raise ScenarioValidationError(faults[0][1])
 
 
 def residual_matrix(scenario: Scenario, x, mu) -> np.ndarray:

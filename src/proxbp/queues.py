@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import net
-from .net import ContractError, Scenario, ScenarioValidationError, residual_matrix
+from .net import (CAP_TOL, ContractError, Scenario, ScenarioValidationError, decision_faults,
+                  residual_matrix)
 
 
 def arrival_matrix(scenario: Scenario, x) -> np.ndarray:
@@ -113,9 +113,9 @@ class ScriptedPolicy:
         return self.arrivals.shape[0]
 
 
-def validate_policy(scenario: Scenario, policy: ScriptedPolicy, tol: float = net.CAP_TOL):
-    """Raise unless the policy fits the scenario: shapes, nonnegativity,
-    allow-sets, capacities, and no arrivals at destinations."""
+def validate_policy(scenario: Scenario, policy: ScriptedPolicy):
+    """Raise unless the policy fits the scenario: shapes, nonnegative arrivals
+    that skip the destinations, and schedules that pass decision_faults."""
     n, f, l = scenario.n_nodes, scenario.n_sessions, scenario.n_links
     if policy.arrivals.shape[1:] != (n, f) or policy.mu.shape[1:] != (l, f):
         raise ScenarioValidationError("policy shapes do not match the scenario")
@@ -123,17 +123,12 @@ def validate_policy(scenario: Scenario, policy: ScriptedPolicy, tol: float = net
         raise ScenarioValidationError("negative exogenous arrival")
     if np.any(policy.arrivals[:, ~scenario.active] != 0):
         raise ScenarioValidationError("exogenous arrival at a session destination")
+    no_rates = np.zeros((policy.slots, f))  # the schedules carry no source rates
     for name, sched in (("mu", policy.mu), ("mu_instant", policy.mu_instant)):
-        if np.any(sched < 0):
-            raise ScenarioValidationError(f"{name} has a negative rate")
-        if np.any(sched[:, ~scenario.allow_mask] != 0):
-            raise ScenarioValidationError(f"{name} uses a forbidden (link, session) pair")
-        load = sched.sum(axis=2)
-        over = load - scenario.network.caps[None, :]
-        if np.any(over > tol):
-            t, li = np.unravel_index(int(np.argmax(over)), over.shape)
-            raise ScenarioValidationError(
-                f"{name} overloads link {li} at slot {t}: load {load[t, li]!r}")
+        faults = decision_faults(scenario, no_rates, sched)
+        if faults:
+            t, message = faults[0]
+            raise ScenarioValidationError(f"{name} at slot {t}: {message}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,9 +142,8 @@ class ScriptedTrace:
     sends: np.ndarray  # (T, L, F) actual physical transfers
 
 
-def run_scripted(scenario: Scenario, policy: ScriptedPolicy, validate: bool = True) -> ScriptedTrace:
-    if validate:
-        validate_policy(scenario, policy)
+def run_scripted(scenario: Scenario, policy: ScriptedPolicy) -> ScriptedTrace:
+    validate_policy(scenario, policy)
     t_max = policy.slots
     shape = (scenario.n_nodes, scenario.n_sessions)
     y_hist = np.zeros((t_max + 1,) + shape)
@@ -169,7 +163,7 @@ def run_scripted(scenario: Scenario, policy: ScriptedPolicy, validate: bool = Tr
 # bound transfer audit
 
 
-def audit_queue_bounds(Y, Z, B: float, scenario: Scenario, tol: float = net.CAP_TOL) -> list:
+def audit_queue_bounds(Y, Z, B: float, scenario: Scenario) -> list:
     """Check the bound transfer: if the signed queues stayed within |Q| <= B
     under some decision stream, then both the clipped and the physical queues
     must stay below 2B + sum of outgoing capacities at every (slot, node,
@@ -184,7 +178,7 @@ def audit_queue_bounds(Y, Z, B: float, scenario: Scenario, tol: float = net.CAP_
     out = []
     for name, fam in (("Y", Y), ("Z", Z)):
         fam = np.asarray(fam, dtype=float)
-        bad = np.argwhere(fam > limit[None, :, :] + tol)
+        bad = np.argwhere(fam > limit[None, :, :] + CAP_TOL)
         for t, n, f in bad:
             out.append((int(t), name, int(n), int(f), float(fam[t, n, f]), float(limit[n, 0])))
     return out

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from proxbp.dpp import dpp_initial_state, dpp_step
+from proxbp.dpp import dpp_slot_update
 from proxbp.engine import initial_state, slot_update
 from proxbp.harness import (DRIFT_IDENTITY_TOL, TELESCOPE_TOL, WEIGHT_IDENTITY_TOL, Trace)
 from proxbp.net import ScenarioValidationError, residual_matrix, total_utility, validate_decision
@@ -37,7 +37,8 @@ def run_per_slot(scenario, algorithm, config, slots, oracle=None) -> Trace:
     peak_Z = np.zeros((n_n, n_f))
     lyap_after = 0.0
 
-    state = initial_state(scenario) if algorithm == "new" else dpp_initial_state(scenario)
+    state = initial_state(scenario) if algorithm == "new" else None
+    dpp_Q = np.zeros((n_n, n_f))  # DPP's own clipped queues, stepped apart from Y
     q_prev = None
 
     for t in range(slots):
@@ -50,7 +51,8 @@ def run_per_slot(scenario, algorithm, config, slots, oracle=None) -> Trace:
                 weight_err = max(weight_err, float(np.max(np.abs(state.W - ident))))
             q_prev = q_now
         else:
-            y, state = dpp_step(state, scenario, config)
+            y = dpp_slot_update(dpp_Q, scenario, config)
+            dpp_Q = step_Y(dpp_Q, residual_matrix(scenario, y.x, y.mu), scenario)
 
         g = residual_matrix(scenario, y.x, y.mu)
         q_before = Q

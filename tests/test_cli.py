@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import proxbp as P
+from proxbp import cli
 from proxbp.cli import main, parse_plan
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
@@ -33,6 +34,19 @@ def test_run_dpp_flags(tmp_path):
     assert code == 0
     tr = P.trace_from_csv(str(out))
     assert float(tr.x.max()) <= 0.5 + 1e-12
+
+
+def test_run_rejects_infinite_x_max_before_any_slot(tmp_path, capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("run started")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    out = tmp_path / "d.csv"
+    code = main(["run", "--scenario", SINGLE, "--alg", "dpp", "--x-max", "inf",
+                 "--slots", "20", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("proxbp: x_max must be positive and finite")
+    assert not out.exists()
 
 
 def test_oracle_round_trips_through_cli(tmp_path):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +7,19 @@ from hypothesis import strategies as st
 from strategies import arrays, scenarios
 
 import proxbp as P
-from proxbp.dpp import (DppConfig, dpp_initial_state, dpp_slot_update, dpp_source_rate, dpp_step,
-                        rate_caps)
+from proxbp.dpp import DppConfig, dpp_slot_update, rate_caps
+
+
+def dpp_source_rate(utility, V: float, q: float, x_max: float) -> float:
+    """Maximize V*U(x) - q*x over [0, x_max] intersected with the domain.
+    The scalar reference of the source phase of dpp_slot_update."""
+    if q <= 0:
+        return x_max
+    if utility.kind == "wlog":
+        # V w / x = q, open domain keeps x > 0
+        return min(V * utility.weight / q, x_max)
+    # wlog1p: V w / (1 + x) = q, clamped at the boundaries
+    return min(max(V * utility.weight / q - 1.0, 0.0), x_max)
 
 
 def test_source_rate_rules():
@@ -63,12 +76,19 @@ def test_default_rate_cap_is_source_out_capacity(sixnode):
     assert list(y.x) == [0.75, 0.75]
 
 
+def _advance(Y, scenario, config):
+    """One DPP slot as the harness runs it: decide from the clipped queues Y,
+    then step Y by the decisions' residual."""
+    y = dpp_slot_update(Y, scenario, config)
+    return y, P.step_Y(Y, P.residual_matrix(scenario, y.x, y.mu), scenario)
+
+
 def test_decision_queues_stay_nonnegative(sixnode):
     cfg = DppConfig(V=25.0)
-    s = dpp_initial_state(sixnode)
+    Y = np.zeros((6, 2))
     for _ in range(200):
-        y, s = dpp_step(s, sixnode, cfg)
-        assert np.all(s.Q >= 0)
+        y, Y = _advance(Y, sixnode, cfg)
+        assert np.all(Y >= 0)
         P.validate_decision(sixnode, y)
 
 
@@ -76,11 +96,11 @@ def test_higher_v_means_higher_queues(sixnode):
     masses = []
     for v in (10.0, 100.0):
         cfg = DppConfig(V=v)
-        s = dpp_initial_state(sixnode)
+        Y = np.zeros((6, 2))
         tot = 0.0
         for _ in range(800):
-            _, s = dpp_step(s, sixnode, cfg)
-            tot += float(s.Q.sum())
+            _, Y = _advance(Y, sixnode, cfg)
+            tot += float(Y.sum())
         masses.append(tot)
     assert masses[1] > masses[0]
 
@@ -90,6 +110,9 @@ def test_config_validation():
         DppConfig(V=0.0)
     with pytest.raises(P.ContractError):
         DppConfig(V=1.0, x_max=-2.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(P.ContractError, match="x_max"):
+            DppConfig(V=1.0, x_max=bad)
 
 
 def _dpp_slot_scalar(Q, scenario, config):

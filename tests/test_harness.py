@@ -111,6 +111,21 @@ def test_rejects_bad_arguments(singlelink):
         trace_from_csv(io.StringIO("slot,alg\n"))
 
 
+_ROW = "0,new,0," + ",".join(["1.0"] * 10)
+
+
+@pytest.mark.parametrize("row, message", [
+    ("0,new,0,abc", "trace CSV line 3: expected 13 fields, got 4"),
+    ("0,new,0,abc" + _ROW[11:], "trace CSV line 3: could not convert string to float: 'abc'"),
+    ("s" + _ROW[1:], "trace CSV line 3: invalid literal for int()"),
+    ("-1" + _ROW[1:], "trace CSV line 3: negative slot or session"),
+])
+def test_trace_from_csv_names_the_bad_line(row, message):
+    with pytest.raises(P.ContractError) as err:
+        trace_from_csv(io.StringIO(f"{CSV_HEADER}\n{_ROW}\n{row}\n"))
+    assert str(err.value).startswith(message)
+
+
 def test_queue_mass_is_tail_average():
     tr = P.run(P.parse_scenario("nodes 2\nlink 0 1 1.0\nsession 0 0 1 wlog 1.0\n"),
                "dpp", P.DppConfig(V=5.0), 100)

@@ -2,6 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from strategies import arrays, scenarios
 
 import proxbp as P
 
@@ -197,6 +201,72 @@ def test_validate_decision_forbidden_pair(relay):
     bad_mu[1, 1] = 0.1
     with pytest.raises(P.ScenarioValidationError):
         P.validate_decision(restricted, P.DecisionVector(np.array([0.0, 0.0]), bad_mu))
+
+
+def _slot_faults(scenario, x, mu):
+    """Scalar reference for decision_faults: each slot checked on its own,
+    entry by entry and then link by link."""
+    faults = []
+    for t in range(x.shape[0]):
+        message = None
+        if any(v < 0 for v in x[t]) or any(v < 0 for v in mu[t].ravel()):
+            message = "negative rate in decision"
+        elif any(mu[t, l, f] != 0 for l in range(scenario.n_links)
+                 for f in range(scenario.n_sessions) if f not in scenario.allowed[l]):
+            message = "nonzero rate on a forbidden (link, session) pair"
+        else:
+            for l, link in enumerate(scenario.network.links):
+                load, cap = mu[t, l].sum(), np.float64(link.capacity)
+                if load - cap > P.CAP_TOL:
+                    message = f"link {l} overloaded: load {load!r} exceeds capacity {cap!r}"
+                    break
+        if message is not None:
+            faults.append((t, message))
+    return faults
+
+
+@st.composite
+def _decision_stacks(draw):
+    """(scenario, x (T, F), mu (T, L, F)): feasible slots, then per slot a
+    random mix of a negative source rate, a negative link rate, a nonzero
+    entry at a random (link, session) pair and an overload of a random link
+    by about CAP_TOL or more."""
+    sc = draw(scenarios())
+    n_t, n_l, n_f = draw(st.integers(1, 6)), sc.n_links, sc.n_sessions
+    coarse = draw(st.booleans())
+    x = arrays(draw, (n_t, n_f), (0.0, -0.0, 0.5, 1.0), 0.0, 2.0, coarse)
+    share = arrays(draw, (n_t, n_l, n_f), (0.0, -0.0, 0.25, 1.0), 0.0, 1.0, coarse)
+    caps = sc.network.caps
+    mu = share * sc.allow_mask * (caps[:, None] / n_f)
+    codes = draw(hnp.arrays(np.int64, (n_t, 5), elements=st.integers(0, 1 << 20)))
+    for t, (kind, l, f, g, d) in enumerate(codes.tolist()):
+        l, f, g = l % n_l, f % n_f, g % n_f
+        if kind & 1:
+            x[t, f] = -0.5
+        if kind & 2:
+            mu[t, l, g] = -1e-12
+        if kind & 4:
+            mu[t, (l + d) % n_l, g] += 0.125
+        if kind & 8:
+            mu[t, l, f] += caps[l] + (0.5e-9, 1e-9, 2e-9, 1.0)[d % 4]
+    return sc, x, mu
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_decision_stacks())
+def test_decision_faults_match_the_per_slot_check(case):
+    sc, x, mu = case
+    faults = P.decision_faults(sc, x, mu)
+    assert faults == _slot_faults(sc, x, mu)
+    messages = dict(faults)
+    for t in range(x.shape[0]):
+        y = P.DecisionVector(x[t], mu[t])
+        if t in messages:
+            with pytest.raises(P.ScenarioValidationError) as err:
+                P.validate_decision(sc, y)
+            assert str(err.value) == messages[t]
+        else:
+            P.validate_decision(sc, y)
 
 
 # --- scenario document format ---

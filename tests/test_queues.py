@@ -170,8 +170,13 @@ def test_scripted_policy_validation(relay):
         validate_policy(relay, ScriptedPolicy(bad, mu, mu))
     over = mu.copy()
     over[1, 1, 0] = 0.75  # capacity of the second link is 0.5
-    with pytest.raises(P.ScenarioValidationError):
+    with pytest.raises(P.ScenarioValidationError, match=r"^mu at slot 1: link 1 overloaded"):
         validate_policy(relay, ScriptedPolicy(arr, over, mu))
+    negative = mu.copy()
+    negative[2, 0, 0] = -0.25
+    with pytest.raises(P.ScenarioValidationError,
+                       match=r"^mu_instant at slot 2: negative rate in decision$"):
+        validate_policy(relay, ScriptedPolicy(arr, mu, negative))
     with pytest.raises(P.ScenarioValidationError):
         ScriptedPolicy(np.zeros((2, 3, 1)), mu, mu)
 
