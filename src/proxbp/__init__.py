@@ -9,15 +9,12 @@ from .net import (CAP_TOL, UTILITY_KINDS, ContractError, DecisionVector,
                   Utility, decision_faults, load_scenario, parse_scenario,
                   residual_matrix, save_scenario, serialize_scenario,
                   total_utility, validate_decision, zero_decision)
-from .projection import (ProjectionInstance, kkt_residual, project_bisect, project_rows,
-                         project_sorted)
+from .projection import ProjectionInstance, project_rows, project_sorted
 from .rates import RateProblem, solve_rate, solve_rates
 from .engine import (ALPHA_MODES, AlgConfig, BpState, compute_weights,
-                     default_alpha, initial_state, link_update, lyapunov,
-                     slot_update)
-from .queues import (ScriptedPolicy, ScriptedTrace, arrival_matrix,
-                     audit_queue_bounds, run_scripted, step_Q, step_Y, step_Z,
-                     validate_policy)
+                     default_alpha, initial_state, link_update, slot_update)
+from .queues import (ScriptedPolicy, ScriptedTrace, audit_queue_bounds, run_scripted,
+                     step_Q, step_Y, step_Z, validate_policy)
 from .dpp import DppConfig, dpp_slot_update
 from .oracle import (OracleError, OracleSolution, compute_zeta, dual_value,
                      load_solution, parse_solution, repair_feasible,

@@ -149,9 +149,6 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    if args.k < 1:
-        print("gen chain: --k must be positive", file=sys.stderr)
-        return 1
     scenario, policy = chain_example(args.k, slots=args.slots)
     os.makedirs(args.out_dir, exist_ok=True)
     net_path = os.path.join(args.out_dir, f"chain{args.k}.net")

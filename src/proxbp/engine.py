@@ -153,8 +153,3 @@ def slot_update(state: BpState, scenario: Scenario, config: AlgConfig) -> tuple:
     q = state.Q + g
     q.setflags(write=False)
     return y, BpState(q, y, state.t + 1, W, g, consts)
-
-
-def lyapunov(state: BpState) -> float:
-    """L(t) = half the squared norm of the signed virtual queues."""
-    return 0.5 * float(np.sum(state.Q * state.Q))

@@ -3,7 +3,6 @@ emission, the adversarial chain generator, and multi-run comparison."""
 from __future__ import annotations
 
 import contextlib
-import io
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -71,11 +70,6 @@ class Trace:
                 tail = ",".join(map(repr, cells))
                 fh.write("".join(f"{t},{self.alg},{f},{a!r},{b!r},{tail}\n"
                                  for f, (a, b) in enumerate(zip(xs, xbars))))
-
-    def csv_text(self) -> str:
-        buf = io.StringIO()
-        self.to_csv(buf)
-        return buf.getvalue()
 
 
 def trace_from_csv(fh) -> Trace:
@@ -157,6 +151,10 @@ def run(scenario: Scenario, algorithm: str, config, slots: int, oracle=None) -> 
     if algorithm not in ("new", "dpp"):
         raise ContractError(f"algorithm must be 'new' or 'dpp', got {algorithm!r}")
     prox = algorithm == "new"
+    config_type = AlgConfig if prox else DppConfig
+    if not isinstance(config, config_type):
+        raise ContractError(f"algorithm {algorithm!r} takes config type "
+                            f"{config_type.__name__}, got {type(config).__name__}")
     audit = _ChunkAudit(scenario, prox, slots)
     Y = Z = Q = np.zeros((scenario.n_nodes, scenario.n_sessions))
     state = initial_state(scenario) if prox else None

@@ -69,11 +69,6 @@ class Utility:
             raise ScenarioValidationError(f"utility weight must be positive, got {self.weight!r}")
         object.__setattr__(self, "weight", w)
 
-    @property
-    def open_at_zero(self) -> bool:
-        # wlog diverges at 0+, so 0 itself is outside the domain
-        return self.kind == "wlog"
-
     def value(self, x) -> float:
         x = float(x)
         if self.kind == "wlog":
@@ -83,16 +78,6 @@ class Utility:
         if x < 0:
             raise DomainError(f"wlog1p utility undefined at x={x}")
         return self.weight * math.log1p(x)
-
-    def derivative(self, x) -> float:
-        x = float(x)
-        if self.kind == "wlog":
-            if x <= 0:
-                raise DomainError(f"wlog derivative undefined at x={x}")
-            return self.weight / x
-        if x < 0:
-            raise DomainError(f"wlog1p derivative undefined at x={x}")
-        return self.weight / (1.0 + x)
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,9 @@
 Solves min 0.5*||z - a||^2 subject to z >= 0, sum(z) <= b, the inner step of
 every link update. The optimum is a soft threshold z_k = max(0, a_k - theta)
 with a water level theta >= 0 chosen so the budget holds with complementary
-slackness. Two independent solvers are provided (sort-based exact and
-bisection) plus a KKT residual evaluator used to cross-check them.
-project_rows is the sort-based solver applied to every row of a matrix at
-once, the link phase of a slot; project_sorted is its scalar reference.
+slackness, found by a descending sort and prefix scan. project_rows applies
+it to every row of a matrix at once, the link phase of a slot;
+project_sorted is its scalar reference.
 """
 from __future__ import annotations
 
@@ -102,53 +101,3 @@ def project_rows(a, b, mask) -> np.ndarray:
     theta = np.maximum(theta_candidates.take(last), 0.0)
     z[tight] = np.maximum(at - theta[:, None], 0.0)
     return z
-
-
-def project_bisect(inst: ProjectionInstance, tol: float = 1e-10) -> tuple:
-    """Projection via bisection on the water level. Stops when
-    |sum(max(0, a - theta)) - b| <= tol; raises NumericError after 200 halvings.
-    """
-    if not (tol > 0):
-        raise ContractError(f"tol must be positive, got {tol!r}")
-    a = inst.a
-    b = inst.b
-    clipped = np.maximum(a, 0.0)
-    if clipped.sum() <= b:
-        return clipped, 0.0
-    lo, hi = 0.0, float(a.max())
-    theta = hi
-    for _ in range(200):
-        theta = 0.5 * (lo + hi)
-        excess = np.maximum(a - theta, 0.0).sum() - b
-        if abs(excess) <= tol:
-            return np.maximum(a - theta, 0.0), theta
-        if excess > 0:
-            lo = theta
-        else:
-            hi = theta
-    raise NumericError(f"projection bisection did not reach tol={tol} in 200 iterations")
-
-
-def kkt_residual(inst: ProjectionInstance, z, theta: float) -> float:
-    """Max violation of the optimality system for (z, theta). Zero iff optimal.
-
-    Checks primal feasibility, dual feasibility, stationarity (the implied
-    nonnegativity multiplier nu = z - a + theta must be >= 0), and both
-    complementary-slackness products.
-    """
-    a = inst.a
-    z = np.asarray(z, dtype=float)
-    if z.shape != a.shape:
-        raise ContractError(f"z shape {z.shape} does not match a shape {a.shape}")
-    theta = float(theta)
-    nu = z - a + theta
-    slack = float(z.sum()) - inst.b
-    worst = max(
-        max(slack, 0.0),              # budget
-        float(np.max(-z)),            # z >= 0
-        max(-theta, 0.0),             # theta >= 0
-        float(np.max(-nu)),           # nu >= 0
-        float(np.max(np.abs(z * nu))),  # nu_k z_k = 0
-        abs(theta * slack),           # theta (sum z - b) = 0
-    )
-    return max(worst, 0.0)

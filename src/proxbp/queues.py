@@ -17,13 +17,6 @@ from .net import (CAP_TOL, ContractError, Scenario, ScenarioValidationError, dec
                   residual_matrix)
 
 
-def arrival_matrix(scenario: Scenario, x) -> np.ndarray:
-    """Scatter per-session source rates into an (N, F) exogenous-arrival matrix."""
-    m = np.zeros((scenario.n_nodes, scenario.n_sessions))
-    m.put(scenario.src_entries, np.asarray(x, dtype=float))
-    return m
-
-
 def step_Y(Y, g, scenario: Scenario) -> np.ndarray:
     """Clipped virtual queues: add the slot's flow residual g (N, F), as
     returned by residual_matrix, so everything prescribed counts; then clip
@@ -48,7 +41,7 @@ def step_Z(Z, arrivals, mu, scenario: Scenario) -> tuple:
     k-th out-links of all nodes are served together, one rank at a time.
 
     arrivals is an (N, F) matrix or the (F,) source rates, which join at each
-    session's source entry (as arrival_matrix would place them).
+    session's source entry.
     """
     network = scenario.network
     wanted = np.maximum(np.asarray(mu, dtype=float), 0.0)
@@ -136,10 +129,9 @@ class ScriptedTrace:
     """Queue histories under a scripted policy. State index 0 is the empty start,
     index t is the state after t steps; Y follows mu_instant, Z and Q follow mu."""
 
-    Y: np.ndarray      # (T+1, N, F)
-    Z: np.ndarray      # (T+1, N, F)
-    Q: np.ndarray      # (T+1, N, F)
-    sends: np.ndarray  # (T, L, F) actual physical transfers
+    Y: np.ndarray  # (T+1, N, F)
+    Z: np.ndarray  # (T+1, N, F)
+    Q: np.ndarray  # (T+1, N, F)
 
 
 def run_scripted(scenario: Scenario, policy: ScriptedPolicy) -> ScriptedTrace:
@@ -149,14 +141,13 @@ def run_scripted(scenario: Scenario, policy: ScriptedPolicy) -> ScriptedTrace:
     y_hist = np.zeros((t_max + 1,) + shape)
     z_hist = np.zeros((t_max + 1,) + shape)
     q_hist = np.zeros((t_max + 1,) + shape)
-    sends = np.zeros((t_max, scenario.n_links, scenario.n_sessions))
     for t in range(t_max):
         arr = policy.arrivals[t]
         y_hist[t + 1] = step_Y(y_hist[t], residual_matrix(scenario, arr, policy.mu_instant[t]),
                                scenario)
-        z_hist[t + 1], sends[t] = step_Z(z_hist[t], arr, policy.mu[t], scenario)
+        z_hist[t + 1], _ = step_Z(z_hist[t], arr, policy.mu[t], scenario)
         q_hist[t + 1] = step_Q(q_hist[t], residual_matrix(scenario, arr, policy.mu[t]))
-    return ScriptedTrace(y_hist, z_hist, q_hist, sends)
+    return ScriptedTrace(y_hist, z_hist, q_hist)
 
 
 # ---------------------------------------------------------------------------

@@ -39,17 +39,6 @@ class RateProblem:
         object.__setattr__(self, "alpha", float(self.alpha))
 
 
-def objective(p: RateProblem, x) -> float:
-    x = float(x)
-    return p.utility.value(x) - p.pressure * x - p.alpha * (x - p.x_prev) ** 2
-
-
-def slope(p: RateProblem, x) -> float:
-    """h(x), the derivative of the slot objective. Strictly decreasing."""
-    x = float(x)
-    return p.utility.derivative(x) - p.pressure - 2.0 * p.alpha * (x - p.x_prev)
-
-
 def positive_quad_root(a, b, c):
     """Positive root of a*x^2 + b*x + c = 0 with a > 0, c < 0, avoiding
     cancellation for large positive b. Elementwise on arrays; a 0-d array for

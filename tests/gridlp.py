@@ -69,8 +69,9 @@ def grid_best_utility(scenario, step=1e-2):
         grid = np.arange(step, top + 1e-12, step)
         return max(P.total_utility(scenario, [g]) for g in grid)
     best = -math.inf
-    open0 = scenario.sessions[0].utility.open_at_zero
-    open1 = scenario.sessions[1].utility.open_at_zero
+    # wlog diverges at 0, so the zero rate is outside its domain
+    open0 = scenario.sessions[0].utility.kind == "wlog"
+    open1 = scenario.sessions[1].utility.kind == "wlog"
     top1 = max_rate_lp(scenario, 1, [0.0, 0.0])
     b_axis = list(np.arange(step, top1 + 1e-12, step))
     if not open1:
@@ -117,7 +118,8 @@ def kelley_bracket(scenario, width=1e-8, rounds=100):
 
     def add_cuts(x):
         for f, s in enumerate(scenario.sessions):
-            d = s.utility.derivative(x[f])
+            u = s.utility
+            d = u.weight / x[f] if u.kind == "wlog" else u.weight / (1.0 + x[f])
             row = np.zeros((1, n_var))
             row[0, iu[f]] = 1.0
             row[0, ix[f]] = -d

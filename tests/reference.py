@@ -1,6 +1,13 @@
-"""Per-slot reference of harness.run: every check and metric is evaluated
-inside the slot loop, one slot at a time. The parity tests hold the chunked
-harness to this loop's traces and summaries, bit for bit."""
+"""Reference implementations the tests hold the library to.
+
+run_per_slot is harness.run with every check and metric evaluated inside the
+slot loop, one slot at a time; the parity tests hold the chunked harness to
+its traces and summaries, bit for bit. project_bisect and kkt_residual check
+the capped-simplex projection independently of its sort-based solvers;
+objective and slope write out a source's slot problem for the rate solvers;
+arrival_matrix scatters source rates the way residual_matrix and step_Z
+place them.
+"""
 import math
 
 import numpy as np
@@ -8,8 +15,82 @@ import numpy as np
 from proxbp.dpp import dpp_slot_update
 from proxbp.engine import initial_state, slot_update
 from proxbp.harness import (DRIFT_IDENTITY_TOL, TELESCOPE_TOL, WEIGHT_IDENTITY_TOL, Trace)
-from proxbp.net import ScenarioValidationError, residual_matrix, total_utility, validate_decision
+from proxbp.net import (ContractError, NumericError, ScenarioValidationError, residual_matrix,
+                        total_utility, validate_decision)
 from proxbp.queues import audit_queue_bounds, step_Q, step_Y, step_Z
+
+
+def project_bisect(inst, tol: float = 1e-10) -> tuple:
+    """Projection of a ProjectionInstance via bisection on the water level.
+    Stops when |sum(max(0, a - theta)) - b| <= tol; raises NumericError after
+    200 halvings."""
+    if not (tol > 0):
+        raise ContractError(f"tol must be positive, got {tol!r}")
+    a = inst.a
+    b = inst.b
+    clipped = np.maximum(a, 0.0)
+    if clipped.sum() <= b:
+        return clipped, 0.0
+    lo, hi = 0.0, float(a.max())
+    theta = hi
+    for _ in range(200):
+        theta = 0.5 * (lo + hi)
+        excess = np.maximum(a - theta, 0.0).sum() - b
+        if abs(excess) <= tol:
+            return np.maximum(a - theta, 0.0), theta
+        if excess > 0:
+            lo = theta
+        else:
+            hi = theta
+    raise NumericError(f"projection bisection did not reach tol={tol} in 200 iterations")
+
+
+def kkt_residual(inst, z, theta: float) -> float:
+    """Max violation of the projection's optimality system for (z, theta).
+    Zero iff optimal.
+
+    Checks primal feasibility, dual feasibility, stationarity (the implied
+    nonnegativity multiplier nu = z - a + theta must be >= 0), and both
+    complementary-slackness products.
+    """
+    a = inst.a
+    z = np.asarray(z, dtype=float)
+    if z.shape != a.shape:
+        raise ContractError(f"z shape {z.shape} does not match a shape {a.shape}")
+    theta = float(theta)
+    nu = z - a + theta
+    slack = float(z.sum()) - inst.b
+    worst = max(
+        max(slack, 0.0),              # budget
+        float(np.max(-z)),            # z >= 0
+        max(-theta, 0.0),             # theta >= 0
+        float(np.max(-nu)),           # nu >= 0
+        float(np.max(np.abs(z * nu))),  # nu_k z_k = 0
+        abs(theta * slack),           # theta (sum z - b) = 0
+    )
+    return max(worst, 0.0)
+
+
+def objective(p, x) -> float:
+    """U(x) - W*x - alpha*(x - x_prev)^2 for the RateProblem p."""
+    x = float(x)
+    return p.utility.value(x) - p.pressure * x - p.alpha * (x - p.x_prev) ** 2
+
+
+def slope(p, x) -> float:
+    """h(x), the derivative of the slot objective of the RateProblem p.
+    Strictly decreasing. U'(x) is w/x for wlog and w/(1+x) for wlog1p."""
+    x = float(x)
+    u = p.utility
+    du = u.weight / x if u.kind == "wlog" else u.weight / (1.0 + x)
+    return du - p.pressure - 2.0 * p.alpha * (x - p.x_prev)
+
+
+def arrival_matrix(scenario, x) -> np.ndarray:
+    """Scatter per-session source rates into an (N, F) exogenous-arrival matrix."""
+    m = np.zeros((scenario.n_nodes, scenario.n_sessions))
+    m.put(scenario.src_entries, np.asarray(x, dtype=float))
+    return m
 
 
 def run_per_slot(scenario, algorithm, config, slots, oracle=None) -> Trace:

@@ -12,10 +12,11 @@ import time
 
 import numpy as np
 from gridlp import grid_best_utility
+from reference import kkt_residual, project_bisect
+from reference import objective as rate_objective
+from reference import slope as rate_slope
 
 import proxbp as P
-from proxbp.rates import objective as rate_objective
-from proxbp.rates import slope as rate_slope
 
 GRID_STEP = 1e-2
 
@@ -55,26 +56,47 @@ def _best_grid_distance(a, b, z_star, offsets):
     return float(dist[feas].min())
 
 
+def _project_ragged(rows, budgets):
+    """project_rows on vectors of unequal length: one call on the rows padded
+    to a common width, the padding masked out. Returns the projected rows."""
+    sizes = np.array([r.size for r in rows])
+    mask = np.arange(sizes.max()) < sizes[:, None]
+    a = np.full(mask.shape, 1e3)  # masked entries must stay out of every row
+    a[mask] = np.concatenate(rows)
+    z = P.project_rows(a, np.array(budgets), mask)
+    assert not z[~mask].any()
+    return [row[:k] for row, k in zip(z, sizes)]
+
+
+def _water_level(a, z):
+    """The budget multiplier implied by a projection z of a: the smallest
+    theta >= 0 with z_k >= a_k - theta for every k. On an optimal z it is the
+    water level, so kkt_residual with it is zero iff z is optimal."""
+    return max(float(np.max(a - z)), 0.0)
+
+
 def test_capped_simplex_projection():
     t0 = time.monotonic()
     rng = np.random.default_rng(20240801)
-    worst_kkt = 0.0
-    worst_dev = 0.0
+    insts = []
     for _ in range(1000):
         k = int(rng.integers(1, 17))
-        inst = P.ProjectionInstance(rng.normal(0.0, 2.0, k), float(rng.uniform(0.0, 3.0)))
-        z, theta = P.project_sorted(inst)
-        worst_kkt = max(worst_kkt, P.kkt_residual(inst, z, theta))
-        zb, _ = P.project_bisect(inst)
+        insts.append(P.ProjectionInstance(rng.normal(0.0, 2.0, k), float(rng.uniform(0.0, 3.0))))
+    worst_kkt = 0.0
+    worst_dev = 0.0
+    for inst, z in zip(insts, _project_ragged([i.a for i in insts], [i.b for i in insts])):
+        worst_kkt = max(worst_kkt, kkt_residual(inst, z, _water_level(inst.a, z)))
+        zb, _ = project_bisect(inst)
         worst_dev = max(worst_dev, float(np.abs(z - zb).max()))
 
     offsets = {k: _lattice_offsets(k) for k in range(3, 7)}
-    beaten = 0
+    rows, budgets = [], []
     for _ in range(200):
         k = int(rng.integers(2, 7))
-        a = rng.normal(0.0, 1.0, k)
-        b = float(rng.uniform(0.05, 2.0))
-        z, _ = P.project_sorted(P.ProjectionInstance(a, b))
+        rows.append(rng.normal(0.0, 1.0, k))
+        budgets.append(float(rng.uniform(0.05, 2.0)))
+    beaten = 0
+    for a, b, z in zip(rows, budgets, _project_ragged(rows, budgets)):
         d_star = float(((z - a) ** 2).sum())
         if _best_grid_distance(a, b, z, offsets) < d_star - 1e-12:
             beaten += 1
@@ -93,14 +115,22 @@ def test_capped_simplex_projection():
 def test_source_rate_solver():
     t0 = time.monotonic()
     rng = np.random.default_rng(20240802)
+    probs = []
+    for _ in range(1000):
+        w = float(rng.uniform(0.1, 5.0))
+        probs.append(P.RateProblem(P.Utility("wlog", w), float(rng.normal(0.0, 5.0)),
+                                   float(rng.uniform(0.0, 3.0)), float(rng.uniform(0.2, 8.0))))
+    # one solve_rates call for all sources, the way a slot solves them
+    x_all = P.solve_rates(np.ones(len(probs), dtype=bool),
+                          np.array([p.utility.weight for p in probs]),
+                          np.array([p.pressure for p in probs]),
+                          np.array([p.x_prev for p in probs]),
+                          2.0 * np.array([p.alpha for p in probs]))
     worst_h = 0.0
     worst_dev = 0.0
     grid_losses = 0
-    for _ in range(1000):
-        w = float(rng.uniform(0.1, 5.0))
-        prob = P.RateProblem(P.Utility("wlog", w), float(rng.normal(0.0, 5.0)),
-                             float(rng.uniform(0.0, 3.0)), float(rng.uniform(0.2, 8.0)))
-        x_hat = P.solve_rate(prob)
+    for prob, x_hat in zip(probs, x_all.tolist()):
+        w = prob.utility.weight
         worst_h = max(worst_h, abs(rate_slope(prob, x_hat)))
 
         # independent root bracketing on the strictly decreasing slope

@@ -111,13 +111,19 @@ def test_parse_plan_errors():
     assert runs[0].alpha_mode == "queue-bound"
 
 
-def test_cli_reports_bad_input_cleanly(capsys):
+def test_cli_reports_bad_input_cleanly(capsys, tmp_path):
     code = main(["run", "--scenario", SINGLE, "--slots", "0"])
     assert code == 2
     assert "slots" in capsys.readouterr().err
     code = main(["run", "--scenario", "/nonexistent.net", "--slots", "5"])
     assert code == 2
     assert "proxbp:" in capsys.readouterr().err
+    for flags, message in ((["--k", "0"], "proxbp: k must be a positive integer"),
+                           (["--k", "2", "--slots", "0"], "proxbp: slots must be positive")):
+        code = main(["gen", "chain", *flags, "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(message)
+    assert not any(tmp_path.iterdir())
 
 
 def test_unroutable_session_is_rejected_at_load(tmp_path, capsys):

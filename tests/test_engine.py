@@ -152,14 +152,6 @@ def test_state_is_deterministic(sixnode):
     assert np.array_equal(runs[0], runs[1])
 
 
-def test_lyapunov(singlelink):
-    s = initial_state(singlelink)
-    assert P.lyapunov(s) == 0.0
-    cfg = P.AlgConfig(np.array([1.0, 1.0]))
-    _, s = slot_update(s, singlelink, cfg)
-    assert abs(P.lyapunov(s) - 0.5 * float(np.sum(s.Q ** 2))) < 1e-15
-
-
 def _scalar_slot(state, scenario, config):
     """slot_update's decisions from the scalar references: solve_rate per
     source and link_update per link."""

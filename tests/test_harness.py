@@ -78,10 +78,16 @@ def test_queue_peaks(sixnode):
     assert tr.summary["queue_transfer_violations"] == []
 
 
+def _csv_text(trace):
+    buf = io.StringIO()
+    trace.to_csv(buf)
+    return buf.getvalue()
+
+
 def test_csv_round_trip(sixnode, sixnode_sol, tmp_path):
     cfg = P.AlgConfig(P.default_alpha(sixnode.network, "utility-gap"))
     tr = P.run(sixnode, "new", cfg, 40, oracle=sixnode_sol)
-    text = tr.csv_text()
+    text = _csv_text(tr)
     assert text.splitlines()[0] == CSV_HEADER
     assert len(text.splitlines()) == 1 + 40 * 2
     back = trace_from_csv(io.StringIO(text))
@@ -97,7 +103,7 @@ def test_csv_round_trip(sixnode, sixnode_sol, tmp_path):
 def test_csv_nan_gap_round_trips(singlelink):
     cfg = P.AlgConfig(np.array([1.0, 1.0]))
     tr = P.run(singlelink, "new", cfg, 5)
-    back = trace_from_csv(io.StringIO(tr.csv_text()))
+    back = trace_from_csv(io.StringIO(_csv_text(tr)))
     assert np.all(np.isnan(back.gap))
 
 
@@ -107,6 +113,15 @@ def test_rejects_bad_arguments(singlelink):
         P.run(singlelink, "new", cfg, 0)
     with pytest.raises(P.ContractError):
         P.run(singlelink, "greedy", cfg, 10)
+    # a config of the other algorithm is rejected before any slot runs
+    with mock.patch.object(harness, "slot_update") as slot, \
+            mock.patch.object(harness, "dpp_slot_update") as dpp_slot:
+        with pytest.raises(P.ContractError, match="^algorithm 'new' takes config type AlgConfig, got DppConfig$"):
+            P.run(singlelink, "new", P.DppConfig(V=5.0), 10)
+        with pytest.raises(P.ContractError, match="^algorithm 'dpp' takes config type DppConfig, got AlgConfig$"):
+            P.run(singlelink, "dpp", cfg, 10)
+    slot.assert_not_called()
+    dpp_slot.assert_not_called()
     with pytest.raises(P.ContractError):
         trace_from_csv(io.StringIO("slot,alg\n"))
 
@@ -182,7 +197,7 @@ def _assert_same_run(scenario, alg, slots, chunk, oracle=None):
         if chunk is not None:
             assert harness.chunk_slots(scenario) == chunk
         tr = P.run(scenario, alg, cfg, slots, oracle=oracle)
-    assert tr.csv_text() == ref.csv_text()
+    assert _csv_text(tr) == _csv_text(ref)
     for key, value in ref.summary.items():
         assert repr(tr.summary[key]) == repr(value), key
     for name in ("z_total", "peak_Y", "peak_Z"):

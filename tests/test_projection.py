@@ -4,10 +4,10 @@ import time
 
 import numpy as np
 import pytest
+from reference import kkt_residual, project_bisect
 
 import proxbp as P
-from proxbp.projection import (ProjectionInstance, kkt_residual, project_bisect, project_rows,
-                               project_sorted)
+from proxbp.projection import ProjectionInstance, project_rows, project_sorted
 
 # (a, b, expected z, expected theta)
 PINNED = (

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import arrival_matrix
 from strategies import arrays, scenarios
 
 import proxbp as P
 from proxbp.net import residual_matrix
-from proxbp.queues import (ScriptedPolicy, arrival_matrix, audit_queue_bounds,
-                           run_scripted, step_Q, step_Y, step_Z, validate_policy)
+from proxbp.queues import (ScriptedPolicy, audit_queue_bounds, run_scripted, step_Q, step_Y,
+                           step_Z, validate_policy)
 
 
 def test_arrival_matrix(sixnode):
