@@ -12,6 +12,29 @@ from .net import (ContractError, DomainError, ScenarioFormatError,
 from .oracle import OracleError, load_solution, save_solution, serialize_solution, solve_centralized
 
 MODE_BY_FLAG = {"gap": "utility-gap", "bound": "queue-bound"}
+# the CompareRun fields that the cell options set
+CELL_FIELDS = ("algorithm", "alpha_mode", "alpha_scale", "V", "x_max")
+
+
+def _add_cell_options(p: argparse.ArgumentParser) -> None:
+    """The options of one run cell, shared by `run` and plan run lines. An
+    option left out is absent from the parsed namespace, so CompareRun's
+    field defaults are the only defaults."""
+    absent = argparse.SUPPRESS
+    p.add_argument("--alg", dest="algorithm", choices=("new", "dpp"), default=absent)
+    p.add_argument("--alpha-mode", choices=tuple(MODE_BY_FLAG), default=absent,
+                   help="proximal weight preset (new only)")
+    p.add_argument("--alpha-scale", type=float, default=absent)
+    p.add_argument("--V", type=float, default=absent, help="utility weight (dpp only)")
+    p.add_argument("--x-max", type=float, default=absent, help="rate cap (dpp only)")
+
+
+def _cell(name: str, opts) -> CompareRun:
+    """The run cell named name that parsed cell options describe."""
+    kw = {f: getattr(opts, f) for f in CELL_FIELDS if hasattr(opts, f)}
+    if "alpha_mode" in kw:
+        kw["alpha_mode"] = MODE_BY_FLAG[kw["alpha_mode"]]
+    return CompareRun(name, **kw)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -21,13 +44,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="simulate one algorithm on a scenario")
     p.add_argument("--scenario", required=True, help="scenario text file")
-    p.add_argument("--alg", choices=("new", "dpp"), default="new")
     p.add_argument("--slots", type=int, default=10000)
-    p.add_argument("--alpha-mode", choices=("gap", "bound"), default="bound",
-                   help="proximal weight preset (new only)")
-    p.add_argument("--alpha-scale", type=float, default=1.0)
-    p.add_argument("--V", type=float, default=500.0, help="utility weight (dpp only)")
-    p.add_argument("--x-max", type=float, default=None, help="rate cap (dpp only)")
+    _add_cell_options(p)
     p.add_argument("--oracle", default=None, help="oracle report file, enables gap columns")
     p.add_argument("--out", default=None, help="write the per-slot trace CSV here")
 
@@ -52,16 +70,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _plan_number(convert, text, lineno, key):
-    try:
-        return convert(text)
-    except ValueError:
-        raise ContractError(f"plan line {lineno}: {key} must be a number, got {text!r}") from None
+class _PlanCellParser(argparse.ArgumentParser):
+    """Parses the tokens of a plan run line; an error raises ContractError."""
+
+    def error(self, message):
+        raise ContractError(message)
 
 
 def parse_plan(text: str):
-    """Plan grammar: 'slots N' and 'run name=.. alg=new|dpp [alpha-mode=gap|bound]
-    [alpha-scale=S] [V=V] [x-max=M]' lines, '#' comments."""
+    """Plan grammar: 'slots N' and 'run name=NAME [key=value ...]' lines,
+    '#' comments. The keys are the cell flags of `proxbp run` without their
+    dashes (alg, alpha-mode, alpha-scale, V, x-max), parsed by the same
+    options; every key but name is optional, and one left out takes its
+    CompareRun default. Returns (slots, [CompareRun, ...]); a bad line raises
+    a ContractError that starts 'plan line N:'."""
+    cells = _PlanCellParser(prog="plan", add_help=False, allow_abbrev=False)
+    cells.add_argument("--name", required=True)
+    _add_cell_options(cells)
     slots = 10000
     runs = []
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -69,65 +94,38 @@ def parse_plan(text: str):
         if not line:
             continue
         tok = line.split()
-        if tok[0] == "slots" and len(tok) == 2:
-            slots = _plan_number(int, tok[1], lineno, "slots")
-            continue
-        if tok[0] != "run":
-            raise ContractError(f"plan line {lineno}: unknown directive {tok[0]!r}")
-        kw = {}
-        for t in tok[1:]:
-            key, eq, val = t.partition("=")
-            if not eq:
-                raise ContractError(f"plan line {lineno}: expected key=value, got {t!r}")
-            kw[key] = val
         try:
-            name = kw.pop("name")
-            alg = kw.pop("alg")
-        except KeyError as e:
-            raise ContractError(f"plan line {lineno}: missing {e.args[0]}") from None
-        if alg not in ("new", "dpp"):
-            raise ContractError(f"plan line {lineno}: bad alg {alg!r}")
-        mode_flag = kw.pop("alpha-mode", "bound")
-        if mode_flag not in MODE_BY_FLAG:
-            raise ContractError(f"plan line {lineno}: bad alpha-mode {mode_flag!r}")
-        x_max = kw.pop("x-max", None)
-        spec = CompareRun(
-            name=name, algorithm=alg, alpha_mode=MODE_BY_FLAG[mode_flag],
-            alpha_scale=_plan_number(float, kw.pop("alpha-scale", 1.0), lineno, "alpha-scale"),
-            V=_plan_number(float, kw.pop("V", 500.0), lineno, "V"),
-            x_max=_plan_number(float, x_max, lineno, "x-max") if x_max is not None else None)
-        if kw:
-            raise ContractError(f"plan line {lineno}: unknown keys {sorted(kw)}")
-        runs.append(spec)
+            if tok[0] == "slots" and len(tok) == 2:
+                slots = int(tok[1])
+            elif tok[0] == "run":
+                opts = cells.parse_args([f"--{t}" for t in tok[1:]])
+                runs.append(_cell(opts.name, opts))
+            else:
+                raise ContractError("unknown directive")
+        except (ContractError, ValueError) as e:
+            raise ContractError(f"plan line {lineno}: {tok[0]}: {e}") from None
     if not runs:
         raise ContractError("plan declares no runs")
     return slots, runs
 
 
-def _summary_lines(name, trace):
-    s = trace.summary
-    yield (f"{name}: slots {trace.slots} final_util_avg {float(trace.util_avg[-1])!r} "
-           f"final_gap {float(trace.gap[-1])!r} max_abs_q {s['observed_max_abs_q']!r}")
-    yield (f"{name}: checks {'ok' if s['passed'] else 'FAIL'} "
-           f"weight_identity {s['weight_identity_max']!r} drift {s['drift_identity_max']!r} "
-           f"telescoping {s['telescoping_scaled_max']!r} "
-           f"feasibility_violations {len(s['feasibility_violations'])} "
-           f"transfer_violations {len(s['queue_transfer_violations'])}")
-
-
 def _cmd_run(args) -> int:
     scenario = load_scenario(args.scenario)
     oracle = load_solution(args.oracle, scenario) if args.oracle else None
-    spec = CompareRun(name=args.alg, algorithm=args.alg,
-                      alpha_mode=MODE_BY_FLAG[args.alpha_mode], alpha_scale=args.alpha_scale,
-                      V=args.V, x_max=args.x_max)
-    trace = run(scenario, args.alg, make_config(scenario, spec), args.slots, oracle=oracle)
+    spec = _cell("run", args)
+    trace = run(scenario, spec.algorithm, make_config(scenario, spec), args.slots, oracle=oracle)
     if args.out:
         trace.to_csv(args.out)
         print(f"trace written to {args.out}")
-    for line in _summary_lines(args.alg, trace):
-        print(line)
-    return 0 if trace.summary["passed"] else 1
+    name, s = spec.algorithm, trace.summary
+    print(f"{name}: slots {trace.slots} final_util_avg {float(trace.util_avg[-1])!r} "
+          f"final_gap {float(trace.gap[-1])!r} max_abs_q {s['observed_max_abs_q']!r}")
+    print(f"{name}: checks {'ok' if s['passed'] else 'FAIL'} "
+          f"weight_identity {s['weight_identity_max']!r} drift {s['drift_identity_max']!r} "
+          f"telescoping {s['telescoping_scaled_max']!r} "
+          f"feasibility_violations {len(s['feasibility_violations'])} "
+          f"transfer_violations {len(s['queue_transfer_violations'])}")
+    return 0 if s["passed"] else 1
 
 
 def _cmd_oracle(args) -> int:
@@ -151,12 +149,11 @@ def _cmd_oracle(args) -> int:
 def _cmd_gen(args) -> int:
     scenario, policy = chain_example(args.k, slots=args.slots)
     os.makedirs(args.out_dir, exist_ok=True)
-    net_path = os.path.join(args.out_dir, f"chain{args.k}.net")
-    sched_path = os.path.join(args.out_dir, f"chain{args.k}.sched")
-    save_scenario(scenario, net_path)
-    save_policy(policy, sched_path)
-    print(f"scenario written to {net_path}")
-    print(f"schedule written to {sched_path}")
+    stem = os.path.join(args.out_dir, f"chain{args.k}")
+    save_scenario(scenario, stem + ".net")
+    save_policy(policy, stem + ".sched")
+    print(f"scenario written to {stem}.net")
+    print(f"schedule written to {stem}.sched")
     return 0
 
 

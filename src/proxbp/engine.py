@@ -65,6 +65,8 @@ class SlotConstants:
     def __post_init__(self):
         alpha = self.config.alpha
         network = self.scenario.network
+        if alpha.size != network.node_count:
+            raise ContractError(f"alpha has {alpha.size} entries for {network.node_count} nodes")
         a_src = 2.0 * alpha[self.scenario.src]
         link_denom = (2.0 * (alpha[network.tails] + alpha[network.heads]))[:, None]
         for name, a in (("a_src", a_src), ("link_denom", link_denom)):

@@ -257,7 +257,7 @@ class _ChunkAudit:
         self.Q_last = np.zeros((n_n, n_f))
         self.lyap_last = 0.0
         self.cum_g = np.zeros((n_n, n_f))
-        self.engine_Q_last = np.zeros((2, n_n, n_f))  # after slots t-2 and t-1
+        self.engine_Q_last = np.zeros((2, n_n, n_f))  # after slots t-2 and t-1, 0 before 0
 
     def chunk_done(self, t0: int, n: int):
         """Evaluate the metrics and checks of slots t0 .. t0 + n - 1, held in
@@ -295,10 +295,7 @@ class _ChunkAudit:
             eq = np.concatenate((self.engine_Q_last, self.engine_Q[:n]))
             ident = 2.0 * eq[1:-1] - eq[:-2]
             ident[:, sc.inactive] = 0.0
-            err = np.abs(self.W[:n] - ident).max(axis=(1, 2))
-            if t0 == 0:
-                err[0] = 0.0  # slot 0 has no previous weights
-            checks["weight_identity"][rows] = err
+            checks["weight_identity"][rows] = np.abs(self.W[:n] - ident).max(axis=(1, 2))
             checks["queue_consistency"][rows] = np.abs(self.engine_Q[:n] - Q).max(axis=(1, 2))
             self.engine_Q_last = eq[-2:].copy()
 
@@ -438,7 +435,7 @@ class CompareRun:
     """One (algorithm, parameters) cell of a comparison."""
 
     name: str
-    algorithm: str                  # "new" or "dpp"
+    algorithm: str = "new"          # or "dpp"
     alpha_mode: str = "queue-bound"  # new only
     alpha_scale: float = 1.0
     V: float = 500.0                # dpp only

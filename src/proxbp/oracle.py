@@ -294,9 +294,20 @@ def solve_centralized(scenario: Scenario, tol: float = 1e-5, alpha=None) -> Orac
     mu = np.zeros((scenario.n_links, n_f))
     best_primal, best_dual, weak_margin = -math.inf, math.inf, math.inf
     history = []
+
+    def failure(reason):
+        gap = best_dual - best_primal
+        return OracleError(
+            f"no certificate at tol={tol} after {len(history)} centerings: {reason}; best gap "
+            f"{gap!r}; last (t, primal, dual, gap, newton_steps) = "
+            f"{', '.join(map(str, history[-3:]))}", best_gap=gap, history=history)
+
     t = 1.0
     while True:
-        z, steps = center(z, t)
+        try:
+            z, steps = center(z, t)
+        except np.linalg.LinAlgError:
+            raise failure(f"the Newton system at t={t!r} is singular") from None
         lam = np.zeros(rows.shape)
         lam[rows] = 1.0 / (t * (h - G @ z)[:int(rows.sum())])
         # nodes that cannot reach dst_f get f's largest multiplier: no link into them is priced
@@ -316,17 +327,9 @@ def solve_centralized(scenario: Scenario, tol: float = 1e-5, alpha=None) -> Orac
         if best_dual - best_primal <= tol:
             break
         if len(history) >= 3 and history[-3][3] < history[-2][3] < history[-1][3]:
-            raise OracleError(
-                f"no certificate at tol={tol}: the gap stopped shrinking after "
-                f"{len(history)} centerings, so the Newton system has lost precision; best "
-                f"gap {best_dual - best_primal!r}; last three (t, primal, dual, gap, "
-                f"newton_steps) = {history[-3]}, {history[-2]}, {history[-1]}",
-                best_gap=best_dual - best_primal, history=history)
+            raise failure("the gap stopped shrinking, so the Newton system has lost precision")
         if m / t < tol / 100.0:
-            raise OracleError(
-                f"no certificate at tol={tol} after {len(history)} centerings, best gap "
-                f"{best_dual - best_primal!r}; last (t, primal, dual, gap, newton_steps) "
-                f"= {history[-1]}", best_gap=best_dual - best_primal, history=history)
+            raise failure("the gap bound m / t is below tol / 100")
         t *= 10.0
 
     y = tighten_to_equality(scenario, DecisionVector(best_x, best_mu))

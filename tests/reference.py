@@ -120,16 +120,15 @@ def run_per_slot(scenario, algorithm, config, slots, oracle=None) -> Trace:
 
     state = initial_state(scenario) if algorithm == "new" else None
     dpp_Q = np.zeros((n_n, n_f))  # DPP's own clipped queues, stepped apart from Y
-    q_prev = None
+    q_prev = np.zeros((n_n, n_f))  # Q(-1): slot 0's weights are 0 = 2 Q(0) - Q(-1)
 
     for t in range(slots):
         if algorithm == "new":
             q_now = state.Q
             y, state = slot_update(state, scenario, config)
-            if t >= 1:
-                ident = 2.0 * q_now - q_prev
-                ident[~scenario.active] = 0.0
-                weight_err = max(weight_err, float(np.max(np.abs(state.W - ident))))
+            ident = 2.0 * q_now - q_prev
+            ident[~scenario.active] = 0.0
+            weight_err = max(weight_err, float(np.max(np.abs(state.W - ident))))
             q_prev = q_now
         else:
             y = dpp_slot_update(dpp_Q, scenario, config)

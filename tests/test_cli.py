@@ -111,6 +111,56 @@ def test_parse_plan_errors():
     assert runs[0].alpha_mode == "queue-bound"
 
 
+README_PLAN = ("slots 10000\n"
+               "run name=prox alg=new alpha-mode=gap\n"
+               "run name=dpp500 alg=dpp V=500\n"
+               "run name=dpp10 alg=dpp V=10 x-max=2.0\n")
+
+
+@pytest.mark.parametrize("text, slots, runs", [
+    (README_PLAN, 10000, [P.CompareRun("prox", "new", alpha_mode="utility-gap"),
+                          P.CompareRun("dpp500", "dpp", V=500.0),
+                          P.CompareRun("dpp10", "dpp", V=10.0, x_max=2.0)]),
+    # comments, blank lines and surrounding blanks
+    ("# plan\n\n  slots 5  # short\nrun name=a alg=dpp # baseline\n", 5,
+     [P.CompareRun("a", "dpp")]),
+    # every key
+    ("run name=a alg=new alpha-mode=bound alpha-scale=2.5 V=3 x-max=1e-3\n", 10000,
+     [P.CompareRun("a", "new", "queue-bound", 2.5, 3.0, 1e-3)]),
+    # a repeated key or slots line keeps its last value; a value may hold '='
+    ("run name=a alg=new name=b=c alg=dpp V=1 V=-2\nslots 3\nslots 4\n", 4,
+     [P.CompareRun("b=c", "dpp", V=-2.0)]),
+    # alg is optional, like --alg of proxbp run
+    ("run name=a\nrun name=b alpha-mode=gap\n", 10000,
+     [P.CompareRun("a"), P.CompareRun("b", alpha_mode="utility-gap")]),
+])
+def test_parse_plan_cells(text, slots, runs):
+    assert parse_plan(text) == (slots, runs)
+
+
+@pytest.mark.parametrize("line", [
+    "run alg=new",                        # missing name
+    "run",                                # missing name
+    "run name=a alg=spicy",               # bad alg
+    "run name=a alpha-mode=gap2",         # bad alpha-mode
+    "run name=a alg=new turbo=1",         # unknown key
+    "run name=a alpha=2",                 # no abbreviations
+    "run name=a alpha_mode=gap",          # keys are the flags' spelling
+    "run name=a help=1",                  # no help option
+    "run name=a alg",                     # token without '='
+    "run name=a dpp",                     # token without '='
+    "run name=a =5",                      # empty key
+    "run name=a V=",                      # empty number
+    "run name=a alpha-scale=big",         # not a number
+    "slots abc",                          # not a number
+    "slots 5 6",                          # unknown directive
+    "walk 3",                             # unknown directive
+])
+def test_parse_plan_rejects_bad_lines(line):
+    with pytest.raises(P.ContractError, match="^plan line 3: "):
+        parse_plan(f"# plan\nrun name=ok alg=new\n{line}\n")
+
+
 def test_cli_reports_bad_input_cleanly(capsys, tmp_path):
     code = main(["run", "--scenario", SINGLE, "--slots", "0"])
     assert code == 2

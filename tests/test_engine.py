@@ -223,3 +223,12 @@ def test_slot_update_rejects_bad_previous_rates(sixnode):
         prev = P.DecisionVector([0.5, bad], s.y_prev.mu)
         with pytest.raises(P.ContractError):
             slot_update(P.BpState(s.Q, prev, 0), sixnode, cfg)
+
+
+def test_alpha_needs_one_entry_per_node(sixnode):
+    # too few entries would index past alpha's end, too many would be ignored
+    for n in (2, 9):
+        with pytest.raises(P.ContractError, match=f"alpha has {n} entries for 6 nodes"):
+            P.run(sixnode, "new", P.AlgConfig(np.ones(n)), 5)
+        with pytest.raises(P.ContractError):
+            slot_update(initial_state(sixnode), sixnode, P.AlgConfig(np.ones(n)))

@@ -279,14 +279,17 @@ def test_overcapacity_decision_is_reported_at_its_slot(sixnode, monkeypatch, tmp
 @pytest.mark.parametrize("chunk", (3, None))
 def test_perturbed_weight_fails_the_weight_identity(sixnode, monkeypatch, chunk):
     monkeypatch.setattr(harness, "CHUNK_BYTES", _chunk_bytes(sixnode, chunk))
-    k = harness.chunk_slots(sixnode) + 2
-    _inject(monkeypatch, k, lambda y, nxt, sc: (y, P.BpState(nxt.Q, nxt.y_prev, nxt.t,
-                                                             nxt.W + 1e-9)))
-    tr = P.run(sixnode, "new", _config(sixnode, "new"), k + 4)
-    s = tr.summary
-    assert s["weight_identity_max"] > harness.WEIGHT_IDENTITY_TOL
-    slot, value = s["first_violation"]["weight_identity"]
-    assert slot == k and value == s["weight_identity_max"]
-    assert s["passed"] is False
-    others = {name: v for name, v in s["first_violation"].items() if name != "weight_identity"}
-    assert all(v is None for v in others.values()), others
+    # slot 0 has weights too: W(0) = 0 is checked like any later slot
+    for k in (0, harness.chunk_slots(sixnode) + 2):
+        with monkeypatch.context() as m:
+            _inject(m, k, lambda y, nxt, sc: (y, P.BpState(nxt.Q, nxt.y_prev, nxt.t,
+                                                           nxt.W + 1e-9)))
+            tr = P.run(sixnode, "new", _config(sixnode, "new"), k + 4)
+        s = tr.summary
+        assert s["weight_identity_max"] > harness.WEIGHT_IDENTITY_TOL
+        slot, value = s["first_violation"]["weight_identity"]
+        assert slot == k and value == s["weight_identity_max"]
+        assert s["passed"] is False
+        others = {name: v for name, v in s["first_violation"].items()
+                  if name != "weight_identity"}
+        assert all(v is None for v in others.values()), others

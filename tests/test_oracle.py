@@ -8,6 +8,7 @@ import pytest
 from gridlp import grid_best_utility, kelley_bracket
 
 import proxbp as P
+from proxbp import cli
 from proxbp.oracle import (OracleError, compute_zeta, dual_value, repair_feasible,
                            solve_centralized, tighten_to_equality)
 
@@ -225,6 +226,38 @@ def test_failed_solve_reports_history(sixnode):
         assert gap == dual - primal and steps >= 1
     assert err.best_gap > 1e-13
     assert str(err).endswith(str(rows[-1]))
+
+
+def test_singular_newton_system_reports_history(sixnode, monkeypatch, capsys):
+    # With one BLAS thread the Newton system of the seeded 5x5/6 grid is
+    # singular at t = 1e10; with more threads the gap stops shrinking there
+    # first. Either way the solve ends in an OracleError.
+    grid = P.parse_scenario(gridgen.grid_scenario(5, 6, 1))
+    with pytest.raises(OracleError):
+        solve_centralized(grid, tol=1e-7)
+    # a singular system at the 20th Newton step, whatever the BLAS
+    real, calls = np.linalg.solve, []
+
+    def solve(a, b):
+        calls.append(None)
+        if len(calls) == 20:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    with pytest.raises(OracleError, match="singular") as info:
+        solve_centralized(sixnode, tol=1e-13)
+    err = info.value
+    rows = err.history
+    assert rows and sum(r[4] for r in rows) < 20  # the centerings done before it
+    assert [r[0] for r in rows] == [10.0 ** k for k in range(len(rows))]
+    assert err.best_gap == min(r[2] for r in rows) - max(r[1] for r in rows)
+    # the CLI reports it like any failed solve
+    calls.clear()
+    path = Path(__file__).resolve().parents[1] / "scenarios" / "sixnode.net"
+    assert cli.main(["oracle", "--scenario", str(path), "--tol", "1e-13"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("oracle failed: no certificate at tol=1e-13") and "singular" in err
 
 
 def test_oracle_fails_fast_once_the_gap_grows(sixnode):
