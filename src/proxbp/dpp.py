@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .net import ContractError, DecisionVector, Scenario
+from .net import ContractError, DecisionVector, Scenario, _frozen
 
 
 @dataclass(frozen=True)
@@ -55,15 +55,17 @@ def dpp_slot_update(Q, scenario: Scenario, config: DppConfig) -> DecisionVector:
     x = np.where(scenario.is_wlog, ratio, np.maximum(ratio - 1.0, 0.0))
     x = np.where(q > 0, np.minimum(x, rate_cap), rate_cap)
     network = scenario.network
-    heads = network.heads
-    diff = Q[network.tails] - np.where(scenario.active[heads], Q[heads], 0.0)
-    gain = np.where(scenario.allow_mask & (diff > 0), diff, 0.0)
-    # Column 0 stands for idling. argmax takes the first maximum, so a link
-    # serves only a strictly positive differential, ties to the lowest id.
-    idle = np.zeros((scenario.n_links, 1))
-    choice = np.argmax(np.concatenate((idle, gain), axis=1), axis=1)
-    grant = np.nonzero(choice)[0]
-    mu = np.zeros((scenario.n_links, scenario.n_sessions))
-    mu[grant, choice[grant] - 1] = network.caps[grant]
-    return DecisionVector(x, mu)
-
+    # A queue at the session's destination counts as zero at a link's head.
+    head_q = np.where(scenario.active, Q, 0.0).take(network.heads, axis=0)
+    # fmax maps a NaN differential to 0 like a nonpositive one: no gain.
+    gain = np.fmax(Q.take(network.tails, axis=0) - head_q, 0.0)
+    gain.put(scenario.forbidden_entries, 0.0)
+    # argmax takes the first maximum, so ties go to the lowest id; a link
+    # serves only a strictly positive gain.
+    choice = gain.argmax(axis=1)
+    n_l, n_f = gain.shape
+    best = choice + np.arange(0, n_l * n_f, n_f)
+    grant = np.flatnonzero(gain.take(best) > 0.0)
+    mu = np.zeros((n_l, n_f))
+    mu.put(best.take(grant), network.caps.take(grant))
+    return DecisionVector(_frozen(x), _frozen(mu))

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .net import ContractError, DecisionVector, Scenario, residual_matrix, zero_decision
+from .net import (ContractError, DecisionVector, Scenario, _frozen, residual_matrix,
+                  zero_decision)
 from .projection import ProjectionInstance, project_rows, project_sorted
 from .rates import solve_rates
 
@@ -149,7 +150,7 @@ def slot_update(state: BpState, scenario: Scenario, config: AlgConfig) -> tuple:
     a = state.y_prev.mu + (W.take(network.tails, axis=0)
                            - W.take(network.heads, axis=0)) / consts.link_denom
     mu = project_rows(a, network.caps, scenario.allow_mask)
-    y = DecisionVector(x, mu)
+    y = DecisionVector(_frozen(x), _frozen(mu))
     g = residual_matrix(scenario, y.x, y.mu)
     g.setflags(write=False)
     q = state.Q + g

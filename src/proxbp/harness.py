@@ -24,7 +24,7 @@ TELESCOPE_TOL = 1e-9  # per slot of accumulation
 CHECK_TOLS = {"weight_identity": WEIGHT_IDENTITY_TOL, "drift_identity": DRIFT_IDENTITY_TOL,
               "telescoping": TELESCOPE_TOL, "queue_consistency": 0.0}
 
-CHUNK_BYTES = 1 << 17  # byte budget of each per-chunk buffer of run()
+CHUNK_BYTES = 1 << 18  # byte budget of each per-chunk buffer of run()
 
 
 def _opened(fh, mode):

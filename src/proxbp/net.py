@@ -262,6 +262,12 @@ class Scenario:
         return _frozen(m)
 
     @cached_property
+    def forbidden_entries(self) -> np.ndarray:
+        """Flat index into a C-ordered (L, F) matrix of each forbidden (link,
+        session) pair, in (link, session) order."""
+        return _frozen(np.flatnonzero(~self.allow_mask))
+
+    @cached_property
     def active(self) -> np.ndarray:
         """(N, F) boolean, True at (n, f) when n is not the destination of f.
 
@@ -297,19 +303,31 @@ class Scenario:
 
 @dataclass(frozen=True, eq=False)
 class DecisionVector:
-    """One slot's decisions: source rates x (F,) and link-session rates mu (L, F)."""
+    """One slot's decisions: source rates x (F,) and link-session rates mu (L, F).
+
+    Both are stored read-only. A read-only float64 array that owns its data
+    is kept as it is; anything else is copied."""
 
     x: np.ndarray
     mu: np.ndarray
 
     def __post_init__(self):
-        x = np.array(self.x, dtype=float)
-        mu = np.array(self.mu, dtype=float)
+        x = _owned_frozen(self.x)
+        mu = _owned_frozen(self.mu)
         if x.ndim != 1 or mu.ndim != 2 or mu.shape[1] != x.shape[0]:
             raise ScenarioValidationError(
                 f"decision shapes inconsistent: x {x.shape}, mu {mu.shape}")
-        object.__setattr__(self, "x", _frozen(x))
-        object.__setattr__(self, "mu", _frozen(mu))
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "mu", mu)
+
+
+def _owned_frozen(a) -> np.ndarray:
+    """a itself if it is a read-only float64 array that owns its data, so no
+    view of another array can change it, else a read-only float64 copy."""
+    if (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.base is None
+            and not a.flags.writeable):
+        return a
+    return _frozen(np.array(a, dtype=float))
 
 
 def zero_decision(scenario: Scenario) -> DecisionVector:
@@ -330,7 +348,8 @@ def decision_faults(scenario: Scenario, x, mu) -> list:
     mu = np.asarray(mu, dtype=float)
     caps = scenario.network.caps
     negative = (x < 0).any(axis=1) | (mu < 0).any(axis=(1, 2))
-    forbidden = (mu[:, ~scenario.allow_mask] != 0).any(axis=1)
+    pairs = mu.reshape(mu.shape[0], mu.shape[1] * mu.shape[2])
+    forbidden = (pairs.take(scenario.forbidden_entries, axis=1) != 0).any(axis=1)
     load = mu.sum(axis=2)
     over = load - caps > CAP_TOL
     faults = []
@@ -341,7 +360,8 @@ def decision_faults(scenario: Scenario, x, mu) -> list:
             message = "nonzero rate on a forbidden (link, session) pair"
         else:
             li = int(np.argmax(over[t]))
-            message = f"link {li} overloaded: load {load[t, li]!r} exceeds capacity {caps[li]!r}"
+            message = (f"link {li} overloaded: load {float(load[t, li])!r} "
+                       f"exceeds capacity {float(caps[li])!r}")
         faults.append((int(t), message))
     return faults
 
@@ -403,13 +423,20 @@ def total_utility(scenario: Scenario, x):
     """Sum of session utilities at the rate vector x (F,), a float, or at each
     row of a (T, F) matrix of rate vectors, a (T,) array. Each term comes from
     Utility.value, whose math.log rounds differently from np.log on some
-    inputs, and the terms are added in session order."""
+    inputs, and the terms are added in session order. On a matrix, each
+    column passes one domain check, Utility.value at its least entry (NaN
+    aside), and its terms are w times math.log or math.log1p of each entry,
+    which is what Utility.value computes."""
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         return sum(s.utility.value(x[f]) for f, s in enumerate(scenario.sessions))
     total = np.zeros(x.shape[0])
-    for f, s in enumerate(scenario.sessions):
-        total += [s.utility.value(v) for v in x[:, f].tolist()]
+    lows = np.fmin.reduce(x, axis=0, initial=math.inf).tolist()
+    for s, low, col in zip(scenario.sessions, lows, x.T.tolist()):
+        u = s.utility
+        u.value(low)  # raises DomainError unless every entry is in the domain
+        w = u.weight
+        total += [w * v for v in map(math.log if u.kind == "wlog" else math.log1p, col)]
     return total
 
 

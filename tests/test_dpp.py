@@ -59,6 +59,29 @@ def test_link_idles_without_positive_differential(singlelink):
     assert y.mu[0, 0] == 1.0
 
 
+def test_forbidden_session_with_largest_differential_is_skipped():
+    sc = P.parse_scenario(
+        "nodes 2\nlink 0 1 2.0\n"
+        "session 0 0 1 wlog 1.0\nsession 1 0 1 wlog 1.0\nsession 2 0 1 wlog 1.0\n"
+        "allow 0 0\nallow 0 2\n")
+    q = np.zeros((2, 3))
+    q[0] = [1.0, 5.0, 3.0]
+    y = dpp_slot_update(q, sc, DppConfig(V=1.0))
+    assert list(y.mu[0]) == [0.0, 0.0, 2.0]
+
+
+def test_link_idles_when_only_a_forbidden_differential_is_positive():
+    sc = P.parse_scenario(
+        "nodes 3\nlink 0 1 1.0\nlink 1 2 1.0\n"
+        "session 0 0 2 wlog 1.0\nsession 1 0 2 wlog 1.0\nallow 0 0\n")
+    q = np.zeros((3, 2))
+    q[0] = [1.0, 5.0]
+    for head in (2.0, 1.0):  # session 0's differential on link 0: -1, then 0
+        q[1, 0] = head
+        y = dpp_slot_update(q, sc, DppConfig(V=1.0))
+        assert not y.mu[0].any()
+
+
 def test_tie_breaks_to_lowest_session_id():
     sc = P.parse_scenario(
         "nodes 2\nlink 0 1 1.0\n"
@@ -155,3 +178,22 @@ def test_dpp_slot_matches_scalar_reference(case):
     x, mu = _dpp_slot_scalar(q, sc, config)
     assert y.x.tobytes() == x.tobytes()
     assert y.mu.tobytes() == mu.tobytes()
+
+
+def test_nan_queue_entry_matches_scalar_reference(sixnode):
+    """A NaN differential grants nothing, as in the scalar scan, wherever the
+    NaN sits off the source entries (a NaN source queue has no defined rate:
+    the scalar reference's min(nan, cap) depends on argument order)."""
+    config = DppConfig(V=25.0)
+    base = np.arange(12.0).reshape(6, 2) % 5
+    base[~sixnode.active] = 0.0
+    sources = set(zip(sixnode.src.tolist(), range(2)))
+    for n, f in zip(*np.nonzero(sixnode.active)):
+        if (n, f) in sources:
+            continue
+        q = base.copy()
+        q[n, f] = math.nan
+        y = dpp_slot_update(q, sixnode, config)
+        x, mu = _dpp_slot_scalar(q, sixnode, config)
+        assert y.x.tobytes() == x.tobytes()
+        assert y.mu.tobytes() == mu.tobytes()

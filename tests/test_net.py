@@ -160,12 +160,60 @@ def test_total_utility(sixnode):
     assert abs(val - (math.log(1.2) + 1.5 * math.log(1.8))) < 1e-12
 
 
+@st.composite
+def _rate_matrices(draw):
+    """(scenario, x (T, F)) with every entry in its session's domain: wlog
+    rates positive, wlog1p rates nonnegative, zero common."""
+    sc = draw(scenarios(allow=("full",)))
+    t = draw(st.integers(1, 6))
+    x = arrays(draw, (t, sc.n_sessions), (0.0, 1e-300, 0.5, 1.0, 7.0), 0.0, 1e6,
+               draw(st.booleans()))
+    floor = np.where(sc.is_wlog, 5e-324, 0.0)
+    return sc, np.maximum(x, floor)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=_rate_matrices())
+def test_total_utility_rows_are_sums_of_utility_values(case):
+    sc, x = case
+    expect = np.array([sum(s.utility.value(v) for s, v in zip(sc.sessions, row))
+                       for row in x.tolist()])
+    assert P.total_utility(sc, x).tobytes() == expect.tobytes()
+
+
+def test_total_utility_checks_every_row(sixnode):
+    x = np.ones((5, 2))
+    x[3, 1] = 0.0  # wlog is undefined at 0
+    with pytest.raises(P.DomainError):
+        P.total_utility(sixnode, x)
+    wlog1p = P.parse_scenario("nodes 2\nlink 0 1 1.0\nsession 0 0 1 wlog1p 1.0\n")
+    assert P.total_utility(wlog1p, np.zeros((3, 1))).tolist() == [0.0, 0.0, 0.0]
+    with pytest.raises(P.DomainError):
+        P.total_utility(wlog1p, np.array([[0.0], [math.nan], [-1e-300]]))
+
+
 def test_decision_vector_is_read_only(singlelink):
     y = P.zero_decision(singlelink)
     with pytest.raises(ValueError):
         y.x[0] = 1.0
     with pytest.raises(P.ScenarioValidationError):
         P.DecisionVector(np.zeros(2), np.zeros((3, 1)))
+
+
+def test_decision_vector_copies_writable_input_and_keeps_frozen_owned_input():
+    x, mu = np.ones(2), np.ones((3, 2))
+    y = P.DecisionVector(x, mu)
+    x[0] = mu[0, 0] = 5.0
+    assert y.x.tolist() == [1.0, 1.0] and y.mu[0].tolist() == [1.0, 1.0]
+    assert y.x is not x and y.mu is not mu
+    x.setflags(write=False)
+    mu.setflags(write=False)
+    y = P.DecisionVector(x, mu)
+    assert y.x is x and y.mu is mu
+    # a read-only view does not own its data, so its base could still change
+    view = np.ones((3, 2))[:, :]
+    view.setflags(write=False)
+    assert P.DecisionVector(x, view).mu is not view
 
 
 def test_validate_decision_catches_violations(sixnode):
@@ -177,7 +225,8 @@ def test_validate_decision_catches_violations(sixnode):
         bad_mu = np.zeros((8, 2))
         bad_mu[0, 0] = -0.2
         P.validate_decision(sixnode, P.DecisionVector(np.array([0.1, 0.1]), bad_mu))
-    with pytest.raises(P.ScenarioValidationError):
+    with pytest.raises(P.ScenarioValidationError,
+                       match=r"^link 0 overloaded: load 1\.2 exceeds capacity 1\.0$"):
         over = np.full((8, 2), 0.6)  # every link loaded at 1.2 > 1
         P.validate_decision(sixnode, P.DecisionVector(np.array([0.1, 0.1]), over))
     # a load of exactly capacity + CAP_TOL passes, the next float above fails
@@ -217,7 +266,7 @@ def _slot_faults(scenario, x, mu):
             message = "nonzero rate on a forbidden (link, session) pair"
         else:
             for l, link in enumerate(scenario.network.links):
-                load, cap = mu[t, l].sum(), np.float64(link.capacity)
+                load, cap = float(mu[t, l].sum()), float(link.capacity)
                 if load - cap > P.CAP_TOL:
                     message = f"link {l} overloaded: load {load!r} exceeds capacity {cap!r}"
                     break

@@ -171,7 +171,8 @@ def test_scripted_policy_validation(relay):
         validate_policy(relay, ScriptedPolicy(bad, mu, mu))
     over = mu.copy()
     over[1, 1, 0] = 0.75  # capacity of the second link is 0.5
-    with pytest.raises(P.ScenarioValidationError, match=r"^mu at slot 1: link 1 overloaded"):
+    with pytest.raises(P.ScenarioValidationError, match=r"^mu at slot 1: link 1 overloaded: "
+                       r"load 0\.75 exceeds capacity 0\.5$"):
         validate_policy(relay, ScriptedPolicy(arr, over, mu))
     negative = mu.copy()
     negative[2, 0, 0] = -0.25
