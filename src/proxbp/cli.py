@@ -122,7 +122,6 @@ def _cmd_run(args) -> int:
           f"final_gap {float(trace.gap[-1])!r} max_abs_q {s['observed_max_abs_q']!r}")
     print(f"{name}: checks {'ok' if s['passed'] else 'FAIL'} "
           f"weight_identity {s['weight_identity_max']!r} drift {s['drift_identity_max']!r} "
-          f"telescoping {s['telescoping_scaled_max']!r} "
           f"feasibility_violations {len(s['feasibility_violations'])} "
           f"transfer_violations {len(s['queue_transfer_violations'])}")
     return 0 if s["passed"] else 1

@@ -19,10 +19,9 @@ CSV_HEADER = "slot,alg,session,x,xbar,util_inst,util_avg,util_jensen,gap,maxQ,ma
 
 WEIGHT_IDENTITY_TOL = 1e-12
 DRIFT_IDENTITY_TOL = 1e-9
-TELESCOPE_TOL = 1e-9  # per slot of accumulation
 # the per-slot checks of run() and the largest value each may take
 CHECK_TOLS = {"weight_identity": WEIGHT_IDENTITY_TOL, "drift_identity": DRIFT_IDENTITY_TOL,
-              "telescoping": TELESCOPE_TOL, "queue_consistency": 0.0}
+              "queue_consistency": 0.0}
 
 CHUNK_BYTES = 1 << 18  # byte budget of each per-chunk buffer of run()
 
@@ -75,13 +74,16 @@ class Trace:
 def trace_from_csv(fh) -> Trace:
     """Rebuild the pinned columns of an emitted trace. Summary and the extra
     in-memory fields are not part of the CSV and come back empty. A malformed
-    row raises a ContractError that names its line."""
+    row, a row that repeats a (slot, session) pair and a row of a second alg
+    each raise a ContractError that names its line; missing pairs raise one
+    that names the first of them."""
     n_fields = CSV_HEADER.count(",") + 1
     with _opened(fh, "r") as fh:
         header = fh.readline().strip()
         if header != CSV_HEADER:
             raise ContractError(f"unexpected CSV header {header!r}")
         rows = []
+        line_of = {}  # (slot, session) -> the line that gave it
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
@@ -96,18 +98,29 @@ def trace_from_csv(fh) -> Trace:
                 raise ContractError(f"trace CSV line {lineno}: {e}") from None
             if t < 0 or f < 0:
                 raise ContractError(f"trace CSV line {lineno}: negative slot or session")
-            rows.append((t, r[1], f, values))
+            if not rows:
+                alg = r[1]
+            elif r[1] != alg:
+                raise ContractError(f"trace CSV line {lineno}: alg {r[1]!r} differs from "
+                                    f"the earlier rows' {alg!r}")
+            first = line_of.setdefault((t, f), lineno)
+            if first != lineno:
+                raise ContractError(
+                    f"trace CSV line {lineno}: slot {t} session {f} repeats line {first}")
+            rows.append((t, f, values))
     if not rows:
         raise ContractError("trace CSV has no rows")
-    alg = rows[0][1]
-    n_f = max(r[2] for r in rows) + 1
+    n_f = max(r[1] for r in rows) + 1
     n_t = max(r[0] for r in rows) + 1
+    if len(rows) < n_t * n_f:
+        t, f = next(k for k in np.ndindex(n_t, n_f) if k not in line_of)
+        raise ContractError(f"trace CSV has no row for slot {t} session {f}")
     x = np.zeros((n_t, n_f))
     xbar = np.zeros((n_t, n_f))
     # the Trace fields of the per-slot columns, in CSV order
     names = ("util_inst", "util_avg", "util_jensen", "gap", "maxQ", "maxZ", "maxY", "lyap")
     scal = {name: np.zeros(n_t) for name in names}
-    for t, _, f, values in rows:
+    for t, f, values in rows:
         x[t, f], xbar[t, f] = values[:2]
         for name, v in zip(names, values[2:]):
             scal[name][t] = v
@@ -127,9 +140,8 @@ def run(scenario: Scenario, algorithm: str, config, slots: int, oracle=None) -> 
     Steps all three queue families under the produced decisions and checks
     the invariants of every slot: per-slot feasibility, the drift identity of
     the signed queues, the weight identity (proximal algorithm only), the
-    telescoping of Q, the agreement of the engine's Q with the harness's
-    (proximal only), and the queue bound transfer with B set to the observed
-    max |Q|.
+    agreement of the engine's Q with the harness's (proximal only), and the
+    queue bound transfer with B set to the observed max |Q|.
 
     The slot loop runs only the recursions and stores each slot's decisions,
     residual, queues and engine state in (chunk, ...) buffers; chunk_slots
@@ -144,7 +156,7 @@ def run(scenario: Scenario, algorithm: str, config, slots: int, oracle=None) -> 
     message for "feasibility"). summary["queue_transfer_violations"] holds
     the records of audit_queue_bounds applied to the per-(node, session)
     peaks of Y and Z (trace.peak_Y, trace.peak_Z), one per violating (family,
-    node, session) with slot index 0.
+    node, session) with slot index 0; it is empty when a queue went NaN.
     """
     if slots < 1:
         raise ContractError(f"slots must be at least 1, got {slots!r}")
@@ -159,8 +171,8 @@ def run(scenario: Scenario, algorithm: str, config, slots: int, oracle=None) -> 
     Y = Z = Q = np.zeros((scenario.n_nodes, scenario.n_sessions))
     state = initial_state(scenario) if prox else None
     x_hist = audit.x_hist
-    buf_mu, buf_g, buf_Y, buf_Z, buf_Q = audit.mu, audit.g, audit.Y, audit.Z, audit.Q
-    buf_W, buf_engine_Q = audit.W, audit.engine_Q
+    buf_mu, buf_g, buf_Y, buf_Z, buf_Q = audit.mu, audit.g, audit.Y, audit.Z, audit.Q[1:]
+    buf_W, buf_engine_Q = (audit.W, audit.engine_Q[2:]) if prox else (None, None)
 
     for t0 in range(0, slots, audit.chunk):
         n = min(audit.chunk, slots - t0)
@@ -193,30 +205,24 @@ def run(scenario: Scenario, algorithm: str, config, slots: int, oracle=None) -> 
     else:
         gap = np.full(slots, math.nan)
 
-    # bound transfer with B = observed max |Q| (initial zero states included)
+    # bound transfer with B = observed max |Q| (initial zero states included);
+    # a NaN queue gives no B, and the drift identity has failed at its slot
     b_obs = float(audit.max_q.max())
-    transfer = audit_queue_bounds(audit.peak_Y[None], audit.peak_Z[None], b_obs, scenario)
+    transfer = ([] if math.isnan(b_obs) else
+                audit_queue_bounds(audit.peak_Y[None], audit.peak_Z[None], b_obs, scenario))
 
     # each check's worst value, and the slot and value of its first violation
-    worst = {}
+    summary = {}
     first = {}
     for name, values in audit.checks.items():
-        worst[name] = float(values.max())
+        summary[f"{name}_max"] = float(values.max())
         bad = ~(values <= CHECK_TOLS[name])
         k = int(np.argmax(bad))
         first[name] = (k, float(values[k])) if bad[k] else None
     feas = audit.feas_failures
     first["feasibility"] = feas[0] if feas else None
-    summary = {
-        "weight_identity_max": worst["weight_identity"],
-        "drift_identity_max": worst["drift_identity"],
-        "telescoping_scaled_max": worst["telescoping"],
-        "queue_consistency_max": worst["queue_consistency"],
-        "feasibility_violations": feas,
-        "queue_transfer_violations": transfer,
-        "observed_max_abs_q": b_obs,
-        "first_violation": first,
-    }
+    summary.update(feasibility_violations=feas, queue_transfer_violations=transfer,
+                   observed_max_abs_q=b_obs, first_violation=first)
     summary["passed"] = all(v is None for v in first.values()) and not transfer
     return Trace(alg=algorithm, x=x_hist, xbar=xbar, util_inst=util_inst,
                  util_avg=util_avg, util_jensen=util_jensen, gap=gap, maxQ=audit.max_q,
@@ -226,14 +232,16 @@ def run(scenario: Scenario, algorithm: str, config, slots: int, oracle=None) -> 
 
 class _ChunkAudit:
     """The chunk buffers of run(), and the checks and metrics evaluated on
-    them. Everything a check needs from before a chunk is carried over: the
-    signed queues and Lyapunov value after the previous slot, the running sum
-    of residuals, and the engine's queues after the previous two slots.
+    them. What a check needs from before a chunk lives in the leading rows of
+    its buffer: Q holds the signed queues after the previous slot in row 0,
+    and engine_Q the engine's queues after the previous two slots in rows 0
+    and 1; the slot loop fills the rows after them. At the end of a chunk
+    its last rows are copied to the front.
 
     Reductions over a slot's (N, F) block run over axes (1, 2) of the
     C-contiguous (chunk, N, F) buffer, which sums in the same order as a sum
-    over the slot's own matrix; a running sum is a cumsum seeded with the
-    carried value. So every metric is bitwise the per-slot value."""
+    over the slot's own matrix. So every metric is bitwise the per-slot
+    value, the Lyapunov value recomputed from a carried row too."""
 
     def __init__(self, scenario: Scenario, prox: bool, slots: int):
         self.scenario = scenario
@@ -241,9 +249,10 @@ class _ChunkAudit:
         n_n, n_f, n_l = scenario.n_nodes, scenario.n_sessions, scenario.n_links
         self.chunk = c = min(slots, chunk_slots(scenario))
         self.mu = np.empty((c, n_l, n_f))
-        self.g, self.Y, self.Z, self.Q = (np.empty((c, n_n, n_f)) for _ in range(4))
-        self.W, self.engine_Q = ((np.empty((c, n_n, n_f)) for _ in range(2)) if prox
-                                 else (None, None))
+        self.g, self.Y, self.Z = (np.empty((c, n_n, n_f)) for _ in range(3))
+        self.Q = np.zeros((1 + c, n_n, n_f))
+        self.W, self.engine_Q = ((np.empty((c, n_n, n_f)), np.zeros((2 + c, n_n, n_f)))
+                                 if prox else (None, None))
 
         self.x_hist = np.empty((slots, n_f))
         self.max_q, self.max_z, self.max_y, self.lyap, self.z_total = (
@@ -254,19 +263,16 @@ class _ChunkAudit:
         self.checks = {name: np.zeros(slots) for name in CHECK_TOLS}
         self.feas_failures = []
 
-        self.Q_last = np.zeros((n_n, n_f))
-        self.lyap_last = 0.0
-        self.cum_g = np.zeros((n_n, n_f))
-        self.engine_Q_last = np.zeros((2, n_n, n_f))  # after slots t-2 and t-1, 0 before 0
-
     def chunk_done(self, t0: int, n: int):
         """Evaluate the metrics and checks of slots t0 .. t0 + n - 1, held in
-        the first n rows of the buffers."""
+        the first n rows of the buffers after the carried ones."""
         sc = self.scenario
         checks = self.checks
         rows = slice(t0, t0 + n)
         x = self.x_hist[rows]
-        mu, g, Y, Z, Q = (b[:n] for b in (self.mu, self.g, self.Y, self.Z, self.Q))
+        mu, g, Y, Z = (b[:n] for b in (self.mu, self.g, self.Y, self.Z))
+        q_all = self.Q[:n + 1]  # Q(t0), the queues before the chunk, then after each slot
+        Q = q_all[1:]
         self.max_q[rows] = np.abs(Q).max(axis=(1, 2))
         self.max_z[rows] = Z.max(axis=(1, 2))
         self.max_y[rows] = Y.max(axis=(1, 2))
@@ -275,29 +281,20 @@ class _ChunkAudit:
         np.maximum(self.peak_Z, Z.max(axis=0), out=self.peak_Z)
 
         # drift identity: L(t+1) - L(t) = <Q(t), g> + |g|^2 / 2
-        lyap = 0.5 * (Q * Q).sum(axis=(1, 2))
-        self.lyap[rows] = lyap
-        q_before = np.concatenate((self.Q_last[None], Q[:-1]))
-        drift = (q_before * g + 0.5 * g * g).sum(axis=(1, 2))
-        lyap_before = np.concatenate(([self.lyap_last], lyap[:-1]))
-        checks["drift_identity"][rows] = np.abs((lyap - lyap_before) - drift)
-        self.Q_last = Q[-1].copy()
-        self.lyap_last = lyap[-1]
-
-        # telescoping: Q(t+1) is the running sum of the residuals
-        cum_g = np.cumsum(np.concatenate((self.cum_g[None], g)), axis=0)[1:]
-        checks["telescoping"][rows] = (np.abs(Q - cum_g).max(axis=(1, 2))
-                                       / (np.arange(t0, t0 + n) + 1.0))
-        self.cum_g = cum_g[-1].copy()
+        lyap = 0.5 * (q_all * q_all).sum(axis=(1, 2))
+        self.lyap[rows] = lyap[1:]
+        drift = (q_all[:-1] * g + 0.5 * g * g).sum(axis=(1, 2))
+        checks["drift_identity"][rows] = np.abs(np.diff(lyap) - drift)
+        self.Q[0] = q_all[-1]
 
         if self.prox:
             # weight identity: W(t) = 2 Q(t) - Q(t-1) off the destinations
-            eq = np.concatenate((self.engine_Q_last, self.engine_Q[:n]))
+            eq = self.engine_Q[:n + 2]
             ident = 2.0 * eq[1:-1] - eq[:-2]
             ident[:, sc.inactive] = 0.0
             checks["weight_identity"][rows] = np.abs(self.W[:n] - ident).max(axis=(1, 2))
-            checks["queue_consistency"][rows] = np.abs(self.engine_Q[:n] - Q).max(axis=(1, 2))
-            self.engine_Q_last = eq[-2:].copy()
+            checks["queue_consistency"][rows] = np.abs(eq[2:] - Q).max(axis=(1, 2))
+            self.engine_Q[:2] = eq[-2:]
 
         self.feas_failures += [(t0 + i, message) for i, message in decision_faults(sc, x, mu)]
 

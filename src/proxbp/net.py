@@ -420,24 +420,22 @@ def require_routable(scenario: Scenario):
 
 
 def total_utility(scenario: Scenario, x):
-    """Sum of session utilities at the rate vector x (F,), a float, or at each
-    row of a (T, F) matrix of rate vectors, a (T,) array. Each term comes from
-    Utility.value, whose math.log rounds differently from np.log on some
-    inputs, and the terms are added in session order. On a matrix, each
-    column passes one domain check, Utility.value at its least entry (NaN
-    aside), and its terms are w times math.log or math.log1p of each entry,
-    which is what Utility.value computes."""
+    """Sum of session utilities at each row of a (T, F) matrix of rate
+    vectors, a (T,) array, or at the rate vector x (F,), a float. Each column
+    passes one domain check, Utility.value at its least entry (NaN aside), and
+    its terms are w times math.log or math.log1p of each entry, which is what
+    Utility.value computes; math.log rounds differently from np.log on some
+    inputs. The terms are added in session order."""
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        return sum(s.utility.value(x[f]) for f, s in enumerate(scenario.sessions))
-    total = np.zeros(x.shape[0])
-    lows = np.fmin.reduce(x, axis=0, initial=math.inf).tolist()
-    for s, low, col in zip(scenario.sessions, lows, x.T.tolist()):
+    rows = np.atleast_2d(x)
+    total = np.zeros(rows.shape[0])
+    lows = np.fmin.reduce(rows, axis=0, initial=math.inf).tolist()
+    for s, low, col in zip(scenario.sessions, lows, rows.T.tolist()):
         u = s.utility
         u.value(low)  # raises DomainError unless every entry is in the domain
         w = u.weight
         total += [w * v for v in map(math.log if u.kind == "wlog" else math.log1p, col)]
-    return total
+    return float(total[0]) if x.ndim == 1 else total
 
 
 # ---------------------------------------------------------------------------

@@ -243,10 +243,11 @@ def solve_centralized(scenario: Scenario, tol: float = 1e-5, alpha=None) -> Orac
     when the gap of a centering has grown two centerings in a row: past that
     point the Newton system is too ill-conditioned to gain precision.
 
-    Returns the best repaired primal point (tightened to flow-balance
-    equality), its utility, the multipliers achieving the best dual value,
-    and zeta at the supplied (or default) per-node alpha. Raises OracleError
-    if the certificate does not close, and at once for an unroutable session.
+    Returns the best repaired primal point (a sum of src -> dst paths, so
+    flow balance holds with equality), its utility, the multipliers
+    achieving the best dual value, and zeta at the supplied (or default)
+    per-node alpha. Raises OracleError if the certificate does not close, and
+    at once for an unroutable session.
     """
     if not (tol > 0):
         raise ContractError(f"tol must be positive, got {tol!r}")
@@ -332,12 +333,12 @@ def solve_centralized(scenario: Scenario, tol: float = 1e-5, alpha=None) -> Orac
             raise failure("the gap bound m / t is below tol / 100")
         t *= 10.0
 
-    y = tighten_to_equality(scenario, DecisionVector(best_x, best_mu))
+    y = DecisionVector(best_x, best_mu)
     validate_decision(scenario, y)
     g = residual_matrix(scenario, y.x, y.mu)
     return OracleSolution(
         y_star=y,
-        U_star=float(total_utility(scenario, y.x)),
+        U_star=total_utility(scenario, y.x),
         lambda_star=best_lam,
         zeta=compute_zeta(scenario, y, alpha),
         alpha=alpha,

@@ -14,7 +14,7 @@ import numpy as np
 
 from proxbp.dpp import dpp_slot_update
 from proxbp.engine import initial_state, slot_update
-from proxbp.harness import (DRIFT_IDENTITY_TOL, TELESCOPE_TOL, WEIGHT_IDENTITY_TOL, Trace)
+from proxbp.harness import DRIFT_IDENTITY_TOL, WEIGHT_IDENTITY_TOL, Trace
 from proxbp.net import (ContractError, NumericError, ScenarioValidationError, residual_matrix,
                         total_utility, validate_decision)
 from proxbp.queues import audit_queue_bounds, step_Q, step_Y, step_Z
@@ -110,10 +110,8 @@ def run_per_slot(scenario, algorithm, config, slots, oracle=None) -> Trace:
 
     weight_err = 0.0
     drift_err = 0.0
-    telescope_scaled = 0.0
     q_consistency = 0.0
     feas_failures = []
-    cum_g = np.zeros((n_n, n_f))
     peak_Y = np.zeros((n_n, n_f))
     peak_Z = np.zeros((n_n, n_f))
     lyap_after = 0.0
@@ -148,9 +146,6 @@ def run_per_slot(scenario, algorithm, config, slots, oracle=None) -> Trace:
         lyap_after = 0.5 * float(np.sum(Q * Q))
         drift = float(np.sum(q_before * g + 0.5 * g * g))
         drift_err = max(drift_err, abs((lyap_after - lyap_before) - drift))
-        cum_g += g
-        telescope_scaled = max(
-            telescope_scaled, float(np.max(np.abs(Q - cum_g))) / (t + 1.0))
         if algorithm == "new":
             q_consistency = max(q_consistency, float(np.max(np.abs(state.Q - Q))))
 
@@ -179,7 +174,6 @@ def run_per_slot(scenario, algorithm, config, slots, oracle=None) -> Trace:
     summary = {
         "weight_identity_max": weight_err,
         "drift_identity_max": drift_err,
-        "telescoping_scaled_max": telescope_scaled,
         "queue_consistency_max": q_consistency,
         "feasibility_violations": feas_failures,
         "queue_transfer_violations": transfer,
@@ -188,7 +182,6 @@ def run_per_slot(scenario, algorithm, config, slots, oracle=None) -> Trace:
     summary["passed"] = (
         weight_err <= WEIGHT_IDENTITY_TOL
         and drift_err <= DRIFT_IDENTITY_TOL
-        and telescope_scaled <= TELESCOPE_TOL
         and q_consistency == 0.0
         and not feas_failures
         and not transfer

@@ -134,6 +134,9 @@ _ROW = "0,new,0," + ",".join(["1.0"] * 10)
     ("0,new,0,abc" + _ROW[11:], "trace CSV line 3: could not convert string to float: 'abc'"),
     ("s" + _ROW[1:], "trace CSV line 3: invalid literal for int()"),
     ("-1" + _ROW[1:], "trace CSV line 3: negative slot or session"),
+    (_ROW, "trace CSV line 3: slot 0 session 0 repeats line 2"),
+    ("0,dpp,1," + _ROW[8:], "trace CSV line 3: alg 'dpp' differs from the earlier rows' 'new'"),
+    ("1,new,1," + _ROW[8:], "trace CSV has no row for slot 0 session 1"),
 ])
 def test_trace_from_csv_names_the_bad_line(row, message):
     with pytest.raises(P.ContractError) as err:
@@ -293,3 +296,27 @@ def test_perturbed_weight_fails_the_weight_identity(sixnode, monkeypatch, chunk)
         others = {name: v for name, v in s["first_violation"].items()
                   if name != "weight_identity"}
         assert all(v is None for v in others.values()), others
+
+
+@pytest.mark.parametrize("chunk", (3, None))
+@pytest.mark.parametrize("alg", ("new", "dpp"))
+def test_nan_residual_fails_the_drift_identity_at_its_slot(sixnode, monkeypatch, alg, chunk):
+    monkeypatch.setattr(harness, "CHUNK_BYTES", _chunk_bytes(sixnode, chunk))
+    k = harness.chunk_slots(sixnode) + 2
+    real = harness.residual_matrix
+    calls = []
+
+    def faulty(scenario, x, mu):  # the harness computes one residual per slot
+        g = real(scenario, x, mu)
+        if len(calls) == k:
+            g = g.copy()
+            g[0, 0] = math.nan
+        calls.append(None)
+        return g
+
+    monkeypatch.setattr(harness, "residual_matrix", faulty)
+    tr = P.run(sixnode, alg, _config(sixnode, alg), k + 4)
+    s = tr.summary
+    slot, value = s["first_violation"]["drift_identity"]
+    assert slot == k and math.isnan(value)
+    assert s["passed"] is False

@@ -179,6 +179,9 @@ def test_total_utility_rows_are_sums_of_utility_values(case):
     expect = np.array([sum(s.utility.value(v) for s, v in zip(sc.sessions, row))
                        for row in x.tolist()])
     assert P.total_utility(sc, x).tobytes() == expect.tobytes()
+    for row, want in zip(x, expect.tolist()):  # an (F,) vector is one row, a float
+        got = P.total_utility(sc, row)
+        assert type(got) is float and repr(got) == repr(want)
 
 
 def test_total_utility_checks_every_row(sixnode):
@@ -190,6 +193,17 @@ def test_total_utility_checks_every_row(sixnode):
     assert P.total_utility(wlog1p, np.zeros((3, 1))).tolist() == [0.0, 0.0, 0.0]
     with pytest.raises(P.DomainError):
         P.total_utility(wlog1p, np.array([[0.0], [math.nan], [-1e-300]]))
+
+
+def test_total_utility_of_a_vector_raises_the_utility_value_error(sixnode):
+    wlog1p = P.parse_scenario("nodes 2\nlink 0 1 1.0\nsession 0 0 1 wlog1p 1.0\n")
+    for sc, x in ((sixnode, [1.0, 0.0]), (sixnode, [-2.5, -1.0]), (wlog1p, [-1e-300])):
+        with pytest.raises(P.DomainError) as want:
+            sum(s.utility.value(v) for s, v in zip(sc.sessions, x))
+        with pytest.raises(P.DomainError) as got:
+            P.total_utility(sc, x)
+        assert str(got.value) == str(want.value)
+    assert str(got.value) == "wlog1p utility undefined at x=-1e-300"
 
 
 def test_decision_vector_is_read_only(singlelink):

@@ -143,6 +143,22 @@ def test_step_z_accepts_fortran_ordered_inputs(sixnode):
         assert sends.tobytes() == ref_sends.tobytes()
 
 
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(data=st.data(), shape=st.tuples(st.integers(1, 30), st.integers(1, 4),
+                                       st.integers(1, 4)))
+def test_step_q_chain_is_the_running_sum_of_residuals(data, shape):
+    g = arrays(data.draw, shape, (0.0, -0.0, 1.0, -2.5), -1e6, 1e6, data.draw(st.booleans()))
+    Q = np.zeros(shape[1:])
+    chain = []
+    for row in g:
+        Q = step_Q(Q, row)
+        chain.append(Q)
+    # the sum is seeded with Q(0) = 0 as the chain is, so a slot-0 residual
+    # of -0.0 sums to +0.0 on both sides
+    want = np.cumsum(np.concatenate((np.zeros((1,) + shape[1:]), g)), axis=0)[1:]
+    assert np.array(chain).tobytes() == want.tobytes()
+
+
 def test_step_triple_consistency(sixnode):
     rng = np.random.default_rng(9)
     Y = Z = Q = np.zeros((6, 2))
