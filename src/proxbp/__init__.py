@@ -11,8 +11,8 @@ from .net import (CAP_TOL, UTILITY_KINDS, ContractError, DecisionVector,
                   total_utility, validate_decision, zero_decision)
 from .projection import ProjectionInstance, project_rows, project_sorted
 from .rates import RateProblem, solve_rate, solve_rates
-from .engine import (ALPHA_MODES, AlgConfig, BpState, compute_weights,
-                     default_alpha, initial_state, link_update, slot_update)
+from .engine import (ALPHA_MODES, AlgConfig, SlotConstants, compute_weights,
+                     default_alpha, link_update, slot_update)
 from .queues import (ScriptedPolicy, ScriptedTrace, audit_queue_bounds, run_scripted,
                      step_Q, step_Y, step_Z, validate_policy)
 from .dpp import DppConfig, dpp_slot_update

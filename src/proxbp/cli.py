@@ -82,13 +82,15 @@ def parse_plan(text: str):
     '#' comments. The keys are the cell flags of `proxbp run` without their
     dashes (alg, alpha-mode, alpha-scale, V, x-max), parsed by the same
     options; every key but name is optional, and one left out takes its
-    CompareRun default. Returns (slots, [CompareRun, ...]); a bad line raises
-    a ContractError that starts 'plan line N:'."""
+    CompareRun default. Names must differ, since each names its trace.
+    Returns (slots, [CompareRun, ...]); a bad line raises a ContractError
+    that starts 'plan line N:'."""
     cells = _PlanCellParser(prog="plan", add_help=False, allow_abbrev=False)
     cells.add_argument("--name", required=True)
     _add_cell_options(cells)
     slots = 10000
     runs = []
+    line_of = {}  # run name -> the line that gave it
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -99,6 +101,9 @@ def parse_plan(text: str):
                 slots = int(tok[1])
             elif tok[0] == "run":
                 opts = cells.parse_args([f"--{t}" for t in tok[1:]])
+                first = line_of.setdefault(opts.name, lineno)
+                if first != lineno:
+                    raise ContractError(f"name {opts.name!r} repeats line {first}")
                 runs.append(_cell(opts.name, opts))
             else:
                 raise ContractError("unknown directive")

@@ -1,12 +1,14 @@
 """Proximal backpressure engine.
 
-Each slot: form per-(node, session) weights W = Q + g(y_prev) with W = 0 at
-destinations, solve one proximal scalar problem per source and one capped
-simplex projection per link, then advance the signed virtual queues by the
-new flow residuals. All decisions within a slot read the same W, so source
-and link updates are order-independent, and slot_update runs them as one
-array program over sources and over (links x sessions). link_update is the
-per-link scalar reference.
+Each slot reads the signed virtual queues Q(t) and the previous slot's
+decisions, forms per-(node, session) weights W = Q + g(y_prev) with W = 0 at
+destinations, and solves one proximal scalar problem per source and one
+capped simplex projection per link. The queues belong to the caller, which
+advances them by the new decisions' residual; the engine keeps no state. All
+decisions within a slot read the same W, so source and link updates are
+order-independent, and slot_update runs them as one array program over
+sources and over (links x sessions). link_update is the per-link scalar
+reference.
 """
 from __future__ import annotations
 
@@ -14,8 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .net import (ContractError, DecisionVector, Scenario, _frozen, residual_matrix,
-                  zero_decision)
+from .net import ContractError, DecisionVector, Scenario, _frozen, residual_matrix
 from .projection import ProjectionInstance, project_rows, project_sorted
 from .rates import solve_rates
 
@@ -53,10 +54,10 @@ class AlgConfig:
 
 @dataclass(frozen=True, eq=False)
 class SlotConstants:
-    """The arrays of slot_update that stay fixed over a run: a_src (F,) is
-    2 alpha at each session's source, the curvature of its rate problem, and
-    link_denom (L, 1) is 2 (alpha_tail + alpha_head) of each link. Built once
-    per (scenario, config) and carried from state to state."""
+    """What slot_update reads that stays fixed over a run: the scenario,
+    a_src (F,), 2 alpha at each session's source, the curvature of its rate
+    problem, and link_denom (L, 1), 2 (alpha_tail + alpha_head) of each link.
+    run() builds one per run."""
 
     scenario: Scenario
     config: AlgConfig
@@ -75,36 +76,9 @@ class SlotConstants:
             object.__setattr__(self, name, a)
 
 
-@dataclass(frozen=True, eq=False)
-class BpState:
-    """Signed virtual queues Q (N, F), previous slot's decisions, slot counter,
-    and the weights W (N, F) the previous slot used (None before the first).
-
-    g (N, F) is residual_matrix of y_prev, and consts the SlotConstants of
-    the run. slot_update fills both in the states it returns; a state built
-    without them gets g from compute_weights and consts from slot_update."""
-
-    Q: np.ndarray
-    y_prev: DecisionVector
-    t: int
-    W: np.ndarray = None
-    g: np.ndarray = None
-    consts: SlotConstants = field(default=None, repr=False)
-
-
-def initial_state(scenario: Scenario) -> BpState:
-    q = np.zeros((scenario.n_nodes, scenario.n_sessions))
-    q.setflags(write=False)
-    return BpState(q, zero_decision(scenario), 0)
-
-
-def compute_weights(state: BpState, scenario: Scenario) -> np.ndarray:
-    """W = Q + g(y_prev), zero at destinations. (N, F). g is the residual the
-    state carries, or residual_matrix of y_prev if it carries none."""
-    g = state.g
-    if g is None:
-        g = residual_matrix(scenario, state.y_prev.x, state.y_prev.mu)
-    w = state.Q + g
+def compute_weights(Q: np.ndarray, y_prev: DecisionVector, scenario: Scenario) -> np.ndarray:
+    """W = Q + g(y_prev), zero at destinations. (N, F)."""
+    w = Q + residual_matrix(scenario, y_prev.x, y_prev.mu)
     w[scenario.inactive] = 0.0
     return w
 
@@ -129,30 +103,23 @@ def link_update(link: int, W: np.ndarray, alpha: np.ndarray, mu_prev: np.ndarray
     return out
 
 
-def slot_update(state: BpState, scenario: Scenario, config: AlgConfig) -> tuple:
-    """Advance one slot. Returns (decisions for slot t, next state).
+def slot_update(Q: np.ndarray, y_prev: DecisionVector, consts: SlotConstants) -> tuple:
+    """One slot's decisions from the signed queues Q (N, F) before the slot
+    and the previous slot's decisions. Returns (decisions, W), W the weights
+    they were computed from.
 
     Every source's rate problem is solved by solve_rates and every link's
     projection by one project_rows call on the (L, F) matrix
     a = mu_prev + (W[tail] - W[head]) / (2 (alpha_tail + alpha_head)).
-    The next state carries the residual of the new decisions, the next
-    slot's g, and the run's SlotConstants.
     """
-    consts = state.consts
-    if consts is None or consts.scenario is not scenario or consts.config is not config:
-        consts = SlotConstants(scenario, config)
-    W = compute_weights(state, scenario)
+    scenario = consts.scenario
+    W = compute_weights(Q, y_prev, scenario)
     if not np.isfinite(W).all():
         raise ContractError("weights must be finite")
     x = solve_rates(scenario.is_wlog, scenario.utility_weight,
-                    W.take(scenario.src_entries), state.y_prev.x, consts.a_src)
+                    W.take(scenario.src_entries), y_prev.x, consts.a_src)
     network = scenario.network
-    a = state.y_prev.mu + (W.take(network.tails, axis=0)
-                           - W.take(network.heads, axis=0)) / consts.link_denom
+    a = y_prev.mu + (W.take(network.tails, axis=0)
+                     - W.take(network.heads, axis=0)) / consts.link_denom
     mu = project_rows(a, network.caps, scenario.allow_mask)
-    y = DecisionVector(_frozen(x), _frozen(mu))
-    g = residual_matrix(scenario, y.x, y.mu)
-    g.setflags(write=False)
-    q = state.Q + g
-    q.setflags(write=False)
-    return y, BpState(q, y, state.t + 1, W, g, consts)
+    return DecisionVector(_frozen(x), _frozen(mu)), W

@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .net import (ContractError, Link, Network, Scenario, Session, Utility, decision_faults,
-                  residual_matrix, total_utility)
-from .engine import AlgConfig, default_alpha, initial_state, slot_update
+                  residual_matrix, total_utility, zero_decision)
+from .engine import AlgConfig, SlotConstants, default_alpha, slot_update
 from .dpp import DppConfig, dpp_slot_update
 from .queues import ScriptedPolicy, audit_queue_bounds, step_Q, step_Y, step_Z
 
@@ -20,8 +20,7 @@ CSV_HEADER = "slot,alg,session,x,xbar,util_inst,util_avg,util_jensen,gap,maxQ,ma
 WEIGHT_IDENTITY_TOL = 1e-12
 DRIFT_IDENTITY_TOL = 1e-9
 # the per-slot checks of run() and the largest value each may take
-CHECK_TOLS = {"weight_identity": WEIGHT_IDENTITY_TOL, "drift_identity": DRIFT_IDENTITY_TOL,
-              "queue_consistency": 0.0}
+CHECK_TOLS = {"weight_identity": WEIGHT_IDENTITY_TOL, "drift_identity": DRIFT_IDENTITY_TOL}
 
 CHUNK_BYTES = 1 << 18  # byte budget of each per-chunk buffer of run()
 
@@ -139,16 +138,16 @@ def run(scenario: Scenario, algorithm: str, config, slots: int, oracle=None) -> 
 
     Steps all three queue families under the produced decisions and checks
     the invariants of every slot: per-slot feasibility, the drift identity of
-    the signed queues, the weight identity (proximal algorithm only), the
-    agreement of the engine's Q with the harness's (proximal only), and the
+    the signed queues, the weight identity (proximal algorithm only), and the
     queue bound transfer with B set to the observed max |Q|.
 
     The slot loop runs only the recursions and stores each slot's decisions,
-    residual, queues and engine state in (chunk, ...) buffers; chunk_slots
-    sizes them to CHUNK_BYTES each. DPP decides from the loop's own clipped
-    queues Y. Once per chunk, array programs over the buffers evaluate the
-    checks and the per-slot metrics, feasibility by decision_faults.
-    Utilities are evaluated after the loop.
+    residual, queues and weights in (chunk, ...) buffers; chunk_slots sizes
+    them to CHUNK_BYTES each. The loop owns the queues: the proximal engine
+    decides from its signed queues Q, DPP from its clipped queues Y. Once per
+    chunk, array programs over the buffers evaluate the checks and the
+    per-slot metrics, feasibility by decision_faults. Utilities are evaluated
+    after the loop.
 
     Results land in trace.summary; summary["passed"] is the overall verdict.
     summary["first_violation"] maps each per-slot check to the (slot, value)
@@ -167,20 +166,19 @@ def run(scenario: Scenario, algorithm: str, config, slots: int, oracle=None) -> 
     if not isinstance(config, config_type):
         raise ContractError(f"algorithm {algorithm!r} takes config type "
                             f"{config_type.__name__}, got {type(config).__name__}")
+    consts = SlotConstants(scenario, config) if prox else None
     audit = _ChunkAudit(scenario, prox, slots)
     Y = Z = Q = np.zeros((scenario.n_nodes, scenario.n_sessions))
-    state = initial_state(scenario) if prox else None
+    y = zero_decision(scenario)
     x_hist = audit.x_hist
-    buf_mu, buf_g, buf_Y, buf_Z, buf_Q = audit.mu, audit.g, audit.Y, audit.Z, audit.Q[1:]
-    buf_W, buf_engine_Q = (audit.W, audit.engine_Q[2:]) if prox else (None, None)
+    buf_mu, buf_g, buf_Y, buf_Z, buf_Q, buf_W = (audit.mu, audit.g, audit.Y, audit.Z,
+                                                 audit.Q[2:], audit.W)
 
     for t0 in range(0, slots, audit.chunk):
         n = min(audit.chunk, slots - t0)
         for i in range(n):
             if prox:
-                y, state = slot_update(state, scenario, config)
-                buf_W[i] = state.W
-                buf_engine_Q[i] = state.Q
+                y, buf_W[i] = slot_update(Q, y, consts)
             else:
                 y = dpp_slot_update(Y, scenario, config)
             g = residual_matrix(scenario, y.x, y.mu)
@@ -232,11 +230,10 @@ def run(scenario: Scenario, algorithm: str, config, slots: int, oracle=None) -> 
 
 class _ChunkAudit:
     """The chunk buffers of run(), and the checks and metrics evaluated on
-    them. What a check needs from before a chunk lives in the leading rows of
-    its buffer: Q holds the signed queues after the previous slot in row 0,
-    and engine_Q the engine's queues after the previous two slots in rows 0
-    and 1; the slot loop fills the rows after them. At the end of a chunk
-    its last rows are copied to the front.
+    them. Q holds the signed queues of the two slots before a chunk,
+    Q(t0 - 1) and Q(t0), in rows 0 and 1, which the drift and weight
+    identities read; the slot loop fills the rows after them. At the end of a
+    chunk its last two rows are copied to the front.
 
     Reductions over a slot's (N, F) block run over axes (1, 2) of the
     C-contiguous (chunk, N, F) buffer, which sums in the same order as a sum
@@ -250,9 +247,8 @@ class _ChunkAudit:
         self.chunk = c = min(slots, chunk_slots(scenario))
         self.mu = np.empty((c, n_l, n_f))
         self.g, self.Y, self.Z = (np.empty((c, n_n, n_f)) for _ in range(3))
-        self.Q = np.zeros((1 + c, n_n, n_f))
-        self.W, self.engine_Q = ((np.empty((c, n_n, n_f)), np.zeros((2 + c, n_n, n_f)))
-                                 if prox else (None, None))
+        self.Q = np.zeros((2 + c, n_n, n_f))
+        self.W = np.empty((c, n_n, n_f)) if prox else None
 
         self.x_hist = np.empty((slots, n_f))
         self.max_q, self.max_z, self.max_y, self.lyap, self.z_total = (
@@ -271,7 +267,7 @@ class _ChunkAudit:
         rows = slice(t0, t0 + n)
         x = self.x_hist[rows]
         mu, g, Y, Z = (b[:n] for b in (self.mu, self.g, self.Y, self.Z))
-        q_all = self.Q[:n + 1]  # Q(t0), the queues before the chunk, then after each slot
+        q_all = self.Q[1:n + 2]  # Q(t0), the queues before the chunk, then after each slot
         Q = q_all[1:]
         self.max_q[rows] = np.abs(Q).max(axis=(1, 2))
         self.max_z[rows] = Z.max(axis=(1, 2))
@@ -285,16 +281,13 @@ class _ChunkAudit:
         self.lyap[rows] = lyap[1:]
         drift = (q_all[:-1] * g + 0.5 * g * g).sum(axis=(1, 2))
         checks["drift_identity"][rows] = np.abs(np.diff(lyap) - drift)
-        self.Q[0] = q_all[-1]
 
         if self.prox:
             # weight identity: W(t) = 2 Q(t) - Q(t-1) off the destinations
-            eq = self.engine_Q[:n + 2]
-            ident = 2.0 * eq[1:-1] - eq[:-2]
+            ident = 2.0 * q_all[:-1] - self.Q[:n]
             ident[:, sc.inactive] = 0.0
             checks["weight_identity"][rows] = np.abs(self.W[:n] - ident).max(axis=(1, 2))
-            checks["queue_consistency"][rows] = np.abs(eq[2:] - Q).max(axis=(1, 2))
-            self.engine_Q[:2] = eq[-2:]
+        self.Q[:2] = self.Q[n:n + 2]
 
         self.feas_failures += [(t0 + i, message) for i, message in decision_faults(sc, x, mu)]
 

@@ -456,8 +456,7 @@ def parse_scenario(text: str) -> Scenario:
     node_count = None
     links = []
     sessions = []
-    allow_ids: dict = {}
-    allow_none: set = set()
+    allows = []  # (line, link, session id or None for 'none') per allow line
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -485,23 +484,28 @@ def parse_scenario(text: str) -> Scenario:
             if len(parts) != 3:
                 raise ScenarioFormatError(lineno, "allow needs: link_index session_id")
             li = _parse_int(lineno, parts, 1)
-            if parts[2] == "none":
-                if allow_ids.get(li):
-                    raise ScenarioFormatError(lineno, f"allow {li} none conflicts with earlier allow lines")
-                allow_none.add(li)
-            else:
-                if li in allow_none:
-                    raise ScenarioFormatError(lineno, f"allow line conflicts with earlier allow {li} none")
-                allow_ids.setdefault(li, []).append(_parse_int(lineno, parts, 2))
+            allows.append((lineno, li, None if parts[2] == "none" else _parse_int(lineno, parts, 2)))
         else:
             raise ScenarioFormatError(lineno, f"unknown directive {tag!r}")
     if node_count is None:
         raise ScenarioValidationError("document has no nodes line")
     network = Network(node_count, tuple(links))
     nf = len(sessions)
-    for li in list(allow_ids) + list(allow_none):
+    allow_ids: dict = {}
+    allow_none: set = set()
+    for lineno, li, f in allows:
         if not (0 <= li < len(links)):
-            raise ScenarioValidationError(f"allow line references missing link {li}")
+            raise ScenarioFormatError(lineno, f"allow references missing link {li}")
+        if f is None:
+            if allow_ids.get(li):
+                raise ScenarioFormatError(lineno, f"allow {li} none conflicts with earlier allow lines")
+            allow_none.add(li)
+        elif li in allow_none:
+            raise ScenarioFormatError(lineno, f"allow line conflicts with earlier allow {li} none")
+        elif not (0 <= f < nf):
+            raise ScenarioFormatError(lineno, f"allow names missing session {f}")
+        else:
+            allow_ids.setdefault(li, []).append(f)
     full = frozenset(range(nf))
     allowed = []
     for li in range(len(links)):

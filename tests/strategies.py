@@ -1,4 +1,4 @@
-"""Hypothesis strategies for random scenarios and slot states, shared by the
+"""Hypothesis strategies for random scenarios and slot inputs, shared by the
 tests that check the batched slot kernels against their scalar references.
 
 Values are drawn from short lists or from intervals: the lists make ties (in
@@ -71,8 +71,9 @@ def scenarios(draw, allow=("full", "mixed")):
 
 @st.composite
 def slot_cases(draw):
-    """(scenario, state, config) for one proximal slot from an arbitrary state.
-    Half of the states are coarse, which makes tied projection inputs common."""
+    """(scenario, Q, y_prev, config) for one proximal slot from arbitrary
+    queues and previous decisions. Half of the cases are coarse, which makes
+    tied projection inputs common."""
     sc = draw(scenarios())
     n, f, l = sc.n_nodes, sc.n_sessions, sc.n_links
     coarse = draw(st.booleans())
@@ -80,5 +81,4 @@ def slot_cases(draw):
     x_prev = arrays(draw, (f,), (0.0, 0.5, 1.0), 0.0, 3.0, coarse)
     mu_prev = arrays(draw, (l, f), (0.0, 0.25, 0.5), 0.0, 2.0, coarse)
     alpha = arrays(draw, (n,), (0.5, 1.0, 4.5, 12.5), 0.1, 20.0, coarse)
-    state = P.BpState(q, P.DecisionVector(x_prev, mu_prev), 1)
-    return sc, state, P.AlgConfig(alpha)
+    return sc, q, P.DecisionVector(x_prev, mu_prev), P.AlgConfig(alpha)

@@ -109,6 +109,8 @@ def test_parse_plan_errors():
     assert slots == 7
     assert runs[0].alpha_scale == 2.5
     assert runs[0].alpha_mode == "queue-bound"
+    with pytest.raises(P.ContractError, match="^plan line 3: run: name 'a' repeats line 1$"):
+        parse_plan("run name=a alg=dpp\nrun name=b\nrun name=a alg=new\n")
 
 
 README_PLAN = ("slots 10000\n"
@@ -155,6 +157,7 @@ def test_parse_plan_cells(text, slots, runs):
     "slots abc",                          # not a number
     "slots 5 6",                          # unknown directive
     "walk 3",                             # unknown directive
+    "run name=ok alg=dpp",                # name of line 2 again
 ])
 def test_parse_plan_rejects_bad_lines(line):
     with pytest.raises(P.ContractError, match="^plan line 3: "):
@@ -217,6 +220,17 @@ def test_compare_rejects_non_numeric_plan_values(tmp_path, capsys, line):
     code = main(["compare", "--scenario", SINGLE, "--spec", str(plan)])
     assert code == 2
     assert "plan line 2:" in capsys.readouterr().err
+
+
+def test_compare_rejects_a_repeated_run_name(tmp_path, capsys):
+    # each name keys a trace and its CSV, so a second cell of a name is an error
+    plan = tmp_path / "plan.txt"
+    plan.write_text("slots 5\nrun name=a alg=dpp\nrun name=a alg=new\n")
+    out = tmp_path / "out"
+    code = main(["compare", "--scenario", SINGLE, "--spec", str(plan), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == "proxbp: plan line 3: run: name 'a' repeats line 2\n"
+    assert not out.exists()
 
 
 def test_module_entry_point():

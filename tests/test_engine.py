@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from strategies import slot_cases
 
 import proxbp as P
-from proxbp.engine import compute_weights, default_alpha, initial_state, link_update, slot_update
+from proxbp.engine import SlotConstants, compute_weights, default_alpha, link_update, slot_update
 from proxbp.rates import RateProblem, solve_rate
 
 
@@ -32,31 +32,42 @@ def test_alg_config_validation():
     assert cfg.alpha.dtype == float
 
 
+def _slots(scenario, config, count):
+    """The first count slots of a proximal run from zero queues, as
+    (Q(t), y(t-1), y(t), W(t)). Q steps by the residual of each slot's
+    decisions, as run() steps it."""
+    consts = SlotConstants(scenario, config)
+    q = np.zeros((scenario.n_nodes, scenario.n_sessions))
+    y_prev = P.zero_decision(scenario)
+    for _ in range(count):
+        y, w = slot_update(q, y_prev, consts)
+        yield q, y_prev, y, w
+        q = P.step_Q(q, P.residual_matrix(scenario, y.x, y.mu))
+        y_prev = y
+
+
 def test_weights_are_queue_plus_residual(singlelink):
-    state = initial_state(singlelink)
     cfg = P.AlgConfig(np.array([1.0, 1.0]))
-    y0, s1 = slot_update(state, singlelink, cfg)
+    (_, _, y0, w0), (q1, y_prev, _, w1) = _slots(singlelink, cfg, 2)
     # first slot: W = 0, so the source solves max log x - x^2 at 1/sqrt(2)
+    assert not w0.any()
     assert abs(y0.x[0] - 1.0 / math.sqrt(2.0)) < 1e-12
     assert y0.mu[0, 0] == 0.0
-    w1 = compute_weights(s1, singlelink)
+    assert y_prev is y0
     g0 = P.residual_matrix(singlelink, y0.x, y0.mu)
-    assert np.max(np.abs(w1 - (s1.Q + g0))) < 1e-15
+    assert np.max(np.abs(w1 - (q1 + g0))) < 1e-15
     assert w1[1, 0] == 0.0  # destination weight pinned
+    assert w1.tobytes() == compute_weights(q1, y0, singlelink).tobytes()
 
 
 def test_weight_identity_two_slots(sixnode):
     cfg = P.AlgConfig(default_alpha(sixnode.network, "utility-gap"))
-    s = initial_state(sixnode)
-    q_hist = [s.Q]
-    for _ in range(5):
-        w = compute_weights(s, sixnode)
-        if s.t >= 1:
-            ident = 2.0 * q_hist[-1] - q_hist[-2]
-            ident[~sixnode.active] = 0.0
-            assert np.max(np.abs(w - ident)) < 1e-12
-        _, s = slot_update(s, sixnode, cfg)
-        q_hist.append(s.Q)
+    q_prev = np.zeros((6, 2))  # Q(-1): slot 0's weights are 0 = 2 Q(0) - Q(-1)
+    for q, _, _, w in _slots(sixnode, cfg, 5):
+        ident = 2.0 * q - q_prev
+        ident[~sixnode.active] = 0.0
+        assert np.max(np.abs(w - ident)) < 1e-12
+        q_prev = q
 
 
 def test_link_update_matches_projection(sixnode):
@@ -97,21 +108,15 @@ def test_forbidden_sessions_stay_zero():
         "session 0 0 2 wlog 1.0\nsession 1 0 1 wlog 1.0\n"
         "allow 2 0\n")
     cfg = P.AlgConfig(default_alpha(sc.network, "utility-gap"))
-    s = initial_state(sc)
-    for _ in range(30):
-        y, s = slot_update(s, sc, cfg)
+    for _, _, y, _ in _slots(sc, cfg, 30):
         assert y.mu[2, 1] == 0.0
         P.validate_decision(sc, y)
 
 
 def test_singlelink_converges_to_unit_rate(singlelink):
     cfg = P.AlgConfig(default_alpha(singlelink.network, "utility-gap"))
-    s = initial_state(singlelink)
-    x = None
-    for _ in range(3000):
-        y, s = slot_update(s, singlelink, cfg)
-        x = y.x[0]
-    assert abs(x - 1.0) < 1e-3
+    *_, (_, _, y, _) = _slots(singlelink, cfg, 3000)
+    assert abs(y.x[0] - 1.0) < 1e-3
     assert abs(y.mu[0, 0] - 1.0) < 1e-3
 
 
@@ -121,12 +126,8 @@ def test_joint_slot_objective_optimality(singlelink):
     # over x > 0, 0 <= mu <= 1. Verify on a 2-d grid after a few slots.
     alpha = np.array([1.0, 1.0])
     cfg = P.AlgConfig(alpha)
-    s = initial_state(singlelink)
-    for _ in range(4):
-        y, s = slot_update(s, singlelink, cfg)
-    w = compute_weights(s, singlelink)
-    xp, mup = s.y_prev.x[0], s.y_prev.mu[0, 0]
-    y, _ = slot_update(s, singlelink, cfg)
+    *_, (_, y_prev, y, w) = _slots(singlelink, cfg, 5)
+    xp, mup = y_prev.x[0], y_prev.mu[0, 0]
 
     def joint(xv, mv):
         return (math.log(xv) - w[0, 0] * (xv - mv)
@@ -143,23 +144,17 @@ def test_state_is_deterministic(sixnode):
     cfg = P.AlgConfig(default_alpha(sixnode.network, "queue-bound"))
     runs = []
     for _ in range(2):
-        s = initial_state(sixnode)
-        xs = []
-        for _ in range(50):
-            y, s = slot_update(s, sixnode, cfg)
-            xs.append(y.x.copy())
-        runs.append(np.array(xs))
+        runs.append(np.array([y.x for _, _, y, _ in _slots(sixnode, cfg, 50)]))
     assert np.array_equal(runs[0], runs[1])
 
 
-def _scalar_slot(state, scenario, config):
+def _scalar_slot(W, y_prev, scenario, config):
     """slot_update's decisions from the scalar references: solve_rate per
     source and link_update per link."""
-    W = compute_weights(state, scenario)
     alpha = config.alpha
-    x = np.array([solve_rate(RateProblem(s.utility, W[s.src, f], state.y_prev.x[f], alpha[s.src]))
+    x = np.array([solve_rate(RateProblem(s.utility, W[s.src, f], y_prev.x[f], alpha[s.src]))
                   for f, s in enumerate(scenario.sessions)])
-    mu = np.array([link_update(l, W, alpha, state.y_prev.mu, scenario)
+    mu = np.array([link_update(l, W, alpha, y_prev.mu, scenario)
                    for l in range(scenario.n_links)])
     return x, mu
 
@@ -167,9 +162,11 @@ def _scalar_slot(state, scenario, config):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(case=slot_cases())
 def test_batched_slot_matches_scalar_reference(case):
-    scenario, state, config = case
-    y, nxt = slot_update(state, scenario, config)
-    x, mu = _scalar_slot(state, scenario, config)
+    scenario, q, y_prev, config = case
+    y, w = slot_update(q, y_prev, SlotConstants(scenario, config))
+    # the weights returned are the ones the decisions were computed from
+    assert w.tobytes() == compute_weights(q, y_prev, scenario).tobytes()
+    x, mu = _scalar_slot(w, y_prev, scenario, config)
     assert y.x.tobytes() == x.tobytes()
     if all(len(a) == scenario.n_sessions for a in scenario.allowed):
         assert y.mu.tobytes() == mu.tobytes()
@@ -178,51 +175,23 @@ def test_batched_slot_matches_scalar_reference(case):
         # different grouping than the scalar path, which moves only rounding
         assert np.max(np.abs(y.mu - mu)) <= 1e-12
         assert np.all(y.mu[~scenario.allow_mask] == 0.0)
-    assert np.array_equal(nxt.Q, state.Q + P.residual_matrix(scenario, y.x, y.mu))
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(case=slot_cases())
-def test_state_carries_the_residual_of_its_decisions(case):
-    scenario, state, config = case
-    y, nxt = slot_update(state, scenario, config)
-    assert nxt.g.tobytes() == P.residual_matrix(scenario, y.x, y.mu).tobytes()
-    # the same state built by hand, without g and the run's constants
-    bare = P.BpState(nxt.Q, nxt.y_prev, nxt.t, nxt.W)
-    (y1, s1), (y2, s2) = slot_update(nxt, scenario, config), slot_update(bare, scenario, config)
-    for field in ("x", "mu"):
-        assert getattr(y1, field).tobytes() == getattr(y2, field).tobytes()
-    for field in ("Q", "W", "g"):
-        assert getattr(s1, field).tobytes() == getattr(s2, field).tobytes()
-
-
-def test_carried_constants_follow_the_config(sixnode):
-    # a state chain continued under another config must use that config's alpha
-    gap = P.AlgConfig(default_alpha(sixnode.network, "utility-gap"))
-    bound = P.AlgConfig(default_alpha(sixnode.network, "queue-bound"))
-    _, s = slot_update(initial_state(sixnode), sixnode, gap)
-    y, _ = slot_update(s, sixnode, bound)
-    ref, _ = slot_update(P.BpState(s.Q, s.y_prev, s.t, s.W), sixnode, bound)
-    assert y.x.tobytes() == ref.x.tobytes() and y.mu.tobytes() == ref.mu.tobytes()
-    assert s.consts.config is gap
 
 
 def test_slot_update_rejects_non_finite_weights(sixnode):
     cfg = P.AlgConfig(default_alpha(sixnode.network, "queue-bound"))
-    s = initial_state(sixnode)
     q = np.zeros((6, 2))
     q[4, 1] = math.nan  # node 4 is no source, so only the link phase reads it
-    with pytest.raises(P.ContractError):
-        slot_update(P.BpState(q, s.y_prev, 0), sixnode, cfg)
+    with pytest.raises(P.ContractError, match="^weights must be finite$"):
+        slot_update(q, P.zero_decision(sixnode), SlotConstants(sixnode, cfg))
 
 
 def test_slot_update_rejects_bad_previous_rates(sixnode):
     cfg = P.AlgConfig(default_alpha(sixnode.network, "queue-bound"))
-    s = initial_state(sixnode)
+    consts = SlotConstants(sixnode, cfg)
     for bad in (-0.5, math.inf, math.nan):
-        prev = P.DecisionVector([0.5, bad], s.y_prev.mu)
+        prev = P.DecisionVector([0.5, bad], P.zero_decision(sixnode).mu)
         with pytest.raises(P.ContractError):
-            slot_update(P.BpState(s.Q, prev, 0), sixnode, cfg)
+            slot_update(np.zeros((6, 2)), prev, consts)
 
 
 def test_alpha_needs_one_entry_per_node(sixnode):
@@ -231,4 +200,4 @@ def test_alpha_needs_one_entry_per_node(sixnode):
         with pytest.raises(P.ContractError, match=f"alpha has {n} entries for 6 nodes"):
             P.run(sixnode, "new", P.AlgConfig(np.ones(n)), 5)
         with pytest.raises(P.ContractError):
-            slot_update(initial_state(sixnode), sixnode, P.AlgConfig(np.ones(n)))
+            SlotConstants(sixnode, P.AlgConfig(np.ones(n)))

@@ -11,7 +11,7 @@ from reference import run_per_slot
 from strategies import scenarios
 
 import proxbp as P
-from proxbp import cli, harness
+from proxbp import cli, engine, harness
 from proxbp.harness import CSV_HEADER, CompareRun, compare, queue_mass, trace_from_csv
 
 SIXNODE = str(Path(__file__).resolve().parents[1] / "scenarios" / "sixnode.net")
@@ -244,12 +244,16 @@ def test_chunked_run_matches_reference_on_random_scenarios(sc, alg, chunk, slots
 
 
 def _inject(monkeypatch, slot, fault):
-    """Make harness.slot_update apply fault(y, next state) at the given slot."""
+    """Make harness.slot_update apply fault(y, W, scenario) to its decisions
+    and weights at the given slot of every run. Slots are counted per
+    SlotConstants, which run() builds once per run."""
     real = harness.slot_update
+    slots_done = {}
 
-    def faulty(state, scenario, config):
-        y, nxt = real(state, scenario, config)
-        return fault(y, nxt, scenario) if state.t == slot else (y, nxt)
+    def faulty(Q, y_prev, consts):
+        y, W = real(Q, y_prev, consts)
+        t = slots_done[consts] = slots_done.get(consts, -1) + 1
+        return fault(y, W, consts.scenario) if t == slot else (y, W)
 
     monkeypatch.setattr(harness, "slot_update", faulty)
 
@@ -261,11 +265,11 @@ def test_overcapacity_decision_is_reported_at_its_slot(sixnode, monkeypatch, tmp
     slots = k + 4
     injected = []
 
-    def overload(y, nxt, scenario):
+    def overload(y, W, scenario):
         mu = y.mu.copy()
         mu[0, 0] = scenario.network.caps[0] + 0.5  # sixnode lets session 0 use link 0
         injected.append(P.DecisionVector(y.x, mu))
-        return injected[-1], nxt
+        return injected[-1], W
 
     _inject(monkeypatch, k, overload)
     tr = P.run(sixnode, "new", _config(sixnode, "new"), slots)
@@ -285,8 +289,7 @@ def test_perturbed_weight_fails_the_weight_identity(sixnode, monkeypatch, chunk)
     # slot 0 has weights too: W(0) = 0 is checked like any later slot
     for k in (0, harness.chunk_slots(sixnode) + 2):
         with monkeypatch.context() as m:
-            _inject(m, k, lambda y, nxt, sc: (y, P.BpState(nxt.Q, nxt.y_prev, nxt.t,
-                                                           nxt.W + 1e-9)))
+            _inject(m, k, lambda y, W, sc: (y, W + 1e-9))
             tr = P.run(sixnode, "new", _config(sixnode, "new"), k + 4)
         s = tr.summary
         assert s["weight_identity_max"] > harness.WEIGHT_IDENTITY_TOL
@@ -296,6 +299,35 @@ def test_perturbed_weight_fails_the_weight_identity(sixnode, monkeypatch, chunk)
         others = {name: v for name, v in s["first_violation"].items()
                   if name != "weight_identity"}
         assert all(v is None for v in others.values()), others
+
+
+@pytest.mark.parametrize("chunk", (3, None))
+def test_perturbed_engine_residual_fails_the_weight_identity(sixnode, monkeypatch, chunk):
+    # the engine forms W(t) = Q(t) + g(y(t-1)) from a residual of its own and
+    # the harness checks it against 2 Q(t) - Q(t-1) from its own queues, so a
+    # fault in the engine's residual of slot k - 1's decisions shows at slot k
+    monkeypatch.setattr(harness, "CHUNK_BYTES", _chunk_bytes(sixnode, chunk))
+    k = harness.chunk_slots(sixnode) + 2
+    real = engine.residual_matrix
+    calls = []
+
+    def faulty(scenario, x, mu):  # the engine computes one residual per slot
+        g = real(scenario, x, mu)
+        if len(calls) == k:
+            g = g.copy()
+            g[0, 0] += 1e-9  # node 0 is session 0's source
+        calls.append(None)
+        return g
+
+    monkeypatch.setattr(engine, "residual_matrix", faulty)
+    tr = P.run(sixnode, "new", _config(sixnode, "new"), k + 4)
+    assert len(calls) == k + 4
+    s = tr.summary
+    slot, value = s["first_violation"]["weight_identity"]
+    assert slot == k and 0.9e-9 < value < 1.1e-9
+    assert s["passed"] is False
+    others = {name: v for name, v in s["first_violation"].items() if name != "weight_identity"}
+    assert all(v is None for v in others.values()), others
 
 
 @pytest.mark.parametrize("chunk", (3, None))
@@ -315,8 +347,15 @@ def test_nan_residual_fails_the_drift_identity_at_its_slot(sixnode, monkeypatch,
         return g
 
     monkeypatch.setattr(harness, "residual_matrix", faulty)
-    tr = P.run(sixnode, alg, _config(sixnode, alg), k + 4)
+    # the proximal engine decides from the harness's Q, so a NaN queue stops
+    # it at the next slot; DPP decides from Y and runs on
+    slots = k + 1 if alg == "new" else k + 4
+    tr = P.run(sixnode, alg, _config(sixnode, alg), slots)
     s = tr.summary
     slot, value = s["first_violation"]["drift_identity"]
     assert slot == k and math.isnan(value)
     assert s["passed"] is False
+    if alg == "new":
+        calls.clear()
+        with pytest.raises(P.ContractError, match="^weights must be finite$"):
+            P.run(sixnode, alg, _config(sixnode, alg), k + 2)

@@ -374,6 +374,20 @@ def test_parse_error_line_numbers():
     assert e.value.lineno == 2
 
 
+@pytest.mark.parametrize("lines, message", [
+    ("allow 3 0", "line 4: allow references missing link 3"),
+    ("allow -1 none", "line 4: allow references missing link -1"),
+    ("allow 0 4", "line 4: allow names missing session 4"),
+    ("allow 0 0\nallow 0 1", "line 5: allow names missing session 1"),
+    ("allow 0 0\nallow 0 none", "line 5: allow 0 none conflicts with earlier allow lines"),
+    ("allow 0 none\nallow 0 0", "line 5: allow line conflicts with earlier allow 0 none"),
+])
+def test_parse_allow_errors_name_their_line(lines, message):
+    with pytest.raises(P.ScenarioFormatError) as e:
+        P.parse_scenario(f"nodes 2\nlink 0 1 1.0\nsession 0 0 1 wlog 1.0\n{lines}\n")
+    assert str(e.value) == message
+
+
 def test_parse_missing_nodes_rejected():
     with pytest.raises(P.ScenarioValidationError):
         P.parse_scenario("link 0 1 1.0\nsession 0 0 1 wlog 1.0\n")
