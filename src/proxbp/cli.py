@@ -83,12 +83,13 @@ def parse_plan(text: str):
     dashes (alg, alpha-mode, alpha-scale, V, x-max), parsed by the same
     options; every key but name is optional, and one left out takes its
     CompareRun default. Names must differ, since each names its trace.
+    There is at most one slots line, and N is at least 1.
     Returns (slots, [CompareRun, ...]); a bad line raises a ContractError
     that starts 'plan line N:'."""
     cells = _PlanCellParser(prog="plan", add_help=False, allow_abbrev=False)
     cells.add_argument("--name", required=True)
     _add_cell_options(cells)
-    slots = 10000
+    slots, slots_line = 10000, None
     runs = []
     line_of = {}  # run name -> the line that gave it
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -98,7 +99,11 @@ def parse_plan(text: str):
         tok = line.split()
         try:
             if tok[0] == "slots" and len(tok) == 2:
-                slots = int(tok[1])
+                if slots_line:
+                    raise ContractError(f"repeats line {slots_line}")
+                slots, slots_line = int(tok[1]), lineno
+                if slots < 1:
+                    raise ContractError(f"must be at least 1, got {slots}")
             elif tok[0] == "run":
                 opts = cells.parse_args([f"--{t}" for t in tok[1:]])
                 first = line_of.setdefault(opts.name, lineno)

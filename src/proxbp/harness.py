@@ -147,7 +147,9 @@ def run(scenario: Scenario, algorithm: str, config, slots: int, oracle=None) -> 
     decides from its signed queues Q, DPP from its clipped queues Y. Once per
     chunk, array programs over the buffers evaluate the checks and the
     per-slot metrics, feasibility by decision_faults. Utilities are evaluated
-    after the loop.
+    after the loop. A proximal run whose signed queues go non-finite has no
+    weights for its next slot: it stops there, and the trace holds the slots
+    run before, with the drift identity failed at the faulty slot.
 
     Results land in trace.summary; summary["passed"] is the overall verdict.
     summary["first_violation"] maps each per-slot check to the (slot, value)
@@ -178,7 +180,15 @@ def run(scenario: Scenario, algorithm: str, config, slots: int, oracle=None) -> 
         n = min(audit.chunk, slots - t0)
         for i in range(n):
             if prox:
-                y, buf_W[i] = slot_update(Q, y, consts)
+                try:
+                    y, buf_W[i] = slot_update(Q, y, consts)
+                except ContractError:
+                    if np.isfinite(Q).all():
+                        raise
+                    # non-finite queues give no weights: the run ends before this slot
+                    slots, n = t0 + i, i
+                    audit.truncate(slots)
+                    break
             else:
                 y = dpp_slot_update(Y, scenario, config)
             g = residual_matrix(scenario, y.x, y.mu)
@@ -191,8 +201,12 @@ def run(scenario: Scenario, algorithm: str, config, slots: int, oracle=None) -> 
             buf_Y[i] = Y
             buf_Z[i] = Z
             buf_Q[i] = Q
-        audit.chunk_done(t0, n)
+        if n:  # a stop at a chunk's first slot leaves it nothing to audit
+            audit.chunk_done(t0, n)
+        if t0 + n == slots:  # the last chunk, or a stop inside this one
+            break
 
+    x_hist = audit.x_hist  # only the slots that ran
     denom = np.arange(1, slots + 1, dtype=float)
     xbar = np.cumsum(x_hist, axis=0) / denom[:, None]
     util_inst = total_utility(scenario, x_hist)
@@ -258,6 +272,12 @@ class _ChunkAudit:
         # per-slot values of each check; those that do not apply stay 0
         self.checks = {name: np.zeros(slots) for name in CHECK_TOLS}
         self.feas_failures = []
+
+    def truncate(self, slots: int):
+        """Keep the per-slot records of the first slots only."""
+        for name in ("x_hist", "max_q", "max_z", "max_y", "lyap", "z_total"):
+            setattr(self, name, getattr(self, name)[:slots])
+        self.checks = {name: values[:slots] for name, values in self.checks.items()}
 
     def chunk_done(self, t0: int, n: int):
         """Evaluate the metrics and checks of slots t0 .. t0 + n - 1, held in
@@ -458,6 +478,8 @@ def compare(scenario: Scenario, runs, slots: int, oracle=None) -> tuple:
                 parts.append(f"alpha_scale {spec.alpha_scale!r}")
         else:
             parts.append(f"V {spec.V!r}")
+            if spec.x_max is not None:
+                parts.append(f"x_max {spec.x_max!r}")
         if oracle is not None:
             parts.append(f"terminal_gap {float(tr.gap[-1])!r}")
             parts.append(f"terminal_jensen_gap {float(oracle.U_star - tr.util_jensen[-1])!r}")

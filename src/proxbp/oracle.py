@@ -28,8 +28,6 @@ from .engine import default_alpha
 
 NEWTON_TOL = 1e-9     # half the squared Newton decrement that ends a centering
 NEWTON_STEPS = 100    # Newton steps per centering at most
-PRIMAL_PASSES = 200   # passes of tighten_to_equality
-TIGHTEN_TOL = 1e-9    # flow-balance slack that tighten_to_equality leaves
 
 
 class OracleError(RuntimeError):
@@ -85,18 +83,16 @@ def dual_value(scenario: Scenario, lam: np.ndarray) -> float:
         else:
             if w > lf:  # interior maximizer of w*log1p(x) - lf*x
                 total += w * math.log(w / lf) - w + lf
-    for l, lk in enumerate(scenario.network.links):
-        best = 0.0
-        for f in scenario.allowed[l]:
-            coef = float(lam[lk.tail, f] - lam[lk.head, f])
-            if coef > best:
-                best = coef
-        total += lk.capacity * best
+    net = scenario.network
+    coef = lam.take(net.tails, axis=0) - lam.take(net.heads, axis=0)
+    best = np.fmax.reduce(np.where(scenario.allow_mask, coef, 0.0), axis=1, initial=0.0)
+    for term in (net.caps * best).tolist():  # fmax skips a NaN; link order keeps the rounding
+        total += term
     return total
 
 
 # ---------------------------------------------------------------------------
-# primal repair and tightening
+# primal repair and slack removal
 
 
 def repair_feasible(scenario: Scenario, x, mu):
@@ -135,37 +131,16 @@ def repair_feasible(scenario: Scenario, x, mu):
 
 
 def tighten_to_equality(scenario: Scenario, y: DecisionVector) -> DecisionVector:
-    """Shrink outgoing rates of loose flow-balance constraints to equality.
+    """Feasible y with its loose flow-balance constraints closed: y's source
+    rates and the link rates of repair_feasible's path peel.
 
-    The input must be feasible. Rates only decrease (processed in descending
-    link-index order at each node), so feasibility is preserved, and source
-    rates are untouched, so the objective is exactly unchanged. Destination
-    outflows carry nothing and are dropped first.
-    """
-    x = y.x.copy()
-    mu = y.mu.copy()
-    net = scenario.network
-    for f, s in enumerate(scenario.sessions):
-        for l in net.out_links[s.dst]:
-            mu[l, f] = 0.0
-    for _ in range(PRIMAL_PASSES):
-        g = residual_matrix(scenario, x, mu)
-        loose = np.argwhere(g < -TIGHTEN_TOL)
-        if loose.size == 0:
-            return DecisionVector(x, mu)
-        for n, f in loose:
-            n = int(n)
-            f = int(f)
-            deficit = -float(residual_matrix(scenario, x, mu)[n, f])
-            if deficit <= TIGHTEN_TOL:
-                continue
-            for l in sorted(net.out_links[n], reverse=True):
-                take = min(mu[l, f], deficit)
-                mu[l, f] -= take
-                deficit -= take
-                if deficit <= 0:
-                    break
-    raise OracleError("tightening did not converge in %d passes" % PRIMAL_PASSES)
+    On a feasible input every active node sends out at least what it takes
+    in, so the peel routes all of each x_f on src -> dst paths: flow balance
+    holds with equality, rates only decrease and the objective is unchanged.
+    x is y.x itself, since the repair's x minus a routed remainder can differ
+    from it by a rounding."""
+    _, mu = repair_feasible(scenario, y.x, y.mu)
+    return DecisionVector(y.x, mu)
 
 
 def compute_zeta(scenario: Scenario, y_star: DecisionVector, alpha) -> float:
@@ -215,8 +190,7 @@ def _barrier_problem(scenario):
     cols = n_f + np.arange(pairs[0].size)
     flow = np.zeros(rows.shape + (cols.size + n_f,))
     flow[scenario.src, np.arange(n_f), np.arange(n_f)] = 1.0
-    flow[net.heads[pairs[0]], pairs[1], cols] = 1.0
-    flow[net.tails[pairs[0]], pairs[1], cols] = -1.0
+    flow[:, pairs[1], cols] = net.incidence[:, pairs[0]]
     load = np.zeros((scenario.n_links, flow.shape[2]))
     load[pairs[0], cols] = 1.0
     h = np.concatenate([np.zeros(int(rows.sum())), net.caps])
@@ -364,14 +338,10 @@ def serialize_solution(sol: OracleSolution, scenario: Scenario) -> str:
         out.append(f"alpha {n} {float(a)!r}")
     for f, v in enumerate(sol.y_star.x):
         out.append(f"x {f} {float(v)!r}")
-    for l in range(scenario.n_links):
-        for f in sorted(scenario.allowed[l]):
-            out.append(f"mu {l} {f} {float(sol.y_star.mu[l, f])!r}")
-    act = scenario.active
-    for n in range(scenario.n_nodes):
-        for f in range(scenario.n_sessions):
-            if act[n, f]:
-                out.append(f"lambda {n} {f} {float(sol.lambda_star[n, f])!r}")
+    for l, f in zip(*np.nonzero(scenario.allow_mask)):
+        out.append(f"mu {l} {f} {float(sol.y_star.mu[l, f])!r}")
+    for n, f in zip(*np.nonzero(scenario.active)):
+        out.append(f"lambda {n} {f} {float(sol.lambda_star[n, f])!r}")
     return "\n".join(out) + "\n"
 
 

@@ -6,7 +6,8 @@ its traces and summaries, bit for bit. project_bisect and kkt_residual check
 the capped-simplex projection independently of its sort-based solvers;
 objective and slope write out a source's slot problem for the rate solvers;
 arrival_matrix scatters source rates the way residual_matrix and step_Z
-place them.
+place them. dual_value is oracle.dual_value with its link term as a loop over
+the links and their allow-sets.
 """
 import math
 
@@ -91,6 +92,31 @@ def arrival_matrix(scenario, x) -> np.ndarray:
     m = np.zeros((scenario.n_nodes, scenario.n_sessions))
     m.put(scenario.src_entries, np.asarray(x, dtype=float))
     return m
+
+
+def dual_value(scenario, lam) -> float:
+    """q(lam), one link and one allowed session at a time: each link adds its
+    capacity times its largest positive price lam[tail] - lam[head], and a
+    NaN price never compares larger."""
+    total = 0.0
+    for f, s in enumerate(scenario.sessions):
+        lf = float(lam[s.src, f])
+        w = s.utility.weight
+        if lf <= 0.0:
+            return math.inf
+        if s.utility.kind == "wlog":
+            total += w * math.log(w / lf) - w
+        else:
+            if w > lf:  # interior maximizer of w*log1p(x) - lf*x
+                total += w * math.log(w / lf) - w + lf
+    for l, lk in enumerate(scenario.network.links):
+        best = 0.0
+        for f in scenario.allowed[l]:
+            coef = float(lam[lk.tail, f] - lam[lk.head, f])
+            if coef > best:
+                best = coef
+        total += lk.capacity * best
+    return total
 
 
 def run_per_slot(scenario, algorithm, config, slots, oracle=None) -> Trace:

@@ -92,7 +92,7 @@ def test_compare_plan_flow(tmp_path, capsys):
     assert (out_dir / "prox.csv").exists()
     assert (out_dir / "base.csv").exists()
     report = (out_dir / "report.txt").read_text()
-    assert "run prox" in report and "run base" in report
+    assert "run prox" in report and "run base alg dpp V 20.0 x_max 1.0 " in report
     assert "checks ok" in capsys.readouterr().out
 
 
@@ -111,6 +111,10 @@ def test_parse_plan_errors():
     assert runs[0].alpha_mode == "queue-bound"
     with pytest.raises(P.ContractError, match="^plan line 3: run: name 'a' repeats line 1$"):
         parse_plan("run name=a alg=dpp\nrun name=b\nrun name=a alg=new\n")
+    with pytest.raises(P.ContractError, match="^plan line 3: slots: repeats line 1$"):
+        parse_plan("slots 3\nrun name=a\nslots 4\n")
+    with pytest.raises(P.ContractError, match="^plan line 1: slots: must be at least 1, got 0$"):
+        parse_plan("slots 0\nrun name=a\n")
 
 
 README_PLAN = ("slots 10000\n"
@@ -129,8 +133,8 @@ README_PLAN = ("slots 10000\n"
     # every key
     ("run name=a alg=new alpha-mode=bound alpha-scale=2.5 V=3 x-max=1e-3\n", 10000,
      [P.CompareRun("a", "new", "queue-bound", 2.5, 3.0, 1e-3)]),
-    # a repeated key or slots line keeps its last value; a value may hold '='
-    ("run name=a alg=new name=b=c alg=dpp V=1 V=-2\nslots 3\nslots 4\n", 4,
+    # a repeated key keeps its last value; a value may hold '='
+    ("run name=a alg=new name=b=c alg=dpp V=1 V=-2\nslots 4\n", 4,
      [P.CompareRun("b=c", "dpp", V=-2.0)]),
     # alg is optional, like --alg of proxbp run
     ("run name=a\nrun name=b alpha-mode=gap\n", 10000,
@@ -156,6 +160,8 @@ def test_parse_plan_cells(text, slots, runs):
     "run name=a alpha-scale=big",         # not a number
     "slots abc",                          # not a number
     "slots 5 6",                          # unknown directive
+    "slots 0",                            # no slot to run
+    "slots -5",                           # no slot to run
     "walk 3",                             # unknown directive
     "run name=ok alg=dpp",                # name of line 2 again
 ])

@@ -5,7 +5,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import reference
 from gridlp import grid_best_utility, kelley_bracket
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from strategies import arrays, scenarios
 
 import proxbp as P
 from proxbp import cli
@@ -92,6 +96,31 @@ def test_dual_value_examples(singlelink):
     assert abs(dual_value(singlelink, lam) - (math.log(0.5) + 1.0)) < 1e-12
 
 
+@st.composite
+def _multipliers(draw):
+    """(scenario, lam): coarse signed multipliers, so zero and tied link
+    prices are common, with positive source entries unless a draw says
+    otherwise, and at most one NaN off the sources."""
+    sc = draw(scenarios(allow=("mixed",)))
+    shape = (sc.n_nodes, sc.n_sessions)
+    lam = arrays(draw, shape, (-1.0, 0.0, 0.5, 1.0, 2.0), -2.0, 2.0, coarse=True)
+    lam.put(sc.src_entries, arrays(draw, (sc.n_sessions,), (-1.0, 0.5, 1.0, 2.0), -1.0, 2.0,
+                                   coarse=True))
+    off_src = np.setdiff1d(np.arange(lam.size), sc.src_entries)
+    k = draw(st.integers(-1, off_src.size - 1))
+    if k >= 0:
+        lam.put(off_src[k], math.nan)
+    return sc, lam
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_multipliers())
+def test_dual_value_matches_the_link_loop(case):
+    sc, lam = case
+    # repr tells every float apart, and equal NaNs and infinities match
+    assert repr(dual_value(sc, lam)) == repr(reference.dual_value(sc, lam))
+
+
 def test_dual_value_upper_bounds_feasible_utilities(sixnode, sixnode_sol):
     # weak duality at the reported multipliers, against random feasible points
     rng = np.random.default_rng(10)
@@ -145,13 +174,15 @@ def test_repair_keeps_feasible_points_exactly(sixnode, sixnode_sol):
 
 
 def test_tighten_preserves_objective_and_closes_slack(relay):
-    # a loose feasible point: source sends 0.3, both links carry 0.5
-    y = P.DecisionVector(np.array([0.3]), np.array([[0.5], [0.5]]))
-    assert float(P.residual_matrix(relay, y.x, y.mu).max()) <= 0
-    tight = tighten_to_equality(relay, y)
-    assert tight.x[0] == y.x[0]
-    g = P.residual_matrix(relay, tight.x, tight.mu)
-    assert float(np.abs(g[relay.active]).max()) <= 1e-9
+    # loose feasible points: source sends 0.3, both links carry more, by
+    # much or by less than a slack tolerance of 1e-9 would notice
+    for carried in (0.5, 0.3 + 5e-10):
+        y = P.DecisionVector(np.array([0.3]), np.array([[carried], [carried]]))
+        assert float(P.residual_matrix(relay, y.x, y.mu).max()) <= 0
+        tight = tighten_to_equality(relay, y)
+        assert tight.x[0] == y.x[0]
+        g = P.residual_matrix(relay, tight.x, tight.mu)
+        assert float(np.abs(g[relay.active]).max()) <= 1e-12
 
 
 def test_tighten_drops_junk_relay_flow():
@@ -173,6 +204,30 @@ def test_tighten_is_idempotent(relay):
     twice = tighten_to_equality(relay, once)
     assert np.array_equal(once.x, twice.x)
     assert np.array_equal(once.mu, twice.mu)
+
+
+@st.composite
+def _loose_points(draw):
+    """(scenario, y): a repaired random point with its source rates scaled
+    by 1, 0.8 or 0.3, so feasible and, below 1, loose at the sources."""
+    sc = draw(scenarios())
+    x = arrays(draw, (sc.n_sessions,), (0.5, 1.0, 3.0), 0.1, 3.0, draw(st.booleans()))
+    mu = arrays(draw, (sc.n_links, sc.n_sessions), (0.0, 0.25, 1.0), 0.0, 2.0,
+                draw(st.booleans()))
+    xr, mur = repair_feasible(sc, x, mu)
+    return sc, P.DecisionVector(draw(st.sampled_from((1.0, 0.8, 0.3))) * xr, mur)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_loose_points())
+def test_tighten_closes_every_loose_point(case):
+    sc, y = case
+    tight = tighten_to_equality(sc, y)
+    assert tight.x.tobytes() == y.x.tobytes()
+    assert (tight.mu <= y.mu).all()
+    P.validate_decision(sc, tight)
+    g = P.residual_matrix(sc, tight.x, tight.mu)
+    assert float(np.abs(g[sc.active]).max(initial=0.0)) <= 1e-12
 
 
 def test_zeta_examples(singlelink):
