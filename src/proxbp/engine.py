@@ -18,7 +18,7 @@ import numpy as np
 
 from .net import ContractError, DecisionVector, Scenario, _frozen, residual_matrix
 from .projection import ProjectionInstance, project_rows, project_sorted
-from .rates import solve_rates
+from .rates import check_x_prev, rate_root
 
 ALPHA_MODES = ("utility-gap", "queue-bound")
 
@@ -54,32 +54,48 @@ class AlgConfig:
 
 @dataclass(frozen=True, eq=False)
 class SlotConstants:
-    """What slot_update reads that stays fixed over a run: the scenario,
-    a_src (F,), 2 alpha at each session's source, the curvature of its rate
-    problem, and link_denom (L, 1), 2 (alpha_tail + alpha_head) of each link.
-    run() builds one per run."""
+    """What slot_update reads that stays fixed over a run; run() builds one.
+    (F,): a_src, 2 alpha at each session's source, its multiples two_a_src
+    and four_a_src, and rate_k, rate_root's 0/1 factor. link_denom (L, 1),
+    2 (alpha_tail + alpha_head); allow_mask, None if every pair is allowed;
+    ranks, 1.0 .. F. Raises ContractError unless alpha has one entry per
+    node and 2 alpha is finite at the sources."""
 
     scenario: Scenario
     config: AlgConfig
     a_src: np.ndarray = field(init=False)
+    two_a_src: np.ndarray = field(init=False)
+    four_a_src: np.ndarray = field(init=False)
+    rate_k: np.ndarray = field(init=False)
     link_denom: np.ndarray = field(init=False)
+    allow_mask: np.ndarray = field(init=False)
+    ranks: np.ndarray = field(init=False)
 
     def __post_init__(self):
         alpha = self.config.alpha
-        network = self.scenario.network
+        sc = self.scenario
+        network = sc.network
         if alpha.size != network.node_count:
             raise ContractError(f"alpha has {alpha.size} entries for {network.node_count} nodes")
-        a_src = 2.0 * alpha[self.scenario.src]
-        link_denom = (2.0 * (alpha[network.tails] + alpha[network.heads]))[:, None]
-        for name, a in (("a_src", a_src), ("link_denom", link_denom)):
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+        # 4a may overflow
+        with np.errstate(over="ignore"):
+            a_src = 2.0 * alpha[sc.src]
+            two_a, four_a = 2.0 * a_src, 4.0 * a_src
+        if not np.isfinite(a_src).all():
+            raise ContractError("2 alpha must be finite at every source")
+        arrays = {"a_src": a_src, "two_a_src": two_a, "four_a_src": four_a,
+                  "rate_k": np.where(sc.is_wlog, 0.0, 1.0),
+                  "link_denom": (2.0 * (alpha[network.tails] + alpha[network.heads]))[:, None],
+                  "ranks": np.arange(1.0, sc.n_sessions + 1.0)}
+        for name, a in arrays.items():
+            object.__setattr__(self, name, _frozen(a))
+        object.__setattr__(self, "allow_mask", None if sc.allow_mask.all() else sc.allow_mask)
 
 
 def compute_weights(Q: np.ndarray, y_prev: DecisionVector, scenario: Scenario) -> np.ndarray:
     """W = Q + g(y_prev), zero at destinations. (N, F)."""
     w = Q + residual_matrix(scenario, y_prev.x, y_prev.mu)
-    w[scenario.inactive] = 0.0
+    w.put(scenario.dst_entries, 0.0)
     return w
 
 
@@ -108,18 +124,23 @@ def slot_update(Q: np.ndarray, y_prev: DecisionVector, consts: SlotConstants) ->
     and the previous slot's decisions. Returns (decisions, W), W the weights
     they were computed from.
 
-    Every source's rate problem is solved by solve_rates and every link's
-    projection by one project_rows call on the (L, F) matrix
-    a = mu_prev + (W[tail] - W[head]) / (2 (alpha_tail + alpha_head)).
+    Every source's rate problem is solved by one rate_root call with the
+    run's constants and every link's projection by one project_rows call on
+    the (L, F) matrix a = mu_prev + (W[tail] - W[head]) / (2 (alpha_tail +
+    alpha_head)). Raises ContractError unless W is finite and y_prev.x lies
+    in [0, inf).
     """
     scenario = consts.scenario
     W = compute_weights(Q, y_prev, scenario)
     if not np.isfinite(W).all():
         raise ContractError("weights must be finite")
-    x = solve_rates(scenario.is_wlog, scenario.utility_weight,
-                    W.take(scenario.src_entries), y_prev.x, consts.a_src)
+    check_x_prev(y_prev.x)
+    a_src = consts.a_src
+    x = rate_root(consts.rate_k, scenario.utility_weight,
+                  W.take(scenario.src_entries) - a_src * y_prev.x,
+                  a_src, consts.two_a_src, consts.four_a_src)
     network = scenario.network
     a = y_prev.mu + (W.take(network.tails, axis=0)
                      - W.take(network.heads, axis=0)) / consts.link_denom
-    mu = project_rows(a, network.caps, scenario.allow_mask)
+    mu = project_rows(a, network.caps, consts.allow_mask, consts.ranks)
     return DecisionVector(_frozen(x), _frozen(mu)), W

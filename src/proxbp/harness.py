@@ -13,7 +13,7 @@ from .net import (ContractError, Link, Network, Scenario, Session, Utility, deci
                   residual_matrix, total_utility, zero_decision)
 from .engine import AlgConfig, SlotConstants, default_alpha, slot_update
 from .dpp import DppConfig, dpp_slot_update
-from .queues import ScriptedPolicy, audit_queue_bounds, step_Q, step_Y, step_Z
+from .queues import ScriptedPolicy, audit_queue_bounds, step_Y, step_Z
 
 CSV_HEADER = "slot,alg,session,x,xbar,util_inst,util_avg,util_jensen,gap,maxQ,maxZ,maxY,lyapunov"
 
@@ -194,13 +194,12 @@ def run(scenario: Scenario, algorithm: str, config, slots: int, oracle=None) -> 
             g = residual_matrix(scenario, y.x, y.mu)
             Y = step_Y(Y, g, scenario)
             Z, _ = step_Z(Z, y.x, y.mu, scenario)
-            Q = step_Q(Q, g)
+            Q = np.add(Q, g, out=buf_Q[i])  # step_Q, straight into its buffer row
             x_hist[t0 + i] = y.x
             buf_mu[i] = y.mu
             buf_g[i] = g
             buf_Y[i] = Y
             buf_Z[i] = Z
-            buf_Q[i] = Q
         if n:  # a stop at a chunk's first slot leaves it nothing to audit
             audit.chunk_done(t0, n)
         if t0 + n == slots:  # the last chunk, or a stop inside this one

@@ -148,6 +148,12 @@ class Network:
         return tuple(_frozen(self.tails[links]) for links in self.out_links_by_rank)
 
     @cached_property
+    def rank_positions(self) -> np.ndarray:
+        """(L,) row of each link in the concatenated out_links_by_rank."""
+        order = [l for links in self.out_links_by_rank for l in links.tolist()]
+        return _frozen(np.argsort(np.array(order, dtype=int)))
+
+    @cached_property
     def degrees(self) -> np.ndarray:
         return _frozen(np.array([len(self.in_links[n]) + len(self.out_links[n])
                                  for n in range(self.node_count)]))
@@ -230,6 +236,12 @@ class Scenario:
         """(F,) flat index into a C-ordered (N, F) matrix of each session's
         source entry (src of f, f)."""
         return _frozen(self.src * self.n_sessions + np.arange(self.n_sessions))
+
+    @cached_property
+    def dst_entries(self) -> np.ndarray:
+        """(F,) flat index into a C-ordered (N, F) matrix of each session's
+        destination entry (dst of f, f)."""
+        return _frozen(self.dst * self.n_sessions + np.arange(self.n_sessions))
 
     @cached_property
     def head_entries(self) -> np.ndarray:
@@ -390,7 +402,7 @@ def residual_matrix(scenario: Scenario, x, mu) -> np.ndarray:
         g.put(scenario.src_entries, g.take(scenario.src_entries) + x)
     else:
         g += x
-    g[scenario.inactive] = 0.0
+    g.put(scenario.dst_entries, 0.0)
     return g
 
 

@@ -131,16 +131,19 @@ def repair_feasible(scenario: Scenario, x, mu):
 
 
 def tighten_to_equality(scenario: Scenario, y: DecisionVector) -> DecisionVector:
-    """Feasible y with its loose flow-balance constraints closed: y's source
-    rates and the link rates of repair_feasible's path peel.
+    """Feasible y with its loose flow-balance constraints closed: the link
+    rates and source rates of repair_feasible's path peel.
 
     On a feasible input every active node sends out at least what it takes
     in, so the peel routes all of each x_f on src -> dst paths: flow balance
     holds with equality, rates only decrease and the objective is unchanged.
-    x is y.x itself, since the repair's x minus a routed remainder can differ
-    from it by a rounding."""
-    _, mu = repair_feasible(scenario, y.x, y.mu)
-    return DecisionVector(y.x, mu)
+    Where the remainder is rounding (L eps of x_f or the largest capacity),
+    y.x_f is kept. A larger one, as on a link loaded up to CAP_TOL over its
+    capacity, is rate the peel could not route."""
+    x, mu = repair_feasible(scenario, y.x, y.mu)
+    scale = np.maximum(y.x, scenario.network.caps.max(initial=0.0))
+    rounding = scenario.n_links * np.finfo(float).eps * scale
+    return DecisionVector(np.where(y.x - x <= rounding, y.x, x), mu)
 
 
 def compute_zeta(scenario: Scenario, y_star: DecisionVector, alpha) -> float:

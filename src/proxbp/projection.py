@@ -63,9 +63,10 @@ def project_sorted(inst: ProjectionInstance) -> tuple:
     return z, theta
 
 
-def project_rows(a, b, mask) -> np.ndarray:
+def project_rows(a, b, mask, ranks=None) -> np.ndarray:
     """Project every row of a (L, K) onto {z >= 0, sum(z) <= b_l}, with the
-    entries outside mask fixed at zero. Returns z (L, K).
+    entries outside mask (None: none) fixed at zero. ranks is 1.0 .. K, made
+    here unless the caller keeps one. Returns z (L, K).
 
     project_sorted applied to each row's masked entries, with the same
     arithmetic: rows whose clipped sum fits the budget return the clipped row
@@ -78,21 +79,25 @@ def project_rows(a, b, mask) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if not np.isfinite(a).all():
         raise ContractError("projection input must be finite")
-    # Masked entries become 0.0: they clip to zero and add +0.0 to every sum,
-    # which leaves it unchanged. A tight row has a positive water level, so no
-    # zero is admissible and the admissible prefix holds only allowed entries.
-    a = np.where(mask, a, 0.0)
+    if mask is not None:
+        # Masked entries become 0.0: they clip to zero and add +0.0 to every
+        # sum, which leaves it unchanged. A tight row has a positive water
+        # level, so no zero is admissible and the admissible prefix holds
+        # only allowed entries.
+        a = np.where(mask, a, 0.0)
     z = np.maximum(a, 0.0)
-    tight = ~(z.sum(axis=1) <= b)
-    if not tight.any():
+    # a is finite, so no row sum is NaN
+    tight = (z.sum(axis=1) > b).nonzero()[0]
+    if not tight.size:
         return z
-    at = a[tight]
-    srt = at.copy()
-    srt.sort(axis=1)
-    srt = srt[:, ::-1]  # descending
+    at = a.take(tight, axis=0)
+    srt = np.sort(at, axis=1)[:, ::-1]  # descending
     k = a.shape[1]
-    theta_candidates = (srt.cumsum(axis=1) - b[tight][:, None]) / np.arange(1.0, k + 1.0)
-    ok = srt - theta_candidates >= 0.0
+    if ranks is None:
+        ranks = np.arange(1.0, k + 1.0)
+    theta_candidates = (srt.cumsum(axis=1) - b.take(tight)[:, None]) / ranks
+    # for finite values, srt - theta >= 0 exactly
+    ok = srt >= theta_candidates
     # flat index of each row's last admissible entry, the first True of the
     # reversed row
     last = np.arange(k - 1, ok.size, k) - ok[:, ::-1].argmax(axis=1)

@@ -22,7 +22,7 @@ def step_Y(Y, g, scenario: Scenario) -> np.ndarray:
     returned by residual_matrix, so everything prescribed counts; then clip
     at zero."""
     nxt = np.maximum(np.asarray(Y, dtype=float) + g, 0.0)
-    nxt[scenario.inactive] = 0.0
+    nxt.put(scenario.dst_entries, 0.0)
     return nxt
 
 
@@ -48,22 +48,23 @@ def step_Z(Z, arrivals, mu, scenario: Scenario) -> tuple:
     # the remaining backlog until the loop ends; C order, so that reshape(-1)
     # below is a view
     nxt = np.array(Z, dtype=float, order="C")
-    # every link belongs to exactly one rank, so the loop fills every row
-    sends = np.empty((scenario.n_links, scenario.n_sessions))
+    takes = [np.empty((0, scenario.n_sessions))]  # for a network without links
     for links, tails in zip(network.out_links_by_rank, network.out_tails_by_rank):
         avail = nxt.take(tails, axis=0)
         take = np.minimum(wanted.take(links, axis=0), avail)
-        sends[links] = take
+        takes.append(take)
         nxt[tails] = avail - take
+    # every link belongs to exactly one rank
+    sends = np.concatenate(takes).take(network.rank_positions, axis=0)
     arrivals = np.asarray(arrivals, dtype=float)
     if arrivals.ndim == 1:
-        nxt.reshape(-1)[scenario.src_entries] += arrivals
+        nxt.put(scenario.src_entries, nxt.take(scenario.src_entries) + arrivals)
     else:
         nxt += arrivals
     # add.at adds in index order, so each (head, session) entry receives its
     # sends one link at a time, in ascending link order
     np.add.at(nxt.reshape(-1), scenario.head_entries, sends.ravel())
-    nxt[scenario.inactive] = 0.0
+    nxt.put(scenario.dst_entries, 0.0)
     return nxt, sends
 
 

@@ -4,9 +4,9 @@ The objective is 2*alpha strongly concave, so the maximizer over the utility
 domain is unique. Its slope h(x) = U'(x) - W - 2*alpha*(x - x_prev) is
 strictly decreasing; the optimum is the root of h, or the left domain edge
 when h is already nonpositive there. For both utility kinds h(x) = 0 is a
-quadratic in x, so rate_root solves it in closed form. solve_rates solves
-every source of a slot at once; solve_rate and RateProblem are its scalar
-reference.
+quadratic in x, so rate_root solves it in closed form, elementwise. A slot
+calls it with per-run constants; solve_rates is its checked entry for many
+sources at once, and solve_rate and RateProblem are the scalar reference.
 """
 from __future__ import annotations
 
@@ -39,51 +39,40 @@ class RateProblem:
         object.__setattr__(self, "alpha", float(self.alpha))
 
 
-def positive_quad_root(a, b, c):
-    """Positive root of a*x^2 + b*x + c = 0 with a > 0, c < 0, avoiding
-    cancellation for large positive b. Elementwise on arrays; a 0-d array for
-    scalar arguments. b*b overflows for |b| > 1.3e154, and the caller decides
-    whether that warns."""
-    bb = b * b
-    disc = np.sqrt(bb - 4.0 * a * c)
-    if np.isinf(bb).any():
-        # hypot forms the same discriminant without b*b, so for b > 0 the tiny
-        # root -2c / (b + disc) is not lost to 0
-        disc = np.where(np.isinf(bb) & (b > 0.0), np.hypot(b, 2.0 * np.sqrt(-a * c)), disc)
-    # one division per lane: the numerator and denominator of its branch
-    low = b <= 0.0
-    return (np.where(low, disc - b, -2.0 * c)
-            / np.where(low, 2.0 * a, b + disc))
-
-
-def rate_root(is_wlog, weight, a, d):
+def rate_root(k, weight, d, a, two_a, four_a):
     """Maximizer of U(x) - d*x - (a/2)*x^2 over the utility domain, for a > 0,
-    elementwise; a 0-d array for scalar arguments.
+    elementwise. k is 0.0 for wlog, 1.0 for wlog1p; two_a = 2a, four_a = 4a.
 
-    The slope is U'(x) - d - a*x. For wlog, w/x = d + a*x gives
-    a*x^2 + d*x - w = 0, and the root is always interior. For wlog1p, the
-    slope w - d at 0 pins x = 0 when it is nonpositive; otherwise
-    w/(1+x) = d + a*x gives a*x^2 + (a+d)*x + d - w = 0. Raises NumericError
-    where the root is not finite.
+    The slope U'(x) - d - a*x vanishes where a*x^2 + b*x + c = 0, b = a*k + d,
+    c = d*k - w (w/x = d + a*x, or w/(1+x) = d + a*x). wlog has c = -w < 0;
+    wlog1p is pinned at 0 where its slope at 0, -c, is nonpositive. The root
+    avoids cancellation for large positive b, and hypot stands in where b*b
+    overflows (|b| > 1.3e154). Raises NumericError where it is not finite.
     """
-    dw = d - weight
-    free = is_wlog | (dw < 0.0)
-    b = np.where(is_wlog, d, a + d)
-    c = np.where(is_wlog, -weight, dw)
-    # A pinned lane has c = d - w >= 0, so its discriminant may be negative;
-    # its root is discarded below.
+    # a pinned lane's discriminant may be negative; its root is discarded
     with np.errstate(over="ignore", invalid="ignore"):
-        x = np.where(free, positive_quad_root(a, b, c), 0.0)
-    if not np.isfinite(x).all():
+        b = a * k + d
+        c = d * k - weight
+        bb = b * b
+        disc = np.sqrt(bb - four_a * c)
+        if bb.max(initial=0.0) == math.inf:  # no b is NaN for finite d
+            disc = np.where(np.isinf(bb) & (b > 0.0), np.hypot(b, 2.0 * np.sqrt(-a * c)), disc)
+        # one division per lane: the numerator and denominator of its branch
+        low = b <= 0.0
+        x = (np.where(low, disc - b, -2.0 * c)
+             / np.where(low, two_a, b + disc))
+        x = np.where(c >= 0.0, 0.0, x)
+    # every root is positive or NaN
+    if not x.max(initial=0.0) < math.inf:
         raise NumericError("rate root is not finite")
     return x
 
 
 def solve_rate(p: RateProblem) -> float:
     """Maximizer of the slot objective over the utility domain."""
-    two_alpha = 2.0 * p.alpha
-    return float(rate_root(p.utility.kind == "wlog", p.utility.weight, two_alpha,
-                           p.pressure - two_alpha * p.x_prev))
+    a = 2.0 * p.alpha
+    k = np.float64(p.utility.kind != "wlog")
+    return float(rate_root(k, p.utility.weight, p.pressure - a * p.x_prev, a, 2.0 * a, 4.0 * a))
 
 
 def solve_rates(is_wlog, weight, pressure, x_prev, a) -> np.ndarray:
@@ -91,15 +80,20 @@ def solve_rates(is_wlog, weight, pressure, x_prev, a) -> np.ndarray:
     picks the utility kind, weight its weight, and a = 2*alpha is the
     curvature of the proximal term. Returns x (F,), bitwise equal to
     solve_rate on each source, since both take rate_root with the slot's a and
-    d = W - a*x_prev.
+    d = W - a*x_prev. Checks a, x_prev and pressure.
     """
-    a_ok = (a > 0.0) & (a < math.inf)
-    x_ok = (x_prev >= 0.0) & (x_prev < math.inf)
-    p_ok = np.isfinite(pressure)
-    if not (a_ok & x_ok & p_ok).all():
-        if not a_ok.all():
-            raise ContractError("alpha must be positive")
-        if not x_ok.all():
-            raise ContractError("x_prev must lie in the domain closure")
+    if not (a.min(initial=math.inf) > 0.0 and a.max(initial=0.0) < math.inf):
+        raise ContractError("alpha must be positive")
+    check_x_prev(x_prev)
+    if not np.isfinite(pressure).all():
         raise ContractError("pressure must be finite")
-    return rate_root(is_wlog, weight, a, pressure - a * x_prev)
+    d = pressure - a * x_prev
+    with np.errstate(over="ignore"):  # 4a may overflow
+        two_a, four_a = 2.0 * a, 4.0 * a
+    return rate_root(np.where(is_wlog, 0.0, 1.0), weight, d, a, two_a, four_a)
+
+
+def check_x_prev(x_prev):
+    """Raise ContractError unless every previous rate lies in [0, inf)."""
+    if not (x_prev.min(initial=0.0) >= 0.0 and x_prev.max(initial=0.0) < math.inf):
+        raise ContractError("x_prev must lie in the domain closure")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import reference
 from gridlp import grid_best_utility, kelley_bracket
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from strategies import arrays, scenarios
 
@@ -220,10 +220,18 @@ def _loose_points(draw):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(case=_loose_points())
+# a link loaded 5e-10 over its capacity passes validate_decision, but the
+# repair scales it down, so the peel cannot route all of x
+@example(case=(P.parse_scenario("nodes 2\nlink 0 1 1.0\nsession 0 0 1 wlog 1.0\n"),
+               P.DecisionVector(np.array([1.0 + 5e-10]), np.array([[1.0 + 5e-10]]))))
 def test_tighten_closes_every_loose_point(case):
     sc, y = case
+    P.validate_decision(sc, y)
     tight = tighten_to_equality(sc, y)
-    assert tight.x.tobytes() == y.x.tobytes()
+    # x is kept bitwise unless a link carries more than 1e-12 over its capacity
+    if (y.mu.sum(axis=1) - sc.network.caps <= 1e-12).all():
+        assert tight.x.tobytes() == y.x.tobytes()
+    assert (tight.x <= y.x).all()
     assert (tight.mu <= y.mu).all()
     P.validate_decision(sc, tight)
     g = P.residual_matrix(sc, tight.x, tight.mu)

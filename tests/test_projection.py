@@ -152,6 +152,16 @@ def test_project_rows_matches_project_sorted_per_row():
                 assert z[r, mask[r]].tobytes() == ref.tobytes()
 
 
+def test_project_rows_without_a_mask_or_with_kept_ranks():
+    rng = np.random.default_rng(21)
+    for k in (1, 2, 3, 8, 9, 17):
+        a = rng.normal(0.0, 2.0, (40, k))
+        b = rng.choice([0.0, 0.5, 1.0, 50.0], 40)
+        z = project_rows(a, b, np.ones((40, k), dtype=bool))
+        assert project_rows(a, b, None).tobytes() == z.tobytes()
+        assert project_rows(a, b, None, np.arange(1.0, k + 1.0)).tobytes() == z.tobytes()
+
+
 def test_project_rows_masks_entries_out():
     a = np.array([[3.0, 5.0, 1.0], [2.0, -1.0, 4.0], [9.0, 9.0, 9.0]])
     mask = np.array([[True, False, True], [False, False, False], [True, True, True]])

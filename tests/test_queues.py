@@ -6,6 +6,7 @@ from reference import arrival_matrix
 from strategies import arrays, scenarios
 
 import proxbp as P
+from proxbp.engine import compute_weights
 from proxbp.net import residual_matrix
 from proxbp.queues import (ScriptedPolicy, audit_queue_bounds, run_scripted, step_Q, step_Y,
                            step_Z, validate_policy)
@@ -141,6 +142,63 @@ def test_step_z_accepts_fortran_ordered_inputs(sixnode):
         nxt, sends = step_Z(zf, af, mu, sixnode)
         assert nxt.tobytes() == ref_nxt.tobytes()
         assert sends.tobytes() == ref_sends.tobytes()
+
+
+@st.composite
+def _zeroing_cases(draw):
+    """(scenario, Q, Y, Z, x, arrivals, mu, y_prev): signed queues Q, backlogs Y
+    and Z, source rates x (F,), an arrival matrix (N, F) and link rates mu,
+    and decisions y_prev for the weights."""
+    sc = draw(scenarios())
+    n, f, l = sc.n_nodes, sc.n_sessions, sc.n_links
+    coarse = draw(st.booleans())
+    q = arrays(draw, (n, f), (-2.0, -0.0, 0.0, 1.5), -5.0, 5.0, coarse)
+    y, z = (arrays(draw, (n, f), (0.0, 0.5, 3.0), 0.0, 5.0, coarse) for _ in range(2))
+    x = arrays(draw, (f,), (0.0, 0.5, 1.0), 0.0, 2.0, coarse)
+    arrivals = arrays(draw, (n, f), (0.0, 0.5, 1.0), 0.0, 2.0, coarse)
+    mu = arrays(draw, (l, f), (0.0, 0.25, 1.0), 0.0, 3.0, coarse)
+    prev = P.DecisionVector(arrays(draw, (f,), (0.0, 1.0), 0.0, 2.0, coarse),
+                            arrays(draw, (l, f), (0.0, 0.5), 0.0, 2.0, coarse))
+    return sc, q, y, z, x, arrivals, mu, prev
+
+
+def _mask_zeroed(scenario, m):
+    """m with its destination entries set to 0.0 through the boolean mask
+    inactive, the zeroing that Scenario.dst_entries replaced."""
+    m[scenario.inactive] = 0.0
+    return m
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=_zeroing_cases())
+def test_flat_destination_zeroing_matches_the_mask(case):
+    sc, q, y, z, x, arrivals, mu, prev = case
+    src = sc.src_entries
+    assert sorted(sc.dst_entries.tolist()) == np.flatnonzero(sc.inactive).tolist()
+    for order in ("C", "F"):
+        # each kernel against its own arithmetic, zeroed through the mask; the
+        # matrix product is the kernels' own on inputs of the same layout
+        q_o, y_o, z_o, arr_o, mu_o = (np.asarray(a, order=order)
+                                      for a in (q, y, z, arrivals, mu))
+        prev_o = P.DecisionVector(prev.x, np.asarray(prev.mu, order=order))
+        g_vec = sc.network.incidence @ mu_o
+        g_vec.put(src, g_vec.take(src) + x)
+        g_vec = _mask_zeroed(sc, g_vec)
+        g_mat = _mask_zeroed(sc, sc.network.incidence @ mu_o + arr_o)
+        assert residual_matrix(sc, x, mu_o).tobytes() == g_vec.tobytes()
+        assert residual_matrix(sc, arr_o, mu_o).tobytes() == g_mat.tobytes()
+        g_prev = sc.network.incidence @ prev_o.mu
+        g_prev.put(src, g_prev.take(src) + prev.x)
+        w = _mask_zeroed(sc, q_o + _mask_zeroed(sc, g_prev))
+        assert compute_weights(q_o, prev_o, sc).tobytes() == w.tobytes()
+        for g in (g_vec, g_mat):
+            want = _mask_zeroed(sc, np.maximum(y_o + g, 0.0))
+            assert step_Y(y_o, g, sc).tobytes() == want.tobytes()
+        for arr in (x, arr_o):
+            nxt, sends = step_Z(z_o, arr, mu_o, sc)
+            ref_nxt, ref_sends = _step_Z_scalar(z, arr, mu, sc)
+            assert nxt.tobytes() == ref_nxt.tobytes()
+            assert sends.tobytes() == ref_sends.tobytes()
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)

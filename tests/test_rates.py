@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from reference import objective, slope
 
 import proxbp as P
-from proxbp.rates import RateProblem, positive_quad_root, solve_rate, solve_rates
+from proxbp.rates import RateProblem, rate_root, solve_rate, solve_rates
 
 
 def test_wlog_closed_form_examples():
@@ -173,6 +174,55 @@ def test_overflow_raises_in_both_solvers():
                         np.zeros(2), 2.0 * np.ones(2))
 
 
+def _slot_rates(is_wlog, weight, pressure, x_prev, alpha):
+    """The rates of one slot's rate phase: rate_root over every lane at once
+    with the per-run constants that SlotConstants forms."""
+    a = 2.0 * alpha
+    return rate_root(np.where(is_wlog, 0.0, 1.0), weight, pressure - a * x_prev, a,
+                     2.0 * a, 4.0 * a)
+
+
+def test_slot_rate_path_matches_solve_rate_lane_by_lane():
+    rng = np.random.default_rng(31)
+    n = 400
+    is_wlog = rng.uniform(size=n) < 0.5
+    weight = rng.uniform(0.1, 5.0, n)
+    pressure = rng.normal(0.0, 10.0, n)
+    x_prev = np.where(rng.uniform(size=n) < 0.2, 0.0, rng.uniform(0.0, 4.0, n))
+    alpha = rng.uniform(0.05, 20.0, n)
+    # pinned wlog1p lanes, one with slope exactly 0 at x = 0; d = -0.0 for
+    # both kinds; |b| > 1.3e154, where b*b overflows, for both kinds
+    lanes = ((False, 1.0, 2.0, 0.0, 1.0), (False, 1.0, 1.0, 0.0, 1.0),
+             (True, 1.0, -0.0, 0.0, 1.0), (False, 1.0, -0.0, 0.0, 1.0),
+             (True, 1.0, 1e200, 0.0, 1.0), (False, 1.0, 1e200, 0.0, 1.0),
+             (True, 2.0, 3e170, 0.5, 3.0), (False, 0.5, -1e150, 0.0, 1.0))
+    cols = [np.concatenate((c, np.array(v, dtype=c.dtype)))
+            for c, v in zip((is_wlog, weight, pressure, x_prev, alpha), zip(*lanes))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = _slot_rates(*cols)
+        checked = solve_rates(*cols[:4], 2.0 * cols[4])
+    ref = [solve_rate(RateProblem(P.Utility("wlog" if w else "wlog1p", float(u)), float(p),
+                                  float(xp), float(al)))
+           for w, u, p, xp, al in zip(*cols)]
+    assert x.tobytes() == np.array(ref).tobytes()
+    assert checked.tobytes() == x.tobytes()
+    tail = x[n:].tolist()
+    # the pinned lanes sit at +0.0; at d = -0.0 the roots of 1/x = 2x and
+    # 1/(1+x) = 2x
+    assert [repr(v) for v in tail[:2]] == ["0.0", "0.0"]
+    assert abs(tail[2] - 1.0 / math.sqrt(2.0)) <= 1e-15
+    assert abs(tail[3] - (math.sqrt(3.0) - 1.0) / 2.0) <= 1e-15
+    assert repr(tail[5]) == "0.0" and abs(tail[4] - 1e-200) <= 1e-15 * 1e-200
+    # a -1e200 lane overflows its root among finite lanes, for either kind
+    for kind in (True, False):
+        bad = [np.append(c, v) for c, v in zip(cols, (kind, 1.0, -1e200, 0.0, 1.0))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(P.NumericError):
+                _slot_rates(*bad)
+
+
 def _log_uniform(lo_exp, hi_exp):
     return st.floats(lo_exp, hi_exp).map(lambda e: 10.0 ** e)
 
@@ -182,10 +232,11 @@ def _log_uniform(lo_exp, hi_exp):
        sign=st.sampled_from((-1.0, 1.0)))
 def test_positive_quad_root_residual(a, neg_c, ratio, sign):
     # b = ratio * sqrt(a|c|): ratio >> 1 with sign +1 is the regime where the
-    # textbook (-b + disc) / 2a loses every digit to cancellation
+    # textbook (-b + disc) / 2a loses every digit to cancellation. A wlog
+    # lane with d = b and weight -c solves a*x^2 + b*x + c = 0.
     c = -neg_c
     b = sign * ratio * math.sqrt(a * neg_c)
-    r = positive_quad_root(a, b, c)
+    r = rate_root(np.float64(0.0), neg_c, b, a, 2.0 * a, 4.0 * a)
     assert r > 0
     terms = (a * r * r, b * r, c)
     assert abs(sum(terms)) <= 1e-12 * max(abs(v) for v in terms)
