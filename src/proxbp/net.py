@@ -131,27 +131,37 @@ class Network:
         return _frozen(np.array([l.head for l in self.links], dtype=int))
 
     @cached_property
-    def out_links_by_rank(self) -> tuple:
-        """Entry k holds the k-th outgoing link (ascending link index) of every
-        node with more than k of them, so no two links in an entry share a tail."""
-        ranks = []
-        for outs in self.out_links:
-            for k, l in enumerate(outs):
-                if k == len(ranks):
-                    ranks.append([])
-                ranks[k].append(l)
-        return tuple(_frozen(np.array(r, dtype=int)) for r in ranks)
+    def out_slots(self) -> np.ndarray:
+        """(K, N) padded out-link table, K the largest out-degree: entry (k, n)
+        is the k-th outgoing link of node n in ascending link order, or the
+        padding index L where n has k or fewer of them."""
+        n_l = len(self.links)
+        k_max = max(map(len, self.out_links))
+        table = np.full((k_max, self.node_count), n_l, dtype=int)
+        for n, outs in enumerate(self.out_links):
+            table[:len(outs), n] = outs
+        return _frozen(table)
 
     @cached_property
-    def out_tails_by_rank(self) -> tuple:
-        """Entry k holds the tails of the links in out_links_by_rank[k]."""
-        return tuple(_frozen(self.tails[links]) for links in self.out_links_by_rank)
+    def link_slots(self) -> np.ndarray:
+        """(L,) flat position of each link in out_slots."""
+        flat = self.out_slots.ravel()
+        real = flat < len(self.links)
+        slots = np.empty(len(self.links), dtype=int)
+        slots[flat[real]] = np.flatnonzero(real)
+        return _frozen(slots)
 
     @cached_property
-    def rank_positions(self) -> np.ndarray:
-        """(L,) row of each link in the concatenated out_links_by_rank."""
-        order = [l for links in self.out_links_by_rank for l in links.tolist()]
-        return _frozen(np.argsort(np.array(order, dtype=int)))
+    def in_slots(self) -> np.ndarray:
+        """(K_in, N) padded in-link table, K_in the largest in-degree: entry
+        (k, n) is the flat out_slots position of the k-th incoming link of
+        node n in ascending link order, or K·N where n has k or fewer of
+        them, one past the last position."""
+        k_max = max(map(len, self.in_links))
+        table = np.full((k_max, self.node_count), self.out_slots.size, dtype=int)
+        for n, ins in enumerate(self.in_links):
+            table[:len(ins), n] = self.link_slots[list(ins)]
+        return _frozen(table)
 
     @cached_property
     def degrees(self) -> np.ndarray:
@@ -242,13 +252,6 @@ class Scenario:
         """(F,) flat index into a C-ordered (N, F) matrix of each session's
         destination entry (dst of f, f)."""
         return _frozen(self.dst * self.n_sessions + np.arange(self.n_sessions))
-
-    @cached_property
-    def head_entries(self) -> np.ndarray:
-        """(L·F,) flat index into a C-ordered (N, F) matrix of the entry (head
-        of l, f) of each (link, session) pair, in (link, session) order."""
-        f = self.n_sessions
-        return _frozen((self.network.heads[:, None] * f + np.arange(f)).ravel())
 
     @cached_property
     def dst(self) -> np.ndarray:
@@ -348,6 +351,7 @@ def zero_decision(scenario: Scenario) -> DecisionVector:
 
 
 CAP_TOL = 1e-9  # absolute slack for capacity feasibility checks
+_EPS = float(np.finfo(float).eps)
 
 
 def decision_faults(scenario: Scenario, x, mu) -> list:
@@ -355,26 +359,42 @@ def decision_faults(scenario: Scenario, x, mu) -> list:
     that breaks a per-slot set constraint, in slot order. A slot reports its
     first fault: a negative rate, else a nonzero rate on a forbidden (link,
     session) pair, else the first link whose load exceeds its capacity by
-    more than CAP_TOL."""
+    more than CAP_TOL. A load is the pairwise sum of the link's row, what
+    mu[t, l].sum() gives."""
     x = np.asarray(x, dtype=float)
-    mu = np.asarray(mu, dtype=float)
+    mu = np.ascontiguousarray(mu, dtype=float)
+    n_t, n_l, n_f = mu.shape
     caps = scenario.network.caps
     negative = (x < 0).any(axis=1) | (mu < 0).any(axis=(1, 2))
-    pairs = mu.reshape(mu.shape[0], mu.shape[1] * mu.shape[2])
+    pairs = mu.reshape(n_t, n_l * n_f)
     forbidden = (pairs.take(scenario.forbidden_entries, axis=1) != 0).any(axis=1)
-    load = mu.sum(axis=2)
-    over = load - caps > CAP_TOL
+    # Load screen. BLAS sums a row in another order than numpy's pairwise
+    # sum. For F nonnegative terms with exact sum S, any summation order is
+    # within gamma·S of S, gamma = (F-1)u / (1 - (F-1)u), u = 2^-53, so the
+    # pairwise load is at most (1 + gamma) / (1 - gamma) times the BLAS one.
+    # 1 + 2F·eps (eps = 2u; exact in float64) exceeds that ratio by more than
+    # the rounding of the product, so a scaled BLAS load is at least the
+    # pairwise load, and, rounding being monotone, a slot whose pairwise
+    # load fails the capacity test is flagged. inf stays inf and NaN reads
+    # as no overload in both sums. A slot with a negative rate reports that
+    # first, whatever its loads.
+    blas = (mu.reshape(n_t * n_l, n_f) @ np.ones(n_f)).reshape(n_t, n_l)
+    screen = (blas * (1.0 + 2 * n_f * _EPS) - caps > CAP_TOL).any(axis=1)
     faults = []
-    for t in np.flatnonzero(negative | forbidden | over.any(axis=1)):
+    for t in np.flatnonzero(negative | forbidden | screen).tolist():
         if negative[t]:
             message = "negative rate in decision"
         elif forbidden[t]:
             message = "nonzero rate on a forbidden (link, session) pair"
         else:
-            li = int(np.argmax(over[t]))
-            message = (f"link {li} overloaded: load {float(load[t, li])!r} "
+            load = mu[t].sum(axis=1)
+            over = load - caps > CAP_TOL
+            if not over.any():  # flagged by the screen only
+                continue
+            li = int(np.argmax(over))
+            message = (f"link {li} overloaded: load {float(load[li])!r} "
                        f"exceeds capacity {float(caps[li])!r}")
-        faults.append((int(t), message))
+        faults.append((t, message))
     return faults
 
 
@@ -396,7 +416,8 @@ def residual_matrix(scenario: Scenario, x, mu) -> np.ndarray:
     a full (N, F) exogenous-arrival matrix.
     """
     x = np.asarray(x, dtype=float)
-    mu = np.asarray(mu, dtype=float)
+    # C order: the product sums in a layout-dependent order
+    mu = np.ascontiguousarray(mu, dtype=float)
     g = scenario.network.incidence @ mu
     if x.ndim == 1:
         g.put(scenario.src_entries, g.take(scenario.src_entries) + x)

@@ -38,32 +38,40 @@ def step_Z(Z, arrivals, mu, scenario: Scenario) -> tuple:
     link-index order from current backlog only, so a link's actual transfer is
     min(prescribed, what is left). Upstream sends and exogenous arrivals join
     afterwards, in link order, and cannot move again until the next slot. The
-    k-th out-links of all nodes are served together, one rank at a time.
+    k-th out-links of all nodes are served together, one rank at a time, over
+    the padded table Network.out_slots; a padding entry prescribes 0, takes
+    min(0, backlog) = 0 from a backlog Z >= 0 and leaves it as it was.
 
     arrivals is an (N, F) matrix or the (F,) source rates, which join at each
     session's source entry.
     """
     network = scenario.network
-    wanted = np.maximum(np.asarray(mu, dtype=float), 0.0)
-    # the remaining backlog until the loop ends; C order, so that reshape(-1)
-    # below is a view
+    n_l, n_f = scenario.n_links, scenario.n_sessions
+    out_slots = network.out_slots
+    # prescriptions with a zero row at the padding index L
+    padded = np.empty((n_l + 1, n_f))
+    np.maximum(mu, 0.0, out=padded[:n_l])
+    padded[n_l] = 0.0
+    wanted = padded.take(out_slots, axis=0)
+    # each rank's takes, with a zero row at the padding index K·N of in_slots
+    flat = np.empty((out_slots.size + 1, n_f))
+    flat[-1] = 0.0
+    takes = flat[:-1].reshape(wanted.shape)
+    # the remaining backlog until the loop ends
     nxt = np.array(Z, dtype=float, order="C")
-    takes = [np.empty((0, scenario.n_sessions))]  # for a network without links
-    for links, tails in zip(network.out_links_by_rank, network.out_tails_by_rank):
-        avail = nxt.take(tails, axis=0)
-        take = np.minimum(wanted.take(links, axis=0), avail)
-        takes.append(take)
-        nxt[tails] = avail - take
-    # every link belongs to exactly one rank
-    sends = np.concatenate(takes).take(network.rank_positions, axis=0)
+    for want, take in zip(wanted, takes):
+        np.minimum(want, nxt, out=take)
+        nxt -= take
+    sends = flat.take(network.link_slots, axis=0)
     arrivals = np.asarray(arrivals, dtype=float)
     if arrivals.ndim == 1:
         nxt.put(scenario.src_entries, nxt.take(scenario.src_entries) + arrivals)
     else:
         nxt += arrivals
-    # add.at adds in index order, so each (head, session) entry receives its
-    # sends one link at a time, in ascending link order
-    np.add.at(nxt.reshape(-1), scenario.head_entries, sends.ravel())
+    # each (head, session) entry receives its sends one link at a time, in
+    # ascending link order; a padding entry adds +0.0
+    for ins in flat.take(network.in_slots, axis=0):
+        nxt += ins
     nxt.put(scenario.dst_entries, 0.0)
     return nxt, sends
 

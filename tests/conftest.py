@@ -2,6 +2,7 @@
 so the expensive work happens once per test session. Each run dict also
 records the wall-clock seconds the simulations took, because the acceptance
 tests hold the runs to time budgets."""
+import importlib.util
 import os
 import time
 from pathlib import Path
@@ -18,7 +19,17 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 
 import proxbp as P
 
-SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
+ROOT = Path(__file__).resolve().parents[1]
+SCENARIO_DIR = ROOT / "scenarios"
+
+
+@pytest.fixture(scope="session")
+def gridgen():
+    """The benchmark's seeded grid generator, loaded read-only so there is one."""
+    spec = importlib.util.spec_from_file_location("gridgen", ROOT / "perfbench" / "gridgen.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="session")

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from reference import arrival_matrix
@@ -127,6 +127,18 @@ def test_residual_matrix_relay(relay):
     assert abs(g[0, 0] - 0.0) < 1e-15
     assert abs(g[1, 0] - 0.5) < 1e-15
     assert g[2, 0] == 0.0
+
+
+def test_residual_matrix_ignores_the_memory_layout(gridgen):
+    # the product of the incidence matrix and mu sums in an order that
+    # depends on mu's layout, so residual_matrix reads mu in C order
+    sc = P.parse_scenario(gridgen.grid_scenario(10, 20, 1))
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        x = rng.uniform(0.0, 1.0, sc.n_sessions)
+        mu = rng.uniform(0.0, 1.0, (sc.n_links, sc.n_sessions))
+        g = P.residual_matrix(sc, x, mu)
+        assert P.residual_matrix(sc, x, np.asfortranarray(mu)).tobytes() == g.tobytes()
 
 
 def test_residual_matrix_is_linear(sixnode):
@@ -316,8 +328,37 @@ def _decision_stacks(draw):
     return sc, x, mu
 
 
+def _screen_edge(cap):
+    """(scenario, x, mu) at the edge of decision_faults' load screen: F = 20
+    sessions share one link of capacity cap, and the four slots load it, by
+    numpy's pairwise sum, with exactly cap + CAP_TOL, the next float above
+    it, a NaN entry and an inf entry. Each of the first two rows is the
+    first draw whose BLAS sum falls below its pairwise sum, which a screen
+    without slack reads as a lighter load."""
+    f = 20
+    sc = P.parse_scenario(f"nodes 2\nlink 0 1 {cap!r}\n"
+                          + "".join(f"session {i} 0 1 wlog 1.0\n" for i in range(f)))
+    ones = np.ones(f)
+    rows = []
+    for load in (cap + P.CAP_TOL, np.nextafter(cap + P.CAP_TOL, math.inf)):
+        for seed in range(1000):
+            row = np.random.default_rng(seed).uniform(0.5, 1.0, f)
+            row *= 0.9 * load / row[:-1].sum()
+            row[-1] = 0.0
+            # numpy adds the last entry last, and this difference is exact
+            row[-1] = load - row.sum()
+            if row.sum() == load and (np.stack([row] * 4) @ ones)[0] < load:
+                break
+        rows.append(row)
+    rows += [rows[0].copy(), rows[0].copy()]
+    rows[2][3], rows[3][3] = math.nan, math.inf
+    return sc, np.zeros((4, f)), np.array(rows)[:, None, :]
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(case=_decision_stacks())
+@example(case=_screen_edge(0.5))
+@example(case=_screen_edge(1e12))
 def test_decision_faults_match_the_per_slot_check(case):
     sc, x, mu = case
     faults = P.decision_faults(sc, x, mu)

@@ -1,4 +1,3 @@
-import importlib.util
 import math
 import time
 from pathlib import Path
@@ -15,12 +14,6 @@ import proxbp as P
 from proxbp import cli
 from proxbp.oracle import (OracleError, compute_zeta, dual_value, repair_feasible,
                            solve_centralized, tighten_to_equality)
-
-# the benchmark's seeded grid generator, loaded read-only so there is one
-_spec = importlib.util.spec_from_file_location(
-    "gridgen", Path(__file__).resolve().parents[1] / "perfbench" / "gridgen.py")
-gridgen = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(gridgen)
 
 
 def test_singlelink_analytic_optimum(singlelink, singlelink_sol):
@@ -291,7 +284,7 @@ def test_failed_solve_reports_history(sixnode):
     assert str(err).endswith(str(rows[-1]))
 
 
-def test_singular_newton_system_reports_history(sixnode, monkeypatch, capsys):
+def test_singular_newton_system_reports_history(sixnode, gridgen, monkeypatch, capsys):
     # With one BLAS thread the Newton system of the seeded 5x5/6 grid is
     # singular at t = 1e10; with more threads the gap stops shrinking there
     # first. Either way the solve ends in an OracleError.
@@ -339,7 +332,7 @@ def test_oracle_fails_fast_once_the_gap_grows(sixnode):
 
 
 @pytest.mark.parametrize("n,sessions,seed", [(3, 4, 1), (5, 6, 1), (5, 6, 2)])
-def test_oracle_certifies_grids(n, sessions, seed):
+def test_oracle_certifies_grids(n, sessions, seed, gridgen):
     sc = P.parse_scenario(gridgen.grid_scenario(n, sessions, seed))
     t0 = time.monotonic()
     sol = solve_centralized(sc, tol=1e-5)

@@ -144,6 +144,57 @@ def test_step_z_accepts_fortran_ordered_inputs(sixnode):
         assert sends.tobytes() == ref_sends.tobytes()
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(sc=scenarios())
+def test_padded_link_tables(sc):
+    # the draws include parallel links, nodes without out-links or in-links
+    # and single-link networks
+    net = sc.network
+    n, n_l = net.node_count, len(net.links)
+    out_slots, in_slots = net.out_slots, net.in_slots
+    assert out_slots.shape == (max(map(len, net.out_links)), n)
+    assert in_slots.shape == (max(map(len, net.in_links)), n)
+    for node in range(n):
+        outs = [l for l, link in enumerate(net.links) if link.tail == node]
+        ins = [l for l, link in enumerate(net.links) if link.head == node]
+        assert out_slots[:, node].tolist() == outs + [n_l] * (len(out_slots) - len(outs))
+        # in_slots lists flat out_slots positions; the padding is one past them
+        linked = np.append(out_slots.ravel(), -1).take(in_slots[:, node])
+        assert linked.tolist() == ins + [-1] * (len(in_slots) - len(ins))
+    assert out_slots.ravel().take(net.link_slots).tolist() == list(range(n_l))
+
+
+def test_step_z_matches_scalar_reference_on_a_grid(gridgen):
+    # degrees 2 to 4 and F = 20: every rank and in-rank has padding entries
+    sc = P.parse_scenario(gridgen.grid_scenario(10, 20, 1))
+    consts = P.SlotConstants(sc, P.AlgConfig(P.default_alpha(sc.network, "queue-bound")))
+    Q = Z = np.zeros((sc.n_nodes, sc.n_sessions))
+    y = P.zero_decision(sc)
+    for _ in range(300):
+        y, _ = P.slot_update(Q, y, consts)
+        Q = Q + residual_matrix(sc, y.x, y.mu)
+        nxt, sends = step_Z(Z, y.x, y.mu, sc)
+        ref_nxt, ref_sends = _step_Z_scalar(Z, y.x, y.mu, sc)
+        assert nxt.tobytes() == ref_nxt.tobytes()
+        assert sends.tobytes() == ref_sends.tobytes()
+        Z = nxt
+    assert Z.any() and sends.any()
+
+
+def test_step_z_without_links():
+    sessions = (P.Session(0, 0, 2, P.Utility("wlog", 1.0)),
+                P.Session(1, 1, 0, P.Utility("wlog1p", 1.0)))
+    sc = P.Scenario(P.Network(3, ()), sessions, ())
+    assert sc.network.out_slots.shape == sc.network.in_slots.shape == (0, 3)
+    z = np.array([[1.0, 2.0], [0.5, 0.0], [0.0, 3.0]])
+    mu = np.zeros((0, 2))
+    for arrivals in ([0.25, 1.0], np.full((3, 2), 0.75)):
+        nxt, sends = step_Z(z, arrivals, mu, sc)
+        ref_nxt, ref_sends = _step_Z_scalar(z, arrivals, mu, sc)
+        assert sends.shape == (0, 2)
+        assert nxt.tobytes() == ref_nxt.tobytes()
+
+
 @st.composite
 def _zeroing_cases(draw):
     """(scenario, Q, Y, Z, x, arrivals, mu, y_prev): signed queues Q, backlogs Y
@@ -175,24 +226,24 @@ def test_flat_destination_zeroing_matches_the_mask(case):
     sc, q, y, z, x, arrivals, mu, prev = case
     src = sc.src_entries
     assert sorted(sc.dst_entries.tolist()) == np.flatnonzero(sc.inactive).tolist()
+    # each kernel against the arithmetic it replaced, zeroed through the mask,
+    # on C-ordered inputs; Fortran-ordered inputs must give the same bits
+    g_vec = sc.network.incidence @ mu
+    g_vec.put(src, g_vec.take(src) + x)
+    g_vec = _mask_zeroed(sc, g_vec)
+    g_mat = _mask_zeroed(sc, sc.network.incidence @ mu + arrivals)
+    g_prev = sc.network.incidence @ prev.mu
+    g_prev.put(src, g_prev.take(src) + prev.x)
+    w = _mask_zeroed(sc, q + _mask_zeroed(sc, g_prev))
     for order in ("C", "F"):
-        # each kernel against its own arithmetic, zeroed through the mask; the
-        # matrix product is the kernels' own on inputs of the same layout
         q_o, y_o, z_o, arr_o, mu_o = (np.asarray(a, order=order)
                                       for a in (q, y, z, arrivals, mu))
         prev_o = P.DecisionVector(prev.x, np.asarray(prev.mu, order=order))
-        g_vec = sc.network.incidence @ mu_o
-        g_vec.put(src, g_vec.take(src) + x)
-        g_vec = _mask_zeroed(sc, g_vec)
-        g_mat = _mask_zeroed(sc, sc.network.incidence @ mu_o + arr_o)
         assert residual_matrix(sc, x, mu_o).tobytes() == g_vec.tobytes()
         assert residual_matrix(sc, arr_o, mu_o).tobytes() == g_mat.tobytes()
-        g_prev = sc.network.incidence @ prev_o.mu
-        g_prev.put(src, g_prev.take(src) + prev.x)
-        w = _mask_zeroed(sc, q_o + _mask_zeroed(sc, g_prev))
         assert compute_weights(q_o, prev_o, sc).tobytes() == w.tobytes()
         for g in (g_vec, g_mat):
-            want = _mask_zeroed(sc, np.maximum(y_o + g, 0.0))
+            want = _mask_zeroed(sc, np.maximum(y + g, 0.0))
             assert step_Y(y_o, g, sc).tobytes() == want.tobytes()
         for arr in (x, arr_o):
             nxt, sends = step_Z(z_o, arr, mu_o, sc)

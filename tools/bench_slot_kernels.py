@@ -10,8 +10,9 @@ kernel's time is the best of --repeats timeit repeats of --number calls. The
 trees are timed in rounds, each tree in its own subprocess and the first tree
 rotating between rounds, and each tree reports its best over the rounds and
 its per-round values, their spread. rate_phase is the rate solve as the
-tree's slot_update calls it; every other kernel is called through a name that
-older trees export too.
+tree's slot_update calls it; decision_faults checks the decisions of the last
+4 slots, one audit chunk of the grid run; every other kernel is called
+through a name that older trees export too.
 """
 from __future__ import annotations
 
@@ -24,13 +25,15 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 KERNELS = ("slot_update", "rate_phase", "solve_rates", "project_rows", "step_Z",
-           "residual_matrix", "compute_weights")
+           "residual_matrix", "compute_weights", "decision_faults")
+CHUNK = 4  # slots per decision_faults call, the harness's chunk on the grid
 STATES = {"sixnode": 3000, "grid10x10f20": 300}
 
 
 def _states():
-    """{state name: (scenario, Q, y, Z, consts)}: the queues after the slot counts
-    of STATES and the decisions of the last slot, what the next slot reads."""
+    """{state name: (scenario, Q, y, Z, consts, chunk)}: the queues after the slot
+    counts of STATES and the decisions of the last slot, what the next slot
+    reads, and chunk, the (x, mu) stacks of the last CHUNK slots."""
     import numpy as np
 
     import proxbp as P
@@ -45,15 +48,18 @@ def _states():
         Q = np.zeros((sc.n_nodes, sc.n_sessions))
         Z = Q
         y = P.zero_decision(sc)
+        last = []
         for _ in range(STATES[name]):
             y, _ = P.slot_update(Q, y, consts)
             Q = Q + P.residual_matrix(sc, y.x, y.mu)
             Z, _ = P.step_Z(Z, y.x, y.mu, sc)
-        out[name] = (sc, Q, y, Z, consts)
+            last = (last + [y])[-CHUNK:]
+        chunk = (np.stack([d.x for d in last]), np.stack([d.mu for d in last]))
+        out[name] = (sc, Q, y, Z, consts, chunk)
     return out
 
 
-def _slot_calls(sc, Q, y, Z, consts) -> dict:
+def _slot_calls(sc, Q, y, Z, consts, chunk) -> dict:
     """{kernel: a call with no arguments}. The rate phase and project_rows are
     called as the tree's slot_update calls them: a tree whose SlotConstants
     has rate_k calls rate_root with the run's constants and passes its
@@ -87,6 +93,7 @@ def _slot_calls(sc, Q, y, Z, consts) -> dict:
         "step_Z": lambda: step_Z(Z, y.x, y.mu, sc),
         "residual_matrix": lambda: P.residual_matrix(sc, y.x, y.mu),
         "compute_weights": lambda: compute_weights(Q, y, sc),
+        "decision_faults": lambda: P.decision_faults(sc, *chunk),
     }
 
 
