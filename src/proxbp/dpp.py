@@ -40,9 +40,9 @@ def dpp_slot_update(Q, scenario: Scenario, config: DppConfig) -> DecisionVector:
     """One slot of decisions from the clipped virtual queues Q (N, F), which
     are nonnegative.
 
-    Each source maximizes V U(x) - q x over [0, cap], q being its queue: the
-    cap when q <= 0, else V w / q for wlog and V w / q - 1 for wlog1p,
-    clamped to [0, cap]. Each link grants its capacity to the first allowed
+    Each source maximizes V U(x) - q x over [0, cap], q being its queue and
+    U(x) = w log(k + x): the cap when q <= 0, else V w / q - k clamped to
+    [0, cap]. Each link grants its capacity to the first allowed
     session of largest differential backlog Q[tail] - Q[head] (the head entry
     counts as zero at the session's destination), provided that differential
     is strictly positive.
@@ -52,7 +52,7 @@ def dpp_slot_update(Q, scenario: Scenario, config: DppConfig) -> DecisionVector:
     q = Q.take(scenario.src_entries)
     with np.errstate(over="ignore"):  # a subnormal q gives inf, which the cap clips
         ratio = config.V * scenario.utility_weight / np.where(q > 0, q, 1.0)
-    x = np.where(scenario.is_wlog, ratio, np.maximum(ratio - 1.0, 0.0))
+    x = np.maximum(ratio - scenario.utility_shift, 0.0)
     x = np.where(q > 0, np.minimum(x, rate_cap), rate_cap)
     network = scenario.network
     # A queue at the session's destination counts as zero at a link's head.

@@ -54,21 +54,19 @@ class AlgConfig:
 
 @dataclass(frozen=True, eq=False)
 class SlotConstants:
-    """What slot_update reads that stays fixed over a run; run() builds one.
-    (F,): a_src, 2 alpha at each session's source, its multiples two_a_src
-    and four_a_src, and rate_k, rate_root's 0/1 factor. link_denom (L, 1),
-    2 (alpha_tail + alpha_head); allow_mask, None if every pair is allowed;
-    ranks, 1.0 .. F. Raises ContractError unless alpha has one entry per
-    node and 2 alpha is finite at the sources."""
+    """What slot_update reads from alpha that stays fixed over a run; run()
+    builds one. (F,): a_src, 2 alpha at each session's source, and its
+    multiples two_a_src and four_a_src. link_denom (L, 1), 2 (alpha_tail +
+    alpha_head); ranks, 1.0 .. F. The utility shifts and forbidden pairs
+    come from the scenario. Raises ContractError unless alpha has one entry
+    per node and 2 alpha is finite at the sources."""
 
     scenario: Scenario
     config: AlgConfig
     a_src: np.ndarray = field(init=False)
     two_a_src: np.ndarray = field(init=False)
     four_a_src: np.ndarray = field(init=False)
-    rate_k: np.ndarray = field(init=False)
     link_denom: np.ndarray = field(init=False)
-    allow_mask: np.ndarray = field(init=False)
     ranks: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -84,12 +82,10 @@ class SlotConstants:
         if not np.isfinite(a_src).all():
             raise ContractError("2 alpha must be finite at every source")
         arrays = {"a_src": a_src, "two_a_src": two_a, "four_a_src": four_a,
-                  "rate_k": np.where(sc.is_wlog, 0.0, 1.0),
                   "link_denom": (2.0 * (alpha[network.tails] + alpha[network.heads]))[:, None],
                   "ranks": np.arange(1.0, sc.n_sessions + 1.0)}
         for name, a in arrays.items():
             object.__setattr__(self, name, _frozen(a))
-        object.__setattr__(self, "allow_mask", None if sc.allow_mask.all() else sc.allow_mask)
 
 
 def compute_weights(Q: np.ndarray, y_prev: DecisionVector, scenario: Scenario) -> np.ndarray:
@@ -127,8 +123,8 @@ def slot_update(Q: np.ndarray, y_prev: DecisionVector, consts: SlotConstants) ->
     Every source's rate problem is solved by one rate_root call with the
     run's constants and every link's projection by one project_rows call on
     the (L, F) matrix a = mu_prev + (W[tail] - W[head]) / (2 (alpha_tail +
-    alpha_head)). Raises ContractError unless W is finite and y_prev.x lies
-    in [0, inf).
+    alpha_head)), the scenario's forbidden pairs fixed at zero. Raises
+    ContractError unless W is finite and y_prev.x lies in [0, inf).
     """
     scenario = consts.scenario
     W = compute_weights(Q, y_prev, scenario)
@@ -136,11 +132,11 @@ def slot_update(Q: np.ndarray, y_prev: DecisionVector, consts: SlotConstants) ->
         raise ContractError("weights must be finite")
     check_x_prev(y_prev.x)
     a_src = consts.a_src
-    x = rate_root(consts.rate_k, scenario.utility_weight,
+    x = rate_root(scenario.utility_shift, scenario.utility_weight,
                   W.take(scenario.src_entries) - a_src * y_prev.x,
                   a_src, consts.two_a_src, consts.four_a_src)
     network = scenario.network
     a = y_prev.mu + (W.take(network.tails, axis=0)
                      - W.take(network.heads, axis=0)) / consts.link_denom
-    mu = project_rows(a, network.caps, consts.allow_mask, consts.ranks)
+    mu = project_rows(a, network.caps, scenario.forbidden_entries, consts.ranks)
     return DecisionVector(_frozen(x), _frozen(mu)), W

@@ -304,7 +304,7 @@ class _ChunkAudit:
         if self.prox:
             # weight identity: W(t) = 2 Q(t) - Q(t-1) off the destinations
             ident = 2.0 * q_all[:-1] - self.Q[:n]
-            ident[:, sc.inactive] = 0.0
+            ident.reshape(n, -1)[:, sc.dst_entries] = 0.0
             checks["weight_identity"][rows] = np.abs(self.W[:n] - ident).max(axis=(1, 2))
         self.Q[:2] = self.Q[n:n + 2]
 

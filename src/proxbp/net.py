@@ -25,7 +25,13 @@ class ScenarioFormatError(ValueError):
 
 
 class ScenarioValidationError(ValueError):
-    """Structurally parseable but semantically invalid scenario data."""
+    """Structurally parseable but semantically invalid scenario data. item
+    names the part at fault, where there is one: "nodes", or ("link", i) or
+    ("session", i) for the i-th link or session."""
+
+    def __init__(self, msg: str, item=None):
+        super().__init__(msg)
+        self.item = item
 
 
 class DomainError(ValueError):
@@ -96,15 +102,17 @@ class Network:
 
     def __post_init__(self):
         if self.node_count < 1:
-            raise ScenarioValidationError("node_count must be at least 1")
+            raise ScenarioValidationError("node_count must be at least 1", "nodes")
         object.__setattr__(self, "links", tuple(self.links))
         for i, l in enumerate(self.links):
             if not (0 <= l.tail < self.node_count) or not (0 <= l.head < self.node_count):
-                raise ScenarioValidationError(f"link {i} endpoint out of range: {l}")
+                raise ScenarioValidationError(f"link {i} endpoint out of range: {l}", ("link", i))
             if l.tail == l.head:
-                raise ScenarioValidationError(f"link {i} is a self-loop at node {l.tail}")
+                raise ScenarioValidationError(f"link {i} is a self-loop at node {l.tail}",
+                                              ("link", i))
             if not (float(l.capacity) > 0 and math.isfinite(l.capacity)):
-                raise ScenarioValidationError(f"link {i} capacity must be positive, got {l.capacity!r}")
+                raise ScenarioValidationError(
+                    f"link {i} capacity must be positive, got {l.capacity!r}", ("link", i))
 
     @cached_property
     def in_links(self) -> tuple:
@@ -213,11 +221,14 @@ class Scenario:
         for i, s in enumerate(self.sessions):
             if s.id != i:
                 raise ScenarioValidationError(
-                    f"session ids must be 0..F-1 in order, got id {s.id} at position {i}")
+                    f"session ids must be 0..F-1 in order, got id {s.id} at position {i}",
+                    ("session", i))
             if not (0 <= s.src < n) or not (0 <= s.dst < n):
-                raise ScenarioValidationError(f"session {s.id} references a missing node")
+                raise ScenarioValidationError(f"session {s.id} references a missing node",
+                                              ("session", i))
             if s.src == s.dst:
-                raise ScenarioValidationError(f"session {s.id} has src == dst == {s.src}")
+                raise ScenarioValidationError(f"session {s.id} has src == dst == {s.src}",
+                                              ("session", i))
         if len(self.allowed) != len(self.network.links):
             raise ScenarioValidationError("allowed must have one entry per link")
         for li, al in enumerate(self.allowed):
@@ -258,9 +269,10 @@ class Scenario:
         return _frozen(np.array([s.dst for s in self.sessions], dtype=int))
 
     @cached_property
-    def is_wlog(self) -> np.ndarray:
-        """(F,) boolean, True for sessions with a wlog utility."""
-        return _frozen(np.array([s.utility.kind == "wlog" for s in self.sessions], dtype=bool))
+    def utility_shift(self) -> np.ndarray:
+        """(F,) k of each session's utility w*log(k + x): 0.0 for wlog, 1.0
+        for wlog1p. The one place that reads the kinds for the kernels."""
+        return _frozen(np.array([float(s.utility.kind == "wlog1p") for s in self.sessions]))
 
     @cached_property
     def utility_weight(self) -> np.ndarray:
@@ -292,11 +304,6 @@ class Scenario:
         for s in self.sessions:
             m[s.dst, s.id] = False
         return _frozen(m)
-
-    @cached_property
-    def inactive(self) -> np.ndarray:
-        """(N, F) boolean, ~active: True at each session's destination."""
-        return _frozen(~self.active)
 
     @cached_property
     def in_trees(self) -> np.ndarray:
@@ -485,11 +492,15 @@ def parse_scenario(text: str) -> Scenario:
       allow <link_index> <session_id>        (any allow line for link l
                                               replaces l's default full set)
       allow <link_index> none                (explicitly empty allow-set)
+
+    Every error but a missing nodes line is a ScenarioFormatError that names
+    the line at fault.
     """
     node_count = None
     links = []
     sessions = []
     allows = []  # (line, link, session id or None for 'none') per allow line
+    line_of = {}  # ScenarioValidationError item -> the line that gave it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -500,19 +511,23 @@ def parse_scenario(text: str) -> Scenario:
             if node_count is not None:
                 raise ScenarioFormatError(lineno, "duplicate nodes line")
             node_count = _parse_int(lineno, parts, 1, 2)
+            line_of["nodes"] = lineno
         elif tag == "link":
             if len(parts) != 4:
                 raise ScenarioFormatError(lineno, "link needs: tail head capacity")
+            line_of["link", len(links)] = lineno
             links.append(Link(_parse_int(lineno, parts, 1), _parse_int(lineno, parts, 2),
                               _parse_float(lineno, parts, 3)))
         elif tag == "session":
             if len(parts) != 6:
                 raise ScenarioFormatError(lineno, "session needs: id src dst kind weight")
-            if parts[4] not in UTILITY_KINDS:
-                raise ScenarioFormatError(lineno, f"unknown utility kind {parts[4]!r}")
-            sessions.append(Session(_parse_int(lineno, parts, 1), _parse_int(lineno, parts, 2),
-                                    _parse_int(lineno, parts, 3),
-                                    Utility(parts[4], _parse_float(lineno, parts, 5))))
+            line_of["session", len(sessions)] = lineno
+            fid, src, dst = (_parse_int(lineno, parts, i) for i in (1, 2, 3))
+            try:
+                utility = Utility(parts[4], _parse_float(lineno, parts, 5))
+            except ScenarioValidationError as e:
+                raise ScenarioFormatError(lineno, f"session {fid}: {e}") from None
+            sessions.append(Session(fid, src, dst, utility))
         elif tag == "allow":
             if len(parts) != 3:
                 raise ScenarioFormatError(lineno, "allow needs: link_index session_id")
@@ -522,7 +537,6 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioFormatError(lineno, f"unknown directive {tag!r}")
     if node_count is None:
         raise ScenarioValidationError("document has no nodes line")
-    network = Network(node_count, tuple(links))
     nf = len(sessions)
     allow_ids: dict = {}
     allow_none: set = set()
@@ -548,7 +562,11 @@ def parse_scenario(text: str) -> Scenario:
             allowed.append(frozenset(allow_ids[li]))
         else:
             allowed.append(full)
-    return Scenario(network, tuple(sessions), tuple(allowed))
+    try:
+        return Scenario(Network(node_count, tuple(links)), tuple(sessions), tuple(allowed))
+    except ScenarioValidationError as e:
+        # the allow-sets are checked above, so the fault names a line's item
+        raise ScenarioFormatError(line_of[e.item], str(e)) from None
 
 
 def _parse_int(lineno, parts, i, need_len=None):

@@ -70,22 +70,22 @@ def dual_value(scenario: Scenario, lam: np.ndarray) -> float:
 
     Separates into one unconstrained concave scalar sup per source and one
     linear program over the capacity simplex per link. Returns +inf when a
-    source multiplier is nonpositive (the sup diverges there).
+    source multiplier is nonpositive (the sup diverges there). A source
+    with U(x) = w log(k + x) and a finite multiplier l > 0 maximizes
+    U(x) - l x at x = w / l - k where w > l k, for a sup of
+    w log(w / l) - w + l k, and else (wlog1p only) at x = 0, for a sup of 0.
     """
     total = 0.0
-    for f, s in enumerate(scenario.sessions):
-        lf = float(lam[s.src, f])
-        w = s.utility.weight
+    for lf, w, k in zip(lam.take(scenario.src_entries).tolist(),
+                        scenario.utility_weight.tolist(), scenario.utility_shift.tolist()):
         if lf <= 0.0:
             return math.inf
-        if s.utility.kind == "wlog":
-            total += w * math.log(w / lf) - w
-        else:
-            if w > lf:  # interior maximizer of w*log1p(x) - lf*x
-                total += w * math.log(w / lf) - w + lf
+        if w > lf * k:
+            total += w * math.log(w / lf) - w + lf * k
     net = scenario.network
     coef = lam.take(net.tails, axis=0) - lam.take(net.heads, axis=0)
-    best = np.fmax.reduce(np.where(scenario.allow_mask, coef, 0.0), axis=1, initial=0.0)
+    coef.put(scenario.forbidden_entries, 0.0)
+    best = np.fmax.reduce(coef, axis=1, initial=0.0)
     for term in (net.caps * best).tolist():  # fmax skips a NaN; link order keeps the rounding
         total += term
     return total
@@ -107,7 +107,8 @@ def repair_feasible(scenario: Scenario, x, mu):
     """
     net = scenario.network
     x = np.maximum(np.asarray(x, dtype=float), 0.0)
-    left = np.where(scenario.allow_mask, np.maximum(np.asarray(mu, dtype=float), 0.0), 0.0)
+    left = np.maximum(np.asarray(mu, dtype=float), 0.0)
+    left.put(scenario.forbidden_entries, 0.0)
     load = left.sum(axis=1)
     over = load > net.caps
     left[over] *= (net.caps[over] / load[over])[:, None]
@@ -240,7 +241,7 @@ def solve_centralized(scenario: Scenario, tol: float = 1e-5, alpha=None) -> Orac
     n_f, n_mu = scenario.n_sessions, z.size - scenario.n_sessions
     # U(x) = w . log(z + shift): w is zero on the mu entries of z
     w = np.concatenate([scenario.utility_weight, np.zeros(n_mu)])
-    shift = np.concatenate([np.where(scenario.is_wlog, 0.0, 1.0), np.zeros(n_mu)])
+    shift = np.concatenate([scenario.utility_shift, np.zeros(n_mu)])
     diag = np.diag_indices(z.size)
     m = G.shape[0] + z.size  # plus one sign constraint per variable
 
@@ -295,7 +296,9 @@ def solve_centralized(scenario: Scenario, tol: float = 1e-5, alpha=None) -> Orac
             best_dual, best_lam = qv, lam
         mu[pairs] = z[n_f:]
         xr, mur = repair_feasible(scenario, z[:n_f], mu)
-        val = total_utility(scenario, xr) if xr[scenario.is_wlog].all() else -math.inf
+        # U(x) = w log(k + x) is finite where k + x > 0; the repair may zero a wlog rate
+        in_domain = (xr + scenario.utility_shift > 0.0).all()
+        val = total_utility(scenario, xr) if in_domain else -math.inf
         if val > best_primal:
             best_primal, best_x, best_mu = val, xr, mur
         weak_margin = min(weak_margin, qv - best_primal)

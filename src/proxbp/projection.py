@@ -63,34 +63,34 @@ def project_sorted(inst: ProjectionInstance) -> tuple:
     return z, theta
 
 
-def project_rows(a, b, mask, ranks=None) -> np.ndarray:
+def project_rows(a, b, forbidden, ranks=None) -> np.ndarray:
     """Project every row of a (L, K) onto {z >= 0, sum(z) <= b_l}, with the
-    entries outside mask (None: none) fixed at zero. ranks is 1.0 .. K, made
-    here unless the caller keeps one. Returns z (L, K).
+    entries at forbidden, flat indices into the C-ordered (L, K) matrix
+    (Scenario.forbidden_entries), fixed at zero. ranks is 1.0 .. K, made here
+    unless the caller keeps one. Returns z (L, K).
 
-    project_sorted applied to each row's masked entries, with the same
+    project_sorted applied to each row's allowed entries, with the same
     arithmetic: rows whose clipped sum fits the budget return the clipped row
     and skip the sort; the others sort descending and take the water level of
-    the last admissible prefix. z matches project_sorted bitwise on rows with
-    a full mask and on rows of fewer than 8 entries. Otherwise numpy's
+    the last admissible prefix. z matches project_sorted bitwise on fully
+    allowed rows and on rows of fewer than 8 entries. Otherwise numpy's
     pairwise row sum may group the clipped entries differently, which moves
     the budget test by rounding only.
     """
     a = np.asarray(a, dtype=float)
     if not np.isfinite(a).all():
         raise ContractError("projection input must be finite")
-    if mask is not None:
-        # Masked entries become 0.0: they clip to zero and add +0.0 to every
-        # sum, which leaves it unchanged. A tight row has a positive water
-        # level, so no zero is admissible and the admissible prefix holds
-        # only allowed entries.
-        a = np.where(mask, a, 0.0)
+    # Forbidden and negative entries of z are 0.0: they add +0.0 to every
+    # sum, which leaves it unchanged. A tight row has a positive water level,
+    # so no zero is admissible, the admissible prefix holds only positive
+    # allowed entries, and a sort of z scans the same prefix as one of a.
     z = np.maximum(a, 0.0)
+    z.put(forbidden, 0.0)
     # a is finite, so no row sum is NaN
     tight = (z.sum(axis=1) > b).nonzero()[0]
     if not tight.size:
         return z
-    at = a.take(tight, axis=0)
+    at = z.take(tight, axis=0)
     srt = np.sort(at, axis=1)[:, ::-1]  # descending
     k = a.shape[1]
     if ranks is None:

@@ -40,7 +40,10 @@ def step_Z(Z, arrivals, mu, scenario: Scenario) -> tuple:
     afterwards, in link order, and cannot move again until the next slot. The
     k-th out-links of all nodes are served together, one rank at a time, over
     the padded table Network.out_slots; a padding entry prescribes 0, takes
-    min(0, backlog) = 0 from a backlog Z >= 0 and leaves it as it was.
+    min(0, backlog) = 0 from a backlog Z >= 0 and leaves it as it was. A
+    negative backlog entry counts as empty: Z is clipped at zero once, as it
+    is copied in, so padded and served ranks agree and no link sends a
+    negative amount.
 
     arrivals is an (N, F) matrix or the (F,) source rates, which join at each
     session's source entry.
@@ -57,8 +60,8 @@ def step_Z(Z, arrivals, mu, scenario: Scenario) -> tuple:
     flat = np.empty((out_slots.size + 1, n_f))
     flat[-1] = 0.0
     takes = flat[:-1].reshape(wanted.shape)
-    # the remaining backlog until the loop ends
-    nxt = np.array(Z, dtype=float, order="C")
+    # the remaining backlog until the loop ends; a negative entry is empty
+    nxt = np.maximum(Z, 0.0, dtype=float, order="C")
     for want, take in zip(wanted, takes):
         np.minimum(want, nxt, out=take)
         nxt -= take

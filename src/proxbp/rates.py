@@ -41,7 +41,8 @@ class RateProblem:
 
 def rate_root(k, weight, d, a, two_a, four_a):
     """Maximizer of U(x) - d*x - (a/2)*x^2 over the utility domain, for a > 0,
-    elementwise. k is 0.0 for wlog, 1.0 for wlog1p; two_a = 2a, four_a = 4a.
+    elementwise. k is the utility shift in U(x) = w*log(k + x), 0.0 for wlog
+    and 1.0 for wlog1p (Scenario.utility_shift); two_a = 2a, four_a = 4a.
 
     The slope U'(x) - d - a*x vanishes where a*x^2 + b*x + c = 0, b = a*k + d,
     c = d*k - w (w/x = d + a*x, or w/(1+x) = d + a*x). wlog has c = -w < 0;
@@ -75,12 +76,12 @@ def solve_rate(p: RateProblem) -> float:
     return float(rate_root(k, p.utility.weight, p.pressure - a * p.x_prev, a, 2.0 * a, 4.0 * a))
 
 
-def solve_rates(is_wlog, weight, pressure, x_prev, a) -> np.ndarray:
-    """solve_rate for many sources at once, all arguments (F,) arrays: is_wlog
-    picks the utility kind, weight its weight, and a = 2*alpha is the
-    curvature of the proximal term. Returns x (F,), bitwise equal to
-    solve_rate on each source, since both take rate_root with the slot's a and
-    d = W - a*x_prev. Checks a, x_prev and pressure.
+def solve_rates(shift, weight, pressure, x_prev, a) -> np.ndarray:
+    """solve_rate for many sources at once, all arguments (F,) arrays: shift
+    is the utility shift k of U(x) = w*log(k + x), weight the w, and a =
+    2*alpha is the curvature of the proximal term. Returns x (F,), bitwise
+    equal to solve_rate on each source, since both take rate_root with the
+    slot's a and d = W - a*x_prev. Checks a, x_prev and pressure.
     """
     if not (a.min(initial=math.inf) > 0.0 and a.max(initial=0.0) < math.inf):
         raise ContractError("alpha must be positive")
@@ -90,7 +91,7 @@ def solve_rates(is_wlog, weight, pressure, x_prev, a) -> np.ndarray:
     d = pressure - a * x_prev
     with np.errstate(over="ignore"):  # 4a may overflow
         two_a, four_a = 2.0 * a, 4.0 * a
-    return rate_root(np.where(is_wlog, 0.0, 1.0), weight, d, a, two_a, four_a)
+    return rate_root(shift, weight, d, a, two_a, four_a)
 
 
 def check_x_prev(x_prev):

@@ -138,7 +138,7 @@ def kelley_bracket(scenario, width=1e-8, rounds=100):
             raise RuntimeError(f"cutting-plane LP failed: {res.message}")
         hi = min(hi, -res.fun)
         x = res.x[ix]
-        if np.all(x[scenario.is_wlog] > 0):
+        if np.all(x + scenario.utility_shift > 0):
             lo = max(lo, P.total_utility(scenario, x))
         if hi - lo <= width:
             break

@@ -4,6 +4,8 @@ run_per_slot is harness.run with every check and metric evaluated inside the
 slot loop, one slot at a time; the parity tests hold the chunked harness to
 its traces and summaries, bit for bit. project_bisect and kkt_residual check
 the capped-simplex projection independently of its sort-based solvers;
+project_rows_masked is projection.project_rows with the forbidden pairs
+given as a boolean mask of the allowed ones, the encoding it replaced;
 objective and slope write out a source's slot problem for the rate solvers;
 arrival_matrix scatters source rates the way residual_matrix and step_Z
 place them. dual_value is oracle.dual_value with its link term as a loop over
@@ -70,6 +72,34 @@ def kkt_residual(inst, z, theta: float) -> float:
         abs(theta * slack),           # theta (sum z - b) = 0
     )
     return max(worst, 0.0)
+
+
+def project_rows_masked(a, b, mask, ranks=None) -> np.ndarray:
+    """project_rows with the entries outside the (L, K) boolean mask (None:
+    none) fixed at zero: the masked a is clipped, and the tight rows sort the
+    masked a itself."""
+    a = np.asarray(a, dtype=float)
+    if not np.isfinite(a).all():
+        raise ContractError("projection input must be finite")
+    if mask is not None:
+        a = np.where(mask, a, 0.0)
+    z = np.maximum(a, 0.0)
+    tight = (z.sum(axis=1) > b).nonzero()[0]
+    if not tight.size:
+        return z
+    at = a.take(tight, axis=0)
+    srt = np.sort(at, axis=1)[:, ::-1]
+    k = a.shape[1]
+    if ranks is None:
+        ranks = np.arange(1.0, k + 1.0)
+    theta_candidates = (srt.cumsum(axis=1) - b.take(tight)[:, None]) / ranks
+    ok = srt >= theta_candidates
+    last = np.arange(k - 1, ok.size, k) - ok[:, ::-1].argmax(axis=1)
+    if not ok.take(last).all():
+        raise NumericError("projection scan found no admissible active set")
+    theta = np.maximum(theta_candidates.take(last), 0.0)
+    z[tight] = np.maximum(at - theta[:, None], 0.0)
+    return z
 
 
 def objective(p, x) -> float:

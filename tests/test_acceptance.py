@@ -58,12 +58,12 @@ def _best_grid_distance(a, b, z_star, offsets):
 
 def _project_ragged(rows, budgets):
     """project_rows on vectors of unequal length: one call on the rows padded
-    to a common width, the padding masked out. Returns the projected rows."""
+    to a common width, the padding forbidden. Returns the projected rows."""
     sizes = np.array([r.size for r in rows])
     mask = np.arange(sizes.max()) < sizes[:, None]
     a = np.full(mask.shape, 1e3)  # masked entries must stay out of every row
     a[mask] = np.concatenate(rows)
-    z = P.project_rows(a, np.array(budgets), mask)
+    z = P.project_rows(a, np.array(budgets), np.flatnonzero(~mask))
     assert not z[~mask].any()
     return [row[:k] for row, k in zip(z, sizes)]
 
@@ -121,7 +121,7 @@ def test_source_rate_solver():
         probs.append(P.RateProblem(P.Utility("wlog", w), float(rng.normal(0.0, 5.0)),
                                    float(rng.uniform(0.0, 3.0)), float(rng.uniform(0.2, 8.0))))
     # one solve_rates call for all sources, the way a slot solves them
-    x_all = P.solve_rates(np.ones(len(probs), dtype=bool),
+    x_all = P.solve_rates(np.zeros(len(probs)),  # utility shift 0: wlog
                           np.array([p.utility.weight for p in probs]),
                           np.array([p.pressure for p in probs]),
                           np.array([p.x_prev for p in probs]),

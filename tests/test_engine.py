@@ -211,12 +211,3 @@ def test_slot_constants_reject_an_overflowing_alpha(sixnode):
     with pytest.raises(P.ContractError, match="2 alpha must be finite"):
         P.run(sixnode, "new", P.AlgConfig(np.full(6, 1e308)), 5)
 
-
-def test_slot_constants_skip_a_full_allow_mask(sixnode):
-    cfg = P.AlgConfig(default_alpha(sixnode.network, "queue-bound"))
-    assert SlotConstants(sixnode, cfg).allow_mask is None
-    sc = P.parse_scenario(
-        "nodes 3\nlink 0 1 1.0\nlink 1 2 1.0\nlink 0 2 1.0\n"
-        "session 0 0 2 wlog 1.0\nsession 1 0 1 wlog 1.0\nallow 2 0\n")
-    consts = SlotConstants(sc, P.AlgConfig(default_alpha(sc.network, "queue-bound")))
-    assert consts.allow_mask is sc.allow_mask

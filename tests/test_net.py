@@ -180,7 +180,7 @@ def _rate_matrices(draw):
     t = draw(st.integers(1, 6))
     x = arrays(draw, (t, sc.n_sessions), (0.0, 1e-300, 0.5, 1.0, 7.0), 0.0, 1e6,
                draw(st.booleans()))
-    floor = np.where(sc.is_wlog, 5e-324, 0.0)
+    floor = np.where(sc.utility_shift == 0.0, 5e-324, 0.0)  # wlog rates are positive
     return sc, np.maximum(x, floor)
 
 
@@ -426,6 +426,27 @@ def test_parse_error_line_numbers():
 def test_parse_allow_errors_name_their_line(lines, message):
     with pytest.raises(P.ScenarioFormatError) as e:
         P.parse_scenario(f"nodes 2\nlink 0 1 1.0\nsession 0 0 1 wlog 1.0\n{lines}\n")
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize("lines, message", [
+    ("nodes 2\nlink 0 0 1.0", "line 2: link 0 is a self-loop at node 0"),
+    ("nodes 2\nlink 0 1 1.0\nlink 1 5 1.0",
+     "line 3: link 1 endpoint out of range: Link(tail=1, head=5, capacity=1.0)"),
+    ("nodes 2\n\nlink 0 1 0", "line 3: link 0 capacity must be positive, got 0.0"),
+    ("nodes 2\nlink 0 1 nan", "line 2: link 0 capacity must be positive, got nan"),
+    ("nodes 2\nlink 0 1 1.0\nsession 0 0 1 wlog 0",
+     "line 3: session 0: utility weight must be positive, got 0.0"),
+    ("nodes 2\nlink 0 1 1.0\nsession 0 0 1 wlog 1.0\nsession 2 1 0 wlog 1.0",
+     "line 4: session ids must be 0..F-1 in order, got id 2 at position 1"),
+    ("nodes 2\nlink 0 1 1.0\nsession 0 1 1 wlog1p 1.0", "line 3: session 0 has src == dst == 1"),
+    ("nodes 2\nlink 0 1 1.0\nsession 0 0 7 wlog 1.0",
+     "line 3: session 0 references a missing node"),
+    ("# no nodes\nnodes 0", "line 2: node_count must be at least 1"),
+])
+def test_parse_validation_errors_name_their_line(lines, message):
+    with pytest.raises(P.ScenarioFormatError) as e:
+        P.parse_scenario(lines + "\n")
     assert str(e.value) == message
 
 

@@ -4,7 +4,11 @@ import time
 
 import numpy as np
 import pytest
-from reference import kkt_residual, project_bisect
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from reference import kkt_residual, project_bisect, project_rows_masked
+from strategies import CAPACITIES, SESSION_COUNTS, arrays
 
 import proxbp as P
 from proxbp.projection import ProjectionInstance, project_rows, project_sorted
@@ -132,8 +136,7 @@ def test_project_rows_matches_project_sorted_per_row():
     for k in (1, 3, 8, 20):
         a = np.round(rng.normal(0.3, 1.0, (200, k)), 1)  # one decimal: many ties
         b = rng.choice([0.05, 0.5, 2.0, 50.0], 200)
-        mask = np.ones((200, k), dtype=bool)
-        z = project_rows(a, b, mask)
+        z = project_rows(a, b, ())
         for r in range(200):
             ref, _ = project_sorted(ProjectionInstance(a[r], b[r]))
             assert z[r].tobytes() == ref.tobytes()
@@ -144,7 +147,7 @@ def test_project_rows_matches_project_sorted_per_row():
         a = rng.choice(values, (400, k))
         mask = rng.uniform(size=(400, k)) < 0.6
         b = rng.choice([0.05, 0.5, 1.0, 2.0, 50.0], 400)
-        z = project_rows(a, b, mask)
+        z = project_rows(a, b, np.flatnonzero(~mask))
         assert z[~mask].tobytes() == np.zeros(int((~mask).sum())).tobytes()
         for r in range(400):
             if mask[r].any():
@@ -157,26 +160,52 @@ def test_project_rows_without_a_mask_or_with_kept_ranks():
     for k in (1, 2, 3, 8, 9, 17):
         a = rng.normal(0.0, 2.0, (40, k))
         b = rng.choice([0.0, 0.5, 1.0, 50.0], 40)
-        z = project_rows(a, b, np.ones((40, k), dtype=bool))
-        assert project_rows(a, b, None).tobytes() == z.tobytes()
-        assert project_rows(a, b, None, np.arange(1.0, k + 1.0)).tobytes() == z.tobytes()
+        z = project_rows(a, b, ())
+        assert project_rows_masked(a, b, None).tobytes() == z.tobytes()
+        assert project_rows(a, b, (), np.arange(1.0, k + 1.0)).tobytes() == z.tobytes()
 
 
 def test_project_rows_masks_entries_out():
     a = np.array([[3.0, 5.0, 1.0], [2.0, -1.0, 4.0], [9.0, 9.0, 9.0]])
     mask = np.array([[True, False, True], [False, False, False], [True, True, True]])
-    z = project_rows(a, np.array([2.0, 1.0, 3.0]), mask)
+    z = project_rows(a, np.array([2.0, 1.0, 3.0]), np.flatnonzero(~mask))
     assert z.tolist() == [[2.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]
 
 
 def test_project_rows_rejects_non_finite_input():
-    mask = np.ones((2, 2), dtype=bool)
-    for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(P.ContractError):
-            project_rows(np.array([[1.0, 0.0], [0.0, bad]]), np.ones(2), mask)
+    # also at a forbidden pair: the input is checked before those are zeroed
+    for bad, forbidden in itertools.product((math.nan, math.inf, -math.inf), ((), [3])):
+        with pytest.raises(P.ContractError, match="^projection input must be finite$"):
+            project_rows(np.array([[1.0, 0.0], [0.0, bad]]), np.ones(2), forbidden)
 
 
 def test_project_rows_without_admissible_active_set():
     # a negative budget leaves the feasible set empty: no prefix is admissible
     with pytest.raises(P.NumericError):
-        project_rows(np.array([[1.0, 0.5]]), np.array([-1.0]), np.ones((1, 2), dtype=bool))
+        project_rows(np.array([[1.0, 0.5]]), np.array([-1.0]), ())
+
+
+@st.composite
+def _masked_rows(draw):
+    """(a, b, mask): an (L, K) input, coarse (most entries tied, zeros and
+    negatives common) or drawn entry by entry, budgets that bind or not, and
+    a random allow mask."""
+    n_l = draw(st.integers(1, 12))
+    k = draw(st.sampled_from(SESSION_COUNTS + (17,)))
+    coarse = draw(st.booleans())
+    a = arrays(draw, (n_l, k), (-1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0, 2.0), -2.0, 3.0,
+               coarse)
+    b = arrays(draw, (n_l,), (0.0,) + CAPACITIES, 0.0, 50.0, coarse)
+    mask = draw(hnp.arrays(bool, (n_l, k), elements=st.booleans(), fill=st.nothing()))
+    return a, b, mask
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_masked_rows())
+def test_project_rows_matches_the_masked_reference(case):
+    a, b, mask = case
+    want = project_rows_masked(a, b, mask)
+    forbidden = np.flatnonzero(~mask)
+    assert project_rows(a, b, forbidden).tobytes() == want.tobytes()
+    ranks = np.arange(1.0, a.shape[1] + 1.0)
+    assert project_rows(a, b, forbidden, ranks).tobytes() == want.tobytes()

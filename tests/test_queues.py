@@ -72,6 +72,27 @@ def test_step_z_ascending_link_order():
     assert z2[0, 0] == 0.0
 
 
+def test_step_z_treats_a_negative_backlog_as_empty():
+    # node 2 has no out-link, so only padding ranks reach its entry: it is
+    # emptied like any other negative entry, not kept
+    sc = P.parse_scenario("nodes 3\nlink 0 1 1.0\nlink 0 2 1.0\nsession 0 0 1 wlog 1.0\n")
+    nxt, sends = step_Z(np.array([[0.0], [0.0], [-0.5]]), [0.0], np.zeros((2, 1)), sc)
+    assert nxt.tolist() == [[0.0], [0.0], [0.0]]
+    assert sends.tolist() == [[0.0], [0.0]]
+
+
+def test_step_z_sends_nothing_from_a_negative_backlog():
+    # node 0 serves links 0 and 1 at its first two ranks from a backlog of
+    # -0.5, which counts as empty: no link sends a negative amount
+    sc = P.parse_scenario(
+        "nodes 3\nlink 0 1 1.0\nlink 0 2 1.0\nlink 2 1 1.0\nsession 0 0 1 wlog 1.0\n")
+    z = np.array([[-0.5], [0.0], [0.25]])
+    mu = np.full((3, 1), 1.0)
+    nxt, sends = step_Z(z, [0.125], mu, sc)
+    assert sends.tolist() == [[0.0], [0.0], [0.25]]
+    assert nxt.tolist() == [[0.125], [0.0], [0.0]]
+
+
 def _step_Z_scalar(Z, arrivals, mu, scenario):
     """Scalar reference for step_Z: each node serves its out-links one at a
     time in ascending link order, then sends and arrivals join link by link."""
@@ -215,8 +236,8 @@ def _zeroing_cases(draw):
 
 def _mask_zeroed(scenario, m):
     """m with its destination entries set to 0.0 through the boolean mask
-    inactive, the zeroing that Scenario.dst_entries replaced."""
-    m[scenario.inactive] = 0.0
+    ~active, the zeroing that Scenario.dst_entries replaced."""
+    m[~scenario.active] = 0.0
     return m
 
 
@@ -225,7 +246,7 @@ def _mask_zeroed(scenario, m):
 def test_flat_destination_zeroing_matches_the_mask(case):
     sc, q, y, z, x, arrivals, mu, prev = case
     src = sc.src_entries
-    assert sorted(sc.dst_entries.tolist()) == np.flatnonzero(sc.inactive).tolist()
+    assert sorted(sc.dst_entries.tolist()) == np.flatnonzero(~sc.active).tolist()
     # each kernel against the arithmetic it replaced, zeroed through the mask,
     # on C-ordered inputs; Fortran-ordered inputs must give the same bits
     g_vec = sc.network.incidence @ mu

@@ -123,30 +123,35 @@ def test_contract_errors():
         RateProblem(u, math.inf, 0.0, 1.0)
 
 
+def _utility(shift, weight):
+    """The Utility whose utility shift is shift: wlog at 0.0, wlog1p at 1.0."""
+    return P.Utility(P.UTILITY_KINDS[int(shift)], float(weight))
+
+
 def test_solve_rates_matches_solve_rate():
     rng = np.random.default_rng(12)
     n = 2000
-    is_wlog = rng.uniform(size=n) < 0.5
+    shift = np.where(rng.uniform(size=n) < 0.5, 0.0, 1.0)
     weight = rng.uniform(0.1, 5.0, n)
     pressure = rng.normal(0.0, 10.0, n)
     x_prev = np.where(rng.uniform(size=n) < 0.1, 0.0, rng.uniform(0.0, 4.0, n))
     alpha = rng.uniform(0.05, 20.0, n)
-    x = solve_rates(is_wlog, weight, pressure, x_prev, 2.0 * alpha)
-    ref = [solve_rate(RateProblem(P.Utility("wlog" if w else "wlog1p", float(u)), float(p),
-                                  float(xp), float(a)))
-           for w, u, p, xp, a in zip(is_wlog, weight, pressure, x_prev, alpha)]
+    x = solve_rates(shift, weight, pressure, x_prev, 2.0 * alpha)
+    ref = [solve_rate(RateProblem(_utility(k, u), float(p), float(xp), float(a)))
+           for k, u, p, xp, a in zip(shift, weight, pressure, x_prev, alpha)]
     assert x.tobytes() == np.array(ref).tobytes()
-    assert np.any(x[~is_wlog] == 0.0) and np.any(x[~is_wlog] > 0.0)
+    wlog1p = shift == 1.0
+    assert np.any(x[wlog1p] == 0.0) and np.any(x[wlog1p] > 0.0)
 
 
 def test_solve_rates_contract_errors():
     one = np.ones(1)
-    is_wlog = np.array([True])
+    shift = np.zeros(1)
     for pressure, x_prev, alpha in ((math.nan, 0.0, 1.0), (math.inf, 0.0, 1.0),
                                     (0.0, -1.0, 1.0), (0.0, math.inf, 1.0),
                                     (0.0, math.nan, 1.0), (0.0, 0.0, 0.0)):
         with pytest.raises(P.ContractError):
-            solve_rates(is_wlog, one, one * pressure, one * x_prev, 2.0 * one * alpha)
+            solve_rates(shift, one, one * pressure, one * x_prev, 2.0 * one * alpha)
 
 
 def test_overflow_raises_in_both_solvers():
@@ -155,56 +160,54 @@ def test_overflow_raises_in_both_solvers():
     p = RateProblem(u, -1e30, 0.0, 1.0)
     x = solve_rate(p)
     assert abs(slope(p, x)) <= 1e-12 * _stationarity_scale(p, x)
-    assert solve_rates(np.array([True, False]), np.ones(2), np.array([0.0, -1e30]),
+    assert solve_rates(np.array([0.0, 1.0]), np.ones(2), np.array([0.0, -1e30]),
                        np.zeros(2), 2.0 * np.ones(2))[1] == x
     # at +1e200, b*b overflows but the wlog root 1e-200 does not; a wlog1p
     # source is pinned at 0 there
-    for is_wlog, root in ((True, 1e-200), (False, 0.0)):
-        kind = "wlog" if is_wlog else "wlog1p"
-        x = solve_rate(RateProblem(P.Utility(kind, 1.0), 1e200, 0.0, 1.0))
+    for shift, root in ((0.0, 1e-200), (1.0, 0.0)):
+        x = solve_rate(RateProblem(_utility(shift, 1.0), 1e200, 0.0, 1.0))
         assert abs(x - root) <= 1e-15 * root
-        assert solve_rates(np.array([True, is_wlog]), np.ones(2), np.array([0.0, 1e200]),
+        assert solve_rates(np.array([0.0, shift]), np.ones(2), np.array([0.0, 1e200]),
                            np.zeros(2), 2.0 * np.ones(2))[1] == x
     # at -1e200 the root overflows, for either utility kind
-    for kind in ("wlog", "wlog1p"):
+    for shift in (0.0, 1.0):
         with pytest.raises(P.NumericError):
-            solve_rate(RateProblem(P.Utility(kind, 1.0), -1e200, 0.0, 1.0))
+            solve_rate(RateProblem(_utility(shift, 1.0), -1e200, 0.0, 1.0))
         with pytest.raises(P.NumericError):
-            solve_rates(np.array([True, kind == "wlog"]), np.ones(2), np.array([0.0, -1e200]),
+            solve_rates(np.array([0.0, shift]), np.ones(2), np.array([0.0, -1e200]),
                         np.zeros(2), 2.0 * np.ones(2))
 
 
-def _slot_rates(is_wlog, weight, pressure, x_prev, alpha):
+def _slot_rates(shift, weight, pressure, x_prev, alpha):
     """The rates of one slot's rate phase: rate_root over every lane at once
     with the per-run constants that SlotConstants forms."""
     a = 2.0 * alpha
-    return rate_root(np.where(is_wlog, 0.0, 1.0), weight, pressure - a * x_prev, a,
+    return rate_root(shift, weight, pressure - a * x_prev, a,
                      2.0 * a, 4.0 * a)
 
 
 def test_slot_rate_path_matches_solve_rate_lane_by_lane():
     rng = np.random.default_rng(31)
     n = 400
-    is_wlog = rng.uniform(size=n) < 0.5
+    shift = np.where(rng.uniform(size=n) < 0.5, 0.0, 1.0)
     weight = rng.uniform(0.1, 5.0, n)
     pressure = rng.normal(0.0, 10.0, n)
     x_prev = np.where(rng.uniform(size=n) < 0.2, 0.0, rng.uniform(0.0, 4.0, n))
     alpha = rng.uniform(0.05, 20.0, n)
     # pinned wlog1p lanes, one with slope exactly 0 at x = 0; d = -0.0 for
     # both kinds; |b| > 1.3e154, where b*b overflows, for both kinds
-    lanes = ((False, 1.0, 2.0, 0.0, 1.0), (False, 1.0, 1.0, 0.0, 1.0),
-             (True, 1.0, -0.0, 0.0, 1.0), (False, 1.0, -0.0, 0.0, 1.0),
-             (True, 1.0, 1e200, 0.0, 1.0), (False, 1.0, 1e200, 0.0, 1.0),
-             (True, 2.0, 3e170, 0.5, 3.0), (False, 0.5, -1e150, 0.0, 1.0))
-    cols = [np.concatenate((c, np.array(v, dtype=c.dtype)))
-            for c, v in zip((is_wlog, weight, pressure, x_prev, alpha), zip(*lanes))]
+    lanes = ((1.0, 1.0, 2.0, 0.0, 1.0), (1.0, 1.0, 1.0, 0.0, 1.0),
+             (0.0, 1.0, -0.0, 0.0, 1.0), (1.0, 1.0, -0.0, 0.0, 1.0),
+             (0.0, 1.0, 1e200, 0.0, 1.0), (1.0, 1.0, 1e200, 0.0, 1.0),
+             (0.0, 2.0, 3e170, 0.5, 3.0), (1.0, 0.5, -1e150, 0.0, 1.0))
+    cols = [np.concatenate((c, v))
+            for c, v in zip((shift, weight, pressure, x_prev, alpha), zip(*lanes))]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         x = _slot_rates(*cols)
         checked = solve_rates(*cols[:4], 2.0 * cols[4])
-    ref = [solve_rate(RateProblem(P.Utility("wlog" if w else "wlog1p", float(u)), float(p),
-                                  float(xp), float(al)))
-           for w, u, p, xp, al in zip(*cols)]
+    ref = [solve_rate(RateProblem(_utility(k, u), float(p), float(xp), float(al)))
+           for k, u, p, xp, al in zip(*cols)]
     assert x.tobytes() == np.array(ref).tobytes()
     assert checked.tobytes() == x.tobytes()
     tail = x[n:].tolist()
@@ -215,8 +218,8 @@ def test_slot_rate_path_matches_solve_rate_lane_by_lane():
     assert abs(tail[3] - (math.sqrt(3.0) - 1.0) / 2.0) <= 1e-15
     assert repr(tail[5]) == "0.0" and abs(tail[4] - 1e-200) <= 1e-15 * 1e-200
     # a -1e200 lane overflows its root among finite lanes, for either kind
-    for kind in (True, False):
-        bad = [np.append(c, v) for c, v in zip(cols, (kind, 1.0, -1e200, 0.0, 1.0))]
+    for k in (0.0, 1.0):
+        bad = [np.append(c, v) for c, v in zip(cols, (k, 1.0, -1e200, 0.0, 1.0))]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(P.NumericError):

@@ -1,9 +1,13 @@
 """The benchmark's tracer (perfbench/tracing.py) wraps library functions that
-it names by string. A renamed or deleted function fails here, in the test
-suite, and not only when the benchmark runs with tracing on."""
+it names by string, and the kernel timing tool (tools/bench_slot_kernels.py)
+calls the slot's kernels. A renamed or deleted function fails here, in the
+test suite, and not only when the benchmark or the tool runs."""
 import importlib
 import importlib.util
+import json
+import os
 from pathlib import Path
+from unittest import mock
 
 from proxbp import harness
 
@@ -19,3 +23,21 @@ def test_every_traced_function_resolves():
     assert missing == []
     # the tracer also wraps Trace.to_csv on its class
     assert callable(vars(harness.Trace).get("to_csv"))
+
+
+def test_kernel_tool_times_two_trees_in_one_process(capsys):
+    # one call per kernel on two copies of this tree: a kernel whose
+    # signature changes breaks the tool here
+    root = TRACING.parents[1]
+    spec = importlib.util.spec_from_file_location("bench_slot_kernels",
+                                                  root / "tools" / "bench_slot_kernels.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    src = str(root / "src")
+    with mock.patch.dict(os.environ):  # the tool sets its BLAS thread counts
+        assert tool.main(["--src", f"a={src}", "--src", f"b={src}", "--rounds", "1",
+                          "--number", "1", "--repeats", "1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    for tree in ("a", "b"):
+        for state in tool.STATES:
+            assert set(doc["trees"][tree][state]) == set(tool.KERNELS)
