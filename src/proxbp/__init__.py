@@ -10,7 +10,7 @@ from .net import (CAP_TOL, UTILITY_KINDS, ContractError, DecisionVector,
                   residual_matrix, save_scenario, serialize_scenario,
                   total_utility, validate_decision, zero_decision)
 from .projection import ProjectionInstance, project_rows, project_sorted
-from .rates import RateProblem, solve_rate, solve_rates
+from .rates import RateProblem, solve_rate
 from .engine import (ALPHA_MODES, AlgConfig, SlotConstants, compute_weights,
                      default_alpha, link_update, slot_update)
 from .queues import (ScriptedPolicy, ScriptedTrace, audit_queue_bounds, run_scripted,

@@ -7,13 +7,15 @@ import sys
 
 from .engine import default_alpha
 from .harness import CompareRun, chain_example, compare, make_config, run, save_policy
-from .net import (ContractError, DomainError, ScenarioFormatError,
-                  ScenarioValidationError, load_scenario, save_scenario)
+from .net import (ContractError, DomainError, NumericError,
+                  ScenarioFormatError, ScenarioValidationError, load_scenario, save_scenario)
 from .oracle import OracleError, load_solution, save_solution, serialize_solution, solve_centralized
 
 MODE_BY_FLAG = {"gap": "utility-gap", "bound": "queue-bound"}
 # the CompareRun fields that the cell options set
 CELL_FIELDS = ("algorithm", "alpha_mode", "alpha_scale", "V", "x_max")
+# the algorithm that reads each algorithm-specific cell field
+FIELD_ALG = {"alpha_mode": "new", "alpha_scale": "new", "V": "dpp", "x_max": "dpp"}
 
 
 def _add_cell_options(p: argparse.ArgumentParser) -> None:
@@ -24,14 +26,21 @@ def _add_cell_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alg", dest="algorithm", choices=("new", "dpp"), default=absent)
     p.add_argument("--alpha-mode", choices=tuple(MODE_BY_FLAG), default=absent,
                    help="proximal weight preset (new only)")
-    p.add_argument("--alpha-scale", type=float, default=absent)
+    p.add_argument("--alpha-scale", type=float, default=absent,
+                   help="proximal weight multiplier (new only)")
     p.add_argument("--V", type=float, default=absent, help="utility weight (dpp only)")
     p.add_argument("--x-max", type=float, default=absent, help="rate cap (dpp only)")
 
 
 def _cell(name: str, opts) -> CompareRun:
-    """The run cell named name that parsed cell options describe."""
+    """The run cell named name that parsed cell options describe. Raises
+    ContractError on an option of the other algorithm than the cell's."""
     kw = {f: getattr(opts, f) for f in CELL_FIELDS if hasattr(opts, f)}
+    alg = kw.get("algorithm", CompareRun.algorithm)
+    for f in kw:
+        if FIELD_ALG.get(f, alg) != alg:
+            raise ContractError(f"option {f.replace('_', '-')} is for alg {FIELD_ALG[f]}, "
+                                f"not {alg}")
     if "alpha_mode" in kw:
         kw["alpha_mode"] = MODE_BY_FLAG[kw["alpha_mode"]]
     return CompareRun(name, **kw)
@@ -82,7 +91,9 @@ def parse_plan(text: str):
     '#' comments. The keys are the cell flags of `proxbp run` without their
     dashes (alg, alpha-mode, alpha-scale, V, x-max), parsed by the same
     options; every key but name is optional, and one left out takes its
-    CompareRun default. Names must differ, since each names its trace.
+    CompareRun default. alpha-mode and alpha-scale are for alg new (the
+    default), V and x-max for dpp, and a key of the other algorithm is an
+    error. Names must differ, since each names its trace.
     There is at most one slots line, and N is at least 1.
     Returns (slots, [CompareRun, ...]); a bad line raises a ContractError
     that starts 'plan line N:'."""
@@ -190,7 +201,7 @@ def main(argv=None) -> int:
     try:
         return handler(args)
     except (ContractError, ScenarioFormatError, ScenarioValidationError,
-            DomainError, OSError) as e:
+            DomainError, NumericError, OSError) as e:
         print(f"proxbp: {e}", file=sys.stderr)
         return 2
 

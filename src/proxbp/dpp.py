@@ -30,12 +30,6 @@ class DppConfig:
             raise ContractError(f"x_max must be positive and finite, got {self.x_max!r}")
 
 
-def rate_caps(scenario: Scenario, config: DppConfig) -> np.ndarray:
-    if config.x_max is not None:
-        return np.full(scenario.n_sessions, float(config.x_max))
-    return scenario.src_out_cap.astype(float)
-
-
 def dpp_slot_update(Q, scenario: Scenario, config: DppConfig) -> DecisionVector:
     """One slot of decisions from the clipped virtual queues Q (N, F), which
     are nonnegative.
@@ -48,12 +42,12 @@ def dpp_slot_update(Q, scenario: Scenario, config: DppConfig) -> DecisionVector:
     is strictly positive.
     """
     Q = np.asarray(Q, dtype=float)
-    rate_cap = rate_caps(scenario, config)
+    cap = scenario.src_out_cap if config.x_max is None else config.x_max
     q = Q.take(scenario.src_entries)
     with np.errstate(over="ignore"):  # a subnormal q gives inf, which the cap clips
         ratio = config.V * scenario.utility_weight / np.where(q > 0, q, 1.0)
     x = np.maximum(ratio - scenario.utility_shift, 0.0)
-    x = np.where(q > 0, np.minimum(x, rate_cap), rate_cap)
+    x = np.where(q > 0, np.minimum(x, cap), cap)
     network = scenario.network
     # A queue at the session's destination counts as zero at a link's head.
     head_q = np.where(scenario.active, Q, 0.0).take(network.heads, axis=0)

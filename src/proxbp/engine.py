@@ -18,7 +18,7 @@ import numpy as np
 
 from .net import ContractError, DecisionVector, Scenario, _frozen, residual_matrix
 from .projection import ProjectionInstance, project_rows, project_sorted
-from .rates import check_x_prev, rate_root
+from .rates import rate_root
 
 ALPHA_MODES = ("utility-gap", "queue-bound")
 
@@ -130,10 +130,13 @@ def slot_update(Q: np.ndarray, y_prev: DecisionVector, consts: SlotConstants) ->
     W = compute_weights(Q, y_prev, scenario)
     if not np.isfinite(W).all():
         raise ContractError("weights must be finite")
-    check_x_prev(y_prev.x)
+    x_prev = y_prev.x
+    # a non-finite x_prev makes W non-finite at its source
+    if x_prev.min(initial=0.0) < 0.0:
+        raise ContractError("x_prev must lie in the domain closure")
     a_src = consts.a_src
     x = rate_root(scenario.utility_shift, scenario.utility_weight,
-                  W.take(scenario.src_entries) - a_src * y_prev.x,
+                  W.take(scenario.src_entries) - a_src * x_prev,
                   a_src, consts.two_a_src, consts.four_a_src)
     network = scenario.network
     a = y_prev.mu + (W.take(network.tails, axis=0)

@@ -133,6 +133,17 @@ def chunk_slots(scenario: Scenario) -> int:
     return max(1, CHUNK_BYTES // row)
 
 
+def _utilities(scenario: Scenario, x: np.ndarray) -> np.ndarray:
+    """total_utility of each row of x (T, F), NaN at a row with a rate
+    outside its utility's domain: x < 0, or x = 0 for wlog."""
+    outside = ((x < 0.0) | (x + scenario.utility_shift <= 0.0)).any(axis=1)
+    if not outside.any():
+        return total_utility(scenario, x)
+    util = np.full(len(x), math.nan)
+    util[~outside] = total_utility(scenario, x[~outside])
+    return util
+
+
 def run(scenario: Scenario, algorithm: str, config, slots: int, oracle=None) -> Trace:
     """Drive one algorithm for the given number of slots.
 
@@ -147,9 +158,11 @@ def run(scenario: Scenario, algorithm: str, config, slots: int, oracle=None) -> 
     decides from its signed queues Q, DPP from its clipped queues Y. Once per
     chunk, array programs over the buffers evaluate the checks and the
     per-slot metrics, feasibility by decision_faults. Utilities are evaluated
-    after the loop. A proximal run whose signed queues go non-finite has no
-    weights for its next slot: it stops there, and the trace holds the slots
-    run before, with the drift identity failed at the faulty slot.
+    after the loop, NaN at a slot whose rates leave a utility's domain (a
+    negative rate is also a feasibility fault). A proximal run whose signed
+    queues go non-finite has no weights for its next slot: it stops there,
+    and the trace holds the slots run before, with the drift identity failed
+    at the faulty slot.
 
     Results land in trace.summary; summary["passed"] is the overall verdict.
     summary["first_violation"] maps each per-slot check to the (slot, value)
@@ -208,9 +221,9 @@ def run(scenario: Scenario, algorithm: str, config, slots: int, oracle=None) -> 
     x_hist = audit.x_hist  # only the slots that ran
     denom = np.arange(1, slots + 1, dtype=float)
     xbar = np.cumsum(x_hist, axis=0) / denom[:, None]
-    util_inst = total_utility(scenario, x_hist)
+    util_inst = _utilities(scenario, x_hist)
     util_avg = np.cumsum(util_inst) / denom
-    util_jensen = total_utility(scenario, xbar)
+    util_jensen = _utilities(scenario, xbar)
     if oracle is not None:
         gap = oracle.U_star - util_avg
     else:

@@ -5,8 +5,8 @@ domain is unique. Its slope h(x) = U'(x) - W - 2*alpha*(x - x_prev) is
 strictly decreasing; the optimum is the root of h, or the left domain edge
 when h is already nonpositive there. For both utility kinds h(x) = 0 is a
 quadratic in x, so rate_root solves it in closed form, elementwise. A slot
-calls it with per-run constants; solve_rates is its checked entry for many
-sources at once, and solve_rate and RateProblem are the scalar reference.
+calls it once for all sources with the run's SlotConstants, which check
+alpha; solve_rate and RateProblem are the scalar reference.
 """
 from __future__ import annotations
 
@@ -74,27 +74,3 @@ def solve_rate(p: RateProblem) -> float:
     a = 2.0 * p.alpha
     k = np.float64(p.utility.kind != "wlog")
     return float(rate_root(k, p.utility.weight, p.pressure - a * p.x_prev, a, 2.0 * a, 4.0 * a))
-
-
-def solve_rates(shift, weight, pressure, x_prev, a) -> np.ndarray:
-    """solve_rate for many sources at once, all arguments (F,) arrays: shift
-    is the utility shift k of U(x) = w*log(k + x), weight the w, and a =
-    2*alpha is the curvature of the proximal term. Returns x (F,), bitwise
-    equal to solve_rate on each source, since both take rate_root with the
-    slot's a and d = W - a*x_prev. Checks a, x_prev and pressure.
-    """
-    if not (a.min(initial=math.inf) > 0.0 and a.max(initial=0.0) < math.inf):
-        raise ContractError("alpha must be positive")
-    check_x_prev(x_prev)
-    if not np.isfinite(pressure).all():
-        raise ContractError("pressure must be finite")
-    d = pressure - a * x_prev
-    with np.errstate(over="ignore"):  # 4a may overflow
-        two_a, four_a = 2.0 * a, 4.0 * a
-    return rate_root(shift, weight, d, a, two_a, four_a)
-
-
-def check_x_prev(x_prev):
-    """Raise ContractError unless every previous rate lies in [0, inf)."""
-    if not (x_prev.min(initial=0.0) >= 0.0 and x_prev.max(initial=0.0) < math.inf):
-        raise ContractError("x_prev must lie in the domain closure")

@@ -18,8 +18,8 @@ import numpy as np
 from proxbp.dpp import dpp_slot_update
 from proxbp.engine import SlotConstants, slot_update
 from proxbp.harness import DRIFT_IDENTITY_TOL, WEIGHT_IDENTITY_TOL, Trace
-from proxbp.net import (ContractError, NumericError, ScenarioValidationError, residual_matrix,
-                        total_utility, validate_decision, zero_decision)
+from proxbp.net import (ContractError, DomainError, NumericError, ScenarioValidationError,
+                        residual_matrix, total_utility, validate_decision, zero_decision)
 from proxbp.queues import audit_queue_bounds, step_Q, step_Y, step_Z
 
 
@@ -149,6 +149,14 @@ def dual_value(scenario, lam) -> float:
     return total
 
 
+def _utility_or_nan(scenario, x) -> float:
+    """total_utility at the rate vector x, NaN where it leaves the domain."""
+    try:
+        return total_utility(scenario, x)
+    except DomainError:
+        return math.nan
+
+
 def run_per_slot(scenario, algorithm, config, slots, oracle=None) -> Trace:
     n_f = scenario.n_sessions
     n_n = scenario.n_nodes
@@ -203,7 +211,7 @@ def run_per_slot(scenario, algorithm, config, slots, oracle=None) -> Trace:
         drift_err = max(drift_err, abs((lyap_after - lyap_before) - drift))
 
         x_hist[t] = y.x
-        util_inst[t] = total_utility(scenario, y.x)
+        util_inst[t] = _utility_or_nan(scenario, y.x)
         max_q[t] = float(np.max(np.abs(Q)))
         max_z[t] = float(np.max(Z))
         max_y[t] = float(np.max(Y))
@@ -215,7 +223,7 @@ def run_per_slot(scenario, algorithm, config, slots, oracle=None) -> Trace:
     denom = np.arange(1, slots + 1, dtype=float)
     xbar = np.cumsum(x_hist, axis=0) / denom[:, None]
     util_avg = np.cumsum(util_inst) / denom
-    util_jensen = np.array([total_utility(scenario, xbar[t]) for t in range(slots)])
+    util_jensen = np.array([_utility_or_nan(scenario, xbar[t]) for t in range(slots)])
     if oracle is not None:
         gap = oracle.U_star - util_avg
     else:

@@ -130,9 +130,10 @@ README_PLAN = ("slots 10000\n"
     # comments, blank lines and surrounding blanks
     ("# plan\n\n  slots 5  # short\nrun name=a alg=dpp # baseline\n", 5,
      [P.CompareRun("a", "dpp")]),
-    # every key
-    ("run name=a alg=new alpha-mode=bound alpha-scale=2.5 V=3 x-max=1e-3\n", 10000,
-     [P.CompareRun("a", "new", "queue-bound", 2.5, 3.0, 1e-3)]),
+    # every key, each with its algorithm
+    ("run name=a alg=new alpha-mode=bound alpha-scale=2.5\nrun name=b alg=dpp V=3 x-max=1e-3\n",
+     10000, [P.CompareRun("a", "new", "queue-bound", 2.5),
+             P.CompareRun("b", "dpp", V=3.0, x_max=1e-3)]),
     # a repeated key keeps its last value; a value may hold '='
     ("run name=a alg=new name=b=c alg=dpp V=1 V=-2\nslots 4\n", 4,
      [P.CompareRun("b=c", "dpp", V=-2.0)]),
@@ -183,6 +184,44 @@ def test_cli_reports_bad_input_cleanly(capsys, tmp_path):
         assert code == 2
         assert capsys.readouterr().err.startswith(message)
     assert not any(tmp_path.iterdir())
+
+
+def test_cli_reports_a_numeric_error_cleanly(tmp_path, capsys):
+    # 4a = 8e308 overflows: the rate root of the first slot is not finite
+    path = tmp_path / "huge.net"
+    path.write_text("nodes 2\nlink 0 1 1.0\nsession 0 0 1 wlog 1e308\n")
+    assert main(["run", "--scenario", str(path), "--slots", "5"]) == 2
+    assert capsys.readouterr().err == "proxbp: rate root is not finite\n"
+
+
+@pytest.mark.parametrize("option, value, owner, other", [
+    ("alpha-mode", "gap", "new", "dpp"), ("alpha-scale", "9", "new", "dpp"),
+    ("V", "3", "dpp", "new"), ("x-max", "0.1", "dpp", "new"),
+])
+@pytest.mark.parametrize("command", ("run", "compare"))
+def test_cell_rejects_an_option_of_the_other_algorithm(tmp_path, capsys, monkeypatch,
+                                                       command, option, value, owner, other):
+    def no_run(*args, **kwargs):
+        raise AssertionError("run started")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    message = f"option {option} is for alg {owner}, not {other}"
+    # an omitted alg means new
+    for alg in ([other] if other == "dpp" else [other, None]):
+        if command == "run":
+            alg_flags = ["--alg", alg] if alg else []
+            argv = ["run", "--scenario", SINGLE, "--slots", "5", *alg_flags,
+                    f"--{option}", value]
+            expected = f"proxbp: {message}\n"
+        else:
+            alg_key = f" alg={alg}" if alg else ""
+            plan = tmp_path / "plan.txt"
+            plan.write_text(f"slots 5\nrun name=ok alg={owner}\n"
+                            f"run name=a{alg_key} {option}={value}\n")
+            argv = ["compare", "--scenario", SINGLE, "--spec", str(plan)]
+            expected = f"proxbp: plan line 3: run: {message}\n"
+        assert main(argv) == 2
+        assert capsys.readouterr().err == expected
 
 
 def test_unroutable_session_is_rejected_at_load(tmp_path, capsys):

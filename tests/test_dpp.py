@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from strategies import arrays, scenarios
 
 import proxbp as P
-from proxbp.dpp import DppConfig, dpp_slot_update, rate_caps
+from proxbp.dpp import DppConfig, dpp_slot_update
 
 
 def dpp_source_rate(utility, V: float, q: float, x_max: float) -> float:
@@ -142,8 +142,10 @@ def _dpp_slot_scalar(Q, scenario, config):
     """Scalar reference for dpp_slot_update: dpp_source_rate per source, and
     per link a scan over its allowed sessions in ascending id order that keeps
     the first strictly larger positive differential."""
-    caps = rate_caps(scenario, config)
-    x = np.array([dpp_source_rate(s.utility, config.V, float(Q[s.src, f]), float(caps[f]))
+    links = scenario.network.links
+    caps = [sum((lk.capacity for lk in links if lk.tail == s.src), 0.0)
+            if config.x_max is None else float(config.x_max) for s in scenario.sessions]
+    x = np.array([dpp_source_rate(s.utility, config.V, float(Q[s.src, f]), caps[f])
                   for f, s in enumerate(scenario.sessions)])
     mu = np.zeros((scenario.n_links, scenario.n_sessions))
     for l, lk in enumerate(scenario.network.links):

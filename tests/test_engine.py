@@ -188,9 +188,12 @@ def test_slot_update_rejects_non_finite_weights(sixnode):
 def test_slot_update_rejects_bad_previous_rates(sixnode):
     cfg = P.AlgConfig(default_alpha(sixnode.network, "queue-bound"))
     consts = SlotConstants(sixnode, cfg)
-    for bad in (-0.5, math.inf, math.nan):
+    # a non-finite rate makes the weights at its source non-finite
+    for bad, message in ((-0.5, "x_prev must lie in the domain closure"),
+                         (math.inf, "weights must be finite"),
+                         (math.nan, "weights must be finite")):
         prev = P.DecisionVector([0.5, bad], P.zero_decision(sixnode).mu)
-        with pytest.raises(P.ContractError):
+        with pytest.raises(P.ContractError, match=f"^{message}$"):
             slot_update(np.zeros((6, 2)), prev, consts)
 
 

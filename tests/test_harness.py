@@ -5,8 +5,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+import reference
 from reference import run_per_slot
 from strategies import scenarios
 
@@ -225,17 +226,17 @@ def test_chunked_run_crosses_default_chunks(sixnode):
     _assert_same_run(sixnode, "new", slots, None)
 
 
+# a DPP wlog source without outgoing capacity idles at x = 0, where both
+# give NaN utilities
+IDLE_WLOG = P.Scenario(P.Network(2, (P.Link(1, 0, 1.0),)),
+                       (P.Session(0, 0, 1, P.Utility("wlog", 1.0)),), (frozenset({0}),))
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(sc=scenarios(), alg=st.sampled_from(("new", "dpp")),
        chunk=st.sampled_from((1, 3, None)), slots=st.sampled_from((1, 4, 7)))
+@example(sc=IDLE_WLOG, alg="dpp", chunk=None, slots=4)
 def test_chunked_run_matches_reference_on_random_scenarios(sc, alg, chunk, slots):
-    try:
-        run_per_slot(sc, alg, _config(sc, alg), slots)
-    except P.DomainError:  # a wlog source without outgoing capacity idles at x = 0
-        with mock.patch.object(harness, "CHUNK_BYTES", _chunk_bytes(sc, chunk)):
-            with pytest.raises(P.DomainError):
-                P.run(sc, alg, _config(sc, alg), slots)
-        return
     _assert_same_run(sc, alg, slots, chunk)
 
 
@@ -281,6 +282,50 @@ def test_overcapacity_decision_is_reported_at_its_slot(sixnode, monkeypatch, tmp
     code = cli.main(["run", "--scenario", SIXNODE, "--slots", str(slots),
                      "--out", str(tmp_path / "t.csv")])
     assert code == 1
+
+
+def _rates_shifted_at(slot, shift):
+    """dpp_slot_update with shift added to the rates of the given slot."""
+    real = P.dpp_slot_update
+    calls = []
+
+    def faulty(Q, scenario, config):
+        y = real(Q, scenario, config)
+        calls.append(None)
+        return P.DecisionVector(y.x + shift, y.mu) if len(calls) == slot + 1 else y
+
+    return faulty
+
+
+def _in_domain(scenario, x) -> bool:
+    try:
+        P.total_utility(scenario, x)
+    except P.DomainError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("chunk", (1, None))
+@pytest.mark.parametrize("name, shift", (("sixnode", -10.0), ("chain", -1.5)))
+def test_negative_rate_is_reported_with_nan_utilities(request, monkeypatch, name, shift, chunk):
+    # the run returns its trace: the fault at its slot, and NaN utilities
+    # wherever the rates leave the domain, as in the per-slot reference.
+    # sixnode's sessions are wlog; the chain's are wlog1p, and a rate of 1
+    # at slot 4 becomes -0.5, where log(1 + x) is finite
+    sc = request.getfixturevalue("sixnode") if name == "sixnode" else P.chain_example(2)[0]
+    monkeypatch.setattr(harness, "dpp_slot_update", _rates_shifted_at(4, shift))
+    monkeypatch.setattr(reference, "dpp_slot_update", _rates_shifted_at(4, shift))
+    tr = _assert_same_run(sc, "dpp", 12, chunk)
+    s = tr.summary
+    assert s["first_violation"]["feasibility"] == (4, "negative rate in decision")
+    assert s["feasibility_violations"] == [(4, "negative rate in decision")]
+    assert s["passed"] is False
+    slots = np.arange(12)
+    assert np.isnan(tr.util_inst).tolist() == (slots == 4).tolist()
+    assert np.isnan(tr.util_avg).tolist() == (slots >= 4).tolist()
+    jensen_nan = np.isnan(tr.util_jensen).tolist()
+    assert jensen_nan == [not _in_domain(sc, r) for r in tr.xbar]
+    assert not any(jensen_nan[:4])
 
 
 @pytest.mark.parametrize("chunk", (3, None))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from reference import objective, slope
 
 import proxbp as P
-from proxbp.rates import RateProblem, rate_root, solve_rate, solve_rates
+from proxbp.rates import RateProblem, rate_root, solve_rate
 
 
 def test_wlog_closed_form_examples():
@@ -128,54 +128,27 @@ def _utility(shift, weight):
     return P.Utility(P.UTILITY_KINDS[int(shift)], float(weight))
 
 
-def test_solve_rates_matches_solve_rate():
-    rng = np.random.default_rng(12)
-    n = 2000
+# pinned wlog1p lanes, one with slope exactly 0 at x = 0; d = -0.0 for both
+# kinds; |b| > 1.3e154, where b*b overflows, for both kinds; a pressure of
+# -1e30, whose wlog1p root near 5e29 is finite. Columns: shift, weight,
+# pressure, x_prev, alpha.
+PINNED_LANES = ((1.0, 1.0, 2.0, 0.0, 1.0), (1.0, 1.0, 1.0, 0.0, 1.0),
+                (0.0, 1.0, -0.0, 0.0, 1.0), (1.0, 1.0, -0.0, 0.0, 1.0),
+                (0.0, 1.0, 1e200, 0.0, 1.0), (1.0, 1.0, 1e200, 0.0, 1.0),
+                (0.0, 2.0, 3e170, 0.5, 3.0), (1.0, 0.5, -1e150, 0.0, 1.0),
+                (1.0, 1.0, -1e30, 0.0, 1.0))
+
+
+def _random_lanes(seed, n, zero_share):
+    """n random lanes, zero_share of them with x_prev = 0: the columns of
+    PINNED_LANES as arrays."""
+    rng = np.random.default_rng(seed)
     shift = np.where(rng.uniform(size=n) < 0.5, 0.0, 1.0)
     weight = rng.uniform(0.1, 5.0, n)
     pressure = rng.normal(0.0, 10.0, n)
-    x_prev = np.where(rng.uniform(size=n) < 0.1, 0.0, rng.uniform(0.0, 4.0, n))
+    x_prev = np.where(rng.uniform(size=n) < zero_share, 0.0, rng.uniform(0.0, 4.0, n))
     alpha = rng.uniform(0.05, 20.0, n)
-    x = solve_rates(shift, weight, pressure, x_prev, 2.0 * alpha)
-    ref = [solve_rate(RateProblem(_utility(k, u), float(p), float(xp), float(a)))
-           for k, u, p, xp, a in zip(shift, weight, pressure, x_prev, alpha)]
-    assert x.tobytes() == np.array(ref).tobytes()
-    wlog1p = shift == 1.0
-    assert np.any(x[wlog1p] == 0.0) and np.any(x[wlog1p] > 0.0)
-
-
-def test_solve_rates_contract_errors():
-    one = np.ones(1)
-    shift = np.zeros(1)
-    for pressure, x_prev, alpha in ((math.nan, 0.0, 1.0), (math.inf, 0.0, 1.0),
-                                    (0.0, -1.0, 1.0), (0.0, math.inf, 1.0),
-                                    (0.0, math.nan, 1.0), (0.0, 0.0, 0.0)):
-        with pytest.raises(P.ContractError):
-            solve_rates(shift, one, one * pressure, one * x_prev, 2.0 * one * alpha)
-
-
-def test_overflow_raises_in_both_solvers():
-    # a pressure of -1e30 has a finite, stationary wlog1p root near 5e29
-    u = P.Utility("wlog1p", 1.0)
-    p = RateProblem(u, -1e30, 0.0, 1.0)
-    x = solve_rate(p)
-    assert abs(slope(p, x)) <= 1e-12 * _stationarity_scale(p, x)
-    assert solve_rates(np.array([0.0, 1.0]), np.ones(2), np.array([0.0, -1e30]),
-                       np.zeros(2), 2.0 * np.ones(2))[1] == x
-    # at +1e200, b*b overflows but the wlog root 1e-200 does not; a wlog1p
-    # source is pinned at 0 there
-    for shift, root in ((0.0, 1e-200), (1.0, 0.0)):
-        x = solve_rate(RateProblem(_utility(shift, 1.0), 1e200, 0.0, 1.0))
-        assert abs(x - root) <= 1e-15 * root
-        assert solve_rates(np.array([0.0, shift]), np.ones(2), np.array([0.0, 1e200]),
-                           np.zeros(2), 2.0 * np.ones(2))[1] == x
-    # at -1e200 the root overflows, for either utility kind
-    for shift in (0.0, 1.0):
-        with pytest.raises(P.NumericError):
-            solve_rate(RateProblem(_utility(shift, 1.0), -1e200, 0.0, 1.0))
-        with pytest.raises(P.NumericError):
-            solve_rates(np.array([0.0, shift]), np.ones(2), np.array([0.0, -1e200]),
-                        np.zeros(2), 2.0 * np.ones(2))
+    return shift, weight, pressure, x_prev, alpha
 
 
 def _slot_rates(shift, weight, pressure, x_prev, alpha):
@@ -186,30 +159,32 @@ def _slot_rates(shift, weight, pressure, x_prev, alpha):
                      2.0 * a, 4.0 * a)
 
 
-def test_slot_rate_path_matches_solve_rate_lane_by_lane():
-    rng = np.random.default_rng(31)
-    n = 400
-    shift = np.where(rng.uniform(size=n) < 0.5, 0.0, 1.0)
-    weight = rng.uniform(0.1, 5.0, n)
-    pressure = rng.normal(0.0, 10.0, n)
-    x_prev = np.where(rng.uniform(size=n) < 0.2, 0.0, rng.uniform(0.0, 4.0, n))
-    alpha = rng.uniform(0.05, 20.0, n)
-    # pinned wlog1p lanes, one with slope exactly 0 at x = 0; d = -0.0 for
-    # both kinds; |b| > 1.3e154, where b*b overflows, for both kinds
-    lanes = ((1.0, 1.0, 2.0, 0.0, 1.0), (1.0, 1.0, 1.0, 0.0, 1.0),
-             (0.0, 1.0, -0.0, 0.0, 1.0), (1.0, 1.0, -0.0, 0.0, 1.0),
-             (0.0, 1.0, 1e200, 0.0, 1.0), (1.0, 1.0, 1e200, 0.0, 1.0),
-             (0.0, 2.0, 3e170, 0.5, 3.0), (1.0, 0.5, -1e150, 0.0, 1.0))
-    cols = [np.concatenate((c, v))
-            for c, v in zip((shift, weight, pressure, x_prev, alpha), zip(*lanes))]
+def _scalar_rates(shift, weight, pressure, x_prev, alpha):
+    """solve_rate lane by lane: the reference for the batch rate path."""
+    return np.array([solve_rate(RateProblem(_utility(k, u), float(p), float(xp), float(al)))
+                     for k, u, p, xp, al in zip(shift, weight, pressure, x_prev, alpha)])
+
+
+def test_solve_rates_matches_solve_rate():
+    # the batch rate path solves many random lanes at once, bit for bit as
+    # solve_rate does one by one, and pins some wlog1p sources at 0
+    cols = _random_lanes(12, 2000, 0.1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         x = _slot_rates(*cols)
-        checked = solve_rates(*cols[:4], 2.0 * cols[4])
-    ref = [solve_rate(RateProblem(_utility(k, u), float(p), float(xp), float(al)))
-           for k, u, p, xp, al in zip(*cols)]
-    assert x.tobytes() == np.array(ref).tobytes()
-    assert checked.tobytes() == x.tobytes()
+    assert x.tobytes() == _scalar_rates(*cols).tobytes()
+    wlog1p = x[cols[0] == 1.0]
+    assert np.any(wlog1p == 0.0) and np.any(wlog1p > 0.0)
+
+
+def test_slot_rate_path_matches_solve_rate_lane_by_lane():
+    random = _random_lanes(31, 400, 0.2)
+    n = random[0].size
+    cols = [np.concatenate((c, v)) for c, v in zip(random, zip(*PINNED_LANES))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = _slot_rates(*cols)
+    assert x.tobytes() == _scalar_rates(*cols).tobytes()
     tail = x[n:].tolist()
     # the pinned lanes sit at +0.0; at d = -0.0 the roots of 1/x = 2x and
     # 1/(1+x) = 2x
@@ -217,9 +192,17 @@ def test_slot_rate_path_matches_solve_rate_lane_by_lane():
     assert abs(tail[2] - 1.0 / math.sqrt(2.0)) <= 1e-15
     assert abs(tail[3] - (math.sqrt(3.0) - 1.0) / 2.0) <= 1e-15
     assert repr(tail[5]) == "0.0" and abs(tail[4] - 1e-200) <= 1e-15 * 1e-200
-    # a -1e200 lane overflows its root among finite lanes, for either kind
-    for k in (0.0, 1.0):
-        bad = [np.append(c, v) for c, v in zip(cols, (k, 1.0, -1e200, 0.0, 1.0))]
+    p = RateProblem(P.Utility("wlog1p", 1.0), -1e30, 0.0, 1.0)
+    assert abs(slope(p, tail[8])) <= 1e-12 * _stationarity_scale(p, tail[8])
+
+
+def test_overflow_raises_in_both_solvers():
+    # at -1e200 the root overflows, for either utility kind; in the slot's
+    # path, a lane that does so among the finite pinned lanes
+    for shift in (0.0, 1.0):
+        with pytest.raises(P.NumericError):
+            solve_rate(RateProblem(_utility(shift, 1.0), -1e200, 0.0, 1.0))
+        bad = [np.array(c) for c in zip(*PINNED_LANES, (shift, 1.0, -1e200, 0.0, 1.0))]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(P.NumericError):

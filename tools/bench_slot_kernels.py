@@ -13,12 +13,16 @@ of its own process: each tree's package is imported under its own module name,
 and in every round each kernel is timed on every tree in turn, the first tree
 rotating between rounds. Each tree reports its best over the rounds and its
 per-round values, their spread. rate_phase and project_rows are called as the
-tree's slot_update calls them: rate_root with the utility shifts and
-project_rows with the forbidden pairs, as the tree's Scenario encodes them
-(a tree without Scenario.utility_shift takes them from its is_wlog and
-allow_mask). decision_faults checks the decisions of the last 4 slots, one
-audit chunk of the grid run; every other kernel is called through a name that
-older trees export too. Trees from before rates.rate_root are not supported.
+tree's slot_update calls them: rate_root with Scenario.utility_shift and the
+SlotConstants rate constants, project_rows with Scenario.forbidden_entries.
+decision_faults checks the decisions of the last 4 slots, one audit chunk of
+the grid run; every other kernel is called through a name that older trees
+export too. Trees without Scenario.utility_shift are not supported.
+
+Array placement still shows inside one process: between trees whose code for
+a kernel is the same, its rows have differed by up to about 20% depending on
+which tree was imported first. So a row that moves by less than that is not
+evidence either way; confirm it with a second run that swaps the --src order.
 """
 from __future__ import annotations
 
@@ -31,8 +35,8 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-KERNELS = ("slot_update", "rate_phase", "solve_rates", "project_rows", "step_Z",
-           "residual_matrix", "compute_weights", "decision_faults")
+KERNELS = ("slot_update", "rate_phase", "project_rows", "step_Z", "residual_matrix",
+           "compute_weights", "decision_faults")
 CHUNK = 4  # slots per decision_faults call, the harness's chunk on the grid
 STATES = {"sixnode": 3000, "grid10x10f20": 300}
 # one BLAS thread, set before numpy is first imported
@@ -78,27 +82,17 @@ def _states(P, texts: dict):
 
 def _slot_calls(P, sc, Q, y, Z, consts, chunk) -> dict:
     """{kernel: a call with no arguments} for the package P on one state."""
-    import numpy as np
-
     net = sc.network
     W = P.compute_weights(Q, y, sc)
     a = y.mu + (W.take(net.tails, axis=0) - W.take(net.heads, axis=0)) / consts.link_denom
-    pressure = W.take(sc.src_entries)
     a_src = consts.a_src
-    d = pressure - a_src * y.x
-    if hasattr(sc, "utility_shift"):
-        shift = utilities = sc.utility_shift
-        forbidden = sc.forbidden_entries
-    else:  # solve_rates took the boolean is_wlog, project_rows the allow mask
-        shift, utilities = np.where(sc.is_wlog, 0.0, 1.0), sc.is_wlog
-        forbidden = None if sc.allow_mask.all() else sc.allow_mask
+    d = W.take(sc.src_entries) - a_src * y.x
     return {
         "slot_update": lambda: P.slot_update(Q, y, consts),
-        "rate_phase": lambda: P.rates.rate_root(shift, sc.utility_weight, d, a_src,
+        "rate_phase": lambda: P.rates.rate_root(sc.utility_shift, sc.utility_weight, d, a_src,
                                                 consts.two_a_src, consts.four_a_src),
-        "solve_rates": lambda: P.solve_rates(utilities, sc.utility_weight, pressure, y.x,
-                                             a_src),
-        "project_rows": lambda: P.project_rows(a, net.caps, forbidden, consts.ranks),
+        "project_rows": lambda: P.project_rows(a, net.caps, sc.forbidden_entries,
+                                               consts.ranks),
         "step_Z": lambda: P.step_Z(Z, y.x, y.mu, sc),
         "residual_matrix": lambda: P.residual_matrix(sc, y.x, y.mu),
         "compute_weights": lambda: P.compute_weights(Q, y, sc),
