@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -14,8 +15,6 @@ from .oracle import OracleError, load_solution, save_solution, serialize_solutio
 MODE_BY_FLAG = {"gap": "utility-gap", "bound": "queue-bound"}
 # the CompareRun fields that the cell options set
 CELL_FIELDS = ("algorithm", "alpha_mode", "alpha_scale", "V", "x_max")
-# the algorithm that reads each algorithm-specific cell field
-FIELD_ALG = {"alpha_mode": "new", "alpha_scale": "new", "V": "dpp", "x_max": "dpp"}
 
 
 def _add_cell_options(p: argparse.ArgumentParser) -> None:
@@ -33,20 +32,18 @@ def _add_cell_options(p: argparse.ArgumentParser) -> None:
 
 
 def _cell(name: str, opts) -> CompareRun:
-    """The run cell named name that parsed cell options describe. Raises
-    ContractError on an option of the other algorithm than the cell's."""
+    """The run cell named name that parsed cell options describe. CompareRun
+    raises ContractError on an option of the other algorithm than the cell's."""
     kw = {f: getattr(opts, f) for f in CELL_FIELDS if hasattr(opts, f)}
-    alg = kw.get("algorithm", CompareRun.algorithm)
-    for f in kw:
-        if FIELD_ALG.get(f, alg) != alg:
-            raise ContractError(f"option {f.replace('_', '-')} is for alg {FIELD_ALG[f]}, "
-                                f"not {alg}")
     if "alpha_mode" in kw:
         kw["alpha_mode"] = MODE_BY_FLAG[kw["alpha_mode"]]
     return CompareRun(name, **kw)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The `proxbp` parser, built on first use and reused by every main call:
+    parse_args keeps no state between calls."""
     ap = argparse.ArgumentParser(prog="proxbp",
                                  description="proximal backpressure simulator and tools")
     sub = ap.add_subparsers(dest="cmd", required=True)
@@ -86,6 +83,15 @@ class _PlanCellParser(argparse.ArgumentParser):
         raise ContractError(message)
 
 
+@functools.cache
+def _plan_cell_parser() -> _PlanCellParser:
+    """The parser of a plan run line's tokens, built on first use."""
+    cells = _PlanCellParser(prog="plan", add_help=False, allow_abbrev=False)
+    cells.add_argument("--name", required=True)
+    _add_cell_options(cells)
+    return cells
+
+
 def parse_plan(text: str):
     """Plan grammar: 'slots N' and 'run name=NAME [key=value ...]' lines,
     '#' comments. The keys are the cell flags of `proxbp run` without their
@@ -97,9 +103,7 @@ def parse_plan(text: str):
     There is at most one slots line, and N is at least 1.
     Returns (slots, [CompareRun, ...]); a bad line raises a ContractError
     that starts 'plan line N:'."""
-    cells = _PlanCellParser(prog="plan", add_help=False, allow_abbrev=False)
-    cells.add_argument("--name", required=True)
-    _add_cell_options(cells)
+    cells = _plan_cell_parser()
     slots, slots_line = 10000, None
     runs = []
     line_of = {}  # run name -> the line that gave it

@@ -167,10 +167,12 @@ def run(scenario: Scenario, algorithm: str, config, slots: int, oracle=None) -> 
     Results land in trace.summary; summary["passed"] is the overall verdict.
     summary["first_violation"] maps each per-slot check to the (slot, value)
     of its first violation, or None if it held throughout (the value is the
-    message for "feasibility"). summary["queue_transfer_violations"] holds
-    the records of audit_queue_bounds applied to the per-(node, session)
-    peaks of Y and Z (trace.peak_Y, trace.peak_Z), one per violating (family,
-    node, session) with slot index 0; it is empty when a queue went NaN.
+    message for "feasibility"). Its "utility" entry is the first NaN
+    util_inst, so a run whose rates leave a utility's domain does not pass.
+    summary["queue_transfer_violations"] holds the records of
+    audit_queue_bounds applied to the per-(node, session) peaks of Y and Z
+    (trace.peak_Y, trace.peak_Z), one per violating (family, node, session)
+    with slot index 0; it is empty when a queue went NaN.
     """
     if slots < 1:
         raise ContractError(f"slots must be at least 1, got {slots!r}")
@@ -245,6 +247,8 @@ def run(scenario: Scenario, algorithm: str, config, slots: int, oracle=None) -> 
         first[name] = (k, float(values[k])) if bad[k] else None
     feas = audit.feas_failures
     first["feasibility"] = feas[0] if feas else None
+    k = int(np.argmax(np.isnan(util_inst)))
+    first["utility"] = (k, float(util_inst[k])) if math.isnan(util_inst[k]) else None
     summary.update(feasibility_violations=feas, queue_transfer_violations=transfer,
                    observed_max_abs_q=b_obs, first_violation=first)
     summary["passed"] = all(v is None for v in first.values()) and not transfer
@@ -452,16 +456,37 @@ def save_policy(policy: ScriptedPolicy, path):
 # comparison runs
 
 
+# the algorithm that reads each algorithm-specific CompareRun field, and the
+# value it takes when a cell of that algorithm leaves it out
+FIELD_ALG = {"alpha_mode": "new", "alpha_scale": "new", "V": "dpp", "x_max": "dpp"}
+FIELD_DEFAULT = {"alpha_mode": "queue-bound", "alpha_scale": 1.0, "V": 500.0, "x_max": None}
+
+
 @dataclass(frozen=True)
 class CompareRun:
-    """One (algorithm, parameters) cell of a comparison."""
+    """One (algorithm, parameters) cell of a comparison. Each field after
+    algorithm belongs to one algorithm (FIELD_ALG). One left out (None) takes
+    its FIELD_DEFAULT in a cell of its algorithm and stays None in the other;
+    one given in a cell of the other algorithm raises ContractError."""
 
     name: str
-    algorithm: str = "new"          # or "dpp"
-    alpha_mode: str = "queue-bound"  # new only
-    alpha_scale: float = 1.0
-    V: float = 500.0                # dpp only
-    x_max: float = None
+    algorithm: str = "new"    # or "dpp"
+    alpha_mode: str = None    # new only
+    alpha_scale: float = None  # new only
+    V: float = None           # dpp only
+    x_max: float = None       # dpp only; None is no cap
+
+    def __post_init__(self):
+        alg = self.algorithm
+        if alg not in ("new", "dpp"):
+            raise ContractError(f"algorithm must be 'new' or 'dpp', got {alg!r}")
+        for f, owner in FIELD_ALG.items():
+            if getattr(self, f) is None:
+                if owner == alg:
+                    object.__setattr__(self, f, FIELD_DEFAULT[f])
+            elif owner != alg:
+                raise ContractError(f"option {f.replace('_', '-')} is for alg {owner}, "
+                                    f"not {alg}")
 
 
 def make_config(scenario: Scenario, spec: CompareRun):

@@ -246,29 +246,36 @@ def solve_centralized(scenario: Scenario, tol: float = 1e-5, alpha=None) -> Orac
     m = G.shape[0] + z.size  # plus one sign constraint per variable
 
     def barrier(z, t):
+        """The barrier at z, inf outside the interior, and the slack h - G z."""
         s = h - G @ z
         if min(s.min(initial=1.0), z.min(initial=1.0)) <= 0.0:
-            return math.inf
-        return -t * (w @ np.log(z + shift)) - np.log(s).sum() - np.log(z).sum()
+            return math.inf, s
+        return -t * (w @ np.log(z + shift)) - np.log(s).sum() - np.log(z).sum(), s
 
     def center(z, t):
-        """Newton iterate from z to the center at t, and the steps taken."""
+        """Newton iterate from z to the center at t, the steps taken and the
+        slack there. The barrier is evaluated at z and then once per trial
+        point; an accepted trial's value and slack carry to the next step."""
+        now, s = barrier(z, t)
         for steps in range(1, NEWTON_STEPS + 1):
-            s = h - G @ z
-            grad = G.T @ (1.0 / s) - 1.0 / z - t * w / (z + shift)
+            zs = z + shift
+            grad = G.T @ (1.0 / s) - 1.0 / z - t * w / zs
             hess = (G.T / (s * s)) @ G
-            hess[diag] += 1.0 / (z * z) + t * w / (z + shift) ** 2
+            hess[diag] += 1.0 / (z * z) + t * w / zs ** 2
             dz = np.linalg.solve(hess, -grad)
             slope = float(grad @ dz)
             if -slope <= 2.0 * NEWTON_TOL:
                 break
-            step, now = 1.0, barrier(z, t)
-            while barrier(z + step * dz, t) > now + 0.25 * step * slope:
+            step, trial = 1.0, z + dz
+            val, s_trial = barrier(trial, t)
+            while val > now + 0.25 * step * slope:
                 step *= 0.5
-                if np.array_equal(z + step * dz, z):
-                    return z, steps  # rounding allows no further descent
-            z = z + step * dz
-        return z, steps
+                trial = z + step * dz
+                if np.array_equal(trial, z):
+                    return z, steps, s  # rounding allows no further descent
+                val, s_trial = barrier(trial, t)
+            z, now, s = trial, val, s_trial
+        return z, steps, s
 
     mu = np.zeros((scenario.n_links, n_f))
     best_primal, best_dual, weak_margin = -math.inf, math.inf, math.inf
@@ -281,14 +288,15 @@ def solve_centralized(scenario: Scenario, tol: float = 1e-5, alpha=None) -> Orac
             f"{gap!r}; last (t, primal, dual, gap, newton_steps) = "
             f"{', '.join(map(str, history[-3:]))}", best_gap=gap, history=history)
 
+    n_rows = int(rows.sum())  # the flow-balance rows lead G and the slack
     t = 1.0
     while True:
         try:
-            z, steps = center(z, t)
+            z, steps, s = center(z, t)
         except np.linalg.LinAlgError:
             raise failure(f"the Newton system at t={t!r} is singular") from None
         lam = np.zeros(rows.shape)
-        lam[rows] = 1.0 / (t * (h - G @ z)[:int(rows.sum())])
+        lam[rows] = 1.0 / (t * s[:n_rows])
         # nodes that cannot reach dst_f get f's largest multiplier: no link into them is priced
         lam = np.where(rows | ~scenario.active, lam, lam.max(axis=0))
         qv = dual_value(scenario, lam)

@@ -244,6 +244,7 @@ def run_per_slot(scenario, algorithm, config, slots, oracle=None) -> Trace:
         and drift_err <= DRIFT_IDENTITY_TOL
         and not feas_failures
         and not transfer
+        and not np.isnan(util_inst).any()
     )
     return Trace(alg=algorithm, x=x_hist, xbar=xbar, util_inst=util_inst,
                  util_avg=util_avg, util_jensen=util_jensen, gap=gap, maxQ=max_q,

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -276,6 +278,59 @@ def test_compare_rejects_a_repeated_run_name(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err == "proxbp: plan line 3: run: name 'a' repeats line 2\n"
     assert not out.exists()
+
+
+def _main_calls(tmp_path, fresh: bool):
+    """(exit code, stdout, stderr, written files) of a sequence of main calls
+    in this process, each on a newly built parser when fresh, else all on
+    the one cached parser. Output paths are shown as OUT."""
+    out = tmp_path / ("fresh" if fresh else "reused")
+    out.mkdir()
+    plan = out / "plan.txt"
+    plan.write_text("slots 20\nrun name=prox alpha-mode=gap\nrun name=base alg=dpp V=20\n")
+    calls = [
+        ["run", "--scenario", SINGLE, "--slots", "20", "--alg", "dpp", "--V", "3",
+         "--x-max", "2", "--out", str(out / "dpp.csv")],
+        ["run", "--scenario", SINGLE, "--slots", "20", "--out", str(out / "plain.csv")],
+        ["oracle", "--scenario", SINGLE, "--out", str(out / "single.sol")],
+        ["compare", "--scenario", SINGLE, "--spec", str(plan), "--out", str(out / "cmp")],
+        ["run", "--scenario", SINGLE, "--slots", "20", "--alg", "new", "--V", "3"],  # exit 2
+        ["run", "--slots", "20"],  # no --scenario: argparse exits
+        ["compare", "--scenario", SINGLE, "--spec", str(plan)],
+        ["run", "--scenario", SINGLE, "--slots", "20", "--out", str(out / "plain2.csv")],
+    ]
+    cli._build_parser.cache_clear()
+    cli._plan_cell_parser.cache_clear()
+    results = []
+    for argv in calls:
+        if fresh:
+            cli._build_parser.cache_clear()
+            cli._plan_cell_parser.cache_clear()
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = main(argv)
+            except SystemExit as e:
+                code = ("SystemExit", e.code)
+        results.append((code, *(b.getvalue().replace(str(out), "OUT")
+                                for b in (stdout, stderr))))
+    files = {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*"))
+             if p.is_file()}
+    return results, files
+
+
+def test_one_parser_serves_every_call(tmp_path):
+    reused, reused_files = _main_calls(tmp_path, fresh=False)
+    assert cli._build_parser() is cli._build_parser()
+    fresh, fresh_files = _main_calls(tmp_path, fresh=True)
+    assert [r[0] for r in reused] == [0, 0, 0, 0, 2, ("SystemExit", 2), 0, 0]
+    # no option of the dpp call leaks into the plain run after it
+    assert reused[1][1].startswith("trace written to OUT/plain.csv\nnew: ")
+    assert reused[1][1].replace("plain", "plain2") == reused[7][1]
+    assert reused[4][2] == "proxbp: option V is for alg dpp, not new\n"
+    assert "the following arguments are required: --scenario" in reused[5][2]
+    assert reused == fresh
+    assert len(reused_files) == 8 and reused_files == fresh_files
 
 
 def test_module_entry_point():

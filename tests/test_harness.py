@@ -163,6 +163,23 @@ def test_compare_report(singlelink, singlelink_sol):
     assert "checks ok" in lines[0] and "checks ok" in lines[1]
 
 
+def test_compare_run_rejects_a_field_of_the_other_algorithm(singlelink):
+    with pytest.raises(P.ContractError, match="^option alpha-mode is for alg new, not dpp$"):
+        compare(singlelink, [CompareRun("a", "dpp", alpha_mode="utility-gap", alpha_scale=9.0)],
+                5)
+    with pytest.raises(P.ContractError, match="^option V is for alg dpp, not new$"):
+        CompareRun("b", "new", V=3.0, x_max=0.1)
+    with pytest.raises(P.ContractError, match="^option x-max is for alg dpp, not new$"):
+        CompareRun("b", x_max=0.1)  # an omitted algorithm means new
+    with pytest.raises(P.ContractError, match="^algorithm must be 'new' or 'dpp', got 'greedy'$"):
+        CompareRun("c", "greedy")
+    # a left-out field takes its default in its own algorithm's cell only
+    assert CompareRun("d") == CompareRun("d", "new", "queue-bound", 1.0)
+    assert (CompareRun("d").V, CompareRun("d").x_max) == (None, None)
+    dpp = CompareRun("e", "dpp")
+    assert (dpp.alpha_mode, dpp.alpha_scale, dpp.V, dpp.x_max) == (None, None, 500.0, None)
+
+
 def test_save_policy_lists_nonzeros(tmp_path):
     sc, pol = P.chain_example(1, slots=4)
     path = tmp_path / "chain.sched"
@@ -238,6 +255,18 @@ IDLE_WLOG = P.Scenario(P.Network(2, (P.Link(1, 0, 1.0),)),
 @example(sc=IDLE_WLOG, alg="dpp", chunk=None, slots=4)
 def test_chunked_run_matches_reference_on_random_scenarios(sc, alg, chunk, slots):
     _assert_same_run(sc, alg, slots, chunk)
+
+
+@pytest.mark.parametrize("chunk", (1, None))
+def test_nan_utility_fails_the_run(chunk):
+    # the idle source breaks no feasibility rule, but a NaN utility is no result
+    tr = _assert_same_run(IDLE_WLOG, "dpp", 4, chunk)
+    s = tr.summary
+    assert np.isnan(tr.util_inst).all()
+    assert s["feasibility_violations"] == []
+    slot, value = s["first_violation"]["utility"]
+    assert slot == 0 and math.isnan(value)
+    assert s["passed"] is False
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +347,7 @@ def test_negative_rate_is_reported_with_nan_utilities(request, monkeypatch, name
     tr = _assert_same_run(sc, "dpp", 12, chunk)
     s = tr.summary
     assert s["first_violation"]["feasibility"] == (4, "negative rate in decision")
+    assert s["first_violation"]["utility"][0] == 4
     assert s["feasibility_violations"] == [(4, "negative rate in decision")]
     assert s["passed"] is False
     slots = np.arange(12)

@@ -265,6 +265,19 @@ def test_solution_round_trip(sixnode, sixnode_sol, tmp_path):
     assert np.array_equal(again.alpha, sixnode_sol.alpha)
 
 
+@pytest.mark.parametrize("name", ("sixnode", "singlelink"))
+def test_oracle_report_is_pinned(name, tmp_path, capsys):
+    # the report bytes of `proxbp oracle --tol 1e-5`; a change that moves the
+    # oracle (a new solver, another residual sum order) must re-record them
+    golden = Path(__file__).resolve().parent / "golden" / f"{name}.oracle"
+    out = tmp_path / "report.txt"
+    scenario = Path(__file__).resolve().parents[1] / "scenarios" / f"{name}.net"
+    assert cli.main(["oracle", "--scenario", str(scenario), "--tol", "1e-5",
+                     "--out", str(out)]) == 0
+    assert out.read_bytes() == golden.read_bytes()
+    assert capsys.readouterr().out.startswith(f"report written to {out}\nU_star ")
+
+
 def test_oracle_rejects_bad_tolerance(singlelink):
     with pytest.raises(P.ContractError):
         solve_centralized(singlelink, tol=0.0)
@@ -280,6 +293,9 @@ def test_failed_solve_reports_history(sixnode):
     assert [r[0] for r in rows] == [10.0 ** k for k in range(len(rows))]
     for t, primal, dual, gap, steps in rows:
         assert gap == dual - primal and steps >= 1
+    # the Newton steps of each centering: a change to the centering that
+    # moves them has to say so here
+    assert [r[4] for r in rows] == [14, 5, 7, 8, 8, 7, 7, 7, 7, 7, 8, 7]
     assert err.best_gap > 1e-13
     assert str(err).endswith(str(rows[-1]))
 

@@ -1,7 +1,8 @@
 """The benchmark's tracer (perfbench/tracing.py) wraps library functions that
 it names by string, and the kernel timing tool (tools/bench_slot_kernels.py)
-calls the slot's kernels. A renamed or deleted function fails here, in the
-test suite, and not only when the benchmark or the tool runs."""
+calls the slot's and the oracle's kernels. A renamed or deleted function
+fails here, in the test suite, and not only when the benchmark or the tool
+runs."""
 import importlib
 import importlib.util
 import json
@@ -39,5 +40,7 @@ def test_kernel_tool_times_two_trees_in_one_process(capsys):
                           "--number", "1", "--repeats", "1"]) == 0
     doc = json.loads(capsys.readouterr().out)
     for tree in ("a", "b"):
+        assert set(doc["trees"][tree]) == {*tool.STATES, tool.ORACLE}
         for state in tool.STATES:
             assert set(doc["trees"][tree][state]) == set(tool.KERNELS)
+        assert set(doc["trees"][tree][tool.ORACLE]) == set(tool.ORACLE_KERNELS)

@@ -1,12 +1,16 @@
 #!/usr/bin/env python3
-"""Per-kernel timings of one proximal slot, for one or more proxbp source trees.
+"""Per-kernel timings of one proximal slot and of the oracle, for one or more
+proxbp source trees.
 
     python3 tools/bench_slot_kernels.py --src before=OLD/src --src after=src --out BENCH.json
 
 Each kernel is timed on two states: the shipped six-node scenario after 3000
 slots and the seeded 10x10 grid with 20 sessions (perfbench/gridgen.py, seed 1)
-after 300 slots, both with the queue-bound alpha that `proxbp run` uses. A
-kernel's time is the best of --repeats timeit repeats of --number calls.
+after 300 slots, both with the queue-bound alpha that `proxbp run` uses. The
+oracle rows time solve_centralized on the six-node scenario at tol 1e-5, as
+`proxbp oracle` calls it, and repair_feasible and dual_value at its solution.
+A kernel's time is the best of --repeats timeit repeats of --number calls
+(--number / 40 for solve_centralized, which takes milliseconds).
 
 All trees are timed in this one process, so no tree's numbers carry an offset
 of its own process: each tree's package is imported under its own module name,
@@ -39,6 +43,9 @@ KERNELS = ("slot_update", "rate_phase", "project_rows", "step_Z", "residual_matr
            "compute_weights", "decision_faults")
 CHUNK = 4  # slots per decision_faults call, the harness's chunk on the grid
 STATES = {"sixnode": 3000, "grid10x10f20": 300}
+ORACLE = "sixnode_oracle"  # the state name of the oracle rows
+ORACLE_KERNELS = ("solve_centralized", "repair_feasible", "dual_value")
+SLOW = {"solve_centralized": 40}  # kernels timed on --number / this calls
 # one BLAS thread, set before numpy is first imported
 THREADS = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
@@ -100,6 +107,20 @@ def _slot_calls(P, sc, Q, y, Z, consts, chunk) -> dict:
     }
 
 
+def _oracle_calls(P, text: str) -> dict:
+    """{oracle kernel: a call with no arguments} for the package P on the
+    scenario text: the solve at tol 1e-5 and the two certificates of its
+    solution."""
+    sc = P.parse_scenario(text)
+    alpha = P.default_alpha(sc.network, "utility-gap")
+    sol = P.solve_centralized(sc, tol=1e-5, alpha=alpha)
+    return {
+        "solve_centralized": lambda: P.solve_centralized(sc, tol=1e-5, alpha=alpha),
+        "repair_feasible": lambda: P.oracle.repair_feasible(sc, sol.y_star.x, sol.y_star.mu),
+        "dual_value": lambda: P.oracle.dual_value(sc, sol.lambda_star),
+    }
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", action="append", default=None,
@@ -125,15 +146,19 @@ def main(argv=None) -> int:
     for i, name in enumerate(names):
         P = _import_tree(f"_proxbp_tree{i}", trees[name])
         calls[name] = {state: _slot_calls(P, *case) for state, case in _states(P, texts).items()}
-    rounds = {name: {state: {k: [] for k in KERNELS} for state in STATES} for name in names}
+        calls[name][ORACLE] = _oracle_calls(P, texts["sixnode"])
+    cases = {**{state: KERNELS for state in STATES}, ORACLE: ORACLE_KERNELS}
+    rounds = {name: {state: {k: [] for k in kernels} for state, kernels in cases.items()}
+              for name in names}
     for r in range(args.rounds):
         order = names[r % len(names):] + names[:r % len(names)]
-        for state in STATES:
-            for k in KERNELS:
+        for state, kernels in cases.items():
+            for k in kernels:
+                number = max(1, args.number // SLOW.get(k, 1))
                 for name in order:
-                    best = min(timeit.repeat(calls[name][state][k], number=args.number,
+                    best = min(timeit.repeat(calls[name][state][k], number=number,
                                              repeat=args.repeats))
-                    rounds[name][state][k].append(best / args.number)
+                    rounds[name][state][k].append(best / number)
     summary = {
         name: {state: {k: {"best_us": round(1e6 * min(per_round), 3),
                            "rounds_us": [round(1e6 * v, 3) for v in per_round]}
@@ -143,7 +168,9 @@ def main(argv=None) -> int:
     doc = {"command": " ".join([Path(sys.executable).name, "tools/bench_slot_kernels.py",
                                 *(argv if argv is not None else sys.argv[1:])]),
            "rounds": args.rounds, "number": args.number, "repeats": args.repeats,
-           "states": {k: f"{v} slots" for k, v in STATES.items()}, "trees": summary}
+           "states": {**{k: f"{v} slots" for k, v in STATES.items()},
+                      ORACLE: "sixnode, tol 1e-5"},
+           "trees": summary}
     text = json.dumps(doc, indent=1)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
