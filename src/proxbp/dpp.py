@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .net import ContractError, DecisionVector, Scenario, _frozen
+from .net import ContractError, Scenario
 
 
 @dataclass(frozen=True)
@@ -30,9 +30,9 @@ class DppConfig:
             raise ContractError(f"x_max must be positive and finite, got {self.x_max!r}")
 
 
-def dpp_slot_update(Q, scenario: Scenario, config: DppConfig) -> DecisionVector:
+def dpp_slot_update(Q, scenario: Scenario, config: DppConfig) -> tuple:
     """One slot of decisions from the clipped virtual queues Q (N, F), which
-    are nonnegative.
+    are nonnegative: the source rates x (F,) and link rates mu (L, F).
 
     Each source maximizes V U(x) - q x over [0, cap], q being its queue and
     U(x) = w log(k + x): the cap when q <= 0, else V w / q - k clamped to
@@ -62,4 +62,4 @@ def dpp_slot_update(Q, scenario: Scenario, config: DppConfig) -> DecisionVector:
     grant = np.flatnonzero(gain.take(best) > 0.0)
     mu = np.zeros((n_l, n_f))
     mu.put(best.take(grant), network.caps.take(grant))
-    return DecisionVector(_frozen(x), _frozen(mu))
+    return x, mu

@@ -7,8 +7,8 @@ capped simplex projection per link. The queues belong to the caller, which
 advances them by the new decisions' residual; the engine keeps no state. All
 decisions within a slot read the same W, so source and link updates are
 order-independent, and slot_update runs them as one array program over
-sources and over (links x sessions). link_update is the per-link scalar
-reference.
+sources and over (links x sessions), on raw (x, mu) arrays. link_update is
+the per-link scalar reference.
 """
 from __future__ import annotations
 
@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .net import ContractError, DecisionVector, Scenario, _frozen, residual_matrix
+from .net import ContractError, Scenario, _frozen, residual_matrix
 from .projection import ProjectionInstance, project_rows, project_sorted
-from .rates import rate_root
+from .rates import rate_lanes
 
 ALPHA_MODES = ("utility-gap", "queue-bound")
 
@@ -55,17 +55,19 @@ class AlgConfig:
 @dataclass(frozen=True, eq=False)
 class SlotConstants:
     """What slot_update reads from alpha that stays fixed over a run; run()
-    builds one. (F,): a_src, 2 alpha at each session's source, and its
-    multiples two_a_src and four_a_src. link_denom (L, 1), 2 (alpha_tail +
-    alpha_head); ranks, 1.0 .. F. The utility shifts and forbidden pairs
-    come from the scenario. Raises ContractError unless alpha has one entry
-    per node and 2 alpha is finite at the sources."""
+    builds one. (F,): a_src, 2 alpha at each session's source, its multiples
+    two_a_src and four_a_src, and ak_src, a_src times the 0-or-1 utility
+    shift. link_denom (L, F), 2 (alpha_tail + alpha_head) across each link's
+    row, to divide without a broadcast; ranks, 1.0 .. F. The utility shifts
+    and forbidden pairs come from the scenario. Raises ContractError unless
+    alpha has one entry per node and 2 alpha is finite at the sources."""
 
     scenario: Scenario
     config: AlgConfig
     a_src: np.ndarray = field(init=False)
     two_a_src: np.ndarray = field(init=False)
     four_a_src: np.ndarray = field(init=False)
+    ak_src: np.ndarray = field(init=False)
     link_denom: np.ndarray = field(init=False)
     ranks: np.ndarray = field(init=False)
 
@@ -75,22 +77,22 @@ class SlotConstants:
         network = sc.network
         if alpha.size != network.node_count:
             raise ContractError(f"alpha has {alpha.size} entries for {network.node_count} nodes")
-        # 4a may overflow
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore"):  # 4a and the link denominators may overflow
             a_src = 2.0 * alpha[sc.src]
-            two_a, four_a = 2.0 * a_src, 4.0 * a_src
-        if not np.isfinite(a_src).all():
-            raise ContractError("2 alpha must be finite at every source")
-        arrays = {"a_src": a_src, "two_a_src": two_a, "four_a_src": four_a,
-                  "link_denom": (2.0 * (alpha[network.tails] + alpha[network.heads]))[:, None],
-                  "ranks": np.arange(1.0, sc.n_sessions + 1.0)}
+            if not np.isfinite(a_src).all():
+                raise ContractError("2 alpha must be finite at every source")
+            denom = 2.0 * (alpha[network.tails] + alpha[network.heads])
+            arrays = {"a_src": a_src, "two_a_src": 2.0 * a_src, "four_a_src": 4.0 * a_src,
+                      "ak_src": a_src * sc.utility_shift,
+                      "link_denom": np.repeat(denom[:, None], sc.n_sessions, axis=1),
+                      "ranks": np.arange(1.0, sc.n_sessions + 1.0)}
         for name, a in arrays.items():
             object.__setattr__(self, name, _frozen(a))
 
 
-def compute_weights(Q: np.ndarray, y_prev: DecisionVector, scenario: Scenario) -> np.ndarray:
-    """W = Q + g(y_prev), zero at destinations. (N, F)."""
-    w = Q + residual_matrix(scenario, y_prev.x, y_prev.mu)
+def compute_weights(Q: np.ndarray, x_prev, mu_prev, scenario: Scenario) -> np.ndarray:
+    """W = Q + g(x_prev, mu_prev), zero at destinations. (N, F)."""
+    w = Q + residual_matrix(scenario, x_prev, mu_prev)
     w.put(scenario.dst_entries, 0.0)
     return w
 
@@ -115,31 +117,31 @@ def link_update(link: int, W: np.ndarray, alpha: np.ndarray, mu_prev: np.ndarray
     return out
 
 
-def slot_update(Q: np.ndarray, y_prev: DecisionVector, consts: SlotConstants) -> tuple:
+def slot_update(Q: np.ndarray, x_prev, mu_prev, consts: SlotConstants) -> tuple:
     """One slot's decisions from the signed queues Q (N, F) before the slot
-    and the previous slot's decisions. Returns (decisions, W), W the weights
-    they were computed from.
+    and the previous slot's source rates x_prev (F,) and link rates mu_prev
+    (L, F). Returns (x, mu, W), W the weights they were computed from.
 
-    Every source's rate problem is solved by one rate_root call with the
+    Every source's rate problem is solved by one rate_lanes call with the
     run's constants and every link's projection by one project_rows call on
     the (L, F) matrix a = mu_prev + (W[tail] - W[head]) / (2 (alpha_tail +
     alpha_head)), the scenario's forbidden pairs fixed at zero. Raises
-    ContractError unless W is finite and y_prev.x lies in [0, inf).
+    ContractError unless W is finite and x_prev lies in [0, inf). numpy may
+    warn where W or alpha nears the float range, unless the caller ignores
+    it, as run() does.
     """
     scenario = consts.scenario
-    W = compute_weights(Q, y_prev, scenario)
+    W = compute_weights(Q, x_prev, mu_prev, scenario)
     if not np.isfinite(W).all():
         raise ContractError("weights must be finite")
-    x_prev = y_prev.x
     # a non-finite x_prev makes W non-finite at its source
     if x_prev.min(initial=0.0) < 0.0:
         raise ContractError("x_prev must lie in the domain closure")
-    a_src = consts.a_src
-    x = rate_root(scenario.utility_shift, scenario.utility_weight,
-                  W.take(scenario.src_entries) - a_src * x_prev,
-                  a_src, consts.two_a_src, consts.four_a_src)
+    x = rate_lanes(scenario.utility_shift, scenario.utility_weight,
+                   W.take(scenario.src_entries) - consts.a_src * x_prev,
+                   consts.a_src, consts.ak_src, consts.two_a_src, consts.four_a_src)
     network = scenario.network
-    a = y_prev.mu + (W.take(network.tails, axis=0)
-                     - W.take(network.heads, axis=0)) / consts.link_denom
+    a = mu_prev + (W.take(network.tails, axis=0)
+                   - W.take(network.heads, axis=0)) / consts.link_denom
     mu = project_rows(a, network.caps, scenario.forbidden_entries, consts.ranks)
-    return DecisionVector(_frozen(x), _frozen(mu)), W
+    return x, mu, W

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .net import (ContractError, Link, Network, Scenario, Session, Utility, decision_faults,
-                  residual_matrix, total_utility, zero_decision)
+                  residual_matrix, total_utility)
 from .engine import AlgConfig, SlotConstants, default_alpha, slot_update
 from .dpp import DppConfig, dpp_slot_update
 from .queues import ScriptedPolicy, audit_queue_bounds, step_Y, step_Z
@@ -186,39 +186,41 @@ def run(scenario: Scenario, algorithm: str, config, slots: int, oracle=None) -> 
     consts = SlotConstants(scenario, config) if prox else None
     audit = _ChunkAudit(scenario, prox, slots)
     Y = Z = Q = np.zeros((scenario.n_nodes, scenario.n_sessions))
-    y = zero_decision(scenario)
+    x, mu = np.zeros(scenario.n_sessions), np.zeros((scenario.n_links, scenario.n_sessions))
     x_hist = audit.x_hist
     buf_mu, buf_g, buf_Y, buf_Z, buf_Q, buf_W = (audit.mu, audit.g, audit.Y, audit.Z,
                                                  audit.Q[2:], audit.W)
 
-    for t0 in range(0, slots, audit.chunk):
-        n = min(audit.chunk, slots - t0)
-        for i in range(n):
-            if prox:
-                try:
-                    y, buf_W[i] = slot_update(Q, y, consts)
-                except ContractError:
-                    if np.isfinite(Q).all():
-                        raise
-                    # non-finite queues give no weights: the run ends before this slot
-                    slots, n = t0 + i, i
-                    audit.truncate(slots)
-                    break
-            else:
-                y = dpp_slot_update(Y, scenario, config)
-            g = residual_matrix(scenario, y.x, y.mu)
-            Y = step_Y(Y, g, scenario)
-            Z, _ = step_Z(Z, y.x, y.mu, scenario)
-            Q = np.add(Q, g, out=buf_Q[i])  # step_Q, straight into its buffer row
-            x_hist[t0 + i] = y.x
-            buf_mu[i] = y.mu
-            buf_g[i] = g
-            buf_Y[i] = Y
-            buf_Z[i] = Z
-        if n:  # a stop at a chunk's first slot leaves it nothing to audit
-            audit.chunk_done(t0, n)
-        if t0 + n == slots:  # the last chunk, or a stop inside this one
-            break
+    # overflow and NaN show in the checks, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t0 in range(0, slots, audit.chunk):
+            n = min(audit.chunk, slots - t0)
+            for i in range(n):
+                if prox:
+                    try:
+                        x, mu, buf_W[i] = slot_update(Q, x, mu, consts)
+                    except ContractError:
+                        if np.isfinite(Q).all():
+                            raise
+                        # non-finite queues give no weights: the run ends before this slot
+                        slots, n = t0 + i, i
+                        audit.truncate(slots)
+                        break
+                else:
+                    x, mu = dpp_slot_update(Y, scenario, config)
+                g = residual_matrix(scenario, x, mu)
+                Y = step_Y(Y, g, scenario)
+                Z, _ = step_Z(Z, x, mu, scenario)
+                Q = np.add(Q, g, out=buf_Q[i])  # step_Q, straight into its buffer row
+                x_hist[t0 + i] = x
+                buf_mu[i] = mu
+                buf_g[i] = g
+                buf_Y[i] = Y
+                buf_Z[i] = Z
+            if n:  # a stop at a chunk's first slot leaves it nothing to audit
+                audit.chunk_done(t0, n)
+            if t0 + n == slots:  # the last chunk, or a stop inside this one
+                break
 
     x_hist = audit.x_hist  # only the slots that ran
     denom = np.arange(1, slots + 1, dtype=float)
@@ -491,7 +493,10 @@ class CompareRun:
 
 def make_config(scenario: Scenario, spec: CompareRun):
     if spec.algorithm == "new":
-        return AlgConfig(default_alpha(scenario.network, spec.alpha_mode) * spec.alpha_scale)
+        # a scale that overflows alpha gives inf, which AlgConfig rejects
+        with np.errstate(over="ignore"):
+            alpha = default_alpha(scenario.network, spec.alpha_mode) * spec.alpha_scale
+        return AlgConfig(alpha)
     return DppConfig(V=spec.V, x_max=spec.x_max)
 
 

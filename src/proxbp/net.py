@@ -326,30 +326,19 @@ class Scenario:
 @dataclass(frozen=True, eq=False)
 class DecisionVector:
     """One slot's decisions: source rates x (F,) and link-session rates mu (L, F).
-
-    Both are stored read-only. A read-only float64 array that owns its data
-    is kept as it is; anything else is copied."""
+    Both are stored as read-only float64 copies."""
 
     x: np.ndarray
     mu: np.ndarray
 
     def __post_init__(self):
-        x = _owned_frozen(self.x)
-        mu = _owned_frozen(self.mu)
+        x = _frozen(np.array(self.x, dtype=float))
+        mu = _frozen(np.array(self.mu, dtype=float))
         if x.ndim != 1 or mu.ndim != 2 or mu.shape[1] != x.shape[0]:
             raise ScenarioValidationError(
                 f"decision shapes inconsistent: x {x.shape}, mu {mu.shape}")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "mu", mu)
-
-
-def _owned_frozen(a) -> np.ndarray:
-    """a itself if it is a read-only float64 array that owns its data, so no
-    view of another array can change it, else a read-only float64 copy."""
-    if (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.base is None
-            and not a.flags.writeable):
-        return a
-    return _frozen(np.array(a, dtype=float))
 
 
 def zero_decision(scenario: Scenario) -> DecisionVector:

@@ -28,6 +28,11 @@ from .engine import default_alpha
 
 NEWTON_TOL = 1e-9     # half the squared Newton decrement that ends a centering
 NEWTON_STEPS = 100    # Newton steps per centering at most
+# Largest dense Newton system a solve builds: the bytes of the float64
+# constraint matrix G and Hessian. A solve factors the Hessian once per
+# Newton step, which takes about a second on one core at this size (2900
+# variables); the 10x10 grid with 20 sessions would need 543 MB.
+NEWTON_BYTES_MAX = 64 * 2**20
 
 
 class OracleError(RuntimeError):
@@ -174,23 +179,29 @@ def compute_zeta(scenario: Scenario, y_star: DecisionVector, alpha) -> float:
 # main solver
 
 
-def _barrier_problem(scenario):
-    """(N, F) mask of kept flow-balance rows, kept (links, sessions) pairs,
-    constraints G z <= h (kept flow-balance rows, then link loads) and a
-    strictly feasible z = (x, mu at the kept pairs).
+def _kept(scenario):
+    """(N, F) mask of kept flow-balance rows and the kept (links, sessions)
+    pairs of the barrier problem.
 
     Pairs (l, f) with l leaving dst_f or entering a node that cannot reach
     dst_f are zero at every feasible point; dropping them and such nodes'
-    rows leaves an interior. At z, each node that can reach dst_f sends eps
+    rows leaves an interior."""
+    net, tree = scenario.network, scenario.in_trees
+    reach = tree >= 0
+    reach[scenario.dst, np.arange(scenario.n_sessions)] = True
+    pairs = np.nonzero(scenario.allow_mask & reach[net.heads]
+                       & (net.tails[:, None] != scenario.dst))
+    return reach & scenario.active, pairs
+
+
+def _barrier_problem(scenario, rows, pairs):
+    """Constraints G z <= h (the kept flow-balance rows, then link loads) and
+    a strictly feasible z = (x, mu at the kept pairs) for the rows and pairs
+    of _kept. At z, each node that can reach dst_f sends eps
     of f there along the in-tree, each kept pair carries eps / (4 (L + 1))
     more and each source injects eps / 2: every kept row has slack eps / 4
     or more, and every link is loaded below half its capacity."""
     net, n_f, tree = scenario.network, scenario.n_sessions, scenario.in_trees
-    reach = tree >= 0
-    reach[scenario.dst, np.arange(n_f)] = True
-    rows = reach & scenario.active
-    pairs = np.nonzero(scenario.allow_mask & reach[net.heads]
-                       & (net.tails[:, None] != scenario.dst))
     cols = n_f + np.arange(pairs[0].size)
     flow = np.zeros(rows.shape + (cols.size + n_f,))
     flow[scenario.src, np.arange(n_f), np.arange(n_f)] = 1.0
@@ -208,7 +219,7 @@ def _barrier_problem(scenario):
                 n = net.heads[tree[n, f]]
     mu[pairs] += eps / (4.0 * (scenario.n_links + 1))
     z = np.concatenate([np.full(n_f, eps / 2.0), mu[pairs]])
-    return rows, pairs, np.vstack([flow[rows], load]), h, z
+    return np.vstack([flow[rows], load]), h, z
 
 
 def solve_centralized(scenario: Scenario, tol: float = 1e-5, alpha=None) -> OracleSolution:
@@ -225,10 +236,11 @@ def solve_centralized(scenario: Scenario, tol: float = 1e-5, alpha=None) -> Orac
     flow balance holds with equality), its utility, the multipliers
     achieving the best dual value, and zeta at the supplied (or default)
     per-node alpha. Raises OracleError if the certificate does not close, and
-    at once for an unroutable session.
+    at once for an unroutable session or a Newton system of more than
+    NEWTON_BYTES_MAX bytes.
     """
-    if not (tol > 0):
-        raise ContractError(f"tol must be positive, got {tol!r}")
+    if not (0.0 < tol < math.inf):
+        raise ContractError(f"tol must be positive and finite, got {tol!r}")
     try:
         require_routable(scenario)
     except ScenarioValidationError as e:
@@ -237,7 +249,14 @@ def solve_centralized(scenario: Scenario, tol: float = 1e-5, alpha=None) -> Orac
         alpha = default_alpha(scenario.network, "utility-gap")
     alpha = np.asarray(alpha, dtype=float)
 
-    rows, pairs, G, h, z = _barrier_problem(scenario)
+    rows, pairs = _kept(scenario)
+    n_z = scenario.n_sessions + pairs[0].size
+    n_bytes = 8 * n_z * (int(rows.sum()) + scenario.n_links + n_z)
+    if n_bytes > NEWTON_BYTES_MAX:
+        raise OracleError(f"the Newton system has {n_z} variables, and its G and Hessian "
+                          f"need {n_bytes} bytes, over the cap of {NEWTON_BYTES_MAX}; "
+                          f"proxbp run simulates the scenario without the oracle")
+    G, h, z = _barrier_problem(scenario, rows, pairs)
     n_f, n_mu = scenario.n_sessions, z.size - scenario.n_sessions
     # U(x) = w . log(z + shift): w is zero on the mu entries of z
     w = np.concatenate([scenario.utility_weight, np.zeros(n_mu)])

@@ -85,13 +85,16 @@ def project_rows(a, b, forbidden, ranks=None) -> np.ndarray:
     # so no zero is admissible, the admissible prefix holds only positive
     # allowed entries, and a sort of z scans the same prefix as one of a.
     z = np.maximum(a, 0.0)
-    z.put(forbidden, 0.0)
+    if len(forbidden):
+        z.put(forbidden, 0.0)
     # a is finite, so no row sum is NaN
     tight = (z.sum(axis=1) > b).nonzero()[0]
     if not tight.size:
         return z
     at = z.take(tight, axis=0)
-    srt = np.sort(at, axis=1)[:, ::-1]  # descending
+    srt = at.copy()
+    srt.sort(axis=1)
+    srt = srt[:, ::-1]  # descending
     k = a.shape[1]
     if ranks is None:
         ranks = np.arange(1.0, k + 1.0)

@@ -5,8 +5,8 @@ domain is unique. Its slope h(x) = U'(x) - W - 2*alpha*(x - x_prev) is
 strictly decreasing; the optimum is the root of h, or the left domain edge
 when h is already nonpositive there. For both utility kinds h(x) = 0 is a
 quadratic in x, so rate_root solves it in closed form, elementwise. A slot
-calls it once for all sources with the run's SlotConstants, which check
-alpha; solve_rate and RateProblem are the scalar reference.
+solves all sources at once with the run's SlotConstants, which check alpha;
+solve_rate and RateProblem are the scalar reference.
 """
 from __future__ import annotations
 
@@ -44,26 +44,30 @@ def rate_root(k, weight, d, a, two_a, four_a):
     elementwise. k is the utility shift in U(x) = w*log(k + x), 0.0 for wlog
     and 1.0 for wlog1p (Scenario.utility_shift); two_a = 2a, four_a = 4a.
 
-    The slope U'(x) - d - a*x vanishes where a*x^2 + b*x + c = 0, b = a*k + d,
-    c = d*k - w (w/x = d + a*x, or w/(1+x) = d + a*x). wlog has c = -w < 0;
-    wlog1p is pinned at 0 where its slope at 0, -c, is nonpositive. The root
-    avoids cancellation for large positive b, and hypot stands in where b*b
-    overflows (|b| > 1.3e154). Raises NumericError where it is not finite.
+    The slope U'(x) - d - a*x vanishes where a*x^2 + b*x - e = 0, b = a*k + d,
+    e = w - d*k (w/x = d + a*x, or w/(1+x) = d + a*x). wlog has e = w > 0;
+    wlog1p is pinned at 0 where its slope at 0, e, is nonpositive: there e is
+    clamped at +0.0, and as d >= w > 0 makes b > 0, the root is +0.0. The
+    root avoids cancellation for large positive b, and hypot stands in where
+    b*b overflows (|b| > 1.3e154). Raises NumericError where it is not
+    finite, and warns on no input: rate_lanes runs here under np.errstate.
     """
-    # a pinned lane's discriminant may be negative; its root is discarded
     with np.errstate(over="ignore", invalid="ignore"):
-        b = a * k + d
-        c = d * k - weight
-        bb = b * b
-        disc = np.sqrt(bb - four_a * c)
-        if bb.max(initial=0.0) == math.inf:  # no b is NaN for finite d
-            disc = np.where(np.isinf(bb) & (b > 0.0), np.hypot(b, 2.0 * np.sqrt(-a * c)), disc)
-        # one division per lane: the numerator and denominator of its branch
-        low = b <= 0.0
-        x = (np.where(low, disc - b, -2.0 * c)
-             / np.where(low, two_a, b + disc))
-        x = np.where(c >= 0.0, 0.0, x)
-    # every root is positive or NaN
+        return rate_lanes(k, weight, d, a, a * k, two_a, four_a)
+
+
+def rate_lanes(k, weight, d, a, ak, two_a, four_a):
+    """rate_root given ak = a*k, without np.errstate: slot_update's caller holds one."""
+    b = ak + d
+    e = np.maximum(weight - d * k, 0.0)
+    bb = b * b
+    disc = np.sqrt(bb + four_a * e)
+    if bb.max(initial=0.0) == math.inf:  # no b is NaN for finite d
+        disc = np.where(np.isinf(bb) & (b > 0.0), np.hypot(b, 2.0 * np.sqrt(a * e)), disc)
+    # one division per lane: the numerator and denominator of its branch
+    low = b <= 0.0
+    x = np.where(low, disc - b, e + e) / np.where(low, two_a, b + disc)
+    # every root is positive, +0.0 or NaN
     if not x.max(initial=0.0) < math.inf:
         raise NumericError("rate root is not finite")
     return x

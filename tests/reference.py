@@ -18,8 +18,9 @@ import numpy as np
 from proxbp.dpp import dpp_slot_update
 from proxbp.engine import SlotConstants, slot_update
 from proxbp.harness import DRIFT_IDENTITY_TOL, WEIGHT_IDENTITY_TOL, Trace
-from proxbp.net import (ContractError, DomainError, NumericError, ScenarioValidationError,
-                        residual_matrix, total_utility, validate_decision, zero_decision)
+from proxbp.net import (ContractError, DecisionVector, DomainError, NumericError,
+                        ScenarioValidationError, residual_matrix, total_utility,
+                        validate_decision)
 from proxbp.queues import audit_queue_bounds, step_Q, step_Y, step_Z
 
 
@@ -180,38 +181,38 @@ def run_per_slot(scenario, algorithm, config, slots, oracle=None) -> Trace:
     lyap_after = 0.0
 
     consts = SlotConstants(scenario, config) if algorithm == "new" else None
-    y = zero_decision(scenario)
+    x, mu = np.zeros(n_f), np.zeros((scenario.n_links, n_f))
     dpp_Q = np.zeros((n_n, n_f))  # DPP's own clipped queues, stepped apart from Y
     q_prev = np.zeros((n_n, n_f))  # Q(-1): slot 0's weights are 0 = 2 Q(0) - Q(-1)
 
     for t in range(slots):
         if algorithm == "new":
-            y, W = slot_update(Q, y, consts)
+            x, mu, W = slot_update(Q, x, mu, consts)
             ident = 2.0 * Q - q_prev
             ident[~scenario.active] = 0.0
             weight_err = max(weight_err, float(np.max(np.abs(W - ident))))
             q_prev = Q
         else:
-            y = dpp_slot_update(dpp_Q, scenario, config)
-            dpp_Q = step_Y(dpp_Q, residual_matrix(scenario, y.x, y.mu), scenario)
+            x, mu = dpp_slot_update(dpp_Q, scenario, config)
+            dpp_Q = step_Y(dpp_Q, residual_matrix(scenario, x, mu), scenario)
 
-        g = residual_matrix(scenario, y.x, y.mu)
+        g = residual_matrix(scenario, x, mu)
         q_before = Q
         lyap_before = lyap_after
         try:
-            validate_decision(scenario, y)
+            validate_decision(scenario, DecisionVector(x, mu))
         except ScenarioValidationError as e:
             feas_failures.append((t, str(e)))
         Y = step_Y(Y, g, scenario)
-        Z, _ = step_Z(Z, y.x, y.mu, scenario)
+        Z, _ = step_Z(Z, x, mu, scenario)
         Q = step_Q(Q, g)
 
         lyap_after = 0.5 * float(np.sum(Q * Q))
         drift = float(np.sum(q_before * g + 0.5 * g * g))
         drift_err = max(drift_err, abs((lyap_after - lyap_before) - drift))
 
-        x_hist[t] = y.x
-        util_inst[t] = _utility_or_nan(scenario, y.x)
+        x_hist[t] = x
+        util_inst[t] = _utility_or_nan(scenario, x)
         max_q[t] = float(np.max(np.abs(Q)))
         max_z[t] = float(np.max(Z))
         max_y[t] = float(np.max(Y))

@@ -3,6 +3,7 @@ import io
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -194,6 +195,22 @@ def test_cli_reports_a_numeric_error_cleanly(tmp_path, capsys):
     path.write_text("nodes 2\nlink 0 1 1.0\nsession 0 0 1 wlog 1e308\n")
     assert main(["run", "--scenario", str(path), "--slots", "5"]) == 2
     assert capsys.readouterr().err == "proxbp: rate root is not finite\n"
+
+
+@pytest.mark.parametrize("scenario, scale, message", [
+    ("sixnode", "1e308", "alpha must be a vector of positive reals"),  # alpha overflows
+    ("sixnode", "1e-320", "projection input must be finite"),  # W[tail] - W[head] overflows
+    ("singlelink", "3e307", "rate root is not finite"),  # a link's 2 (alpha + alpha) overflows
+])
+def test_cli_extreme_alpha_scale_prints_one_line(scenario, scale, message, capsys):
+    # the run stops with one proxbp: line on stderr and no numpy warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["run", "--scenario", str(SCENARIO_DIR / f"{scenario}.net"),
+                     "--slots", "5", "--alpha-scale", scale])
+    assert code == 2
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == f"proxbp: {message}\n"
 
 
 @pytest.mark.parametrize("option, value, owner, other", [

@@ -43,20 +43,20 @@ def test_link_grant_goes_to_largest_differential():
     q = np.zeros((3, 2))
     q[0] = [5.0, 2.0]
     q[1] = [1.0, 4.0]
-    y = dpp_slot_update(q, sc, DppConfig(V=1.0))
+    _, y_mu = dpp_slot_update(q, sc, DppConfig(V=1.0))
     # differentials on link 0: session 0 has 5-1=4, session 1 has 2-4=-2
-    assert y.mu[0, 0] == 2.0 and y.mu[0, 1] == 0.0
+    assert y_mu[0, 0] == 2.0 and y_mu[0, 1] == 0.0
     # link 1 heads into the destination, so the head queue counts as zero
-    assert y.mu[1, 1] == 2.0 and y.mu[1, 0] == 0.0
+    assert y_mu[1, 1] == 2.0 and y_mu[1, 0] == 0.0
 
 
 def test_link_idles_without_positive_differential(singlelink):
-    y = dpp_slot_update(np.zeros((2, 1)), singlelink, DppConfig(V=1.0))
-    assert y.mu[0, 0] == 0.0
+    _, y_mu = dpp_slot_update(np.zeros((2, 1)), singlelink, DppConfig(V=1.0))
+    assert y_mu[0, 0] == 0.0
     q = np.zeros((2, 1))
     q[0, 0] = 0.5
-    y = dpp_slot_update(q, singlelink, DppConfig(V=1.0))
-    assert y.mu[0, 0] == 1.0
+    _, y_mu = dpp_slot_update(q, singlelink, DppConfig(V=1.0))
+    assert y_mu[0, 0] == 1.0
 
 
 def test_forbidden_session_with_largest_differential_is_skipped():
@@ -66,8 +66,8 @@ def test_forbidden_session_with_largest_differential_is_skipped():
         "allow 0 0\nallow 0 2\n")
     q = np.zeros((2, 3))
     q[0] = [1.0, 5.0, 3.0]
-    y = dpp_slot_update(q, sc, DppConfig(V=1.0))
-    assert list(y.mu[0]) == [0.0, 0.0, 2.0]
+    _, y_mu = dpp_slot_update(q, sc, DppConfig(V=1.0))
+    assert list(y_mu[0]) == [0.0, 0.0, 2.0]
 
 
 def test_link_idles_when_only_a_forbidden_differential_is_positive():
@@ -78,8 +78,8 @@ def test_link_idles_when_only_a_forbidden_differential_is_positive():
     q[0] = [1.0, 5.0]
     for head in (2.0, 1.0):  # session 0's differential on link 0: -1, then 0
         q[1, 0] = head
-        y = dpp_slot_update(q, sc, DppConfig(V=1.0))
-        assert not y.mu[0].any()
+        _, y_mu = dpp_slot_update(q, sc, DppConfig(V=1.0))
+        assert not y_mu[0].any()
 
 
 def test_tie_breaks_to_lowest_session_id():
@@ -88,22 +88,22 @@ def test_tie_breaks_to_lowest_session_id():
         "session 0 0 1 wlog 1.0\nsession 1 0 1 wlog 1.0\n")
     q = np.zeros((2, 2))
     q[0] = [3.0, 3.0]
-    y = dpp_slot_update(q, sc, DppConfig(V=1.0))
-    assert y.mu[0, 0] == 1.0 and y.mu[0, 1] == 0.0
+    _, y_mu = dpp_slot_update(q, sc, DppConfig(V=1.0))
+    assert y_mu[0, 0] == 1.0 and y_mu[0, 1] == 0.0
 
 
 def test_default_rate_cap_is_source_out_capacity(sixnode):
-    y = dpp_slot_update(np.zeros((6, 2)), sixnode, DppConfig(V=50.0))
-    assert list(y.x) == [2.0, 2.0]
-    y = dpp_slot_update(np.zeros((6, 2)), sixnode, DppConfig(V=50.0, x_max=0.75))
-    assert list(y.x) == [0.75, 0.75]
+    y_x, _ = dpp_slot_update(np.zeros((6, 2)), sixnode, DppConfig(V=50.0))
+    assert list(y_x) == [2.0, 2.0]
+    y_x, _ = dpp_slot_update(np.zeros((6, 2)), sixnode, DppConfig(V=50.0, x_max=0.75))
+    assert list(y_x) == [0.75, 0.75]
 
 
 def _advance(Y, scenario, config):
     """One DPP slot as the harness runs it: decide from the clipped queues Y,
     then step Y by the decisions' residual."""
-    y = dpp_slot_update(Y, scenario, config)
-    return y, P.step_Y(Y, P.residual_matrix(scenario, y.x, y.mu), scenario)
+    x, mu = dpp_slot_update(Y, scenario, config)
+    return P.DecisionVector(x, mu), P.step_Y(Y, P.residual_matrix(scenario, x, mu), scenario)
 
 
 def test_decision_queues_stay_nonnegative(sixnode):
@@ -176,10 +176,10 @@ def _dpp_cases(draw):
 @given(case=_dpp_cases())
 def test_dpp_slot_matches_scalar_reference(case):
     sc, q, config = case
-    y = dpp_slot_update(q, sc, config)
+    y_x, y_mu = dpp_slot_update(q, sc, config)
     x, mu = _dpp_slot_scalar(q, sc, config)
-    assert y.x.tobytes() == x.tobytes()
-    assert y.mu.tobytes() == mu.tobytes()
+    assert y_x.tobytes() == x.tobytes()
+    assert y_mu.tobytes() == mu.tobytes()
 
 
 def test_nan_queue_entry_matches_scalar_reference(sixnode):
@@ -195,7 +195,7 @@ def test_nan_queue_entry_matches_scalar_reference(sixnode):
             continue
         q = base.copy()
         q[n, f] = math.nan
-        y = dpp_slot_update(q, sixnode, config)
+        y_x, y_mu = dpp_slot_update(q, sixnode, config)
         x, mu = _dpp_slot_scalar(q, sixnode, config)
-        assert y.x.tobytes() == x.tobytes()
-        assert y.mu.tobytes() == mu.tobytes()
+        assert y_x.tobytes() == x.tobytes()
+        assert y_mu.tobytes() == mu.tobytes()

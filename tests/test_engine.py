@@ -40,7 +40,8 @@ def _slots(scenario, config, count):
     q = np.zeros((scenario.n_nodes, scenario.n_sessions))
     y_prev = P.zero_decision(scenario)
     for _ in range(count):
-        y, w = slot_update(q, y_prev, consts)
+        x, mu, w = slot_update(q, y_prev.x, y_prev.mu, consts)
+        y = P.DecisionVector(x, mu)
         yield q, y_prev, y, w
         q = P.step_Q(q, P.residual_matrix(scenario, y.x, y.mu))
         y_prev = y
@@ -57,7 +58,7 @@ def test_weights_are_queue_plus_residual(singlelink):
     g0 = P.residual_matrix(singlelink, y0.x, y0.mu)
     assert np.max(np.abs(w1 - (q1 + g0))) < 1e-15
     assert w1[1, 0] == 0.0  # destination weight pinned
-    assert w1.tobytes() == compute_weights(q1, y0, singlelink).tobytes()
+    assert w1.tobytes() == compute_weights(q1, y0.x, y0.mu, singlelink).tobytes()
 
 
 def test_weight_identity_two_slots(sixnode):
@@ -163,18 +164,18 @@ def _scalar_slot(W, y_prev, scenario, config):
 @given(case=slot_cases())
 def test_batched_slot_matches_scalar_reference(case):
     scenario, q, y_prev, config = case
-    y, w = slot_update(q, y_prev, SlotConstants(scenario, config))
+    y_x, y_mu, w = slot_update(q, y_prev.x, y_prev.mu, SlotConstants(scenario, config))
     # the weights returned are the ones the decisions were computed from
-    assert w.tobytes() == compute_weights(q, y_prev, scenario).tobytes()
+    assert w.tobytes() == compute_weights(q, y_prev.x, y_prev.mu, scenario).tobytes()
     x, mu = _scalar_slot(w, y_prev, scenario, config)
-    assert y.x.tobytes() == x.tobytes()
+    assert y_x.tobytes() == x.tobytes()
     if all(len(a) == scenario.n_sessions for a in scenario.allowed):
-        assert y.mu.tobytes() == mu.tobytes()
+        assert y_mu.tobytes() == mu.tobytes()
     else:
         # a restricted row of 8 or more entries sums its clipped entries in a
         # different grouping than the scalar path, which moves only rounding
-        assert np.max(np.abs(y.mu - mu)) <= 1e-12
-        assert np.all(y.mu[~scenario.allow_mask] == 0.0)
+        assert np.max(np.abs(y_mu - mu)) <= 1e-12
+        assert np.all(y_mu[~scenario.allow_mask] == 0.0)
 
 
 def test_slot_update_rejects_non_finite_weights(sixnode):
@@ -182,7 +183,7 @@ def test_slot_update_rejects_non_finite_weights(sixnode):
     q = np.zeros((6, 2))
     q[4, 1] = math.nan  # node 4 is no source, so only the link phase reads it
     with pytest.raises(P.ContractError, match="^weights must be finite$"):
-        slot_update(q, P.zero_decision(sixnode), SlotConstants(sixnode, cfg))
+        slot_update(q, np.zeros(2), np.zeros((8, 2)), SlotConstants(sixnode, cfg))
 
 
 def test_slot_update_rejects_bad_previous_rates(sixnode):
@@ -192,9 +193,8 @@ def test_slot_update_rejects_bad_previous_rates(sixnode):
     for bad, message in ((-0.5, "x_prev must lie in the domain closure"),
                          (math.inf, "weights must be finite"),
                          (math.nan, "weights must be finite")):
-        prev = P.DecisionVector([0.5, bad], P.zero_decision(sixnode).mu)
         with pytest.raises(P.ContractError, match=f"^{message}$"):
-            slot_update(np.zeros((6, 2)), prev, consts)
+            slot_update(np.zeros((6, 2)), np.array([0.5, bad]), np.zeros((8, 2)), consts)
 
 
 def test_alpha_needs_one_entry_per_node(sixnode):

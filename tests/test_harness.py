@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 from pathlib import Path
@@ -269,21 +270,46 @@ def test_nan_utility_fails_the_run(chunk):
     assert s["passed"] is False
 
 
+# the `proxbp run` cases whose trace CSV and stdout are pinned by sha256 in
+# tests/golden/runs.sha256: name -> (scenario, flags); sixnode new crosses
+# the 2048-slot audit chunk
+PINNED_RUNS = {
+    "sixnode-new": ("sixnode", ["--slots", "3000"]),
+    "sixnode-dpp": ("sixnode", ["--slots", "3000", "--alg", "dpp", "--V", "100"]),
+    "singlelink-new": ("singlelink", ["--slots", "3000"]),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_RUNS)
+def test_run_trace_is_pinned(name, tmp_path, monkeypatch, capsys):
+    # a change that moves a trace by one bit fails here; one that moves it on
+    # purpose re-records the hashes
+    golden = Path(__file__).resolve().parent / "golden" / "runs.sha256"
+    pinned = dict(reversed(line.split()) for line in golden.read_text().splitlines())
+    scenario, flags = PINNED_RUNS[name]
+    monkeypatch.chdir(tmp_path)  # a relative --out keeps the path out of stdout
+    assert cli.main(["run", "--scenario", str(Path(SIXNODE).with_name(f"{scenario}.net")),
+                     *flags, "--out", "trace.csv"]) == 0
+    got = {f"{name}.csv": hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest(),
+           f"{name}.out": hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()}
+    assert got == {k: pinned[k] for k in got}
+
+
 # ---------------------------------------------------------------------------
 # faults injected past the first chunk boundary
 
 
 def _inject(monkeypatch, slot, fault):
-    """Make harness.slot_update apply fault(y, W, scenario) to its decisions
-    and weights at the given slot of every run. Slots are counted per
-    SlotConstants, which run() builds once per run."""
+    """Make harness.slot_update apply fault(x, mu, W, scenario) to its
+    decisions and weights at the given slot of every run. Slots are counted
+    per SlotConstants, which run() builds once per run."""
     real = harness.slot_update
     slots_done = {}
 
-    def faulty(Q, y_prev, consts):
-        y, W = real(Q, y_prev, consts)
+    def faulty(Q, x_prev, mu_prev, consts):
+        x, mu, W = real(Q, x_prev, mu_prev, consts)
         t = slots_done[consts] = slots_done.get(consts, -1) + 1
-        return fault(y, W, consts.scenario) if t == slot else (y, W)
+        return fault(x, mu, W, consts.scenario) if t == slot else (x, mu, W)
 
     monkeypatch.setattr(harness, "slot_update", faulty)
 
@@ -295,11 +321,11 @@ def test_overcapacity_decision_is_reported_at_its_slot(sixnode, monkeypatch, tmp
     slots = k + 4
     injected = []
 
-    def overload(y, W, scenario):
-        mu = y.mu.copy()
+    def overload(x, mu, W, scenario):
+        mu = mu.copy()
         mu[0, 0] = scenario.network.caps[0] + 0.5  # sixnode lets session 0 use link 0
-        injected.append(P.DecisionVector(y.x, mu))
-        return injected[-1], W
+        injected.append(P.DecisionVector(x, mu))
+        return x, mu, W
 
     _inject(monkeypatch, k, overload)
     tr = P.run(sixnode, "new", _config(sixnode, "new"), slots)
@@ -319,9 +345,9 @@ def _rates_shifted_at(slot, shift):
     calls = []
 
     def faulty(Q, scenario, config):
-        y = real(Q, scenario, config)
+        x, mu = real(Q, scenario, config)
         calls.append(None)
-        return P.DecisionVector(y.x + shift, y.mu) if len(calls) == slot + 1 else y
+        return (x + shift, mu) if len(calls) == slot + 1 else (x, mu)
 
     return faulty
 
@@ -364,7 +390,7 @@ def test_perturbed_weight_fails_the_weight_identity(sixnode, monkeypatch, chunk)
     # slot 0 has weights too: W(0) = 0 is checked like any later slot
     for k in (0, harness.chunk_slots(sixnode) + 2):
         with monkeypatch.context() as m:
-            _inject(m, k, lambda y, W, sc: (y, W + 1e-9))
+            _inject(m, k, lambda x, mu, W, sc: (x, mu, W + 1e-9))
             tr = P.run(sixnode, "new", _config(sixnode, "new"), k + 4)
         s = tr.summary
         assert s["weight_identity_max"] > harness.WEIGHT_IDENTITY_TOL

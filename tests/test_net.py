@@ -226,20 +226,19 @@ def test_decision_vector_is_read_only(singlelink):
         P.DecisionVector(np.zeros(2), np.zeros((3, 1)))
 
 
-def test_decision_vector_copies_writable_input_and_keeps_frozen_owned_input():
+def test_decision_vector_copies_its_input():
     x, mu = np.ones(2), np.ones((3, 2))
     y = P.DecisionVector(x, mu)
     x[0] = mu[0, 0] = 5.0
     assert y.x.tolist() == [1.0, 1.0] and y.mu[0].tolist() == [1.0, 1.0]
     assert y.x is not x and y.mu is not mu
+    # read-only input is copied too: a read-only view's base could still change
     x.setflags(write=False)
-    mu.setflags(write=False)
-    y = P.DecisionVector(x, mu)
-    assert y.x is x and y.mu is mu
-    # a read-only view does not own its data, so its base could still change
     view = np.ones((3, 2))[:, :]
     view.setflags(write=False)
-    assert P.DecisionVector(x, view).mu is not view
+    y = P.DecisionVector(x, view)
+    assert y.x is not x and y.mu is not view
+    assert y.x.dtype == y.mu.dtype == np.float64
 
 
 def test_validate_decision_catches_violations(sixnode):

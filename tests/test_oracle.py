@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from strategies import arrays, scenarios
 
 import proxbp as P
-from proxbp import cli
+from proxbp import cli, oracle
 from proxbp.oracle import (OracleError, compute_zeta, dual_value, repair_feasible,
                            solve_centralized, tighten_to_equality)
 
@@ -278,9 +278,38 @@ def test_oracle_report_is_pinned(name, tmp_path, capsys):
     assert capsys.readouterr().out.startswith(f"report written to {out}\nU_star ")
 
 
-def test_oracle_rejects_bad_tolerance(singlelink):
-    with pytest.raises(P.ContractError):
-        solve_centralized(singlelink, tol=0.0)
+def test_oracle_rejects_bad_tolerance(singlelink, capsys):
+    for tol in (0.0, -1e-5, math.inf, math.nan):
+        with pytest.raises(P.ContractError, match="^tol must be positive and finite"):
+            solve_centralized(singlelink, tol=tol)
+    # an infinite tol would certify any gap
+    path = Path(__file__).resolve().parents[1] / "scenarios" / "singlelink.net"
+    assert cli.main(["oracle", "--scenario", str(path), "--tol", "inf"]) == 2
+    assert capsys.readouterr().err == "proxbp: tol must be positive and finite, got inf\n"
+
+
+def test_oracle_fails_fast_past_the_newton_byte_cap(sixnode, gridgen, monkeypatch, capsys):
+    # the 10x10 grid with 20 sessions: 7148 variables, whose dense G (2340
+    # rows) and Hessian would take 543 MB, so the solve stops before it
+    # allocates them
+    grid = P.parse_scenario(gridgen.grid_scenario(10, 20, 1))
+    t0 = time.monotonic()
+    with pytest.raises(OracleError, match=r"^the Newton system has 7148 variables, and its G "
+                                          r"and Hessian need 542561792 bytes, over the cap "
+                                          r"of 67108864; proxbp run simulates") as info:
+        solve_centralized(grid, tol=1e-5)
+    assert time.monotonic() - t0 < 1.0
+    assert info.value.history == ()
+    # the cap is inclusive: sixnode's system has 16 variables and 17 rows
+    monkeypatch.setattr(oracle, "NEWTON_BYTES_MAX", 8 * 16 * (17 + 16))
+    assert solve_centralized(sixnode, tol=1e-5).duality_gap <= 1e-5
+    monkeypatch.setattr(oracle, "NEWTON_BYTES_MAX", 8 * 16 * (17 + 16) - 1)
+    with pytest.raises(OracleError, match="the Newton system has 16 variables"):
+        solve_centralized(sixnode, tol=1e-5)
+    # the CLI reports it like any failed solve
+    path = Path(__file__).resolve().parents[1] / "scenarios" / "sixnode.net"
+    assert cli.main(["oracle", "--scenario", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("oracle failed: the Newton system has 16 ")
 
 
 def test_failed_solve_reports_history(sixnode):
@@ -347,7 +376,7 @@ def test_oracle_fails_fast_once_the_gap_grows(sixnode):
     assert str(err).endswith(str(err.history[-1]))
 
 
-@pytest.mark.parametrize("n,sessions,seed", [(3, 4, 1), (5, 6, 1), (5, 6, 2)])
+@pytest.mark.parametrize("n,sessions,seed", [(3, 4, 1), (5, 6, 1), (5, 6, 2), (5, 6, 3)])
 def test_oracle_certifies_grids(n, sessions, seed, gridgen):
     sc = P.parse_scenario(gridgen.grid_scenario(n, sessions, seed))
     t0 = time.monotonic()

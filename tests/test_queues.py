@@ -190,12 +190,12 @@ def test_step_z_matches_scalar_reference_on_a_grid(gridgen):
     sc = P.parse_scenario(gridgen.grid_scenario(10, 20, 1))
     consts = P.SlotConstants(sc, P.AlgConfig(P.default_alpha(sc.network, "queue-bound")))
     Q = Z = np.zeros((sc.n_nodes, sc.n_sessions))
-    y = P.zero_decision(sc)
+    x, mu = np.zeros(sc.n_sessions), np.zeros((sc.n_links, sc.n_sessions))
     for _ in range(300):
-        y, _ = P.slot_update(Q, y, consts)
-        Q = Q + residual_matrix(sc, y.x, y.mu)
-        nxt, sends = step_Z(Z, y.x, y.mu, sc)
-        ref_nxt, ref_sends = _step_Z_scalar(Z, y.x, y.mu, sc)
+        x, mu, _ = P.slot_update(Q, x, mu, consts)
+        Q = Q + residual_matrix(sc, x, mu)
+        nxt, sends = step_Z(Z, x, mu, sc)
+        ref_nxt, ref_sends = _step_Z_scalar(Z, x, mu, sc)
         assert nxt.tobytes() == ref_nxt.tobytes()
         assert sends.tobytes() == ref_sends.tobytes()
         Z = nxt
@@ -259,10 +259,10 @@ def test_flat_destination_zeroing_matches_the_mask(case):
     for order in ("C", "F"):
         q_o, y_o, z_o, arr_o, mu_o = (np.asarray(a, order=order)
                                       for a in (q, y, z, arrivals, mu))
-        prev_o = P.DecisionVector(prev.x, np.asarray(prev.mu, order=order))
         assert residual_matrix(sc, x, mu_o).tobytes() == g_vec.tobytes()
         assert residual_matrix(sc, arr_o, mu_o).tobytes() == g_mat.tobytes()
-        assert compute_weights(q_o, prev_o, sc).tobytes() == w.tobytes()
+        assert compute_weights(q_o, prev.x, np.asarray(prev.mu, order=order),
+                               sc).tobytes() == w.tobytes()
         for g in (g_vec, g_mat):
             want = _mask_zeroed(sc, np.maximum(y + g, 0.0))
             assert step_Y(y_o, g, sc).tobytes() == want.tobytes()

@@ -7,9 +7,13 @@ import importlib
 import importlib.util
 import json
 import os
+import types
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
+
+import proxbp as P
 from proxbp import harness
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -26,15 +30,19 @@ def test_every_traced_function_resolves():
     assert callable(vars(harness.Trace).get("to_csv"))
 
 
+def _kernel_tool():
+    spec = importlib.util.spec_from_file_location(
+        "bench_slot_kernels", TRACING.parents[1] / "tools" / "bench_slot_kernels.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
 def test_kernel_tool_times_two_trees_in_one_process(capsys):
     # one call per kernel on two copies of this tree: a kernel whose
     # signature changes breaks the tool here
-    root = TRACING.parents[1]
-    spec = importlib.util.spec_from_file_location("bench_slot_kernels",
-                                                  root / "tools" / "bench_slot_kernels.py")
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    src = str(root / "src")
+    tool = _kernel_tool()
+    src = str(TRACING.parents[1] / "src")
     with mock.patch.dict(os.environ):  # the tool sets its BLAS thread counts
         assert tool.main(["--src", f"a={src}", "--src", f"b={src}", "--rounds", "1",
                           "--number", "1", "--repeats", "1"]) == 0
@@ -44,3 +52,18 @@ def test_kernel_tool_times_two_trees_in_one_process(capsys):
         for state in tool.STATES:
             assert set(doc["trees"][tree][state]) == set(tool.KERNELS)
         assert set(doc["trees"][tree][tool.ORACLE]) == set(tool.ORACLE_KERNELS)
+
+
+def test_kernel_tool_passes_each_tree_its_decision_type():
+    # this tree's slot_update takes raw (x, mu) arrays; a tree whose
+    # slot_update has the older (Q, y_prev, consts) parameters takes a
+    # DecisionVector, so a parent of that kind can be timed beside this one
+    tool = _kernel_tool()
+    x, mu = np.array([0.5, 1.0]), np.zeros((8, 2))
+    raw = tool._previous(P, x, mu)
+    assert len(raw) == 2 and raw[0] is x and raw[1] is mu
+    old = types.SimpleNamespace(slot_update=lambda Q, y_prev, consts: None,
+                                DecisionVector=P.DecisionVector)
+    (y,) = tool._previous(old, x, mu)
+    assert isinstance(y, P.DecisionVector)
+    assert y.x.tolist() == [0.5, 1.0] and y.mu.tolist() == mu.tolist()

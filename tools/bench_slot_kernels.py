@@ -6,22 +6,29 @@ proxbp source trees.
 
 Each kernel is timed on two states: the shipped six-node scenario after 3000
 slots and the seeded 10x10 grid with 20 sessions (perfbench/gridgen.py, seed 1)
-after 300 slots, both with the queue-bound alpha that `proxbp run` uses. The
-oracle rows time solve_centralized on the six-node scenario at tol 1e-5, as
-`proxbp oracle` calls it, and repair_feasible and dual_value at its solution.
-A kernel's time is the best of --repeats timeit repeats of --number calls
-(--number / 40 for solve_centralized, which takes milliseconds).
+after 300 slots, both with the queue-bound alpha that `proxbp run` uses.
+run_slot is harness.run from empty queues for the same number of slots,
+divided by that number: the slot with the harness's queue steps, buffers and
+chunk audit around it. The oracle rows time solve_centralized on the
+six-node scenario at tol 1e-5, as `proxbp oracle` calls it, and
+repair_feasible and dual_value at its solution. A kernel's time is the best
+of --repeats timeit repeats of --number calls (--number / 40 for
+solve_centralized and --number / 200 for run_slot, which take milliseconds).
 
 All trees are timed in this one process, so no tree's numbers carry an offset
 of its own process: each tree's package is imported under its own module name,
 and in every round each kernel is timed on every tree in turn, the first tree
 rotating between rounds. Each tree reports its best over the rounds and its
 per-round values, their spread. rate_phase and project_rows are called as the
-tree's slot_update calls them: rate_root with Scenario.utility_shift and the
-SlotConstants rate constants, project_rows with Scenario.forbidden_entries.
-decision_faults checks the decisions of the last 4 slots, one audit chunk of
-the grid run; every other kernel is called through a name that older trees
-export too. Trees without Scenario.utility_shift are not supported.
+tree's slot_update calls them: rate_lanes with Scenario.utility_shift and the
+SlotConstants rate constants (rate_root, which holds its own np.errstate, in
+a tree without rate_lanes), project_rows with Scenario.forbidden_entries.
+slot_update and compute_weights take the previous decisions as raw (x, mu)
+arrays, or as a DecisionVector in a tree whose slot_update has three
+parameters. decision_faults checks the decisions of the last 4 slots, one
+audit chunk of the grid run; every other kernel is called through a name that
+older trees export too. Trees without Scenario.utility_shift are not
+supported.
 
 Array placement still shows inside one process: between trees whose code for
 a kernel is the same, its rows have differed by up to about 20% depending on
@@ -33,19 +40,20 @@ from __future__ import annotations
 import argparse
 import importlib
 import importlib.util
+import inspect
 import json
 import os
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-KERNELS = ("slot_update", "rate_phase", "project_rows", "step_Z", "residual_matrix",
-           "compute_weights", "decision_faults")
+KERNELS = ("slot_update", "run_slot", "rate_phase", "project_rows", "step_Z",
+           "residual_matrix", "compute_weights", "decision_faults")
 CHUNK = 4  # slots per decision_faults call, the harness's chunk on the grid
 STATES = {"sixnode": 3000, "grid10x10f20": 300}
 ORACLE = "sixnode_oracle"  # the state name of the oracle rows
 ORACLE_KERNELS = ("solve_centralized", "repair_feasible", "dual_value")
-SLOW = {"solve_centralized": 40}  # kernels timed on --number / this calls
+SLOW = {"solve_centralized": 40, "run_slot": 200}  # kernels timed on --number / this calls
 # one BLAS thread, set before numpy is first imported
 THREADS = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
@@ -62,11 +70,20 @@ def _import_tree(name: str, src):
     return module
 
 
+def _previous(P, x, mu) -> tuple:
+    """The previous decisions as the tree P's slot_update and compute_weights
+    take them: (x, mu), or (DecisionVector,) where slot_update has three
+    parameters."""
+    if len(inspect.signature(P.slot_update).parameters) == 3:
+        return (P.DecisionVector(x, mu),)
+    return x, mu
+
+
 def _states(P, texts: dict):
-    """{state name: (scenario, Q, y, Z, consts, chunk)} for the package P and
-    the scenario texts of STATES: the queues after the slot counts of STATES
-    and the decisions of the last slot, what the next slot reads, and chunk,
-    the (x, mu) stacks of the last CHUNK slots."""
+    """{state name: (scenario, Q, x, mu, Z, consts, chunk)} for the package P
+    and the scenario texts of STATES: the queues after the slot counts of
+    STATES and the decisions x, mu of the last slot, what the next slot
+    reads, and chunk, the (x, mu) stacks of the last CHUNK slots."""
     import numpy as np
 
     out = {}
@@ -75,34 +92,44 @@ def _states(P, texts: dict):
         consts = P.SlotConstants(sc, P.AlgConfig(P.default_alpha(sc.network, "queue-bound")))
         Q = np.zeros((sc.n_nodes, sc.n_sessions))
         Z = Q
-        y = P.zero_decision(sc)
+        x, mu = np.zeros(sc.n_sessions), np.zeros((sc.n_links, sc.n_sessions))
         last = []
         for _ in range(STATES[name]):
-            y, _ = P.slot_update(Q, y, consts)
-            Q = Q + P.residual_matrix(sc, y.x, y.mu)
-            Z, _ = P.step_Z(Z, y.x, y.mu, sc)
-            last = (last + [y])[-CHUNK:]
-        chunk = (np.stack([d.x for d in last]), np.stack([d.mu for d in last]))
-        out[name] = (sc, Q, y, Z, consts, chunk)
+            decided = P.slot_update(Q, *_previous(P, x, mu), consts)
+            x, mu = decided[:2] if len(decided) == 3 else (decided[0].x, decided[0].mu)
+            Q = Q + P.residual_matrix(sc, x, mu)
+            Z, _ = P.step_Z(Z, x, mu, sc)
+            last = (last + [(x, mu)])[-CHUNK:]
+        chunk = tuple(np.stack(c) for c in zip(*last))
+        out[name] = (sc, Q, x, mu, Z, consts, chunk)
     return out
 
 
-def _slot_calls(P, sc, Q, y, Z, consts, chunk) -> dict:
-    """{kernel: a call with no arguments} for the package P on one state."""
+def _slot_calls(P, slots, sc, Q, x, mu, Z, consts, chunk) -> dict:
+    """{kernel: a call with no arguments} for the package P on one state,
+    reached after the given number of slots."""
     net = sc.network
-    W = P.compute_weights(Q, y, sc)
-    a = y.mu + (W.take(net.tails, axis=0) - W.take(net.heads, axis=0)) / consts.link_denom
+    prev = _previous(P, x, mu)
+    W = P.compute_weights(Q, *prev, sc)
+    a = mu + (W.take(net.tails, axis=0) - W.take(net.heads, axis=0)) / consts.link_denom
     a_src = consts.a_src
-    d = W.take(sc.src_entries) - a_src * y.x
+    d = W.take(sc.src_entries) - a_src * x
+    rates = (sc.utility_shift, sc.utility_weight, d, a_src)
+    if hasattr(P.rates, "rate_lanes"):
+        def rate_phase():
+            return P.rates.rate_lanes(*rates, consts.ak_src, consts.two_a_src, consts.four_a_src)
+    else:
+        def rate_phase():
+            return P.rates.rate_root(*rates, consts.two_a_src, consts.four_a_src)
     return {
-        "slot_update": lambda: P.slot_update(Q, y, consts),
-        "rate_phase": lambda: P.rates.rate_root(sc.utility_shift, sc.utility_weight, d, a_src,
-                                                consts.two_a_src, consts.four_a_src),
+        "slot_update": lambda: P.slot_update(Q, *prev, consts),
+        "run_slot": lambda: P.run(sc, "new", consts.config, slots),
+        "rate_phase": rate_phase,
         "project_rows": lambda: P.project_rows(a, net.caps, sc.forbidden_entries,
                                                consts.ranks),
-        "step_Z": lambda: P.step_Z(Z, y.x, y.mu, sc),
-        "residual_matrix": lambda: P.residual_matrix(sc, y.x, y.mu),
-        "compute_weights": lambda: P.compute_weights(Q, y, sc),
+        "step_Z": lambda: P.step_Z(Z, x, mu, sc),
+        "residual_matrix": lambda: P.residual_matrix(sc, x, mu),
+        "compute_weights": lambda: P.compute_weights(Q, *prev, sc),
         "decision_faults": lambda: P.decision_faults(sc, *chunk),
     }
 
@@ -145,7 +172,8 @@ def main(argv=None) -> int:
     calls = {}  # tree -> state -> kernel -> call
     for i, name in enumerate(names):
         P = _import_tree(f"_proxbp_tree{i}", trees[name])
-        calls[name] = {state: _slot_calls(P, *case) for state, case in _states(P, texts).items()}
+        calls[name] = {state: _slot_calls(P, STATES[state], *case)
+                       for state, case in _states(P, texts).items()}
         calls[name][ORACLE] = _oracle_calls(P, texts["sixnode"])
     cases = {**{state: KERNELS for state in STATES}, ORACLE: ORACLE_KERNELS}
     rounds = {name: {state: {k: [] for k in kernels} for state, kernels in cases.items()}
@@ -155,10 +183,12 @@ def main(argv=None) -> int:
         for state, kernels in cases.items():
             for k in kernels:
                 number = max(1, args.number // SLOW.get(k, 1))
+                # run_slot's call runs all the slots of its state
+                per_call = STATES[state] if k == "run_slot" else 1
                 for name in order:
                     best = min(timeit.repeat(calls[name][state][k], number=number,
                                              repeat=args.repeats))
-                    rounds[name][state][k].append(best / number)
+                    rounds[name][state][k].append(best / number / per_call)
     summary = {
         name: {state: {k: {"best_us": round(1e6 * min(per_round), 3),
                            "rounds_us": [round(1e6 * v, 3) for v in per_round]}
