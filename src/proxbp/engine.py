@@ -1,10 +1,10 @@
 """Proximal backpressure engine.
 
-Each slot reads the signed virtual queues Q(t) and the previous slot's
-decisions, forms per-(node, session) weights W = Q + g(y_prev) with W = 0 at
-destinations, and solves one proximal scalar problem per source and one
-capped simplex projection per link. The queues belong to the caller, which
-advances them by the new decisions' residual; the engine keeps no state. All
+Each slot reads the signed virtual queues Q(t), the previous slot's decisions
+and their flow residual g(y_prev), which stepped Q, forms per-(node, session)
+weights W = Q + g(y_prev) with W = 0 at destinations, and solves one proximal
+scalar problem per source and one capped simplex projection per link. The
+caller owns the queues and computes each residual; the engine keeps no state. All
 decisions within a slot read the same W, so source and link updates are
 order-independent, and slot_update runs them as one array program over
 sources and over (links x sessions), on raw (x, mu) arrays. link_update is
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .net import ContractError, Scenario, _frozen, residual_matrix
+from .net import ContractError, Scenario, _frozen, residual_matrix  # for perfbench's tracer
 from .projection import ProjectionInstance, project_rows, project_sorted
 from .rates import rate_lanes
 
@@ -60,7 +60,8 @@ class SlotConstants:
     shift. link_denom (L, F), 2 (alpha_tail + alpha_head) across each link's
     row, to divide without a broadcast; ranks, 1.0 .. F. The utility shifts
     and forbidden pairs come from the scenario. Raises ContractError unless
-    alpha has one entry per node and 2 alpha is finite at the sources."""
+    alpha has one entry per node, 2 alpha is finite at the sources, and so
+    are four_a_src (8 alpha) and link_denom."""
 
     scenario: Scenario
     config: AlgConfig
@@ -81,8 +82,11 @@ class SlotConstants:
             a_src = 2.0 * alpha[sc.src]
             if not np.isfinite(a_src).all():
                 raise ContractError("2 alpha must be finite at every source")
-            denom = 2.0 * (alpha[network.tails] + alpha[network.heads])
-            arrays = {"a_src": a_src, "two_a_src": 2.0 * a_src, "four_a_src": 4.0 * a_src,
+            four_a, denom = 4.0 * a_src, 2.0 * (alpha[network.tails] + alpha[network.heads])
+            if not (np.isfinite(four_a).all() and np.isfinite(denom).all()):
+                raise ContractError("8 alpha at every source and 2 (alpha_tail + alpha_head) "
+                                    "at every link must be finite")
+            arrays = {"a_src": a_src, "two_a_src": 2.0 * a_src, "four_a_src": four_a,
                       "ak_src": a_src * sc.utility_shift,
                       "link_denom": np.repeat(denom[:, None], sc.n_sessions, axis=1),
                       "ranks": np.arange(1.0, sc.n_sessions + 1.0)}
@@ -90,9 +94,9 @@ class SlotConstants:
             object.__setattr__(self, name, _frozen(a))
 
 
-def compute_weights(Q: np.ndarray, x_prev, mu_prev, scenario: Scenario) -> np.ndarray:
-    """W = Q + g(x_prev, mu_prev), zero at destinations. (N, F)."""
-    w = Q + residual_matrix(scenario, x_prev, mu_prev)
+def compute_weights(Q: np.ndarray, g_prev: np.ndarray, scenario: Scenario) -> np.ndarray:
+    """W = Q + g_prev, zero at destinations. (N, F)."""
+    w = Q + g_prev
     w.put(scenario.dst_entries, 0.0)
     return w
 
@@ -117,10 +121,10 @@ def link_update(link: int, W: np.ndarray, alpha: np.ndarray, mu_prev: np.ndarray
     return out
 
 
-def slot_update(Q: np.ndarray, x_prev, mu_prev, consts: SlotConstants) -> tuple:
-    """One slot's decisions from the signed queues Q (N, F) before the slot
-    and the previous slot's source rates x_prev (F,) and link rates mu_prev
-    (L, F). Returns (x, mu, W), W the weights they were computed from.
+def slot_update(Q: np.ndarray, g_prev, x_prev, mu_prev, consts: SlotConstants) -> tuple:
+    """One slot's (x, mu, W): decisions and the weights they come from, given
+    the signed queues Q (N, F), the last slot's rates x_prev (F,) and mu_prev
+    (L, F), and their residual g_prev (N, F), which stepped Q.
 
     Every source's rate problem is solved by one rate_lanes call with the
     run's constants and every link's projection by one project_rows call on
@@ -131,10 +135,10 @@ def slot_update(Q: np.ndarray, x_prev, mu_prev, consts: SlotConstants) -> tuple:
     it, as run() does.
     """
     scenario = consts.scenario
-    W = compute_weights(Q, x_prev, mu_prev, scenario)
+    W = compute_weights(Q, g_prev, scenario)
     if not np.isfinite(W).all():
         raise ContractError("weights must be finite")
-    # a non-finite x_prev makes W non-finite at its source
+    # a non-finite x_prev makes g_prev, so W, non-finite at its source
     if x_prev.min(initial=0.0) < 0.0:
         raise ContractError("x_prev must lie in the domain closure")
     x = rate_lanes(scenario.utility_shift, scenario.utility_weight,

@@ -155,7 +155,8 @@ def run(scenario: Scenario, algorithm: str, config, slots: int, oracle=None) -> 
     The slot loop runs only the recursions and stores each slot's decisions,
     residual, queues and weights in (chunk, ...) buffers; chunk_slots sizes
     them to CHUNK_BYTES each. The loop owns the queues: the proximal engine
-    decides from its signed queues Q, DPP from its clipped queues Y. Once per
+    decides from its signed queues Q and the residual g that stepped them
+    (the weight identity finds g in W), DPP from its clipped queues Y. Once per
     chunk, array programs over the buffers evaluate the checks and the
     per-slot metrics, feasibility by decision_faults. Utilities are evaluated
     after the loop, NaN at a slot whose rates leave a utility's domain (a
@@ -185,7 +186,7 @@ def run(scenario: Scenario, algorithm: str, config, slots: int, oracle=None) -> 
                             f"{config_type.__name__}, got {type(config).__name__}")
     consts = SlotConstants(scenario, config) if prox else None
     audit = _ChunkAudit(scenario, prox, slots)
-    Y = Z = Q = np.zeros((scenario.n_nodes, scenario.n_sessions))
+    Y = Z = Q = g = np.zeros((scenario.n_nodes, scenario.n_sessions))  # g of the zero decision
     x, mu = np.zeros(scenario.n_sessions), np.zeros((scenario.n_links, scenario.n_sessions))
     x_hist = audit.x_hist
     buf_mu, buf_g, buf_Y, buf_Z, buf_Q, buf_W = (audit.mu, audit.g, audit.Y, audit.Z,
@@ -198,7 +199,7 @@ def run(scenario: Scenario, algorithm: str, config, slots: int, oracle=None) -> 
             for i in range(n):
                 if prox:
                     try:
-                        x, mu, buf_W[i] = slot_update(Q, x, mu, consts)
+                        x, mu, buf_W[i] = slot_update(Q, g, x, mu, consts)
                     except ContractError:
                         if np.isfinite(Q).all():
                             raise

@@ -187,7 +187,8 @@ def run_per_slot(scenario, algorithm, config, slots, oracle=None) -> Trace:
 
     for t in range(slots):
         if algorithm == "new":
-            x, mu, W = slot_update(Q, x, mu, consts)
+            # the residual of the previous decisions, computed here afresh
+            x, mu, W = slot_update(Q, residual_matrix(scenario, x, mu), x, mu, consts)
             ident = 2.0 * Q - q_prev
             ident[~scenario.active] = 0.0
             weight_err = max(weight_err, float(np.max(np.abs(W - ident))))

@@ -197,10 +197,24 @@ def test_cli_reports_a_numeric_error_cleanly(tmp_path, capsys):
     assert capsys.readouterr().err == "proxbp: rate root is not finite\n"
 
 
+OVERFLOW_BAND = ("8 alpha at every source and 2 (alpha_tail + alpha_head) at every link "
+                 "must be finite")
+
+
+def test_cli_rejects_an_alpha_in_the_overflow_band(tmp_path, capsys):
+    # 2 alpha = 1.2e308 is finite but 8 alpha is not: a wlog1p source would
+    # stay at x = 0 in every slot, far from its optimum x = 1, and pass
+    path = tmp_path / "onelink.net"
+    path.write_text("nodes 2\nlink 0 1 1.0\nsession 0 0 1 wlog1p 1.0\n")
+    code = main(["run", "--scenario", str(path), "--slots", "2000", "--alpha-scale", "3e307"])
+    assert code == 2
+    assert capsys.readouterr() == ("", f"proxbp: {OVERFLOW_BAND}\n")
+
+
 @pytest.mark.parametrize("scenario, scale, message", [
     ("sixnode", "1e308", "alpha must be a vector of positive reals"),  # alpha overflows
     ("sixnode", "1e-320", "projection input must be finite"),  # W[tail] - W[head] overflows
-    ("singlelink", "3e307", "rate root is not finite"),  # a link's 2 (alpha + alpha) overflows
+    ("singlelink", "3e307", OVERFLOW_BAND),  # 8 alpha and a link's 2 (alpha + alpha) overflow
 ])
 def test_cli_extreme_alpha_scale_prints_one_line(scenario, scale, message, capsys):
     # the run stops with one proxbp: line on stderr and no numpy warning
@@ -265,6 +279,10 @@ def test_unroutable_session_is_rejected_at_load(tmp_path, capsys):
     ("ustar 1.0\nzeta 1.0e\n", "report line 2:"),         # not a number
     ("mu 0 0 0.5\nlambda 6 0 1.0\n", "report line 2:"),   # node index out of range
     ("ustar 1.0\nduality_gap 0.0\nmax_violation 0.0\nweak_margin 0.0\n", "zeta"),
+    # a NaN U* would make every gap NaN, and a negative gap certifies nothing
+    ("ustar nan\n", "report line 1: ustar value nan is not finite"),
+    ("zeta 1.0\nx 1 inf\n", "report line 2: x value inf is not finite"),
+    ("duality_gap -5.0\n", "report line 1: duality_gap -5.0 is negative"),
 ])
 def test_run_rejects_malformed_oracle_report(tmp_path, capsys, report, message):
     sol_path = tmp_path / "bad.sol"

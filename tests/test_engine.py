@@ -35,15 +35,16 @@ def test_alg_config_validation():
 def _slots(scenario, config, count):
     """The first count slots of a proximal run from zero queues, as
     (Q(t), y(t-1), y(t), W(t)). Q steps by the residual of each slot's
-    decisions, as run() steps it."""
+    decisions, and the next slot reads that residual, as in run()."""
     consts = SlotConstants(scenario, config)
-    q = np.zeros((scenario.n_nodes, scenario.n_sessions))
+    q = g = np.zeros((scenario.n_nodes, scenario.n_sessions))
     y_prev = P.zero_decision(scenario)
     for _ in range(count):
-        x, mu, w = slot_update(q, y_prev.x, y_prev.mu, consts)
+        x, mu, w = slot_update(q, g, y_prev.x, y_prev.mu, consts)
         y = P.DecisionVector(x, mu)
         yield q, y_prev, y, w
-        q = P.step_Q(q, P.residual_matrix(scenario, y.x, y.mu))
+        g = P.residual_matrix(scenario, y.x, y.mu)
+        q = P.step_Q(q, g)
         y_prev = y
 
 
@@ -58,7 +59,7 @@ def test_weights_are_queue_plus_residual(singlelink):
     g0 = P.residual_matrix(singlelink, y0.x, y0.mu)
     assert np.max(np.abs(w1 - (q1 + g0))) < 1e-15
     assert w1[1, 0] == 0.0  # destination weight pinned
-    assert w1.tobytes() == compute_weights(q1, y0.x, y0.mu, singlelink).tobytes()
+    assert w1.tobytes() == compute_weights(q1, g0, singlelink).tobytes()
 
 
 def test_weight_identity_two_slots(sixnode):
@@ -164,9 +165,10 @@ def _scalar_slot(W, y_prev, scenario, config):
 @given(case=slot_cases())
 def test_batched_slot_matches_scalar_reference(case):
     scenario, q, y_prev, config = case
-    y_x, y_mu, w = slot_update(q, y_prev.x, y_prev.mu, SlotConstants(scenario, config))
+    g_prev = P.residual_matrix(scenario, y_prev.x, y_prev.mu)
+    y_x, y_mu, w = slot_update(q, g_prev, y_prev.x, y_prev.mu, SlotConstants(scenario, config))
     # the weights returned are the ones the decisions were computed from
-    assert w.tobytes() == compute_weights(q, y_prev.x, y_prev.mu, scenario).tobytes()
+    assert w.tobytes() == compute_weights(q, g_prev, scenario).tobytes()
     x, mu = _scalar_slot(w, y_prev, scenario, config)
     assert y_x.tobytes() == x.tobytes()
     if all(len(a) == scenario.n_sessions for a in scenario.allowed):
@@ -183,18 +185,21 @@ def test_slot_update_rejects_non_finite_weights(sixnode):
     q = np.zeros((6, 2))
     q[4, 1] = math.nan  # node 4 is no source, so only the link phase reads it
     with pytest.raises(P.ContractError, match="^weights must be finite$"):
-        slot_update(q, np.zeros(2), np.zeros((8, 2)), SlotConstants(sixnode, cfg))
+        slot_update(q, np.zeros((6, 2)), np.zeros(2), np.zeros((8, 2)),
+                    SlotConstants(sixnode, cfg))
 
 
 def test_slot_update_rejects_bad_previous_rates(sixnode):
     cfg = P.AlgConfig(default_alpha(sixnode.network, "queue-bound"))
     consts = SlotConstants(sixnode, cfg)
-    # a non-finite rate makes the weights at its source non-finite
+    # a non-finite rate makes its residual, so the weights, non-finite at its source
     for bad, message in ((-0.5, "x_prev must lie in the domain closure"),
                          (math.inf, "weights must be finite"),
                          (math.nan, "weights must be finite")):
+        x_prev, mu_prev = np.array([0.5, bad]), np.zeros((8, 2))
+        g_prev = P.residual_matrix(sixnode, x_prev, mu_prev)
         with pytest.raises(P.ContractError, match=f"^{message}$"):
-            slot_update(np.zeros((6, 2)), np.array([0.5, bad]), np.zeros((8, 2)), consts)
+            slot_update(np.zeros((6, 2)), g_prev, x_prev, mu_prev, consts)
 
 
 def test_alpha_needs_one_entry_per_node(sixnode):
@@ -214,3 +219,12 @@ def test_slot_constants_reject_an_overflowing_alpha(sixnode):
     with pytest.raises(P.ContractError, match="2 alpha must be finite"):
         P.run(sixnode, "new", P.AlgConfig(np.full(6, 1e308)), 5)
 
+
+@pytest.mark.parametrize("alpha", ([3e307] * 6, [1.0, 1.0, 1.0, 1.0, 1e308, 1.0]))
+def test_slot_constants_reject_an_alpha_in_the_overflow_band(sixnode, alpha):
+    # 2 alpha is finite, but 8 alpha at a source (nodes 0 and 2) or a link
+    # denominator 2 (alpha_tail + alpha_head) at node 4's links overflows
+    band = (r"^8 alpha at every source and 2 \(alpha_tail \+ alpha_head\) at every link "
+            r"must be finite$")
+    with pytest.raises(P.ContractError, match=band):
+        SlotConstants(sixnode, P.AlgConfig(np.array(alpha)))

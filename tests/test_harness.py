@@ -306,8 +306,8 @@ def _inject(monkeypatch, slot, fault):
     real = harness.slot_update
     slots_done = {}
 
-    def faulty(Q, x_prev, mu_prev, consts):
-        x, mu, W = real(Q, x_prev, mu_prev, consts)
+    def faulty(Q, g_prev, x_prev, mu_prev, consts):
+        x, mu, W = real(Q, g_prev, x_prev, mu_prev, consts)
         t = slots_done[consts] = slots_done.get(consts, -1) + 1
         return fault(x, mu, W, consts.scenario) if t == slot else (x, mu, W)
 
@@ -404,23 +404,22 @@ def test_perturbed_weight_fails_the_weight_identity(sixnode, monkeypatch, chunk)
 
 @pytest.mark.parametrize("chunk", (3, None))
 def test_perturbed_engine_residual_fails_the_weight_identity(sixnode, monkeypatch, chunk):
-    # the engine forms W(t) = Q(t) + g(y(t-1)) from a residual of its own and
+    # the engine forms W(t) = Q(t) + g from the residual g it is handed and
     # the harness checks it against 2 Q(t) - Q(t-1) from its own queues, so a
-    # fault in the engine's residual of slot k - 1's decisions shows at slot k
+    # fault in the residual handed to slot k shows at slot k
     monkeypatch.setattr(harness, "CHUNK_BYTES", _chunk_bytes(sixnode, chunk))
     k = harness.chunk_slots(sixnode) + 2
-    real = engine.residual_matrix
+    real = harness.slot_update
     calls = []
 
-    def faulty(scenario, x, mu):  # the engine computes one residual per slot
-        g = real(scenario, x, mu)
+    def faulty(Q, g_prev, x_prev, mu_prev, consts):
         if len(calls) == k:
-            g = g.copy()
-            g[0, 0] += 1e-9  # node 0 is session 0's source
+            g_prev = g_prev.copy()
+            g_prev[0, 0] += 1e-9  # node 0 is session 0's source
         calls.append(None)
-        return g
+        return real(Q, g_prev, x_prev, mu_prev, consts)
 
-    monkeypatch.setattr(engine, "residual_matrix", faulty)
+    monkeypatch.setattr(harness, "slot_update", faulty)
     tr = P.run(sixnode, "new", _config(sixnode, "new"), k + 4)
     assert len(calls) == k + 4
     s = tr.summary
@@ -429,6 +428,46 @@ def test_perturbed_engine_residual_fails_the_weight_identity(sixnode, monkeypatc
     assert s["passed"] is False
     others = {name: v for name, v in s["first_violation"].items() if name != "weight_identity"}
     assert all(v is None for v in others.values()), others
+
+
+@pytest.mark.parametrize("chunk", (3, None))
+@pytest.mark.parametrize("mode", ("stale", "zeros"))
+def test_wrong_residual_handed_to_the_engine_fails_the_weight_identity(sixnode, monkeypatch,
+                                                                       mode, chunk):
+    # from slot 4 on, a loop that hands slot_update the residual of two slots
+    # back, or zeros, in place of the one that stepped Q: the weight identity
+    # fails at the first slot where the two differ. Slot 4 is in the second
+    # chunk of 3 slots.
+    monkeypatch.setattr(harness, "CHUNK_BYTES", _chunk_bytes(sixnode, chunk))
+    real = harness.slot_update
+    handed, stepped = [], []
+
+    def wrong(Q, g_prev, x_prev, mu_prev, consts):
+        g = g_prev
+        if len(stepped) >= 4:
+            g = np.zeros_like(g_prev) if mode == "zeros" else stepped[-1]
+        stepped.append(g_prev)
+        handed.append(g)
+        return real(Q, g, x_prev, mu_prev, consts)
+
+    monkeypatch.setattr(harness, "slot_update", wrong)
+    tr = P.run(sixnode, "new", _config(sixnode, "new"), 8)
+    first = next(t for t, (h, g) in enumerate(zip(handed, stepped)) if not np.array_equal(h, g))
+    assert first == 4
+    slot, value = tr.summary["first_violation"]["weight_identity"]
+    assert slot == first and value > harness.WEIGHT_IDENTITY_TOL
+    assert tr.summary["passed"] is False
+
+
+@pytest.mark.parametrize("alg", ("new", "dpp"))
+def test_one_residual_per_slot(sixnode, monkeypatch, alg):
+    # run() computes each slot's residual once: it steps the queues and, in a
+    # proximal run, feeds the next slot's weights. Chunks of 3 slots.
+    monkeypatch.setattr(harness, "CHUNK_BYTES", _chunk_bytes(sixnode, 3))
+    with mock.patch.object(harness, "residual_matrix", wraps=P.residual_matrix) as spy, \
+            mock.patch.object(engine, "residual_matrix", spy):
+        P.run(sixnode, alg, _config(sixnode, alg), 7)
+    assert spy.call_count == 7
 
 
 @pytest.mark.parametrize("chunk", (3, None))

@@ -189,11 +189,12 @@ def test_step_z_matches_scalar_reference_on_a_grid(gridgen):
     # degrees 2 to 4 and F = 20: every rank and in-rank has padding entries
     sc = P.parse_scenario(gridgen.grid_scenario(10, 20, 1))
     consts = P.SlotConstants(sc, P.AlgConfig(P.default_alpha(sc.network, "queue-bound")))
-    Q = Z = np.zeros((sc.n_nodes, sc.n_sessions))
+    Q = Z = g = np.zeros((sc.n_nodes, sc.n_sessions))
     x, mu = np.zeros(sc.n_sessions), np.zeros((sc.n_links, sc.n_sessions))
     for _ in range(300):
-        x, mu, _ = P.slot_update(Q, x, mu, consts)
-        Q = Q + residual_matrix(sc, x, mu)
+        x, mu, _ = P.slot_update(Q, g, x, mu, consts)
+        g = residual_matrix(sc, x, mu)
+        Q = Q + g
         nxt, sends = step_Z(Z, x, mu, sc)
         ref_nxt, ref_sends = _step_Z_scalar(Z, x, mu, sc)
         assert nxt.tobytes() == ref_nxt.tobytes()
@@ -261,8 +262,8 @@ def test_flat_destination_zeroing_matches_the_mask(case):
                                       for a in (q, y, z, arrivals, mu))
         assert residual_matrix(sc, x, mu_o).tobytes() == g_vec.tobytes()
         assert residual_matrix(sc, arr_o, mu_o).tobytes() == g_mat.tobytes()
-        assert compute_weights(q_o, prev.x, np.asarray(prev.mu, order=order),
-                               sc).tobytes() == w.tobytes()
+        g_prev_o = residual_matrix(sc, prev.x, np.asarray(prev.mu, order=order))
+        assert compute_weights(q_o, g_prev_o, sc).tobytes() == w.tobytes()
         for g in (g_vec, g_mat):
             want = _mask_zeroed(sc, np.maximum(y + g, 0.0))
             assert step_Y(y_o, g, sc).tobytes() == want.tobytes()

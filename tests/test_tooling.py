@@ -54,16 +54,26 @@ def test_kernel_tool_times_two_trees_in_one_process(capsys):
         assert set(doc["trees"][tree][tool.ORACLE]) == set(tool.ORACLE_KERNELS)
 
 
-def test_kernel_tool_passes_each_tree_its_decision_type():
-    # this tree's slot_update takes raw (x, mu) arrays; a tree whose
-    # slot_update has the older (Q, y_prev, consts) parameters takes a
-    # DecisionVector, so a parent of that kind can be timed beside this one
+def test_kernel_tool_passes_each_tree_its_decision_type(sixnode):
+    # this tree's slot_update takes the previous residual and raw (x, mu)
+    # arrays, and its compute_weights the residual alone; a parent tree whose
+    # slot_update has the older (Q, x_prev, mu_prev, consts) parameters takes
+    # raw arrays in both, and one with (Q, y_prev, consts) a DecisionVector,
+    # so a parent of either kind can be timed beside this one
     tool = _kernel_tool()
-    x, mu = np.array([0.5, 1.0]), np.zeros((8, 2))
-    raw = tool._previous(P, x, mu)
+    x, mu = np.array([0.5, 1.0]), np.full((8, 2), 0.25)
+    prev = tool._previous(P, sixnode, x, mu)
+    assert len(prev) == 3 and prev[1] is x and prev[2] is mu
+    assert prev[0].tobytes() == P.residual_matrix(sixnode, x, mu).tobytes()
+    (g,) = tool._weight_args(prev)
+    assert g is prev[0]
+    raw_tree = types.SimpleNamespace(slot_update=lambda Q, x_prev, mu_prev, consts: None)
+    raw = tool._previous(raw_tree, sixnode, x, mu)
     assert len(raw) == 2 and raw[0] is x and raw[1] is mu
+    assert tool._weight_args(raw) is raw
     old = types.SimpleNamespace(slot_update=lambda Q, y_prev, consts: None,
                                 DecisionVector=P.DecisionVector)
-    (y,) = tool._previous(old, x, mu)
+    (y,) = tool._previous(old, sixnode, x, mu)
     assert isinstance(y, P.DecisionVector)
     assert y.x.tolist() == [0.5, 1.0] and y.mu.tolist() == mu.tolist()
+    assert tool._weight_args((y,)) == (y,)

@@ -23,12 +23,15 @@ per-round values, their spread. rate_phase and project_rows are called as the
 tree's slot_update calls them: rate_lanes with Scenario.utility_shift and the
 SlotConstants rate constants (rate_root, which holds its own np.errstate, in
 a tree without rate_lanes), project_rows with Scenario.forbidden_entries.
-slot_update and compute_weights take the previous decisions as raw (x, mu)
-arrays, or as a DecisionVector in a tree whose slot_update has three
-parameters. decision_faults checks the decisions of the last 4 slots, one
-audit chunk of the grid run; every other kernel is called through a name that
-older trees export too. Trees without Scenario.utility_shift are not
-supported.
+slot_update takes the previous decisions as their residual g and raw
+(x, mu) arrays where it has five parameters, and compute_weights then takes
+g alone; both take raw (x, mu) where slot_update has four parameters, and a
+DecisionVector where it has three. So in a tree of the first kind the
+slot_update and compute_weights rows leave out the residual, which its run
+loop computes once per slot; run_slot compares across the kinds.
+decision_faults checks the decisions of the last 4 slots, one audit chunk of
+the grid run; every other kernel is called through a name that older trees
+export too. Trees without Scenario.utility_shift are not supported.
 
 Array placement still shows inside one process: between trees whose code for
 a kernel is the same, its rows have differed by up to about 20% depending on
@@ -70,13 +73,21 @@ def _import_tree(name: str, src):
     return module
 
 
-def _previous(P, x, mu) -> tuple:
-    """The previous decisions as the tree P's slot_update and compute_weights
-    take them: (x, mu), or (DecisionVector,) where slot_update has three
-    parameters."""
-    if len(inspect.signature(P.slot_update).parameters) == 3:
-        return (P.DecisionVector(x, mu),)
-    return x, mu
+def _previous(P, sc, x, mu) -> tuple:
+    """The previous decisions x, mu on the scenario sc as the tree P's
+    slot_update takes them after Q: (g, x, mu), g their residual, where
+    slot_update has five parameters, (x, mu) where it has four, and
+    (DecisionVector,) where it has three."""
+    n = len(inspect.signature(P.slot_update).parameters)
+    if n == 5:
+        return P.residual_matrix(sc, x, mu), x, mu
+    return (P.DecisionVector(x, mu),) if n == 3 else (x, mu)
+
+
+def _weight_args(prev: tuple) -> tuple:
+    """What compute_weights takes after Q, given _previous's tuple: g alone
+    from (g, x, mu), the tuple itself otherwise."""
+    return prev[:1] if len(prev) == 3 else prev
 
 
 def _states(P, texts: dict):
@@ -95,7 +106,7 @@ def _states(P, texts: dict):
         x, mu = np.zeros(sc.n_sessions), np.zeros((sc.n_links, sc.n_sessions))
         last = []
         for _ in range(STATES[name]):
-            decided = P.slot_update(Q, *_previous(P, x, mu), consts)
+            decided = P.slot_update(Q, *_previous(P, sc, x, mu), consts)
             x, mu = decided[:2] if len(decided) == 3 else (decided[0].x, decided[0].mu)
             Q = Q + P.residual_matrix(sc, x, mu)
             Z, _ = P.step_Z(Z, x, mu, sc)
@@ -109,8 +120,8 @@ def _slot_calls(P, slots, sc, Q, x, mu, Z, consts, chunk) -> dict:
     """{kernel: a call with no arguments} for the package P on one state,
     reached after the given number of slots."""
     net = sc.network
-    prev = _previous(P, x, mu)
-    W = P.compute_weights(Q, *prev, sc)
+    prev = _previous(P, sc, x, mu)
+    W = P.compute_weights(Q, *_weight_args(prev), sc)
     a = mu + (W.take(net.tails, axis=0) - W.take(net.heads, axis=0)) / consts.link_denom
     a_src = consts.a_src
     d = W.take(sc.src_entries) - a_src * x
@@ -129,7 +140,7 @@ def _slot_calls(P, slots, sc, Q, x, mu, Z, consts, chunk) -> dict:
                                                consts.ranks),
         "step_Z": lambda: P.step_Z(Z, x, mu, sc),
         "residual_matrix": lambda: P.residual_matrix(sc, x, mu),
-        "compute_weights": lambda: P.compute_weights(Q, *prev, sc),
+        "compute_weights": lambda: P.compute_weights(Q, *_weight_args(prev), sc),
         "decision_faults": lambda: P.decision_faults(sc, *chunk),
     }
 
