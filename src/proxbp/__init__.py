@@ -3,12 +3,11 @@ running-average optimality gap and slot-uniform queue bounds, plus a
 drift-plus-penalty baseline, scripted queue-model experiments, and a
 certified centralized solver."""
 
-from .net import (CAP_TOL, UTILITY_KINDS, ContractError, DecisionVector,
-                  DomainError, Link, Network, NumericError, Scenario,
-                  ScenarioFormatError, ScenarioValidationError, Session,
-                  Utility, decision_faults, load_scenario, parse_scenario,
-                  residual_matrix, save_scenario, serialize_scenario,
-                  total_utility, validate_decision, zero_decision)
+from .net import (CAP_TOL, UTILITY_KINDS, ContractError, DomainError, Link,
+                  Network, NumericError, Scenario, ScenarioFormatError,
+                  ScenarioValidationError, Session, Utility, decision_faults,
+                  load_scenario, parse_scenario, residual_matrix, save_scenario,
+                  serialize_scenario, total_utility, validate_decision)
 from .projection import ProjectionInstance, project_rows, project_sorted
 from .rates import RateProblem, solve_rate
 from .engine import (ALPHA_MODES, AlgConfig, SlotConstants, compute_weights,

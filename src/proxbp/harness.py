@@ -9,8 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .net import (ContractError, Link, Network, Scenario, Session, Utility, decision_faults,
-                  residual_matrix, total_utility)
+from .net import (_EPS, ContractError, Link, Network, Scenario, Session, Utility,
+                  decision_faults, residual_matrix, total_utility)
 from .engine import AlgConfig, SlotConstants, default_alpha, slot_update
 from .dpp import DppConfig, dpp_slot_update
 from .queues import ScriptedPolicy, audit_queue_bounds, step_Y, step_Z
@@ -18,8 +18,9 @@ from .queues import ScriptedPolicy, audit_queue_bounds, step_Y, step_Z
 CSV_HEADER = "slot,alg,session,x,xbar,util_inst,util_avg,util_jensen,gap,maxQ,maxZ,maxY,lyapunov"
 
 WEIGHT_IDENTITY_TOL = 1e-12
+WEIGHT_IDENTITY_ULPS = 4.0  # see weight_identity_limit
 DRIFT_IDENTITY_TOL = 1e-9
-# the per-slot checks of run() and the largest value each may take
+# the per-slot checks of run() and their largest values; see weight_identity_limit
 CHECK_TOLS = {"weight_identity": WEIGHT_IDENTITY_TOL, "drift_identity": DRIFT_IDENTITY_TOL}
 
 CHUNK_BYTES = 1 << 18  # byte budget of each per-chunk buffer of run()
@@ -144,13 +145,30 @@ def _utilities(scenario: Scenario, x: np.ndarray) -> np.ndarray:
     return util
 
 
+def weight_identity_limit(q_max, q_max_prev):
+    """Largest |W(t) - (2 Q(t) - Q(t-1))| a slot may show, elementwise over
+    max |Q(t)| and max |Q(t-1)|: the smaller of WEIGHT_IDENTITY_TOL and
+    WEIGHT_IDENTITY_ULPS eps M, M the larger of the two (TOL where M is NaN).
+
+    With u = eps / 2, per entry: the loop steps Q(t) = fl(Q(t-1) + g), so
+    Q(t-1) + g = Q(t) / (1 + d1); the engine forms W = (Q(t) + g)(1 + d2) and
+    the check (2 Q(t) - Q(t-1))(1 + d3), |di| <= u. Exactly, their difference
+    is -d1 Q(t) / (1 + d1), and |Q(t) + g|, |2 Q(t) - Q(t-1)| <= 3 M / (1 - u),
+    so they differ by at most 7 u M / (1 - u), 3.5 eps M up to a factor
+    1 + eps; the roundings of that difference and of the limit fit below
+    4 eps M. A settled run handed a stale residual is off by less than
+    1e-12, but by thousands of eps M."""
+    return np.fmin(WEIGHT_IDENTITY_TOL,
+                   WEIGHT_IDENTITY_ULPS * _EPS * np.maximum(q_max, q_max_prev))
+
+
 def run(scenario: Scenario, algorithm: str, config, slots: int, oracle=None) -> Trace:
     """Drive one algorithm for the given number of slots.
 
     Steps all three queue families under the produced decisions and checks
     the invariants of every slot: per-slot feasibility, the drift identity of
-    the signed queues, the weight identity (proximal algorithm only), and the
-    queue bound transfer with B set to the observed max |Q|.
+    the signed queues, the weight identity (proximal algorithm only, to
+    weight_identity_limit) and the queue bound transfer with B = max |Q|.
 
     The slot loop runs only the recursions and stores each slot's decisions,
     residual, queues and weights in (chunk, ...) buffers; chunk_slots sizes
@@ -241,11 +259,13 @@ def run(scenario: Scenario, algorithm: str, config, slots: int, oracle=None) -> 
                 audit_queue_bounds(audit.peak_Y[None], audit.peak_Z[None], b_obs, scenario))
 
     # each check's worst value, and the slot and value of its first violation
+    q_max = np.concatenate((np.zeros(2), audit.max_q))  # max |Q(t)| from t = -1
+    limits = dict(CHECK_TOLS, weight_identity=weight_identity_limit(q_max[1:-1], q_max[:-2]))
     summary = {}
     first = {}
     for name, values in audit.checks.items():
         summary[f"{name}_max"] = float(values.max())
-        bad = ~(values <= CHECK_TOLS[name])
+        bad = ~(values <= limits[name])
         k = int(np.argmax(bad))
         first[name] = (k, float(values[k])) if bad[k] else None
     feas = audit.feas_failures

@@ -323,29 +323,6 @@ class Scenario:
         return _frozen(self.network.out_cap[self.src].copy())
 
 
-@dataclass(frozen=True, eq=False)
-class DecisionVector:
-    """One slot's decisions: source rates x (F,) and link-session rates mu (L, F).
-    Both are stored as read-only float64 copies."""
-
-    x: np.ndarray
-    mu: np.ndarray
-
-    def __post_init__(self):
-        x = _frozen(np.array(self.x, dtype=float))
-        mu = _frozen(np.array(self.mu, dtype=float))
-        if x.ndim != 1 or mu.ndim != 2 or mu.shape[1] != x.shape[0]:
-            raise ScenarioValidationError(
-                f"decision shapes inconsistent: x {x.shape}, mu {mu.shape}")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "mu", mu)
-
-
-def zero_decision(scenario: Scenario) -> DecisionVector:
-    return DecisionVector(np.zeros(scenario.n_sessions),
-                          np.zeros((scenario.n_links, scenario.n_sessions)))
-
-
 CAP_TOL = 1e-9  # absolute slack for capacity feasibility checks
 _EPS = float(np.finfo(float).eps)
 
@@ -394,11 +371,13 @@ def decision_faults(scenario: Scenario, x, mu) -> list:
     return faults
 
 
-def validate_decision(scenario: Scenario, y: DecisionVector):
-    """Raise ScenarioValidationError unless y satisfies the per-slot set constraints."""
-    if y.x.shape != (scenario.n_sessions,) or y.mu.shape != (scenario.n_links, scenario.n_sessions):
+def validate_decision(scenario: Scenario, x, mu):
+    """Raise ScenarioValidationError unless the rates x (F,) and mu (L, F) have
+    the scenario's shapes and satisfy the per-slot set constraints."""
+    x, mu = np.asarray(x, dtype=float), np.asarray(mu, dtype=float)
+    if x.shape != (scenario.n_sessions,) or mu.shape != (scenario.n_links, scenario.n_sessions):
         raise ScenarioValidationError("decision shape does not match scenario")
-    faults = decision_faults(scenario, y.x[None], y.mu[None])
+    faults = decision_faults(scenario, x[None], mu[None])
     if faults:
         raise ScenarioValidationError(faults[0][1])
 

@@ -21,9 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .net import (ContractError, DecisionVector, Scenario, ScenarioValidationError,
-                  bfs_links, require_routable, residual_matrix, total_utility,
-                  validate_decision)
+from .net import (ContractError, Scenario, ScenarioValidationError, _frozen, bfs_links,
+                  require_routable, residual_matrix, total_utility, validate_decision)
 from .engine import default_alpha
 
 NEWTON_TOL = 1e-9     # half the squared Newton decrement that ends a centering
@@ -49,14 +48,15 @@ class OracleError(RuntimeError):
 class OracleSolution:
     """Certified near-optimal point.
 
-    U_star is the utility of the feasible y_star, so the true optimum lies in
-    [U_star, U_star + duality_gap]. lambda_star are nonnegative flow-balance
-    multipliers (zero at destinations); zeta is the alpha-weighted squared
-    decision mass of y_star used by the gap and queue bounds, evaluated at the
-    stored alpha vector.
+    x_star (F,) and mu_star (L, F), read-only float64 arrays, are a feasible
+    point and U_star its utility, so the true optimum lies in [U_star, U_star
+    + duality_gap]. lambda_star are nonnegative flow-balance multipliers
+    (zero at destinations); zeta is the alpha-weighted squared decision mass
+    of that point used by the gap and queue bounds, at the stored alpha.
     """
 
-    y_star: DecisionVector
+    x_star: np.ndarray       # (F,)
+    mu_star: np.ndarray      # (L, F)
     U_star: float
     lambda_star: np.ndarray  # (N, F)
     zeta: float
@@ -136,24 +136,24 @@ def repair_feasible(scenario: Scenario, x, mu):
     return x, out
 
 
-def tighten_to_equality(scenario: Scenario, y: DecisionVector) -> DecisionVector:
-    """Feasible y with its loose flow-balance constraints closed: the link
-    rates and source rates of repair_feasible's path peel.
+def tighten_to_equality(scenario: Scenario, x, mu):
+    """Feasible (x, mu) with its loose flow-balance constraints closed: the
+    link rates and source rates of repair_feasible's path peel.
 
     On a feasible input every active node sends out at least what it takes
     in, so the peel routes all of each x_f on src -> dst paths: flow balance
     holds with equality, rates only decrease and the objective is unchanged.
     Where the remainder is rounding (L eps of x_f or the largest capacity),
-    y.x_f is kept. A larger one, as on a link loaded up to CAP_TOL over its
-    capacity, is rate the peel could not route."""
-    x, mu = repair_feasible(scenario, y.x, y.mu)
-    scale = np.maximum(y.x, scenario.network.caps.max(initial=0.0))
+    the input x_f is kept. A larger one, as on a link loaded up to CAP_TOL
+    over its capacity, is rate the peel could not route."""
+    routed, mu = repair_feasible(scenario, x, mu)
+    scale = np.maximum(x, scenario.network.caps.max(initial=0.0))
     rounding = scenario.n_links * np.finfo(float).eps * scale
-    return DecisionVector(np.where(y.x - x <= rounding, y.x, x), mu)
+    return np.where(x - routed <= rounding, x, routed), mu
 
 
-def compute_zeta(scenario: Scenario, y_star: DecisionVector, alpha) -> float:
-    """Alpha-weighted squared decision mass of y_star.
+def compute_zeta(scenario: Scenario, x, mu, alpha) -> float:
+    """Alpha-weighted squared decision mass of the rates x (F,) and mu (L, F).
 
     Each non-destination (node, session) contributes alpha_n times the squared
     norm of the session's variables incident to n (its rate at the source plus
@@ -163,8 +163,7 @@ def compute_zeta(scenario: Scenario, y_star: DecisionVector, alpha) -> float:
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != (scenario.n_nodes,):
         raise ContractError(f"alpha must have one entry per node, got shape {alpha.shape}")
-    x = np.asarray(y_star.x, dtype=float)
-    mu = np.asarray(y_star.mu, dtype=float)
+    x, mu = np.asarray(x, dtype=float), np.asarray(mu, dtype=float)
     tails = scenario.network.tails
     heads = scenario.network.heads
     total = float(np.sum(alpha[scenario.src] * x * x))
@@ -340,14 +339,14 @@ def solve_centralized(scenario: Scenario, tol: float = 1e-5, alpha=None) -> Orac
             raise failure("the gap bound m / t is below tol / 100")
         t *= 10.0
 
-    y = DecisionVector(best_x, best_mu)
-    validate_decision(scenario, y)
-    g = residual_matrix(scenario, y.x, y.mu)
+    validate_decision(scenario, best_x, best_mu)
+    g = residual_matrix(scenario, best_x, best_mu)
     return OracleSolution(
-        y_star=y,
-        U_star=total_utility(scenario, y.x),
+        x_star=_frozen(best_x),
+        mu_star=_frozen(best_mu),
+        U_star=total_utility(scenario, best_x),
         lambda_star=best_lam,
-        zeta=compute_zeta(scenario, y, alpha),
+        zeta=compute_zeta(scenario, best_x, best_mu, alpha),
         alpha=alpha,
         duality_gap=float(best_dual - best_primal),
         max_violation=float(max(0.0, g.max())),
@@ -369,10 +368,10 @@ def serialize_solution(sol: OracleSolution, scenario: Scenario) -> str:
     ]
     for n, a in enumerate(sol.alpha):
         out.append(f"alpha {n} {float(a)!r}")
-    for f, v in enumerate(sol.y_star.x):
+    for f, v in enumerate(sol.x_star):
         out.append(f"x {f} {float(v)!r}")
     for l, f in zip(*np.nonzero(scenario.allow_mask)):
-        out.append(f"mu {l} {f} {float(sol.y_star.mu[l, f])!r}")
+        out.append(f"mu {l} {f} {float(sol.mu_star[l, f])!r}")
     for n, f in zip(*np.nonzero(scenario.active)):
         out.append(f"lambda {n} {f} {float(sol.lambda_star[n, f])!r}")
     return "\n".join(out) + "\n"
@@ -421,7 +420,8 @@ def parse_solution(text: str, scenario: Scenario) -> OracleSolution:
     if missing:
         raise ContractError(f"report has no {', '.join(missing)} line")
     return OracleSolution(
-        y_star=DecisionVector(arrays["x"], arrays["mu"]),
+        x_star=_frozen(arrays["x"]),
+        mu_star=_frozen(arrays["mu"]),
         U_star=scalars["ustar"],
         lambda_star=arrays["lambda"],
         zeta=scalars["zeta"],

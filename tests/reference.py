@@ -17,10 +17,9 @@ import numpy as np
 
 from proxbp.dpp import dpp_slot_update
 from proxbp.engine import SlotConstants, slot_update
-from proxbp.harness import DRIFT_IDENTITY_TOL, WEIGHT_IDENTITY_TOL, Trace
-from proxbp.net import (ContractError, DecisionVector, DomainError, NumericError,
-                        ScenarioValidationError, residual_matrix, total_utility,
-                        validate_decision)
+from proxbp.harness import DRIFT_IDENTITY_TOL, Trace, weight_identity_limit
+from proxbp.net import (ContractError, DomainError, NumericError, ScenarioValidationError,
+                        residual_matrix, total_utility, validate_decision)
 from proxbp.queues import audit_queue_bounds, step_Q, step_Y, step_Z
 
 
@@ -174,6 +173,7 @@ def run_per_slot(scenario, algorithm, config, slots, oracle=None) -> Trace:
     Q = np.zeros((n_n, n_f))
 
     weight_err = 0.0
+    weight_ok = True
     drift_err = 0.0
     feas_failures = []
     peak_Y = np.zeros((n_n, n_f))
@@ -191,7 +191,10 @@ def run_per_slot(scenario, algorithm, config, slots, oracle=None) -> Trace:
             x, mu, W = slot_update(Q, residual_matrix(scenario, x, mu), x, mu, consts)
             ident = 2.0 * Q - q_prev
             ident[~scenario.active] = 0.0
-            weight_err = max(weight_err, float(np.max(np.abs(W - ident))))
+            err = float(np.max(np.abs(W - ident)))
+            weight_err = max(weight_err, err)
+            weight_ok &= bool(err <= weight_identity_limit(np.max(np.abs(Q)),
+                                                           np.max(np.abs(q_prev))))
             q_prev = Q
         else:
             x, mu = dpp_slot_update(dpp_Q, scenario, config)
@@ -201,7 +204,7 @@ def run_per_slot(scenario, algorithm, config, slots, oracle=None) -> Trace:
         q_before = Q
         lyap_before = lyap_after
         try:
-            validate_decision(scenario, DecisionVector(x, mu))
+            validate_decision(scenario, x, mu)
         except ScenarioValidationError as e:
             feas_failures.append((t, str(e)))
         Y = step_Y(Y, g, scenario)
@@ -242,7 +245,7 @@ def run_per_slot(scenario, algorithm, config, slots, oracle=None) -> Trace:
         "observed_max_abs_q": b_obs,
     }
     summary["passed"] = (
-        weight_err <= WEIGHT_IDENTITY_TOL
+        weight_ok
         and drift_err <= DRIFT_IDENTITY_TOL
         and not feas_failures
         and not transfer

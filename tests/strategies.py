@@ -71,7 +71,7 @@ def scenarios(draw, allow=("full", "mixed")):
 
 @st.composite
 def slot_cases(draw):
-    """(scenario, Q, y_prev, config) for one proximal slot from arbitrary
+    """(scenario, Q, x_prev, mu_prev, config) for one proximal slot from arbitrary
     queues and previous decisions. Half of the cases are coarse, which makes
     tied projection inputs common."""
     sc = draw(scenarios())
@@ -81,4 +81,4 @@ def slot_cases(draw):
     x_prev = arrays(draw, (f,), (0.0, 0.5, 1.0), 0.0, 3.0, coarse)
     mu_prev = arrays(draw, (l, f), (0.0, 0.25, 0.5), 0.0, 2.0, coarse)
     alpha = arrays(draw, (n,), (0.5, 1.0, 4.5, 12.5), 0.1, 20.0, coarse)
-    return sc, q, P.DecisionVector(x_prev, mu_prev), P.AlgConfig(alpha)
+    return sc, q, x_prev, mu_prev, P.AlgConfig(alpha)

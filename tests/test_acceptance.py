@@ -197,13 +197,13 @@ def test_running_utility_gap_bound(gap_runs):
         if name == "singlelink":
             # analytic optimum: one unit-capacity link, log utility
             u_ref = 0.0
-            y_ref = P.DecisionVector(np.array([1.0]), np.array([[1.0]]))
+            x_ref, mu_ref = np.array([1.0]), np.array([[1.0]])
         else:
             ok = ok and sol.duality_gap <= 1e-5
             u_ref = sol.U_star
-            y_ref = sol.y_star
+            x_ref, mu_ref = sol.x_star, sol.mu_star
         alpha = P.default_alpha(sc.network, "utility-gap")
-        zeta = P.compute_zeta(sc, y_ref, alpha)
+        zeta = P.compute_zeta(sc, x_ref, mu_ref, alpha)
         bound = zeta / np.arange(1.0, tr.slots + 1.0) + 2e-5
         gap_avg = u_ref - tr.util_avg
         gap_jen = u_ref - tr.util_jensen
@@ -228,7 +228,7 @@ def test_signed_and_physical_queue_bounds(soak_runs):
     for name in ("singlelink", "sixnode"):
         sc, sol, tr = soak_runs[name]
         alpha = P.default_alpha(sc.network, "queue-bound")
-        zeta = P.compute_zeta(sc, sol.y_star, alpha)
+        zeta = P.compute_zeta(sc, sol.x_star, sol.mu_star, alpha)
         lam = float(np.linalg.norm(sol.lambda_star))
         q_limit = 2.0 * lam + math.sqrt(2.0 * zeta)
         q_peak = float(tr.maxQ.max())
@@ -300,14 +300,13 @@ def test_centralized_oracle_certification(singlelink, sixnode,
                           ("sixnode", sixnode, sixnode_sol)):
         grid_dev = abs(sol.U_star - grid_best_utility(sc))
         # slack removal on a deliberately loose feasible point
-        loose = P.DecisionVector(0.8 * sol.y_star.x, sol.y_star.mu)
-        before = P.total_utility(sc, loose.x)
-        tight = P.tighten_to_equality(sc, loose)
-        drift = abs(P.total_utility(sc, tight.x) - before)
-        resid = P.residual_matrix(sc, tight.x, tight.mu)
+        loose_x = 0.8 * sol.x_star
+        before = P.total_utility(sc, loose_x)
+        tight_x, tight_mu = P.tighten_to_equality(sc, loose_x, sol.mu_star)
+        drift = abs(P.total_utility(sc, tight_x) - before)
+        resid = P.residual_matrix(sc, tight_x, tight_mu)
         worst_res = float(np.abs(resid[sc.active]).max())
-        retight = P.tighten_to_equality(sc, sol.y_star)
-        re_res = P.residual_matrix(sc, retight.x, retight.mu)
+        re_res = P.residual_matrix(sc, *P.tighten_to_equality(sc, sol.x_star, sol.mu_star))
         worst_res = max(worst_res, float(np.abs(re_res[sc.active]).max()))
         ok = (ok and sol.duality_gap <= 1e-5 and grid_dev <= 2e-2
               and drift <= 1e-12 and worst_res <= 1e-9)

@@ -101,18 +101,18 @@ def test_default_rate_cap_is_source_out_capacity(sixnode):
 
 def _advance(Y, scenario, config):
     """One DPP slot as the harness runs it: decide from the clipped queues Y,
-    then step Y by the decisions' residual."""
+    then step Y by the decisions' residual. Returns x, mu and the next Y."""
     x, mu = dpp_slot_update(Y, scenario, config)
-    return P.DecisionVector(x, mu), P.step_Y(Y, P.residual_matrix(scenario, x, mu), scenario)
+    return x, mu, P.step_Y(Y, P.residual_matrix(scenario, x, mu), scenario)
 
 
 def test_decision_queues_stay_nonnegative(sixnode):
     cfg = DppConfig(V=25.0)
     Y = np.zeros((6, 2))
     for _ in range(200):
-        y, Y = _advance(Y, sixnode, cfg)
+        x, mu, Y = _advance(Y, sixnode, cfg)
         assert np.all(Y >= 0)
-        P.validate_decision(sixnode, y)
+        P.validate_decision(sixnode, x, mu)
 
 
 def test_higher_v_means_higher_queues(sixnode):
@@ -122,7 +122,7 @@ def test_higher_v_means_higher_queues(sixnode):
         Y = np.zeros((6, 2))
         tot = 0.0
         for _ in range(800):
-            _, Y = _advance(Y, sixnode, cfg)
+            *_, Y = _advance(Y, sixnode, cfg)
             tot += float(Y.sum())
         masses.append(tot)
     assert masses[1] > masses[0]

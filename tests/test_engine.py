@@ -34,29 +34,28 @@ def test_alg_config_validation():
 
 def _slots(scenario, config, count):
     """The first count slots of a proximal run from zero queues, as
-    (Q(t), y(t-1), y(t), W(t)). Q steps by the residual of each slot's
-    decisions, and the next slot reads that residual, as in run()."""
+    (Q(t), (x, mu)(t-1), (x, mu)(t), W(t)). Q steps by the residual of each
+    slot's decisions, and the next slot reads that residual, as in run()."""
     consts = SlotConstants(scenario, config)
     q = g = np.zeros((scenario.n_nodes, scenario.n_sessions))
-    y_prev = P.zero_decision(scenario)
+    prev = np.zeros(scenario.n_sessions), np.zeros((scenario.n_links, scenario.n_sessions))
     for _ in range(count):
-        x, mu, w = slot_update(q, g, y_prev.x, y_prev.mu, consts)
-        y = P.DecisionVector(x, mu)
-        yield q, y_prev, y, w
-        g = P.residual_matrix(scenario, y.x, y.mu)
+        x, mu, w = slot_update(q, g, *prev, consts)
+        yield q, prev, (x, mu), w
+        g = P.residual_matrix(scenario, x, mu)
         q = P.step_Q(q, g)
-        y_prev = y
+        prev = x, mu
 
 
 def test_weights_are_queue_plus_residual(singlelink):
     cfg = P.AlgConfig(np.array([1.0, 1.0]))
-    (_, _, y0, w0), (q1, y_prev, _, w1) = _slots(singlelink, cfg, 2)
+    (_, _, (x0, mu0), w0), (q1, (x_prev, mu_prev), _, w1) = _slots(singlelink, cfg, 2)
     # first slot: W = 0, so the source solves max log x - x^2 at 1/sqrt(2)
     assert not w0.any()
-    assert abs(y0.x[0] - 1.0 / math.sqrt(2.0)) < 1e-12
-    assert y0.mu[0, 0] == 0.0
-    assert y_prev is y0
-    g0 = P.residual_matrix(singlelink, y0.x, y0.mu)
+    assert abs(x0[0] - 1.0 / math.sqrt(2.0)) < 1e-12
+    assert mu0[0, 0] == 0.0
+    assert x_prev is x0 and mu_prev is mu0
+    g0 = P.residual_matrix(singlelink, x0, mu0)
     assert np.max(np.abs(w1 - (q1 + g0))) < 1e-15
     assert w1[1, 0] == 0.0  # destination weight pinned
     assert w1.tobytes() == compute_weights(q1, g0, singlelink).tobytes()
@@ -110,16 +109,16 @@ def test_forbidden_sessions_stay_zero():
         "session 0 0 2 wlog 1.0\nsession 1 0 1 wlog 1.0\n"
         "allow 2 0\n")
     cfg = P.AlgConfig(default_alpha(sc.network, "utility-gap"))
-    for _, _, y, _ in _slots(sc, cfg, 30):
-        assert y.mu[2, 1] == 0.0
-        P.validate_decision(sc, y)
+    for _, _, (x, mu), _ in _slots(sc, cfg, 30):
+        assert mu[2, 1] == 0.0
+        P.validate_decision(sc, x, mu)
 
 
 def test_singlelink_converges_to_unit_rate(singlelink):
     cfg = P.AlgConfig(default_alpha(singlelink.network, "utility-gap"))
-    *_, (_, _, y, _) = _slots(singlelink, cfg, 3000)
-    assert abs(y.x[0] - 1.0) < 1e-3
-    assert abs(y.mu[0, 0] - 1.0) < 1e-3
+    *_, (_, _, (x, mu), _) = _slots(singlelink, cfg, 3000)
+    assert abs(x[0] - 1.0) < 1e-3
+    assert abs(mu[0, 0] - 1.0) < 1e-3
 
 
 def test_joint_slot_objective_optimality(singlelink):
@@ -128,15 +127,15 @@ def test_joint_slot_objective_optimality(singlelink):
     # over x > 0, 0 <= mu <= 1. Verify on a 2-d grid after a few slots.
     alpha = np.array([1.0, 1.0])
     cfg = P.AlgConfig(alpha)
-    *_, (_, y_prev, y, w) = _slots(singlelink, cfg, 5)
-    xp, mup = y_prev.x[0], y_prev.mu[0, 0]
+    *_, (_, (x_prev, mu_prev), (x, mu), w) = _slots(singlelink, cfg, 5)
+    xp, mup = x_prev[0], mu_prev[0, 0]
 
     def joint(xv, mv):
         return (math.log(xv) - w[0, 0] * (xv - mv)
                 - alpha[0] * ((xv - xp) ** 2 + (mv - mup) ** 2)
                 - alpha[1] * (mv - mup) ** 2)
 
-    best = joint(y.x[0], y.mu[0, 0])
+    best = joint(x[0], mu[0, 0])
     for xv in np.arange(0.01, 2.0, 0.01):
         for mv in np.arange(0.0, 1.0 + 1e-12, 0.01):
             assert joint(xv, mv) <= best + 1e-6
@@ -146,17 +145,17 @@ def test_state_is_deterministic(sixnode):
     cfg = P.AlgConfig(default_alpha(sixnode.network, "queue-bound"))
     runs = []
     for _ in range(2):
-        runs.append(np.array([y.x for _, _, y, _ in _slots(sixnode, cfg, 50)]))
+        runs.append(np.array([x for _, _, (x, _), _ in _slots(sixnode, cfg, 50)]))
     assert np.array_equal(runs[0], runs[1])
 
 
-def _scalar_slot(W, y_prev, scenario, config):
+def _scalar_slot(W, x_prev, mu_prev, scenario, config):
     """slot_update's decisions from the scalar references: solve_rate per
     source and link_update per link."""
     alpha = config.alpha
-    x = np.array([solve_rate(RateProblem(s.utility, W[s.src, f], y_prev.x[f], alpha[s.src]))
+    x = np.array([solve_rate(RateProblem(s.utility, W[s.src, f], x_prev[f], alpha[s.src]))
                   for f, s in enumerate(scenario.sessions)])
-    mu = np.array([link_update(l, W, alpha, y_prev.mu, scenario)
+    mu = np.array([link_update(l, W, alpha, mu_prev, scenario)
                    for l in range(scenario.n_links)])
     return x, mu
 
@@ -164,12 +163,12 @@ def _scalar_slot(W, y_prev, scenario, config):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(case=slot_cases())
 def test_batched_slot_matches_scalar_reference(case):
-    scenario, q, y_prev, config = case
-    g_prev = P.residual_matrix(scenario, y_prev.x, y_prev.mu)
-    y_x, y_mu, w = slot_update(q, g_prev, y_prev.x, y_prev.mu, SlotConstants(scenario, config))
+    scenario, q, x_prev, mu_prev, config = case
+    g_prev = P.residual_matrix(scenario, x_prev, mu_prev)
+    y_x, y_mu, w = slot_update(q, g_prev, x_prev, mu_prev, SlotConstants(scenario, config))
     # the weights returned are the ones the decisions were computed from
     assert w.tobytes() == compute_weights(q, g_prev, scenario).tobytes()
-    x, mu = _scalar_slot(w, y_prev, scenario, config)
+    x, mu = _scalar_slot(w, x_prev, mu_prev, scenario, config)
     assert y_x.tobytes() == x.tobytes()
     if all(len(a) == scenario.n_sessions for a in scenario.allowed):
         assert y_mu.tobytes() == mu.tobytes()

@@ -324,13 +324,13 @@ def test_overcapacity_decision_is_reported_at_its_slot(sixnode, monkeypatch, tmp
     def overload(x, mu, W, scenario):
         mu = mu.copy()
         mu[0, 0] = scenario.network.caps[0] + 0.5  # sixnode lets session 0 use link 0
-        injected.append(P.DecisionVector(x, mu))
+        injected.append((x, mu))
         return x, mu, W
 
     _inject(monkeypatch, k, overload)
     tr = P.run(sixnode, "new", _config(sixnode, "new"), slots)
     with pytest.raises(P.ScenarioValidationError) as err:
-        P.validate_decision(sixnode, injected[0])
+        P.validate_decision(sixnode, *injected[0])
     assert tr.summary["feasibility_violations"] == [(k, str(err.value))]
     assert tr.summary["first_violation"]["feasibility"] == (k, str(err.value))
     assert tr.summary["passed"] is False
@@ -431,31 +431,38 @@ def test_perturbed_engine_residual_fails_the_weight_identity(sixnode, monkeypatc
 
 
 @pytest.mark.parametrize("chunk", (3, None))
-@pytest.mark.parametrize("mode", ("stale", "zeros"))
+@pytest.mark.parametrize("mode", ("stale", "zeros", "settled"))
 def test_wrong_residual_handed_to_the_engine_fails_the_weight_identity(sixnode, monkeypatch,
                                                                        mode, chunk):
     # from slot 4 on, a loop that hands slot_update the residual of two slots
     # back, or zeros, in place of the one that stepped Q: the weight identity
     # fails at the first slot where the two differ. Slot 4 is in the second
-    # chunk of 3 slots.
+    # chunk of 3 slots. "settled" hands the stale residual from slot 2048 on,
+    # the first slot of the second default chunk, where the run has settled:
+    # it is off by less than 1e-12 there, but by thousands of eps max |Q|.
+    # Each run ends at the slot that gets the first wrong residual.
     monkeypatch.setattr(harness, "CHUNK_BYTES", _chunk_bytes(sixnode, chunk))
+    start = 2048 if mode == "settled" else 4
     real = harness.slot_update
     handed, stepped = [], []
 
     def wrong(Q, g_prev, x_prev, mu_prev, consts):
         g = g_prev
-        if len(stepped) >= 4:
+        if len(stepped) >= start:
             g = np.zeros_like(g_prev) if mode == "zeros" else stepped[-1]
         stepped.append(g_prev)
         handed.append(g)
         return real(Q, g, x_prev, mu_prev, consts)
 
     monkeypatch.setattr(harness, "slot_update", wrong)
-    tr = P.run(sixnode, "new", _config(sixnode, "new"), 8)
+    tr = P.run(sixnode, "new", _config(sixnode, "new"), start + 1)
     first = next(t for t, (h, g) in enumerate(zip(handed, stepped)) if not np.array_equal(h, g))
-    assert first == 4
+    assert first == start
     slot, value = tr.summary["first_violation"]["weight_identity"]
-    assert slot == first and value > harness.WEIGHT_IDENTITY_TOL
+    # max |Q(t)| and max |Q(t-1)| are the maxQ of the two slots before
+    limit = harness.weight_identity_limit(tr.maxQ[first - 1], tr.maxQ[first - 2])
+    assert slot == first and value > limit
+    assert (value < harness.WEIGHT_IDENTITY_TOL) == (mode == "settled")
     assert tr.summary["passed"] is False
 
 

@@ -11,18 +11,18 @@ from strategies import arrays, scenarios
 import proxbp as P
 
 
-def flow_residual(scenario, f, n, y):
+def flow_residual(scenario, f, n, x, mu):
     """Scalar reference for residual_matrix: the signed flow-balance residual
-    of session f at node n for decisions y."""
+    of session f at node n for the decisions x, mu."""
     s = scenario.sessions[f]
     if n == s.dst:
         raise P.ContractError(f"node {n} is the destination of session {f}, no flow-balance constraint")
     net = scenario.network
-    tot = float(y.x[f]) if n == s.src else 0.0
+    tot = float(x[f]) if n == s.src else 0.0
     for l in net.in_links[n]:
-        tot += float(y.mu[l, f])
+        tot += float(mu[l, f])
     for l in net.out_links[n]:
-        tot -= float(y.mu[l, f])
+        tot -= float(mu[l, f])
     return tot
 
 
@@ -156,15 +156,15 @@ def test_residual_matrix_is_linear(sixnode):
 
 def test_flow_residual_matches_matrix(sixnode):
     rng = np.random.default_rng(3)
-    y = P.DecisionVector(rng.uniform(0, 2, 2), rng.uniform(0, 1, (8, 2)))
-    g = residual_both_forms(sixnode, y.x, y.mu)
+    x, mu = rng.uniform(0, 2, 2), rng.uniform(0, 1, (8, 2))
+    g = residual_both_forms(sixnode, x, mu)
     for f in range(2):
         for n in range(6):
             if n == sixnode.sessions[f].dst:
                 with pytest.raises(P.ContractError):
-                    flow_residual(sixnode, f, n, y)
+                    flow_residual(sixnode, f, n, x, mu)
             else:
-                assert abs(flow_residual(sixnode, f, n, y) - g[n, f]) < 1e-12
+                assert abs(flow_residual(sixnode, f, n, x, mu) - g[n, f]) < 1e-12
 
 
 def test_total_utility(sixnode):
@@ -218,49 +218,37 @@ def test_total_utility_of_a_vector_raises_the_utility_value_error(sixnode):
     assert str(got.value) == "wlog1p utility undefined at x=-1e-300"
 
 
-def test_decision_vector_is_read_only(singlelink):
-    y = P.zero_decision(singlelink)
-    with pytest.raises(ValueError):
-        y.x[0] = 1.0
-    with pytest.raises(P.ScenarioValidationError):
-        P.DecisionVector(np.zeros(2), np.zeros((3, 1)))
-
-
-def test_decision_vector_copies_its_input():
-    x, mu = np.ones(2), np.ones((3, 2))
-    y = P.DecisionVector(x, mu)
-    x[0] = mu[0, 0] = 5.0
-    assert y.x.tolist() == [1.0, 1.0] and y.mu[0].tolist() == [1.0, 1.0]
-    assert y.x is not x and y.mu is not mu
-    # read-only input is copied too: a read-only view's base could still change
-    x.setflags(write=False)
-    view = np.ones((3, 2))[:, :]
-    view.setflags(write=False)
-    y = P.DecisionVector(x, view)
-    assert y.x is not x and y.mu is not view
-    assert y.x.dtype == y.mu.dtype == np.float64
-
-
 def test_validate_decision_catches_violations(sixnode):
-    ok = P.DecisionVector(np.array([0.5, 0.5]), np.full((8, 2), 0.25))
-    P.validate_decision(sixnode, ok)
+    P.validate_decision(sixnode, np.array([0.5, 0.5]), np.full((8, 2), 0.25))
+    P.validate_decision(sixnode, [0.5, 0.5], np.full((8, 2), 0.25).tolist())  # array-likes
+    mismatched = [
+        (np.zeros(2), np.zeros((8, 3))),  # x and mu disagree on F
+        (np.zeros(3), np.zeros((8, 3))),  # they agree, but the scenario has F = 2
+        (np.zeros(2), np.zeros((7, 2))),  # one link short
+        (np.zeros((1, 2)), np.zeros((8, 2))),
+        (np.zeros(2), np.zeros(16)),
+    ]
+    for x, mu in mismatched:
+        with pytest.raises(P.ScenarioValidationError,
+                           match="^decision shape does not match scenario$"):
+            P.validate_decision(sixnode, x, mu)
     with pytest.raises(P.ScenarioValidationError):
-        P.validate_decision(sixnode, P.DecisionVector(np.array([-0.1, 0.5]), np.zeros((8, 2))))
+        P.validate_decision(sixnode, np.array([-0.1, 0.5]), np.zeros((8, 2)))
     with pytest.raises(P.ScenarioValidationError):
         bad_mu = np.zeros((8, 2))
         bad_mu[0, 0] = -0.2
-        P.validate_decision(sixnode, P.DecisionVector(np.array([0.1, 0.1]), bad_mu))
+        P.validate_decision(sixnode, np.array([0.1, 0.1]), bad_mu)
     with pytest.raises(P.ScenarioValidationError,
                        match=r"^link 0 overloaded: load 1\.2 exceeds capacity 1\.0$"):
         over = np.full((8, 2), 0.6)  # every link loaded at 1.2 > 1
-        P.validate_decision(sixnode, P.DecisionVector(np.array([0.1, 0.1]), over))
+        P.validate_decision(sixnode, np.array([0.1, 0.1]), over)
     # a load of exactly capacity + CAP_TOL passes, the next float above fails
     tiny = P.parse_scenario("nodes 2\nlink 0 1 1e-9\nsession 0 0 1 wlog 1.0\n")
     assert 2e-9 - 1e-9 == P.CAP_TOL
-    P.validate_decision(tiny, P.DecisionVector(np.zeros(1), np.array([[2e-9]])))
+    P.validate_decision(tiny, np.zeros(1), np.array([[2e-9]]))
     with pytest.raises(P.ScenarioValidationError, match="^link 0 overloaded"):
         load = np.nextafter(2e-9, 1.0)
-        P.validate_decision(tiny, P.DecisionVector(np.zeros(1), np.array([[load]])))
+        P.validate_decision(tiny, np.zeros(1), np.array([[load]]))
 
 
 def test_validate_decision_forbidden_pair(relay):
@@ -275,7 +263,7 @@ def test_validate_decision_forbidden_pair(relay):
     bad_mu = np.zeros((2, 2))
     bad_mu[1, 1] = 0.1
     with pytest.raises(P.ScenarioValidationError):
-        P.validate_decision(restricted, P.DecisionVector(np.array([0.0, 0.0]), bad_mu))
+        P.validate_decision(restricted, np.array([0.0, 0.0]), bad_mu)
 
 
 def _slot_faults(scenario, x, mu):
@@ -364,13 +352,12 @@ def test_decision_faults_match_the_per_slot_check(case):
     assert faults == _slot_faults(sc, x, mu)
     messages = dict(faults)
     for t in range(x.shape[0]):
-        y = P.DecisionVector(x[t], mu[t])
         if t in messages:
             with pytest.raises(P.ScenarioValidationError) as err:
-                P.validate_decision(sc, y)
+                P.validate_decision(sc, x[t], mu[t])
             assert str(err.value) == messages[t]
         else:
-            P.validate_decision(sc, y)
+            P.validate_decision(sc, x[t], mu[t])
 
 
 # --- scenario document format ---

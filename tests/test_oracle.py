@@ -19,7 +19,7 @@ from proxbp.oracle import (OracleError, compute_zeta, dual_value, repair_feasibl
 def test_singlelink_analytic_optimum(singlelink, singlelink_sol):
     sol = singlelink_sol
     assert abs(sol.U_star - 0.0) <= 1e-5
-    assert abs(sol.y_star.x[0] - 1.0) <= 1e-4
+    assert abs(sol.x_star[0] - 1.0) <= 1e-4
     assert sol.duality_gap <= 1e-5
     assert sol.max_violation <= 1e-9
     assert sol.weak_duality_margin >= -1e-9
@@ -35,14 +35,14 @@ def test_wider_link_scales_the_optimum():
     sc = P.parse_scenario("nodes 2\nlink 0 1 2.0\nsession 0 0 1 wlog 1.0\n")
     sol = solve_centralized(sc, tol=1e-6)
     assert abs(sol.U_star - math.log(2.0)) <= 1e-6
-    assert abs(sol.y_star.x[0] - 2.0) <= 1e-4
+    assert abs(sol.x_star[0] - 2.0) <= 1e-4
     assert abs(sol.lambda_star[0, 0] - 0.5) <= 5e-2
 
 
 def test_relay_multipliers_reflect_bottleneck(relay):
     sol = solve_centralized(relay, tol=1e-6)
     assert abs(sol.U_star - math.log(0.5)) <= 1e-6
-    assert abs(sol.y_star.x[0] - 0.5) <= 1e-4
+    assert abs(sol.x_star[0] - 0.5) <= 1e-4
     # marginal value of relaxing flow balance anywhere on the path is U'(0.5)
     assert abs(sol.lambda_star[0, 0] - 2.0) <= 1e-1
     assert abs(sol.lambda_star[1, 0] - 2.0) <= 1e-1
@@ -56,8 +56,8 @@ def test_sixnode_certified_and_matches_grid(sixnode, sixnode_sol):
     best = grid_best_utility(sixnode)
     assert abs(sol.U_star - best) <= 2e-2
     # the optimum trades the shared link: rates near (1.2, 1.8)
-    assert abs(sol.y_star.x[0] - 1.2) <= 2e-2
-    assert abs(sol.y_star.x[1] - 1.8) <= 2e-2
+    assert abs(sol.x_star[0] - 1.2) <= 2e-2
+    assert abs(sol.x_star[1] - 1.8) <= 2e-2
 
 
 def test_singlelink_matches_grid(singlelink, singlelink_sol):
@@ -72,8 +72,8 @@ def test_wlog1p_session_can_idle():
         "session 0 0 1 wlog 1.0\nsession 1 0 1 wlog1p 0.2\n")
     sol = solve_centralized(sc, tol=1e-6)
     # KKT: log session alone prices the link at 1.0 > 0.2 = the log1p marginal
-    assert abs(sol.y_star.x[0] - 1.0) <= 1e-3
-    assert sol.y_star.x[1] <= 1e-3
+    assert abs(sol.x_star[0] - 1.0) <= 1e-3
+    assert sol.x_star[1] <= 1e-3
     assert abs(sol.U_star - grid_best_utility(sc)) <= 2e-2
 
 
@@ -133,8 +133,8 @@ def test_dual_value_upper_bounds_feasible_utilities(sixnode, sixnode_sol):
 def test_lagrangian_certificate_at_solution(sixnode, sixnode_sol):
     # U(y*) + lam* . (-g(y*)) cannot exceed the dual value at lam*
     sol = sixnode_sol
-    g = P.residual_matrix(sixnode, sol.y_star.x, sol.y_star.mu)
-    lagr = P.total_utility(sixnode, sol.y_star.x) - float(np.sum(sol.lambda_star * g))
+    g = P.residual_matrix(sixnode, sol.x_star, sol.mu_star)
+    lagr = P.total_utility(sixnode, sol.x_star) - float(np.sum(sol.lambda_star * g))
     assert lagr <= dual_value(sixnode, sol.lambda_star) + 1e-9
 
 
@@ -144,8 +144,7 @@ def test_repair_produces_feasible_points(sixnode):
         x = rng.uniform(0.0, 4.0, 2)
         mu = rng.normal(0.0, 1.0, (8, 2))
         xr, mur = repair_feasible(sixnode, x, mu)
-        y = P.DecisionVector(xr, mur)
-        P.validate_decision(sixnode, y)
+        P.validate_decision(sixnode, xr, mur)
         g = P.residual_matrix(sixnode, xr, mur)
         assert float(g.max()) <= 1e-12
 
@@ -154,14 +153,14 @@ def test_repair_keeps_feasible_points_exactly(sixnode, sixnode_sol):
     # feasible inputs: the optimum with its rates scaled down, and repaired
     # random points with theirs scaled down
     rng = np.random.default_rng(12)
-    points = [(s * sixnode_sol.y_star.x, sixnode_sol.y_star.mu) for s in (1.0, 0.5, 0.25)]
+    points = [(s * sixnode_sol.x_star, sixnode_sol.mu_star) for s in (1.0, 0.5, 0.25)]
     for _ in range(20):
         xr, mur = repair_feasible(sixnode, rng.uniform(0.0, 4.0, 2), rng.uniform(0.0, 1.0, (8, 2)))
         points.append((0.7 * xr, mur))
     for x, mu in points:
         xr, mur = repair_feasible(sixnode, x, mu)
         assert np.array_equal(xr, x)
-        P.validate_decision(sixnode, P.DecisionVector(xr, mur))
+        P.validate_decision(sixnode, xr, mur)
         g = P.residual_matrix(sixnode, xr, mur)
         assert float(np.abs(g[sixnode.active]).max()) <= 1e-12
 
@@ -170,11 +169,11 @@ def test_tighten_preserves_objective_and_closes_slack(relay):
     # loose feasible points: source sends 0.3, both links carry more, by
     # much or by less than a slack tolerance of 1e-9 would notice
     for carried in (0.5, 0.3 + 5e-10):
-        y = P.DecisionVector(np.array([0.3]), np.array([[carried], [carried]]))
-        assert float(P.residual_matrix(relay, y.x, y.mu).max()) <= 0
-        tight = tighten_to_equality(relay, y)
-        assert tight.x[0] == y.x[0]
-        g = P.residual_matrix(relay, tight.x, tight.mu)
+        x, mu = np.array([0.3]), np.array([[carried], [carried]])
+        assert float(P.residual_matrix(relay, x, mu).max()) <= 0
+        tight_x, tight_mu = tighten_to_equality(relay, x, mu)
+        assert tight_x[0] == x[0]
+        g = P.residual_matrix(relay, tight_x, tight_mu)
         assert float(np.abs(g[relay.active]).max()) <= 1e-12
 
 
@@ -183,32 +182,30 @@ def test_tighten_drops_junk_relay_flow():
     sc = P.parse_scenario(
         "nodes 4\nlink 0 1 1.0\nlink 1 2 1.0\nlink 1 3 1.0\n"
         "session 0 0 2 wlog 1.0\n")
-    y = P.DecisionVector(np.array([0.4]), np.array([[0.6], [0.6], [0.0]]))
-    tight = tighten_to_equality(sc, y)
-    g = P.residual_matrix(sc, tight.x, tight.mu)
+    tight_x, tight_mu = tighten_to_equality(sc, np.array([0.4]), np.array([[0.6], [0.6], [0.0]]))
+    g = P.residual_matrix(sc, tight_x, tight_mu)
     assert float(np.abs(g[sc.active]).max()) <= 1e-9
-    assert abs(tight.mu[0, 0] - 0.4) <= 1e-12
-    assert abs(tight.mu[1, 0] - 0.4) <= 1e-12
+    assert abs(tight_mu[0, 0] - 0.4) <= 1e-12
+    assert abs(tight_mu[1, 0] - 0.4) <= 1e-12
 
 
 def test_tighten_is_idempotent(relay):
-    y = P.DecisionVector(np.array([0.3]), np.array([[0.9], [0.5]]))
-    once = tighten_to_equality(relay, y)
-    twice = tighten_to_equality(relay, once)
-    assert np.array_equal(once.x, twice.x)
-    assert np.array_equal(once.mu, twice.mu)
+    once = tighten_to_equality(relay, np.array([0.3]), np.array([[0.9], [0.5]]))
+    twice = tighten_to_equality(relay, *once)
+    assert np.array_equal(once[0], twice[0])
+    assert np.array_equal(once[1], twice[1])
 
 
 @st.composite
 def _loose_points(draw):
-    """(scenario, y): a repaired random point with its source rates scaled
+    """(scenario, x, mu): a repaired random point with its source rates scaled
     by 1, 0.8 or 0.3, so feasible and, below 1, loose at the sources."""
     sc = draw(scenarios())
     x = arrays(draw, (sc.n_sessions,), (0.5, 1.0, 3.0), 0.1, 3.0, draw(st.booleans()))
     mu = arrays(draw, (sc.n_links, sc.n_sessions), (0.0, 0.25, 1.0), 0.0, 2.0,
                 draw(st.booleans()))
     xr, mur = repair_feasible(sc, x, mu)
-    return sc, P.DecisionVector(draw(st.sampled_from((1.0, 0.8, 0.3))) * xr, mur)
+    return sc, draw(st.sampled_from((1.0, 0.8, 0.3))) * xr, mur
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -216,40 +213,39 @@ def _loose_points(draw):
 # a link loaded 5e-10 over its capacity passes validate_decision, but the
 # repair scales it down, so the peel cannot route all of x
 @example(case=(P.parse_scenario("nodes 2\nlink 0 1 1.0\nsession 0 0 1 wlog 1.0\n"),
-               P.DecisionVector(np.array([1.0 + 5e-10]), np.array([[1.0 + 5e-10]]))))
+               np.array([1.0 + 5e-10]), np.array([[1.0 + 5e-10]])))
 def test_tighten_closes_every_loose_point(case):
-    sc, y = case
-    P.validate_decision(sc, y)
-    tight = tighten_to_equality(sc, y)
+    sc, x, mu = case
+    P.validate_decision(sc, x, mu)
+    tight_x, tight_mu = tighten_to_equality(sc, x, mu)
     # x is kept bitwise unless a link carries more than 1e-12 over its capacity
-    if (y.mu.sum(axis=1) - sc.network.caps <= 1e-12).all():
-        assert tight.x.tobytes() == y.x.tobytes()
-    assert (tight.x <= y.x).all()
-    assert (tight.mu <= y.mu).all()
-    P.validate_decision(sc, tight)
-    g = P.residual_matrix(sc, tight.x, tight.mu)
+    if (mu.sum(axis=1) - sc.network.caps <= 1e-12).all():
+        assert tight_x.tobytes() == x.tobytes()
+    assert (tight_x <= x).all()
+    assert (tight_mu <= mu).all()
+    P.validate_decision(sc, tight_x, tight_mu)
+    g = P.residual_matrix(sc, tight_x, tight_mu)
     assert float(np.abs(g[sc.active]).max(initial=0.0)) <= 1e-12
 
 
 def test_zeta_examples(singlelink):
-    z = compute_zeta(singlelink, P.zero_decision(singlelink), np.ones(2))
+    z = compute_zeta(singlelink, np.zeros(1), np.zeros((1, 1)), np.ones(2))
     assert z == 0.0
-    y = P.DecisionVector(np.array([1.0]), np.array([[1.0]]))
+    x, mu = np.array([1.0]), np.array([[1.0]])
     # x^2 at the source + mu^2 at both endpoints, all alpha 1
-    assert compute_zeta(singlelink, y, np.ones(2)) == 3.0
+    assert compute_zeta(singlelink, x, mu, np.ones(2)) == 3.0
     # the destination end still counts, the tail contribution doubles with alpha
-    assert compute_zeta(singlelink, y, np.array([2.0, 1.0])) == 5.0
+    assert compute_zeta(singlelink, x, mu, np.array([2.0, 1.0])) == 5.0
     with pytest.raises(P.ContractError):
-        compute_zeta(singlelink, y, np.ones(3))
+        compute_zeta(singlelink, x, mu, np.ones(3))
 
 
 def test_zeta_scales_quadratically(sixnode, sixnode_sol):
     a = sixnode_sol.alpha
-    y = sixnode_sol.y_star
-    z1 = compute_zeta(sixnode, y, a)
-    y2 = P.DecisionVector(2.0 * y.x, 2.0 * y.mu)
-    assert abs(compute_zeta(sixnode, y2, a) - 4.0 * z1) < 1e-9
-    assert abs(compute_zeta(sixnode, y, 2.0 * a) - 2.0 * z1) < 1e-9
+    x, mu = sixnode_sol.x_star, sixnode_sol.mu_star
+    z1 = compute_zeta(sixnode, x, mu, a)
+    assert abs(compute_zeta(sixnode, 2.0 * x, 2.0 * mu, a) - 4.0 * z1) < 1e-9
+    assert abs(compute_zeta(sixnode, x, mu, 2.0 * a) - 2.0 * z1) < 1e-9
 
 
 def test_solution_round_trip(sixnode, sixnode_sol, tmp_path):
@@ -259,10 +255,22 @@ def test_solution_round_trip(sixnode, sixnode_sol, tmp_path):
     assert again.U_star == sixnode_sol.U_star
     assert again.duality_gap == sixnode_sol.duality_gap
     assert again.zeta == sixnode_sol.zeta
-    assert np.array_equal(again.y_star.x, sixnode_sol.y_star.x)
-    assert np.array_equal(again.y_star.mu, sixnode_sol.y_star.mu)
+    assert np.array_equal(again.x_star, sixnode_sol.x_star)
+    assert np.array_equal(again.mu_star, sixnode_sol.mu_star)
     assert np.array_equal(again.lambda_star, sixnode_sol.lambda_star)
     assert np.array_equal(again.alpha, sixnode_sol.alpha)
+
+
+def test_solution_decision_is_read_only_float64(sixnode, sixnode_sol):
+    # the optimum's rates, as solve_centralized returns them and as a report
+    # parses back, are shared read-only float64 arrays of the scenario's shapes
+    parsed = P.parse_solution(P.serialize_solution(sixnode_sol, sixnode), sixnode)
+    for sol in (sixnode_sol, parsed):
+        for a, shape in ((sol.x_star, (2,)), (sol.mu_star, (8, 2))):
+            assert a.shape == shape and a.dtype == np.float64
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 1.0
 
 
 @pytest.mark.parametrize("name", ("sixnode", "singlelink"))

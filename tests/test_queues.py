@@ -219,9 +219,9 @@ def test_step_z_without_links():
 
 @st.composite
 def _zeroing_cases(draw):
-    """(scenario, Q, Y, Z, x, arrivals, mu, y_prev): signed queues Q, backlogs Y
-    and Z, source rates x (F,), an arrival matrix (N, F) and link rates mu,
-    and decisions y_prev for the weights."""
+    """(scenario, Q, Y, Z, x, arrivals, mu, x_prev, mu_prev): signed queues Q,
+    backlogs Y and Z, source rates x (F,), an arrival matrix (N, F) and link
+    rates mu, and decisions x_prev, mu_prev for the weights."""
     sc = draw(scenarios())
     n, f, l = sc.n_nodes, sc.n_sessions, sc.n_links
     coarse = draw(st.booleans())
@@ -230,9 +230,9 @@ def _zeroing_cases(draw):
     x = arrays(draw, (f,), (0.0, 0.5, 1.0), 0.0, 2.0, coarse)
     arrivals = arrays(draw, (n, f), (0.0, 0.5, 1.0), 0.0, 2.0, coarse)
     mu = arrays(draw, (l, f), (0.0, 0.25, 1.0), 0.0, 3.0, coarse)
-    prev = P.DecisionVector(arrays(draw, (f,), (0.0, 1.0), 0.0, 2.0, coarse),
-                            arrays(draw, (l, f), (0.0, 0.5), 0.0, 2.0, coarse))
-    return sc, q, y, z, x, arrivals, mu, prev
+    x_prev = arrays(draw, (f,), (0.0, 1.0), 0.0, 2.0, coarse)
+    mu_prev = arrays(draw, (l, f), (0.0, 0.5), 0.0, 2.0, coarse)
+    return sc, q, y, z, x, arrivals, mu, x_prev, mu_prev
 
 
 def _mask_zeroed(scenario, m):
@@ -245,7 +245,7 @@ def _mask_zeroed(scenario, m):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(case=_zeroing_cases())
 def test_flat_destination_zeroing_matches_the_mask(case):
-    sc, q, y, z, x, arrivals, mu, prev = case
+    sc, q, y, z, x, arrivals, mu, x_prev, mu_prev = case
     src = sc.src_entries
     assert sorted(sc.dst_entries.tolist()) == np.flatnonzero(~sc.active).tolist()
     # each kernel against the arithmetic it replaced, zeroed through the mask,
@@ -254,15 +254,15 @@ def test_flat_destination_zeroing_matches_the_mask(case):
     g_vec.put(src, g_vec.take(src) + x)
     g_vec = _mask_zeroed(sc, g_vec)
     g_mat = _mask_zeroed(sc, sc.network.incidence @ mu + arrivals)
-    g_prev = sc.network.incidence @ prev.mu
-    g_prev.put(src, g_prev.take(src) + prev.x)
+    g_prev = sc.network.incidence @ mu_prev
+    g_prev.put(src, g_prev.take(src) + x_prev)
     w = _mask_zeroed(sc, q + _mask_zeroed(sc, g_prev))
     for order in ("C", "F"):
         q_o, y_o, z_o, arr_o, mu_o = (np.asarray(a, order=order)
                                       for a in (q, y, z, arrivals, mu))
         assert residual_matrix(sc, x, mu_o).tobytes() == g_vec.tobytes()
         assert residual_matrix(sc, arr_o, mu_o).tobytes() == g_mat.tobytes()
-        g_prev_o = residual_matrix(sc, prev.x, np.asarray(prev.mu, order=order))
+        g_prev_o = residual_matrix(sc, x_prev, np.asarray(mu_prev, order=order))
         assert compute_weights(q_o, g_prev_o, sc).tobytes() == w.tobytes()
         for g in (g_vec, g_mat):
             want = _mask_zeroed(sc, np.maximum(y + g, 0.0))

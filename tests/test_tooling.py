@@ -3,6 +3,7 @@ it names by string, and the kernel timing tool (tools/bench_slot_kernels.py)
 calls the slot's and the oracle's kernels. A renamed or deleted function
 fails here, in the test suite, and not only when the benchmark or the tool
 runs."""
+import dataclasses
 import importlib
 import importlib.util
 import json
@@ -11,7 +12,6 @@ import types
 from pathlib import Path
 from unittest import mock
 
-import numpy as np
 
 import proxbp as P
 from proxbp import harness
@@ -54,26 +54,20 @@ def test_kernel_tool_times_two_trees_in_one_process(capsys):
         assert set(doc["trees"][tree][tool.ORACLE]) == set(tool.ORACLE_KERNELS)
 
 
-def test_kernel_tool_passes_each_tree_its_decision_type(sixnode):
-    # this tree's slot_update takes the previous residual and raw (x, mu)
-    # arrays, and its compute_weights the residual alone; a parent tree whose
-    # slot_update has the older (Q, x_prev, mu_prev, consts) parameters takes
-    # raw arrays in both, and one with (Q, y_prev, consts) a DecisionVector,
-    # so a parent of either kind can be timed beside this one
+@dataclasses.dataclass(frozen=True)
+class _ParentSolution:
+    """The shape of the parent tree's oracle solution: one decision object
+    with x and mu attributes as its first field."""
+    decision: object
+    U_star: float
+
+
+def test_kernel_tool_passes_each_tree_its_decision_type(sixnode_sol):
+    # the oracle rows read this tree's x_star and mu_star, and the x and mu of
+    # the parent tree's decision object, so the parent can be timed beside this one
     tool = _kernel_tool()
-    x, mu = np.array([0.5, 1.0]), np.full((8, 2), 0.25)
-    prev = tool._previous(P, sixnode, x, mu)
-    assert len(prev) == 3 and prev[1] is x and prev[2] is mu
-    assert prev[0].tobytes() == P.residual_matrix(sixnode, x, mu).tobytes()
-    (g,) = tool._weight_args(prev)
-    assert g is prev[0]
-    raw_tree = types.SimpleNamespace(slot_update=lambda Q, x_prev, mu_prev, consts: None)
-    raw = tool._previous(raw_tree, sixnode, x, mu)
-    assert len(raw) == 2 and raw[0] is x and raw[1] is mu
-    assert tool._weight_args(raw) is raw
-    old = types.SimpleNamespace(slot_update=lambda Q, y_prev, consts: None,
-                                DecisionVector=P.DecisionVector)
-    (y,) = tool._previous(old, sixnode, x, mu)
-    assert isinstance(y, P.DecisionVector)
-    assert y.x.tolist() == [0.5, 1.0] and y.mu.tolist() == mu.tolist()
-    assert tool._weight_args((y,)) == (y,)
+    x, mu = tool._optimum(sixnode_sol)
+    assert x is sixnode_sol.x_star and mu is sixnode_sol.mu_star
+    parent = _ParentSolution(types.SimpleNamespace(x=x, mu=mu), sixnode_sol.U_star)
+    px, pmu = tool._optimum(parent)
+    assert px is x and pmu is mu

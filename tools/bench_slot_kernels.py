@@ -19,19 +19,16 @@ All trees are timed in this one process, so no tree's numbers carry an offset
 of its own process: each tree's package is imported under its own module name,
 and in every round each kernel is timed on every tree in turn, the first tree
 rotating between rounds. Each tree reports its best over the rounds and its
-per-round values, their spread. rate_phase and project_rows are called as the
-tree's slot_update calls them: rate_lanes with Scenario.utility_shift and the
-SlotConstants rate constants (rate_root, which holds its own np.errstate, in
-a tree without rate_lanes), project_rows with Scenario.forbidden_entries.
+per-round values, their spread. rate_phase and project_rows are called as
+slot_update calls them: rate_lanes with Scenario.utility_shift and the
+SlotConstants rate constants, project_rows with Scenario.forbidden_entries.
 slot_update takes the previous decisions as their residual g and raw
-(x, mu) arrays where it has five parameters, and compute_weights then takes
-g alone; both take raw (x, mu) where slot_update has four parameters, and a
-DecisionVector where it has three. So in a tree of the first kind the
-slot_update and compute_weights rows leave out the residual, which its run
-loop computes once per slot; run_slot compares across the kinds.
-decision_faults checks the decisions of the last 4 slots, one audit chunk of
-the grid run; every other kernel is called through a name that older trees
-export too. Trees without Scenario.utility_shift are not supported.
+(x, mu) arrays, and compute_weights takes g alone, so neither row holds the
+residual, which the run loop computes once per slot. decision_faults checks
+the decisions of the last 4 slots, one audit chunk of the grid run. The
+oracle rows read the solution's x_star and mu_star. Supported trees are this
+one and its parent, commit 00d7100, whose solution holds the two arrays in
+one decision object, its first field.
 
 Array placement still shows inside one process: between trees whose code for
 a kernel is the same, its rows have differed by up to about 20% depending on
@@ -41,9 +38,9 @@ evidence either way; confirm it with a second run that swaps the --src order.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import importlib
 import importlib.util
-import inspect
 import json
 import os
 import sys
@@ -73,21 +70,13 @@ def _import_tree(name: str, src):
     return module
 
 
-def _previous(P, sc, x, mu) -> tuple:
-    """The previous decisions x, mu on the scenario sc as the tree P's
-    slot_update takes them after Q: (g, x, mu), g their residual, where
-    slot_update has five parameters, (x, mu) where it has four, and
-    (DecisionVector,) where it has three."""
-    n = len(inspect.signature(P.slot_update).parameters)
-    if n == 5:
-        return P.residual_matrix(sc, x, mu), x, mu
-    return (P.DecisionVector(x, mu),) if n == 3 else (x, mu)
-
-
-def _weight_args(prev: tuple) -> tuple:
-    """What compute_weights takes after Q, given _previous's tuple: g alone
-    from (g, x, mu), the tuple itself otherwise."""
-    return prev[:1] if len(prev) == 3 else prev
+def _optimum(sol) -> tuple:
+    """(x, mu) of an oracle solution: x_star and mu_star, or the x and mu of
+    the decision object that is the first field of the parent's solution."""
+    if hasattr(sol, "x_star"):
+        return sol.x_star, sol.mu_star
+    decision = getattr(sol, dataclasses.fields(sol)[0].name)
+    return decision.x, decision.mu
 
 
 def _states(P, texts: dict):
@@ -101,14 +90,13 @@ def _states(P, texts: dict):
     for name, text in texts.items():
         sc = P.parse_scenario(text)
         consts = P.SlotConstants(sc, P.AlgConfig(P.default_alpha(sc.network, "queue-bound")))
-        Q = np.zeros((sc.n_nodes, sc.n_sessions))
-        Z = Q
+        Q = Z = g = np.zeros((sc.n_nodes, sc.n_sessions))  # g of the zero decision
         x, mu = np.zeros(sc.n_sessions), np.zeros((sc.n_links, sc.n_sessions))
         last = []
         for _ in range(STATES[name]):
-            decided = P.slot_update(Q, *_previous(P, sc, x, mu), consts)
-            x, mu = decided[:2] if len(decided) == 3 else (decided[0].x, decided[0].mu)
-            Q = Q + P.residual_matrix(sc, x, mu)
+            x, mu, _ = P.slot_update(Q, g, x, mu, consts)
+            g = P.residual_matrix(sc, x, mu)
+            Q = Q + g
             Z, _ = P.step_Z(Z, x, mu, sc)
             last = (last + [(x, mu)])[-CHUNK:]
         chunk = tuple(np.stack(c) for c in zip(*last))
@@ -120,27 +108,22 @@ def _slot_calls(P, slots, sc, Q, x, mu, Z, consts, chunk) -> dict:
     """{kernel: a call with no arguments} for the package P on one state,
     reached after the given number of slots."""
     net = sc.network
-    prev = _previous(P, sc, x, mu)
-    W = P.compute_weights(Q, *_weight_args(prev), sc)
+    g = P.residual_matrix(sc, x, mu)
+    W = P.compute_weights(Q, g, sc)
     a = mu + (W.take(net.tails, axis=0) - W.take(net.heads, axis=0)) / consts.link_denom
     a_src = consts.a_src
     d = W.take(sc.src_entries) - a_src * x
-    rates = (sc.utility_shift, sc.utility_weight, d, a_src)
-    if hasattr(P.rates, "rate_lanes"):
-        def rate_phase():
-            return P.rates.rate_lanes(*rates, consts.ak_src, consts.two_a_src, consts.four_a_src)
-    else:
-        def rate_phase():
-            return P.rates.rate_root(*rates, consts.two_a_src, consts.four_a_src)
+    rates = (sc.utility_shift, sc.utility_weight, d, a_src, consts.ak_src, consts.two_a_src,
+             consts.four_a_src)
     return {
-        "slot_update": lambda: P.slot_update(Q, *prev, consts),
+        "slot_update": lambda: P.slot_update(Q, g, x, mu, consts),
         "run_slot": lambda: P.run(sc, "new", consts.config, slots),
-        "rate_phase": rate_phase,
+        "rate_phase": lambda: P.rates.rate_lanes(*rates),
         "project_rows": lambda: P.project_rows(a, net.caps, sc.forbidden_entries,
                                                consts.ranks),
         "step_Z": lambda: P.step_Z(Z, x, mu, sc),
         "residual_matrix": lambda: P.residual_matrix(sc, x, mu),
-        "compute_weights": lambda: P.compute_weights(Q, *_weight_args(prev), sc),
+        "compute_weights": lambda: P.compute_weights(Q, g, sc),
         "decision_faults": lambda: P.decision_faults(sc, *chunk),
     }
 
@@ -152,9 +135,10 @@ def _oracle_calls(P, text: str) -> dict:
     sc = P.parse_scenario(text)
     alpha = P.default_alpha(sc.network, "utility-gap")
     sol = P.solve_centralized(sc, tol=1e-5, alpha=alpha)
+    x, mu = _optimum(sol)
     return {
         "solve_centralized": lambda: P.solve_centralized(sc, tol=1e-5, alpha=alpha),
-        "repair_feasible": lambda: P.oracle.repair_feasible(sc, sol.y_star.x, sol.y_star.mu),
+        "repair_feasible": lambda: P.oracle.repair_feasible(sc, x, mu),
         "dual_value": lambda: P.oracle.dual_value(sc, sol.lambda_star),
     }
 
