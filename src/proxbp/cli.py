@@ -138,7 +138,7 @@ def _cmd_run(args) -> int:
     scenario = load_scenario(args.scenario)
     oracle = load_solution(args.oracle, scenario) if args.oracle else None
     spec = _cell("run", args)
-    trace = run(scenario, spec.algorithm, make_config(scenario, spec), args.slots, oracle=oracle)
+    trace = run(scenario, make_config(scenario, spec), args.slots, oracle=oracle)
     if args.out:
         trace.to_csv(args.out)
         print(f"trace written to {args.out}")

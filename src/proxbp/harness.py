@@ -2,7 +2,6 @@
 emission, the adversarial chain generator, and multi-run comparison."""
 from __future__ import annotations
 
-import contextlib
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -16,21 +15,15 @@ from .dpp import DppConfig, dpp_slot_update
 from .queues import ScriptedPolicy, audit_queue_bounds, step_Y, step_Z
 
 CSV_HEADER = "slot,alg,session,x,xbar,util_inst,util_avg,util_jensen,gap,maxQ,maxZ,maxY,lyapunov"
+# the Trace fields of the per-slot columns, in CSV order after x and xbar
+SLOT_COLUMNS = ("util_inst", "util_avg", "util_jensen", "gap", "maxQ", "maxZ", "maxY", "lyap")
 
+# see weight_identity_limit and drift_identity_limit
 WEIGHT_IDENTITY_TOL = 1e-12
-WEIGHT_IDENTITY_ULPS = 4.0  # see weight_identity_limit
+WEIGHT_IDENTITY_ULPS = 4.0
 DRIFT_IDENTITY_TOL = 1e-9
-# the per-slot checks of run() and their largest values; see weight_identity_limit
-CHECK_TOLS = {"weight_identity": WEIGHT_IDENTITY_TOL, "drift_identity": DRIFT_IDENTITY_TOL}
 
 CHUNK_BYTES = 1 << 18  # byte budget of each per-chunk buffer of run()
-
-
-def _opened(fh, mode):
-    """Context manager: the file at path fh opened in mode, or fh itself."""
-    if isinstance(fh, (str, bytes)):
-        return open(fh, mode, encoding="utf-8")
-    return contextlib.nullcontext(fh)
 
 
 @dataclass(eq=False)
@@ -58,12 +51,10 @@ class Trace:
     def slots(self) -> int:
         return self.x.shape[0]
 
-    def to_csv(self, fh) -> None:
-        with _opened(fh, "w") as fh:
+    def to_csv(self, path) -> None:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(CSV_HEADER + "\n")
-            per_slot = np.column_stack((self.util_inst, self.util_avg, self.util_jensen,
-                                        self.gap, self.maxQ, self.maxZ, self.maxY,
-                                        self.lyap)).tolist()
+            per_slot = np.column_stack([getattr(self, name) for name in SLOT_COLUMNS]).tolist()
             for t, (xs, xbars, cells) in enumerate(zip(self.x.tolist(), self.xbar.tolist(),
                                                        per_slot)):
                 tail = ",".join(map(repr, cells))
@@ -71,14 +62,14 @@ class Trace:
                                  for f, (a, b) in enumerate(zip(xs, xbars))))
 
 
-def trace_from_csv(fh) -> Trace:
-    """Rebuild the pinned columns of an emitted trace. Summary and the extra
-    in-memory fields are not part of the CSV and come back empty. A malformed
-    row, a row that repeats a (slot, session) pair and a row of a second alg
-    each raise a ContractError that names its line; missing pairs raise one
-    that names the first of them."""
+def trace_from_csv(path) -> Trace:
+    """Rebuild the pinned columns of the trace CSV at path. Summary and the
+    extra in-memory fields are not part of the CSV and come back empty. A
+    malformed row, a row that repeats a (slot, session) pair and a row of a
+    second alg each raise a ContractError that names its line; missing pairs
+    raise one that names the first of them."""
     n_fields = CSV_HEADER.count(",") + 1
-    with _opened(fh, "r") as fh:
+    with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != CSV_HEADER:
             raise ContractError(f"unexpected CSV header {header!r}")
@@ -117,12 +108,10 @@ def trace_from_csv(fh) -> Trace:
         raise ContractError(f"trace CSV has no row for slot {t} session {f}")
     x = np.zeros((n_t, n_f))
     xbar = np.zeros((n_t, n_f))
-    # the Trace fields of the per-slot columns, in CSV order
-    names = ("util_inst", "util_avg", "util_jensen", "gap", "maxQ", "maxZ", "maxY", "lyap")
-    scal = {name: np.zeros(n_t) for name in names}
+    scal = {name: np.zeros(n_t) for name in SLOT_COLUMNS}
     for t, f, values in rows:
         x[t, f], xbar[t, f] = values[:2]
-        for name, v in zip(names, values[2:]):
+        for name, v in zip(SLOT_COLUMNS, values[2:]):
             scal[name][t] = v
     return Trace(alg=alg, x=x, xbar=xbar, **scal)
 
@@ -147,8 +136,8 @@ def _utilities(scenario: Scenario, x: np.ndarray) -> np.ndarray:
 
 def weight_identity_limit(q_max, q_max_prev):
     """Largest |W(t) - (2 Q(t) - Q(t-1))| a slot may show, elementwise over
-    max |Q(t)| and max |Q(t-1)|: the smaller of WEIGHT_IDENTITY_TOL and
-    WEIGHT_IDENTITY_ULPS eps M, M the larger of the two (TOL where M is NaN).
+    max |Q(t)| and max |Q(t-1)|: WEIGHT_IDENTITY_ULPS eps M, M the larger of
+    the two, and WEIGHT_IDENTITY_TOL where that is not finite.
 
     With u = eps / 2, per entry: the loop steps Q(t) = fl(Q(t-1) + g), so
     Q(t-1) + g = Q(t) / (1 + d1); the engine forms W = (Q(t) + g)(1 + d2) and
@@ -156,19 +145,48 @@ def weight_identity_limit(q_max, q_max_prev):
     is -d1 Q(t) / (1 + d1), and |Q(t) + g|, |2 Q(t) - Q(t-1)| <= 3 M / (1 - u),
     so they differ by at most 7 u M / (1 - u), 3.5 eps M up to a factor
     1 + eps; the roundings of that difference and of the limit fit below
-    4 eps M. A settled run handed a stale residual is off by less than
-    1e-12, but by thousands of eps M."""
-    return np.fmin(WEIGHT_IDENTITY_TOL,
-                   WEIGHT_IDENTITY_ULPS * _EPS * np.maximum(q_max, q_max_prev))
+    4 eps M. A settled run handed a stale residual is off by thousands of
+    eps M.
+    """
+    bound = WEIGHT_IDENTITY_ULPS * _EPS * np.maximum(q_max, q_max_prev)
+    return np.where(np.isfinite(bound), bound, WEIGHT_IDENTITY_TOL)
 
 
-def run(scenario: Scenario, algorithm: str, config, slots: int, oracle=None) -> Trace:
-    """Drive one algorithm for the given number of slots.
+def drift_identity_limit(lyap, lyap_prev, n_terms: int):
+    """Largest |L(t+1) - L(t) - (<Q(t), g> + |g|^2 / 2)| a slot may show,
+    elementwise over L(t+1) and L(t), for n_terms = N F queue entries: the
+    larger of DRIFT_IDENTITY_TOL and c eps (L(t) + L(t+1)), c = 3 D + 8, and
+    DRIFT_IDENTITY_TOL where that is not finite; the fixed part covers underflow.
+
+    numpy sums the n terms of a slot pairwise: a block of m <= 128 terms
+    goes to 8 accumulators added in a tree of depth 3, its last m % 8 terms
+    one by one, at most m // 8 + 2 + m % 8 <= 24 additions per term; a larger
+    count is split, the larger half at most 16 + (n - 16) / 2. So no term
+    passes more than D = 25 + ceil(log2((max(n, 128) - 16) / 112)) additions,
+    one starting the sum. With u = eps / 2, the loop steps Q' = fl(Q + g) =
+    Q + g + e, |e_i| <= u |Q'_i|, so exactly L' - L - <Q, g> - |g|^2 / 2 =
+    <Q', e> - |e|^2 / 2, at most u (2 + u) L'. Each L, half a sum of rounded
+    squares, is within gamma(D + 1) L, and their difference rounds once; the
+    drift, a sum of terms of two roundings, is within gamma(D + 2) S,
+    S = sum(|Q g| + g^2 / 2) <= 5 (1 + u)^2 (L + L') as |g_i| <= |Q_i| +
+    (1 + u) |Q'_i|. To first order the value is at most u (L + L')
+    (2 + (D + 1) + 1 + 5 (D + 2)) = eps (3 D + 7) (L + L'); the 1 more in c
+    covers higher orders.
+    """
+    depth = 25 + math.ceil(math.log2((max(n_terms, 128) - 16) / 112))
+    bound = (3 * depth + 8) * _EPS * (lyap + lyap_prev)
+    return np.fmax(DRIFT_IDENTITY_TOL, np.where(np.isfinite(bound), bound, 0.0))
+
+
+def run(scenario: Scenario, config, slots: int, oracle=None) -> Trace:
+    """Drive one algorithm for the given number of slots: the proximal
+    algorithm for an AlgConfig, DPP for a DppConfig.
 
     Steps all three queue families under the produced decisions and checks
     the invariants of every slot: per-slot feasibility, the drift identity of
-    the signed queues, the weight identity (proximal algorithm only, to
-    weight_identity_limit) and the queue bound transfer with B = max |Q|.
+    the signed queues (to drift_identity_limit), the weight identity
+    (proximal algorithm only, to weight_identity_limit) and the queue bound
+    transfer with B = max |Q|.
 
     The slot loop runs only the recursions and stores each slot's decisions,
     residual, queues and weights in (chunk, ...) buffers; chunk_slots sizes
@@ -195,13 +213,10 @@ def run(scenario: Scenario, algorithm: str, config, slots: int, oracle=None) -> 
     """
     if slots < 1:
         raise ContractError(f"slots must be at least 1, got {slots!r}")
-    if algorithm not in ("new", "dpp"):
-        raise ContractError(f"algorithm must be 'new' or 'dpp', got {algorithm!r}")
-    prox = algorithm == "new"
-    config_type = AlgConfig if prox else DppConfig
-    if not isinstance(config, config_type):
-        raise ContractError(f"algorithm {algorithm!r} takes config type "
-                            f"{config_type.__name__}, got {type(config).__name__}")
+    if not isinstance(config, (AlgConfig, DppConfig)):
+        raise ContractError(f"config must be an AlgConfig or a DppConfig, "
+                            f"got {type(config).__name__}")
+    prox = isinstance(config, AlgConfig)
     consts = SlotConstants(scenario, config) if prox else None
     audit = _ChunkAudit(scenario, prox, slots)
     Y = Z = Q = g = np.zeros((scenario.n_nodes, scenario.n_sessions))  # g of the zero decision
@@ -260,7 +275,9 @@ def run(scenario: Scenario, algorithm: str, config, slots: int, oracle=None) -> 
 
     # each check's worst value, and the slot and value of its first violation
     q_max = np.concatenate((np.zeros(2), audit.max_q))  # max |Q(t)| from t = -1
-    limits = dict(CHECK_TOLS, weight_identity=weight_identity_limit(q_max[1:-1], q_max[:-2]))
+    lyap = np.concatenate((np.zeros(1), audit.lyap))  # L(t) from t = 0
+    limits = {"weight_identity": weight_identity_limit(q_max[1:-1], q_max[:-2]),
+              "drift_identity": drift_identity_limit(lyap[1:], lyap[:-1], Q.size)}
     summary = {}
     first = {}
     for name, values in audit.checks.items():
@@ -275,7 +292,7 @@ def run(scenario: Scenario, algorithm: str, config, slots: int, oracle=None) -> 
     summary.update(feasibility_violations=feas, queue_transfer_violations=transfer,
                    observed_max_abs_q=b_obs, first_violation=first)
     summary["passed"] = all(v is None for v in first.values()) and not transfer
-    return Trace(alg=algorithm, x=x_hist, xbar=xbar, util_inst=util_inst,
+    return Trace(alg="new" if prox else "dpp", x=x_hist, xbar=xbar, util_inst=util_inst,
                  util_avg=util_avg, util_jensen=util_jensen, gap=gap, maxQ=audit.max_q,
                  maxZ=audit.max_z, maxY=audit.max_y, lyap=audit.lyap, z_total=audit.z_total,
                  peak_Y=audit.peak_Y, peak_Z=audit.peak_Z, summary=summary)
@@ -309,7 +326,7 @@ class _ChunkAudit:
         self.peak_Y = np.zeros((n_n, n_f))
         self.peak_Z = np.zeros((n_n, n_f))
         # per-slot values of each check; those that do not apply stay 0
-        self.checks = {name: np.zeros(slots) for name in CHECK_TOLS}
+        self.checks = {name: np.zeros(slots) for name in ("weight_identity", "drift_identity")}
         self.feas_failures = []
 
     def truncate(self, slots: int):
@@ -378,60 +395,39 @@ def chain_example(k: int, slots: int = None) -> tuple:
         raise ContractError(f"slots must be positive, got {slots!r}")
     n_nodes = 3 * k + 1
     hub = 0
-
-    def a(i):  # 1-based feeder index to node id
-        return i
-
-    def r(i):
-        return k + i
-
-    def b(i):
-        return 2 * k + i
-
-    links = []
-    for i in range(1, k):
-        links.append(Link(a(i), a(i + 1), 1.0))
-    links.append(Link(a(k), r(1), 1.0))
-    for i in range(1, k):
-        links.append(Link(r(i), r(i + 1), 1.0))
-    links.append(Link(r(k), hub, 1.0))
-    for i in range(1, k):
-        links.append(Link(b(i), b(i + 1), 1.0))
-    links.append(Link(b(k), hub, 1.0))
-    links.append(Link(hub, b(1), 1.0))
-    links.append(Link(hub, a(1), 1.0))
-    path_a = list(range(0, 2 * k)) + [3 * k]          # a-chain, relays, hub exit
-    path_b = list(range(2 * k, 3 * k)) + [3 * k + 1]  # b-chain, hub exit
-    sessions = (
-        Session(0, a(1), b(1), Utility("wlog1p", 1.0)),
-        Session(1, b(1), a(1), Utility("wlog1p", 1.0)),
-    )
-    allowed = tuple(
-        frozenset([0] if l in set(path_a) else ([1] if l in set(path_b) else []))
-        for l in range(len(links))
-    )
-    scenario = Scenario(Network(n_nodes, tuple(links)), sessions, allowed)
+    walks = (list(range(1, 2 * k + 1)) + [hub],        # a_1..a_k, r_1..r_k, hub
+             list(range(2 * k + 1, 3 * k + 1)) + [hub])  # b_1..b_k, hub
+    # each session's hops: its walk, then the hub exit to the other walk's start
+    hops = [(f, u, v) for f, walk in enumerate(walks) for u, v in zip(walk, walk[1:])]
+    hops += [(f, hub, walks[1 - f][0]) for f in (0, 1)]
+    links = tuple(Link(u, v, 1.0) for _, u, v in hops)
+    paths = ([], [])
+    for l, (f, _, _) in enumerate(hops):
+        paths[f].append(l)
+    sessions = tuple(Session(f, walk[0], walks[1 - f][0], Utility("wlog1p", 1.0))
+                     for f, walk in enumerate(walks))
+    allowed = tuple(frozenset({f}) for f, _, _ in hops)
+    scenario = Scenario(Network(n_nodes, links), sessions, allowed)
 
     n_l = len(links)
     arrivals = np.zeros((t_max, n_nodes, 2))
     for t in range(t_max):
         rphase = t % (2 * k)
         if rphase < k:
-            arrivals[t, a(rphase + 1), 0] = 1.0
+            arrivals[t, walks[0][rphase], 0] = 1.0
         else:
-            arrivals[t, b(rphase - k + 1), 1] = 1.0
+            arrivals[t, walks[1][rphase - k], 1] = 1.0
 
     # physical timeline: every non-hub node forwards one unit per slot along
     # its session's unique out-link; the hub serves one packet per slot in
     # arrival order (ties broken by incoming link index).
-    paths = (path_a, path_b)
     out_link_of = {}
     for f, path in enumerate(paths):
         for l in path:
             if links[l].tail != hub:
                 out_link_of[(links[l].tail, f)] = l
-    hub_exit = {0: 3 * k, 1: 3 * k + 1}
-    hub_entry = (2 * k - 1, 3 * k - 1)  # a-traffic enters first within a slot
+    hub_exit = [path[-1] for path in paths]
+    hub_entry = [path[-2] for path in paths]  # a-traffic enters first within a slot
 
     mu = np.zeros((t_max, n_l, 2))
     count = np.zeros((n_nodes, 2))
@@ -441,12 +437,10 @@ def chain_example(k: int, slots: int = None) -> tuple:
             if count[n, f] >= 1.0:
                 mu[t, l, f] = 1.0
         if fifo:
-            f = fifo[0]
+            f = fifo.popleft()
             mu[t, hub_exit[f], f] = 1.0
         count, sends = step_Z(count, arrivals[t], mu[t], scenario)
-        if mu[t, hub_exit[0], 0] or mu[t, hub_exit[1], 1]:
-            fifo.popleft()
-        for f, l in ((0, hub_entry[0]), (1, hub_entry[1])):
+        for f, l in enumerate(hub_entry):
             if sends[l, f] >= 1.0:
                 fifo.append(f)
 
@@ -532,7 +526,7 @@ def compare(scenario: Scenario, runs, slots: int, oracle=None) -> tuple:
     traces = {}
     lines = []
     for spec in runs:
-        tr = run(scenario, spec.algorithm, make_config(scenario, spec), slots, oracle=oracle)
+        tr = run(scenario, make_config(scenario, spec), slots, oracle=oracle)
         traces[spec.name] = tr
         parts = [f"run {spec.name}", f"alg {spec.algorithm}"]
         if spec.algorithm == "new":

@@ -48,11 +48,12 @@ class OracleError(RuntimeError):
 class OracleSolution:
     """Certified near-optimal point.
 
-    x_star (F,) and mu_star (L, F), read-only float64 arrays, are a feasible
-    point and U_star its utility, so the true optimum lies in [U_star, U_star
-    + duality_gap]. lambda_star are nonnegative flow-balance multipliers
-    (zero at destinations); zeta is the alpha-weighted squared decision mass
-    of that point used by the gap and queue bounds, at the stored alpha.
+    x_star (F,) and mu_star (L, F) are a feasible point and U_star its
+    utility, so the true optimum lies in [U_star, U_star + duality_gap].
+    lambda_star are nonnegative flow-balance multipliers (zero at
+    destinations); zeta is the alpha-weighted squared decision mass of that
+    point used by the gap and queue bounds, at the stored alpha. The four
+    arrays are read-only float64, and alpha is a copy of the caller's.
     """
 
     x_star: np.ndarray       # (F,)
@@ -246,7 +247,7 @@ def solve_centralized(scenario: Scenario, tol: float = 1e-5, alpha=None) -> Orac
         raise OracleError(f"no feasible point with positive rates: {e}") from None
     if alpha is None:
         alpha = default_alpha(scenario.network, "utility-gap")
-    alpha = np.asarray(alpha, dtype=float)
+    alpha = _frozen(np.array(alpha, dtype=float))
 
     rows, pairs = _kept(scenario)
     n_z = scenario.n_sessions + pairs[0].size
@@ -345,7 +346,7 @@ def solve_centralized(scenario: Scenario, tol: float = 1e-5, alpha=None) -> Orac
         x_star=_frozen(best_x),
         mu_star=_frozen(best_mu),
         U_star=total_utility(scenario, best_x),
-        lambda_star=best_lam,
+        lambda_star=_frozen(best_lam),
         zeta=compute_zeta(scenario, best_x, best_mu, alpha),
         alpha=alpha,
         duality_gap=float(best_dual - best_primal),
@@ -423,9 +424,9 @@ def parse_solution(text: str, scenario: Scenario) -> OracleSolution:
         x_star=_frozen(arrays["x"]),
         mu_star=_frozen(arrays["mu"]),
         U_star=scalars["ustar"],
-        lambda_star=arrays["lambda"],
+        lambda_star=_frozen(arrays["lambda"]),
         zeta=scalars["zeta"],
-        alpha=arrays["alpha"],
+        alpha=_frozen(arrays["alpha"]),
         duality_gap=scalars["duality_gap"],
         max_violation=scalars["max_violation"],
         weak_duality_margin=scalars["weak_margin"],

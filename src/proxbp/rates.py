@@ -4,7 +4,7 @@ The objective is 2*alpha strongly concave, so the maximizer over the utility
 domain is unique. Its slope h(x) = U'(x) - W - 2*alpha*(x - x_prev) is
 strictly decreasing; the optimum is the root of h, or the left domain edge
 when h is already nonpositive there. For both utility kinds h(x) = 0 is a
-quadratic in x, so rate_root solves it in closed form, elementwise. A slot
+quadratic in x, so rate_lanes solves it in closed form, elementwise. A slot
 solves all sources at once with the run's SlotConstants, which check alpha;
 solve_rate and RateProblem are the scalar reference.
 """
@@ -39,10 +39,11 @@ class RateProblem:
         object.__setattr__(self, "alpha", float(self.alpha))
 
 
-def rate_root(k, weight, d, a, two_a, four_a):
+def rate_lanes(k, weight, d, a, ak, two_a, four_a):
     """Maximizer of U(x) - d*x - (a/2)*x^2 over the utility domain, for a > 0,
     elementwise. k is the utility shift in U(x) = w*log(k + x), 0.0 for wlog
-    and 1.0 for wlog1p (Scenario.utility_shift); two_a = 2a, four_a = 4a.
+    and 1.0 for wlog1p (Scenario.utility_shift); ak = a*k, two_a = 2a,
+    four_a = 4a.
 
     The slope U'(x) - d - a*x vanishes where a*x^2 + b*x - e = 0, b = a*k + d,
     e = w - d*k (w/x = d + a*x, or w/(1+x) = d + a*x). wlog has e = w > 0;
@@ -50,14 +51,9 @@ def rate_root(k, weight, d, a, two_a, four_a):
     clamped at +0.0, and as d >= w > 0 makes b > 0, the root is +0.0. The
     root avoids cancellation for large positive b, and hypot stands in where
     b*b overflows (|b| > 1.3e154). Raises NumericError where it is not
-    finite, and warns on no input: rate_lanes runs here under np.errstate.
+    finite. Overflow on the way warns unless the caller holds
+    np.errstate(over="ignore", invalid="ignore"), as run() and solve_rate do.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return rate_lanes(k, weight, d, a, a * k, two_a, four_a)
-
-
-def rate_lanes(k, weight, d, a, ak, two_a, four_a):
-    """rate_root given ak = a*k, without np.errstate: slot_update's caller holds one."""
     b = ak + d
     e = np.maximum(weight - d * k, 0.0)
     bb = b * b
@@ -77,4 +73,6 @@ def solve_rate(p: RateProblem) -> float:
     """Maximizer of the slot objective over the utility domain."""
     a = 2.0 * p.alpha
     k = np.float64(p.utility.kind != "wlog")
-    return float(rate_root(k, p.utility.weight, p.pressure - a * p.x_prev, a, 2.0 * a, 4.0 * a))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(rate_lanes(k, p.utility.weight, p.pressure - a * p.x_prev, a, a * k,
+                                2.0 * a, 4.0 * a))

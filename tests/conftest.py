@@ -67,7 +67,7 @@ def _timed_runs(pairs, mode, slots):
     for name, sc, sol in pairs:
         cfg = P.AlgConfig(P.default_alpha(sc.network, mode))
         t0 = time.monotonic()
-        trace = P.run(sc, "new", cfg, slots, oracle=sol)
+        trace = P.run(sc, cfg, slots, oracle=sol)
         out["seconds"] += time.monotonic() - t0
         out[name] = (sc, sol, trace)
     return out
@@ -94,5 +94,5 @@ def dpp_runs(sixnode, sixnode_sol):
     """10^4 baseline slots on the six-node scenario at three V settings."""
     out = {}
     for v in (10.0, 100.0, 500.0):
-        out[v] = P.run(sixnode, "dpp", P.DppConfig(V=v), 10_000, oracle=sixnode_sol)
+        out[v] = P.run(sixnode, P.DppConfig(V=v), 10_000, oracle=sixnode_sol)
     return out

@@ -16,8 +16,8 @@ import math
 import numpy as np
 
 from proxbp.dpp import dpp_slot_update
-from proxbp.engine import SlotConstants, slot_update
-from proxbp.harness import DRIFT_IDENTITY_TOL, Trace, weight_identity_limit
+from proxbp.engine import AlgConfig, SlotConstants, slot_update
+from proxbp.harness import Trace, drift_identity_limit, weight_identity_limit
 from proxbp.net import (ContractError, DomainError, NumericError, ScenarioValidationError,
                         residual_matrix, total_utility, validate_decision)
 from proxbp.queues import audit_queue_bounds, step_Q, step_Y, step_Z
@@ -157,7 +157,8 @@ def _utility_or_nan(scenario, x) -> float:
         return math.nan
 
 
-def run_per_slot(scenario, algorithm, config, slots, oracle=None) -> Trace:
+def run_per_slot(scenario, config, slots, oracle=None) -> Trace:
+    prox = isinstance(config, AlgConfig)
     n_f = scenario.n_sessions
     n_n = scenario.n_nodes
     x_hist = np.empty((slots, n_f))
@@ -175,18 +176,19 @@ def run_per_slot(scenario, algorithm, config, slots, oracle=None) -> Trace:
     weight_err = 0.0
     weight_ok = True
     drift_err = 0.0
+    drift_ok = True
     feas_failures = []
     peak_Y = np.zeros((n_n, n_f))
     peak_Z = np.zeros((n_n, n_f))
     lyap_after = 0.0
 
-    consts = SlotConstants(scenario, config) if algorithm == "new" else None
+    consts = SlotConstants(scenario, config) if prox else None
     x, mu = np.zeros(n_f), np.zeros((scenario.n_links, n_f))
     dpp_Q = np.zeros((n_n, n_f))  # DPP's own clipped queues, stepped apart from Y
     q_prev = np.zeros((n_n, n_f))  # Q(-1): slot 0's weights are 0 = 2 Q(0) - Q(-1)
 
     for t in range(slots):
-        if algorithm == "new":
+        if prox:
             # the residual of the previous decisions, computed here afresh
             x, mu, W = slot_update(Q, residual_matrix(scenario, x, mu), x, mu, consts)
             ident = 2.0 * Q - q_prev
@@ -213,7 +215,9 @@ def run_per_slot(scenario, algorithm, config, slots, oracle=None) -> Trace:
 
         lyap_after = 0.5 * float(np.sum(Q * Q))
         drift = float(np.sum(q_before * g + 0.5 * g * g))
-        drift_err = max(drift_err, abs((lyap_after - lyap_before) - drift))
+        err = abs((lyap_after - lyap_before) - drift)
+        drift_err = max(drift_err, err)
+        drift_ok &= bool(err <= drift_identity_limit(lyap_after, lyap_before, n_n * n_f))
 
         x_hist[t] = x
         util_inst[t] = _utility_or_nan(scenario, x)
@@ -246,12 +250,12 @@ def run_per_slot(scenario, algorithm, config, slots, oracle=None) -> Trace:
     }
     summary["passed"] = (
         weight_ok
-        and drift_err <= DRIFT_IDENTITY_TOL
+        and drift_ok
         and not feas_failures
         and not transfer
         and not np.isnan(util_inst).any()
     )
-    return Trace(alg=algorithm, x=x_hist, xbar=xbar, util_inst=util_inst,
+    return Trace(alg="new" if prox else "dpp", x=x_hist, xbar=xbar, util_inst=util_inst,
                  util_avg=util_avg, util_jensen=util_jensen, gap=gap, maxQ=max_q,
                  maxZ=max_z, maxY=max_y, lyap=lyap, z_total=z_total, peak_Y=peak_Y,
                  peak_Z=peak_Z, summary=summary)

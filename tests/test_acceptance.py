@@ -17,7 +17,7 @@ from reference import objective as rate_objective
 from reference import slope as rate_slope
 
 import proxbp as P
-from proxbp.rates import rate_root
+from proxbp.rates import rate_lanes
 
 GRID_STEP = 1e-2
 
@@ -121,12 +121,13 @@ def test_source_rate_solver():
         w = float(rng.uniform(0.1, 5.0))
         probs.append(P.RateProblem(P.Utility("wlog", w), float(rng.normal(0.0, 5.0)),
                                    float(rng.uniform(0.0, 3.0)), float(rng.uniform(0.2, 8.0))))
-    # one rate_root call for all sources with the constants a slot forms:
-    # a = 2 alpha, 2a and 4a from SlotConstants, d = W - a x_prev
+    # one rate_lanes call for all sources with the constants a slot forms:
+    # a = 2 alpha, a k, 2a and 4a from SlotConstants, d = W - a x_prev
     a = 2.0 * np.array([p.alpha for p in probs])
     d = np.array([p.pressure for p in probs]) - a * np.array([p.x_prev for p in probs])
-    x_all = rate_root(np.zeros(len(probs)),  # utility shift 0: wlog
-                      np.array([p.utility.weight for p in probs]), d, a, 2.0 * a, 4.0 * a)
+    k = np.zeros(len(probs))  # utility shift 0: wlog
+    x_all = rate_lanes(k, np.array([p.utility.weight for p in probs]), d, a, a * k,
+                       2.0 * a, 4.0 * a)
     worst_h = 0.0
     worst_dev = 0.0
     grid_losses = 0

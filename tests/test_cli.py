@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import os
 import subprocess
@@ -81,6 +82,24 @@ def test_gen_chain_writes_both_files(tmp_path):
     sched = (tmp_path / "chain2.sched").read_text()
     assert sched.startswith("slots 12")
     assert "mu_instant" in sched
+
+
+# tests/golden/chains.sha256: name -> `gen chain` flags
+PINNED_CHAINS = {"chain1": ["--k", "1"], "chain2": ["--k", "2"], "chain5": ["--k", "5"],
+                 "chain3-slots7": ["--k", "3", "--slots", "7"]}
+
+
+@pytest.mark.parametrize("name", PINNED_CHAINS)
+def test_gen_chain_output_is_pinned(name, tmp_path):
+    # a change that moves one byte of a generated chain fails here
+    golden = Path(__file__).resolve().parent / "golden" / "chains.sha256"
+    pinned = dict(reversed(line.split()) for line in golden.read_text().splitlines())
+    flags = PINNED_CHAINS[name]
+    assert main(["gen", "chain", *flags, "--out-dir", str(tmp_path)]) == 0
+    got = {f"{name}.{ext}": hashlib.sha256(
+               (tmp_path / f"chain{flags[1]}.{ext}").read_bytes()).hexdigest()
+           for ext in ("net", "sched")}
+    assert got == {k: pinned[k] for k in got}
 
 
 def test_compare_plan_flow(tmp_path, capsys):

@@ -205,7 +205,7 @@ def test_alpha_needs_one_entry_per_node(sixnode):
     # too few entries would index past alpha's end, too many would be ignored
     for n in (2, 9):
         with pytest.raises(P.ContractError, match=f"alpha has {n} entries for 6 nodes"):
-            P.run(sixnode, "new", P.AlgConfig(np.ones(n)), 5)
+            P.run(sixnode, P.AlgConfig(np.ones(n)), 5)
         with pytest.raises(P.ContractError):
             SlotConstants(sixnode, P.AlgConfig(np.ones(n)))
 
@@ -216,7 +216,7 @@ def test_slot_constants_reject_an_overflowing_alpha(sixnode):
     with pytest.raises(P.ContractError, match="2 alpha must be finite at every source"):
         SlotConstants(sixnode, P.AlgConfig(np.full(6, 1e308)))
     with pytest.raises(P.ContractError, match="2 alpha must be finite"):
-        P.run(sixnode, "new", P.AlgConfig(np.full(6, 1e308)), 5)
+        P.run(sixnode, P.AlgConfig(np.full(6, 1e308)), 5)
 
 
 @pytest.mark.parametrize("alpha", ([3e307] * 6, [1.0, 1.0, 1.0, 1.0, 1e308, 1.0]))

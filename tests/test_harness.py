@@ -1,6 +1,6 @@
 import hashlib
-import io
 import math
+import tempfile
 from pathlib import Path
 from unittest import mock
 
@@ -21,7 +21,7 @@ SIXNODE = str(Path(__file__).resolve().parents[1] / "scenarios" / "sixnode.net")
 
 def test_single_slot_trace(singlelink, singlelink_sol):
     cfg = P.AlgConfig(np.array([1.0, 1.0]))
-    tr = P.run(singlelink, "new", cfg, 1, oracle=singlelink_sol)
+    tr = P.run(singlelink, cfg, 1, oracle=singlelink_sol)
     assert tr.slots == 1
     x0 = 1.0 / math.sqrt(2.0)
     assert abs(tr.x[0, 0] - x0) < 1e-12
@@ -35,7 +35,7 @@ def test_single_slot_trace(singlelink, singlelink_sol):
 
 def test_running_averages_are_recomputable(sixnode):
     cfg = P.AlgConfig(P.default_alpha(sixnode.network, "utility-gap"))
-    tr = P.run(sixnode, "new", cfg, 200)
+    tr = P.run(sixnode, cfg, 200)
     t = np.arange(1, 201)[:, None]
     assert np.max(np.abs(tr.xbar - np.cumsum(tr.x, axis=0) / t)) < 1e-12
     assert np.max(np.abs(tr.util_avg - np.cumsum(tr.util_inst) / t[:, 0])) < 1e-12
@@ -46,21 +46,22 @@ def test_running_averages_are_recomputable(sixnode):
 
 def test_gap_column_uses_oracle(sixnode, sixnode_sol):
     cfg = P.AlgConfig(P.default_alpha(sixnode.network, "utility-gap"))
-    tr = P.run(sixnode, "new", cfg, 50, oracle=sixnode_sol)
+    tr = P.run(sixnode, cfg, 50, oracle=sixnode_sol)
     assert np.max(np.abs(tr.gap - (sixnode_sol.U_star - tr.util_avg))) < 1e-12
 
 
 def test_runs_are_deterministic(sixnode):
     cfg = P.AlgConfig(P.default_alpha(sixnode.network, "queue-bound"))
-    a = P.run(sixnode, "new", cfg, 300)
-    b = P.run(sixnode, "new", cfg, 300)
+    a = P.run(sixnode, cfg, 300)
+    b = P.run(sixnode, cfg, 300)
     assert np.array_equal(a.x, b.x)
     assert np.array_equal(a.maxQ, b.maxQ)
     assert np.array_equal(a.lyap, b.lyap)
 
 
 def test_dpp_trace_checks(sixnode):
-    tr = P.run(sixnode, "dpp", P.DppConfig(V=50.0), 400)
+    tr = P.run(sixnode, P.DppConfig(V=50.0), 400)
+    assert tr.alg == "dpp"
     assert tr.summary["passed"]
     assert tr.summary["weight_identity_max"] == 0.0  # not applicable, stays 0
     assert tr.summary["drift_identity_max"] <= 1e-9
@@ -69,7 +70,7 @@ def test_dpp_trace_checks(sixnode):
 
 def test_queue_peaks(sixnode):
     cfg = P.AlgConfig(P.default_alpha(sixnode.network, "queue-bound"))
-    tr = P.run(sixnode, "new", cfg, 200)
+    tr = P.run(sixnode, cfg, 200)
     assert tr.peak_Y.shape == tr.peak_Z.shape == (6, 2)
     # the per-(node, session) peaks are the peaks of the per-slot maxima
     assert tr.peak_Y.max() == tr.maxY.max()
@@ -81,18 +82,27 @@ def test_queue_peaks(sixnode):
 
 
 def _csv_text(trace):
-    buf = io.StringIO()
-    trace.to_csv(buf)
-    return buf.getvalue()
+    """The text that trace.to_csv writes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "trace.csv")
+        trace.to_csv(path)
+        return path.read_text(encoding="utf-8")
+
+
+def _from_csv_text(text, tmp_path):
+    """trace_from_csv on a file that holds text."""
+    path = tmp_path / "trace.csv"
+    path.write_text(text, encoding="utf-8")
+    return trace_from_csv(path)
 
 
 def test_csv_round_trip(sixnode, sixnode_sol, tmp_path):
     cfg = P.AlgConfig(P.default_alpha(sixnode.network, "utility-gap"))
-    tr = P.run(sixnode, "new", cfg, 40, oracle=sixnode_sol)
+    tr = P.run(sixnode, cfg, 40, oracle=sixnode_sol)
     text = _csv_text(tr)
     assert text.splitlines()[0] == CSV_HEADER
     assert len(text.splitlines()) == 1 + 40 * 2
-    back = trace_from_csv(io.StringIO(text))
+    back = _from_csv_text(text, tmp_path)
     assert back.alg == "new"
     for name in ("x", "xbar", "util_inst", "util_avg", "util_jensen",
                  "gap", "maxQ", "maxZ", "maxY", "lyap"):
@@ -102,30 +112,29 @@ def test_csv_round_trip(sixnode, sixnode_sol, tmp_path):
     assert np.array_equal(trace_from_csv(str(path)).x, tr.x)
 
 
-def test_csv_nan_gap_round_trips(singlelink):
+def test_csv_nan_gap_round_trips(singlelink, tmp_path):
     cfg = P.AlgConfig(np.array([1.0, 1.0]))
-    tr = P.run(singlelink, "new", cfg, 5)
-    back = trace_from_csv(io.StringIO(_csv_text(tr)))
+    tr = P.run(singlelink, cfg, 5)
+    back = _from_csv_text(_csv_text(tr), tmp_path)
     assert np.all(np.isnan(back.gap))
 
 
-def test_rejects_bad_arguments(singlelink):
+def test_rejects_bad_arguments(singlelink, tmp_path):
     cfg = P.AlgConfig(np.array([1.0, 1.0]))
     with pytest.raises(P.ContractError):
-        P.run(singlelink, "new", cfg, 0)
-    with pytest.raises(P.ContractError):
-        P.run(singlelink, "greedy", cfg, 10)
-    # a config of the other algorithm is rejected before any slot runs
+        P.run(singlelink, cfg, 0)
+    # the config's type picks the algorithm; any other object is rejected
+    # before any slot runs, the old (algorithm, config) form too
     with mock.patch.object(harness, "slot_update") as slot, \
             mock.patch.object(harness, "dpp_slot_update") as dpp_slot:
-        with pytest.raises(P.ContractError, match="^algorithm 'new' takes config type AlgConfig, got DppConfig$"):
-            P.run(singlelink, "new", P.DppConfig(V=5.0), 10)
-        with pytest.raises(P.ContractError, match="^algorithm 'dpp' takes config type DppConfig, got AlgConfig$"):
-            P.run(singlelink, "dpp", cfg, 10)
+        for bad in ("new", None, CompareRun("c")):
+            with pytest.raises(P.ContractError, match="^config must be an AlgConfig or a "
+                                                      f"DppConfig, got {type(bad).__name__}$"):
+                P.run(singlelink, bad, 10)
     slot.assert_not_called()
     dpp_slot.assert_not_called()
     with pytest.raises(P.ContractError):
-        trace_from_csv(io.StringIO("slot,alg\n"))
+        _from_csv_text("slot,alg\n", tmp_path)
 
 
 _ROW = "0,new,0," + ",".join(["1.0"] * 10)
@@ -140,15 +149,15 @@ _ROW = "0,new,0," + ",".join(["1.0"] * 10)
     ("0,dpp,1," + _ROW[8:], "trace CSV line 3: alg 'dpp' differs from the earlier rows' 'new'"),
     ("1,new,1," + _ROW[8:], "trace CSV has no row for slot 0 session 1"),
 ])
-def test_trace_from_csv_names_the_bad_line(row, message):
+def test_trace_from_csv_names_the_bad_line(row, message, tmp_path):
     with pytest.raises(P.ContractError) as err:
-        trace_from_csv(io.StringIO(f"{CSV_HEADER}\n{_ROW}\n{row}\n"))
+        _from_csv_text(f"{CSV_HEADER}\n{_ROW}\n{row}\n", tmp_path)
     assert str(err.value).startswith(message)
 
 
 def test_queue_mass_is_tail_average():
     tr = P.run(P.parse_scenario("nodes 2\nlink 0 1 1.0\nsession 0 0 1 wlog 1.0\n"),
-               "dpp", P.DppConfig(V=5.0), 100)
+               P.DppConfig(V=5.0), 100)
     assert abs(queue_mass(tr) - float(np.mean(tr.z_total[-10:]))) < 1e-15
 
 
@@ -214,11 +223,11 @@ def _assert_same_run(scenario, alg, slots, chunk, oracle=None):
     """run() with chunks of `chunk` slots (None: the default budget) gives the
     per-slot reference's trace and summary, bit for bit."""
     cfg = _config(scenario, alg)
-    ref = run_per_slot(scenario, alg, cfg, slots, oracle=oracle)
+    ref = run_per_slot(scenario, cfg, slots, oracle=oracle)
     with mock.patch.object(harness, "CHUNK_BYTES", _chunk_bytes(scenario, chunk)):
         if chunk is not None:
             assert harness.chunk_slots(scenario) == chunk
-        tr = P.run(scenario, alg, cfg, slots, oracle=oracle)
+        tr = P.run(scenario, cfg, slots, oracle=oracle)
     assert _csv_text(tr) == _csv_text(ref)
     for key, value in ref.summary.items():
         assert repr(tr.summary[key]) == repr(value), key
@@ -328,7 +337,7 @@ def test_overcapacity_decision_is_reported_at_its_slot(sixnode, monkeypatch, tmp
         return x, mu, W
 
     _inject(monkeypatch, k, overload)
-    tr = P.run(sixnode, "new", _config(sixnode, "new"), slots)
+    tr = P.run(sixnode, _config(sixnode, "new"), slots)
     with pytest.raises(P.ScenarioValidationError) as err:
         P.validate_decision(sixnode, *injected[0])
     assert tr.summary["feasibility_violations"] == [(k, str(err.value))]
@@ -391,7 +400,7 @@ def test_perturbed_weight_fails_the_weight_identity(sixnode, monkeypatch, chunk)
     for k in (0, harness.chunk_slots(sixnode) + 2):
         with monkeypatch.context() as m:
             _inject(m, k, lambda x, mu, W, sc: (x, mu, W + 1e-9))
-            tr = P.run(sixnode, "new", _config(sixnode, "new"), k + 4)
+            tr = P.run(sixnode, _config(sixnode, "new"), k + 4)
         s = tr.summary
         assert s["weight_identity_max"] > harness.WEIGHT_IDENTITY_TOL
         slot, value = s["first_violation"]["weight_identity"]
@@ -420,7 +429,7 @@ def test_perturbed_engine_residual_fails_the_weight_identity(sixnode, monkeypatc
         return real(Q, g_prev, x_prev, mu_prev, consts)
 
     monkeypatch.setattr(harness, "slot_update", faulty)
-    tr = P.run(sixnode, "new", _config(sixnode, "new"), k + 4)
+    tr = P.run(sixnode, _config(sixnode, "new"), k + 4)
     assert len(calls) == k + 4
     s = tr.summary
     slot, value = s["first_violation"]["weight_identity"]
@@ -455,7 +464,7 @@ def test_wrong_residual_handed_to_the_engine_fails_the_weight_identity(sixnode, 
         return real(Q, g, x_prev, mu_prev, consts)
 
     monkeypatch.setattr(harness, "slot_update", wrong)
-    tr = P.run(sixnode, "new", _config(sixnode, "new"), start + 1)
+    tr = P.run(sixnode, _config(sixnode, "new"), start + 1)
     first = next(t for t, (h, g) in enumerate(zip(handed, stepped)) if not np.array_equal(h, g))
     assert first == start
     slot, value = tr.summary["first_violation"]["weight_identity"]
@@ -466,6 +475,42 @@ def test_wrong_residual_handed_to_the_engine_fails_the_weight_identity(sixnode, 
     assert tr.summary["passed"] is False
 
 
+@pytest.mark.parametrize("mode", ("queue-bound", "utility-gap"))
+def test_identity_limits_scale_with_the_queues(mode):
+    # with both session weights 1e5, max |Q| reaches about 2e4: an honest
+    # run's rounding then exceeds 1e-9 in the drift identity and 1e-12 in the
+    # weight identity, but not the limits that scale with L and max |Q|
+    text = Path(SIXNODE).read_text(encoding="utf-8")
+    sc = P.parse_scenario(text.replace(" wlog 1.0", " wlog 1e5").replace(" wlog 1.5", " wlog 1e5"))
+    tr = P.run(sc, P.AlgConfig(P.default_alpha(sc.network, mode)), 3000)
+    s = tr.summary
+    assert tr.maxQ.max() > 2e4
+    assert s["drift_identity_max"] > harness.DRIFT_IDENTITY_TOL
+    assert s["weight_identity_max"] > harness.WEIGHT_IDENTITY_TOL
+    assert s["passed"], s["first_violation"]
+
+
+def test_identity_limits():
+    # c = 3 D + 8 with D = 25 additions up to 128 terms and one more per
+    # split of a larger sum; a bound that is not finite gives the fixed limit
+    drift, weight = harness.drift_identity_limit, harness.weight_identity_limit
+    unit = 1.0 / np.finfo(float).eps
+    assert [float(drift(unit, 0.0, n)) for n in (12, 128, 129, 2000)] == [83.0, 83.0, 86.0, 98.0]
+    assert float(drift(0.0, 0.0, 12)) == harness.DRIFT_IDENTITY_TOL
+    assert float(weight(unit, 0.0)) == 4.0 and float(weight(0.0, 0.0)) == 0.0
+    for bad in (math.nan, math.inf):
+        assert float(drift(bad, 1.0, 12)) == harness.DRIFT_IDENTITY_TOL
+        assert float(weight(bad, 1.0)) == harness.WEIGHT_IDENTITY_TOL
+
+
+def test_small_alpha_run_passes_its_drift_identity(capsys):
+    # --alpha-scale 1e-5 lets the queues grow to about 7e3 in 100 slots
+    assert cli.main(["run", "--scenario", SIXNODE, "--slots", "100",
+                     "--alpha-scale", "1e-5"]) == 0
+    drift = float(capsys.readouterr().out.split(" drift ")[1].split()[0])
+    assert drift > harness.DRIFT_IDENTITY_TOL
+
+
 @pytest.mark.parametrize("alg", ("new", "dpp"))
 def test_one_residual_per_slot(sixnode, monkeypatch, alg):
     # run() computes each slot's residual once: it steps the queues and, in a
@@ -473,7 +518,7 @@ def test_one_residual_per_slot(sixnode, monkeypatch, alg):
     monkeypatch.setattr(harness, "CHUNK_BYTES", _chunk_bytes(sixnode, 3))
     with mock.patch.object(harness, "residual_matrix", wraps=P.residual_matrix) as spy, \
             mock.patch.object(engine, "residual_matrix", spy):
-        P.run(sixnode, alg, _config(sixnode, alg), 7)
+        P.run(sixnode, _config(sixnode, alg), 7)
     assert spy.call_count == 7
 
 
@@ -496,7 +541,7 @@ def test_nan_residual_fails_the_drift_identity_at_its_slot(sixnode, monkeypatch,
     monkeypatch.setattr(harness, "residual_matrix", faulty)
     # the proximal engine decides from the harness's Q, so a NaN queue ends
     # the run before the next slot; DPP decides from Y and runs on
-    tr = P.run(sixnode, alg, _config(sixnode, alg), k + 4)
+    tr = P.run(sixnode, _config(sixnode, alg), k + 4)
     assert tr.slots == (k + 1 if alg == "new" else k + 4)
     for column in (tr.util_avg, tr.gap, tr.maxQ, tr.lyap, tr.z_total):
         assert column.shape == (tr.slots,)

@@ -261,16 +261,25 @@ def test_solution_round_trip(sixnode, sixnode_sol, tmp_path):
     assert np.array_equal(again.alpha, sixnode_sol.alpha)
 
 
-def test_solution_decision_is_read_only_float64(sixnode, sixnode_sol):
-    # the optimum's rates, as solve_centralized returns them and as a report
-    # parses back, are shared read-only float64 arrays of the scenario's shapes
+def test_solution_decision_is_read_only_float64(sixnode, sixnode_sol, singlelink):
+    # the optimum's rates, multipliers and alpha, as solve_centralized returns
+    # them and as a report parses back, are shared read-only float64 arrays of
+    # the scenario's shapes
     parsed = P.parse_solution(P.serialize_solution(sixnode_sol, sixnode), sixnode)
     for sol in (sixnode_sol, parsed):
-        for a, shape in ((sol.x_star, (2,)), (sol.mu_star, (8, 2))):
+        for a, shape in ((sol.x_star, (2,)), (sol.mu_star, (8, 2)),
+                         (sol.lambda_star, (6, 2)), (sol.alpha, (6,))):
             assert a.shape == shape and a.dtype == np.float64
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 1.0
+    # the solution keeps a copy of the caller's alpha, which stays writable
+    a = np.ones(2)
+    sol = solve_centralized(singlelink, alpha=a)
+    assert sol.alpha is not a and not np.shares_memory(sol.alpha, a)
+    a[0] = 7.0
+    assert list(sol.alpha) == [1.0, 1.0]
+    assert sol.zeta == compute_zeta(singlelink, sol.x_star, sol.mu_star, sol.alpha)
 
 
 @pytest.mark.parametrize("name", ("sixnode", "singlelink"))

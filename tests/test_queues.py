@@ -395,7 +395,7 @@ def test_pathwise_coupling_z_below_q_plus_bound(sixnode, singlelink):
     # queue plus a constant: max Z <= max |Q| plus one slot of outgoing work
     for sc in (sixnode, singlelink):
         cfg = P.AlgConfig(P.default_alpha(sc.network, "queue-bound"))
-        tr = P.run(sc, "new", cfg, 2000)
+        tr = P.run(sc, cfg, 2000)
         b = tr.summary["observed_max_abs_q"]
         limit = 2.0 * b + float(sc.network.out_cap.max())
         assert float(tr.maxZ.max()) <= limit + 1e-9

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from reference import objective, slope
 
 import proxbp as P
-from proxbp.rates import RateProblem, rate_root, solve_rate
+from proxbp.rates import RateProblem, rate_lanes, solve_rate
 
 
 def test_wlog_closed_form_examples():
@@ -152,11 +152,13 @@ def _random_lanes(seed, n, zero_share):
 
 
 def _slot_rates(shift, weight, pressure, x_prev, alpha):
-    """The rates of one slot's rate phase: rate_root over every lane at once
-    with the per-run constants that SlotConstants forms."""
+    """The rates of one slot's rate phase: rate_lanes over every lane at once
+    with the per-run constants that SlotConstants forms, under the errstate
+    that run() holds."""
     a = 2.0 * alpha
-    return rate_root(shift, weight, pressure - a * x_prev, a,
-                     2.0 * a, 4.0 * a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return rate_lanes(shift, weight, pressure - a * x_prev, a, a * shift,
+                          2.0 * a, 4.0 * a)
 
 
 def _scalar_rates(shift, weight, pressure, x_prev, alpha):
@@ -222,7 +224,8 @@ def test_positive_quad_root_residual(a, neg_c, ratio, sign):
     # lane with d = b and weight -c solves a*x^2 + b*x + c = 0.
     c = -neg_c
     b = sign * ratio * math.sqrt(a * neg_c)
-    r = rate_root(np.float64(0.0), neg_c, b, a, 2.0 * a, 4.0 * a)
+    k = np.float64(0.0)
+    r = rate_lanes(k, neg_c, b, a, a * k, 2.0 * a, 4.0 * a)
     assert r > 0
     terms = (a * r * r, b * r, c)
     assert abs(sum(terms)) <= 1e-12 * max(abs(v) for v in terms)

@@ -3,7 +3,6 @@ it names by string, and the kernel timing tool (tools/bench_slot_kernels.py)
 calls the slot's and the oracle's kernels. A renamed or deleted function
 fails here, in the test suite, and not only when the benchmark or the tool
 runs."""
-import dataclasses
 import importlib
 import importlib.util
 import json
@@ -54,20 +53,15 @@ def test_kernel_tool_times_two_trees_in_one_process(capsys):
         assert set(doc["trees"][tree][tool.ORACLE]) == set(tool.ORACLE_KERNELS)
 
 
-@dataclasses.dataclass(frozen=True)
-class _ParentSolution:
-    """The shape of the parent tree's oracle solution: one decision object
-    with x and mu attributes as its first field."""
-    decision: object
-    U_star: float
-
-
-def test_kernel_tool_passes_each_tree_its_decision_type(sixnode_sol):
-    # the oracle rows read this tree's x_star and mu_star, and the x and mu of
-    # the parent tree's decision object, so the parent can be timed beside this one
+def test_kernel_tool_passes_the_parent_run_its_algorithm():
+    # the parent tree's run takes the algorithm before its config, so the
+    # parent can be timed beside this tree
     tool = _kernel_tool()
-    x, mu = tool._optimum(sixnode_sol)
-    assert x is sixnode_sol.x_star and mu is sixnode_sol.mu_star
-    parent = _ParentSolution(types.SimpleNamespace(x=x, mu=mu), sixnode_sol.U_star)
-    px, pmu = tool._optimum(parent)
-    assert px is x and pmu is mu
+    assert tool._run(P) is P.run
+    calls = []
+
+    def parent_run(scenario, algorithm, config, slots, oracle=None):
+        calls.append((scenario, algorithm, config, slots, oracle))
+
+    tool._run(types.SimpleNamespace(run=parent_run))("sc", "config", 7)
+    assert calls == [("sc", "new", "config", 7, None)]

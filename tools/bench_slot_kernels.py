@@ -27,8 +27,8 @@ slot_update takes the previous decisions as their residual g and raw
 residual, which the run loop computes once per slot. decision_faults checks
 the decisions of the last 4 slots, one audit chunk of the grid run. The
 oracle rows read the solution's x_star and mu_star. Supported trees are this
-one and its parent, commit 00d7100, whose solution holds the two arrays in
-one decision object, its first field.
+one and its parent, commit 972f022, whose run still takes the algorithm by
+name before its config: run_slot passes it "new".
 
 Array placement still shows inside one process: between trees whose code for
 a kernel is the same, its rows have differed by up to about 20% depending on
@@ -38,9 +38,9 @@ evidence either way; confirm it with a second run that swaps the --src order.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import importlib
 import importlib.util
+import inspect
 import json
 import os
 import sys
@@ -70,13 +70,12 @@ def _import_tree(name: str, src):
     return module
 
 
-def _optimum(sol) -> tuple:
-    """(x, mu) of an oracle solution: x_star and mu_star, or the x and mu of
-    the decision object that is the first field of the parent's solution."""
-    if hasattr(sol, "x_star"):
-        return sol.x_star, sol.mu_star
-    decision = getattr(sol, dataclasses.fields(sol)[0].name)
-    return decision.x, decision.mu
+def _run(P):
+    """P.run as run(scenario, config, slots): a tree whose run still takes the
+    algorithm before its config (the parent, 972f022) is passed "new"."""
+    if "algorithm" in inspect.signature(P.run).parameters:
+        return lambda sc, config, slots: P.run(sc, "new", config, slots)
+    return P.run
 
 
 def _states(P, texts: dict):
@@ -115,9 +114,10 @@ def _slot_calls(P, slots, sc, Q, x, mu, Z, consts, chunk) -> dict:
     d = W.take(sc.src_entries) - a_src * x
     rates = (sc.utility_shift, sc.utility_weight, d, a_src, consts.ak_src, consts.two_a_src,
              consts.four_a_src)
+    run = _run(P)
     return {
         "slot_update": lambda: P.slot_update(Q, g, x, mu, consts),
-        "run_slot": lambda: P.run(sc, "new", consts.config, slots),
+        "run_slot": lambda: run(sc, consts.config, slots),
         "rate_phase": lambda: P.rates.rate_lanes(*rates),
         "project_rows": lambda: P.project_rows(a, net.caps, sc.forbidden_entries,
                                                consts.ranks),
@@ -135,10 +135,9 @@ def _oracle_calls(P, text: str) -> dict:
     sc = P.parse_scenario(text)
     alpha = P.default_alpha(sc.network, "utility-gap")
     sol = P.solve_centralized(sc, tol=1e-5, alpha=alpha)
-    x, mu = _optimum(sol)
     return {
         "solve_centralized": lambda: P.solve_centralized(sc, tol=1e-5, alpha=alpha),
-        "repair_feasible": lambda: P.oracle.repair_feasible(sc, x, mu),
+        "repair_feasible": lambda: P.oracle.repair_feasible(sc, sol.x_star, sol.mu_star),
         "dual_value": lambda: P.oracle.dual_value(sc, sol.lambda_star),
     }
 
