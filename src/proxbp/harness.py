@@ -3,6 +3,7 @@ emission, the adversarial chain generator, and multi-run comparison."""
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -12,7 +13,7 @@ from .net import (_EPS, ContractError, Link, Network, Scenario, Session, Utility
                   decision_faults, residual_matrix, total_utility)
 from .engine import AlgConfig, SlotConstants, default_alpha, slot_update
 from .dpp import DppConfig, dpp_slot_update
-from .queues import ScriptedPolicy, audit_queue_bounds, step_Y, step_Z
+from .queues import ScriptedPolicy, ZSteps, audit_queue_bounds, step_Y, step_Z
 
 CSV_HEADER = "slot,alg,session,x,xbar,util_inst,util_avg,util_jensen,gap,maxQ,maxZ,maxY,lyapunov"
 # the Trace fields of the per-slot columns, in CSV order after x and xbar
@@ -134,6 +135,11 @@ def _utilities(scenario: Scenario, x: np.ndarray) -> np.ndarray:
     return util
 
 
+def _is_count(value) -> bool:
+    """value is a whole number of at least 1: an int or a numpy integer, not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
+
+
 def weight_identity_limit(q_max, q_max_prev):
     """Largest |W(t) - (2 Q(t) - Q(t-1))| a slot may show, elementwise over
     max |Q(t)| and max |Q(t-1)|: WEIGHT_IDENTITY_ULPS eps M, M the larger of
@@ -188,13 +194,15 @@ def run(scenario: Scenario, config, slots: int, oracle=None) -> Trace:
     (proximal algorithm only, to weight_identity_limit) and the queue bound
     transfer with B = max |Q|.
 
-    The slot loop runs only the recursions and stores each slot's decisions,
-    residual, queues and weights in (chunk, ...) buffers; chunk_slots sizes
-    them to CHUNK_BYTES each. The loop owns the queues: the proximal engine
-    decides from its signed queues Q and the residual g that stepped them
-    (the weight identity finds g in W), DPP from its clipped queues Y. Once per
-    chunk, array programs over the buffers evaluate the checks and the
-    per-slot metrics, feasibility by decision_faults. Utilities are evaluated
+    The slot loop steps only what the next decision reads and stores each
+    slot's decisions, residual, queues and weights in (chunk, ...) buffers;
+    chunk_slots sizes them to CHUNK_BYTES each. The proximal engine decides
+    from its signed queues Q and the residual g that stepped them (the
+    weight identity finds g in W), DPP from its clipped queues Y: the loop
+    steps Q, and Y for DPP. Once per chunk, _ChunkAudit steps the rest over
+    the stored decisions, the physical queues Z and a proximal run's Y, then
+    array programs over the buffers evaluate the checks and the per-slot
+    metrics, feasibility by decision_faults. Utilities are evaluated
     after the loop, NaN at a slot whose rates leave a utility's domain (a
     negative rate is also a feasibility fault). A proximal run whose signed
     queues go non-finite has no weights for its next slot: it stops there,
@@ -211,19 +219,20 @@ def run(scenario: Scenario, config, slots: int, oracle=None) -> Trace:
     (trace.peak_Y, trace.peak_Z), one per violating (family, node, session)
     with slot index 0; it is empty when a queue went NaN.
     """
-    if slots < 1:
-        raise ContractError(f"slots must be at least 1, got {slots!r}")
+    if not _is_count(slots):
+        raise ContractError(f"slots must be a positive integer, got {slots!r}")
+    slots = int(slots)
     if not isinstance(config, (AlgConfig, DppConfig)):
         raise ContractError(f"config must be an AlgConfig or a DppConfig, "
                             f"got {type(config).__name__}")
     prox = isinstance(config, AlgConfig)
     consts = SlotConstants(scenario, config) if prox else None
     audit = _ChunkAudit(scenario, prox, slots)
-    Y = Z = Q = g = np.zeros((scenario.n_nodes, scenario.n_sessions))  # g of the zero decision
+    Q = g = np.zeros((scenario.n_nodes, scenario.n_sessions))  # g of the zero decision
+    Y = audit.Y[0]
     x, mu = np.zeros(scenario.n_sessions), np.zeros((scenario.n_links, scenario.n_sessions))
     x_hist = audit.x_hist
-    buf_mu, buf_g, buf_Y, buf_Z, buf_Q, buf_W = (audit.mu, audit.g, audit.Y, audit.Z,
-                                                 audit.Q[2:], audit.W)
+    buf_mu, buf_g, buf_Y, buf_Q, buf_W = audit.mu, audit.g, audit.Y[1:], audit.Q[2:], audit.W
 
     # overflow and NaN show in the checks, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
@@ -243,14 +252,12 @@ def run(scenario: Scenario, config, slots: int, oracle=None) -> Trace:
                 else:
                     x, mu = dpp_slot_update(Y, scenario, config)
                 g = residual_matrix(scenario, x, mu)
-                Y = step_Y(Y, g, scenario)
-                Z, _ = step_Z(Z, x, mu, scenario)
+                if not prox:  # DPP's next decision reads Y
+                    Y = step_Y(Y, g, scenario, out=buf_Y[i])
                 Q = np.add(Q, g, out=buf_Q[i])  # step_Q, straight into its buffer row
                 x_hist[t0 + i] = x
                 buf_mu[i] = mu
                 buf_g[i] = g
-                buf_Y[i] = Y
-                buf_Z[i] = Z
             if n:  # a stop at a chunk's first slot leaves it nothing to audit
                 audit.chunk_done(t0, n)
             if t0 + n == slots:  # the last chunk, or a stop inside this one
@@ -299,11 +306,16 @@ def run(scenario: Scenario, config, slots: int, oracle=None) -> Trace:
 
 
 class _ChunkAudit:
-    """The chunk buffers of run(), and the checks and metrics evaluated on
-    them. Q holds the signed queues of the two slots before a chunk,
-    Q(t0 - 1) and Q(t0), in rows 0 and 1, which the drift and weight
-    identities read; the slot loop fills the rows after them. At the end of a
-    chunk its last two rows are copied to the front.
+    """The chunk buffers of run(), the queue steps no decision reads, and the
+    checks and metrics evaluated on them. Q holds the signed queues of the
+    two slots before a chunk, Q(t0 - 1) and Q(t0), in rows 0 and 1, which the
+    drift and weight identities read; the slot loop fills the rows after
+    them. Y and Z hold the queues before the chunk in row 0 and after each of
+    its slots in the rows after it: chunk_done steps Z by ZSteps, and a
+    proximal run's Y by one step_Y call, from the stored decisions and
+    residuals (a DPP run's loop fills Y, since its decisions read it). At the
+    end of a chunk the last rows are copied to the front. All chunk scratch,
+    ZSteps's too, is allocated here, once per run.
 
     Reductions over a slot's (N, F) block run over axes (1, 2) of the
     C-contiguous (chunk, N, F) buffer, which sums in the same order as a sum
@@ -316,7 +328,9 @@ class _ChunkAudit:
         n_n, n_f, n_l = scenario.n_nodes, scenario.n_sessions, scenario.n_links
         self.chunk = c = min(slots, chunk_slots(scenario))
         self.mu = np.empty((c, n_l, n_f))
-        self.g, self.Y, self.Z = (np.empty((c, n_n, n_f)) for _ in range(3))
+        self.g = np.empty((c, n_n, n_f))
+        self.Y, self.Z = (np.zeros((1 + c, n_n, n_f)) for _ in range(2))
+        self.z_steps = ZSteps(scenario, c)
         self.Q = np.zeros((2 + c, n_n, n_f))
         self.W = np.empty((c, n_n, n_f)) if prox else None
 
@@ -342,7 +356,11 @@ class _ChunkAudit:
         checks = self.checks
         rows = slice(t0, t0 + n)
         x = self.x_hist[rows]
-        mu, g, Y, Z = (b[:n] for b in (self.mu, self.g, self.Y, self.Z))
+        mu, g = self.mu[:n], self.g[:n]
+        Y, Z = self.Y[1:n + 1], self.Z[1:n + 1]
+        self.z_steps(self.Z[0], x, mu, out=Z)
+        if self.prox:  # the slot loop steps Y only for DPP, which decides from it
+            step_Y(self.Y[0], g, sc, out=Y)
         q_all = self.Q[1:n + 2]  # Q(t0), the queues before the chunk, then after each slot
         Q = q_all[1:]
         self.max_q[rows] = np.abs(Q).max(axis=(1, 2))
@@ -364,6 +382,8 @@ class _ChunkAudit:
             ident.reshape(n, -1)[:, sc.dst_entries] = 0.0
             checks["weight_identity"][rows] = np.abs(self.W[:n] - ident).max(axis=(1, 2))
         self.Q[:2] = self.Q[n:n + 2]
+        self.Y[0] = Y[-1]
+        self.Z[0] = Z[-1]
 
         self.feas_failures += [(t0 + i, message) for i, message in decision_faults(sc, x, mu)]
 
@@ -388,11 +408,12 @@ def chain_example(k: int, slots: int = None) -> tuple:
     hub draining one packet per slot in arrival order, which piles the hub
     backlog to exactly k+1 at slot 3k.
     """
-    if k < 1:
+    if not _is_count(k):
         raise ContractError(f"k must be a positive integer, got {k!r}")
+    if slots is not None and not _is_count(slots):
+        raise ContractError(f"slots must be a positive integer, got {slots!r}")
+    k = int(k)
     t_max = 6 * k if slots is None else int(slots)
-    if t_max < 1:
-        raise ContractError(f"slots must be positive, got {slots!r}")
     n_nodes = 3 * k + 1
     hub = 0
     walks = (list(range(1, 2 * k + 1)) + [hub],        # a_1..a_k, r_1..r_k, hub

@@ -5,7 +5,9 @@ All three families are stepped from the same per-slot decisions. Y assumes
 freshly injected data can traverse the whole network within its arrival slot;
 Z is faithful to physical forwarding, serving from existing backlog before
 arrivals join; Q integrates the signed flow residuals without clipping.
-Arrays are (N, F) with destination entries pinned at zero.
+Arrays are (N, F) with destination entries pinned at zero. step_Y and ZSteps
+step consecutive slots in one call, so a caller whose decisions do not read
+a family can step it once per chunk of stored decisions.
 """
 from __future__ import annotations
 
@@ -17,13 +19,26 @@ from .net import (CAP_TOL, ContractError, Scenario, ScenarioValidationError, dec
                   residual_matrix)
 
 
-def step_Y(Y, g, scenario: Scenario) -> np.ndarray:
-    """Clipped virtual queues: add the slot's flow residual g (N, F), as
-    returned by residual_matrix, so everything prescribed counts; then clip
-    at zero."""
-    nxt = np.maximum(np.asarray(Y, dtype=float) + g, 0.0)
-    nxt.put(scenario.dst_entries, 0.0)
-    return nxt
+def step_Y(Y, g, scenario: Scenario, out=None) -> np.ndarray:
+    """Clipped virtual queues: from Y (N, F), add each slot's flow residual,
+    as returned by residual_matrix, so everything prescribed counts; then
+    clip at zero. g is one slot's residual (N, F) or those of n consecutive
+    slots (n, N, F); the states after each slot come back in g's shape, in
+    out (C-contiguous) if given. The destination entries are zeroed once,
+    after the last slot, as each entry's recursion reads only its own past."""
+    g = np.asarray(g, dtype=float)
+    if out is None:
+        out = np.empty(g.shape)
+    n_n, n_f = scenario.n_nodes, scenario.n_sessions
+    g_rows, y_rows = g.reshape(-1, n_n, n_f), out.reshape(-1, n_n, n_f)
+    prev = Y
+    for t in range(len(g_rows)):
+        y_t = y_rows[t]
+        np.add(prev, g_rows[t], out=y_t)
+        np.maximum(y_t, 0.0, out=y_t)
+        prev = y_t
+    y_rows.reshape(-1, n_n * n_f)[:, scenario.dst_entries] = 0.0
+    return out
 
 
 def step_Q(Q, g) -> np.ndarray:
@@ -31,8 +46,9 @@ def step_Q(Q, g) -> np.ndarray:
     return np.asarray(Q, dtype=float) + g
 
 
-def step_Z(Z, arrivals, mu, scenario: Scenario) -> tuple:
-    """Physical store-and-forward queues. Returns (Z next, actual sends (L, F)).
+class ZSteps:
+    """Physical store-and-forward queues Z over up to `slots` consecutive
+    slots per call, with the scratch allocated once; step_Z is one slot of it.
 
     Service first: each node fills its outgoing prescriptions in ascending
     link-index order from current backlog only, so a link's actual transfer is
@@ -41,42 +57,81 @@ def step_Z(Z, arrivals, mu, scenario: Scenario) -> tuple:
     k-th out-links of all nodes are served together, one rank at a time, over
     the padded table Network.out_slots; a padding entry prescribes 0, takes
     min(0, backlog) = 0 from a backlog Z >= 0 and leaves it as it was. A
-    negative backlog entry counts as empty: Z is clipped at zero once, as it
-    is copied in, so padded and served ranks agree and no link sends a
+    negative backlog entry counts as empty: Z is clipped at zero once per
+    slot, as it is read, so padded and served ranks agree and no link sends a
     negative amount.
 
-    arrivals is an (N, F) matrix or the (F,) source rates, which join at each
-    session's source entry.
+    A call gathers the prescriptions of all its slots over out_slots, clips
+    them, zeroes the padding and scatters the source rates, once each. Per
+    slot remain the rank passes and the inflow: the remaining backlog plus
+    the arrivals, then one gather of the sends over Network.in_slots, added
+    one in-rank at a time, so each entry receives its sends in ascending
+    link order (a padding entry adds +0.0).
     """
-    network = scenario.network
-    n_l, n_f = scenario.n_links, scenario.n_sessions
-    out_slots = network.out_slots
-    # prescriptions with a zero row at the padding index L
-    padded = np.empty((n_l + 1, n_f))
-    np.maximum(mu, 0.0, out=padded[:n_l])
-    padded[n_l] = 0.0
-    wanted = padded.take(out_slots, axis=0)
-    # each rank's takes, with a zero row at the padding index K·N of in_slots
-    flat = np.empty((out_slots.size + 1, n_f))
-    flat[-1] = 0.0
-    takes = flat[:-1].reshape(wanted.shape)
-    # the remaining backlog until the loop ends; a negative entry is empty
-    nxt = np.maximum(Z, 0.0, dtype=float, order="C")
-    for want, take in zip(wanted, takes):
-        np.minimum(want, nxt, out=take)
-        nxt -= take
-    sends = flat.take(network.link_slots, axis=0)
-    arrivals = np.asarray(arrivals, dtype=float)
-    if arrivals.ndim == 1:
-        nxt.put(scenario.src_entries, nxt.take(scenario.src_entries) + arrivals)
-    else:
-        nxt += arrivals
-    # each (head, session) entry receives its sends one link at a time, in
-    # ascending link order; a padding entry adds +0.0
-    for ins in flat.take(network.in_slots, axis=0):
-        nxt += ins
-    nxt.put(scenario.dst_entries, 0.0)
-    return nxt, sends
+
+    def __init__(self, scenario: Scenario, slots: int):
+        network = scenario.network
+        n_n, n_f, n_l = scenario.n_nodes, scenario.n_sessions, scenario.n_links
+        kn = network.out_slots.size
+        self.scenario = scenario
+        # each slot's prescriptions by (rank, node), and where out_slots pads
+        self.wanted = np.empty((slots,) + network.out_slots.shape + (n_f,))
+        self.pads = np.flatnonzero(network.out_slots.ravel() == n_l)
+        self.arrivals = np.zeros((slots, n_n, n_f))  # source rates at their entries
+        # one slot's rank takes, with a zero row at the padding index K·N of in_slots
+        self.flat = np.zeros((kn + 1, n_f))
+        self.takes = list(self.flat[:kn].reshape(self.wanted.shape[1:]))  # one (N, F) per rank
+        self.rem = np.empty((n_n, n_f))
+        self.inflow = np.empty(network.in_slots.shape + (n_f,))
+        self.ins = list(self.inflow)  # one (N, F) per in-rank
+
+    def __call__(self, Z, arrivals, mu, out, sends=None) -> np.ndarray:
+        """Step Z (N, F) over the n = len(mu) slots of mu (n, L, F). arrivals
+        are the slots' (n, F) source rates, which join at each session's
+        source entry, or (n, N, F) matrices. out (n, N, F) receives the state
+        after each slot and sends, if given, (n, L, F) each link's actual
+        transfer. Returns out."""
+        sc = self.scenario
+        network = sc.network
+        mu = np.asarray(mu, dtype=float)
+        n = len(mu)
+        wanted = self.wanted[:n]
+        # the padding index L reads link L - 1 and is zeroed after the clip
+        mu.take(network.out_slots, axis=1, out=wanted, mode="clip")
+        np.maximum(wanted, 0.0, out=wanted)
+        wanted.reshape(n, network.out_slots.size, sc.n_sessions)[:, self.pads] = 0.0
+        arrivals = np.asarray(arrivals, dtype=float)
+        if arrivals.ndim == 2:
+            arr = self.arrivals[:n]
+            arr.reshape(n, sc.n_nodes * sc.n_sessions)[:, sc.src_entries] = arrivals
+            arrivals = arr
+        rem, takes, flat, inflow, ins = self.rem, self.takes, self.flat, self.inflow, self.ins
+        in_slots, dst = network.in_slots, sc.dst_entries
+        prev = Z
+        for t in range(n):
+            np.maximum(prev, 0.0, out=rem)
+            for k, take in enumerate(takes):
+                np.minimum(wanted[t, k], rem, out=take)
+                rem -= take
+            if sends is not None:
+                flat.take(network.link_slots, axis=0, out=sends[t])
+            prev = out[t]
+            np.add(rem, arrivals[t], out=prev)
+            flat.take(in_slots, axis=0, out=inflow)
+            for sent in ins:
+                prev += sent
+            prev.put(dst, 0.0)
+        return out
+
+
+def step_Z(Z, arrivals, mu, scenario: Scenario) -> tuple:
+    """One slot of the physical queues (ZSteps): arrivals are the (F,) source
+    rates or an (N, F) matrix. Returns (Z next, actual sends (L, F))."""
+    mu = np.asarray(mu, dtype=float)
+    nxt = np.empty((1, scenario.n_nodes, scenario.n_sessions))
+    sends = np.empty((1,) + mu.shape)
+    ZSteps(scenario, 1)(Z, np.asarray(arrivals, dtype=float)[None], mu[None], nxt, sends)
+    return nxt[0], sends[0]
 
 
 # ---------------------------------------------------------------------------
@@ -150,15 +205,14 @@ def run_scripted(scenario: Scenario, policy: ScriptedPolicy) -> ScriptedTrace:
     validate_policy(scenario, policy)
     t_max = policy.slots
     shape = (scenario.n_nodes, scenario.n_sessions)
-    y_hist = np.zeros((t_max + 1,) + shape)
-    z_hist = np.zeros((t_max + 1,) + shape)
-    q_hist = np.zeros((t_max + 1,) + shape)
+    y_hist, z_hist, q_hist = (np.zeros((t_max + 1,) + shape) for _ in range(3))
+    g_instant = np.empty((t_max,) + shape)
     for t in range(t_max):
         arr = policy.arrivals[t]
-        y_hist[t + 1] = step_Y(y_hist[t], residual_matrix(scenario, arr, policy.mu_instant[t]),
-                               scenario)
-        z_hist[t + 1], _ = step_Z(z_hist[t], arr, policy.mu[t], scenario)
+        g_instant[t] = residual_matrix(scenario, arr, policy.mu_instant[t])
         q_hist[t + 1] = step_Q(q_hist[t], residual_matrix(scenario, arr, policy.mu[t]))
+    step_Y(y_hist[0], g_instant, scenario, out=y_hist[1:])
+    ZSteps(scenario, t_max)(z_hist[0], policy.arrivals, policy.mu, z_hist[1:])
     return ScriptedTrace(y_hist, z_hist, q_hist)
 
 

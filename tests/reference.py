@@ -1,13 +1,16 @@
 """Reference implementations the tests hold the library to.
 
-run_per_slot is harness.run with every check and metric evaluated inside the
-slot loop, one slot at a time; the parity tests hold the chunked harness to
-its traces and summaries, bit for bit. project_bisect and kkt_residual check
+run_per_slot is harness.run with every queue family stepped and every check
+and metric evaluated inside the slot loop, one slot at a time. harness.run's
+loop steps only what the next decision reads, Q for the proximal algorithm
+and Y for DPP, and its audit steps the rest, Z and a proximal run's Y, once
+per chunk; the parity tests hold it to this reference's traces and
+summaries, bit for bit. project_bisect and kkt_residual check
 the capped-simplex projection independently of its sort-based solvers;
 project_rows_masked is projection.project_rows with the forbidden pairs
 given as a boolean mask of the allowed ones, the encoding it replaced;
 objective and slope write out a source's slot problem for the rate solvers;
-arrival_matrix scatters source rates the way residual_matrix and step_Z
+arrival_matrix scatters source rates the way residual_matrix and ZSteps
 place them. dual_value is oracle.dual_value with its link term as a loop over
 the links and their allow-sets.
 """

@@ -200,8 +200,9 @@ def test_cli_reports_bad_input_cleanly(capsys, tmp_path):
     code = main(["run", "--scenario", "/nonexistent.net", "--slots", "5"])
     assert code == 2
     assert "proxbp:" in capsys.readouterr().err
-    for flags, message in ((["--k", "0"], "proxbp: k must be a positive integer"),
-                           (["--k", "2", "--slots", "0"], "proxbp: slots must be positive")):
+    for flags, message in (
+            (["--k", "0"], "proxbp: k must be a positive integer"),
+            (["--k", "2", "--slots", "0"], "proxbp: slots must be a positive integer")):
         code = main(["gen", "chain", *flags, "--out-dir", str(tmp_path)])
         assert code == 2
         assert capsys.readouterr().err.startswith(message)

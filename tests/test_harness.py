@@ -13,7 +13,7 @@ from reference import run_per_slot
 from strategies import scenarios
 
 import proxbp as P
-from proxbp import cli, engine, harness
+from proxbp import cli, engine, harness, queues
 from proxbp.harness import CSV_HEADER, CompareRun, compare, queue_mass, trace_from_csv
 
 SIXNODE = str(Path(__file__).resolve().parents[1] / "scenarios" / "sixnode.net")
@@ -135,6 +135,36 @@ def test_rejects_bad_arguments(singlelink, tmp_path):
     dpp_slot.assert_not_called()
     with pytest.raises(P.ContractError):
         _from_csv_text("slot,alg\n", tmp_path)
+
+
+NOT_COUNTS = (2.5, 7.9, True, np.True_, 0, np.int64(0), -3, "3", None)
+
+
+@pytest.mark.parametrize("slots", NOT_COUNTS)
+def test_run_rejects_a_slot_count_that_is_no_positive_integer(singlelink, slots):
+    with pytest.raises(P.ContractError, match="^slots must be a positive integer, got "):
+        P.run(singlelink, P.AlgConfig(np.array([1.0, 1.0])), slots)
+
+
+def test_run_takes_a_numpy_integer_slot_count(singlelink):
+    cfg = P.AlgConfig(np.array([1.0, 1.0]))
+    assert _csv_text(P.run(singlelink, cfg, np.int32(3))) == _csv_text(P.run(singlelink, cfg, 3))
+
+
+@pytest.mark.parametrize("bad", [b for b in NOT_COUNTS if b is not None])
+def test_chain_example_rejects_a_count_that_is_no_positive_integer(bad):
+    with pytest.raises(P.ContractError, match="^k must be a positive integer, got "):
+        P.chain_example(bad)
+    with pytest.raises(P.ContractError, match="^slots must be a positive integer, got "):
+        P.chain_example(2, slots=bad)
+
+
+def test_chain_example_takes_numpy_integer_counts():
+    sc, pol = P.chain_example(np.int64(2), slots=np.int32(7))
+    ref_sc, ref = P.chain_example(2, slots=7)
+    assert sc == ref_sc and pol.slots == 7
+    for name in ("arrivals", "mu", "mu_instant"):
+        assert getattr(pol, name).tobytes() == getattr(ref, name).tobytes()
 
 
 _ROW = "0,new,0," + ",".join(["1.0"] * 10)
@@ -520,6 +550,25 @@ def test_one_residual_per_slot(sixnode, monkeypatch, alg):
             mock.patch.object(engine, "residual_matrix", spy):
         P.run(sixnode, _config(sixnode, alg), 7)
     assert spy.call_count == 7
+
+
+@pytest.mark.parametrize("alg", ("new", "dpp"))
+def test_the_loop_steps_only_the_queues_the_next_decision_reads(sixnode, monkeypatch, alg):
+    # the proximal engine decides from Q, DPP from Y: the slot loop steps
+    # those, and the chunk audit steps Z, and a proximal run's Y, once per
+    # chunk. 7 slots in chunks of 3.
+    monkeypatch.setattr(harness, "CHUNK_BYTES", _chunk_bytes(sixnode, 3))
+    with mock.patch.object(queues.ZSteps, "__call__", autospec=True,
+                           side_effect=queues.ZSteps.__call__) as z_chunk, \
+            mock.patch.object(harness, "step_Z", wraps=harness.step_Z) as z_slot, \
+            mock.patch.object(harness, "step_Y", wraps=harness.step_Y) as y_step:
+        P.run(sixnode, _config(sixnode, alg), 7)
+    z_slot.assert_not_called()
+    # ZSteps.__call__(self, Z, arrivals, mu, out): mu holds the chunk's slots
+    assert [len(c.args[3]) for c in z_chunk.call_args_list] == [3, 3, 1]
+    # step_Y(Y, g, scenario, out=...): g is one slot's (N, F) or a chunk's
+    steps = [c.args[1].shape[:-2] for c in y_step.call_args_list]
+    assert steps == ([()] * 7 if alg == "dpp" else [(3,), (3,), (1,)])
 
 
 @pytest.mark.parametrize("chunk", (3, None))

@@ -8,8 +8,8 @@ from strategies import arrays, scenarios
 import proxbp as P
 from proxbp.engine import compute_weights
 from proxbp.net import residual_matrix
-from proxbp.queues import (ScriptedPolicy, audit_queue_bounds, run_scripted, step_Q, step_Y,
-                           step_Z, validate_policy)
+from proxbp.queues import (ScriptedPolicy, ZSteps, audit_queue_bounds, run_scripted, step_Q,
+                           step_Y, step_Z, validate_policy)
 
 
 def test_arrival_matrix(sixnode):
@@ -95,13 +95,14 @@ def test_step_z_sends_nothing_from_a_negative_backlog():
 
 def _step_Z_scalar(Z, arrivals, mu, scenario):
     """Scalar reference for step_Z: each node serves its out-links one at a
-    time in ascending link order, then sends and arrivals join link by link."""
+    time in ascending link order from its backlog, a negative entry counting
+    as empty, then sends and arrivals join link by link."""
     network = scenario.network
     arrivals = np.asarray(arrivals, dtype=float)
     if arrivals.ndim == 1:
         arrivals = arrival_matrix(scenario, arrivals)
     mu = np.asarray(mu, dtype=float)
-    rem = np.array(Z, dtype=float)
+    rem = np.maximum(np.array(Z, dtype=float), 0.0)
     sends = np.zeros((scenario.n_links, scenario.n_sessions))
     for n in range(scenario.n_nodes):
         avail = rem[n]
@@ -148,6 +149,42 @@ def test_step_z_vector_arrivals_match_arrival_matrix(case):
     ref_nxt, ref_sends = step_Z(z, arrival_matrix(sc, x), mu, sc)
     assert nxt.tobytes() == ref_nxt.tobytes()
     assert sends.tobytes() == ref_sends.tobytes()
+
+
+@st.composite
+def _z_chunks(draw):
+    """(scenario, Z, arrivals, mu) for a chunk of 1 to 5 slots: a start
+    backlog with negative and -0.0 entries, prescriptions with some, and
+    arrivals as (n, F) source rates or (n, N, F) matrices."""
+    sc = draw(scenarios())
+    n, f, l = sc.n_nodes, sc.n_sessions, sc.n_links
+    slots = draw(st.integers(1, 5))
+    coarse = draw(st.booleans())
+    z = arrays(draw, (n, f), (-1.0, -0.0, 0.0, 0.25, 3.0), -2.0, 5.0, coarse)
+    mu = arrays(draw, (slots, l, f), (-0.5, -0.0, 0.0, 0.5, 2.0), -1.0, 3.0, coarse)
+    shape = (slots, f) if draw(st.booleans()) else (slots, n, f)
+    arrivals = arrays(draw, shape, (0.0, 0.5, 1.0), 0.0, 2.0, coarse)
+    return sc, z, arrivals, mu
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=_z_chunks())
+def test_z_steps_match_a_chain_of_scalar_steps(case):
+    # two calls on one ZSteps, the second from the first's last state, as
+    # the audit steps consecutive chunks with its scratch
+    sc, z, arrivals, mu = case
+    steps = ZSteps(sc, 5)
+    slots = len(mu)
+    out = np.empty((2, slots, sc.n_nodes, sc.n_sessions))
+    sends = np.empty((2,) + mu.shape)
+    first = out[0]
+    assert steps(z, arrivals, mu, first, sends[0]) is first
+    steps(first[-1], arrivals, mu, out[1], sends[1])
+    want = z
+    for i in range(2 * slots):
+        want, want_sends = _step_Z_scalar(want, arrivals[i % slots], mu[i % slots], sc)
+        assert out[i // slots, i % slots].tobytes() == want.tobytes()
+        assert sends[i // slots, i % slots].tobytes() == want_sends.tobytes()
 
 
 def test_step_z_accepts_fortran_ordered_inputs(sixnode):
@@ -368,6 +405,13 @@ def test_chain_policy_is_feasible():
     sc2, pol2 = P.chain_example(3, slots=40)
     assert pol2.slots == 40
     validate_policy(sc2, pol2)
+
+
+def test_run_scripted_replays_an_empty_policy(sixnode):
+    empty = np.zeros((0, 6, 2)), np.zeros((0, 8, 2)), np.zeros((0, 8, 2))
+    tr = run_scripted(sixnode, ScriptedPolicy(*empty))
+    for hist in (tr.Y, tr.Z, tr.Q):
+        assert hist.tolist() == np.zeros((1, 6, 2)).tolist()
 
 
 def test_audit_queue_bounds_empty_on_compliant_history(relay):

@@ -11,8 +11,8 @@ import types
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 
-import proxbp as P
 from proxbp import harness
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -53,15 +53,21 @@ def test_kernel_tool_times_two_trees_in_one_process(capsys):
         assert set(doc["trees"][tree][tool.ORACLE]) == set(tool.ORACLE_KERNELS)
 
 
-def test_kernel_tool_passes_the_parent_run_its_algorithm():
-    # the parent tree's run takes the algorithm before its config, so the
-    # parent can be timed beside this tree
+def test_kernel_tool_steps_a_parent_chunk_once_per_slot(sixnode):
+    # a tree without ZSteps (the parent) has only the one-slot steps, which
+    # its slot loop called; its chunk_queues row calls them once per slot
     tool = _kernel_tool()
-    assert tool._run(P) is P.run
     calls = []
 
-    def parent_run(scenario, algorithm, config, slots, oracle=None):
-        calls.append((scenario, algorithm, config, slots, oracle))
+    def step(name):
+        def record(state, *args):
+            calls.append(name)
+            return state if name == "Y" else (state, None)
+        return record
 
-    tool._run(types.SimpleNamespace(run=parent_run))("sc", "config", 7)
-    assert calls == [("sc", "new", "config", 7, None)]
+    tree = types.SimpleNamespace(queues=types.SimpleNamespace(), step_Y=step("Y"),
+                                 step_Z=step("Z"))
+    start = (np.zeros((6, 2)), np.zeros((6, 2)))
+    chunk = (np.zeros((3, 2)), np.zeros((3, 8, 2)), np.zeros((3, 6, 2)))
+    tool._chunk_queues(tree, sixnode, start, chunk)()
+    assert calls == ["Y", "Z"] * 3

@@ -9,11 +9,18 @@ slots and the seeded 10x10 grid with 20 sessions (perfbench/gridgen.py, seed 1)
 after 300 slots, both with the queue-bound alpha that `proxbp run` uses.
 run_slot is harness.run from empty queues for the same number of slots,
 divided by that number: the slot with the harness's queue steps, buffers and
-chunk audit around it. The oracle rows time solve_centralized on the
-six-node scenario at tol 1e-5, as `proxbp oracle` calls it, and
-repair_feasible and dual_value at its solution. A kernel's time is the best
+chunk audit around it. chunk_queues is the audit's queue work of a proximal
+run over one chunk, divided by its slots: ZSteps steps the physical queues Z
+and step_Y the clipped queues Y over the last CHUNKS slots of the state's
+run, 1000 on sixnode (the whole of a six-prox run) and 4 on the grid (its
+audit chunk). A tree without queues.ZSteps, the parent commit 153dee4, steps
+both once per slot with step_Y and step_Z, as its slot loop did. The oracle
+rows time solve_centralized on the six-node scenario at tol 1e-5, as
+`proxbp oracle` calls it, and repair_feasible and dual_value at its
+solution. A kernel's time is the best
 of --repeats timeit repeats of --number calls (--number / 40 for
-solve_centralized and --number / 200 for run_slot, which take milliseconds).
+solve_centralized and chunk_queues and --number / 200 for run_slot, which
+take milliseconds).
 
 All trees are timed in this one process, so no tree's numbers carry an offset
 of its own process: each tree's package is imported under its own module name,
@@ -27,8 +34,7 @@ slot_update takes the previous decisions as their residual g and raw
 residual, which the run loop computes once per slot. decision_faults checks
 the decisions of the last 4 slots, one audit chunk of the grid run. The
 oracle rows read the solution's x_star and mu_star. Supported trees are this
-one and its parent, commit 972f022, whose run still takes the algorithm by
-name before its config: run_slot passes it "new".
+one and its parent, commit 153dee4.
 
 Array placement still shows inside one process: between trees whose code for
 a kernel is the same, its rows have differed by up to about 20% depending on
@@ -40,20 +46,21 @@ from __future__ import annotations
 import argparse
 import importlib
 import importlib.util
-import inspect
 import json
 import os
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-KERNELS = ("slot_update", "run_slot", "rate_phase", "project_rows", "step_Z",
+KERNELS = ("slot_update", "run_slot", "rate_phase", "project_rows", "step_Z", "chunk_queues",
            "residual_matrix", "compute_weights", "decision_faults")
 CHUNK = 4  # slots per decision_faults call, the harness's chunk on the grid
 STATES = {"sixnode": 3000, "grid10x10f20": 300}
+CHUNKS = {"sixnode": 1000, "grid10x10f20": CHUNK}  # slots of the chunk_queues chunk
 ORACLE = "sixnode_oracle"  # the state name of the oracle rows
 ORACLE_KERNELS = ("solve_centralized", "repair_feasible", "dual_value")
-SLOW = {"solve_centralized": 40, "run_slot": 200}  # kernels timed on --number / this calls
+# kernels timed on --number / this calls
+SLOW = {"solve_centralized": 40, "chunk_queues": 40, "run_slot": 200}
 # one BLAS thread, set before numpy is first imported
 THREADS = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
@@ -70,40 +77,57 @@ def _import_tree(name: str, src):
     return module
 
 
-def _run(P):
-    """P.run as run(scenario, config, slots): a tree whose run still takes the
-    algorithm before its config (the parent, 972f022) is passed "new"."""
-    if "algorithm" in inspect.signature(P.run).parameters:
-        return lambda sc, config, slots: P.run(sc, "new", config, slots)
-    return P.run
-
-
 def _states(P, texts: dict):
-    """{state name: (scenario, Q, x, mu, Z, consts, chunk)} for the package P
-    and the scenario texts of STATES: the queues after the slot counts of
-    STATES and the decisions x, mu of the last slot, what the next slot
-    reads, and chunk, the (x, mu) stacks of the last CHUNK slots."""
+    """{state name: (scenario, Q, x, mu, Z, consts, start, chunk)} for the
+    package P and the scenario texts of STATES: the queues after the slot
+    counts of STATES and the decisions x, mu of the last slot, what the next
+    slot reads; chunk, the (x, mu, g) stacks of the last CHUNKS slots, and
+    start, the queues (Y, Z) before them."""
+    from collections import deque
+
     import numpy as np
 
     out = {}
     for name, text in texts.items():
         sc = P.parse_scenario(text)
         consts = P.SlotConstants(sc, P.AlgConfig(P.default_alpha(sc.network, "queue-bound")))
-        Q = Z = g = np.zeros((sc.n_nodes, sc.n_sessions))  # g of the zero decision
+        Q = Y = Z = g = np.zeros((sc.n_nodes, sc.n_sessions))  # g of the zero decision
         x, mu = np.zeros(sc.n_sessions), np.zeros((sc.n_links, sc.n_sessions))
-        last = []
-        for _ in range(STATES[name]):
+        last = deque(maxlen=CHUNKS[name])
+        for t in range(STATES[name]):
+            if t == STATES[name] - CHUNKS[name]:
+                start = (Y, Z)
             x, mu, _ = P.slot_update(Q, g, x, mu, consts)
             g = P.residual_matrix(sc, x, mu)
             Q = Q + g
+            Y = P.step_Y(Y, g, sc)
             Z, _ = P.step_Z(Z, x, mu, sc)
-            last = (last + [(x, mu)])[-CHUNK:]
+            last.append((x, mu, g))
         chunk = tuple(np.stack(c) for c in zip(*last))
-        out[name] = (sc, Q, x, mu, Z, consts, chunk)
+        out[name] = (sc, Q, x, mu, Z, consts, start, chunk)
     return out
 
 
-def _slot_calls(P, slots, sc, Q, x, mu, Z, consts, chunk) -> dict:
+def _chunk_queues(P, sc, start, chunk):
+    """A call that steps the queues (Y, Z) = start over the slots of chunk
+    (x, mu, g) as the audit of a proximal run does: ZSteps and one step_Y
+    call, or, in a tree without ZSteps, step_Y and step_Z once per slot."""
+    import numpy as np
+
+    (Y, Z), (x, mu, g) = start, chunk
+    if not hasattr(P.queues, "ZSteps"):
+        def per_slot():
+            y, z = Y, Z
+            for t in range(len(mu)):
+                y = P.step_Y(y, g[t], sc)
+                z, _ = P.step_Z(z, x[t], mu[t], sc)
+        return per_slot
+    steps = P.queues.ZSteps(sc, len(mu))
+    y_out, z_out = np.empty(g.shape), np.empty(g.shape)
+    return lambda: (steps(Z, x, mu, z_out), P.step_Y(Y, g, sc, out=y_out))
+
+
+def _slot_calls(P, slots, sc, Q, x, mu, Z, consts, start, chunk) -> dict:
     """{kernel: a call with no arguments} for the package P on one state,
     reached after the given number of slots."""
     net = sc.network
@@ -114,17 +138,18 @@ def _slot_calls(P, slots, sc, Q, x, mu, Z, consts, chunk) -> dict:
     d = W.take(sc.src_entries) - a_src * x
     rates = (sc.utility_shift, sc.utility_weight, d, a_src, consts.ak_src, consts.two_a_src,
              consts.four_a_src)
-    run = _run(P)
+    faults = tuple(c[-CHUNK:] for c in chunk[:2])
     return {
         "slot_update": lambda: P.slot_update(Q, g, x, mu, consts),
-        "run_slot": lambda: run(sc, consts.config, slots),
+        "run_slot": lambda: P.run(sc, consts.config, slots),
         "rate_phase": lambda: P.rates.rate_lanes(*rates),
         "project_rows": lambda: P.project_rows(a, net.caps, sc.forbidden_entries,
                                                consts.ranks),
         "step_Z": lambda: P.step_Z(Z, x, mu, sc),
+        "chunk_queues": _chunk_queues(P, sc, start, chunk),
         "residual_matrix": lambda: P.residual_matrix(sc, x, mu),
         "compute_weights": lambda: P.compute_weights(Q, g, sc),
-        "decision_faults": lambda: P.decision_faults(sc, *chunk),
+        "decision_faults": lambda: P.decision_faults(sc, *faults),
     }
 
 
@@ -177,8 +202,10 @@ def main(argv=None) -> int:
         for state, kernels in cases.items():
             for k in kernels:
                 number = max(1, args.number // SLOW.get(k, 1))
-                # run_slot's call runs all the slots of its state
-                per_call = STATES[state] if k == "run_slot" else 1
+                # run_slot's call runs all the slots of its state,
+                # chunk_queues's those of its chunk
+                per_call = (STATES[state] if k == "run_slot" else
+                            CHUNKS[state] if k == "chunk_queues" else 1)
                 for name in order:
                     best = min(timeit.repeat(calls[name][state][k], number=number,
                                              repeat=args.repeats))
