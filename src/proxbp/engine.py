@@ -58,10 +58,10 @@ class SlotConstants:
     builds one. (F,): a_src, 2 alpha at each session's source, its multiples
     two_a_src and four_a_src, and ak_src, a_src times the 0-or-1 utility
     shift. link_denom (L, F), 2 (alpha_tail + alpha_head) across each link's
-    row, to divide without a broadcast; ranks, 1.0 .. F. The utility shifts
-    and forbidden pairs come from the scenario. Raises ContractError unless
-    alpha has one entry per node, 2 alpha is finite at the sources, and so
-    are four_a_src (8 alpha) and link_denom."""
+    row, to divide without a broadcast. The utility shifts and forbidden
+    pairs come from the scenario. Raises ContractError unless alpha has one
+    entry per node, 2 alpha is finite at the sources, and so are four_a_src
+    (8 alpha) and link_denom."""
 
     scenario: Scenario
     config: AlgConfig
@@ -70,7 +70,6 @@ class SlotConstants:
     four_a_src: np.ndarray = field(init=False)
     ak_src: np.ndarray = field(init=False)
     link_denom: np.ndarray = field(init=False)
-    ranks: np.ndarray = field(init=False)
 
     def __post_init__(self):
         alpha = self.config.alpha
@@ -88,8 +87,7 @@ class SlotConstants:
                                     "at every link must be finite")
             arrays = {"a_src": a_src, "two_a_src": 2.0 * a_src, "four_a_src": four_a,
                       "ak_src": a_src * sc.utility_shift,
-                      "link_denom": np.repeat(denom[:, None], sc.n_sessions, axis=1),
-                      "ranks": np.arange(1.0, sc.n_sessions + 1.0)}
+                      "link_denom": np.repeat(denom[:, None], sc.n_sessions, axis=1)}
         for name, a in arrays.items():
             object.__setattr__(self, name, _frozen(a))
 
@@ -147,5 +145,5 @@ def slot_update(Q: np.ndarray, g_prev, x_prev, mu_prev, consts: SlotConstants) -
     network = scenario.network
     a = mu_prev + (W.take(network.tails, axis=0)
                    - W.take(network.heads, axis=0)) / consts.link_denom
-    mu = project_rows(a, network.caps, scenario.forbidden_entries, consts.ranks)
+    mu = project_rows(a, network.caps, scenario.forbidden_entries)
     return x, mu, W

@@ -13,7 +13,7 @@ from .net import (_EPS, ContractError, Link, Network, Scenario, Session, Utility
                   decision_faults, residual_matrix, total_utility)
 from .engine import AlgConfig, SlotConstants, default_alpha, slot_update
 from .dpp import DppConfig, dpp_slot_update
-from .queues import ScriptedPolicy, ZSteps, audit_queue_bounds, step_Y, step_Z
+from .queues import ScriptedPolicy, ZSteps, audit_queue_bounds, step_Q, step_Y, step_Z
 
 CSV_HEADER = "slot,alg,session,x,xbar,util_inst,util_avg,util_jensen,gap,maxQ,maxZ,maxY,lyapunov"
 # the Trace fields of the per-slot columns, in CSV order after x and xbar
@@ -199,25 +199,24 @@ def run(scenario: Scenario, config, slots: int, oracle=None) -> Trace:
     chunk_slots sizes them to CHUNK_BYTES each. The proximal engine decides
     from its signed queues Q and the residual g that stepped them (the
     weight identity finds g in W), DPP from its clipped queues Y: the loop
-    steps Q, and Y for DPP. Once per chunk, _ChunkAudit steps the rest over
-    the stored decisions, the physical queues Z and a proximal run's Y, then
-    array programs over the buffers evaluate the checks and the per-slot
-    metrics, feasibility by decision_faults. Utilities are evaluated
-    after the loop, NaN at a slot whose rates leave a utility's domain (a
-    negative rate is also a feasibility fault). A proximal run whose signed
-    queues go non-finite has no weights for its next slot: it stops there,
-    and the trace holds the slots run before, with the drift identity failed
-    at the faulty slot.
+    steps Q by step_Q, and Y by step_Y for DPP, each into its buffer row.
+    Once per chunk, _ChunkAudit steps the rest over the stored decisions,
+    the physical queues Z and a proximal run's Y, then array programs over
+    the buffers evaluate the checks and the per-slot metrics, feasibility by
+    decision_faults. Utilities are evaluated after the loop, NaN at a slot
+    whose rates leave a utility's domain (a negative rate is also a
+    feasibility fault). A proximal run whose signed queues go non-finite has
+    no weights for its next slot: it stops there, and the trace holds the
+    slots run before, with the drift identity failed at the faulty slot.
 
     Results land in trace.summary; summary["passed"] is the overall verdict.
     summary["first_violation"] maps each per-slot check to the (slot, value)
     of its first violation, or None if it held throughout (the value is the
     message for "feasibility"). Its "utility" entry is the first NaN
     util_inst, so a run whose rates leave a utility's domain does not pass.
-    summary["queue_transfer_violations"] holds the records of
-    audit_queue_bounds applied to the per-(node, session) peaks of Y and Z
-    (trace.peak_Y, trace.peak_Z), one per violating (family, node, session)
-    with slot index 0; it is empty when a queue went NaN.
+    summary["queue_transfer_violations"] holds the audit_queue_bounds records
+    of the (N, F) peaks of Y and Z (trace.peak_Y, trace.peak_Z), one per
+    violating (family, node, session); it is empty when a queue went NaN.
     """
     if not _is_count(slots):
         raise ContractError(f"slots must be a positive integer, got {slots!r}")
@@ -254,7 +253,7 @@ def run(scenario: Scenario, config, slots: int, oracle=None) -> Trace:
                 g = residual_matrix(scenario, x, mu)
                 if not prox:  # DPP's next decision reads Y
                     Y = step_Y(Y, g, scenario, out=buf_Y[i])
-                Q = np.add(Q, g, out=buf_Q[i])  # step_Q, straight into its buffer row
+                Q = step_Q(Q, g, out=buf_Q[i])
                 x_hist[t0 + i] = x
                 buf_mu[i] = mu
                 buf_g[i] = g
@@ -278,7 +277,7 @@ def run(scenario: Scenario, config, slots: int, oracle=None) -> Trace:
     # a NaN queue gives no B, and the drift identity has failed at its slot
     b_obs = float(audit.max_q.max())
     transfer = ([] if math.isnan(b_obs) else
-                audit_queue_bounds(audit.peak_Y[None], audit.peak_Z[None], b_obs, scenario))
+                audit_queue_bounds(audit.peak_Y, audit.peak_Z, b_obs, scenario))
 
     # each check's worst value, and the slot and value of its first violation
     q_max = np.concatenate((np.zeros(2), audit.max_q))  # max |Q(t)| from t = -1
@@ -309,13 +308,14 @@ class _ChunkAudit:
     """The chunk buffers of run(), the queue steps no decision reads, and the
     checks and metrics evaluated on them. Q holds the signed queues of the
     two slots before a chunk, Q(t0 - 1) and Q(t0), in rows 0 and 1, which the
-    drift and weight identities read; the slot loop fills the rows after
-    them. Y and Z hold the queues before the chunk in row 0 and after each of
-    its slots in the rows after it: chunk_done steps Z by ZSteps, and a
-    proximal run's Y by one step_Y call, from the stored decisions and
-    residuals (a DPP run's loop fills Y, since its decisions read it). At the
-    end of a chunk the last rows are copied to the front. All chunk scratch,
-    ZSteps's too, is allocated here, once per run.
+    drift and weight identities read; the slot loop's step_Q fills the rows
+    after them. Y and Z hold the queues before the chunk in row 0 and after
+    each of its slots in the rows after it: chunk_done steps Z by ZSteps,
+    and a proximal run's Y by one step_Y call, from the stored decisions and
+    residuals (a DPP run's loop fills Y, since its decisions read it), and
+    keeps each family's (N, F) peak over the run in peak_Y and peak_Z, what
+    audit_queue_bounds reads. At the end of a chunk the last rows are copied
+    to the front. All chunk scratch, ZSteps's too, is allocated once per run.
 
     Reductions over a slot's (N, F) block run over axes (1, 2) of the
     C-contiguous (chunk, N, F) buffer, which sums in the same order as a sum

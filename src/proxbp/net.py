@@ -330,15 +330,15 @@ _EPS = float(np.finfo(float).eps)
 def decision_faults(scenario: Scenario, x, mu) -> list:
     """(slot, message) of each slot of the stacks x (T, F) and mu (T, L, F)
     that breaks a per-slot set constraint, in slot order. A slot reports its
-    first fault: a negative rate, else a nonzero rate on a forbidden (link,
-    session) pair, else the first link whose load exceeds its capacity by
-    more than CAP_TOL. A load is the pairwise sum of the link's row, what
-    mu[t, l].sum() gives."""
+    first fault: a NaN rate, else a negative one, else a nonzero rate on a
+    forbidden (link, session) pair, else the first link whose load exceeds
+    its capacity by more than CAP_TOL. A load is the pairwise sum of the
+    link's row, what mu[t, l].sum() gives."""
     x = np.asarray(x, dtype=float)
     mu = np.ascontiguousarray(mu, dtype=float)
     n_t, n_l, n_f = mu.shape
     caps = scenario.network.caps
-    negative = (x < 0).any(axis=1) | (mu < 0).any(axis=(1, 2))
+    not_nonneg = ~((x >= 0).all(axis=1) & (mu >= 0).all(axis=(1, 2)))  # NaN fails >= 0
     pairs = mu.reshape(n_t, n_l * n_f)
     forbidden = (pairs.take(scenario.forbidden_entries, axis=1) != 0).any(axis=1)
     # Load screen. BLAS sums a row in another order than numpy's pairwise
@@ -349,14 +349,15 @@ def decision_faults(scenario: Scenario, x, mu) -> list:
     # the rounding of the product, so a scaled BLAS load is at least the
     # pairwise load, and, rounding being monotone, a slot whose pairwise
     # load fails the capacity test is flagged. inf stays inf and NaN reads
-    # as no overload in both sums. A slot with a negative rate reports that
-    # first, whatever its loads.
+    # as no overload in both sums. A slot with a negative or NaN rate reports
+    # that first, whatever its loads.
     blas = (mu.reshape(n_t * n_l, n_f) @ np.ones(n_f)).reshape(n_t, n_l)
     screen = (blas * (1.0 + 2 * n_f * _EPS) - caps > CAP_TOL).any(axis=1)
     faults = []
-    for t in np.flatnonzero(negative | forbidden | screen).tolist():
-        if negative[t]:
-            message = "negative rate in decision"
+    for t in np.flatnonzero(not_nonneg | forbidden | screen).tolist():
+        if not_nonneg[t]:
+            nan = np.isnan(x[t]).any() or np.isnan(mu[t]).any()
+            message = f"{'NaN' if nan else 'negative'} rate in decision"
         elif forbidden[t]:
             message = "nonzero rate on a forbidden (link, session) pair"
         else:

@@ -63,16 +63,16 @@ def project_sorted(inst: ProjectionInstance) -> tuple:
     return z, theta
 
 
-def project_rows(a, b, forbidden, ranks=None) -> np.ndarray:
+def project_rows(a, b, forbidden) -> np.ndarray:
     """Project every row of a (L, K) onto {z >= 0, sum(z) <= b_l}, with the
     entries at forbidden, flat indices into the C-ordered (L, K) matrix
-    (Scenario.forbidden_entries), fixed at zero. ranks is 1.0 .. K, made here
-    unless the caller keeps one. Returns z (L, K).
+    (Scenario.forbidden_entries), fixed at zero. Returns z (L, K).
 
     project_sorted applied to each row's allowed entries, with the same
     arithmetic: rows whose clipped sum fits the budget return the clipped row
     and skip the sort; the others sort descending and take the water level of
-    the last admissible prefix. z matches project_sorted bitwise on fully
+    the last admissible prefix, dividing by the ranks 1.0 .. K, which only
+    this tight path builds. z matches project_sorted bitwise on fully
     allowed rows and on rows of fewer than 8 entries. Otherwise numpy's
     pairwise row sum may group the clipped entries differently, which moves
     the budget test by rounding only.
@@ -96,9 +96,7 @@ def project_rows(a, b, forbidden, ranks=None) -> np.ndarray:
     srt.sort(axis=1)
     srt = srt[:, ::-1]  # descending
     k = a.shape[1]
-    if ranks is None:
-        ranks = np.arange(1.0, k + 1.0)
-    theta_candidates = (srt.cumsum(axis=1) - b.take(tight)[:, None]) / ranks
+    theta_candidates = (srt.cumsum(axis=1) - b.take(tight)[:, None]) / np.arange(1.0, k + 1.0)
     # for finite values, srt - theta >= 0 exactly
     ok = srt >= theta_candidates
     # flat index of each row's last admissible entry, the first True of the

@@ -41,9 +41,9 @@ def step_Y(Y, g, scenario: Scenario, out=None) -> np.ndarray:
     return out
 
 
-def step_Q(Q, g) -> np.ndarray:
-    """Signed virtual queues: integrate the flow residual g, no clipping."""
-    return np.asarray(Q, dtype=float) + g
+def step_Q(Q, g, out=None) -> np.ndarray:
+    """Signed virtual queues: integrate the flow residual g unclipped, into out if given."""
+    return np.add(Q, g, out=out, dtype=float)
 
 
 class ZSteps:
@@ -174,13 +174,13 @@ class ScriptedPolicy:
 
 
 def validate_policy(scenario: Scenario, policy: ScriptedPolicy):
-    """Raise unless the policy fits the scenario: shapes, nonnegative arrivals
-    that skip the destinations, and schedules that pass decision_faults."""
+    """Raise unless the policy fits the scenario: shapes, finite nonnegative
+    arrivals that skip the destinations, schedules that pass decision_faults."""
     n, f, l = scenario.n_nodes, scenario.n_sessions, scenario.n_links
     if policy.arrivals.shape[1:] != (n, f) or policy.mu.shape[1:] != (l, f):
         raise ScenarioValidationError("policy shapes do not match the scenario")
-    if np.any(policy.arrivals < 0):
-        raise ScenarioValidationError("negative exogenous arrival")
+    if not (np.isfinite(policy.arrivals) & (policy.arrivals >= 0)).all():
+        raise ScenarioValidationError("exogenous arrivals must be finite and nonnegative")
     if np.any(policy.arrivals[:, ~scenario.active] != 0):
         raise ScenarioValidationError("exogenous arrival at a session destination")
     no_rates = np.zeros((policy.slots, f))  # the schedules carry no source rates
@@ -220,22 +220,24 @@ def run_scripted(scenario: Scenario, policy: ScriptedPolicy) -> ScriptedTrace:
 # bound transfer audit
 
 
-def audit_queue_bounds(Y, Z, B: float, scenario: Scenario) -> list:
+def audit_queue_bounds(peak_Y, peak_Z, B: float, scenario: Scenario) -> list:
     """Check the bound transfer: if the signed queues stayed within |Q| <= B
     under some decision stream, then both the clipped and the physical queues
-    must stay below 2B + sum of outgoing capacities at every (slot, node,
-    session) under those same decisions.
+    must stay below 2B + sum of outgoing capacities at every (node, session)
+    under those same decisions.
 
-    Y and Z are histories shaped (T, N, F). Returns one record per violation,
-    (slot, family, node, session, value, bound); empty iff the bounds hold.
+    peak_Y and peak_Z are each family's (N, F) peaks over the stream. Returns
+    one record per violation, (family, node, session, value, bound); empty
+    iff the bounds hold.
     """
     if not (B >= 0):
         raise ContractError(f"B must be a nonnegative real, got {B!r}")
     limit = 2.0 * B + scenario.network.out_cap[:, None]
     out = []
-    for name, fam in (("Y", Y), ("Z", Z)):
-        fam = np.asarray(fam, dtype=float)
-        bad = np.argwhere(fam > limit[None, :, :] + CAP_TOL)
-        for t, n, f in bad:
-            out.append((int(t), name, int(n), int(f), float(fam[t, n, f]), float(limit[n, 0])))
+    for name, peak in (("Y", peak_Y), ("Z", peak_Z)):
+        peak = np.asarray(peak, dtype=float)
+        if peak.shape != (scenario.n_nodes, scenario.n_sessions):
+            raise ContractError(f"peak_{name} must be (N, F), got shape {peak.shape}")
+        out += [(name, int(n), int(f), float(peak[n, f]), float(limit[n, 0]))
+                for n, f in np.argwhere(peak > limit + CAP_TOL)]
     return out

@@ -2,9 +2,10 @@
 
 run_per_slot is harness.run with every queue family stepped and every check
 and metric evaluated inside the slot loop, one slot at a time. harness.run's
-loop steps only what the next decision reads, Q for the proximal algorithm
-and Y for DPP, and its audit steps the rest, Z and a proximal run's Y, once
-per chunk; the parity tests hold it to this reference's traces and
+loop steps only what the next decision reads, Q (by step_Q, as here) under
+both algorithms and Y for DPP, and its audit steps the rest, Z and a
+proximal run's Y, once per chunk; both hand audit_queue_bounds the (N, F)
+peaks of Y and Z. The parity tests hold run to this reference's traces and
 summaries, bit for bit. project_bisect and kkt_residual check
 the capped-simplex projection independently of its sort-based solvers;
 project_rows_masked is projection.project_rows with the forbidden pairs
@@ -77,7 +78,7 @@ def kkt_residual(inst, z, theta: float) -> float:
     return max(worst, 0.0)
 
 
-def project_rows_masked(a, b, mask, ranks=None) -> np.ndarray:
+def project_rows_masked(a, b, mask) -> np.ndarray:
     """project_rows with the entries outside the (L, K) boolean mask (None:
     none) fixed at zero: the masked a is clipped, and the tight rows sort the
     masked a itself."""
@@ -93,9 +94,7 @@ def project_rows_masked(a, b, mask, ranks=None) -> np.ndarray:
     at = a.take(tight, axis=0)
     srt = np.sort(at, axis=1)[:, ::-1]
     k = a.shape[1]
-    if ranks is None:
-        ranks = np.arange(1.0, k + 1.0)
-    theta_candidates = (srt.cumsum(axis=1) - b.take(tight)[:, None]) / ranks
+    theta_candidates = (srt.cumsum(axis=1) - b.take(tight)[:, None]) / np.arange(1.0, k + 1.0)
     ok = srt >= theta_candidates
     last = np.arange(k - 1, ok.size, k) - ok[:, ::-1].argmax(axis=1)
     if not ok.take(last).all():
@@ -242,7 +241,7 @@ def run_per_slot(scenario, config, slots, oracle=None) -> Trace:
         gap = np.full(slots, math.nan)
 
     b_obs = float(max_q.max())
-    transfer = audit_queue_bounds(peak_Y[None], peak_Z[None], b_obs, scenario)
+    transfer = audit_queue_bounds(peak_Y, peak_Z, b_obs, scenario)
 
     summary = {
         "weight_identity_max": weight_err,

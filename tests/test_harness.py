@@ -77,7 +77,7 @@ def test_queue_peaks(sixnode):
     assert tr.peak_Z.max() == tr.maxZ.max()
     assert np.all(tr.peak_Y >= 0) and np.all(tr.peak_Z >= 0)
     b = tr.summary["observed_max_abs_q"]
-    assert P.audit_queue_bounds(tr.peak_Y[None], tr.peak_Z[None], b, sixnode) == []
+    assert P.audit_queue_bounds(tr.peak_Y, tr.peak_Z, b, sixnode) == []
     assert tr.summary["queue_transfer_violations"] == []
 
 
@@ -555,15 +555,17 @@ def test_one_residual_per_slot(sixnode, monkeypatch, alg):
 @pytest.mark.parametrize("alg", ("new", "dpp"))
 def test_the_loop_steps_only_the_queues_the_next_decision_reads(sixnode, monkeypatch, alg):
     # the proximal engine decides from Q, DPP from Y: the slot loop steps
-    # those, and the chunk audit steps Z, and a proximal run's Y, once per
-    # chunk. 7 slots in chunks of 3.
+    # those, Q by step_Q under both algorithms, and the chunk audit steps Z,
+    # and a proximal run's Y, once per chunk. 7 slots in chunks of 3.
     monkeypatch.setattr(harness, "CHUNK_BYTES", _chunk_bytes(sixnode, 3))
     with mock.patch.object(queues.ZSteps, "__call__", autospec=True,
                            side_effect=queues.ZSteps.__call__) as z_chunk, \
             mock.patch.object(harness, "step_Z", wraps=harness.step_Z) as z_slot, \
-            mock.patch.object(harness, "step_Y", wraps=harness.step_Y) as y_step:
+            mock.patch.object(harness, "step_Y", wraps=harness.step_Y) as y_step, \
+            mock.patch.object(harness, "step_Q", wraps=queues.step_Q) as q_step:
         P.run(sixnode, _config(sixnode, alg), 7)
     z_slot.assert_not_called()
+    assert q_step.call_count == 7
     # ZSteps.__call__(self, Z, arrivals, mu, out): mu holds the chunk's slots
     assert [len(c.args[3]) for c in z_chunk.call_args_list] == [3, 3, 1]
     # step_Y(Y, g, scenario, out=...): g is one slot's (N, F) or a chunk's

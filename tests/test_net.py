@@ -251,6 +251,21 @@ def test_validate_decision_catches_violations(sixnode):
         P.validate_decision(tiny, np.zeros(1), np.array([[load]]))
 
 
+def test_a_nan_rate_is_a_fault(sixnode):
+    # NaN fails every comparison, so a check for negative rates alone and the
+    # load test both pass it
+    mu = np.full((8, 2), 0.25)
+    nan_mu = mu.copy()
+    nan_mu[0, 0] = math.nan
+    negative_too = nan_mu.copy()
+    negative_too[1, 1] = -0.25
+    for x, m in (([0.5, math.nan], mu), ([0.5, 0.5], nan_mu), ([0.5, math.nan], nan_mu),
+                 ([-0.5, 0.5], negative_too)):
+        assert P.decision_faults(sixnode, np.array([x]), m[None]) == [(0, "NaN rate in decision")]
+        with pytest.raises(P.ScenarioValidationError, match="^NaN rate in decision$"):
+            P.validate_decision(sixnode, x, m)
+
+
 def test_validate_decision_forbidden_pair(relay):
     restricted = P.parse_scenario(
         "nodes 3\n"
@@ -272,7 +287,10 @@ def _slot_faults(scenario, x, mu):
     faults = []
     for t in range(x.shape[0]):
         message = None
-        if any(v < 0 for v in x[t]) or any(v < 0 for v in mu[t].ravel()):
+        rates = list(x[t]) + list(mu[t].ravel())
+        if any(math.isnan(v) for v in rates):
+            message = "NaN rate in decision"
+        elif any(v < 0 for v in rates):
             message = "negative rate in decision"
         elif any(mu[t, l, f] != 0 for l in range(scenario.n_links)
                  for f in range(scenario.n_sessions) if f not in scenario.allowed[l]):
@@ -292,8 +310,8 @@ def _slot_faults(scenario, x, mu):
 def _decision_stacks(draw):
     """(scenario, x (T, F), mu (T, L, F)): feasible slots, then per slot a
     random mix of a negative source rate, a negative link rate, a nonzero
-    entry at a random (link, session) pair and an overload of a random link
-    by about CAP_TOL or more."""
+    entry at a random (link, session) pair, an overload of a random link
+    by about CAP_TOL or more, and a NaN source or link rate."""
     sc = draw(scenarios())
     n_t, n_l, n_f = draw(st.integers(1, 6)), sc.n_links, sc.n_sessions
     coarse = draw(st.booleans())
@@ -312,6 +330,11 @@ def _decision_stacks(draw):
             mu[t, (l + d) % n_l, g] += 0.125
         if kind & 8:
             mu[t, l, f] += caps[l] + (0.5e-9, 1e-9, 2e-9, 1.0)[d % 4]
+        if kind & 16:
+            if d & 4:
+                x[t, f] = math.nan
+            else:
+                mu[t, l, g] = math.nan
     return sc, x, mu
 
 

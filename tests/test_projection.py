@@ -155,14 +155,13 @@ def test_project_rows_matches_project_sorted_per_row():
                 assert z[r, mask[r]].tobytes() == ref.tobytes()
 
 
-def test_project_rows_without_a_mask_or_with_kept_ranks():
+def test_project_rows_without_a_mask():
     rng = np.random.default_rng(21)
     for k in (1, 2, 3, 8, 9, 17):
         a = rng.normal(0.0, 2.0, (40, k))
         b = rng.choice([0.0, 0.5, 1.0, 50.0], 40)
         z = project_rows(a, b, ())
         assert project_rows_masked(a, b, None).tobytes() == z.tobytes()
-        assert project_rows(a, b, (), np.arange(1.0, k + 1.0)).tobytes() == z.tobytes()
 
 
 def test_project_rows_masks_entries_out():
@@ -207,5 +206,3 @@ def test_project_rows_matches_the_masked_reference(case):
     want = project_rows_masked(a, b, mask)
     forbidden = np.flatnonzero(~mask)
     assert project_rows(a, b, forbidden).tobytes() == want.tobytes()
-    ranks = np.arange(1.0, a.shape[1] + 1.0)
-    assert project_rows(a, b, forbidden, ranks).tobytes() == want.tobytes()

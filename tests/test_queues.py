@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -367,6 +369,19 @@ def test_scripted_policy_validation(relay):
         ScriptedPolicy(np.zeros((2, 3, 1)), mu, mu)
 
 
+def test_scripted_policy_rejects_a_non_finite_arrival(relay):
+    # a NaN arrival would otherwise replay into NaN queues without an error
+    mu = np.zeros((3, 2, 1))
+    for bad in (math.nan, math.inf):
+        arr = np.zeros((3, 3, 1))
+        arr[1, 0, 0] = bad
+        pol = ScriptedPolicy(arr, mu, mu)
+        for check in (validate_policy, run_scripted):
+            with pytest.raises(P.ScenarioValidationError,
+                               match="^exogenous arrivals must be finite and nonnegative$"):
+                check(relay, pol)
+
+
 def test_chain_depth_one_hand_computed():
     sc, pol = P.chain_example(1)
     assert sc.n_nodes == 4 and sc.n_links == 5 and sc.n_sessions == 2
@@ -415,23 +430,22 @@ def test_run_scripted_replays_an_empty_policy(sixnode):
 
 
 def test_audit_queue_bounds_empty_on_compliant_history(relay):
-    y = np.zeros((5, 3, 1))
-    z = np.full((5, 3, 1), 0.5)
-    z[:, 2, :] = 0.0
+    # the (N, F) peaks of a compliant history
+    y = np.zeros((3, 1))
+    z = np.array([[0.5], [0.5], [0.0]])
     assert audit_queue_bounds(y, z, 1.0, relay) == []
 
 
 def test_audit_queue_bounds_names_the_violation(relay):
     # out_cap at node 1 is 0.5, so the limit with B = 0 is 0.5
-    z = np.zeros((4, 3, 1))
-    z[2, 1, 0] = 0.8
-    report = audit_queue_bounds(np.zeros((4, 3, 1)), z, 0.0, relay)
-    assert len(report) == 1
-    slot, family, node, session, value, bound = report[0]
-    assert (slot, family, node, session) == (2, "Z", 1, 0)
-    assert value == 0.8 and bound == 0.5
+    z = np.zeros((3, 1))
+    z[1, 0] = 0.8
+    assert audit_queue_bounds(np.zeros((3, 1)), z, 0.0, relay) == [("Z", 1, 0, 0.8, 0.5)]
     with pytest.raises(P.ContractError):
         audit_queue_bounds(z, z, -1.0, relay)
+    # a (T, N, F) history is not a peak
+    with pytest.raises(P.ContractError, match=r"peak_Y must be \(N, F\)"):
+        audit_queue_bounds(np.zeros((4, 3, 1)), z, 1.0, relay)
 
 
 def test_pathwise_coupling_z_below_q_plus_bound(sixnode, singlelink):

@@ -7,11 +7,8 @@ import importlib
 import importlib.util
 import json
 import os
-import types
 from pathlib import Path
 from unittest import mock
-
-import numpy as np
 
 from proxbp import harness
 
@@ -52,22 +49,3 @@ def test_kernel_tool_times_two_trees_in_one_process(capsys):
             assert set(doc["trees"][tree][state]) == set(tool.KERNELS)
         assert set(doc["trees"][tree][tool.ORACLE]) == set(tool.ORACLE_KERNELS)
 
-
-def test_kernel_tool_steps_a_parent_chunk_once_per_slot(sixnode):
-    # a tree without ZSteps (the parent) has only the one-slot steps, which
-    # its slot loop called; its chunk_queues row calls them once per slot
-    tool = _kernel_tool()
-    calls = []
-
-    def step(name):
-        def record(state, *args):
-            calls.append(name)
-            return state if name == "Y" else (state, None)
-        return record
-
-    tree = types.SimpleNamespace(queues=types.SimpleNamespace(), step_Y=step("Y"),
-                                 step_Z=step("Z"))
-    start = (np.zeros((6, 2)), np.zeros((6, 2)))
-    chunk = (np.zeros((3, 2)), np.zeros((3, 8, 2)), np.zeros((3, 6, 2)))
-    tool._chunk_queues(tree, sixnode, start, chunk)()
-    assert calls == ["Y", "Z"] * 3

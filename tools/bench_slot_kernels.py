@@ -13,14 +13,11 @@ chunk audit around it. chunk_queues is the audit's queue work of a proximal
 run over one chunk, divided by its slots: ZSteps steps the physical queues Z
 and step_Y the clipped queues Y over the last CHUNKS slots of the state's
 run, 1000 on sixnode (the whole of a six-prox run) and 4 on the grid (its
-audit chunk). A tree without queues.ZSteps, the parent commit 153dee4, steps
-both once per slot with step_Y and step_Z, as its slot loop did. The oracle
-rows time solve_centralized on the six-node scenario at tol 1e-5, as
-`proxbp oracle` calls it, and repair_feasible and dual_value at its
-solution. A kernel's time is the best
-of --repeats timeit repeats of --number calls (--number / 40 for
-solve_centralized and chunk_queues and --number / 200 for run_slot, which
-take milliseconds).
+audit chunk). The oracle rows time solve_centralized on the six-node
+scenario at tol 1e-5, as `proxbp oracle` calls it, and repair_feasible and
+dual_value at its solution. A kernel's time is the best of --repeats timeit
+repeats of --number calls (--number / 40 for solve_centralized and
+chunk_queues and --number / 200 for run_slot, which take milliseconds).
 
 All trees are timed in this one process, so no tree's numbers carry an offset
 of its own process: each tree's package is imported under its own module name,
@@ -28,13 +25,14 @@ and in every round each kernel is timed on every tree in turn, the first tree
 rotating between rounds. Each tree reports its best over the rounds and its
 per-round values, their spread. rate_phase and project_rows are called as
 slot_update calls them: rate_lanes with Scenario.utility_shift and the
-SlotConstants rate constants, project_rows with Scenario.forbidden_entries.
-slot_update takes the previous decisions as their residual g and raw
-(x, mu) arrays, and compute_weights takes g alone, so neither row holds the
+SlotConstants rate constants, project_rows with Scenario.forbidden_entries,
+and with SlotConstants.ranks in a tree that keeps them (commit 7b03fb0).
+slot_update takes the previous decisions as their residual g and raw (x, mu)
+arrays, and compute_weights takes g alone, so neither row holds the
 residual, which the run loop computes once per slot. decision_faults checks
 the decisions of the last 4 slots, one audit chunk of the grid run. The
 oracle rows read the solution's x_star and mu_star. Supported trees are this
-one and its parent, commit 153dee4.
+one and its parent, commit 7b03fb0.
 
 Array placement still shows inside one process: between trees whose code for
 a kernel is the same, its rows have differed by up to about 20% depending on
@@ -111,17 +109,10 @@ def _states(P, texts: dict):
 def _chunk_queues(P, sc, start, chunk):
     """A call that steps the queues (Y, Z) = start over the slots of chunk
     (x, mu, g) as the audit of a proximal run does: ZSteps and one step_Y
-    call, or, in a tree without ZSteps, step_Y and step_Z once per slot."""
+    call."""
     import numpy as np
 
     (Y, Z), (x, mu, g) = start, chunk
-    if not hasattr(P.queues, "ZSteps"):
-        def per_slot():
-            y, z = Y, Z
-            for t in range(len(mu)):
-                y = P.step_Y(y, g[t], sc)
-                z, _ = P.step_Z(z, x[t], mu[t], sc)
-        return per_slot
     steps = P.queues.ZSteps(sc, len(mu))
     y_out, z_out = np.empty(g.shape), np.empty(g.shape)
     return lambda: (steps(Z, x, mu, z_out), P.step_Y(Y, g, sc, out=y_out))
@@ -139,12 +130,13 @@ def _slot_calls(P, slots, sc, Q, x, mu, Z, consts, start, chunk) -> dict:
     rates = (sc.utility_shift, sc.utility_weight, d, a_src, consts.ak_src, consts.two_a_src,
              consts.four_a_src)
     faults = tuple(c[-CHUNK:] for c in chunk[:2])
+    kept_ranks = (consts.ranks,) if hasattr(consts, "ranks") else ()
     return {
         "slot_update": lambda: P.slot_update(Q, g, x, mu, consts),
         "run_slot": lambda: P.run(sc, consts.config, slots),
         "rate_phase": lambda: P.rates.rate_lanes(*rates),
         "project_rows": lambda: P.project_rows(a, net.caps, sc.forbidden_entries,
-                                               consts.ranks),
+                                               *kept_ranks),
         "step_Z": lambda: P.step_Z(Z, x, mu, sc),
         "chunk_queues": _chunk_queues(P, sc, start, chunk),
         "residual_matrix": lambda: P.residual_matrix(sc, x, mu),
