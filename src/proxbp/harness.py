@@ -13,7 +13,7 @@ from .net import (_EPS, ContractError, Link, Network, Scenario, Session, Utility
                   decision_faults, residual_matrix, total_utility)
 from .engine import AlgConfig, SlotConstants, default_alpha, slot_update
 from .dpp import DppConfig, dpp_slot_update
-from .queues import ScriptedPolicy, ZSteps, audit_queue_bounds, step_Q, step_Y, step_Z
+from .queues import ScriptedPolicy, ZSteps, audit_queue_bounds, step_Q, step_Y
 
 CSV_HEADER = "slot,alg,session,x,xbar,util_inst,util_avg,util_jensen,gap,maxQ,maxZ,maxY,lyapunov"
 # the Trace fields of the per-slot columns, in CSV order after x and xbar
@@ -451,7 +451,9 @@ def chain_example(k: int, slots: int = None) -> tuple:
     hub_entry = [path[-2] for path in paths]  # a-traffic enters first within a slot
 
     mu = np.zeros((t_max, n_l, 2))
-    count = np.zeros((n_nodes, 2))
+    steps = ZSteps(scenario, 1)
+    state, sends = np.zeros((1, n_nodes, 2)), np.empty((1, n_l, 2))
+    count = state[0]  # each step overwrites it with the next state
     fifo = deque()
     for t in range(t_max):
         for (n, f), l in out_link_of.items():
@@ -460,9 +462,9 @@ def chain_example(k: int, slots: int = None) -> tuple:
         if fifo:
             f = fifo.popleft()
             mu[t, hub_exit[f], f] = 1.0
-        count, sends = step_Z(count, arrivals[t], mu[t], scenario)
+        steps(count, arrivals[t:t + 1], mu[t:t + 1], state, sends)
         for f, l in enumerate(hub_entry):
-            if sends[l, f] >= 1.0:
+            if sends[0, l, f] >= 1.0:
                 fifo.append(f)
 
     # instant schedule: each arrival's remaining path is prescribed in full

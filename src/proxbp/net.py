@@ -9,7 +9,6 @@ share across threads.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -310,11 +309,11 @@ class Scenario:
         """(N, F) BFS in-tree toward each session's destination over the links
         the session may use: entry (n, f) is the first link of a fewest-hop
         path from n to dst_f, and -1 at dst_f and at nodes that cannot reach it."""
+        tails = self.network.tails.tolist()
         tree = np.full((self.n_nodes, self.n_sessions), -1, dtype=int)
-        for f, s in enumerate(self.sessions):
-            via = bfs_links(self.network, s.dst, lambda l, f=f: f in self.allowed[l],
-                            backward=True)
-            tree[list(via), f] = list(via.values())
+        for f, (s, usable) in enumerate(zip(self.sessions, self.allow_mask.T.tolist())):
+            via = _fewest_hops(self.network.in_links, tails, usable, s.dst)
+            tree[:, f] = [-1 if l is None else l for l in via]
         return _frozen(tree)
 
     @cached_property
@@ -330,15 +329,17 @@ _EPS = float(np.finfo(float).eps)
 def decision_faults(scenario: Scenario, x, mu) -> list:
     """(slot, message) of each slot of the stacks x (T, F) and mu (T, L, F)
     that breaks a per-slot set constraint, in slot order. A slot reports its
-    first fault: a NaN rate, else a negative one, else a nonzero rate on a
-    forbidden (link, session) pair, else the first link whose load exceeds
-    its capacity by more than CAP_TOL. A load is the pairwise sum of the
-    link's row, what mu[t, l].sum() gives."""
+    first fault: a NaN rate, else an infinite one (of either sign), else a
+    negative one, else a nonzero rate on a forbidden (link, session) pair,
+    else the first link whose load exceeds its capacity by more than
+    CAP_TOL. A load is the pairwise sum of the link's row, what
+    mu[t, l].sum() gives."""
     x = np.asarray(x, dtype=float)
     mu = np.ascontiguousarray(mu, dtype=float)
     n_t, n_l, n_f = mu.shape
     caps = scenario.network.caps
-    not_nonneg = ~((x >= 0).all(axis=1) & (mu >= 0).all(axis=(1, 2)))  # NaN fails >= 0
+    # NaN fails every comparison; +inf in mu is a forbidden rate or an overload
+    bad_rate = ~(((x >= 0) & (x < math.inf)).all(axis=1) & (mu >= 0).all(axis=(1, 2)))
     pairs = mu.reshape(n_t, n_l * n_f)
     forbidden = (pairs.take(scenario.forbidden_entries, axis=1) != 0).any(axis=1)
     # Load screen. BLAS sums a row in another order than numpy's pairwise
@@ -349,15 +350,18 @@ def decision_faults(scenario: Scenario, x, mu) -> list:
     # the rounding of the product, so a scaled BLAS load is at least the
     # pairwise load, and, rounding being monotone, a slot whose pairwise
     # load fails the capacity test is flagged. inf stays inf and NaN reads
-    # as no overload in both sums. A slot with a negative or NaN rate reports
-    # that first, whatever its loads.
+    # as no overload in both sums. A slot with a NaN, infinite or negative
+    # rate reports that first, whatever its loads.
     blas = (mu.reshape(n_t * n_l, n_f) @ np.ones(n_f)).reshape(n_t, n_l)
     screen = (blas * (1.0 + 2 * n_f * _EPS) - caps > CAP_TOL).any(axis=1)
     faults = []
-    for t in np.flatnonzero(not_nonneg | forbidden | screen).tolist():
-        if not_nonneg[t]:
-            nan = np.isnan(x[t]).any() or np.isnan(mu[t]).any()
-            message = f"{'NaN' if nan else 'negative'} rate in decision"
+    for t in np.flatnonzero(bad_rate | forbidden | screen).tolist():
+        if np.isnan(x[t]).any() or np.isnan(mu[t]).any():
+            message = "NaN rate in decision"
+        elif np.isinf(x[t]).any() or np.isinf(mu[t]).any():
+            message = "infinite rate in decision"
+        elif bad_rate[t]:
+            message = "negative rate in decision"
         elif forbidden[t]:
             message = "nonzero rate on a forbidden (link, session) pair"
         else:
@@ -403,18 +407,22 @@ def residual_matrix(scenario: Scenario, x, mu) -> np.ndarray:
     return g
 
 
-def bfs_links(network: Network, root: int, usable, backward=False) -> dict:
-    """Fewest-hop search from root over the links l with usable(l), along the
-    links or, with backward, against them. Returns {node reached: the link it
-    was reached over}, with -1 for root."""
-    via = {root: -1}
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for l in (network.in_links if backward else network.out_links)[v]:
-            u = network.links[l].tail if backward else network.links[l].head
-            if u not in via and usable(l):
+def _fewest_hops(links_at, ends, usable, root, stop=None) -> list:
+    """Fewest-hop search from root on plain lists: node v's links are
+    links_at[v] (Network.out_links, or in_links to search backward), and link
+    l leads to ends[l] (heads, or tails) where usable[l] > 0 (not at NaN).
+    Returns via, per node the link it was first reached over in queue order,
+    -1 at root and None where not reached; it returns once stop is reached."""
+    via = [None] * len(links_at)
+    via[root] = -1
+    queue = [root]
+    for v in queue:  # the loop reads the nodes appended during it
+        for l in links_at[v]:
+            u = ends[l]
+            if via[u] is None and usable[l] > 0:
                 via[u] = l
+                if u == stop:
+                    return via
                 queue.append(u)
     return via
 

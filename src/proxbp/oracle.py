@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .net import (ContractError, Scenario, ScenarioValidationError, _frozen, bfs_links,
+from .net import (ContractError, Scenario, ScenarioValidationError, _fewest_hops, _frozen,
                   require_routable, residual_matrix, total_utility, validate_decision)
 from .engine import default_alpha
 
@@ -107,9 +107,11 @@ def repair_feasible(scenario: Scenario, x, mu):
     Clips signs and forbidden pairs and scales overloaded links down. Then
     each session moves the bottleneck of a fewest-hop src -> dst path over
     links with rate left to the output, until x_f is routed or no path is
-    left; each peel empties a link or routes the rest of x_f. The output is
-    a sum of paths, so flow balance holds with equality, and x_f keeps its
-    routed part: all of it on a feasible input such as a barrier iterate.
+    left; each peel empties a link or routes the rest of x_f. The path is the
+    first one found in queue order, and the search stops once it reaches
+    dst_f. The output is a sum of paths, so flow balance holds with
+    equality, and x_f keeps its routed part: all of it on a feasible input
+    such as a barrier iterate.
     """
     net = scenario.network
     x = np.maximum(np.asarray(x, dtype=float), 0.0)
@@ -119,20 +121,26 @@ def repair_feasible(scenario: Scenario, x, mu):
     over = load > net.caps
     left[over] *= (net.caps[over] / load[over])[:, None]
     out = np.zeros_like(left)
+    heads, tails = net.heads.tolist(), net.tails.tolist()
     for f, s in enumerate(scenario.sessions):
-        rest = x[f]
-        while rest > 0.0:
-            via = bfs_links(net, s.src, lambda l, f=f: left[l, f] > 0.0)
-            if s.dst not in via:
-                break
-            path, n = [], s.dst
-            while n != s.src:
-                path.append(via[n])
-                n = net.links[via[n]].tail
-            amount = min(rest, float(left[path, f].min()))
-            left[path, f] -= amount
-            out[path, f] += amount
-            rest -= amount
+        rest = float(x[f])
+        if rest > 0.0:
+            # session f's rates left as Python floats, and {link: rate peeled}
+            col, got = left[:, f].tolist(), {}
+            while rest > 0.0:
+                via = _fewest_hops(net.out_links, heads, col, s.src, stop=s.dst)
+                if via[s.dst] is None:
+                    break
+                path, n = [], s.dst
+                while n != s.src:
+                    path.append(via[n])
+                    n = tails[via[n]]
+                amount = min(rest, min(col[l] for l in path))
+                for l in path:
+                    col[l] -= amount
+                    got[l] = got.get(l, 0.0) + amount
+                rest -= amount
+            out[list(got), f] = list(got.values())
         x[f] -= rest
     return x, out
 
@@ -261,7 +269,6 @@ def solve_centralized(scenario: Scenario, tol: float = 1e-5, alpha=None) -> Orac
     # U(x) = w . log(z + shift): w is zero on the mu entries of z
     w = np.concatenate([scenario.utility_weight, np.zeros(n_mu)])
     shift = np.concatenate([scenario.utility_shift, np.zeros(n_mu)])
-    diag = np.diag_indices(z.size)
     m = G.shape[0] + z.size  # plus one sign constraint per variable
 
     def barrier(z, t):
@@ -276,11 +283,12 @@ def solve_centralized(scenario: Scenario, tol: float = 1e-5, alpha=None) -> Orac
         slack there. The barrier is evaluated at z and then once per trial
         point; an accepted trial's value and slack carry to the next step."""
         now, s = barrier(z, t)
+        tw = t * w
         for steps in range(1, NEWTON_STEPS + 1):
             zs = z + shift
-            grad = G.T @ (1.0 / s) - 1.0 / z - t * w / zs
+            grad = G.T @ (1.0 / s) - 1.0 / z - tw / zs
             hess = (G.T / (s * s)) @ G
-            hess[diag] += 1.0 / (z * z) + t * w / zs ** 2
+            hess.ravel()[::z.size + 1] += 1.0 / (z * z) + tw / zs ** 2  # the diagonal
             dz = np.linalg.solve(hess, -grad)
             slope = float(grad @ dz)
             if -slope <= 2.0 * NEWTON_TOL:
@@ -290,7 +298,7 @@ def solve_centralized(scenario: Scenario, tol: float = 1e-5, alpha=None) -> Orac
             while val > now + 0.25 * step * slope:
                 step *= 0.5
                 trial = z + step * dz
-                if np.array_equal(trial, z):
+                if (trial == z).all():
                     return z, steps, s  # rounding allows no further descent
                 val, s_trial = barrier(trial, t)
             z, now, s = trial, val, s_trial

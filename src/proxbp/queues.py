@@ -90,7 +90,8 @@ class ZSteps:
         are the slots' (n, F) source rates, which join at each session's
         source entry, or (n, N, F) matrices. out (n, N, F) receives the state
         after each slot and sends, if given, (n, L, F) each link's actual
-        transfer. Returns out."""
+        transfer. Z may be out[0], which is written after Z is read. Returns
+        out."""
         sc = self.scenario
         network = sc.network
         mu = np.asarray(mu, dtype=float)

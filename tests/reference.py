@@ -13,9 +13,14 @@ given as a boolean mask of the allowed ones, the encoding it replaced;
 objective and slope write out a source's slot problem for the rate solvers;
 arrival_matrix scatters source rates the way residual_matrix and ZSteps
 place them. dual_value is oracle.dual_value with its link term as a loop over
-the links and their allow-sets.
+the links and their allow-sets. bfs_links is a fewest-hop search over Link
+objects with a predicate per link, and in_trees and repair_feasible are
+Scenario.in_trees and oracle.repair_feasible on it, peeling numpy matrices:
+the library's list search must give the same trees and, bit for bit, the
+same repairs.
 """
 import math
+from collections import deque
 
 import numpy as np
 
@@ -149,6 +154,62 @@ def dual_value(scenario, lam) -> float:
                 best = coef
         total += lk.capacity * best
     return total
+
+
+def bfs_links(network, root, usable, backward=False) -> dict:
+    """Fewest-hop search from root over the links l with usable(l), along the
+    links or, with backward, against them. Returns {node reached: the link it
+    was reached over}, with -1 for root."""
+    via = {root: -1}
+    queue = deque([root])
+    while queue:
+        v = queue.popleft()
+        for l in (network.in_links if backward else network.out_links)[v]:
+            u = network.links[l].tail if backward else network.links[l].head
+            if u not in via and usable(l):
+                via[u] = l
+                queue.append(u)
+    return via
+
+
+def in_trees(scenario) -> np.ndarray:
+    """Scenario.in_trees: per session, a backward search from its destination
+    over the links it may use."""
+    tree = np.full((scenario.n_nodes, scenario.n_sessions), -1, dtype=int)
+    for f, s in enumerate(scenario.sessions):
+        via = bfs_links(scenario.network, s.dst, lambda l, f=f: f in scenario.allowed[l],
+                        backward=True)
+        tree[list(via), f] = list(via.values())
+    return tree
+
+
+def repair_feasible(scenario, x, mu):
+    """oracle.repair_feasible, one whole search per peel and the rates left
+    kept in an (L, F) matrix."""
+    net = scenario.network
+    x = np.maximum(np.asarray(x, dtype=float), 0.0)
+    left = np.maximum(np.asarray(mu, dtype=float), 0.0)
+    left.put(scenario.forbidden_entries, 0.0)
+    load = left.sum(axis=1)
+    over = load > net.caps
+    left[over] *= (net.caps[over] / load[over])[:, None]
+    out = np.zeros_like(left)
+    for f, s in enumerate(scenario.sessions):
+        rest = x[f]
+        while rest > 0.0:
+            via = bfs_links(net, s.src, lambda l, f=f: left[l, f] > 0.0)
+            if s.dst not in via:
+                break
+            path, n = [], s.dst
+            while n != s.src:
+                path.append(via[n])
+                n = net.links[via[n]].tail
+            amount = min(rest, float(left[path, f].min()))
+            left[path, f] -= amount
+            out[path, f] += amount
+            rest -= amount
+        x[f] -= rest
+    return x, out
 
 
 def _utility_or_nan(scenario, x) -> float:

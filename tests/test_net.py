@@ -266,6 +266,24 @@ def test_a_nan_rate_is_a_fault(sixnode):
             P.validate_decision(sixnode, x, m)
 
 
+def test_an_infinite_rate_is_a_fault(sixnode):
+    # +inf passes x >= 0, and no load test reads x
+    mu = np.full((8, 2), 0.25)
+    inf_mu = mu.copy()
+    inf_mu[0, 0] = math.inf
+    negative_too = inf_mu.copy()
+    negative_too[1, 1] = -0.25
+    for x, m in (([math.inf, 0.5], np.zeros((8, 2))), ([0.5, 0.5], inf_mu),
+                 ([0.5, -math.inf], mu), ([0.5, 0.5], -inf_mu), ([0.5, 0.5], negative_too)):
+        assert P.decision_faults(sixnode, np.array([x]), m[None]) == [
+            (0, "infinite rate in decision")]
+        with pytest.raises(P.ScenarioValidationError, match="^infinite rate in decision$"):
+            P.validate_decision(sixnode, x, m)
+    # a NaN is reported first
+    assert P.decision_faults(sixnode, [[math.inf, math.nan]], mu[None]) == [
+        (0, "NaN rate in decision")]
+
+
 def test_validate_decision_forbidden_pair(relay):
     restricted = P.parse_scenario(
         "nodes 3\n"
@@ -290,6 +308,8 @@ def _slot_faults(scenario, x, mu):
         rates = list(x[t]) + list(mu[t].ravel())
         if any(math.isnan(v) for v in rates):
             message = "NaN rate in decision"
+        elif any(math.isinf(v) for v in rates):
+            message = "infinite rate in decision"
         elif any(v < 0 for v in rates):
             message = "negative rate in decision"
         elif any(mu[t, l, f] != 0 for l in range(scenario.n_links)
@@ -311,7 +331,8 @@ def _decision_stacks(draw):
     """(scenario, x (T, F), mu (T, L, F)): feasible slots, then per slot a
     random mix of a negative source rate, a negative link rate, a nonzero
     entry at a random (link, session) pair, an overload of a random link
-    by about CAP_TOL or more, and a NaN source or link rate."""
+    by about CAP_TOL or more, a NaN source or link rate and a +inf or -inf
+    source or link rate."""
     sc = draw(scenarios())
     n_t, n_l, n_f = draw(st.integers(1, 6)), sc.n_links, sc.n_sessions
     coarse = draw(st.booleans())
@@ -335,6 +356,12 @@ def _decision_stacks(draw):
                 x[t, f] = math.nan
             else:
                 mu[t, l, g] = math.nan
+        if kind & 32:
+            inf = math.inf if d & 16 else -math.inf
+            if d & 32:
+                x[t, g] = inf
+            else:
+                mu[t, (l + 1) % n_l, f] = inf
     return sc, x, mu
 
 

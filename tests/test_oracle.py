@@ -165,6 +165,34 @@ def test_repair_keeps_feasible_points_exactly(sixnode, sixnode_sol):
         assert float(np.abs(g[sixnode.active]).max()) <= 1e-12
 
 
+@st.composite
+def _any_rates(draw):
+    """(scenario, x, mu) with zero, -0.0 and negative rates, nonzero rates on
+    forbidden pairs, links loaded far over their capacities and, in about
+    half the cases, one NaN rate. The coarse draws share values, which makes
+    equal bottlenecks common."""
+    sc = draw(scenarios())
+    coarse = draw(st.booleans())
+    x = arrays(draw, (sc.n_sessions,), (0.0, -0.0, -1.0, 0.5, 3.0), -1.0, 4.0, coarse)
+    mu = arrays(draw, (sc.n_links, sc.n_sessions), (0.0, -0.0, -0.5, 0.25, 1.0, 60.0),
+                -0.5, 60.0, coarse)
+    at = draw(st.none() | st.integers(0, x.size + mu.size - 1))  # where the NaN goes
+    if at is not None and at < x.size:
+        x[at] = math.nan
+    elif at is not None:
+        mu.flat[at - x.size] = math.nan
+    return sc, x, mu
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_any_rates())
+def test_list_search_matches_the_link_search(case):
+    sc, x, mu = case
+    assert sc.in_trees.tobytes() == reference.in_trees(sc).tobytes()
+    got, want = repair_feasible(sc, x, mu), reference.repair_feasible(sc, x, mu)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
 def test_tighten_preserves_objective_and_closes_slack(relay):
     # loose feasible points: source sends 0.3, both links carry more, by
     # much or by less than a slack tolerance of 1e-9 would notice

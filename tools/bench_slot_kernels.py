@@ -13,11 +13,14 @@ chunk audit around it. chunk_queues is the audit's queue work of a proximal
 run over one chunk, divided by its slots: ZSteps steps the physical queues Z
 and step_Y the clipped queues Y over the last CHUNKS slots of the state's
 run, 1000 on sixnode (the whole of a six-prox run) and 4 on the grid (its
-audit chunk). The oracle rows time solve_centralized on the six-node
-scenario at tol 1e-5, as `proxbp oracle` calls it, and repair_feasible and
-dual_value at its solution. A kernel's time is the best of --repeats timeit
-repeats of --number calls (--number / 40 for solve_centralized and
-chunk_queues and --number / 200 for run_slot, which take milliseconds).
+audit chunk). repair_feasible repairs the state's last decision, what the
+oracle's certificate would peel at the end of a queue-bound run. The oracle
+rows time solve_centralized on the six-node scenario at tol 1e-5, as
+`proxbp oracle` calls it, and repair_feasible and dual_value at its
+solution. A kernel's time is the best of --repeats timeit repeats of
+--number calls (--number / 20 for repair_feasible, --number / 40 for
+solve_centralized and chunk_queues and --number / 200 for run_slot, which
+take milliseconds).
 
 All trees are timed in this one process, so no tree's numbers carry an offset
 of its own process: each tree's package is imported under its own module name,
@@ -25,14 +28,13 @@ and in every round each kernel is timed on every tree in turn, the first tree
 rotating between rounds. Each tree reports its best over the rounds and its
 per-round values, their spread. rate_phase and project_rows are called as
 slot_update calls them: rate_lanes with Scenario.utility_shift and the
-SlotConstants rate constants, project_rows with Scenario.forbidden_entries,
-and with SlotConstants.ranks in a tree that keeps them (commit 7b03fb0).
+SlotConstants rate constants, project_rows with Scenario.forbidden_entries.
 slot_update takes the previous decisions as their residual g and raw (x, mu)
 arrays, and compute_weights takes g alone, so neither row holds the
 residual, which the run loop computes once per slot. decision_faults checks
 the decisions of the last 4 slots, one audit chunk of the grid run. The
 oracle rows read the solution's x_star and mu_star. Supported trees are this
-one and its parent, commit 7b03fb0.
+one and its parent, commit f464915.
 
 Array placement still shows inside one process: between trees whose code for
 a kernel is the same, its rows have differed by up to about 20% depending on
@@ -51,14 +53,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 KERNELS = ("slot_update", "run_slot", "rate_phase", "project_rows", "step_Z", "chunk_queues",
-           "residual_matrix", "compute_weights", "decision_faults")
+           "residual_matrix", "compute_weights", "decision_faults", "repair_feasible")
 CHUNK = 4  # slots per decision_faults call, the harness's chunk on the grid
 STATES = {"sixnode": 3000, "grid10x10f20": 300}
 CHUNKS = {"sixnode": 1000, "grid10x10f20": CHUNK}  # slots of the chunk_queues chunk
 ORACLE = "sixnode_oracle"  # the state name of the oracle rows
 ORACLE_KERNELS = ("solve_centralized", "repair_feasible", "dual_value")
 # kernels timed on --number / this calls
-SLOW = {"solve_centralized": 40, "chunk_queues": 40, "run_slot": 200}
+SLOW = {"repair_feasible": 20, "solve_centralized": 40, "chunk_queues": 40, "run_slot": 200}
 # one BLAS thread, set before numpy is first imported
 THREADS = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
@@ -130,18 +132,17 @@ def _slot_calls(P, slots, sc, Q, x, mu, Z, consts, start, chunk) -> dict:
     rates = (sc.utility_shift, sc.utility_weight, d, a_src, consts.ak_src, consts.two_a_src,
              consts.four_a_src)
     faults = tuple(c[-CHUNK:] for c in chunk[:2])
-    kept_ranks = (consts.ranks,) if hasattr(consts, "ranks") else ()
     return {
         "slot_update": lambda: P.slot_update(Q, g, x, mu, consts),
         "run_slot": lambda: P.run(sc, consts.config, slots),
         "rate_phase": lambda: P.rates.rate_lanes(*rates),
-        "project_rows": lambda: P.project_rows(a, net.caps, sc.forbidden_entries,
-                                               *kept_ranks),
+        "project_rows": lambda: P.project_rows(a, net.caps, sc.forbidden_entries),
         "step_Z": lambda: P.step_Z(Z, x, mu, sc),
         "chunk_queues": _chunk_queues(P, sc, start, chunk),
         "residual_matrix": lambda: P.residual_matrix(sc, x, mu),
         "compute_weights": lambda: P.compute_weights(Q, g, sc),
         "decision_faults": lambda: P.decision_faults(sc, *faults),
+        "repair_feasible": lambda: P.oracle.repair_feasible(sc, x, mu),
     }
 
 
