@@ -30,29 +30,34 @@ class DppConfig:
             raise ContractError(f"x_max must be positive and finite, got {self.x_max!r}")
 
 
-def dpp_slot_update(Q, scenario: Scenario, config: DppConfig) -> tuple:
+def dpp_slot_update(Q, scenario: Scenario, config: DppConfig, out=None) -> tuple:
     """One slot of decisions from the clipped virtual queues Q (N, F), which
-    are nonnegative: the source rates x (F,) and link rates mu (L, F).
+    are nonnegative: the source rates x (F,) and link rates mu (L, F), the
+    latter written into out (C-contiguous) if given.
 
     Each source maximizes V U(x) - q x over [0, cap], q being its queue and
     U(x) = w log(k + x): the cap when q <= 0, else V w / q - k clamped to
     [0, cap]. Each link grants its capacity to the first allowed
-    session of largest differential backlog Q[tail] - Q[head] (the head entry
-    counts as zero at the session's destination), provided that differential
-    is strictly positive.
+    session of largest differential backlog Q[tail] - Q[head], provided that
+    differential is strictly positive. The head entry counts as zero where
+    the link heads into the session's destination
+    (Scenario.head_dst_entries), whatever Q holds there.
     """
     Q = np.asarray(Q, dtype=float)
     cap = scenario.src_out_cap if config.x_max is None else config.x_max
     q = Q.take(scenario.src_entries)
+    pos = q > 0
     with np.errstate(over="ignore"):  # a subnormal q gives inf, which the cap clips
-        ratio = config.V * scenario.utility_weight / np.where(q > 0, q, 1.0)
+        ratio = config.V * scenario.utility_weight / np.where(pos, q, 1.0)
     x = np.maximum(ratio - scenario.utility_shift, 0.0)
-    x = np.where(q > 0, np.minimum(x, cap), cap)
+    x = np.where(pos, np.minimum(x, cap), cap)
     network = scenario.network
-    # A queue at the session's destination counts as zero at a link's head.
-    head_q = np.where(scenario.active, Q, 0.0).take(network.heads, axis=0)
+    gain = Q.take(network.tails, axis=0)
+    head_q = Q.take(network.heads, axis=0)
+    head_q.put(scenario.head_dst_entries, 0.0)
+    gain -= head_q
     # fmax maps a NaN differential to 0 like a nonpositive one: no gain.
-    gain = np.fmax(Q.take(network.tails, axis=0) - head_q, 0.0)
+    np.fmax(gain, 0.0, out=gain)
     gain.put(scenario.forbidden_entries, 0.0)
     # argmax takes the first maximum, so ties go to the lowest id; a link
     # serves only a strictly positive gain.
@@ -60,6 +65,8 @@ def dpp_slot_update(Q, scenario: Scenario, config: DppConfig) -> tuple:
     n_l, n_f = gain.shape
     best = choice + np.arange(0, n_l * n_f, n_f)
     grant = np.flatnonzero(gain.take(best) > 0.0)
-    mu = np.zeros((n_l, n_f))
-    mu.put(best.take(grant), network.caps.take(grant))
-    return x, mu
+    if out is None:
+        out = np.empty((n_l, n_f))
+    out.fill(0.0)
+    out.put(best.take(grant), network.caps.take(grant))
+    return x, out

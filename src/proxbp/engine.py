@@ -143,7 +143,10 @@ def slot_update(Q: np.ndarray, g_prev, x_prev, mu_prev, consts: SlotConstants) -
                    W.take(scenario.src_entries) - consts.a_src * x_prev,
                    consts.a_src, consts.ak_src, consts.two_a_src, consts.four_a_src)
     network = scenario.network
-    a = mu_prev + (W.take(network.tails, axis=0)
-                   - W.take(network.heads, axis=0)) / consts.link_denom
+    # mu_prev + (W[tail] - W[head]) / link_denom in place: the same roundings
+    a = W.take(network.tails, axis=0)
+    a -= W.take(network.heads, axis=0)
+    a /= consts.link_denom
+    a += mu_prev
     mu = project_rows(a, network.caps, scenario.forbidden_entries)
     return x, mu, W

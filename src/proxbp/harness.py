@@ -105,7 +105,9 @@ def trace_from_csv(path) -> Trace:
     n_f = max(r[1] for r in rows) + 1
     n_t = max(r[0] for r in rows) + 1
     if len(rows) < n_t * n_f:
-        t, f = next(k for k in np.ndindex(n_t, n_f) if k not in line_of)
+        # in (slot, session) order, the first missing pair is among the first len(rows) + 1
+        pairs = (divmod(k, n_f) for k in range(len(rows) + 1))
+        t, f = next(p for p in pairs if p not in line_of)
         raise ContractError(f"trace CSV has no row for slot {t} session {f}")
     x = np.zeros((n_t, n_f))
     xbar = np.zeros((n_t, n_f))
@@ -200,6 +202,9 @@ def run(scenario: Scenario, config, slots: int, oracle=None) -> Trace:
     from its signed queues Q and the residual g that stepped them (the
     weight identity finds g in W), DPP from its clipped queues Y: the loop
     steps Q by step_Q, and Y by step_Y for DPP, each into its buffer row.
+    residual_matrix writes each slot's residual, and dpp_slot_update each
+    DPP slot's link rates, straight into their rows; the proximal engine's
+    link rates are copied into theirs.
     Once per chunk, _ChunkAudit steps the rest over the stored decisions,
     the physical queues Z and a proximal run's Y, then array programs over
     the buffers evaluate the checks and the per-slot metrics, feasibility by
@@ -248,15 +253,14 @@ def run(scenario: Scenario, config, slots: int, oracle=None) -> Trace:
                         slots, n = t0 + i, i
                         audit.truncate(slots)
                         break
+                    buf_mu[i] = mu
                 else:
-                    x, mu = dpp_slot_update(Y, scenario, config)
-                g = residual_matrix(scenario, x, mu)
+                    x, mu = dpp_slot_update(Y, scenario, config, out=buf_mu[i])
+                g = residual_matrix(scenario, x, mu, out=buf_g[i])
                 if not prox:  # DPP's next decision reads Y
                     Y = step_Y(Y, g, scenario, out=buf_Y[i])
                 Q = step_Q(Q, g, out=buf_Q[i])
                 x_hist[t0 + i] = x
-                buf_mu[i] = mu
-                buf_g[i] = g
             if n:  # a stop at a chunk's first slot leaves it nothing to audit
                 audit.chunk_done(t0, n)
             if t0 + n == slots:  # the last chunk, or a stop inside this one

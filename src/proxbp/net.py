@@ -216,6 +216,8 @@ class Scenario:
     def __post_init__(self):
         object.__setattr__(self, "sessions", tuple(self.sessions))
         object.__setattr__(self, "allowed", tuple(frozenset(a) for a in self.allowed))
+        if not self.sessions:
+            raise ScenarioValidationError("scenario has no session")
         n = self.network.node_count
         for i, s in enumerate(self.sessions):
             if s.id != i:
@@ -292,6 +294,13 @@ class Scenario:
         """Flat index into a C-ordered (L, F) matrix of each forbidden (link,
         session) pair, in (link, session) order."""
         return _frozen(np.flatnonzero(~self.allow_mask))
+
+    @cached_property
+    def head_dst_entries(self) -> np.ndarray:
+        """Flat index into a C-ordered (L, F) matrix of each (link, session)
+        pair whose link heads into the session's destination, in (link,
+        session) order."""
+        return _frozen(np.flatnonzero(self.network.heads[:, None] == self.dst))
 
     @cached_property
     def active(self) -> np.ndarray:
@@ -387,8 +396,9 @@ def validate_decision(scenario: Scenario, x, mu):
         raise ScenarioValidationError(faults[0][1])
 
 
-def residual_matrix(scenario: Scenario, x, mu) -> np.ndarray:
-    """(N, F) flow-balance residuals, zero at each session's destination.
+def residual_matrix(scenario: Scenario, x, mu, out=None) -> np.ndarray:
+    """(N, F) flow-balance residuals, zero at each session's destination, in
+    out (C-contiguous) if given.
 
     Entry (n, f) is the exogenous arrival of f at n plus incoming mu minus
     outgoing mu. Positive means injection exceeds service at that node. x is
@@ -398,7 +408,7 @@ def residual_matrix(scenario: Scenario, x, mu) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     # C order: the product sums in a layout-dependent order
     mu = np.ascontiguousarray(mu, dtype=float)
-    g = scenario.network.incidence @ mu
+    g = np.matmul(scenario.network.incidence, mu, out=out)
     if x.ndim == 1:
         g.put(scenario.src_entries, g.take(scenario.src_entries) + x)
     else:
@@ -470,8 +480,9 @@ def parse_scenario(text: str) -> Scenario:
                                               replaces l's default full set)
       allow <link_index> none                (explicitly empty allow-set)
 
-    Every error but a missing nodes line is a ScenarioFormatError that names
-    the line at fault.
+    A document without a nodes line or without a session line raises a
+    ScenarioValidationError; every other error is a ScenarioFormatError that
+    names the line at fault.
     """
     node_count = None
     links = []
@@ -542,6 +553,8 @@ def parse_scenario(text: str) -> Scenario:
     try:
         return Scenario(Network(node_count, tuple(links)), tuple(sessions), tuple(allowed))
     except ScenarioValidationError as e:
+        if e.item is None:  # a fault of the whole document: no session
+            raise
         # the allow-sets are checked above, so the fault names a line's item
         raise ScenarioFormatError(line_of[e.item], str(e)) from None
 

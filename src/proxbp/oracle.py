@@ -388,9 +388,11 @@ def serialize_solution(sol: OracleSolution, scenario: Scenario) -> str:
 
 def parse_solution(text: str, scenario: Scenario) -> OracleSolution:
     """Inverse of serialize_solution. Raises a line-numbered ContractError for
-    an unknown directive, a wrong field count, a bad or non-finite number, a
-    negative duality_gap or an index out of range, and a ContractError naming
-    any scalar the report lacks."""
+    an unknown directive, a wrong field count, a bad or non-finite number, an
+    alpha that is not positive, a negative duality_gap, max_violation, zeta, x
+    or mu (solve_centralized writes none) or an index out of range, and a
+    ContractError naming any scalar the report lacks. lambda and weak_margin
+    are signed."""
     scalars = dict.fromkeys(("ustar", "duality_gap", "max_violation", "weak_margin", "zeta"))
     arrays = {
         "alpha": np.zeros(scenario.n_nodes),
@@ -416,8 +418,10 @@ def parse_solution(text: str, scenario: Scenario) -> OracleSolution:
             raise ContractError(f"report line {lineno}: bad number in {line!r}") from None
         if not math.isfinite(val):
             raise ContractError(f"report line {lineno}: {tag} value {val!r} is not finite")
-        if tag == "duality_gap" and val < 0.0:
-            raise ContractError(f"report line {lineno}: duality_gap {val!r} is negative")
+        if tag == "alpha" and not val > 0.0:
+            raise ContractError(f"report line {lineno}: alpha {val!r} is not positive")
+        if tag in ("duality_gap", "max_violation", "zeta", "x", "mu") and val < 0.0:
+            raise ContractError(f"report line {lineno}: {tag} {val!r} is negative")
         if not all(0 <= i < n for i, n in zip(idx, shape)):
             raise ContractError(
                 f"report line {lineno}: {tag} index {idx} out of range for shape {shape}")

@@ -22,22 +22,27 @@ from .net import (CAP_TOL, ContractError, Scenario, ScenarioValidationError, dec
 def step_Y(Y, g, scenario: Scenario, out=None) -> np.ndarray:
     """Clipped virtual queues: from Y (N, F), add each slot's flow residual,
     as returned by residual_matrix, so everything prescribed counts; then
-    clip at zero. g is one slot's residual (N, F) or those of n consecutive
-    slots (n, N, F); the states after each slot come back in g's shape, in
-    out (C-contiguous) if given. The destination entries are zeroed once,
-    after the last slot, as each entry's recursion reads only its own past."""
+    clip at zero and zero the destination entries. g is one slot's residual
+    (N, F) or those of n consecutive slots (n, N, F); the states after each
+    slot come back in g's shape, in out (C-contiguous) if given. One slot is
+    an add, a maximum and one put; over n slots the destination entries are
+    zeroed once, after the last slot, as each entry's recursion reads only
+    its own past."""
     g = np.asarray(g, dtype=float)
     if out is None:
         out = np.empty(g.shape)
+    if g.ndim == 2:
+        np.add(Y, g, out=out)
+        np.maximum(out, 0.0, out=out)
+        out.put(scenario.dst_entries, 0.0)
+        return out
     n_n, n_f = scenario.n_nodes, scenario.n_sessions
-    g_rows, y_rows = g.reshape(-1, n_n, n_f), out.reshape(-1, n_n, n_f)
     prev = Y
-    for t in range(len(g_rows)):
-        y_t = y_rows[t]
-        np.add(prev, g_rows[t], out=y_t)
+    for g_t, y_t in zip(g, out):
+        np.add(prev, g_t, out=y_t)
         np.maximum(y_t, 0.0, out=y_t)
         prev = y_t
-    y_rows.reshape(-1, n_n * n_f)[:, scenario.dst_entries] = 0.0
+    out.reshape(-1, n_n * n_f)[:, scenario.dst_entries] = 0.0
     return out
 
 

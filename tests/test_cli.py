@@ -277,6 +277,17 @@ def test_cell_rejects_an_option_of_the_other_algorithm(tmp_path, capsys, monkeyp
         assert capsys.readouterr().err == expected
 
 
+def test_scenario_without_sessions_is_rejected_at_load(tmp_path, capsys):
+    path = tmp_path / "empty.net"
+    path.write_text("nodes 2\nlink 0 1 1.0\n")
+    plan = tmp_path / "plan.txt"
+    plan.write_text("slots 5\nrun name=a alg=new\nrun name=b alg=dpp\n")
+    for argv in (["run", "--alg", "new"], ["run", "--alg", "dpp"], ["oracle"],
+                 ["compare", "--spec", str(plan)]):
+        assert main(argv + ["--scenario", str(path)]) == 2
+        assert capsys.readouterr().err == "proxbp: scenario has no session\n"
+
+
 def test_unroutable_session_is_rejected_at_load(tmp_path, capsys):
     # session 1 may not use link 1, the only way out of node 1
     text = ("nodes 3\nlink 0 1 1.0\nlink 1 2 1.0\n"

@@ -166,7 +166,8 @@ def _dpp_cases(draw):
     sc = draw(scenarios())
     coarse = draw(st.booleans())
     q = arrays(draw, (sc.n_nodes, sc.n_sessions), (0.0, 0.5, 1.0, 3.0), 0.0, 10.0, coarse)
-    q[~sc.active] = 0.0
+    if draw(st.booleans()):  # else a link's head counts as zero at a nonzero destination entry
+        q[~sc.active] = 0.0
     config = DppConfig(V=draw(st.sampled_from((1.0, 25.0, 500.0))),
                        x_max=draw(st.sampled_from((None, 0.75))))
     return sc, q, config
@@ -180,6 +181,14 @@ def test_dpp_slot_matches_scalar_reference(case):
     x, mu = _dpp_slot_scalar(q, sc, config)
     assert y_x.tobytes() == x.tobytes()
     assert y_mu.tobytes() == mu.tobytes()
+    # written into a row of a NaN-filled chunk buffer, as run() passes it
+    rows = np.full((3, sc.n_links, sc.n_sessions), math.nan)
+    row = rows[1]
+    o_x, o_mu = dpp_slot_update(q, sc, config, out=row)
+    assert o_mu is row
+    assert o_x.tobytes() == x.tobytes()
+    assert row.tobytes() == mu.tobytes()
+    assert np.isnan(rows[[0, 2]]).all()
 
 
 def test_nan_queue_entry_matches_scalar_reference(sixnode):

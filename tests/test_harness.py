@@ -178,6 +178,9 @@ _ROW = "0,new,0," + ",".join(["1.0"] * 10)
     (_ROW, "trace CSV line 3: slot 0 session 0 repeats line 2"),
     ("0,dpp,1," + _ROW[8:], "trace CSV line 3: alg 'dpp' differs from the earlier rows' 'new'"),
     ("1,new,1," + _ROW[8:], "trace CSV has no row for slot 0 session 1"),
+    # a huge index names the first missing pair without building the whole grid
+    ("99999999999,new,0," + _ROW[8:], "trace CSV has no row for slot 1 session 0"),
+    ("0,new,99999999999," + _ROW[8:], "trace CSV has no row for slot 0 session 1"),
 ])
 def test_trace_from_csv_names_the_bad_line(row, message, tmp_path):
     with pytest.raises(P.ContractError) as err:
@@ -383,8 +386,8 @@ def _rates_shifted_at(slot, shift):
     real = P.dpp_slot_update
     calls = []
 
-    def faulty(Q, scenario, config):
-        x, mu = real(Q, scenario, config)
+    def faulty(Q, scenario, config, out=None):
+        x, mu = real(Q, scenario, config, out=out)
         calls.append(None)
         return (x + shift, mu) if len(calls) == slot + 1 else (x, mu)
 
@@ -580,10 +583,9 @@ def test_nan_residual_fails_the_drift_identity_at_its_slot(sixnode, monkeypatch,
     real = harness.residual_matrix
     calls = []
 
-    def faulty(scenario, x, mu):  # the harness computes one residual per slot
-        g = real(scenario, x, mu)
+    def faulty(scenario, x, mu, out=None):  # the harness computes one residual per slot
+        g = real(scenario, x, mu, out=out)
         if len(calls) == k:
-            g = g.copy()
             g[0, 0] = math.nan
         calls.append(None)
         return g

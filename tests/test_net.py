@@ -104,6 +104,22 @@ def test_scenario_validation_errors():
         P.Scenario(net, (P.Session(0, 0, 2, u),), (frozenset(),))
 
 
+def test_a_scenario_needs_a_session():
+    # with no session there is no rate to simulate and nothing to optimize
+    with pytest.raises(P.ScenarioValidationError, match="^scenario has no session$"):
+        P.parse_scenario("nodes 2\nlink 0 1 1.0\n")
+    with pytest.raises(P.ScenarioValidationError, match="^scenario has no session$"):
+        P.Scenario(P.Network(2, (P.Link(0, 1, 1.0),)), (), (frozenset(),))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(sc=scenarios())
+def test_head_dst_entries_match_a_scan_of_the_links(sc):
+    want = [l * sc.n_sessions + f for l, link in enumerate(sc.network.links)
+            for f, s in enumerate(sc.sessions) if link.head == s.dst]
+    assert sc.head_dst_entries.tolist() == want
+
+
 def test_active_mask_and_sources(sixnode):
     act = sixnode.active
     assert act.shape == (6, 2)
@@ -127,6 +143,29 @@ def test_residual_matrix_relay(relay):
     assert abs(g[0, 0] - 0.0) < 1e-15
     assert abs(g[1, 0] - 0.5) < 1e-15
     assert g[2, 0] == 0.0
+
+
+@st.composite
+def _residual_cases(draw):
+    sc = draw(scenarios())
+    coarse = draw(st.booleans())
+    x = arrays(draw, (sc.n_sessions,), (0.0, 0.5, 1.0), 0.0, 2.0, coarse)
+    mu = arrays(draw, (sc.n_links, sc.n_sessions), (0.0, 0.25, 1.0), 0.0, 3.0, coarse)
+    return sc, x, mu
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=_residual_cases())
+def test_residual_matrix_into_out_matches_the_allocating_call(case):
+    sc, x, mu = case
+    for arrivals in (x, arrival_matrix(sc, x)):
+        want = P.residual_matrix(sc, arrivals, mu)
+        # a row of a NaN-filled chunk buffer, as run() passes it
+        rows = np.full((3,) + want.shape, math.nan)
+        row = rows[1]
+        assert P.residual_matrix(sc, arrivals, mu, out=row) is row
+        assert row.tobytes() == want.tobytes()
+        assert np.isnan(rows[[0, 2]]).all()
 
 
 def test_residual_matrix_ignores_the_memory_layout(gridgen):

@@ -289,6 +289,28 @@ def test_solution_round_trip(sixnode, sixnode_sol, tmp_path):
     assert np.array_equal(again.alpha, sixnode_sol.alpha)
 
 
+@pytest.mark.parametrize("line, message", [
+    ("alpha 0 -1", "alpha -1.0 is not positive"),
+    ("alpha 0 0", "alpha 0.0 is not positive"),
+    ("x 0 -5", "x -5.0 is negative"),
+    ("mu 0 0 -2", "mu -2.0 is negative"),
+    ("zeta -3", "zeta -3.0 is negative"),
+    ("max_violation -1", "max_violation -1.0 is negative"),
+])
+def test_parse_solution_rejects_a_value_the_solver_never_writes(sixnode, sixnode_sol, line,
+                                                                 message):
+    text = P.serialize_solution(sixnode_sol, sixnode)
+    lineno = text.count("\n") + 1
+    with pytest.raises(P.ContractError, match=f"^report line {lineno}: {message}$"):
+        P.parse_solution(f"{text}{line}\n", sixnode)
+
+
+def test_parse_solution_keeps_lambda_and_weak_margin_signed(sixnode, sixnode_sol):
+    text = P.serialize_solution(sixnode_sol, sixnode) + "lambda 0 0 -1.5\nweak_margin -2.0\n"
+    sol = P.parse_solution(text, sixnode)
+    assert sol.lambda_star[0, 0] == -1.5 and sol.weak_duality_margin == -2.0
+
+
 def test_solution_decision_is_read_only_float64(sixnode, sixnode_sol, singlelink):
     # the optimum's rates, multipliers and alpha, as solve_centralized returns
     # them and as a report parses back, are shared read-only float64 arrays of

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from reference import arrival_matrix
 from strategies import arrays, scenarios
 
@@ -311,6 +312,30 @@ def test_flat_destination_zeroing_matches_the_mask(case):
             ref_nxt, ref_sends = _step_Z_scalar(z, arr, mu, sc)
             assert nxt.tobytes() == ref_nxt.tobytes()
             assert sends.tobytes() == ref_sends.tobytes()
+
+
+SPECIAL = (-0.0, 0.0, 1.5, -2.0, math.nan, math.inf, -math.inf)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data(), sc=scenarios(), slots=st.integers(1, 3))
+def test_one_slot_step_y_matches_the_chunk_form(data, sc, slots):
+    # a chain of one-slot steps gives the chunk form's states bit for bit,
+    # on signed zeros, NaN and infinities too
+    shape = (sc.n_nodes, sc.n_sessions)
+    values = st.sampled_from(SPECIAL) | st.floats(-5.0, 5.0)
+    y = data.draw(hnp.arrays(np.float64, shape, elements=values))
+    g = data.draw(hnp.arrays(np.float64, (slots,) + shape, elements=values))
+    chain = np.full((slots + 1,) + shape, math.nan)  # rows after each slot, as run() passes them
+    with np.errstate(invalid="ignore"):  # inf + -inf
+        want = step_Y(y, g, sc)
+        prev = y
+        for row, g_t in zip(chain, g):
+            assert step_Y(prev, g_t, sc, out=row) is row
+            prev = row
+        assert step_Y(y, g[0], sc).tobytes() == want[0].tobytes()
+    assert chain[:-1].tobytes() == want.tobytes()
+    assert np.isnan(chain[-1]).all()
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Per-kernel timings of one proximal slot and of the oracle, for one or more
-proxbp source trees.
+"""Per-kernel timings of one proximal slot, of one DPP slot and of the oracle,
+for one or more proxbp source trees.
 
     python3 tools/bench_slot_kernels.py --src before=OLD/src --src after=src --out BENCH.json
 
@@ -14,13 +14,18 @@ run over one chunk, divided by its slots: ZSteps steps the physical queues Z
 and step_Y the clipped queues Y over the last CHUNKS slots of the state's
 run, 1000 on sixnode (the whole of a six-prox run) and 4 on the grid (its
 audit chunk). repair_feasible repairs the state's last decision, what the
-oracle's certificate would peel at the end of a queue-bound run. The oracle
+oracle's certificate would peel at the end of a queue-bound run. The DPP
+rows read the state of a DPP run (V = 100, as the grid-dpp benchmark
+workload runs it) after the same number of slots: dpp_slot_update decides
+from its clipped queues Y, step_Y is the loop's one-slot step of Y by the
+last slot's residual into a buffer, and run_dpp_slot is run_slot for that
+run. The oracle
 rows time solve_centralized on the six-node scenario at tol 1e-5, as
 `proxbp oracle` calls it, and repair_feasible and dual_value at its
 solution. A kernel's time is the best of --repeats timeit repeats of
 --number calls (--number / 20 for repair_feasible, --number / 40 for
-solve_centralized and chunk_queues and --number / 200 for run_slot, which
-take milliseconds).
+solve_centralized and chunk_queues and --number / 200 for run_slot and
+run_dpp_slot, which take milliseconds).
 
 All trees are timed in this one process, so no tree's numbers carry an offset
 of its own process: each tree's package is imported under its own module name,
@@ -34,7 +39,7 @@ arrays, and compute_weights takes g alone, so neither row holds the
 residual, which the run loop computes once per slot. decision_faults checks
 the decisions of the last 4 slots, one audit chunk of the grid run. The
 oracle rows read the solution's x_star and mu_star. Supported trees are this
-one and its parent, commit f464915.
+one and its parent, commit ebf33f6.
 
 Array placement still shows inside one process: between trees whose code for
 a kernel is the same, its rows have differed by up to about 20% depending on
@@ -53,14 +58,17 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 KERNELS = ("slot_update", "run_slot", "rate_phase", "project_rows", "step_Z", "chunk_queues",
-           "residual_matrix", "compute_weights", "decision_faults", "repair_feasible")
+           "residual_matrix", "compute_weights", "decision_faults", "repair_feasible",
+           "dpp_slot_update", "step_Y", "run_dpp_slot")
 CHUNK = 4  # slots per decision_faults call, the harness's chunk on the grid
 STATES = {"sixnode": 3000, "grid10x10f20": 300}
 CHUNKS = {"sixnode": 1000, "grid10x10f20": CHUNK}  # slots of the chunk_queues chunk
 ORACLE = "sixnode_oracle"  # the state name of the oracle rows
 ORACLE_KERNELS = ("solve_centralized", "repair_feasible", "dual_value")
 # kernels timed on --number / this calls
-SLOW = {"repair_feasible": 20, "solve_centralized": 40, "chunk_queues": 40, "run_slot": 200}
+SLOW = {"repair_feasible": 20, "solve_centralized": 40, "chunk_queues": 40, "run_slot": 200,
+        "run_dpp_slot": 200}
+DPP_V = 100.0  # the V of the DPP rows' run
 # one BLAS thread, set before numpy is first imported
 THREADS = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
@@ -78,11 +86,13 @@ def _import_tree(name: str, src):
 
 
 def _states(P, texts: dict):
-    """{state name: (scenario, Q, x, mu, Z, consts, start, chunk)} for the
-    package P and the scenario texts of STATES: the queues after the slot
+    """{state name: (scenario, Q, x, mu, Z, consts, start, chunk, dpp)} for
+    the package P and the scenario texts of STATES: the queues after the slot
     counts of STATES and the decisions x, mu of the last slot, what the next
     slot reads; chunk, the (x, mu, g) stacks of the last CHUNKS slots, and
-    start, the queues (Y, Z) before them."""
+    start, the queues (Y, Z) before them; dpp, the (config, Y, g) of a DPP
+    run after as many slots, its clipped queues before its last slot and
+    that slot's residual."""
     from collections import deque
 
     import numpy as np
@@ -104,7 +114,13 @@ def _states(P, texts: dict):
             Z, _ = P.step_Z(Z, x, mu, sc)
             last.append((x, mu, g))
         chunk = tuple(np.stack(c) for c in zip(*last))
-        out[name] = (sc, Q, x, mu, Z, consts, start, chunk)
+        dpp_config = P.DppConfig(V=DPP_V)
+        Y_dpp = np.zeros((sc.n_nodes, sc.n_sessions))
+        for _ in range(STATES[name]):
+            Y_prev = Y_dpp
+            g_dpp = P.residual_matrix(sc, *P.dpp_slot_update(Y_dpp, sc, dpp_config))
+            Y_dpp = P.step_Y(Y_dpp, g_dpp, sc)
+        out[name] = (sc, Q, x, mu, Z, consts, start, chunk, (dpp_config, Y_prev, g_dpp))
     return out
 
 
@@ -120,7 +136,7 @@ def _chunk_queues(P, sc, start, chunk):
     return lambda: (steps(Z, x, mu, z_out), P.step_Y(Y, g, sc, out=y_out))
 
 
-def _slot_calls(P, slots, sc, Q, x, mu, Z, consts, start, chunk) -> dict:
+def _slot_calls(P, slots, sc, Q, x, mu, Z, consts, start, chunk, dpp) -> dict:
     """{kernel: a call with no arguments} for the package P on one state,
     reached after the given number of slots."""
     net = sc.network
@@ -132,6 +148,8 @@ def _slot_calls(P, slots, sc, Q, x, mu, Z, consts, start, chunk) -> dict:
     rates = (sc.utility_shift, sc.utility_weight, d, a_src, consts.ak_src, consts.two_a_src,
              consts.four_a_src)
     faults = tuple(c[-CHUNK:] for c in chunk[:2])
+    dpp_config, Y, g_dpp = dpp
+    y_out = Y.copy()  # a buffer row, as the loop passes
     return {
         "slot_update": lambda: P.slot_update(Q, g, x, mu, consts),
         "run_slot": lambda: P.run(sc, consts.config, slots),
@@ -143,6 +161,9 @@ def _slot_calls(P, slots, sc, Q, x, mu, Z, consts, start, chunk) -> dict:
         "compute_weights": lambda: P.compute_weights(Q, g, sc),
         "decision_faults": lambda: P.decision_faults(sc, *faults),
         "repair_feasible": lambda: P.oracle.repair_feasible(sc, x, mu),
+        "dpp_slot_update": lambda: P.dpp_slot_update(Y, sc, dpp_config),
+        "step_Y": lambda: P.step_Y(Y, g_dpp, sc, out=y_out),
+        "run_dpp_slot": lambda: P.run(sc, dpp_config, slots),
     }
 
 
@@ -195,9 +216,9 @@ def main(argv=None) -> int:
         for state, kernels in cases.items():
             for k in kernels:
                 number = max(1, args.number // SLOW.get(k, 1))
-                # run_slot's call runs all the slots of its state,
-                # chunk_queues's those of its chunk
-                per_call = (STATES[state] if k == "run_slot" else
+                # run_slot's and run_dpp_slot's calls run all the slots
+                # of their state, chunk_queues's those of its chunk
+                per_call = (STATES[state] if k in ("run_slot", "run_dpp_slot") else
                             CHUNKS[state] if k == "chunk_queues" else 1)
                 for name in order:
                     best = min(timeit.repeat(calls[name][state][k], number=number,
