@@ -3,7 +3,7 @@ running-average optimality gap and slot-uniform queue bounds, plus a
 drift-plus-penalty baseline, scripted queue-model experiments, and a
 certified centralized solver."""
 
-from .net import (CAP_TOL, UTILITY_KINDS, ContractError, DomainError, Link,
+from .net import (UTILITY_KINDS, ContractError, DomainError, Link,
                   Network, NumericError, Scenario, ScenarioFormatError,
                   ScenarioValidationError, Session, Utility, decision_faults,
                   load_scenario, parse_scenario, residual_matrix, save_scenario,

@@ -41,14 +41,15 @@ def dpp_slot_update(Q, scenario: Scenario, config: DppConfig, out=None) -> tuple
     session of largest differential backlog Q[tail] - Q[head], provided that
     differential is strictly positive. The head entry counts as zero where
     the link heads into the session's destination
-    (Scenario.head_dst_entries), whatever Q holds there.
+    (Scenario.head_dst_entries), whatever Q holds there. A subnormal source
+    queue gives an infinite ratio, which the cap clips; numpy warns of that
+    overflow unless the caller ignores it, as run() does.
     """
     Q = np.asarray(Q, dtype=float)
     cap = scenario.src_out_cap if config.x_max is None else config.x_max
     q = Q.take(scenario.src_entries)
     pos = q > 0
-    with np.errstate(over="ignore"):  # a subnormal q gives inf, which the cap clips
-        ratio = config.V * scenario.utility_weight / np.where(pos, q, 1.0)
+    ratio = config.V * scenario.utility_weight / np.where(pos, q, 1.0)
     x = np.maximum(ratio - scenario.utility_shift, 0.0)
     x = np.where(pos, np.minimum(x, cap), cap)
     network = scenario.network

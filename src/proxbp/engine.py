@@ -40,7 +40,8 @@ def default_alpha(network, mode: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class AlgConfig:
-    """alpha is a per-node positive array (queue^2 per rate^2 units)."""
+    """alpha is a per-node positive array (queue^2 per rate^2 units), a
+    read-only copy of the one given."""
 
     alpha: np.ndarray
 
@@ -50,6 +51,12 @@ class AlgConfig:
             raise ContractError("alpha must be a vector of positive reals")
         a.setflags(write=False)
         object.__setattr__(self, "alpha", a)
+
+    def node_alpha(self, network) -> np.ndarray:
+        """alpha, after a check that it has one entry per node of network."""
+        if self.alpha.size != network.node_count:
+            raise ContractError(f"alpha has {self.alpha.size} entries for {network.node_count} nodes")
+        return self.alpha
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,11 +79,9 @@ class SlotConstants:
     link_denom: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        alpha = self.config.alpha
         sc = self.scenario
         network = sc.network
-        if alpha.size != network.node_count:
-            raise ContractError(f"alpha has {alpha.size} entries for {network.node_count} nodes")
+        alpha = self.config.node_alpha(network)
         with np.errstate(over="ignore"):  # 4a and the link denominators may overflow
             a_src = 2.0 * alpha[sc.src]
             if not np.isfinite(a_src).all():

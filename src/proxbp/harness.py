@@ -19,11 +19,6 @@ CSV_HEADER = "slot,alg,session,x,xbar,util_inst,util_avg,util_jensen,gap,maxQ,ma
 # the Trace fields of the per-slot columns, in CSV order after x and xbar
 SLOT_COLUMNS = ("util_inst", "util_avg", "util_jensen", "gap", "maxQ", "maxZ", "maxY", "lyap")
 
-# see weight_identity_limit and drift_identity_limit
-WEIGHT_IDENTITY_TOL = 1e-12
-WEIGHT_IDENTITY_ULPS = 4.0
-DRIFT_IDENTITY_TOL = 1e-9
-
 CHUNK_BYTES = 1 << 18  # byte budget of each per-chunk buffer of run()
 
 
@@ -144,8 +139,9 @@ def _is_count(value) -> bool:
 
 def weight_identity_limit(q_max, q_max_prev):
     """Largest |W(t) - (2 Q(t) - Q(t-1))| a slot may show, elementwise over
-    max |Q(t)| and max |Q(t-1)|: WEIGHT_IDENTITY_ULPS eps M, M the larger of
-    the two, and WEIGHT_IDENTITY_TOL where that is not finite.
+    max |Q(t)| and max |Q(t-1)|: 4 eps M, M the larger of the two. A
+    proximal slot runs only from finite queues, so M is finite where it is
+    evaluated.
 
     With u = eps / 2, per entry: the loop steps Q(t) = fl(Q(t-1) + g), so
     Q(t-1) + g = Q(t) / (1 + d1); the engine forms W = (Q(t) + g)(1 + d2) and
@@ -154,17 +150,18 @@ def weight_identity_limit(q_max, q_max_prev):
     so they differ by at most 7 u M / (1 - u), 3.5 eps M up to a factor
     1 + eps; the roundings of that difference and of the limit fit below
     4 eps M. A settled run handed a stale residual is off by thousands of
-    eps M.
+    eps M. The limit needs no underflow floor: 2 Q(t) is exact, and an
+    addition's error, a multiple of the smallest subnormal, is 0 wherever u
+    times the result is smaller, that is wherever 4 eps M can underflow.
     """
-    bound = WEIGHT_IDENTITY_ULPS * _EPS * np.maximum(q_max, q_max_prev)
-    return np.where(np.isfinite(bound), bound, WEIGHT_IDENTITY_TOL)
+    return 4.0 * _EPS * np.maximum(q_max, q_max_prev)
 
 
 def drift_identity_limit(lyap, lyap_prev, n_terms: int):
     """Largest |L(t+1) - L(t) - (<Q(t), g> + |g|^2 / 2)| a slot may show,
-    elementwise over L(t+1) and L(t), for n_terms = N F queue entries: the
-    larger of DRIFT_IDENTITY_TOL and c eps (L(t) + L(t+1)), c = 3 D + 8, and
-    DRIFT_IDENTITY_TOL where that is not finite; the fixed part covers underflow.
+    elementwise over L(t+1) and L(t), for n = n_terms = N F queue entries:
+    c eps (L(t) + L(t+1)), c = 3 D + 8, taken as 0 where it is not finite,
+    plus the underflow floor (5 n + 2) s, s the smallest subnormal.
 
     numpy sums the n terms of a slot pairwise: a block of m <= 128 terms
     goes to 8 accumulators added in a tree of depth 3, its last m % 8 terms
@@ -179,11 +176,15 @@ def drift_identity_limit(lyap, lyap_prev, n_terms: int):
     S = sum(|Q g| + g^2 / 2) <= 5 (1 + u)^2 (L + L') as |g_i| <= |Q_i| +
     (1 + u) |Q'_i|. To first order the value is at most u (L + L')
     (2 + (D + 1) + 1 + 5 (D + 2)) = eps (3 D + 7) (L + L'); the 1 more in c
-    covers higher orders.
+    covers higher orders. A sum is exact where it underflows, but a product
+    or a halving may then err by s / 2 beyond that model: n squares and one
+    halving for each L, and n products Q g, n halvings and n products of g
+    in the drift. The floor is twice their sum, which also covers the
+    limit's own rounding.
     """
     depth = 25 + math.ceil(math.log2((max(n_terms, 128) - 16) / 112))
     bound = (3 * depth + 8) * _EPS * (lyap + lyap_prev)
-    return np.fmax(DRIFT_IDENTITY_TOL, np.where(np.isfinite(bound), bound, 0.0))
+    return np.where(np.isfinite(bound), bound, 0.0) + (5 * n_terms + 2) * math.ulp(0.0)
 
 
 def run(scenario: Scenario, config, slots: int, oracle=None) -> Trace:
@@ -191,10 +192,11 @@ def run(scenario: Scenario, config, slots: int, oracle=None) -> Trace:
     algorithm for an AlgConfig, DPP for a DppConfig.
 
     Steps all three queue families under the produced decisions and checks
-    the invariants of every slot: per-slot feasibility, the drift identity of
-    the signed queues (to drift_identity_limit), the weight identity
-    (proximal algorithm only, to weight_identity_limit) and the queue bound
-    transfer with B = max |Q|.
+    the invariants of every slot: per-slot feasibility (to decision_faults'
+    limit, with each projected row's scale in a proximal run), the drift
+    identity of the signed queues (to drift_identity_limit), the weight
+    identity (proximal algorithm only, to weight_identity_limit) and the
+    queue bound transfer with B = max |Q|.
 
     The slot loop steps only what the next decision reads and stores each
     slot's decisions, residual, queues and weights in (chunk, ...) buffers;
@@ -231,7 +233,7 @@ def run(scenario: Scenario, config, slots: int, oracle=None) -> Trace:
                             f"got {type(config).__name__}")
     prox = isinstance(config, AlgConfig)
     consts = SlotConstants(scenario, config) if prox else None
-    audit = _ChunkAudit(scenario, prox, slots)
+    audit = _ChunkAudit(scenario, consts, slots)
     Q = g = np.zeros((scenario.n_nodes, scenario.n_sessions))  # g of the zero decision
     Y = audit.Y[0]
     x, mu = np.zeros(scenario.n_sessions), np.zeros((scenario.n_links, scenario.n_sessions))
@@ -281,12 +283,14 @@ def run(scenario: Scenario, config, slots: int, oracle=None) -> Trace:
     # a NaN queue gives no B, and the drift identity has failed at its slot
     b_obs = float(audit.max_q.max())
     transfer = ([] if math.isnan(b_obs) else
-                audit_queue_bounds(audit.peak_Y, audit.peak_Z, b_obs, scenario))
+                audit_queue_bounds(audit.peak_Y, audit.peak_Z, b_obs, scenario, slots))
 
     # each check's worst value, and the slot and value of its first violation
     q_max = np.concatenate((np.zeros(2), audit.max_q))  # max |Q(t)| from t = -1
     lyap = np.concatenate((np.zeros(1), audit.lyap))  # L(t) from t = 0
-    limits = {"weight_identity": weight_identity_limit(q_max[1:-1], q_max[:-2]),
+    # a DPP run has no weights, and its weight values stay 0
+    weight_limit = weight_identity_limit(q_max[1:-1], q_max[:-2]) if prox else 0.0
+    limits = {"weight_identity": weight_limit,
               "drift_identity": drift_identity_limit(lyap[1:], lyap[:-1], Q.size)}
     summary = {}
     first = {}
@@ -326,9 +330,10 @@ class _ChunkAudit:
     over the slot's own matrix. So every metric is bitwise the per-slot
     value, the Lyapunov value recomputed from a carried row too."""
 
-    def __init__(self, scenario: Scenario, prox: bool, slots: int):
+    def __init__(self, scenario: Scenario, consts: SlotConstants, slots: int):
         self.scenario = scenario
-        self.prox = prox
+        self.prox = prox = consts is not None
+        self.link_denom = consts.link_denom[:, 0] if prox else None
         n_n, n_f, n_l = scenario.n_nodes, scenario.n_sessions, scenario.n_links
         self.chunk = c = min(slots, chunk_slots(scenario))
         self.mu = np.empty((c, n_l, n_f))
@@ -366,8 +371,8 @@ class _ChunkAudit:
         if self.prox:  # the slot loop steps Y only for DPP, which decides from it
             step_Y(self.Y[0], g, sc, out=Y)
         q_all = self.Q[1:n + 2]  # Q(t0), the queues before the chunk, then after each slot
-        Q = q_all[1:]
-        self.max_q[rows] = np.abs(Q).max(axis=(1, 2))
+        q_max = np.abs(self.Q[:n + 2]).max(axis=(1, 2))  # from Q(t0 - 1) on
+        self.max_q[rows] = q_max[2:]
         self.max_z[rows] = Z.max(axis=(1, 2))
         self.max_y[rows] = Y.max(axis=(1, 2))
         self.z_total[rows] = Z.sum(axis=(1, 2))
@@ -385,11 +390,17 @@ class _ChunkAudit:
             ident = 2.0 * q_all[:-1] - self.Q[:n]
             ident.reshape(n, -1)[:, sc.dst_entries] = 0.0
             checks["weight_identity"][rows] = np.abs(self.W[:n] - ident).max(axis=(1, 2))
+        # decision_faults' bound on each projected row's |a|: the identity
+        # gives |W(t)| <= 3 M, M = max(max |Q(t)|, max |Q(t-1)|), up to
+        # rounding, so |a| <= cap_l + 6 M / (2 (alpha_tail + alpha_head))
+        m = np.maximum(q_max[:n], q_max[1:n + 1])
+        scale = sc.network.caps + 6.0 * m[:, None] / self.link_denom if self.prox else None
         self.Q[:2] = self.Q[n:n + 2]
         self.Y[0] = Y[-1]
         self.Z[0] = Z[-1]
 
-        self.feas_failures += [(t0 + i, message) for i, message in decision_faults(sc, x, mu)]
+        self.feas_failures += [(t0 + i, message)
+                               for i, message in decision_faults(sc, x, mu, scale)]
 
 
 # ---------------------------------------------------------------------------

@@ -331,22 +331,31 @@ class Scenario:
         return _frozen(self.network.out_cap[self.src].copy())
 
 
-CAP_TOL = 1e-9  # absolute slack for capacity feasibility checks
 _EPS = float(np.finfo(float).eps)
 
 
-def decision_faults(scenario: Scenario, x, mu) -> list:
+def decision_faults(scenario: Scenario, x, mu, scale=None) -> list:
     """(slot, message) of each slot of the stacks x (T, F) and mu (T, L, F)
     that breaks a per-slot set constraint, in slot order. A slot reports its
     first fault: a NaN rate, else an infinite one (of either sign), else a
     negative one, else a nonzero rate on a forbidden (link, session) pair,
-    else the first link whose load exceeds its capacity by more than
-    CAP_TOL. A load is the pairwise sum of the link's row, what
-    mu[t, l].sum() gives."""
+    else the first link whose load exceeds its capacity by more than the
+    rounding of the arithmetic that produced it. A load is the pairwise sum
+    of the link's row, what mu[t, l].sum() gives.
+
+    That limit is 2 F eps cap_l without scale, for rates this library did not
+    project: any order sums F nonnegative terms of exact sum at most cap_l
+    to at most (1 + gamma) cap_l, gamma = (F-1)u / (1 - (F-1)u) < F eps (the
+    screen below). A DPP row, cap or zero, sums to cap_l exactly. Rows that
+    project_rows returned come with scale (T, L), each (slot, link)'s bound
+    on max |a| of the projected row, and the limit is 4 F^2 eps scale, the
+    bound project_rows proves."""
     x = np.asarray(x, dtype=float)
     mu = np.ascontiguousarray(mu, dtype=float)
     n_t, n_l, n_f = mu.shape
     caps = scenario.network.caps
+    limit = (np.broadcast_to(2 * n_f * _EPS * caps, (n_t, n_l)) if scale is None
+             else 4 * n_f * n_f * _EPS * np.asarray(scale, dtype=float))
     # NaN fails every comparison; +inf in mu is a forbidden rate or an overload
     bad_rate = ~(((x >= 0) & (x < math.inf)).all(axis=1) & (mu >= 0).all(axis=(1, 2)))
     pairs = mu.reshape(n_t, n_l * n_f)
@@ -354,15 +363,18 @@ def decision_faults(scenario: Scenario, x, mu) -> list:
     # Load screen. BLAS sums a row in another order than numpy's pairwise
     # sum. For F nonnegative terms with exact sum S, any summation order is
     # within gamma·S of S, gamma = (F-1)u / (1 - (F-1)u), u = 2^-53, so the
-    # pairwise load is at most (1 + gamma) / (1 - gamma) times the BLAS one.
-    # 1 + 2F·eps (eps = 2u; exact in float64) exceeds that ratio by more than
-    # the rounding of the product, so a scaled BLAS load is at least the
+    # pairwise load is at most (1 + gamma) / (1 - gamma) = 1 + (F-1)·eps +
+    # O(F²u²) times the BLAS one. 1 + F·eps (eps = 2u; exact in float64)
+    # exceeds that ratio by u - O(F²u²), more than the rounding of the
+    # product while F²u is small, so a scaled BLAS load is at least the
     # pairwise load, and, rounding being monotone, a slot whose pairwise
-    # load fails the capacity test is flagged. inf stays inf and NaN reads
-    # as no overload in both sums. A slot with a NaN, infinite or negative
-    # rate reports that first, whatever its loads.
+    # load fails the capacity test is flagged. A load of exactly cap_l, as
+    # in DPP, scales to about cap_l (1 + F·eps), below the 2F·eps limit, so
+    # the screen passes it. inf stays inf and NaN reads as no overload in
+    # both sums. A slot with a NaN, infinite or negative rate reports that
+    # first, whatever its loads.
     blas = (mu.reshape(n_t * n_l, n_f) @ np.ones(n_f)).reshape(n_t, n_l)
-    screen = (blas * (1.0 + 2 * n_f * _EPS) - caps > CAP_TOL).any(axis=1)
+    screen = (blas * (1.0 + n_f * _EPS) - caps > limit).any(axis=1)
     faults = []
     for t in np.flatnonzero(bad_rate | forbidden | screen).tolist():
         if np.isnan(x[t]).any() or np.isnan(mu[t]).any():
@@ -375,7 +387,7 @@ def decision_faults(scenario: Scenario, x, mu) -> list:
             message = "nonzero rate on a forbidden (link, session) pair"
         else:
             load = mu[t].sum(axis=1)
-            over = load - caps > CAP_TOL
+            over = load - caps > limit[t]
             if not over.any():  # flagged by the screen only
                 continue
             li = int(np.argmax(over))

@@ -23,7 +23,7 @@ import numpy as np
 
 from .net import (ContractError, Scenario, ScenarioValidationError, _fewest_hops, _frozen,
                   require_routable, residual_matrix, total_utility, validate_decision)
-from .engine import default_alpha
+from .engine import AlgConfig, default_alpha
 
 NEWTON_TOL = 1e-9     # half the squared Newton decrement that ends a centering
 NEWTON_STEPS = 100    # Newton steps per centering at most
@@ -153,8 +153,9 @@ def tighten_to_equality(scenario: Scenario, x, mu):
     in, so the peel routes all of each x_f on src -> dst paths: flow balance
     holds with equality, rates only decrease and the objective is unchanged.
     Where the remainder is rounding (L eps of x_f or the largest capacity),
-    the input x_f is kept. A larger one, as on a link loaded up to CAP_TOL
-    over its capacity, is rate the peel could not route."""
+    the input x_f is kept. A larger one, as on a link loaded over its
+    capacity within decision_faults' limit, is rate the peel could not
+    route."""
     routed, mu = repair_feasible(scenario, x, mu)
     scale = np.maximum(x, scenario.network.caps.max(initial=0.0))
     rounding = scenario.n_links * np.finfo(float).eps * scale
@@ -243,19 +244,21 @@ def solve_centralized(scenario: Scenario, tol: float = 1e-5, alpha=None) -> Orac
     Returns the best repaired primal point (a sum of src -> dst paths, so
     flow balance holds with equality), its utility, the multipliers
     achieving the best dual value, and zeta at the supplied (or default)
-    per-node alpha. Raises OracleError if the certificate does not close, and
-    at once for an unroutable session or a Newton system of more than
+    per-node alpha. Raises ContractError before solving unless tol is
+    positive and finite and alpha passes AlgConfig.node_alpha, the rule a run
+    applies. Raises OracleError if the certificate does not close, and at
+    once for an unroutable session or a Newton system of more than
     NEWTON_BYTES_MAX bytes.
     """
     if not (0.0 < tol < math.inf):
         raise ContractError(f"tol must be positive and finite, got {tol!r}")
+    if alpha is None:
+        alpha = default_alpha(scenario.network, "utility-gap")
+    alpha = AlgConfig(alpha).node_alpha(scenario.network)  # the run's rule for alpha
     try:
         require_routable(scenario)
     except ScenarioValidationError as e:
         raise OracleError(f"no feasible point with positive rates: {e}") from None
-    if alpha is None:
-        alpha = default_alpha(scenario.network, "utility-gap")
-    alpha = _frozen(np.array(alpha, dtype=float))
 
     rows, pairs = _kept(scenario)
     n_z = scenario.n_sessions + pairs[0].size
@@ -390,9 +393,9 @@ def parse_solution(text: str, scenario: Scenario) -> OracleSolution:
     """Inverse of serialize_solution. Raises a line-numbered ContractError for
     an unknown directive, a wrong field count, a bad or non-finite number, an
     alpha that is not positive, a negative duality_gap, max_violation, zeta, x
-    or mu (solve_centralized writes none) or an index out of range, and a
-    ContractError naming any scalar the report lacks. lambda and weak_margin
-    are signed."""
+    or mu (solve_centralized writes none), an index out of range or a
+    scalar or array entry that an earlier line gave, and a ContractError
+    naming any scalar the report lacks. lambda and weak_margin are signed."""
     scalars = dict.fromkeys(("ustar", "duality_gap", "max_violation", "weak_margin", "zeta"))
     arrays = {
         "alpha": np.zeros(scenario.n_nodes),
@@ -400,6 +403,7 @@ def parse_solution(text: str, scenario: Scenario) -> OracleSolution:
         "mu": np.zeros((scenario.n_links, scenario.n_sessions)),
         "lambda": np.zeros((scenario.n_nodes, scenario.n_sessions)),
     }
+    line_of = {}  # (tag, index) -> the line that gave it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -425,6 +429,10 @@ def parse_solution(text: str, scenario: Scenario) -> OracleSolution:
         if not all(0 <= i < n for i, n in zip(idx, shape)):
             raise ContractError(
                 f"report line {lineno}: {tag} index {idx} out of range for shape {shape}")
+        first = line_of.setdefault((tag, idx), lineno)
+        if first != lineno:
+            name = " ".join(map(str, (tag, *idx)))
+            raise ContractError(f"report line {lineno}: {name} repeats line {first}")
         if tag in arrays:
             arrays[tag][idx] = val
         else:

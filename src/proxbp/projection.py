@@ -76,6 +76,22 @@ def project_rows(a, b, forbidden) -> np.ndarray:
     allowed rows and on rows of fewer than 8 entries. Otherwise numpy's
     pairwise row sum may group the clipped entries differently, which moves
     the budget test by rounding only.
+
+    The pairwise sum of a returned row exceeds b_l by at most 4 K^2 eps A,
+    A = max |a_l|, u = eps / 2, to first order in u. Let s be the sorted
+    clipped row, all in [0, A]. A row that skips the sort sums to at most b_l
+    in one order, so within 2 gamma(K - 1) K A <= K^2 eps A of it in any
+    other. A tight row has b_l < K A (1 + gamma). Its scan forms P_m, the
+    sequential sum of s_1 .. s_m, within (m - 1) u m A of the exact sum, and
+    theta_m from it and b_l with two roundings, so theta_m is within e_m =
+    (m - 1) u A + 2 u K A / m <= 2 K u A of (sum - b_l) / m. At the last
+    admissible m, s_m >= theta_m, so the top m entries give b_l plus at most
+    m e_m; each later entry, s_(m+1) < theta_(m+1) being exact up to
+    e_(m+1), exceeds theta_m by less than 2 e_(m+1) + e_m. Clipping theta
+    at 0 only raises it, so the exact sum of the max(s - theta, 0) is at
+    most b_l + 3 K max e_j <= b_l + 3 K^2 eps A. Rounding each entry and
+    then their sum adds (u + gamma(K - 1)) b_l <= K^2 u A, and the K^2 u A
+    left below the bound covers the higher orders.
     """
     a = np.asarray(a, dtype=float)
     if not np.isfinite(a).all():

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .net import (CAP_TOL, ContractError, Scenario, ScenarioValidationError, decision_faults,
+from .net import (_EPS, ContractError, Scenario, ScenarioValidationError, decision_faults,
                   residual_matrix)
 
 
@@ -226,24 +226,40 @@ def run_scripted(scenario: Scenario, policy: ScriptedPolicy) -> ScriptedTrace:
 # bound transfer audit
 
 
-def audit_queue_bounds(peak_Y, peak_Z, B: float, scenario: Scenario) -> list:
+def audit_queue_bounds(peak_Y, peak_Z, B: float, scenario: Scenario, slots: int) -> list:
     """Check the bound transfer: if the signed queues stayed within |Q| <= B
     under some decision stream, then both the clipped and the physical queues
     must stay below 2B + sum of outgoing capacities at every (node, session)
-    under those same decisions.
+    under those same decisions, up to the rounding of their recursions.
 
-    peak_Y and peak_Z are each family's (N, F) peaks over the stream. Returns
-    one record per violation, (family, node, session, value, bound); empty
-    iff the bounds hold.
+    peak_Y and peak_Z are each family's (N, F) peaks over the stream of
+    `slots` slots. Returns one record per violation, (family, node, session,
+    value, bound); empty iff the bounds hold.
+
+    A peak may exceed its bound by T (L + N + 2) eps S, T = slots and S the
+    largest bound. With u = eps / 2 and float steps from the same g:
+    Q' = Q + g + e, |e| <= u B, and Y' = max(Y + g + d, 0), |d| <= u Y'.
+    So Y - Q steps as D' = max(D + d - e, -Q'), D(0) = 0, and Y(t) = Q(t) +
+    max over s <= t of (-Q(s) + the d - e of the slots after s), at most
+    2B + T u (peak Y + B). Exact queues under the same decisions obey the
+    bounds with an exact B, within T u B of this one. A Z step serves in
+    link order and then adds, and what leaves a node and what stays, each
+    monotone in its backlog, sum to it, so the step does not grow the sum
+    over nodes of a session's |Z| error. Each slot adds at most d_n + 1
+    roundings at node n, of values at most its peak: (2L + N) u peak Z in
+    all, so Z is within 2 T u B + T (2L + N) u peak Z of its bound. With the
+    peaks at most S, both are to first order below T (L + N + 1) eps S; the
+    1 more covers higher orders.
     """
     if not (B >= 0):
         raise ContractError(f"B must be a nonnegative real, got {B!r}")
     limit = 2.0 * B + scenario.network.out_cap[:, None]
+    slack = slots * (scenario.n_links + scenario.n_nodes + 2) * _EPS * limit.max()
     out = []
     for name, peak in (("Y", peak_Y), ("Z", peak_Z)):
         peak = np.asarray(peak, dtype=float)
         if peak.shape != (scenario.n_nodes, scenario.n_sessions):
             raise ContractError(f"peak_{name} must be (N, F), got shape {peak.shape}")
         out += [(name, int(n), int(f), float(peak[n, f]), float(limit[n, 0]))
-                for n, f in np.argwhere(peak > limit + CAP_TOL)]
+                for n, f in np.argwhere(peak > limit + slack)]
     return out

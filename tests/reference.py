@@ -27,8 +27,8 @@ import numpy as np
 from proxbp.dpp import dpp_slot_update
 from proxbp.engine import AlgConfig, SlotConstants, slot_update
 from proxbp.harness import Trace, drift_identity_limit, weight_identity_limit
-from proxbp.net import (ContractError, DomainError, NumericError, ScenarioValidationError,
-                        residual_matrix, total_utility, validate_decision)
+from proxbp.net import (ContractError, DomainError, NumericError, decision_faults,
+                        residual_matrix, total_utility)
 from proxbp.queues import audit_queue_bounds, step_Q, step_Y, step_Z
 
 
@@ -258,20 +258,22 @@ def run_per_slot(scenario, config, slots, oracle=None) -> Trace:
             ident[~scenario.active] = 0.0
             err = float(np.max(np.abs(W - ident)))
             weight_err = max(weight_err, err)
-            weight_ok &= bool(err <= weight_identity_limit(np.max(np.abs(Q)),
-                                                           np.max(np.abs(q_prev))))
+            q_now, q_before = np.max(np.abs(Q)), np.max(np.abs(q_prev))
+            weight_ok &= bool(err <= weight_identity_limit(q_now, q_before))
+            # a bound on the |a| that project_rows projected: |W| <= 3 M
+            scale = (scenario.network.caps
+                     + 6.0 * max(q_now, q_before) / consts.link_denom[:, 0])
             q_prev = Q
         else:
             x, mu = dpp_slot_update(dpp_Q, scenario, config)
             dpp_Q = step_Y(dpp_Q, residual_matrix(scenario, x, mu), scenario)
+            scale = None
 
         g = residual_matrix(scenario, x, mu)
         q_before = Q
         lyap_before = lyap_after
-        try:
-            validate_decision(scenario, x, mu)
-        except ScenarioValidationError as e:
-            feas_failures.append((t, str(e)))
+        feas_failures += [(t, message) for _, message in decision_faults(
+            scenario, x[None], mu[None], None if scale is None else scale[None])]
         Y = step_Y(Y, g, scenario)
         Z, _ = step_Z(Z, x, mu, scenario)
         Q = step_Q(Q, g)
@@ -302,7 +304,7 @@ def run_per_slot(scenario, config, slots, oracle=None) -> Trace:
         gap = np.full(slots, math.nan)
 
     b_obs = float(max_q.max())
-    transfer = audit_queue_bounds(peak_Y, peak_Z, b_obs, scenario)
+    transfer = audit_queue_bounds(peak_Y, peak_Z, b_obs, scenario, slots)
 
     summary = {
         "weight_identity_max": weight_err,

@@ -173,18 +173,32 @@ def _dpp_cases(draw):
     return sc, q, config
 
 
+def test_subnormal_source_queue_sends_the_cap(singlelink):
+    # V w / q overflows: numpy warns unless the caller ignores it
+    q = np.array([[5e-324], [0.0]])
+    with pytest.raises(RuntimeWarning, match="overflow"):
+        dpp_slot_update(q, singlelink, DppConfig(V=1.0))
+    with np.errstate(over="ignore"):
+        x, _ = dpp_slot_update(q, singlelink, DppConfig(V=1.0))
+    assert x.tolist() == [1.0]
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(case=_dpp_cases())
 def test_dpp_slot_matches_scalar_reference(case):
     sc, q, config = case
-    y_x, y_mu = dpp_slot_update(q, sc, config)
+    # a subnormal source queue overflows V w / q to inf, which the cap
+    # clips; dpp_slot_update leaves the errstate to its caller, as run() holds one
+    with np.errstate(over="ignore"):
+        y_x, y_mu = dpp_slot_update(q, sc, config)
     x, mu = _dpp_slot_scalar(q, sc, config)
     assert y_x.tobytes() == x.tobytes()
     assert y_mu.tobytes() == mu.tobytes()
     # written into a row of a NaN-filled chunk buffer, as run() passes it
     rows = np.full((3, sc.n_links, sc.n_sessions), math.nan)
     row = rows[1]
-    o_x, o_mu = dpp_slot_update(q, sc, config, out=row)
+    with np.errstate(over="ignore"):
+        o_x, o_mu = dpp_slot_update(q, sc, config, out=row)
     assert o_mu is row
     assert o_x.tobytes() == x.tobytes()
     assert row.tobytes() == mu.tobytes()

@@ -10,6 +10,8 @@ from strategies import arrays, scenarios
 
 import proxbp as P
 
+EPS = float(np.finfo(float).eps)
+
 
 def flow_residual(scenario, f, n, x, mu):
     """Scalar reference for residual_matrix: the signed flow-balance residual
@@ -281,13 +283,33 @@ def test_validate_decision_catches_violations(sixnode):
                        match=r"^link 0 overloaded: load 1\.2 exceeds capacity 1\.0$"):
         over = np.full((8, 2), 0.6)  # every link loaded at 1.2 > 1
         P.validate_decision(sixnode, np.array([0.1, 0.1]), over)
-    # a load of exactly capacity + CAP_TOL passes, the next float above fails
+    # a load over its capacity by the rounding of an F-term sum, 2 F eps
+    # cap, passes, the next float above fails: two ulps of 1e-9 and three
     tiny = P.parse_scenario("nodes 2\nlink 0 1 1e-9\nsession 0 0 1 wlog 1.0\n")
-    assert 2e-9 - 1e-9 == P.CAP_TOL
-    P.validate_decision(tiny, np.zeros(1), np.array([[2e-9]]))
+    edge = _capacity_edge(1e-9, 2 * EPS * 1e-9)
+    assert edge == np.nextafter(np.nextafter(1e-9, 1.0), 1.0)
+    P.validate_decision(tiny, np.zeros(1), np.array([[edge]]))
     with pytest.raises(P.ScenarioValidationError, match="^link 0 overloaded"):
-        load = np.nextafter(2e-9, 1.0)
-        P.validate_decision(tiny, np.zeros(1), np.array([[load]]))
+        P.validate_decision(tiny, np.zeros(1), np.array([[np.nextafter(edge, 1.0)]]))
+
+
+def _capacity_edge(cap, limit):
+    """The largest float load whose excess over cap, load - cap, is at most limit."""
+    load = cap + limit
+    while load - cap > limit:
+        load = np.nextafter(load, -math.inf)
+    while np.nextafter(load, math.inf) - cap <= limit:
+        load = np.nextafter(load, math.inf)
+    return float(load)
+
+
+def _load_limits(scenario, n_t, scale):
+    """(T, L) excess over capacity that decision_faults allows: 2 F eps cap
+    without scale, 4 F^2 eps scale with it."""
+    n_f = scenario.n_sessions
+    if scale is None:
+        return np.tile(2 * n_f * EPS * scenario.network.caps, (n_t, 1))
+    return 4 * n_f * n_f * EPS * scale
 
 
 def test_a_nan_rate_is_a_fault(sixnode):
@@ -338,9 +360,10 @@ def test_validate_decision_forbidden_pair(relay):
         P.validate_decision(restricted, np.array([0.0, 0.0]), bad_mu)
 
 
-def _slot_faults(scenario, x, mu):
+def _slot_faults(scenario, x, mu, scale=None):
     """Scalar reference for decision_faults: each slot checked on its own,
     entry by entry and then link by link."""
+    limits = _load_limits(scenario, x.shape[0], scale)
     faults = []
     for t in range(x.shape[0]):
         message = None
@@ -357,7 +380,7 @@ def _slot_faults(scenario, x, mu):
         else:
             for l, link in enumerate(scenario.network.links):
                 load, cap = float(mu[t, l].sum()), float(link.capacity)
-                if load - cap > P.CAP_TOL:
+                if load - cap > limits[t, l]:
                     message = f"link {l} overloaded: load {load!r} exceeds capacity {cap!r}"
                     break
         if message is not None:
@@ -367,11 +390,11 @@ def _slot_faults(scenario, x, mu):
 
 @st.composite
 def _decision_stacks(draw):
-    """(scenario, x (T, F), mu (T, L, F)): feasible slots, then per slot a
-    random mix of a negative source rate, a negative link rate, a nonzero
-    entry at a random (link, session) pair, an overload of a random link
-    by about CAP_TOL or more, a NaN source or link rate and a +inf or -inf
-    source or link rate."""
+    """(scenario, x (T, F), mu (T, L, F), scale (T, L) or None): feasible
+    slots, then per slot a random mix of a negative source rate, a negative
+    link rate, a nonzero entry at a random (link, session) pair, an overload
+    of a random link by half, once or twice decision_faults' limit or by 1,
+    a NaN source or link rate and a +inf or -inf source or link rate."""
     sc = draw(scenarios())
     n_t, n_l, n_f = draw(st.integers(1, 6)), sc.n_links, sc.n_sessions
     coarse = draw(st.booleans())
@@ -379,6 +402,10 @@ def _decision_stacks(draw):
     share = arrays(draw, (n_t, n_l, n_f), (0.0, -0.0, 0.25, 1.0), 0.0, 1.0, coarse)
     caps = sc.network.caps
     mu = share * sc.allow_mask * (caps[:, None] / n_f)
+    scale = None
+    if draw(st.booleans()):  # as for projected rows: a scale of cap_l or more
+        scale = caps * arrays(draw, (n_t, n_l), (1.0, 1e3, 1e6), 1.0, 1e6, coarse)
+    limits = _load_limits(sc, n_t, scale)
     codes = draw(hnp.arrays(np.int64, (n_t, 5), elements=st.integers(0, 1 << 20)))
     for t, (kind, l, f, g, d) in enumerate(codes.tolist()):
         l, f, g = l % n_l, f % n_f, g % n_f
@@ -389,7 +416,8 @@ def _decision_stacks(draw):
         if kind & 4:
             mu[t, (l + d) % n_l, g] += 0.125
         if kind & 8:
-            mu[t, l, f] += caps[l] + (0.5e-9, 1e-9, 2e-9, 1.0)[d % 4]
+            mu[t, l, f] += caps[l] + (0.5 * limits[t, l], limits[t, l], 2 * limits[t, l],
+                                      1.0)[d % 4]
         if kind & 16:
             if d & 4:
                 x[t, f] = math.nan
@@ -401,22 +429,23 @@ def _decision_stacks(draw):
                 x[t, g] = inf
             else:
                 mu[t, (l + 1) % n_l, f] = inf
-    return sc, x, mu
+    return sc, x, mu, scale
 
 
 def _screen_edge(cap):
-    """(scenario, x, mu) at the edge of decision_faults' load screen: F = 20
-    sessions share one link of capacity cap, and the four slots load it, by
-    numpy's pairwise sum, with exactly cap + CAP_TOL, the next float above
-    it, a NaN entry and an inf entry. Each of the first two rows is the
-    first draw whose BLAS sum falls below its pairwise sum, which a screen
-    without slack reads as a lighter load."""
+    """(scenario, x, mu, None) at the edge of decision_faults' load screen:
+    F = 20 sessions share one link of capacity cap, and the four slots load
+    it, by numpy's pairwise sum, with the largest load the check passes, the
+    next float above it, a NaN entry and an inf entry. Each of the first two
+    rows is the first draw whose BLAS sum falls below its pairwise sum, which
+    a screen without slack reads as a lighter load."""
     f = 20
     sc = P.parse_scenario(f"nodes 2\nlink 0 1 {cap!r}\n"
                           + "".join(f"session {i} 0 1 wlog 1.0\n" for i in range(f)))
     ones = np.ones(f)
     rows = []
-    for load in (cap + P.CAP_TOL, np.nextafter(cap + P.CAP_TOL, math.inf)):
+    edge = _capacity_edge(cap, 2 * f * EPS * cap)
+    for load in (edge, np.nextafter(edge, math.inf)):
         for seed in range(1000):
             row = np.random.default_rng(seed).uniform(0.5, 1.0, f)
             row *= 0.9 * load / row[:-1].sum()
@@ -428,7 +457,33 @@ def _screen_edge(cap):
         rows.append(row)
     rows += [rows[0].copy(), rows[0].copy()]
     rows[2][3], rows[3][3] = math.nan, math.inf
-    return sc, np.zeros((4, f)), np.array(rows)[:, None, :]
+    return sc, np.zeros((4, f)), np.array(rows)[:, None, :], None
+
+
+def test_screen_passes_loads_of_exactly_the_capacity(gridgen, monkeypatch):
+    # every DPP grant loads its link with exactly its capacity: the load
+    # screen must pass such slots without the per-slot sums, as the 2F eps
+    # limit does, on the 10x10/20 grid (F = 20) and on one link of F = 1
+    grid = P.parse_scenario(gridgen.grid_scenario(10, 20, 1))
+    one = P.parse_scenario("nodes 2\nlink 0 1 0.7\nsession 0 0 1 wlog 1.0\n")
+    for sc in (grid, one):
+        assert sc.forbidden_entries.size == 0  # cached before the spy
+    real = np.flatnonzero
+    flagged = []
+
+    def spy(a):
+        flagged.append(int(np.count_nonzero(a)))
+        return real(a)
+
+    monkeypatch.setattr(np, "flatnonzero", spy)
+    for sc in (grid, one):
+        n_l, n_f = sc.n_links, sc.n_sessions
+        mu = np.zeros((50, n_l, n_f))
+        who = np.random.default_rng(0).integers(0, n_f, (50, n_l))
+        np.put_along_axis(mu, who[..., None], sc.network.caps[None, :, None], axis=2)
+        flagged.clear()
+        assert P.decision_faults(sc, np.ones((50, n_f)), mu) == []
+        assert flagged == [0]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -436,9 +491,11 @@ def _screen_edge(cap):
 @example(case=_screen_edge(0.5))
 @example(case=_screen_edge(1e12))
 def test_decision_faults_match_the_per_slot_check(case):
-    sc, x, mu = case
-    faults = P.decision_faults(sc, x, mu)
-    assert faults == _slot_faults(sc, x, mu)
+    sc, x, mu, scale = case
+    faults = P.decision_faults(sc, x, mu, scale)
+    assert faults == _slot_faults(sc, x, mu, scale)
+    if scale is not None:
+        return  # validate_decision checks rates it did not project
     messages = dict(faults)
     for t in range(x.shape[0]):
         if t in messages:

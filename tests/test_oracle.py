@@ -238,10 +238,11 @@ def _loose_points(draw):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(case=_loose_points())
-# a link loaded 5e-10 over its capacity passes validate_decision, but the
-# repair scales it down, so the peel cannot route all of x
-@example(case=(P.parse_scenario("nodes 2\nlink 0 1 1.0\nsession 0 0 1 wlog 1.0\n"),
-               np.array([1.0 + 5e-10]), np.array([[1.0 + 5e-10]])))
+# a link loaded two ulps, 3.6e-12, over its capacity of 1e4 passes
+# validate_decision, within 2 F eps cap, but the repair scales it down, so
+# the peel cannot route all of x
+@example(case=(P.parse_scenario("nodes 2\nlink 0 1 10000.0\nsession 0 0 1 wlog 1.0\n"),
+               np.array([10000.000000000004]), np.array([[10000.000000000004]])))
 def test_tighten_closes_every_loose_point(case):
     sc, x, mu = case
     P.validate_decision(sc, x, mu)
@@ -305,8 +306,48 @@ def test_parse_solution_rejects_a_value_the_solver_never_writes(sixnode, sixnode
         P.parse_solution(f"{text}{line}\n", sixnode)
 
 
+@pytest.mark.parametrize("name, extra, first", [
+    ("singlelink", "ustar 99.0", "ustar"),
+    ("singlelink", "x 0 5.0", "x 0"),
+    ("sixnode", "mu 7 1 0.25", "mu 7 1"),
+    ("sixnode", "lambda 0 0 -1.5", "lambda 0 0"),
+    ("sixnode", "alpha 5 2.0", "alpha 5"),
+])
+def test_parse_solution_rejects_a_repeated_directive(name, extra, first, request):
+    # a repeated scalar or array index names both lines, as the scenario,
+    # plan and trace parsers do; the golden reports load
+    golden = Path(__file__).resolve().parent / "golden" / f"{name}.oracle"
+    scenario = request.getfixturevalue(name)
+    text = golden.read_text(encoding="utf-8")
+    P.load_solution(golden, scenario)
+    lines = text.splitlines()
+    earlier = next(i for i, line in enumerate(lines, start=1) if line.startswith(first + " "))
+    with pytest.raises(P.ContractError, match=f"^report line {len(lines) + 1}: {first} "
+                                              f"repeats line {earlier}$"):
+        P.parse_solution(f"{text}{extra}\n", scenario)
+
+
+@pytest.mark.parametrize("alpha, message", [
+    (np.array([1.0, -13.0]), "alpha must be a vector of positive reals"),
+    (np.array([1.0, math.nan]), "alpha must be a vector of positive reals"),
+    (np.ones(3), "alpha has 3 entries for 2 nodes"),
+    (np.ones((2, 1)), "alpha must be a vector of positive reals"),
+])
+def test_solve_centralized_rejects_a_bad_alpha_before_solving(singlelink, alpha, message,
+                                                              monkeypatch):
+    # AlgConfig's rule for alpha, which a run applies too; before, a negative
+    # or NaN alpha gave a zeta that load_solution refuses, and a wrong-shape
+    # one failed in compute_zeta after the whole solve
+    monkeypatch.setattr(oracle, "_barrier_problem", None)  # any solve would call it
+    with pytest.raises(P.ContractError, match=f"^{message}$"):
+        solve_centralized(singlelink, alpha=alpha)
+
+
 def test_parse_solution_keeps_lambda_and_weak_margin_signed(sixnode, sixnode_sol):
-    text = P.serialize_solution(sixnode_sol, sixnode) + "lambda 0 0 -1.5\nweak_margin -2.0\n"
+    # each in place of the report's own line: a repeated one is an error
+    signed = {"lambda 0 0": "lambda 0 0 -1.5", "weak_margin": "weak_margin -2.0"}
+    text = "\n".join(signed.get(line.rsplit(" ", 1)[0], line) for line in
+                     P.serialize_solution(sixnode_sol, sixnode).splitlines())
     sol = P.parse_solution(text, sixnode)
     assert sol.lambda_star[0, 0] == -1.5 and sol.weak_duality_margin == -2.0
 

@@ -205,4 +205,9 @@ def test_project_rows_matches_the_masked_reference(case):
     a, b, mask = case
     want = project_rows_masked(a, b, mask)
     forbidden = np.flatnonzero(~mask)
-    assert project_rows(a, b, forbidden).tobytes() == want.tobytes()
+    z = project_rows(a, b, forbidden)
+    assert z.tobytes() == want.tobytes()
+    # the rounding bound of project_rows's docstring, which decision_faults
+    # allows a proximal run's loads: 4 K^2 eps max |a_l| over the budget
+    k = a.shape[1]
+    assert (z.sum(axis=1) - b <= 4 * k * k * np.finfo(float).eps * np.abs(a).max(axis=1)).all()

@@ -458,19 +458,34 @@ def test_audit_queue_bounds_empty_on_compliant_history(relay):
     # the (N, F) peaks of a compliant history
     y = np.zeros((3, 1))
     z = np.array([[0.5], [0.5], [0.0]])
-    assert audit_queue_bounds(y, z, 1.0, relay) == []
+    assert audit_queue_bounds(y, z, 1.0, relay, 10) == []
 
 
 def test_audit_queue_bounds_names_the_violation(relay):
     # out_cap at node 1 is 0.5, so the limit with B = 0 is 0.5
     z = np.zeros((3, 1))
     z[1, 0] = 0.8
-    assert audit_queue_bounds(np.zeros((3, 1)), z, 0.0, relay) == [("Z", 1, 0, 0.8, 0.5)]
+    assert audit_queue_bounds(np.zeros((3, 1)), z, 0.0, relay, 10) == [("Z", 1, 0, 0.8, 0.5)]
     with pytest.raises(P.ContractError):
-        audit_queue_bounds(z, z, -1.0, relay)
+        audit_queue_bounds(z, z, -1.0, relay, 10)
     # a (T, N, F) history is not a peak
     with pytest.raises(P.ContractError, match=r"peak_Y must be \(N, F\)"):
-        audit_queue_bounds(np.zeros((4, 3, 1)), z, 1.0, relay)
+        audit_queue_bounds(np.zeros((4, 3, 1)), z, 1.0, relay, 10)
+
+
+@pytest.mark.parametrize("slots", (1, 1000))
+def test_audit_queue_bounds_allows_the_rounding_of_its_recursions(relay, slots):
+    # B = 1 gives the bounds 3, 2.5 and 2 at nodes 0, 1 and 2 (out_cap 1,
+    # 0.5 and 0); a peak may exceed them by T (L + N + 2) eps times the
+    # largest, 7 T eps 3, and by no more
+    slack = slots * 7 * np.finfo(float).eps * 3.0
+    for n, bound in ((1, 2.5), (2, 2.0)):
+        edge = np.zeros((3, 1))
+        edge[n, 0] = bound + slack
+        assert audit_queue_bounds(edge, edge, 1.0, relay, slots) == []
+        edge[n, 0] = np.nextafter(bound + slack, np.inf)
+        assert audit_queue_bounds(edge, np.zeros((3, 1)), 1.0, relay, slots) == [
+            ("Y", n, 0, edge[n, 0], bound)]
 
 
 def test_pathwise_coupling_z_below_q_plus_bound(sixnode, singlelink):
