@@ -198,18 +198,17 @@ def run(scenario: Scenario, config, slots: int, oracle=None) -> Trace:
     identity (proximal algorithm only, to weight_identity_limit) and the
     queue bound transfer with B = max |Q|.
 
-    The slot loop steps only what the next decision reads and stores each
-    slot's decisions, residual, queues and weights in (chunk, ...) buffers;
-    chunk_slots sizes them to CHUNK_BYTES each. The proximal engine decides
-    from its signed queues Q and the residual g that stepped them (the
-    weight identity finds g in W), DPP from its clipped queues Y: the loop
-    steps Q by step_Q, and Y by step_Y for DPP, each into its buffer row.
-    residual_matrix writes each slot's residual, and dpp_slot_update each
-    DPP slot's link rates, straight into their rows; the proximal engine's
-    link rates are copied into theirs.
-    Once per chunk, _ChunkAudit steps the rest over the stored decisions,
-    the physical queues Z and a proximal run's Y, then array programs over
-    the buffers evaluate the checks and the per-slot metrics, feasibility by
+    The slot loop stores each slot's decisions, residual, queues and weights
+    in (chunk, ...) buffers; chunk_slots sizes them to CHUNK_BYTES each. The
+    proximal engine decides from its signed queues Q and the residual g that
+    stepped them (the weight identity finds g in W), DPP from its clipped
+    queues Y. Under both algorithms the loop steps Y by step_Y and Q by
+    step_Q, each into its buffer row. residual_matrix writes each slot's
+    residual, and dpp_slot_update each DPP slot's link rates, straight into
+    their rows; the proximal engine's link rates are copied into theirs.
+    Once per chunk, _ChunkAudit steps the physical queues Z over the stored
+    decisions, which no decision reads, then array programs over the
+    buffers evaluate the checks and the per-slot metrics, feasibility by
     decision_faults. Utilities are evaluated after the loop, NaN at a slot
     whose rates leave a utility's domain (a negative rate is also a
     feasibility fault). A proximal run whose signed queues go non-finite has
@@ -259,8 +258,7 @@ def run(scenario: Scenario, config, slots: int, oracle=None) -> Trace:
                 else:
                     x, mu = dpp_slot_update(Y, scenario, config, out=buf_mu[i])
                 g = residual_matrix(scenario, x, mu, out=buf_g[i])
-                if not prox:  # DPP's next decision reads Y
-                    Y = step_Y(Y, g, scenario, out=buf_Y[i])
+                Y = step_Y(Y, g, scenario, out=buf_Y[i])
                 Q = step_Q(Q, g, out=buf_Q[i])
                 x_hist[t0 + i] = x
             if n:  # a stop at a chunk's first slot leaves it nothing to audit
@@ -313,17 +311,17 @@ def run(scenario: Scenario, config, slots: int, oracle=None) -> Trace:
 
 
 class _ChunkAudit:
-    """The chunk buffers of run(), the queue steps no decision reads, and the
-    checks and metrics evaluated on them. Q holds the signed queues of the
-    two slots before a chunk, Q(t0 - 1) and Q(t0), in rows 0 and 1, which the
-    drift and weight identities read; the slot loop's step_Q fills the rows
-    after them. Y and Z hold the queues before the chunk in row 0 and after
-    each of its slots in the rows after it: chunk_done steps Z by ZSteps,
-    and a proximal run's Y by one step_Y call, from the stored decisions and
-    residuals (a DPP run's loop fills Y, since its decisions read it), and
-    keeps each family's (N, F) peak over the run in peak_Y and peak_Z, what
-    audit_queue_bounds reads. At the end of a chunk the last rows are copied
-    to the front. All chunk scratch, ZSteps's too, is allocated once per run.
+    """The chunk buffers of run(), the physical queue steps that no decision
+    reads, and the checks and metrics evaluated on them. Q holds the signed
+    queues of the two slots before a chunk, Q(t0 - 1) and Q(t0), in rows 0
+    and 1, which the drift and weight identities read; the slot loop's
+    step_Q fills the rows after them. Y and Z hold the queues before the
+    chunk in row 0 and after each of its slots in the rows after it: the
+    slot loop's step_Y fills Y, and chunk_done steps Z by ZSteps from the
+    stored decisions, and keeps each family's (N, F) peak over the run in
+    peak_Y and peak_Z, what audit_queue_bounds reads. At the end of a chunk
+    the last rows are copied to the front. All chunk scratch, ZSteps's too,
+    is allocated once per run.
 
     Reductions over a slot's (N, F) block run over axes (1, 2) of the
     C-contiguous (chunk, N, F) buffer, which sums in the same order as a sum
@@ -368,8 +366,6 @@ class _ChunkAudit:
         mu, g = self.mu[:n], self.g[:n]
         Y, Z = self.Y[1:n + 1], self.Z[1:n + 1]
         self.z_steps(self.Z[0], x, mu, out=Z)
-        if self.prox:  # the slot loop steps Y only for DPP, which decides from it
-            step_Y(self.Y[0], g, sc, out=Y)
         q_all = self.Q[1:n + 2]  # Q(t0), the queues before the chunk, then after each slot
         q_max = np.abs(self.Q[:n + 2]).max(axis=(1, 2))  # from Q(t0 - 1) on
         self.max_q[rows] = q_max[2:]

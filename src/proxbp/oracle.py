@@ -393,16 +393,19 @@ def parse_solution(text: str, scenario: Scenario) -> OracleSolution:
     """Inverse of serialize_solution. Raises a line-numbered ContractError for
     an unknown directive, a wrong field count, a bad or non-finite number, an
     alpha that is not positive, a negative duality_gap, max_violation, zeta, x
-    or mu (solve_centralized writes none), an index out of range or a
-    scalar or array entry that an earlier line gave, and a ContractError
-    naming any scalar the report lacks. lambda and weak_margin are signed."""
+    or mu (solve_centralized writes none), an index out of range, an array
+    entry that serialize_solution never writes (mu off the allowed (link,
+    session) pairs, lambda at a destination) or a scalar or array entry that
+    an earlier line gave; then a ContractError naming any scalar the report
+    lacks, else the first array entry it lacks. lambda and weak_margin are
+    signed."""
     scalars = dict.fromkeys(("ustar", "duality_gap", "max_violation", "weak_margin", "zeta"))
-    arrays = {
-        "alpha": np.zeros(scenario.n_nodes),
-        "x": np.zeros(scenario.n_sessions),
-        "mu": np.zeros((scenario.n_links, scenario.n_sessions)),
-        "lambda": np.zeros((scenario.n_nodes, scenario.n_sessions)),
-    }
+    # each array entry the report carries: every alpha and x, the allowed mu
+    # and the active lambda, in serialize_solution's order
+    written = {"alpha": np.ones(scenario.n_nodes, dtype=bool),
+               "x": np.ones(scenario.n_sessions, dtype=bool),
+               "mu": scenario.allow_mask, "lambda": scenario.active}
+    arrays = {tag: np.zeros(mask.shape) for tag, mask in written.items()}
     line_of = {}  # (tag, index) -> the line that gave it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -429,9 +432,11 @@ def parse_solution(text: str, scenario: Scenario) -> OracleSolution:
         if not all(0 <= i < n for i, n in zip(idx, shape)):
             raise ContractError(
                 f"report line {lineno}: {tag} index {idx} out of range for shape {shape}")
+        name = " ".join(map(str, (tag, *idx)))
+        if tag in written and not written[tag][idx]:
+            raise ContractError(f"report line {lineno}: {name} is not an entry of the report")
         first = line_of.setdefault((tag, idx), lineno)
         if first != lineno:
-            name = " ".join(map(str, (tag, *idx)))
             raise ContractError(f"report line {lineno}: {name} repeats line {first}")
         if tag in arrays:
             arrays[tag][idx] = val
@@ -440,6 +445,11 @@ def parse_solution(text: str, scenario: Scenario) -> OracleSolution:
     missing = [k for k, v in scalars.items() if v is None]
     if missing:
         raise ContractError(f"report has no {', '.join(missing)} line")
+    for tag, mask in written.items():
+        absent = [idx for idx in zip(*np.nonzero(mask)) if (tag, idx) not in line_of]
+        if absent:
+            name = " ".join(map(str, (tag, *absent[0])))
+            raise ContractError(f"report has no {name} line")
     return OracleSolution(
         x_star=_frozen(arrays["x"]),
         mu_star=_frozen(arrays["mu"]),

@@ -5,9 +5,9 @@ All three families are stepped from the same per-slot decisions. Y assumes
 freshly injected data can traverse the whole network within its arrival slot;
 Z is faithful to physical forwarding, serving from existing backlog before
 arrivals join; Q integrates the signed flow residuals without clipping.
-Arrays are (N, F) with destination entries pinned at zero. step_Y and ZSteps
-step consecutive slots in one call, so a caller whose decisions do not read
-a family can step it once per chunk of stored decisions.
+Arrays are (N, F) with destination entries pinned at zero. step_Y and
+step_Q step one slot; ZSteps steps consecutive slots in one call, so a caller
+whose decisions do not read Z steps it once per chunk of stored decisions.
 """
 from __future__ import annotations
 
@@ -20,29 +20,16 @@ from .net import (_EPS, ContractError, Scenario, ScenarioValidationError, decisi
 
 
 def step_Y(Y, g, scenario: Scenario, out=None) -> np.ndarray:
-    """Clipped virtual queues: from Y (N, F), add each slot's flow residual,
-    as returned by residual_matrix, so everything prescribed counts; then
-    clip at zero and zero the destination entries. g is one slot's residual
-    (N, F) or those of n consecutive slots (n, N, F); the states after each
-    slot come back in g's shape, in out (C-contiguous) if given. One slot is
-    an add, a maximum and one put; over n slots the destination entries are
-    zeroed once, after the last slot, as each entry's recursion reads only
-    its own past."""
-    g = np.asarray(g, dtype=float)
+    """Clipped virtual queues: from Y (N, F), add the slot's flow residual g
+    (N, F), as returned by residual_matrix, so everything prescribed counts;
+    then clip at zero and zero the destination entries. An add, a maximum and
+    one put, into out (C-contiguous) if given, else into a new array of Y's
+    shape."""
     if out is None:
-        out = np.empty(g.shape)
-    if g.ndim == 2:
-        np.add(Y, g, out=out)
-        np.maximum(out, 0.0, out=out)
-        out.put(scenario.dst_entries, 0.0)
-        return out
-    n_n, n_f = scenario.n_nodes, scenario.n_sessions
-    prev = Y
-    for g_t, y_t in zip(g, out):
-        np.add(prev, g_t, out=y_t)
-        np.maximum(y_t, 0.0, out=y_t)
-        prev = y_t
-    out.reshape(-1, n_n * n_f)[:, scenario.dst_entries] = 0.0
+        out = np.empty(np.shape(Y))
+    np.add(Y, g, out=out)
+    np.maximum(out, 0.0, out=out)
+    out.put(scenario.dst_entries, 0.0)
     return out
 
 
@@ -212,12 +199,11 @@ def run_scripted(scenario: Scenario, policy: ScriptedPolicy) -> ScriptedTrace:
     t_max = policy.slots
     shape = (scenario.n_nodes, scenario.n_sessions)
     y_hist, z_hist, q_hist = (np.zeros((t_max + 1,) + shape) for _ in range(3))
-    g_instant = np.empty((t_max,) + shape)
     for t in range(t_max):
         arr = policy.arrivals[t]
-        g_instant[t] = residual_matrix(scenario, arr, policy.mu_instant[t])
-        q_hist[t + 1] = step_Q(q_hist[t], residual_matrix(scenario, arr, policy.mu[t]))
-    step_Y(y_hist[0], g_instant, scenario, out=y_hist[1:])
+        step_Y(y_hist[t], residual_matrix(scenario, arr, policy.mu_instant[t]), scenario,
+               out=y_hist[t + 1])
+        step_Q(q_hist[t], residual_matrix(scenario, arr, policy.mu[t]), out=q_hist[t + 1])
     ZSteps(scenario, t_max)(z_hist[0], policy.arrivals, policy.mu, z_hist[1:])
     return ScriptedTrace(y_hist, z_hist, q_hist)
 

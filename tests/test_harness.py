@@ -682,10 +682,10 @@ def test_one_residual_per_slot(sixnode, monkeypatch, alg):
 
 
 @pytest.mark.parametrize("alg", ("new", "dpp"))
-def test_the_loop_steps_only_the_queues_the_next_decision_reads(sixnode, monkeypatch, alg):
-    # the proximal engine decides from Q, DPP from Y: the slot loop steps
-    # those, Q by step_Q under both algorithms, and the chunk audit steps Z,
-    # and a proximal run's Y, once per chunk. 7 slots in chunks of 3.
+def test_the_loop_steps_y_and_q_and_the_audit_steps_z(sixnode, monkeypatch, alg):
+    # under both algorithms the slot loop steps Y by step_Y and Q by step_Q,
+    # one slot each, and the chunk audit steps Z, which no decision reads,
+    # once per chunk. 7 slots in chunks of 3.
     monkeypatch.setattr(harness, "CHUNK_BYTES", _chunk_bytes(sixnode, 3))
     with mock.patch.object(queues.ZSteps, "__call__", autospec=True,
                            side_effect=queues.ZSteps.__call__) as z_chunk, \
@@ -696,9 +696,8 @@ def test_the_loop_steps_only_the_queues_the_next_decision_reads(sixnode, monkeyp
     assert q_step.call_count == 7
     # ZSteps.__call__(self, Z, arrivals, mu, out): mu holds the chunk's slots
     assert [len(c.args[3]) for c in z_chunk.call_args_list] == [3, 3, 1]
-    # step_Y(Y, g, scenario, out=...): g is one slot's (N, F) or a chunk's
-    steps = [c.args[1].shape[:-2] for c in y_step.call_args_list]
-    assert steps == ([()] * 7 if alg == "dpp" else [(3,), (3,), (1,)])
+    # step_Y(Y, g, scenario, out=...): g is one slot's (N, F)
+    assert [c.args[1].shape for c in y_step.call_args_list] == [(6, 2)] * 7
 
 
 @pytest.mark.parametrize("chunk", (3, None))

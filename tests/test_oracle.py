@@ -327,6 +327,46 @@ def test_parse_solution_rejects_a_repeated_directive(name, extra, first, request
         P.parse_solution(f"{text}{extra}\n", scenario)
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("scenario_text, extra, entry", [
+    ("", "lambda 5 0 5.0", "lambda 5 0"),  # session 0's destination, where lambda is 0
+    ("", "lambda 3 1 -1.0", "lambda 3 1"),  # session 1's destination
+    ("allow 7 0\n", None, "mu 7 1"),  # the golden report's own line, off the allow-set
+])
+def test_parse_solution_rejects_an_entry_the_report_never_writes(scenario_text, extra, entry):
+    # serialize_solution writes lambda at the active pairs and mu at the
+    # allowed ones only; any other entry names its line
+    sixnode = (Path(__file__).resolve().parents[1] / "scenarios" / "sixnode.net").read_text()
+    scenario = P.parse_scenario(sixnode + scenario_text)
+    lines = (GOLDEN / "sixnode.oracle").read_text(encoding="utf-8").splitlines()
+    if extra is not None:
+        lines.append(extra)
+    lineno = next(i for i, line in enumerate(lines, start=1) if line.startswith(entry + " "))
+    with pytest.raises(P.ContractError, match=f"^report line {lineno}: {entry} is not an "
+                                              f"entry of the report$"):
+        P.parse_solution("\n".join(lines) + "\n", scenario)
+
+
+@pytest.mark.parametrize("name, dropped, first", [
+    ("singlelink", ("alpha ", "x "), "alpha 0"),  # else read as alpha = 0 and x = 0
+    ("singlelink", ("x ",), "x 0"),
+    ("sixnode", ("mu 3 1 ",), "mu 3 1"),
+    ("sixnode", ("lambda 4 ",), "lambda 4 0"),
+])
+def test_parse_solution_rejects_a_report_that_lacks_an_entry(name, dropped, first, request):
+    # the report holds one line for every entry it carries; the first
+    # missing one, in serialize_solution's order, is named
+    scenario = request.getfixturevalue(name)
+    text = (GOLDEN / f"{name}.oracle").read_text(encoding="utf-8")
+    P.parse_solution(text, scenario)
+    kept = "".join(line for line in text.splitlines(keepends=True)
+                   if not line.startswith(dropped))
+    with pytest.raises(P.ContractError, match=f"^report has no {first} line$"):
+        P.parse_solution(kept, scenario)
+
+
 @pytest.mark.parametrize("alpha, message", [
     (np.array([1.0, -13.0]), "alpha must be a vector of positive reals"),
     (np.array([1.0, math.nan]), "alpha must be a vector of positive reals"),

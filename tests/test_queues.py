@@ -319,23 +319,31 @@ SPECIAL = (-0.0, 0.0, 1.5, -2.0, math.nan, math.inf, -math.inf)
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(data=st.data(), sc=scenarios(), slots=st.integers(1, 3))
-def test_one_slot_step_y_matches_the_chunk_form(data, sc, slots):
-    # a chain of one-slot steps gives the chunk form's states bit for bit,
-    # on signed zeros, NaN and infinities too
+def test_step_y_into_buffer_rows_matches_the_clipped_rule(data, sc, slots):
+    # a chain of out= steps into buffer rows, as run() passes them, gives
+    # the states of a chain of allocating steps and of the masked rule bit
+    # for bit, on signed zeros, NaN and infinities too
     shape = (sc.n_nodes, sc.n_sessions)
     values = st.sampled_from(SPECIAL) | st.floats(-5.0, 5.0)
     y = data.draw(hnp.arrays(np.float64, shape, elements=values))
     g = data.draw(hnp.arrays(np.float64, (slots,) + shape, elements=values))
-    chain = np.full((slots + 1,) + shape, math.nan)  # rows after each slot, as run() passes them
+    chain = np.full((slots + 1,) + shape, math.nan)
     with np.errstate(invalid="ignore"):  # inf + -inf
-        want = step_Y(y, g, sc)
-        prev = y
+        prev, new, want = y, y, y
         for row, g_t in zip(chain, g):
             assert step_Y(prev, g_t, sc, out=row) is row
+            new = step_Y(new, g_t, sc)
+            want = _mask_zeroed(sc, np.maximum(want + g_t, 0.0))
+            assert row.tobytes() == new.tobytes() == want.tobytes()
             prev = row
-        assert step_Y(y, g[0], sc).tobytes() == want[0].tobytes()
-    assert chain[:-1].tobytes() == want.tobytes()
     assert np.isnan(chain[-1]).all()
+
+
+def test_step_y_steps_one_slot(sixnode):
+    # its result takes Y's shape, so a stack of residuals fails to broadcast
+    # instead of giving a stack with only the first row's destinations zeroed
+    with pytest.raises(ValueError, match="broadcast"):
+        step_Y(np.zeros((6, 2)), np.ones((3, 6, 2)), sixnode)
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
@@ -496,4 +504,6 @@ def test_pathwise_coupling_z_below_q_plus_bound(sixnode, singlelink):
         tr = P.run(sc, cfg, 2000)
         b = tr.summary["observed_max_abs_q"]
         limit = 2.0 * b + float(sc.network.out_cap.max())
-        assert float(tr.maxZ.max()) <= limit + 1e-9
+        # audit_queue_bounds' slack: the rounding of 2000 slots of the recursions
+        slack = 2000 * (sc.n_links + sc.n_nodes + 2) * np.finfo(float).eps * limit
+        assert float(tr.maxZ.max()) <= limit + slack

@@ -9,23 +9,21 @@ slots and the seeded 10x10 grid with 20 sessions (perfbench/gridgen.py, seed 1)
 after 300 slots, both with the queue-bound alpha that `proxbp run` uses.
 run_slot is harness.run from empty queues for the same number of slots,
 divided by that number: the slot with the harness's queue steps, buffers and
-chunk audit around it. chunk_queues is the audit's queue work of a proximal
-run over one chunk, divided by its slots: ZSteps steps the physical queues Z
-and step_Y the clipped queues Y over the last CHUNKS slots of the state's
-run, 1000 on sixnode (the whole of a six-prox run) and 4 on the grid (its
-audit chunk). repair_feasible repairs the state's last decision, what the
-oracle's certificate would peel at the end of a queue-bound run. The DPP
-rows read the state of a DPP run (V = 100, as the grid-dpp benchmark
-workload runs it) after the same number of slots: dpp_slot_update decides
-from its clipped queues Y, step_Y is the loop's one-slot step of Y by the
-last slot's residual into a buffer, and run_dpp_slot is run_slot for that
-run. The oracle
-rows time solve_centralized on the six-node scenario at tol 1e-5, as
-`proxbp oracle` calls it, and repair_feasible and dual_value at its
-solution. A kernel's time is the best of --repeats timeit repeats of
---number calls (--number / 20 for repair_feasible, --number / 40 for
-solve_centralized and chunk_queues and --number / 200 for run_slot and
-run_dpp_slot, which take milliseconds).
+chunk audit around it. chunk_queues is the audit's queue work over one chunk,
+divided by its slots: ZSteps steps the physical queues Z over the last CHUNKS
+slots of the state's run, 1000 on sixnode (the whole of a six-prox run) and 4
+on the grid (its audit chunk). repair_feasible repairs the state's last
+decision, what the oracle's certificate would peel at the end of a queue-bound
+run. The DPP rows read the state of a DPP run (V = 100, as the grid-dpp
+benchmark workload runs it) after the same number of slots: dpp_slot_update
+decides from its clipped queues Y, step_Y is the slot loop's one-slot step of
+Y (which it takes under both algorithms) by the last slot's residual into a
+buffer, and run_dpp_slot is run_slot for that run. The oracle rows time
+solve_centralized on the six-node scenario at tol 1e-5, as `proxbp oracle`
+calls it, and repair_feasible and dual_value at its solution. A kernel's time
+is the best of --repeats timeit repeats of --number calls (--number / 20 for
+repair_feasible, --number / 40 for solve_centralized and chunk_queues and
+--number / 200 for run_slot and run_dpp_slot, which take milliseconds).
 
 All trees are timed in this one process, so no tree's numbers carry an offset
 of its own process: each tree's package is imported under its own module name,
@@ -39,7 +37,7 @@ arrays, and compute_weights takes g alone, so neither row holds the
 residual, which the run loop computes once per slot. decision_faults checks
 the decisions of the last 4 slots, one audit chunk of the grid run. The
 oracle rows read the solution's x_star and mu_star. Supported trees are this
-one and its parent, commit d2812c8.
+one and its parent, commit f8ec130.
 
 Array placement still shows inside one process: between trees whose code for
 a kernel is the same, its rows have differed by up to about 20% depending on
@@ -89,9 +87,9 @@ def _states(P, texts: dict):
     """{state name: (scenario, Q, x, mu, Z, consts, start, chunk, dpp)} for
     the package P and the scenario texts of STATES: the queues after the slot
     counts of STATES and the decisions x, mu of the last slot, what the next
-    slot reads; chunk, the (x, mu, g) stacks of the last CHUNKS slots, and
-    start, the queues (Y, Z) before them; dpp, the (config, Y, g) of a DPP
-    run after as many slots, its clipped queues before its last slot and
+    slot reads; chunk, the (x, mu) stacks of the last CHUNKS slots, and
+    start, the physical queues Z before them; dpp, the (config, Y, g) of a
+    DPP run after as many slots, its clipped queues before its last slot and
     that slot's residual."""
     from collections import deque
 
@@ -101,18 +99,17 @@ def _states(P, texts: dict):
     for name, text in texts.items():
         sc = P.parse_scenario(text)
         consts = P.SlotConstants(sc, P.AlgConfig(P.default_alpha(sc.network, "queue-bound")))
-        Q = Y = Z = g = np.zeros((sc.n_nodes, sc.n_sessions))  # g of the zero decision
+        Q = Z = g = np.zeros((sc.n_nodes, sc.n_sessions))  # g of the zero decision
         x, mu = np.zeros(sc.n_sessions), np.zeros((sc.n_links, sc.n_sessions))
         last = deque(maxlen=CHUNKS[name])
         for t in range(STATES[name]):
             if t == STATES[name] - CHUNKS[name]:
-                start = (Y, Z)
+                start = Z
             x, mu, _ = P.slot_update(Q, g, x, mu, consts)
             g = P.residual_matrix(sc, x, mu)
             Q = Q + g
-            Y = P.step_Y(Y, g, sc)
             Z, _ = P.step_Z(Z, x, mu, sc)
-            last.append((x, mu, g))
+            last.append((x, mu))
         chunk = tuple(np.stack(c) for c in zip(*last))
         dpp_config = P.DppConfig(V=DPP_V)
         Y_dpp = np.zeros((sc.n_nodes, sc.n_sessions))
@@ -124,16 +121,15 @@ def _states(P, texts: dict):
     return out
 
 
-def _chunk_queues(P, sc, start, chunk):
-    """A call that steps the queues (Y, Z) = start over the slots of chunk
-    (x, mu, g) as the audit of a proximal run does: ZSteps and one step_Y
-    call."""
+def _chunk_queues(P, sc, Z, chunk):
+    """A call that steps the physical queues Z over the slots of chunk
+    (x, mu) as the audit of a run does: one ZSteps call."""
     import numpy as np
 
-    (Y, Z), (x, mu, g) = start, chunk
+    x, mu = chunk
     steps = P.queues.ZSteps(sc, len(mu))
-    y_out, z_out = np.empty(g.shape), np.empty(g.shape)
-    return lambda: (steps(Z, x, mu, z_out), P.step_Y(Y, g, sc, out=y_out))
+    z_out = np.empty((len(mu), sc.n_nodes, sc.n_sessions))
+    return lambda: steps(Z, x, mu, z_out)
 
 
 def _slot_calls(P, slots, sc, Q, x, mu, Z, consts, start, chunk, dpp) -> dict:
@@ -147,7 +143,7 @@ def _slot_calls(P, slots, sc, Q, x, mu, Z, consts, start, chunk, dpp) -> dict:
     d = W.take(sc.src_entries) - a_src * x
     rates = (sc.utility_shift, sc.utility_weight, d, a_src, consts.ak_src, consts.two_a_src,
              consts.four_a_src)
-    faults = tuple(c[-CHUNK:] for c in chunk[:2])
+    faults = tuple(c[-CHUNK:] for c in chunk)
     dpp_config, Y, g_dpp = dpp
     y_out = Y.copy()  # a buffer row, as the loop passes
     return {
