@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -20,6 +21,8 @@ CSV_HEADER = "slot,alg,session,x,xbar,util_inst,util_avg,util_jensen,gap,maxQ,ma
 SLOT_COLUMNS = ("util_inst", "util_avg", "util_jensen", "gap", "maxQ", "maxZ", "maxY", "lyap")
 
 CHUNK_BYTES = 1 << 18  # byte budget of each per-chunk buffer of run()
+CSV_BLOCK_ROWS = 1024  # rows that Trace.to_csv formats at a time
+_INT64_MAX = 2**63 - 1  # the largest slot or session index trace_from_csv keeps
 
 
 @dataclass(eq=False)
@@ -48,70 +51,104 @@ class Trace:
         return self.x.shape[0]
 
     def to_csv(self, path) -> None:
+        """Write the trace CSV at path, CSV_BLOCK_ROWS rows (one slot at least)
+        at a time, so the Python floats of one block are all it holds."""
+        block = max(1, CSV_BLOCK_ROWS // max(self.x.shape[1], 1))
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(CSV_HEADER + "\n")
-            per_slot = np.column_stack([getattr(self, name) for name in SLOT_COLUMNS]).tolist()
-            for t, (xs, xbars, cells) in enumerate(zip(self.x.tolist(), self.xbar.tolist(),
-                                                       per_slot)):
-                tail = ",".join(map(repr, cells))
-                fh.write("".join(f"{t},{self.alg},{f},{a!r},{b!r},{tail}\n"
-                                 for f, (a, b) in enumerate(zip(xs, xbars))))
+            for t0 in range(0, self.slots, block):
+                rows = slice(t0, t0 + block)
+                per_slot = np.column_stack([getattr(self, name)[rows]
+                                            for name in SLOT_COLUMNS]).tolist()
+                for t, (xs, xbars, cells) in enumerate(
+                        zip(self.x[rows].tolist(), self.xbar[rows].tolist(), per_slot), start=t0):
+                    tail = ",".join(map(repr, cells))
+                    fh.write("".join(f"{t},{self.alg},{f},{a!r},{b!r},{tail}\n"
+                                     for f, (a, b) in enumerate(zip(xs, xbars))))
 
 
 def trace_from_csv(path) -> Trace:
     """Rebuild the pinned columns of the trace CSV at path. Summary and the
     extra in-memory fields are not part of the CSV and come back empty. A
     malformed row, a row that repeats a (slot, session) pair and a row of a
-    second alg each raise a ContractError that names its line; missing pairs
-    raise one that names the first of them."""
+    second alg each raise a ContractError that names its line, the first such
+    line in the file; missing pairs raise one that names the first of them.
+    The per-slot columns of a slot come from its last row in the file.
+
+    Each row is parsed into typed arrays: its slot, session and line into
+    int64 ones and its values into a float64 one, 104 bytes a row besides
+    the trace it gives. While the rows ascend in (slot, session) order, no
+    row can repeat another and nothing else is kept. A row out of that
+    order, or with an index int64 cannot hold, starts a dict of the pairs
+    seen, which finds the repeats. A file with such an index has more pairs
+    than it could have rows, so it always fails, and the row's values are
+    not kept."""
     n_fields = CSV_HEADER.count(",") + 1
+    slot, session, line = array("q"), array("q"), array("q")
+    values = array("d")  # the n_fields - 3 values of each kept row, row after row
+    n_rows = n_t = n_f = 0
+    last = (-1, -1)  # the pair of the last row, while the rows ascend
+    line_of = None  # (slot, session) -> the line that gave it, once they stop
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != CSV_HEADER:
             raise ContractError(f"unexpected CSV header {header!r}")
-        rows = []
-        line_of = {}  # (slot, session) -> the line that gave it
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
+        for lineno, text in enumerate(fh, start=2):
+            text = text.strip()
+            if not text:
                 continue
-            r = line.strip().split(",")
+            r = text.split(",")
             if len(r) != n_fields:
                 raise ContractError(
                     f"trace CSV line {lineno}: expected {n_fields} fields, got {len(r)}")
             try:
                 t, f = int(r[0]), int(r[2])
-                values = [float(v) for v in r[3:]]
+                row = [float(v) for v in r[3:]]
             except ValueError as e:
                 raise ContractError(f"trace CSV line {lineno}: {e}") from None
             if t < 0 or f < 0:
                 raise ContractError(f"trace CSV line {lineno}: negative slot or session")
-            if not rows:
+            if not n_rows:
                 alg = r[1]
             elif r[1] != alg:
                 raise ContractError(f"trace CSV line {lineno}: alg {r[1]!r} differs from "
                                     f"the earlier rows' {alg!r}")
-            first = line_of.setdefault((t, f), lineno)
-            if first != lineno:
-                raise ContractError(
-                    f"trace CSV line {lineno}: slot {t} session {f} repeats line {first}")
-            rows.append((t, f, values))
-    if not rows:
+            pair = (t, f)
+            kept = t <= _INT64_MAX and f <= _INT64_MAX
+            if line_of is None and kept and pair > last:
+                last = pair
+            else:
+                if line_of is None:
+                    line_of = dict(zip(zip(slot, session), line))
+                first = line_of.setdefault(pair, lineno)
+                if first != lineno:
+                    raise ContractError(
+                        f"trace CSV line {lineno}: slot {t} session {f} repeats line {first}")
+            n_rows += 1
+            n_t, n_f = max(n_t, t + 1), max(n_f, f + 1)
+            if kept:
+                slot.append(t)
+                session.append(f)
+                line.append(lineno)
+                values.extend(row)
+    if not n_rows:
         raise ContractError("trace CSV has no rows")
-    n_f = max(r[1] for r in rows) + 1
-    n_t = max(r[0] for r in rows) + 1
-    if len(rows) < n_t * n_f:
-        # in (slot, session) order, the first missing pair is among the first len(rows) + 1
-        pairs = (divmod(k, n_f) for k in range(len(rows) + 1))
-        t, f = next(p for p in pairs if p not in line_of)
+    if n_rows < n_t * n_f:
+        # in (slot, session) order, the first missing pair is among the first n_rows + 1
+        seen = set(zip(slot, session)) if line_of is None else line_of
+        pairs = (divmod(k, n_f) for k in range(n_rows + 1))
+        t, f = next(p for p in pairs if p not in seen)
         raise ContractError(f"trace CSV has no row for slot {t} session {f}")
-    x = np.zeros((n_t, n_f))
-    xbar = np.zeros((n_t, n_f))
-    scal = {name: np.zeros(n_t) for name in SLOT_COLUMNS}
-    for t, f, values in rows:
-        x[t, f], xbar[t, f] = values[:2]
-        for name, v in zip(SLOT_COLUMNS, values[2:]):
-            scal[name][t] = v
-    return Trace(alg=alg, x=x, xbar=xbar, **scal)
+    # every pair has one row: of_pair[t, f] is its index, and a slot's last
+    # row in the file is the largest index of its pairs
+    rows = np.frombuffer(values).reshape(n_rows, n_fields - 3)
+    of_pair = np.empty(n_rows, dtype=np.intp)
+    of_pair[np.frombuffer(slot, dtype=np.int64) * n_f
+            + np.frombuffer(session, dtype=np.int64)] = np.arange(n_rows)
+    of_pair = of_pair.reshape(n_t, n_f)
+    last_of_slot = of_pair.max(axis=1)
+    scal = {name: rows[last_of_slot, j] for j, name in enumerate(SLOT_COLUMNS, start=2)}
+    return Trace(alg=alg, x=rows[of_pair, 0], xbar=rows[of_pair, 1], **scal)
 
 
 def chunk_slots(scenario: Scenario) -> int:
@@ -333,6 +370,11 @@ class _ChunkAudit:
         self.prox = prox = consts is not None
         self.link_denom = consts.link_denom[:, 0] if prox else None
         n_n, n_f, n_l = scenario.n_nodes, scenario.n_sessions, scenario.n_links
+        # x_hist, the five metric columns and the two check columns
+        record_bytes = 8 * slots * (n_f + 7)
+        if record_bytes > np.iinfo(np.intp).max:
+            raise ContractError(f"slots {slots}: run's per-slot records need {record_bytes} "
+                                f"bytes, more than numpy can address")
         self.chunk = c = min(slots, chunk_slots(scenario))
         self.mu = np.empty((c, n_l, n_f))
         self.g = np.empty((c, n_n, n_f))

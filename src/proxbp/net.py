@@ -218,7 +218,11 @@ class Scenario:
         object.__setattr__(self, "allowed", tuple(frozenset(a) for a in self.allowed))
         if not self.sessions:
             raise ScenarioValidationError("scenario has no session")
-        n = self.network.node_count
+        n, n_f = self.network.node_count, len(self.sessions)
+        if 8 * n * n_f > np.iinfo(np.intp).max:
+            raise ScenarioValidationError(f"node_count {n} needs (N, F) arrays of {8 * n * n_f} "
+                                          f"bytes at F = {n_f}, more than numpy can address",
+                                          "nodes")
         for i, s in enumerate(self.sessions):
             if s.id != i:
                 raise ScenarioValidationError(

@@ -17,7 +17,9 @@ the links and their allow-sets. bfs_links is a fewest-hop search over Link
 objects with a predicate per link, and in_trees and repair_feasible are
 Scenario.in_trees and oracle.repair_feasible on it, peeling numpy matrices:
 the library's list search must give the same trees and, bit for bit, the
-same repairs.
+same repairs. trace_from_csv keeps every row of a trace CSV as a tuple of
+Python values and every (slot, session) pair in a dict: harness.trace_from_csv,
+which keeps typed arrays, must give the same fields and the same errors.
 """
 import math
 from collections import deque
@@ -26,7 +28,8 @@ import numpy as np
 
 from proxbp.dpp import dpp_slot_update
 from proxbp.engine import AlgConfig, SlotConstants, slot_update
-from proxbp.harness import Trace, drift_identity_limit, weight_identity_limit
+from proxbp.harness import (CSV_HEADER, SLOT_COLUMNS, Trace, drift_identity_limit,
+                            weight_identity_limit)
 from proxbp.net import (ContractError, DomainError, NumericError, decision_faults,
                         residual_matrix, total_utility)
 from proxbp.queues import audit_queue_bounds, step_Q, step_Y, step_Z
@@ -324,3 +327,56 @@ def run_per_slot(scenario, config, slots, oracle=None) -> Trace:
                  util_avg=util_avg, util_jensen=util_jensen, gap=gap, maxQ=max_q,
                  maxZ=max_z, maxY=max_y, lyap=lyap, z_total=z_total, peak_Y=peak_Y,
                  peak_Z=peak_Z, summary=summary)
+
+
+def trace_from_csv(path) -> Trace:
+    """harness.trace_from_csv with a tuple of Python values per row and a
+    dict of every (slot, session) pair seen."""
+    n_fields = CSV_HEADER.count(",") + 1
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().strip()
+        if header != CSV_HEADER:
+            raise ContractError(f"unexpected CSV header {header!r}")
+        rows = []
+        line_of = {}  # (slot, session) -> the line that gave it
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            r = line.strip().split(",")
+            if len(r) != n_fields:
+                raise ContractError(
+                    f"trace CSV line {lineno}: expected {n_fields} fields, got {len(r)}")
+            try:
+                t, f = int(r[0]), int(r[2])
+                values = [float(v) for v in r[3:]]
+            except ValueError as e:
+                raise ContractError(f"trace CSV line {lineno}: {e}") from None
+            if t < 0 or f < 0:
+                raise ContractError(f"trace CSV line {lineno}: negative slot or session")
+            if not rows:
+                alg = r[1]
+            elif r[1] != alg:
+                raise ContractError(f"trace CSV line {lineno}: alg {r[1]!r} differs from "
+                                    f"the earlier rows' {alg!r}")
+            first = line_of.setdefault((t, f), lineno)
+            if first != lineno:
+                raise ContractError(
+                    f"trace CSV line {lineno}: slot {t} session {f} repeats line {first}")
+            rows.append((t, f, values))
+    if not rows:
+        raise ContractError("trace CSV has no rows")
+    n_f = max(r[1] for r in rows) + 1
+    n_t = max(r[0] for r in rows) + 1
+    if len(rows) < n_t * n_f:
+        # in (slot, session) order, the first missing pair is among the first len(rows) + 1
+        pairs = (divmod(k, n_f) for k in range(len(rows) + 1))
+        t, f = next(p for p in pairs if p not in line_of)
+        raise ContractError(f"trace CSV has no row for slot {t} session {f}")
+    x = np.zeros((n_t, n_f))
+    xbar = np.zeros((n_t, n_f))
+    scal = {name: np.zeros(n_t) for name in SLOT_COLUMNS}
+    for t, f, values in rows:
+        x[t, f], xbar[t, f] = values[:2]
+        for name, v in zip(SLOT_COLUMNS, values[2:]):
+            scal[name][t] = v
+    return Trace(alg=alg, x=x, xbar=xbar, **scal)

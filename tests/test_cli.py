@@ -304,6 +304,32 @@ def test_unroutable_session_is_rejected_at_load(tmp_path, capsys):
     assert info.value.history == ()
 
 
+def test_counts_past_numpy_dimensions_exit_2(tmp_path, capsys):
+    # counts past numpy's largest dimension: without the checks they meet
+    # numpy's ValueError, never an allocation the size of the host
+    huge = 10**21
+    path = tmp_path / "huge.net"
+    path.write_text(f"# N too large\nnodes {huge}\nlink 0 1 1.0\nsession 0 0 1 wlog 1.0\n")
+    for cmd in ("run", "oracle"):
+        assert main([cmd, "--scenario", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"proxbp: line 2: node_count {huge} needs (N, F) arrays of {8 * huge} bytes "
+            f"at F = 1, more than numpy can address\n")
+    # sixnode has two sessions: x and seven (T,) columns, 9 float64 a slot
+    records = (f"proxbp: slots {huge}: run's per-slot records need {72 * huge} bytes, "
+               f"more than numpy can address\n")
+    for alg in ("new", "dpp"):
+        argv = ["run", "--scenario", SIXNODE, "--alg", alg, "--slots", str(huge)]
+        assert main(argv + ["--out", str(tmp_path / "t.csv")]) == 2
+        assert capsys.readouterr().err == records
+    plan = tmp_path / "plan.txt"
+    plan.write_text(f"slots {huge}\nrun name=a alg=new\n")
+    assert main(["compare", "--scenario", SIXNODE, "--spec", str(plan),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == records
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.net", "plan.txt"]
+
+
 @pytest.mark.parametrize("report, message", [
     ("# hand-edited\n\nx 9 1.0\n", "report line 3:"),     # session index out of range
     ("ustar\n", "report line 1:"),                        # scalar without its value

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -178,14 +179,100 @@ _ROW = "0,new,0," + ",".join(["1.0"] * 10)
     (_ROW, "trace CSV line 3: slot 0 session 0 repeats line 2"),
     ("0,dpp,1," + _ROW[8:], "trace CSV line 3: alg 'dpp' differs from the earlier rows' 'new'"),
     ("1,new,1," + _ROW[8:], "trace CSV has no row for slot 0 session 1"),
+    # rows for every pair but the last, which is the first missing one
+    (f"0,new,1,{_ROW[8:]}\n1,new,0,{_ROW[8:]}", "trace CSV has no row for slot 1 session 1"),
     # a huge index names the first missing pair without building the whole grid
     ("99999999999,new,0," + _ROW[8:], "trace CSV has no row for slot 1 session 0"),
     ("0,new,99999999999," + _ROW[8:], "trace CSV has no row for slot 0 session 1"),
+    # one past int64: the pair goes to the dict of pairs seen, its values nowhere
+    (f"0,new,{2**63}," + _ROW[8:], "trace CSV has no row for slot 0 session 1"),
 ])
 def test_trace_from_csv_names_the_bad_line(row, message, tmp_path):
     with pytest.raises(P.ContractError) as err:
         _from_csv_text(f"{CSV_HEADER}\n{_ROW}\n{row}\n", tmp_path)
     assert str(err.value).startswith(message)
+
+
+# tokens that a mutation writes into a trace CSV: special and signed floats,
+# integers past float precision and past int64, a non-ASCII digit, nothing
+CSV_TOKENS = ("nan", "inf", "-0.0", "1e999", str(10**20), str(2**63), "\u0663", "")
+
+
+@st.composite
+def mutated_csv_texts(draw):
+    """The to_csv text of a short run on a generated scenario, with up to
+    three mutations after its header: one token of a line replaced from
+    CSV_TOKENS, or a line moved, dropped, duplicated or preceded by a blank
+    one."""
+    sc = draw(scenarios())
+    config = (P.DppConfig(V=10.0) if draw(st.booleans())
+              else P.AlgConfig(P.default_alpha(sc.network, "queue-bound")))
+    lines = _csv_text(P.run(sc, config, draw(st.integers(1, 3)))).splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        if len(lines) < 2:
+            break
+        i = draw(st.integers(1, len(lines) - 1))
+        kind = draw(st.sampled_from(("token", "move", "drop", "duplicate", "blank")))
+        if kind == "token":
+            tokens = lines[i].split(",")
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(CSV_TOKENS))
+            lines[i] = ",".join(tokens)
+        elif kind == "drop":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(draw(st.integers(1, len(lines))), lines[i])
+        elif kind == "move":
+            line = lines.pop(i)
+            lines.insert(draw(st.integers(1, len(lines))), line)
+        else:
+            lines.insert(i, draw(st.sampled_from(("", " ", "\t"))))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(text=mutated_csv_texts())
+def test_trace_from_csv_matches_the_reference_reader(text):
+    # the typed-array reader gives the reference's fields bit for bit, NaN
+    # and -0.0 included, or raises the reference's exact message
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "trace.csv")
+        path.write_text(text, encoding="utf-8")
+        try:
+            want = reference.trace_from_csv(path)
+        except P.ContractError as e:
+            with pytest.raises(P.ContractError) as err:
+                trace_from_csv(path)
+            assert str(err.value) == str(e)
+            return
+        got = trace_from_csv(path)
+    assert got.alg == want.alg
+    for name in ("x", "xbar") + harness.SLOT_COLUMNS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+
+def _traced_peak(fn) -> int:
+    """The peak of the memory that fn() allocates, in bytes, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_trace_csv_memory_is_proportional_to_the_trace(gridgen, soak_runs, tmp_path):
+    # the reader keeps typed arrays, not a Python object per value, and the
+    # writer formats a block of slots at a time: neither holds the trace as
+    # Python floats
+    grid = P.parse_scenario(gridgen.grid_scenario(10, 20, 5))
+    path = tmp_path / "grid.csv"
+    P.run(grid, P.DppConfig(V=100.0), 300).to_csv(path)
+    assert _traced_peak(lambda: trace_from_csv(path)) <= 2**20
+    six = soak_runs["sixnode"][2]
+    head = harness.Trace(alg=six.alg, **{name: getattr(six, name)[:20_000]
+                                        for name in ("x", "xbar") + harness.SLOT_COLUMNS})
+    assert _traced_peak(lambda: head.to_csv(tmp_path / "six.csv")) <= 2 * 2**20
 
 
 def test_queue_mass_is_tail_average():
