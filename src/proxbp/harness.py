@@ -22,7 +22,6 @@ SLOT_COLUMNS = ("util_inst", "util_avg", "util_jensen", "gap", "maxQ", "maxZ", "
 
 CHUNK_BYTES = 1 << 18  # byte budget of each per-chunk buffer of run()
 CSV_BLOCK_ROWS = 1024  # rows that Trace.to_csv formats at a time
-_INT64_MAX = 2**63 - 1  # the largest slot or session index trace_from_csv keeps
 
 
 @dataclass(eq=False)
@@ -69,26 +68,18 @@ class Trace:
 
 def trace_from_csv(path) -> Trace:
     """Rebuild the pinned columns of the trace CSV at path. Summary and the
-    extra in-memory fields are not part of the CSV and come back empty. A
-    malformed row, a row that repeats a (slot, session) pair and a row of a
-    second alg each raise a ContractError that names its line, the first such
-    line in the file; missing pairs raise one that names the first of them.
-    The per-slot columns of a slot come from its last row in the file.
+    extra in-memory fields are not part of the CSV and come back empty.
 
-    Each row is parsed into typed arrays: its slot, session and line into
-    int64 ones and its values into a float64 one, 104 bytes a row besides
-    the trace it gives. While the rows ascend in (slot, session) order, no
-    row can repeat another and nothing else is kept. A row out of that
-    order, or with an index int64 cannot hold, starts a dict of the pairs
-    seen, which finds the repeats. A file with such an index has more pairs
-    than it could have rows, so it always fails, and the row's values are
-    not kept."""
+    The rows must come in to_csv's order: slots 0, 1, ... and sessions
+    0 .. F-1 within each slot, where slot 0 fixes F. A malformed row, a row
+    of a second alg and a row other than the next (slot, session) pair each
+    raise a ContractError that names its line; a file that ends inside a
+    slot raises one that names the first pair it lacks. The per-slot
+    columns of a slot come from its last row. Each row's values are kept in
+    one float64 array, 80 bytes a row besides the trace it gives."""
     n_fields = CSV_HEADER.count(",") + 1
-    slot, session, line = array("q"), array("q"), array("q")
-    values = array("d")  # the n_fields - 3 values of each kept row, row after row
-    n_rows = n_t = n_f = 0
-    last = (-1, -1)  # the pair of the last row, while the rows ascend
-    line_of = None  # (slot, session) -> the line that gave it, once they stop
+    values = array("d")  # the n_fields - 3 values of each row, row after row
+    n_rows, n_f = 0, None  # n_f is fixed by the first row of slot 1
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != CSV_HEADER:
@@ -106,49 +97,29 @@ def trace_from_csv(path) -> Trace:
                 row = [float(v) for v in r[3:]]
             except ValueError as e:
                 raise ContractError(f"trace CSV line {lineno}: {e}") from None
-            if t < 0 or f < 0:
-                raise ContractError(f"trace CSV line {lineno}: negative slot or session")
             if not n_rows:
                 alg = r[1]
             elif r[1] != alg:
                 raise ContractError(f"trace CSV line {lineno}: alg {r[1]!r} differs from "
                                     f"the earlier rows' {alg!r}")
-            pair = (t, f)
-            kept = t <= _INT64_MAX and f <= _INT64_MAX
-            if line_of is None and kept and pair > last:
-                last = pair
-            else:
-                if line_of is None:
-                    line_of = dict(zip(zip(slot, session), line))
-                first = line_of.setdefault(pair, lineno)
-                if first != lineno:
-                    raise ContractError(
-                        f"trace CSV line {lineno}: slot {t} session {f} repeats line {first}")
+            if n_f is None and n_rows and (t, f) == (1, 0):
+                n_f = n_rows
+            want = divmod(n_rows, n_f) if n_f else (0, n_rows)
+            if (t, f) != want:
+                also = " or slot 1 session 0" if n_f is None and n_rows else ""
+                raise ContractError(f"trace CSV line {lineno}: slot {t} session {f} where "
+                                    f"slot {want[0]} session {want[1]}{also} comes next")
             n_rows += 1
-            n_t, n_f = max(n_t, t + 1), max(n_f, f + 1)
-            if kept:
-                slot.append(t)
-                session.append(f)
-                line.append(lineno)
-                values.extend(row)
+            values.extend(row)
     if not n_rows:
         raise ContractError("trace CSV has no rows")
-    if n_rows < n_t * n_f:
-        # in (slot, session) order, the first missing pair is among the first n_rows + 1
-        seen = set(zip(slot, session)) if line_of is None else line_of
-        pairs = (divmod(k, n_f) for k in range(n_rows + 1))
-        t, f = next(p for p in pairs if p not in seen)
+    n_f = n_f or n_rows
+    if n_rows % n_f:
+        t, f = divmod(n_rows, n_f)
         raise ContractError(f"trace CSV has no row for slot {t} session {f}")
-    # every pair has one row: of_pair[t, f] is its index, and a slot's last
-    # row in the file is the largest index of its pairs
-    rows = np.frombuffer(values).reshape(n_rows, n_fields - 3)
-    of_pair = np.empty(n_rows, dtype=np.intp)
-    of_pair[np.frombuffer(slot, dtype=np.int64) * n_f
-            + np.frombuffer(session, dtype=np.int64)] = np.arange(n_rows)
-    of_pair = of_pair.reshape(n_t, n_f)
-    last_of_slot = of_pair.max(axis=1)
-    scal = {name: rows[last_of_slot, j] for j, name in enumerate(SLOT_COLUMNS, start=2)}
-    return Trace(alg=alg, x=rows[of_pair, 0], xbar=rows[of_pair, 1], **scal)
+    rows = np.frombuffer(values).reshape(-1, n_f, n_fields - 3)
+    scal = {name: rows[:, -1, j].copy() for j, name in enumerate(SLOT_COLUMNS, start=2)}
+    return Trace(alg=alg, x=rows[:, :, 0].copy(), xbar=rows[:, :, 1].copy(), **scal)
 
 
 def chunk_slots(scenario: Scenario) -> int:
@@ -467,6 +438,11 @@ def chain_example(k: int, slots: int = None) -> tuple:
         raise ContractError(f"slots must be a positive integer, got {slots!r}")
     k = int(k)
     t_max = 6 * k if slots is None else int(slots)
+    # arrivals over the 3k + 1 nodes, mu and mu_instant over the 3k + 2 links
+    schedule_bytes = 16 * t_max * (9 * k + 5)
+    if schedule_bytes > np.iinfo(np.intp).max:
+        raise ContractError(f"k {k}, slots {t_max}: the chain's schedules need "
+                            f"{schedule_bytes} bytes, more than numpy can address")
     n_nodes = 3 * k + 1
     hub = 0
     walks = (list(range(1, 2 * k + 1)) + [hub],        # a_1..a_k, r_1..r_k, hub

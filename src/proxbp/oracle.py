@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .net import (ContractError, Scenario, ScenarioValidationError, _fewest_hops, _frozen,
+from .net import (_EPS, ContractError, Scenario, ScenarioValidationError, _fewest_hops, _frozen,
                   require_routable, residual_matrix, total_utility, validate_decision)
 from .engine import AlgConfig, default_alpha
 
@@ -158,7 +158,7 @@ def tighten_to_equality(scenario: Scenario, x, mu):
     route."""
     routed, mu = repair_feasible(scenario, x, mu)
     scale = np.maximum(x, scenario.network.caps.max(initial=0.0))
-    rounding = scenario.n_links * np.finfo(float).eps * scale
+    rounding = scenario.n_links * _EPS * scale
     return np.where(x - routed <= rounding, x, routed), mu
 
 
@@ -370,97 +370,82 @@ def solve_centralized(scenario: Scenario, tol: float = 1e-5, alpha=None) -> Orac
 # report serialization (same line-oriented style as scenario files)
 
 
+def _report_entries(scenario: Scenario):
+    """The report's entries, in the order serialize_solution writes them and
+    parse_solution reads them: a tag, the OracleSolution field it holds and,
+    for an array, the mask of the entries the report carries (every alpha
+    and x, mu at the allowed pairs, lambda at the active ones)."""
+    return (("ustar", "U_star", None), ("duality_gap", "duality_gap", None),
+            ("max_violation", "max_violation", None),
+            ("weak_margin", "weak_duality_margin", None), ("zeta", "zeta", None),
+            ("alpha", "alpha", np.ones(scenario.n_nodes, dtype=bool)),
+            ("x", "x_star", np.ones(scenario.n_sessions, dtype=bool)),
+            ("mu", "mu_star", scenario.allow_mask), ("lambda", "lambda_star", scenario.active))
+
+
+def _entry_names(tag, mask) -> list:
+    """The names of tag's report lines: tag itself for a scalar (mask None),
+    else tag and the index of each entry of mask."""
+    if mask is None:
+        return [tag]
+    if mask.ndim == 1:
+        return [f"{tag} {i}" for i in range(mask.size)]
+    return [f"{tag} {i} {j}" for i, j in zip(*(idx.tolist() for idx in np.nonzero(mask)))]
+
+
 def serialize_solution(sol: OracleSolution, scenario: Scenario) -> str:
-    out = [
-        f"ustar {float(sol.U_star)!r}",
-        f"duality_gap {float(sol.duality_gap)!r}",
-        f"max_violation {float(sol.max_violation)!r}",
-        f"weak_margin {float(sol.weak_duality_margin)!r}",
-        f"zeta {float(sol.zeta)!r}",
-    ]
-    for n, a in enumerate(sol.alpha):
-        out.append(f"alpha {n} {float(a)!r}")
-    for f, v in enumerate(sol.x_star):
-        out.append(f"x {f} {float(v)!r}")
-    for l, f in zip(*np.nonzero(scenario.allow_mask)):
-        out.append(f"mu {l} {f} {float(sol.mu_star[l, f])!r}")
-    for n, f in zip(*np.nonzero(scenario.active)):
-        out.append(f"lambda {n} {f} {float(sol.lambda_star[n, f])!r}")
+    out = []
+    for tag, name, mask in _report_entries(scenario):
+        value = getattr(sol, name)
+        values = [float(value)] if mask is None else np.asarray(value, dtype=float)[mask].tolist()
+        out += [f"{entry} {v!r}" for entry, v in zip(_entry_names(tag, mask), values)]
     return "\n".join(out) + "\n"
 
 
 def parse_solution(text: str, scenario: Scenario) -> OracleSolution:
-    """Inverse of serialize_solution. Raises a line-numbered ContractError for
-    an unknown directive, a wrong field count, a bad or non-finite number, an
-    alpha that is not positive, a negative duality_gap, max_violation, zeta, x
-    or mu (solve_centralized writes none), an index out of range, an array
-    entry that serialize_solution never writes (mu off the allowed (link,
-    session) pairs, lambda at a destination) or a scalar or array entry that
-    an earlier line gave; then a ContractError naming any scalar the report
-    lacks, else the first array entry it lacks. lambda and weak_margin are
-    signed."""
-    scalars = dict.fromkeys(("ustar", "duality_gap", "max_violation", "weak_margin", "zeta"))
-    # each array entry the report carries: every alpha and x, the allowed mu
-    # and the active lambda, in serialize_solution's order
-    written = {"alpha": np.ones(scenario.n_nodes, dtype=bool),
-               "x": np.ones(scenario.n_sessions, dtype=bool),
-               "mu": scenario.allow_mask, "lambda": scenario.active}
-    arrays = {tag: np.zeros(mask.shape) for tag, mask in written.items()}
-    line_of = {}  # (tag, index) -> the line that gave it
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tag, *fields = line.split()
-        if tag not in scalars and tag not in arrays:
-            raise ContractError(f"report line {lineno}: unknown report directive {tag!r}")
-        shape = arrays[tag].shape if tag in arrays else ()
-        if len(fields) != len(shape) + 1:
-            raise ContractError(
-                f"report line {lineno}: {tag} takes {len(shape) + 1} fields, got {len(fields)}")
-        try:
-            idx = tuple(int(v) for v in fields[:-1])
-            val = float(fields[-1])
-        except ValueError:
-            raise ContractError(f"report line {lineno}: bad number in {line!r}") from None
-        if not math.isfinite(val):
-            raise ContractError(f"report line {lineno}: {tag} value {val!r} is not finite")
-        if tag == "alpha" and not val > 0.0:
-            raise ContractError(f"report line {lineno}: alpha {val!r} is not positive")
-        if tag in ("duality_gap", "max_violation", "zeta", "x", "mu") and val < 0.0:
-            raise ContractError(f"report line {lineno}: {tag} {val!r} is negative")
-        if not all(0 <= i < n for i, n in zip(idx, shape)):
-            raise ContractError(
-                f"report line {lineno}: {tag} index {idx} out of range for shape {shape}")
-        name = " ".join(map(str, (tag, *idx)))
-        if tag in written and not written[tag][idx]:
-            raise ContractError(f"report line {lineno}: {name} is not an entry of the report")
-        first = line_of.setdefault((tag, idx), lineno)
-        if first != lineno:
-            raise ContractError(f"report line {lineno}: {name} repeats line {first}")
-        if tag in arrays:
-            arrays[tag][idx] = val
+    """Inverse of serialize_solution: reads the report's entries in the order
+    it writes them, one line each, skipping blank lines and # comments. A
+    line other than the next entry raises the ContractError "report line N:
+    <line> where <entry> comes next", and a report that ends early "report
+    has no <entry> line". So does, with its line, a bad or non-finite
+    number, an alpha that is not positive or a negative duality_gap,
+    max_violation, zeta, x or mu (solve_centralized writes none). lambda and
+    weak_margin are signed."""
+    lines = ((lineno, raw.split("#", 1)[0].strip())
+             for lineno, raw in enumerate(text.splitlines(), start=1))
+    lines = ((lineno, line) for lineno, line in lines if line)
+    fields = {}
+    for tag, name, mask in _report_entries(scenario):
+        values = []
+        for entry in _entry_names(tag, mask):
+            lineno, line = next(lines, (None, None))
+            if line is None:
+                raise ContractError(f"report has no {entry} line")
+            *key, number = line.split()
+            if " ".join(key) != entry:
+                raise ContractError(f"report line {lineno}: {line!r} where {entry} comes next")
+            try:
+                val = float(number)
+            except ValueError:
+                raise ContractError(f"report line {lineno}: bad number in {line!r}") from None
+            if not math.isfinite(val):
+                raise ContractError(f"report line {lineno}: {tag} value {val!r} is not finite")
+            if tag == "alpha" and not val > 0.0:
+                raise ContractError(f"report line {lineno}: alpha {val!r} is not positive")
+            if tag in ("duality_gap", "max_violation", "zeta", "x", "mu") and val < 0.0:
+                raise ContractError(f"report line {lineno}: {tag} {val!r} is negative")
+            values.append(val)
+        if mask is None:
+            fields[name] = values[0]
         else:
-            scalars[tag] = val
-    missing = [k for k, v in scalars.items() if v is None]
-    if missing:
-        raise ContractError(f"report has no {', '.join(missing)} line")
-    for tag, mask in written.items():
-        absent = [idx for idx in zip(*np.nonzero(mask)) if (tag, idx) not in line_of]
-        if absent:
-            name = " ".join(map(str, (tag, *absent[0])))
-            raise ContractError(f"report has no {name} line")
-    return OracleSolution(
-        x_star=_frozen(arrays["x"]),
-        mu_star=_frozen(arrays["mu"]),
-        U_star=scalars["ustar"],
-        lambda_star=_frozen(arrays["lambda"]),
-        zeta=scalars["zeta"],
-        alpha=_frozen(arrays["alpha"]),
-        duality_gap=scalars["duality_gap"],
-        max_violation=scalars["max_violation"],
-        weak_duality_margin=scalars["weak_margin"],
-    )
+            a = np.zeros(mask.shape)
+            a[mask] = values
+            fields[name] = _frozen(a)
+    lineno, line = next(lines, (None, None))
+    if line is not None:
+        raise ContractError(
+            f"report line {lineno}: {line!r} where the end of the report comes next")
+    return OracleSolution(**fields)
 
 
 def save_solution(sol: OracleSolution, scenario: Scenario, path):

@@ -330,52 +330,60 @@ def run_per_slot(scenario, config, slots, oracle=None) -> Trace:
 
 
 def trace_from_csv(path) -> Trace:
-    """harness.trace_from_csv with a tuple of Python values per row and a
-    dict of every (slot, session) pair seen."""
+    """harness.trace_from_csv with a tuple of Python values per row, in two
+    passes: the first parses the rows up to the first malformed one or one
+    of a second alg, the second compares row k's (slot, session) pair with
+    divmod(k, F), F the count of the rows (0, 0), (0, 1), ... that open the
+    file. An out-of-order row comes before the fault that ends the first
+    pass, so it is the first faulty line."""
     n_fields = CSV_HEADER.count(",") + 1
+    rows, fault = [], None  # (line, slot, session, values) of each row before the fault
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != CSV_HEADER:
             raise ContractError(f"unexpected CSV header {header!r}")
-        rows = []
-        line_of = {}  # (slot, session) -> the line that gave it
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
             r = line.strip().split(",")
             if len(r) != n_fields:
-                raise ContractError(
-                    f"trace CSV line {lineno}: expected {n_fields} fields, got {len(r)}")
+                fault = f"trace CSV line {lineno}: expected {n_fields} fields, got {len(r)}"
+                break
             try:
                 t, f = int(r[0]), int(r[2])
-                values = [float(v) for v in r[3:]]
+                values = tuple(float(v) for v in r[3:])
             except ValueError as e:
-                raise ContractError(f"trace CSV line {lineno}: {e}") from None
-            if t < 0 or f < 0:
-                raise ContractError(f"trace CSV line {lineno}: negative slot or session")
-            if not rows:
-                alg = r[1]
-            elif r[1] != alg:
-                raise ContractError(f"trace CSV line {lineno}: alg {r[1]!r} differs from "
-                                    f"the earlier rows' {alg!r}")
-            first = line_of.setdefault((t, f), lineno)
-            if first != lineno:
-                raise ContractError(
-                    f"trace CSV line {lineno}: slot {t} session {f} repeats line {first}")
-            rows.append((t, f, values))
+                fault = f"trace CSV line {lineno}: {e}"
+                break
+            if rows and r[1] != alg:
+                fault = (f"trace CSV line {lineno}: alg {r[1]!r} differs from the earlier "
+                         f"rows' {alg!r}")
+                break
+            alg = r[1]
+            rows.append((lineno, t, f, values))
+    n_f = 0
+    while n_f < len(rows) and rows[n_f][1:3] == (0, n_f):
+        n_f += 1
+    for k, (lineno, t, f, _) in enumerate(rows):
+        want = divmod(k, max(n_f, 1))
+        if (t, f) != want:
+            nxt = f"slot {want[0]} session {want[1]}"
+            if k == n_f > 0:  # slot 0 may go on or end here
+                nxt = f"slot 0 session {k} or {nxt}"
+            raise ContractError(
+                f"trace CSV line {lineno}: slot {t} session {f} where {nxt} comes next")
+    if fault is not None:
+        raise ContractError(fault)
     if not rows:
         raise ContractError("trace CSV has no rows")
-    n_f = max(r[1] for r in rows) + 1
-    n_t = max(r[0] for r in rows) + 1
-    if len(rows) < n_t * n_f:
-        # in (slot, session) order, the first missing pair is among the first len(rows) + 1
-        pairs = (divmod(k, n_f) for k in range(len(rows) + 1))
-        t, f = next(p for p in pairs if p not in line_of)
+    if len(rows) % n_f:
+        t, f = divmod(len(rows), n_f)
         raise ContractError(f"trace CSV has no row for slot {t} session {f}")
+    n_t = len(rows) // n_f
     x = np.zeros((n_t, n_f))
     xbar = np.zeros((n_t, n_f))
     scal = {name: np.zeros(n_t) for name in SLOT_COLUMNS}
-    for t, f, values in rows:
+    for _, t, f, values in rows:
         x[t, f], xbar[t, f] = values[:2]
         for name, v in zip(SLOT_COLUMNS, values[2:]):
             scal[name][t] = v

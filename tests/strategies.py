@@ -19,6 +19,10 @@ import proxbp as P
 SESSION_COUNTS = (1, 2, 3, 8, 9, 12)  # 8 and up: numpy sums rows pairwise
 CAPACITIES = (0.05, 0.5, 1.0, 50.0)
 UTILITY_WEIGHTS = (0.5, 1.0, 2.0)
+# tokens that a mutation writes into a trace CSV or an oracle report: special
+# and signed floats, integers past float precision and past int64, a
+# non-ASCII digit, nothing
+CSV_TOKENS = ("nan", "inf", "-0.0", "1e999", str(10**20), str(2**63), "\u0663", "")
 
 
 def arrays(draw, shape, choices, lo, hi, coarse=False):

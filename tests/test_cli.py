@@ -327,19 +327,30 @@ def test_counts_past_numpy_dimensions_exit_2(tmp_path, capsys):
     assert main(["compare", "--scenario", SIXNODE, "--spec", str(plan),
                  "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == records
+    # a chain of k has 3k + 1 nodes and 3k + 2 links: arrivals, mu and
+    # mu_instant take 16 (9k + 5) bytes a slot
+    for k, slots, argv in ((1, huge, ["--k", "1", "--slots", str(huge)]),
+                           (huge, 6 * huge, ["--k", str(huge)])):
+        assert main(["gen", "chain", *argv, "--out-dir", str(tmp_path / "chain")]) == 2
+        assert capsys.readouterr().err == (
+            f"proxbp: k {k}, slots {slots}: the chain's schedules need "
+            f"{16 * slots * (9 * k + 5)} bytes, more than numpy can address\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.net", "plan.txt"]
 
 
 @pytest.mark.parametrize("report, message", [
-    ("# hand-edited\n\nx 9 1.0\n", "report line 3:"),     # session index out of range
+    # a report is read in serialize_solution's order, ustar first
+    ("# hand-edited\n\nx 9 1.0\n", "report line 3:"),     # x where ustar comes next
     ("ustar\n", "report line 1:"),                        # scalar without its value
-    ("ustar 1.0\nzeta 1.0e\n", "report line 2:"),         # not a number
-    ("mu 0 0 0.5\nlambda 6 0 1.0\n", "report line 2:"),   # node index out of range
+    ("ustar 1.0\nzeta 1.0e\n", "report line 2:"),         # zeta where duality_gap comes next
+    ("ustar 1.0\nduality_gap 1.0e\n", "report line 2: bad number in 'duality_gap 1.0e'"),
+    ("mu 0 0 0.5\nlambda 6 0 1.0\n", "report line 1: 'mu 0 0 0.5' where ustar comes next"),
     ("ustar 1.0\nduality_gap 0.0\nmax_violation 0.0\nweak_margin 0.0\n", "zeta"),
     # a NaN U* would make every gap NaN, and a negative gap certifies nothing
     ("ustar nan\n", "report line 1: ustar value nan is not finite"),
-    ("zeta 1.0\nx 1 inf\n", "report line 2: x value inf is not finite"),
-    ("duality_gap -5.0\n", "report line 1: duality_gap -5.0 is negative"),
+    ("zeta 1.0\nx 1 inf\n", "report line 1: 'zeta 1.0' where ustar comes next"),
+    ("duality_gap -5.0\n", "report line 1: 'duality_gap -5.0' where ustar comes next"),
+    ("ustar 1.0\nduality_gap -5.0\n", "report line 2: duality_gap -5.0 is negative"),
 ])
 def test_run_rejects_malformed_oracle_report(tmp_path, capsys, report, message):
     sol_path = tmp_path / "bad.sol"

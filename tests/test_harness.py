@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import reference
 from reference import run_per_slot
-from strategies import scenarios
+from strategies import CSV_TOKENS, scenarios
 
 import proxbp as P
 from proxbp import cli, engine, harness, queues
@@ -169,33 +169,35 @@ def test_chain_example_takes_numpy_integer_counts():
 
 
 _ROW = "0,new,0," + ",".join(["1.0"] * 10)
+_NEXT_IN_SLOT_0 = "where slot 0 session 1 or slot 1 session 0 comes next"
 
 
 @pytest.mark.parametrize("row, message", [
     ("0,new,0,abc", "trace CSV line 3: expected 13 fields, got 4"),
     ("0,new,0,abc" + _ROW[11:], "trace CSV line 3: could not convert string to float: 'abc'"),
     ("s" + _ROW[1:], "trace CSV line 3: invalid literal for int()"),
-    ("-1" + _ROW[1:], "trace CSV line 3: negative slot or session"),
-    (_ROW, "trace CSV line 3: slot 0 session 0 repeats line 2"),
     ("0,dpp,1," + _ROW[8:], "trace CSV line 3: alg 'dpp' differs from the earlier rows' 'new'"),
-    ("1,new,1," + _ROW[8:], "trace CSV has no row for slot 0 session 1"),
-    # rows for every pair but the last, which is the first missing one
+    # rows come in to_csv's order: in slot 0 the next session or slot 1's
+    # first, which fixes the session count, and after it the next pair
+    ("-1" + _ROW[1:], f"trace CSV line 3: slot -1 session 0 {_NEXT_IN_SLOT_0}"),
+    (_ROW, f"trace CSV line 3: slot 0 session 0 {_NEXT_IN_SLOT_0}"),
+    ("1,new,1," + _ROW[8:], f"trace CSV line 3: slot 1 session 1 {_NEXT_IN_SLOT_0}"),
+    ("99999999999,new,0," + _ROW[8:], f"trace CSV line 3: slot 99999999999 session 0 "
+                                      f"{_NEXT_IN_SLOT_0}"),
+    ("0,new,99999999999," + _ROW[8:], f"trace CSV line 3: slot 0 session 99999999999 "
+                                      f"{_NEXT_IN_SLOT_0}"),
+    (f"0,new,{2**63}," + _ROW[8:], f"trace CSV line 3: slot 0 session {2**63} {_NEXT_IN_SLOT_0}"),
+    (f"0,new,1,{_ROW[8:]}\n1,new,0,{_ROW[8:]}\n1,new,0,{_ROW[8:]}",
+     "trace CSV line 5: slot 1 session 0 where slot 1 session 1 comes next"),
+    (f"1,new,0,{_ROW[8:]}\n1,new,1,{_ROW[8:]}",
+     "trace CSV line 4: slot 1 session 1 where slot 2 session 0 comes next"),
+    # rows for every pair but the last, which the file ends before
     (f"0,new,1,{_ROW[8:]}\n1,new,0,{_ROW[8:]}", "trace CSV has no row for slot 1 session 1"),
-    # a huge index names the first missing pair without building the whole grid
-    ("99999999999,new,0," + _ROW[8:], "trace CSV has no row for slot 1 session 0"),
-    ("0,new,99999999999," + _ROW[8:], "trace CSV has no row for slot 0 session 1"),
-    # one past int64: the pair goes to the dict of pairs seen, its values nowhere
-    (f"0,new,{2**63}," + _ROW[8:], "trace CSV has no row for slot 0 session 1"),
 ])
 def test_trace_from_csv_names_the_bad_line(row, message, tmp_path):
     with pytest.raises(P.ContractError) as err:
         _from_csv_text(f"{CSV_HEADER}\n{_ROW}\n{row}\n", tmp_path)
     assert str(err.value).startswith(message)
-
-
-# tokens that a mutation writes into a trace CSV: special and signed floats,
-# integers past float precision and past int64, a non-ASCII digit, nothing
-CSV_TOKENS = ("nan", "inf", "-0.0", "1e999", str(10**20), str(2**63), "\u0663", "")
 
 
 @st.composite

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import reference
 from gridlp import grid_best_utility, kelley_bracket
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from strategies import arrays, scenarios
+from strategies import CSV_TOKENS, arrays, scenarios
 
 import proxbp as P
 from proxbp import cli, oracle
@@ -300,10 +301,31 @@ def test_solution_round_trip(sixnode, sixnode_sol, tmp_path):
 ])
 def test_parse_solution_rejects_a_value_the_solver_never_writes(sixnode, sixnode_sol, line,
                                                                  message):
-    text = P.serialize_solution(sixnode_sol, sixnode)
-    lineno = text.count("\n") + 1
+    # in place of the report's own line the value is at fault; after the
+    # report's last line the line is one too many
+    lines = P.serialize_solution(sixnode_sol, sixnode).splitlines()
+    entry = line.rsplit(" ", 1)[0]
+    lineno = next(i for i, own in enumerate(lines, start=1) if own.rsplit(" ", 1)[0] == entry)
+    edited = lines[:lineno - 1] + [line] + lines[lineno:]
     with pytest.raises(P.ContractError, match=f"^report line {lineno}: {message}$"):
-        P.parse_solution(f"{text}{line}\n", sixnode)
+        P.parse_solution("\n".join(edited) + "\n", sixnode)
+    with pytest.raises(P.ContractError, match=f"^report line {len(lines) + 1}: '{line}' where "
+                                              f"the end of the report comes next$"):
+        P.parse_solution("\n".join(lines + [line]) + "\n", sixnode)
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _assert_parse_names(lines, lineno, entry, scenario):
+    """parse_solution of lines names line lineno (1-based), or the end of the
+    report past the last line, as the place where entry comes next."""
+    if lineno <= len(lines):
+        message = f"report line {lineno}: {lines[lineno - 1]!r} where {entry} comes next"
+    else:
+        message = f"report has no {entry} line"
+    with pytest.raises(P.ContractError, match=f"^{re.escape(message)}$"):
+        P.parse_solution("\n".join(lines) + "\n", scenario)
 
 
 @pytest.mark.parametrize("name, extra, first", [
@@ -314,20 +336,14 @@ def test_parse_solution_rejects_a_value_the_solver_never_writes(sixnode, sixnode
     ("sixnode", "alpha 5 2.0", "alpha 5"),
 ])
 def test_parse_solution_rejects_a_repeated_directive(name, extra, first, request):
-    # a repeated scalar or array index names both lines, as the scenario,
-    # plan and trace parsers do; the golden reports load
-    golden = Path(__file__).resolve().parent / "golden" / f"{name}.oracle"
+    # the golden report loads and has its first line; a second one after
+    # the report's last line is one line too many
     scenario = request.getfixturevalue(name)
-    text = golden.read_text(encoding="utf-8")
-    P.load_solution(golden, scenario)
+    text = (GOLDEN / f"{name}.oracle").read_text(encoding="utf-8")
+    P.parse_solution(text, scenario)
     lines = text.splitlines()
-    earlier = next(i for i, line in enumerate(lines, start=1) if line.startswith(first + " "))
-    with pytest.raises(P.ContractError, match=f"^report line {len(lines) + 1}: {first} "
-                                              f"repeats line {earlier}$"):
-        P.parse_solution(f"{text}{extra}\n", scenario)
-
-
-GOLDEN = Path(__file__).resolve().parent / "golden"
+    assert any(line.startswith(first + " ") for line in lines)
+    _assert_parse_names(lines + [extra], len(lines) + 1, "the end of the report", scenario)
 
 
 @pytest.mark.parametrize("scenario_text, extra, entry", [
@@ -337,16 +353,17 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 ])
 def test_parse_solution_rejects_an_entry_the_report_never_writes(scenario_text, extra, entry):
     # serialize_solution writes lambda at the active pairs and mu at the
-    # allowed ones only; any other entry names its line
+    # allowed ones only: in place of another entry's line, or after the
+    # report's last line, another entry names its line and the entry the
+    # golden report writes next
     sixnode = (Path(__file__).resolve().parents[1] / "scenarios" / "sixnode.net").read_text()
     scenario = P.parse_scenario(sixnode + scenario_text)
     lines = (GOLDEN / "sixnode.oracle").read_text(encoding="utf-8").splitlines()
     if extra is not None:
         lines.append(extra)
     lineno = next(i for i, line in enumerate(lines, start=1) if line.startswith(entry + " "))
-    with pytest.raises(P.ContractError, match=f"^report line {lineno}: {entry} is not an "
-                                              f"entry of the report$"):
-        P.parse_solution("\n".join(lines) + "\n", scenario)
+    after = lines[lineno].rsplit(" ", 1)[0] if lineno < len(lines) else "the end of the report"
+    _assert_parse_names(lines, lineno, after, scenario)
 
 
 @pytest.mark.parametrize("name, dropped, first", [
@@ -354,17 +371,68 @@ def test_parse_solution_rejects_an_entry_the_report_never_writes(scenario_text, 
     ("singlelink", ("x ",), "x 0"),
     ("sixnode", ("mu 3 1 ",), "mu 3 1"),
     ("sixnode", ("lambda 4 ",), "lambda 4 0"),
+    ("sixnode", ("lambda 5 ",), "lambda 5 1"),  # the report's last line
 ])
 def test_parse_solution_rejects_a_report_that_lacks_an_entry(name, dropped, first, request):
-    # the report holds one line for every entry it carries; the first
-    # missing one, in serialize_solution's order, is named
+    # the report holds one line for every entry it carries; the line in
+    # place of the first missing one, or the end of the report, names it
     scenario = request.getfixturevalue(name)
-    text = (GOLDEN / f"{name}.oracle").read_text(encoding="utf-8")
-    P.parse_solution(text, scenario)
-    kept = "".join(line for line in text.splitlines(keepends=True)
-                   if not line.startswith(dropped))
-    with pytest.raises(P.ContractError, match=f"^report has no {first} line$"):
-        P.parse_solution(kept, scenario)
+    lines = (GOLDEN / f"{name}.oracle").read_text(encoding="utf-8").splitlines()
+    lineno = next(i for i, line in enumerate(lines, start=1) if line.startswith(dropped))
+    kept = [line for line in lines if not line.startswith(dropped)]
+    _assert_parse_names(kept, lineno, first, scenario)
+
+
+@st.composite
+def mutated_reports(draw):
+    """A golden report's scenario name and its text with one to three
+    mutations: one token of a line replaced from CSV_TOKENS, a # comment
+    after a line, or a line moved, dropped, duplicated or preceded by a
+    blank or # comment line."""
+    name = draw(st.sampled_from(("singlelink", "sixnode")))
+    lines = (GOLDEN / f"{name}.oracle").read_text(encoding="utf-8").splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(("token", "comment", "move", "drop", "duplicate", "blank")))
+        if kind == "token":
+            tokens = lines[i].split(" ")
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(CSV_TOKENS))
+            lines[i] = " ".join(tokens)
+        elif kind == "comment":
+            lines[i] += " # edited"
+        elif kind == "drop":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(draw(st.integers(0, len(lines))), lines[i])
+        elif kind == "move":
+            line = lines.pop(i)
+            lines.insert(draw(st.integers(0, len(lines))), line)
+        else:
+            lines.insert(i, draw(st.sampled_from(("", " ", "\t", "# edited"))))
+    return name, "\n".join(lines) + "\n"
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(case=mutated_reports())
+def test_parse_solution_reads_a_mutated_report_or_names_its_fault(case, singlelink, sixnode):
+    # a mutated report either parses to a solution that serialize_solution
+    # writes as the same entries and values in the same order, or raises an
+    # error that names a line holding an entry or an entry the report lacks
+    name, text = case
+    scenario = {"singlelink": singlelink, "sixnode": sixnode}[name]
+    read = [line.split("#", 1)[0].split() for line in text.splitlines()]
+    try:
+        sol = P.parse_solution(text, scenario)
+    except P.ContractError as e:
+        at = re.fullmatch(r"report line (\d+): .+", str(e))
+        if at is not None:
+            assert read[int(at[1]) - 1], str(e)
+        else:
+            assert re.fullmatch(r"report has no [a-z_]+( \d+)* line", str(e)), str(e)
+        return
+    written = [line.split() for line in P.serialize_solution(sol, scenario).splitlines()]
+    assert [(t[:-1], float(t[-1]).hex()) for t in written] == \
+        [(t[:-1], float(t[-1]).hex()) for t in read if t]
 
 
 @pytest.mark.parametrize("alpha, message", [

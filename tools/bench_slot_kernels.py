@@ -37,7 +37,7 @@ arrays, and compute_weights takes g alone, so neither row holds the
 residual, which the run loop computes once per slot. decision_faults checks
 the decisions of the last 4 slots, one audit chunk of the grid run. The
 oracle rows read the solution's x_star and mu_star. Supported trees are this
-one and its parent, commit f8ec130.
+one and its parent, commit 3c27194.
 
 Array placement still shows inside one process: between trees whose code for
 a kernel is the same, its rows have differed by up to about 20% depending on
