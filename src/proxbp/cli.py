@@ -92,14 +92,15 @@ def _plan_cell_parser() -> _PlanCellParser:
     return cells
 
 
-def parse_plan(text: str):
+def parse_plan(text: str, scenario):
     """Plan grammar: 'slots N' and 'run name=NAME [key=value ...]' lines,
     '#' comments. The keys are the cell flags of `proxbp run` without their
     dashes (alg, alpha-mode, alpha-scale, V, x-max), parsed by the same
     options; every key but name is optional, and one left out takes its
     CompareRun default. alpha-mode and alpha-scale are for alg new (the
     default), V and x-max for dpp, and a key of the other algorithm is an
-    error. Names must differ, since each names its trace.
+    error. Each cell's values must give make_config a config on scenario.
+    Names must differ, since each names its trace.
     There is at most one slots line, and N is at least 1.
     Returns (slots, [CompareRun, ...]); a bad line raises a ContractError
     that starts 'plan line N:'."""
@@ -113,7 +114,9 @@ def parse_plan(text: str):
             continue
         tok = line.split()
         try:
-            if tok[0] == "slots" and len(tok) == 2:
+            if tok[0] == "slots":
+                if len(tok) != 2:
+                    raise ContractError(f"needs one count, got {len(tok) - 1} fields")
                 if slots_line:
                     raise ContractError(f"repeats line {slots_line}")
                 slots, slots_line = int(tok[1]), lineno
@@ -125,6 +128,7 @@ def parse_plan(text: str):
                 if first != lineno:
                     raise ContractError(f"name {opts.name!r} repeats line {first}")
                 runs.append(_cell(opts.name, opts))
+                make_config(scenario, runs[-1])  # the one rule of V, x-max and alpha
             else:
                 raise ContractError("unknown directive")
         except (ContractError, ValueError) as e:
@@ -185,7 +189,7 @@ def _cmd_compare(args) -> int:
     scenario = load_scenario(args.scenario)
     oracle = load_solution(args.oracle, scenario) if args.oracle else None
     with open(args.spec, "r", encoding="utf-8") as fh:
-        slots, runs = parse_plan(fh.read())
+        slots, runs = parse_plan(fh.read(), scenario)
     traces, report = compare(scenario, runs, slots, oracle=oracle)
     sys.stdout.write(report)
     if args.out:

@@ -207,17 +207,26 @@ def run(scenario: Scenario, config, slots: int, oracle=None) -> Trace:
     queue bound transfer with B = max |Q|.
 
     The slot loop stores each slot's decisions, residual, queues and weights
-    in (chunk, ...) buffers; chunk_slots sizes them to CHUNK_BYTES each. The
+    in (chunk, ...) buffers; chunk_slots sizes them to CHUNK_BYTES each, and
+    all of them, ZSteps's scratch too, are allocated once per run. The
     proximal engine decides from its signed queues Q and the residual g that
     stepped them (the weight identity finds g in W), DPP from its clipped
     queues Y. Under both algorithms the loop steps Y by step_Y and Q by
     step_Q, each into its buffer row. residual_matrix writes each slot's
     residual, and dpp_slot_update each DPP slot's link rates, straight into
     their rows; the proximal engine's link rates are copied into theirs.
-    Once per chunk, _ChunkAudit steps the physical queues Z over the stored
+    The Q buffer holds Q(t0 - 1) and Q(t0), the queues of the two slots
+    before a chunk, in rows 0 and 1, which the drift and weight identities
+    read; the Y and Z buffers hold the queues before the chunk in row 0.
+    Once per chunk, ZSteps steps the physical queues Z over the stored
     decisions, which no decision reads, then array programs over the
     buffers evaluate the checks and the per-slot metrics, feasibility by
-    decision_faults. Utilities are evaluated after the loop, NaN at a slot
+    decision_faults, keep each of Y's and Z's (N, F) peak over the run, and
+    copy the last rows to the front. Reductions over a slot's (N, F) block
+    run over axes (1, 2) of a C-contiguous (chunk, N, F) buffer, which sums
+    in the same order as a sum over the slot's own matrix, so every metric
+    is bitwise the per-slot value, the Lyapunov value recomputed from a
+    carried row too. Utilities are evaluated after the loop, NaN at a slot
     whose rates leave a utility's domain (a negative rate is also a
     feasibility fault). A proximal run whose signed queues go non-finite has
     no weights for its next slot: it stops there, and the trace holds the
@@ -240,17 +249,33 @@ def run(scenario: Scenario, config, slots: int, oracle=None) -> Trace:
                             f"got {type(config).__name__}")
     prox = isinstance(config, AlgConfig)
     consts = SlotConstants(scenario, config) if prox else None
-    audit = _ChunkAudit(scenario, consts, slots)
-    Q = g = np.zeros((scenario.n_nodes, scenario.n_sessions))  # g of the zero decision
-    Y = audit.Y[0]
-    x, mu = np.zeros(scenario.n_sessions), np.zeros((scenario.n_links, scenario.n_sessions))
-    x_hist = audit.x_hist
-    buf_mu, buf_g, buf_Y, buf_Q, buf_W = audit.mu, audit.g, audit.Y[1:], audit.Q[2:], audit.W
+    n_n, n_f, n_l = scenario.n_nodes, scenario.n_sessions, scenario.n_links
+    # x_hist and the seven rows of records
+    record_bytes = 8 * slots * (n_f + 7)
+    if record_bytes > np.iinfo(np.intp).max:
+        raise ContractError(f"slots {slots}: run's per-slot records need {record_bytes} "
+                            f"bytes, more than numpy can address")
+    chunk = min(slots, chunk_slots(scenario))
+    buf_mu, buf_g = np.empty((chunk, n_l, n_f)), np.empty((chunk, n_n, n_f))
+    buf_W = np.empty((chunk, n_n, n_f)) if prox else None
+    buf_Q = np.zeros((2 + chunk, n_n, n_f))
+    buf_Y, buf_Z = (np.zeros((1 + chunk, n_n, n_f)) for _ in range(2))
+    z_steps = ZSteps(scenario, chunk)
+    peak_Y, peak_Z = np.zeros((n_n, n_f)), np.zeros((n_n, n_f))
+    x_hist = np.empty((slots, n_f))
+    # per slot: the five metrics, then the values of the two checks; a check
+    # that does not apply stays 0
+    records = np.zeros((7, slots))
+    max_q, max_z, max_y, lyap, z_total, weight_ident, drift_ident = records
+    feas = []
+    Q = g = np.zeros((n_n, n_f))  # g of the zero decision
+    Y = buf_Y[0]
+    x, mu = np.zeros(n_f), np.zeros((n_l, n_f))
 
     # overflow and NaN show in the checks, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for t0 in range(0, slots, audit.chunk):
-            n = min(audit.chunk, slots - t0)
+        for t0 in range(0, slots, chunk):
+            n = min(chunk, slots - t0)
             for i in range(n):
                 if prox:
                     try:
@@ -260,21 +285,57 @@ def run(scenario: Scenario, config, slots: int, oracle=None) -> Trace:
                             raise
                         # non-finite queues give no weights: the run ends before this slot
                         slots, n = t0 + i, i
-                        audit.truncate(slots)
                         break
                     buf_mu[i] = mu
                 else:
                     x, mu = dpp_slot_update(Y, scenario, config, out=buf_mu[i])
                 g = residual_matrix(scenario, x, mu, out=buf_g[i])
-                Y = step_Y(Y, g, scenario, out=buf_Y[i])
-                Q = step_Q(Q, g, out=buf_Q[i])
+                Y = step_Y(Y, g, scenario, out=buf_Y[i + 1])
+                Q = step_Q(Q, g, out=buf_Q[i + 2])
                 x_hist[t0 + i] = x
-            if n:  # a stop at a chunk's first slot leaves it nothing to audit
-                audit.chunk_done(t0, n)
+            if not n:  # a stop at a chunk's first slot leaves it nothing to check
+                break
+
+            # the checks and metrics of slots t0 .. t0 + n - 1
+            rows = slice(t0, t0 + n)
+            xs, mus, gs = x_hist[rows], buf_mu[:n], buf_g[:n]
+            Ys, Zs = buf_Y[1:n + 1], buf_Z[1:n + 1]
+            z_steps(buf_Z[0], xs, mus, out=Zs)
+            q_all = buf_Q[1:n + 2]  # Q(t0), the queues before the chunk, then after each slot
+            q_max = np.abs(buf_Q[:n + 2]).max(axis=(1, 2))  # from Q(t0 - 1) on
+            max_q[rows] = q_max[2:]
+            max_z[rows] = Zs.max(axis=(1, 2))
+            max_y[rows] = Ys.max(axis=(1, 2))
+            z_total[rows] = Zs.sum(axis=(1, 2))
+            np.maximum(peak_Y, Ys.max(axis=0), out=peak_Y)
+            np.maximum(peak_Z, Zs.max(axis=0), out=peak_Z)
+
+            # drift identity: L(t+1) - L(t) = <Q(t), g> + |g|^2 / 2
+            l_all = 0.5 * (q_all * q_all).sum(axis=(1, 2))
+            lyap[rows] = l_all[1:]
+            drift = (q_all[:-1] * gs + 0.5 * gs * gs).sum(axis=(1, 2))
+            drift_ident[rows] = np.abs(np.diff(l_all) - drift)
+
+            if prox:
+                # weight identity: W(t) = 2 Q(t) - Q(t-1) off the destinations
+                ident = 2.0 * q_all[:-1] - buf_Q[:n]
+                ident.reshape(n, -1)[:, scenario.dst_entries] = 0.0
+                weight_ident[rows] = np.abs(buf_W[:n] - ident).max(axis=(1, 2))
+            # decision_faults' bound on each projected row's |a|: the identity
+            # gives |W(t)| <= 3 M, M = max(max |Q(t)|, max |Q(t-1)|), up to
+            # rounding, so |a| <= cap_l + 6 M / (2 (alpha_tail + alpha_head))
+            m = np.maximum(q_max[:n], q_max[1:n + 1])
+            scale = (scenario.network.caps + 6.0 * m[:, None] / consts.link_denom[:, 0]
+                     if prox else None)
+            buf_Q[:2] = buf_Q[n:n + 2]
+            buf_Y[0] = Ys[-1]
+            buf_Z[0] = Zs[-1]
+            feas += [(t0 + i, message) for i, message in decision_faults(scenario, xs, mus, scale)]
             if t0 + n == slots:  # the last chunk, or a stop inside this one
                 break
 
-    x_hist = audit.x_hist  # only the slots that ran
+    x_hist = x_hist[:slots]  # only the slots that ran
+    max_q, max_z, max_y, lyap, z_total, weight_ident, drift_ident = records[:, :slots]
     denom = np.arange(1, slots + 1, dtype=float)
     xbar = np.cumsum(x_hist, axis=0) / denom[:, None]
     util_inst = _utilities(scenario, x_hist)
@@ -287,25 +348,24 @@ def run(scenario: Scenario, config, slots: int, oracle=None) -> Trace:
 
     # bound transfer with B = observed max |Q| (initial zero states included);
     # a NaN queue gives no B, and the drift identity has failed at its slot
-    b_obs = float(audit.max_q.max())
+    b_obs = float(max_q.max())
     transfer = ([] if math.isnan(b_obs) else
-                audit_queue_bounds(audit.peak_Y, audit.peak_Z, b_obs, scenario, slots))
+                audit_queue_bounds(peak_Y, peak_Z, b_obs, scenario, slots))
 
     # each check's worst value, and the slot and value of its first violation
-    q_max = np.concatenate((np.zeros(2), audit.max_q))  # max |Q(t)| from t = -1
-    lyap = np.concatenate((np.zeros(1), audit.lyap))  # L(t) from t = 0
+    q_max = np.concatenate((np.zeros(2), max_q))  # max |Q(t)| from t = -1
+    l_all = np.concatenate((np.zeros(1), lyap))  # L(t) from t = 0
     # a DPP run has no weights, and its weight values stay 0
     weight_limit = weight_identity_limit(q_max[1:-1], q_max[:-2]) if prox else 0.0
-    limits = {"weight_identity": weight_limit,
-              "drift_identity": drift_identity_limit(lyap[1:], lyap[:-1], Q.size)}
+    checks = {"weight_identity": (weight_ident, weight_limit),
+              "drift_identity": (drift_ident, drift_identity_limit(l_all[1:], l_all[:-1], Q.size))}
     summary = {}
     first = {}
-    for name, values in audit.checks.items():
+    for name, (values, limit) in checks.items():
         summary[f"{name}_max"] = float(values.max())
-        bad = ~(values <= limits[name])
+        bad = ~(values <= limit)
         k = int(np.argmax(bad))
         first[name] = (k, float(values[k])) if bad[k] else None
-    feas = audit.feas_failures
     first["feasibility"] = feas[0] if feas else None
     k = int(np.argmax(np.isnan(util_inst)))
     first["utility"] = (k, float(util_inst[k])) if math.isnan(util_inst[k]) else None
@@ -313,103 +373,9 @@ def run(scenario: Scenario, config, slots: int, oracle=None) -> Trace:
                    observed_max_abs_q=b_obs, first_violation=first)
     summary["passed"] = all(v is None for v in first.values()) and not transfer
     return Trace(alg="new" if prox else "dpp", x=x_hist, xbar=xbar, util_inst=util_inst,
-                 util_avg=util_avg, util_jensen=util_jensen, gap=gap, maxQ=audit.max_q,
-                 maxZ=audit.max_z, maxY=audit.max_y, lyap=audit.lyap, z_total=audit.z_total,
-                 peak_Y=audit.peak_Y, peak_Z=audit.peak_Z, summary=summary)
-
-
-class _ChunkAudit:
-    """The chunk buffers of run(), the physical queue steps that no decision
-    reads, and the checks and metrics evaluated on them. Q holds the signed
-    queues of the two slots before a chunk, Q(t0 - 1) and Q(t0), in rows 0
-    and 1, which the drift and weight identities read; the slot loop's
-    step_Q fills the rows after them. Y and Z hold the queues before the
-    chunk in row 0 and after each of its slots in the rows after it: the
-    slot loop's step_Y fills Y, and chunk_done steps Z by ZSteps from the
-    stored decisions, and keeps each family's (N, F) peak over the run in
-    peak_Y and peak_Z, what audit_queue_bounds reads. At the end of a chunk
-    the last rows are copied to the front. All chunk scratch, ZSteps's too,
-    is allocated once per run.
-
-    Reductions over a slot's (N, F) block run over axes (1, 2) of the
-    C-contiguous (chunk, N, F) buffer, which sums in the same order as a sum
-    over the slot's own matrix. So every metric is bitwise the per-slot
-    value, the Lyapunov value recomputed from a carried row too."""
-
-    def __init__(self, scenario: Scenario, consts: SlotConstants, slots: int):
-        self.scenario = scenario
-        self.prox = prox = consts is not None
-        self.link_denom = consts.link_denom[:, 0] if prox else None
-        n_n, n_f, n_l = scenario.n_nodes, scenario.n_sessions, scenario.n_links
-        # x_hist, the five metric columns and the two check columns
-        record_bytes = 8 * slots * (n_f + 7)
-        if record_bytes > np.iinfo(np.intp).max:
-            raise ContractError(f"slots {slots}: run's per-slot records need {record_bytes} "
-                                f"bytes, more than numpy can address")
-        self.chunk = c = min(slots, chunk_slots(scenario))
-        self.mu = np.empty((c, n_l, n_f))
-        self.g = np.empty((c, n_n, n_f))
-        self.Y, self.Z = (np.zeros((1 + c, n_n, n_f)) for _ in range(2))
-        self.z_steps = ZSteps(scenario, c)
-        self.Q = np.zeros((2 + c, n_n, n_f))
-        self.W = np.empty((c, n_n, n_f)) if prox else None
-
-        self.x_hist = np.empty((slots, n_f))
-        self.max_q, self.max_z, self.max_y, self.lyap, self.z_total = (
-            np.empty(slots) for _ in range(5))
-        self.peak_Y = np.zeros((n_n, n_f))
-        self.peak_Z = np.zeros((n_n, n_f))
-        # per-slot values of each check; those that do not apply stay 0
-        self.checks = {name: np.zeros(slots) for name in ("weight_identity", "drift_identity")}
-        self.feas_failures = []
-
-    def truncate(self, slots: int):
-        """Keep the per-slot records of the first slots only."""
-        for name in ("x_hist", "max_q", "max_z", "max_y", "lyap", "z_total"):
-            setattr(self, name, getattr(self, name)[:slots])
-        self.checks = {name: values[:slots] for name, values in self.checks.items()}
-
-    def chunk_done(self, t0: int, n: int):
-        """Evaluate the metrics and checks of slots t0 .. t0 + n - 1, held in
-        the first n rows of the buffers after the carried ones."""
-        sc = self.scenario
-        checks = self.checks
-        rows = slice(t0, t0 + n)
-        x = self.x_hist[rows]
-        mu, g = self.mu[:n], self.g[:n]
-        Y, Z = self.Y[1:n + 1], self.Z[1:n + 1]
-        self.z_steps(self.Z[0], x, mu, out=Z)
-        q_all = self.Q[1:n + 2]  # Q(t0), the queues before the chunk, then after each slot
-        q_max = np.abs(self.Q[:n + 2]).max(axis=(1, 2))  # from Q(t0 - 1) on
-        self.max_q[rows] = q_max[2:]
-        self.max_z[rows] = Z.max(axis=(1, 2))
-        self.max_y[rows] = Y.max(axis=(1, 2))
-        self.z_total[rows] = Z.sum(axis=(1, 2))
-        np.maximum(self.peak_Y, Y.max(axis=0), out=self.peak_Y)
-        np.maximum(self.peak_Z, Z.max(axis=0), out=self.peak_Z)
-
-        # drift identity: L(t+1) - L(t) = <Q(t), g> + |g|^2 / 2
-        lyap = 0.5 * (q_all * q_all).sum(axis=(1, 2))
-        self.lyap[rows] = lyap[1:]
-        drift = (q_all[:-1] * g + 0.5 * g * g).sum(axis=(1, 2))
-        checks["drift_identity"][rows] = np.abs(np.diff(lyap) - drift)
-
-        if self.prox:
-            # weight identity: W(t) = 2 Q(t) - Q(t-1) off the destinations
-            ident = 2.0 * q_all[:-1] - self.Q[:n]
-            ident.reshape(n, -1)[:, sc.dst_entries] = 0.0
-            checks["weight_identity"][rows] = np.abs(self.W[:n] - ident).max(axis=(1, 2))
-        # decision_faults' bound on each projected row's |a|: the identity
-        # gives |W(t)| <= 3 M, M = max(max |Q(t)|, max |Q(t-1)|), up to
-        # rounding, so |a| <= cap_l + 6 M / (2 (alpha_tail + alpha_head))
-        m = np.maximum(q_max[:n], q_max[1:n + 1])
-        scale = sc.network.caps + 6.0 * m[:, None] / self.link_denom if self.prox else None
-        self.Q[:2] = self.Q[n:n + 2]
-        self.Y[0] = Y[-1]
-        self.Z[0] = Z[-1]
-
-        self.feas_failures += [(t0 + i, message)
-                               for i, message in decision_faults(sc, x, mu, scale)]
+                 util_avg=util_avg, util_jensen=util_jensen, gap=gap, maxQ=max_q,
+                 maxZ=max_z, maxY=max_y, lyap=lyap, z_total=z_total,
+                 peak_Y=peak_Y, peak_Z=peak_Z, summary=summary)
 
 
 # ---------------------------------------------------------------------------
@@ -461,12 +427,12 @@ def chain_example(k: int, slots: int = None) -> tuple:
 
     n_l = len(links)
     arrivals = np.zeros((t_max, n_nodes, 2))
+    # instant schedule: an arrival at walk index j prescribes its path from link j on
+    mu_instant = np.zeros((t_max, n_l, 2))
     for t in range(t_max):
-        rphase = t % (2 * k)
-        if rphase < k:
-            arrivals[t, walks[0][rphase], 0] = 1.0
-        else:
-            arrivals[t, walks[1][rphase - k], 1] = 1.0
+        f, j = divmod(t % (2 * k), k)
+        arrivals[t, walks[f][j], f] = 1.0
+        mu_instant[t, paths[f][j:], f] = 1.0
 
     # physical timeline: every non-hub node forwards one unit per slot along
     # its session's unique out-link; the hub serves one packet per slot in
@@ -495,16 +461,6 @@ def chain_example(k: int, slots: int = None) -> tuple:
         for f, l in enumerate(hub_entry):
             if sends[0, l, f] >= 1.0:
                 fifo.append(f)
-
-    # instant schedule: each arrival's remaining path is prescribed in full
-    mu_instant = np.zeros((t_max, n_l, 2))
-    for t in range(t_max):
-        spots = np.argwhere(arrivals[t] > 0)
-        for n, f in spots:
-            path = paths[int(f)]
-            start = next(i for i, l in enumerate(path) if links[l].tail == int(n))
-            for l in path[start:]:
-                mu_instant[t, l, int(f)] = 1.0
 
     return scenario, ScriptedPolicy(arrivals, mu, mu_instant)
 

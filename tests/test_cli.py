@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -9,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import proxbp as P
 from proxbp import cli
@@ -118,25 +121,43 @@ def test_compare_plan_flow(tmp_path, capsys):
     assert "checks ok" in capsys.readouterr().out
 
 
-def test_parse_plan_errors():
+def test_parse_plan_errors(singlelink):
     with pytest.raises(P.ContractError):
-        parse_plan("run alg=new\n")  # missing name
+        parse_plan("run alg=new\n", singlelink)  # missing name
     with pytest.raises(P.ContractError):
-        parse_plan("run name=a alg=spicy\n")
+        parse_plan("run name=a alg=spicy\n", singlelink)
     with pytest.raises(P.ContractError):
-        parse_plan("run name=a alg=new turbo=1\n")
+        parse_plan("run name=a alg=new turbo=1\n", singlelink)
     with pytest.raises(P.ContractError):
-        parse_plan("slots 50\n")  # no runs
-    slots, runs = parse_plan("slots 7\nrun name=a alg=new alpha-scale=2.5\n")
+        parse_plan("slots 50\n", singlelink)  # no runs
+    slots, runs = parse_plan("slots 7\nrun name=a alg=new alpha-scale=2.5\n", singlelink)
     assert slots == 7
     assert runs[0].alpha_scale == 2.5
     assert runs[0].alpha_mode == "queue-bound"
     with pytest.raises(P.ContractError, match="^plan line 3: run: name 'a' repeats line 1$"):
-        parse_plan("run name=a alg=dpp\nrun name=b\nrun name=a alg=new\n")
+        parse_plan("run name=a alg=dpp\nrun name=b\nrun name=a alg=new\n", singlelink)
     with pytest.raises(P.ContractError, match="^plan line 3: slots: repeats line 1$"):
-        parse_plan("slots 3\nrun name=a\nslots 4\n")
+        parse_plan("slots 3\nrun name=a\nslots 4\n", singlelink)
     with pytest.raises(P.ContractError, match="^plan line 1: slots: must be at least 1, got 0$"):
-        parse_plan("slots 0\nrun name=a\n")
+        parse_plan("slots 0\nrun name=a\n", singlelink)
+    # a slots line needs exactly one count
+    for line, got in (("slots 5 6", 2), ("slots", 0)):
+        with pytest.raises(P.ContractError,
+                           match=f"^plan line 2: slots: needs one count, got {got} fields$"):
+            parse_plan(f"run name=a\n{line}\n", singlelink)
+    # each cell's values pass make_config, the one rule of V, x-max and alpha
+    for key, message in (("V=0", "V must be positive and finite, got 0.0"),
+                         ("V=nan", "V must be positive and finite, got nan"),
+                         ("V=1e999", "V must be positive and finite, got inf"),
+                         ("x-max=0", "x_max must be positive and finite, got 0.0"),
+                         ("x-max=-0.0", "x_max must be positive and finite, got -0.0")):
+        with pytest.raises(P.ContractError) as e:
+            parse_plan(f"slots 5\nrun name=b\nrun name=a alg=dpp {key}\n", singlelink)
+        assert str(e.value) == f"plan line 3: run: {message}"
+    for scale in ("0", "1e308"):
+        with pytest.raises(P.ContractError) as e:
+            parse_plan(f"run name=a alpha-scale={scale}\n", singlelink)
+        assert str(e.value) == "plan line 1: run: alpha must be a vector of positive reals"
 
 
 README_PLAN = ("slots 10000\n"
@@ -156,15 +177,15 @@ README_PLAN = ("slots 10000\n"
     ("run name=a alg=new alpha-mode=bound alpha-scale=2.5\nrun name=b alg=dpp V=3 x-max=1e-3\n",
      10000, [P.CompareRun("a", "new", "queue-bound", 2.5),
              P.CompareRun("b", "dpp", V=3.0, x_max=1e-3)]),
-    # a repeated key keeps its last value; a value may hold '='
-    ("run name=a alg=new name=b=c alg=dpp V=1 V=-2\nslots 4\n", 4,
-     [P.CompareRun("b=c", "dpp", V=-2.0)]),
+    # a repeated key keeps its last value, which alone must be valid; a value may hold '='
+    ("run name=a alg=new name=b=c alg=dpp V=-2 V=1\nslots 4\n", 4,
+     [P.CompareRun("b=c", "dpp", V=1.0)]),
     # alg is optional, like --alg of proxbp run
     ("run name=a\nrun name=b alpha-mode=gap\n", 10000,
      [P.CompareRun("a"), P.CompareRun("b", alpha_mode="utility-gap")]),
 ])
-def test_parse_plan_cells(text, slots, runs):
-    assert parse_plan(text) == (slots, runs)
+def test_parse_plan_cells(singlelink, text, slots, runs):
+    assert parse_plan(text, singlelink) == (slots, runs)
 
 
 @pytest.mark.parametrize("line", [
@@ -182,15 +203,15 @@ def test_parse_plan_cells(text, slots, runs):
     "run name=a V=",                      # empty number
     "run name=a alpha-scale=big",         # not a number
     "slots abc",                          # not a number
-    "slots 5 6",                          # unknown directive
+    "slots 5 6",                          # one count too many
     "slots 0",                            # no slot to run
     "slots -5",                           # no slot to run
     "walk 3",                             # unknown directive
     "run name=ok alg=dpp",                # name of line 2 again
 ])
-def test_parse_plan_rejects_bad_lines(line):
+def test_parse_plan_rejects_bad_lines(singlelink, line):
     with pytest.raises(P.ContractError, match="^plan line 3: "):
-        parse_plan(f"# plan\nrun name=ok alg=new\n{line}\n")
+        parse_plan(f"# plan\nrun name=ok alg=new\n{line}\n", singlelink)
 
 
 def test_cli_reports_bad_input_cleanly(capsys, tmp_path):
@@ -336,6 +357,77 @@ def test_counts_past_numpy_dimensions_exit_2(tmp_path, capsys):
             f"proxbp: k {k}, slots {slots}: the chain's schedules need "
             f"{16 * slots * (9 * k + 5)} bytes, more than numpy can address\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.net", "plan.txt"]
+
+
+# edge values a fuzzed token may take: no integer count lies between 100 and
+# 10**21, so no mutated scenario or plan allocates more than the host holds
+FUZZ_TOKENS = ("0", "-1", "-0.0", "99", "1" + "0" * 21, "1e999", "-1e999", "nan", "inf",
+               "1e308", "1e-320", "\u0663", "wlog", "none", "x", "=", "#")
+FUZZ_PLAN = ("slots 20\nrun name=prox alg=new alpha-mode=gap alpha-scale=2.0\n"
+             "run name=dpp alg=dpp V=50 x-max=2.0\nrun name=base\n")
+# the messages of an exit 2 that name no line: a scenario without its nodes
+# line or its sessions, a plan without runs, an unroutable session (named),
+# and a plan slots count past numpy's limit (named)
+WHOLE_FILE = re.compile(r"proxbp: (document has no nodes line|scenario has no session|"
+                        r"plan declares no runs|session \d+ cannot reach its destination|"
+                        r"slots \d+: run's per-slot records need)")
+
+
+@st.composite
+def _mutated(draw, text):
+    """text after one to three mutations: a line dropped, duplicated or
+    moved, a token dropped, or a token (or the value of a key=value token)
+    replaced by a FUZZ_TOKENS value."""
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(("drop", "duplicate", "move", "drop token", "edge token")))
+        tokens = lines[i].split()
+        if op == "drop":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "move":
+            lines.insert(draw(st.integers(0, len(lines) - 1)), lines.pop(i))
+        elif tokens:
+            j = draw(st.integers(0, len(tokens) - 1))
+            if op == "drop token":
+                del tokens[j]
+            else:
+                key, eq, _ = tokens[j].partition("=")
+                keep = key + eq if eq and draw(st.booleans()) else ""
+                tokens[j] = keep + draw(st.sampled_from(FUZZ_TOKENS))
+            lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+SIXNODE_TEXT = Path(SIXNODE).read_text()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(scenario=st.one_of(st.just(SIXNODE_TEXT), _mutated(SIXNODE_TEXT)),
+       plan=st.one_of(st.just(FUZZ_PLAN), _mutated(FUZZ_PLAN)))
+def test_mutated_scenario_and_plan_exit_cleanly(tmp_path_factory, scenario, plan):
+    # run and compare on a mutated sixnode scenario and three-cell plan: no
+    # exception escapes main, and an exit 2, always a file value's fault
+    # here, names its line unless its fault is one of the whole file. A plan
+    # without a slots line would run the default 10000 slots a cell.
+    assume(re.search(r"^ *slots\b", plan, re.MULTILINE))
+    out = tmp_path_factory.mktemp("fuzz")
+    (out / "s.net").write_text(scenario, encoding="utf-8")
+    (out / "plan.txt").write_text(plan, encoding="utf-8")
+    for argv in (["run", "--scenario", str(out / "s.net"), "--slots", "20"],
+                 ["compare", "--scenario", str(out / "s.net"), "--spec", str(out / "plan.txt")]):
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        err = stderr.getvalue()
+        assert code in (0, 1, 2), (argv[0], code)
+        if code == 2:
+            assert re.match(r"proxbp: (plan )?line \d+: ", err) or WHOLE_FILE.match(err), \
+                (argv[0], err, scenario, plan)
 
 
 @pytest.mark.parametrize("report, message", [

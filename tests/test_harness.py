@@ -773,7 +773,7 @@ def test_one_residual_per_slot(sixnode, monkeypatch, alg):
 @pytest.mark.parametrize("alg", ("new", "dpp"))
 def test_the_loop_steps_y_and_q_and_the_audit_steps_z(sixnode, monkeypatch, alg):
     # under both algorithms the slot loop steps Y by step_Y and Q by step_Q,
-    # one slot each, and the chunk audit steps Z, which no decision reads,
+    # one slot each, and run steps Z, which no decision reads, by ZSteps
     # once per chunk. 7 slots in chunks of 3.
     monkeypatch.setattr(harness, "CHUNK_BYTES", _chunk_bytes(sixnode, 3))
     with mock.patch.object(queues.ZSteps, "__call__", autospec=True,
@@ -809,7 +809,10 @@ def test_nan_residual_fails_the_drift_identity_at_its_slot(sixnode, monkeypatch,
     # the run before the next slot; DPP decides from Y and runs on
     tr = P.run(sixnode, _config(sixnode, alg), k + 4)
     assert tr.slots == (k + 1 if alg == "new" else k + 4)
-    for column in (tr.util_avg, tr.gap, tr.maxQ, tr.lyap, tr.z_total):
+    for column in (tr.x, tr.xbar):
+        assert column.shape == (tr.slots, sixnode.n_sessions)
+    for column in (tr.util_inst, tr.util_avg, tr.util_jensen, tr.gap, tr.maxQ, tr.maxZ,
+                   tr.maxY, tr.lyap, tr.z_total):
         assert column.shape == (tr.slots,)
     s = tr.summary
     slot, value = s["first_violation"]["drift_identity"]

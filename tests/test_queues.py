@@ -174,7 +174,7 @@ def _z_chunks(draw):
 @given(case=_z_chunks())
 def test_z_steps_match_a_chain_of_scalar_steps(case):
     # two calls on one ZSteps, the second from the first's last state, as
-    # the audit steps consecutive chunks with its scratch
+    # run steps consecutive chunks with its scratch
     sc, z, arrivals, mu = case
     steps = ZSteps(sc, 5)
     slots = len(mu)

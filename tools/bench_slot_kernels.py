@@ -9,10 +9,10 @@ slots and the seeded 10x10 grid with 20 sessions (perfbench/gridgen.py, seed 1)
 after 300 slots, both with the queue-bound alpha that `proxbp run` uses.
 run_slot is harness.run from empty queues for the same number of slots,
 divided by that number: the slot with the harness's queue steps, buffers and
-chunk audit around it. chunk_queues is the audit's queue work over one chunk,
+per-chunk checks around it. chunk_queues is run's Z work over one chunk,
 divided by its slots: ZSteps steps the physical queues Z over the last CHUNKS
 slots of the state's run, 1000 on sixnode (the whole of a six-prox run) and 4
-on the grid (its audit chunk). repair_feasible repairs the state's last
+on the grid (its run's chunk). repair_feasible repairs the state's last
 decision, what the oracle's certificate would peel at the end of a queue-bound
 run. The DPP rows read the state of a DPP run (V = 100, as the grid-dpp
 benchmark workload runs it) after the same number of slots: dpp_slot_update
@@ -35,9 +35,9 @@ SlotConstants rate constants, project_rows with Scenario.forbidden_entries.
 slot_update takes the previous decisions as their residual g and raw (x, mu)
 arrays, and compute_weights takes g alone, so neither row holds the
 residual, which the run loop computes once per slot. decision_faults checks
-the decisions of the last 4 slots, one audit chunk of the grid run. The
+the decisions of the last 4 slots, one chunk of the grid run. The
 oracle rows read the solution's x_star and mu_star. Supported trees are this
-one and its parent, commit 3c27194.
+one and its parent, commit 04b59df.
 
 Array placement still shows inside one process: between trees whose code for
 a kernel is the same, its rows have differed by up to about 20% depending on
@@ -123,7 +123,7 @@ def _states(P, texts: dict):
 
 def _chunk_queues(P, sc, Z, chunk):
     """A call that steps the physical queues Z over the slots of chunk
-    (x, mu) as the audit of a run does: one ZSteps call."""
+    (x, mu) as run does once per chunk: one ZSteps call."""
     import numpy as np
 
     x, mu = chunk
