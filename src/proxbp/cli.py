@@ -8,8 +8,8 @@ import sys
 
 from .engine import default_alpha
 from .harness import CompareRun, chain_example, compare, make_config, run, save_policy
-from .net import (ContractError, DomainError, NumericError,
-                  ScenarioFormatError, ScenarioValidationError, load_scenario, save_scenario)
+from .net import (ContractError, DomainError, NumericError, ScenarioFormatError,
+                  ScenarioValidationError, _content_lines, load_scenario, save_scenario)
 from .oracle import OracleError, load_solution, save_solution, serialize_solution, solve_centralized
 
 MODE_BY_FLAG = {"gap": "utility-gap", "bound": "queue-bound"}
@@ -58,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="solve a scenario to optimality and certify")
     p.add_argument("--scenario", required=True)
     p.add_argument("--tol", type=float, default=1e-5, help="duality gap target")
-    p.add_argument("--alpha-mode", choices=("gap", "bound"), default="gap",
+    p.add_argument("--alpha-mode", choices=tuple(MODE_BY_FLAG), default="gap",
                    help="weight preset used for the reported curvature constant")
     p.add_argument("--out", default=None, help="write the report here (default stdout)")
 
@@ -108,10 +108,7 @@ def parse_plan(text: str, scenario):
     slots, slots_line = 10000, None
     runs = []
     line_of = {}  # run name -> the line that gave it
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _content_lines(text):
         tok = line.split()
         try:
             if tok[0] == "slots":

@@ -485,6 +485,16 @@ def total_utility(scenario: Scenario, x):
 # scenario document format
 
 
+def _content_lines(text: str):
+    """The line rule of the scenario, plan and oracle report formats: yields
+    (line number from 1, line with its '#' comment cut and its ends
+    stripped) for each line that has content left."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
 def parse_scenario(text: str) -> Scenario:
     """Parse a scenario document.
 
@@ -505,10 +515,7 @@ def parse_scenario(text: str) -> Scenario:
     sessions = []
     allows = []  # (line, link, session id or None for 'none') per allow line
     line_of = {}  # ScenarioValidationError item -> the line that gave it
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _content_lines(text):
         parts = line.split()
         tag = parts[0]
         if tag == "nodes":
@@ -541,33 +548,23 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioFormatError(lineno, f"unknown directive {tag!r}")
     if node_count is None:
         raise ScenarioValidationError("document has no nodes line")
-    nf = len(sessions)
-    allow_ids: dict = {}
-    allow_none: set = set()
+    full = frozenset(range(len(sessions)))
+    sets, none = {}, {}  # link -> its sessions, and whether its first allow line said none
     for lineno, li, f in allows:
         if not (0 <= li < len(links)):
             raise ScenarioFormatError(lineno, f"allow references missing link {li}")
-        if f is None:
-            if allow_ids.get(li):
-                raise ScenarioFormatError(lineno, f"allow {li} none conflicts with earlier allow lines")
-            allow_none.add(li)
-        elif li in allow_none:
+        said_none = none.setdefault(li, f is None)
+        if f is None and not said_none:
+            raise ScenarioFormatError(lineno, f"allow {li} none conflicts with earlier allow lines")
+        if f is not None and said_none:
             raise ScenarioFormatError(lineno, f"allow line conflicts with earlier allow {li} none")
-        elif not (0 <= f < nf):
+        if f is not None and f not in full:
             raise ScenarioFormatError(lineno, f"allow names missing session {f}")
-        else:
-            allow_ids.setdefault(li, []).append(f)
-    full = frozenset(range(nf))
-    allowed = []
-    for li in range(len(links)):
-        if li in allow_none:
-            allowed.append(frozenset())
-        elif li in allow_ids:
-            allowed.append(frozenset(allow_ids[li]))
-        else:
-            allowed.append(full)
+        sets.setdefault(li, set()).update(() if f is None else (f,))
+    # frozenset(full) is full: the links without an allow line share one set
+    allowed = tuple(frozenset(sets.get(li, full)) for li in range(len(links)))
     try:
-        return Scenario(Network(node_count, tuple(links)), tuple(sessions), tuple(allowed))
+        return Scenario(Network(node_count, tuple(links)), tuple(sessions), allowed)
     except ScenarioValidationError as e:
         if e.item is None:  # a fault of the whole document: no session
             raise

@@ -21,8 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .net import (_EPS, ContractError, Scenario, ScenarioValidationError, _fewest_hops, _frozen,
-                  require_routable, residual_matrix, total_utility, validate_decision)
+from .net import (_EPS, ContractError, Scenario, ScenarioValidationError, _content_lines,
+                  _fewest_hops, _frozen, require_routable, residual_matrix, total_utility,
+                  validate_decision)
 from .engine import AlgConfig, default_alpha
 
 NEWTON_TOL = 1e-9     # half the squared Newton decrement that ends a centering
@@ -168,19 +169,22 @@ def compute_zeta(scenario: Scenario, x, mu, alpha) -> float:
     Each non-destination (node, session) contributes alpha_n times the squared
     norm of the session's variables incident to n (its rate at the source plus
     adjacent link rates); each destination contributes alpha_dst times the
-    squared incoming rates.
+    squared incoming rates. alpha passes AlgConfig.node_alpha, the rule a
+    run applies, and a zeta that is not finite raises ContractError: a
+    report could not carry it.
     """
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape != (scenario.n_nodes,):
-        raise ContractError(f"alpha must have one entry per node, got shape {alpha.shape}")
+    alpha = AlgConfig(alpha).node_alpha(scenario.network)
     x, mu = np.asarray(x, dtype=float), np.asarray(mu, dtype=float)
     tails = scenario.network.tails
     heads = scenario.network.heads
-    total = float(np.sum(alpha[scenario.src] * x * x))
-    sq = mu * mu
-    total += float(np.sum(alpha[heads][:, None] * sq))
-    tail_counts = tails[:, None] != scenario.dst[None, :]
-    total += float(np.sum(np.where(tail_counts, alpha[tails][:, None] * sq, 0.0)))
+    with np.errstate(over="ignore"):  # a huge alpha or rate overflows to inf, refused below
+        total = float(np.sum(alpha[scenario.src] * x * x))
+        sq = mu * mu
+        total += float(np.sum(alpha[heads][:, None] * sq))
+        tail_counts = tails[:, None] != scenario.dst[None, :]
+        total += float(np.sum(np.where(tail_counts, alpha[tails][:, None] * sq, 0.0)))
+    if not math.isfinite(total):
+        raise ContractError(f"zeta {total!r} is not finite")
     return total
 
 
@@ -246,9 +250,11 @@ def solve_centralized(scenario: Scenario, tol: float = 1e-5, alpha=None) -> Orac
     achieving the best dual value, and zeta at the supplied (or default)
     per-node alpha. Raises ContractError before solving unless tol is
     positive and finite and alpha passes AlgConfig.node_alpha, the rule a run
-    applies. Raises OracleError if the certificate does not close, and at
-    once for an unroutable session or a Newton system of more than
-    NEWTON_BYTES_MAX bytes.
+    applies, and after solving if zeta at that alpha is not finite (so that
+    every solution returned has a report that parse_solution reads). Raises
+    OracleError if the certificate does not close, and at once for an
+    unroutable session or a Newton system of more than NEWTON_BYTES_MAX
+    bytes.
     """
     if not (0.0 < tol < math.inf):
         raise ContractError(f"tol must be positive and finite, got {tol!r}")
@@ -411,9 +417,7 @@ def parse_solution(text: str, scenario: Scenario) -> OracleSolution:
     number, an alpha that is not positive or a negative duality_gap,
     max_violation, zeta, x or mu (solve_centralized writes none). lambda and
     weak_margin are signed."""
-    lines = ((lineno, raw.split("#", 1)[0].strip())
-             for lineno, raw in enumerate(text.splitlines(), start=1))
-    lines = ((lineno, line) for lineno, line in lines if line)
+    lines = _content_lines(text)
     fields = {}
     for tag, name, mask in _report_entries(scenario):
         values = []

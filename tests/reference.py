@@ -20,6 +20,10 @@ the library's list search must give the same trees and, bit for bit, the
 same repairs. trace_from_csv keeps every row of a trace CSV as a tuple of
 Python values and every (slot, session) pair in a dict: harness.trace_from_csv,
 which keeps typed arrays, must give the same fields and the same errors.
+allow_sets is parse_scenario's allow pass in two passes, a first that
+checks each allow line and sorts its link into ids or none, and a second
+that builds each link's set: the one-pass rule must give the same sets and
+the same first error.
 """
 import math
 from collections import deque
@@ -30,8 +34,8 @@ from proxbp.dpp import dpp_slot_update
 from proxbp.engine import AlgConfig, SlotConstants, slot_update
 from proxbp.harness import (CSV_HEADER, SLOT_COLUMNS, Trace, drift_identity_limit,
                             weight_identity_limit)
-from proxbp.net import (ContractError, DomainError, NumericError, decision_faults,
-                        residual_matrix, total_utility)
+from proxbp.net import (ContractError, DomainError, NumericError, ScenarioFormatError,
+                        decision_faults, residual_matrix, total_utility)
 from proxbp.queues import audit_queue_bounds, step_Q, step_Y, step_Z
 
 
@@ -388,3 +392,33 @@ def trace_from_csv(path) -> Trace:
         for name, v in zip(SLOT_COLUMNS, values[2:]):
             scal[name][t] = v
     return Trace(alg=alg, x=x, xbar=xbar, **scal)
+
+
+def allow_sets(allows, n_links, n_sessions) -> tuple:
+    """The allow-sets of a scenario document's n_links links, from its allow
+    lines in document order, one (line, link, session id or None for
+    'none') each. A link without an allow line allows all n_sessions
+    sessions. Raises the ScenarioFormatError of the first faulty line."""
+    allow_ids, allow_none = {}, set()
+    for lineno, li, f in allows:
+        if not (0 <= li < n_links):
+            raise ScenarioFormatError(lineno, f"allow references missing link {li}")
+        if f is None:
+            if allow_ids.get(li):
+                raise ScenarioFormatError(lineno, f"allow {li} none conflicts with earlier allow lines")
+            allow_none.add(li)
+        elif li in allow_none:
+            raise ScenarioFormatError(lineno, f"allow line conflicts with earlier allow {li} none")
+        elif not (0 <= f < n_sessions):
+            raise ScenarioFormatError(lineno, f"allow names missing session {f}")
+        else:
+            allow_ids.setdefault(li, []).append(f)
+    allowed = []
+    for li in range(n_links):
+        if li in allow_none:
+            allowed.append(frozenset())
+        elif li in allow_ids:
+            allowed.append(frozenset(allow_ids[li]))
+        else:
+            allowed.append(frozenset(range(n_sessions)))
+    return tuple(allowed)

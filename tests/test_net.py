@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from reference import arrival_matrix
+from reference import allow_sets, arrival_matrix
 from strategies import arrays, scenarios
 
 import proxbp as P
@@ -605,3 +605,63 @@ def test_round_trip_with_partial_allow_sets():
     assert again.allowed == sc.allowed
     assert again.network == sc.network
 
+
+@st.composite
+def _allow_edits(draw, sc):
+    """sc's document after up to four edits: an allow line dropped,
+    duplicated or moved anywhere, its ids swapped for none or back, or its
+    link or session token replaced by one from -1 to one past the largest
+    valid; a new allow line; a comment or blank line."""
+    lines = P.serialize_scenario(sc).splitlines()
+    link = st.integers(-1, sc.n_links + 1).map(str)
+    session = st.integers(-1, sc.n_sessions + 1).map(str)
+    for _ in range(draw(st.integers(0, 4))):
+        allow = [i for i, line in enumerate(lines) if line.startswith("allow")]
+        op = draw(st.sampled_from(("drop", "duplicate", "move", "swap", "link", "session",
+                                   "new", "comment")))
+        if op == "new":
+            lines.insert(draw(st.integers(0, len(lines))),
+                         f"allow {draw(link)} {draw(st.just('none') | session)}")
+        elif op == "comment":
+            lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(("", "# x"))))
+        elif allow:
+            i = draw(st.sampled_from(allow))
+            if op == "drop":
+                del lines[i]
+            elif op == "duplicate":
+                lines.insert(i, lines[i])
+            elif op == "move":
+                lines.insert(draw(st.integers(0, len(lines) - 1)), lines.pop(i))
+            else:
+                tokens = lines[i].split()
+                if op == "swap":
+                    tokens[2] = draw(session) if tokens[2] == "none" else "none"
+                elif op == "link":
+                    tokens[1] = draw(link)
+                else:
+                    tokens[2] = draw(session)
+                lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data(), scenarios(allow=("mixed",)))
+def test_allow_pass_matches_the_two_pass_rule(data, sc):
+    # an unedited document round-trips exactly
+    text = P.serialize_scenario(sc)
+    again = P.parse_scenario(text)
+    assert (again.network, again.sessions, again.allowed) == (sc.network, sc.sessions, sc.allowed)
+    assert P.serialize_scenario(again) == text
+    # an edited one gives the two-pass rule's sets or its first error
+    doc = data.draw(_allow_edits(sc))
+    allows = [(lineno, int(t[1]), None if t[2] == "none" else int(t[2]))
+              for lineno, t in enumerate((line.split() for line in doc.splitlines()), 1)
+              if t[:1] == ["allow"]]
+    try:
+        want = allow_sets(allows, sc.n_links, sc.n_sessions)
+    except P.ScenarioFormatError as e:
+        with pytest.raises(P.ScenarioFormatError) as got:
+            P.parse_scenario(doc)
+        assert str(got.value) == str(e)
+    else:
+        assert P.parse_scenario(doc).allowed == want

@@ -266,7 +266,7 @@ def test_zeta_examples(singlelink):
     assert compute_zeta(singlelink, x, mu, np.ones(2)) == 3.0
     # the destination end still counts, the tail contribution doubles with alpha
     assert compute_zeta(singlelink, x, mu, np.array([2.0, 1.0])) == 5.0
-    with pytest.raises(P.ContractError):
+    with pytest.raises(P.ContractError, match="^alpha has 3 entries for 2 nodes$"):
         compute_zeta(singlelink, x, mu, np.ones(3))
 
 
@@ -449,6 +449,13 @@ def test_solve_centralized_rejects_a_bad_alpha_before_solving(singlelink, alpha,
     monkeypatch.setattr(oracle, "_barrier_problem", None)  # any solve would call it
     with pytest.raises(P.ContractError, match=f"^{message}$"):
         solve_centralized(singlelink, alpha=alpha)
+
+
+def test_solve_centralized_refuses_a_zeta_that_overflows(sixnode):
+    # each alpha is finite, but zeta at the optimum overflows; before, the
+    # solve returned zeta inf, whose report parse_solution refuses
+    with pytest.raises(P.ContractError, match="^zeta inf is not finite$"):
+        solve_centralized(sixnode, alpha=np.full(6, 1e308))
 
 
 def test_parse_solution_keeps_lambda_and_weak_margin_signed(sixnode, sixnode_sol):

@@ -36,8 +36,18 @@ slot_update takes the previous decisions as their residual g and raw (x, mu)
 arrays, and compute_weights takes g alone, so neither row holds the
 residual, which the run loop computes once per slot. decision_faults checks
 the decisions of the last 4 slots, one chunk of the grid run. The
-oracle rows read the solution's x_star and mu_star. Supported trees are this
-one and its parent, commit 04b59df.
+oracle rows read the solution's x_star and mu_star.
+
+A tree it times needs these calls, with these signatures: parse_scenario,
+default_alpha, AlgConfig, SlotConstants(scenario, config) and its rate
+constants and link_denom, slot_update(Q, g, x, mu, consts),
+residual_matrix(scenario, x, mu), compute_weights(Q, g, scenario),
+step_Z(Z, x, mu, scenario), queues.ZSteps(scenario, slots)(Z, x, mu, out),
+step_Y(Y, g, scenario, out=), rates.rate_lanes, project_rows(a, caps,
+forbidden_entries), decision_faults(scenario, x, mu), DppConfig(V=),
+dpp_slot_update(Y, scenario, config), run(scenario, config, slots),
+solve_centralized(scenario, tol=, alpha=), oracle.repair_feasible(scenario,
+x, mu) and oracle.dual_value(scenario, lam).
 
 Array placement still shows inside one process: between trees whose code for
 a kernel is the same, its rows have differed by up to about 20% depending on
